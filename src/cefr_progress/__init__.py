@@ -16,8 +16,6 @@ from .history import (
     RepoError,
     RepoSpec,
     extract_commits,
-    get_version,
-    group_by_contributor,
     prepare_repo,
 )
 from .report import ReportBundle, emit_csv, emit_html, emit_json, write_report_bundle
@@ -30,6 +28,7 @@ from .scoring import (
     build_profiles,
     build_report,
     commit_delta,
+    level_vector,
     most_proficient_contributor,
     project_rollup,
     score_commit,
@@ -41,10 +40,10 @@ __all__ = [
     "KIND_VOCABULARY", "AnalysisResult", "LevelVector", "analyze_source", "count_constructs",
     "Catalog", "CatalogError", "ConstructRule", "Level", "load_catalog",
     "CommitRecord", "ContributorId", "FileChange", "Repo", "RepoError", "RepoSpec",
-    "extract_commits", "get_version", "group_by_contributor", "prepare_repo",
+    "extract_commits", "prepare_repo",
     "ReportBundle", "emit_csv", "emit_html", "emit_json", "write_report_bundle",
     "CommitScore", "ContributorProfile", "Granularity", "ProjectReport", "TopContributor",
-    "build_profiles", "build_report", "commit_delta", "most_proficient_contributor",
+    "build_profiles", "build_report", "commit_delta", "level_vector", "most_proficient_contributor",
     "project_rollup", "score_commit",
     "__version__",
 ]

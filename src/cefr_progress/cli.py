@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .analyzer import analyze_source
+from .analyzer import LevelVector, analyze_source
 from .catalog import Catalog, CatalogError, load_catalog, LEVEL_LABELS
 from .history import RepoError, RepoSpec, extract_commits, prepare_repo
 from .report import write_report_bundle
-from .scoring import DEFAULT_BOT_PATTERNS, Granularity, build_report, score_commit
+from .scoring import DEFAULT_BOT_PATTERNS, Granularity, build_report, level_vector, score_commit
 
 log = logging.getLogger("cefr_progress")
 
@@ -56,12 +56,23 @@ class RunConfig:
 
 
 def _score_all(records, catalog: Catalog, jobs: int):
-    scorer = partial(score_commit, catalog=catalog)
-    if jobs <= 1 or len(records) < 2:
-        return [scorer(record) for record in records]
-    # executor.map preserves input order, so aggregation stays deterministic
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(scorer, records, chunksize=max(1, len(records) // (jobs * 4))))
+    memo: dict[str, LevelVector | None] = {}
+    if jobs > 1:
+        # workers get each distinct text once and return its vector, in input order
+        texts = list(dict.fromkeys(
+            text
+            for record in records
+            for change in record.changes
+            for text in (change.before_text, change.after_text)
+            if text is not None
+        ))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            vectors = pool.map(
+                partial(level_vector, catalog=catalog), texts,
+                chunksize=max(1, len(texts) // (jobs * 4)),
+            )
+            memo.update(zip(texts, vectors))
+    return [score_commit(record, catalog, memo) for record in records]
 
 
 def cmd_analyze(config: RunConfig) -> int:
@@ -159,7 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--identity", choices=["author", "committer"], default="author",
         help="which git identity is credited (default: %(default)s)",
     )
-    analyze.add_argument("--jobs", type=int, default=1, help="parallel scoring processes (default: %(default)s)")
+    analyze.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes analyzing distinct file versions (default: %(default)s)",
+    )
 
     classify = sub.add_parser("classify", help="classify a single Python file")
     classify.add_argument("file", help="Python source file")

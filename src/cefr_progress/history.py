@@ -3,8 +3,9 @@
 Walks the default branch's first-parent chain of a repository and emits one
 CommitRecord per non-merge commit, carrying the before/after texts of every
 changed ``.py`` file.  All repository access goes through the ``git``
-executable: one ``git log --name-status`` pass for the chain and a
-persistent ``git cat-file --batch`` subprocess for blob contents.
+executable: one ``git log --raw -z`` pass gives every change with its old
+and new blob ids and its paths verbatim, and a persistent
+``git cat-file --batch`` subprocess reads each distinct blob once by id.
 
 Identity and ordering decisions:
 
@@ -15,6 +16,8 @@ Identity and ordering decisions:
   history linear so each commit diffs against exactly one parent.
 * Renames count as modifications with the before text taken from the old
   path; blobs containing NUL bytes are treated as absent (binary policy).
+* Changes whose sides share a blob id share one decoded text object, so
+  text memory grows with the distinct blobs, not with the changes.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ import hashlib
 import logging
 import os
 import subprocess
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 log = logging.getLogger(__name__)
 
 _FIELD_SEP = "\x1f"
-_RECORD_SEP = "\x1e"
 
 CACHE_ENV_VAR = "CEFR_PROGRESS_CACHE"
 
@@ -37,7 +40,7 @@ CACHE_ENV_VAR = "CEFR_PROGRESS_CACHE"
 class RepoError(Exception):
     """Repository access failure.
 
-    `kind` is one of "clone_failed", "shallow", "empty", "bad_sha".
+    `kind` is one of "clone_failed", "shallow", "empty", "bad_sha", "git_missing".
     """
 
     def __init__(self, kind: str, message: str):
@@ -91,6 +94,21 @@ class CommitRecord:
     changes: tuple[FileChange, ...] = field(default=())
 
 
+def _run_git(*args: str) -> subprocess.CompletedProcess:
+    """Run ``git`` with `args` and capture its output as text."""
+    try:
+        return subprocess.run(["git", *args], capture_output=True, text=True)
+    except OSError as exc:
+        raise RepoError("git_missing", f"cannot run git: {exc}") from exc
+
+
+def _start_git(*args: str, **pipes) -> subprocess.Popen:
+    try:
+        return subprocess.Popen(["git", *args], **pipes)
+    except OSError as exc:
+        raise RepoError("git_missing", f"cannot run git: {exc}") from exc
+
+
 class Repo:
     """Read handle on a local git repository.
 
@@ -103,49 +121,49 @@ class Repo:
         self._batch: subprocess.Popen | None = None
 
     def git(self, *args: str) -> str:
-        proc = subprocess.run(
-            ["git", "-C", str(self.path), "-c", "core.quotepath=off", *args],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_git("-C", str(self.path), "-c", "core.quotepath=off", *args)
         if proc.returncode != 0:
             raise RepoError("clone_failed", f"git {args[0]} failed: {proc.stderr.strip()}")
         return proc.stdout
 
+    def git_fields(self, *args: str) -> Iterator[bytes]:
+        """The NUL-terminated fields of a ``git ... -z`` command's output, as git writes them.
+
+        git's own messages go to stderr, like the rest of the progress output.
+        """
+        with _start_git("-C", str(self.path), *args, stdout=subprocess.PIPE) as proc:
+            rest = b""
+            for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+                *fields, rest = (rest + chunk).split(b"\0")
+                yield from fields
+        if proc.returncode != 0:
+            raise RepoError("clone_failed", f"git {args[0]} exited with status {proc.returncode}")
+
     def _batch_proc(self) -> subprocess.Popen:
         if self._batch is None or self._batch.poll() is not None:
-            self._batch = subprocess.Popen(
-                ["git", "-C", str(self.path), "cat-file", "--batch"],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
+            self._batch = _start_git(
+                "-C", str(self.path), "cat-file", "--batch",
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             )
         return self._batch
 
-    def read_blob(self, sha: str, path: str) -> bytes | None:
-        """Raw bytes of `path` at commit `sha`, or None when absent there."""
+    def read_blob(self, oid: str) -> bytes | None:
+        """Raw bytes of the blob named `oid`, or None when it is no blob here."""
         proc = self._batch_proc()
-        request = f"{sha}:{path}\n".encode("utf-8")
-        proc.stdin.write(request)
+        proc.stdin.write(f"{oid}\n".encode("ascii"))
         proc.stdin.flush()
-        header = proc.stdout.readline().decode("utf-8", errors="replace").rstrip("\n")
-        if header.endswith(" missing") or header.endswith(" ambiguous"):
-            return None
-        parts = header.split()
-        if len(parts) != 3 or parts[1] != "blob":
-            # non-blob object at the path (e.g. a submodule gitlink)
-            if len(parts) == 3:
-                size = int(parts[2])
-                proc.stdout.read(size + 1)
-            return None
-        size = int(parts[2])
-        data = proc.stdout.read(size)
+        header = proc.stdout.readline().split()
+        if len(header) != 3:
+            return None  # "<oid> missing" or "<oid> ambiguous"
+        data = proc.stdout.read(int(header[2]))
         proc.stdout.read(1)  # trailing newline
-        return data
+        return data if header[1] == b"blob" else None
 
     def close(self) -> None:
-        if self._batch is not None and self._batch.poll() is None:
+        if self._batch is not None:
             self._batch.stdin.close()
             self._batch.wait(timeout=10)
+            self._batch.stdout.close()
         self._batch = None
 
     def __enter__(self) -> "Repo":
@@ -173,12 +191,7 @@ def prepare_repo(spec: RepoSpec) -> Repo:
     """Local passthrough for paths; cached bare clone for URLs."""
     candidate = Path(spec.source)
     if candidate.exists():
-        probe = subprocess.run(
-            ["git", "-C", str(candidate), "rev-parse", "--git-dir"],
-            capture_output=True,
-            text=True,
-        )
-        if probe.returncode != 0:
+        if _run_git("-C", str(candidate), "rev-parse", "--git-dir").returncode != 0:
             raise RepoError("clone_failed", f"{spec.source} exists but is not a git repository")
         repo = Repo(candidate)
         _assert_not_shallow(repo)
@@ -189,11 +202,7 @@ def prepare_repo(spec: RepoSpec) -> Repo:
     if not clone_dir.exists():
         log.info("cloning %s into %s", spec.source, clone_dir)
         clone_dir.parent.mkdir(parents=True, exist_ok=True)
-        proc = subprocess.run(
-            ["git", "clone", "--bare", spec.source, str(clone_dir)],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_git("clone", "--bare", spec.source, str(clone_dir))
         if proc.returncode != 0:
             raise RepoError("clone_failed", f"clone of {spec.source} failed: {proc.stderr.strip()}")
     else:
@@ -209,55 +218,54 @@ def _decode_blob(data: bytes | None) -> str | None:
     return data.decode("utf-8", errors="replace")
 
 
-def _parse_name_status(line: str) -> tuple[str, str, str | None] | None:
-    """Split one name-status line into (status letter, path, old path)."""
-    fields = line.split("\t")
-    status = fields[0]
-    if status.startswith(("R", "C")) and len(fields) == 3:
-        return status[0], fields[2], fields[1]
-    if len(fields) == 2:
-        return status[0], fields[1], None
-    return None
+def _side(mode: str, oid: str) -> str | None:
+    """The blob id on one side of a raw diff entry; None when that side is absent
+    (the null id) or a submodule (gitlink mode 160000)."""
+    return None if mode == "160000" or not oid.strip("0") else oid
 
 
-def _change_from_entry(
-    repo: Repo, sha: str, parent: str | None, status: str, path: str, old_path: str | None
+_KINDS = {"A": "added", "C": "added", "D": "deleted", "M": "modified", "T": "modified", "R": "renamed"}
+
+
+def _change(
+    status: str, paths: list[str], old: str | None, new: str | None, text_of: Callable
 ) -> FileChange | None:
-    is_py = path.endswith(".py")
-    if status == "A":
-        if not is_py:
-            return None
-        return FileChange(path, "added", after_text=_decode_blob(repo.read_blob(sha, path)))
-    if status == "D":
-        if not is_py:
-            return None
-        return FileChange(path, "deleted", before_text=_decode_blob(repo.read_blob(parent, path)))
-    if status in ("R", "C"):
-        source = old_path if old_path is not None else path
-        if status == "C":
-            # a copy's source still exists; treat the new file as added
-            return FileChange(path, "added", after_text=_decode_blob(repo.read_blob(sha, path))) if is_py else None
-        if is_py:
-            return FileChange(
-                path,
-                "renamed",
-                before_text=_decode_blob(repo.read_blob(parent, source)),
-                after_text=_decode_blob(repo.read_blob(sha, path)),
-                old_path=source,
-            )
-        if source.endswith(".py"):
-            # renamed out of .py: the Python file is gone
-            return FileChange(source, "deleted", before_text=_decode_blob(repo.read_blob(parent, source)))
+    """The .py FileChange for one raw diff entry, or None when it touches no .py file.
+
+    A copy counts as added (its source still exists), a rename out of .py as
+    a deletion, and a typechange (T) as a modification.
+    """
+    path = paths[-1]
+    if status == "C":
+        old = None
+    elif status == "R" and not path.endswith(".py"):
+        status, path, new = "D", paths[0], None
+    kind = _KINDS.get(status)
+    if kind is None or not path.endswith(".py"):
         return None
-    # M and the rare T (typechange) both mean: same path, new content
-    if not is_py:
-        return None
-    return FileChange(
-        path,
-        "modified",
-        before_text=_decode_blob(repo.read_blob(parent, path)),
-        after_text=_decode_blob(repo.read_blob(sha, path)),
-    )
+    return FileChange(path, kind, text_of(old), text_of(new), paths[0] if kind == "renamed" else None)
+
+
+def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[str, list]]:
+    """(header, [(status, paths, old blob id, new blob id)]) per commit of ``git log --raw -z``.
+
+    Each header, raw entry and unquoted path ends in NUL.  A raw entry starts with
+    ":" ("\\n:" for a commit's first) and is followed by its one or two paths.
+    """
+    header, entries = None, []
+    for field in fields:
+        entry = field.lstrip(b"\n")
+        if entry.startswith(b":"):
+            old_mode, new_mode, old_oid, new_oid, status = entry[1:].decode("ascii").split()
+            count = 2 if status[0] in "RC" else 1
+            paths = [next(fields).decode("utf-8", errors="surrogateescape") for _ in range(count)]
+            entries.append((status[0], paths, _side(old_mode, old_oid), _side(new_mode, new_oid)))
+        elif field:
+            if header is not None:
+                yield header, entries
+            header, entries = field.decode("utf-8", errors="replace"), []
+    if header is not None:
+        yield header, entries
 
 
 def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecord]:
@@ -269,47 +277,34 @@ def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecor
     """
     if identity not in ("author", "committer"):
         raise ValueError(f"identity must be 'author' or 'committer', not {identity!r}")
-    head = subprocess.run(
-        ["git", "-C", str(repo.path), "rev-parse", "--verify", "HEAD"],
-        capture_output=True,
-        text=True,
-    )
-    if head.returncode != 0:
+    if _run_git("-C", str(repo.path), "rev-parse", "--verify", "--quiet", "HEAD").returncode != 0:
         raise RepoError("empty", f"{repo.path} has no commits on its default branch")
 
-    fmt = _RECORD_SEP + _FIELD_SEP.join(["%H", "%P", "%an", "%ae", "%at", "%cn", "%ce"])
-    out = repo.git(
-        "log", "--first-parent", "--topo-order", "--reverse", "-M",
-        "--name-status", f"--format={fmt}", "HEAD",
-    )
+    texts: dict[str | None, str | None] = {None: None}  # blob id -> decoded text
 
+    def text_of(oid: str | None) -> str | None:
+        if oid not in texts:
+            texts[oid] = _decode_blob(repo.read_blob(oid))
+        return texts[oid]
+
+    fmt = _FIELD_SEP.join(["%H", "%P", "%an", "%ae", "%at", "%cn", "%ce"])
+    fields = repo.git_fields(
+        "log", "--first-parent", "--topo-order", "--reverse", "--raw", "-z",
+        "--no-abbrev", "-M", f"--format={fmt}", "HEAD",
+    )
     records: list[CommitRecord] = []
-    for chunk in out.split(_RECORD_SEP):
-        if not chunk.strip():
-            continue
-        header, _, body = chunk.partition("\n")
+    for header, entries in _raw_log(fields):
         sha, parents_raw, a_name, a_email, a_time, c_name, c_email = header.split(_FIELD_SEP)
         parents = parents_raw.split()
         if len(parents) >= 2:
             log.debug("skipping merge commit %s", sha)
             continue
-        parent = parents[0] if parents else None
+        changes = [change for entry in entries if (change := _change(*entry, text_of)) is not None]
         name, email = (a_name, a_email) if identity == "author" else (c_name, c_email)
-        changes: list[FileChange] = []
-        for line in body.splitlines():
-            if not line.strip():
-                continue
-            entry = _parse_name_status(line)
-            if entry is None:
-                log.debug("unrecognized name-status line in %s: %r", sha, line)
-                continue
-            change = _change_from_entry(repo, sha, parent, *entry)
-            if change is not None:
-                changes.append(change)
         records.append(
             CommitRecord(
                 sha=sha,
-                parent_sha=parent,
+                parent_sha=parents[0] if parents else None,
                 contributor=ContributorId.from_identity(name, email),
                 timestamp=int(a_time),
                 changes=tuple(changes),
@@ -318,26 +313,3 @@ def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecor
     if not records:
         raise RepoError("empty", f"{repo.path} has no non-merge commits")
     return records
-
-
-def get_version(repo: Repo, path: str, sha: str) -> str | None:
-    """Text of `path` at commit `sha`; None when absent there or binary."""
-    probe = subprocess.run(
-        ["git", "-C", str(repo.path), "rev-parse", "--verify", "--quiet", f"{sha}^{{commit}}"],
-        capture_output=True,
-        text=True,
-    )
-    if probe.returncode != 0:
-        raise RepoError("bad_sha", f"no such commit: {sha}")
-    return _decode_blob(repo.read_blob(sha, path))
-
-
-def group_by_contributor(commits: list[CommitRecord]) -> dict[ContributorId, list[CommitRecord]]:
-    """Partition commits by anon_id, preserving commit order within each group."""
-    groups: dict[str, list[CommitRecord]] = {}
-    representatives: dict[str, ContributorId] = {}
-    for record in commits:
-        key = record.contributor.anon_id
-        groups.setdefault(key, []).append(record)
-        representatives.setdefault(key, record.contributor)
-    return {representatives[key]: records for key, records in groups.items()}

@@ -75,24 +75,39 @@ def commit_delta(before: LevelVector, after: LevelVector) -> LevelVector:
     return LevelVector(tuple(max(a - b, 0) for a, b in zip(after.counts, before.counts)))
 
 
-def score_commit(record: CommitRecord, catalog: Catalog) -> CommitScore:
+def level_vector(text: str, catalog: Catalog) -> LevelVector | None:
+    """The level vector of one file text, or None when it does not parse."""
+    result = analyze_source(text, catalog)
+    return result.vector if result.parse_ok else None
+
+
+def score_commit(
+    record: CommitRecord, catalog: Catalog, memo: dict[str, LevelVector | None] | None = None
+) -> CommitScore:
     """Sum the per-file clamped deltas of one commit.
 
     A file whose present side fails to parse is skipped and contributes
     nothing; absent sides (added/deleted/binary) count as the zero vector.
+    `memo` maps texts to their `level_vector` under `catalog`; texts it
+    lacks are analyzed and added, so a memo shared across commits analyzes
+    each distinct text once.
     """
+    if memo is None:
+        memo = {}
     total = LevelVector.zero()
     analyzed = 0
     skipped = 0
     for change in record.changes:
-        before = analyze_source(change.before_text, catalog) if change.before_text is not None else None
-        after = analyze_source(change.after_text, catalog) if change.after_text is not None else None
-        if (before is not None and not before.parse_ok) or (after is not None and not after.parse_ok):
+        sides = []
+        for text in (change.before_text, change.after_text):
+            if text is not None and text not in memo:
+                memo[text] = level_vector(text, catalog)
+            sides.append(LevelVector.zero() if text is None else memo[text])
+        before_vec, after_vec = sides
+        if before_vec is None or after_vec is None:
             skipped += 1
             continue
         analyzed += 1
-        before_vec = before.vector if before is not None else LevelVector.zero()
-        after_vec = after.vector if after is not None else LevelVector.zero()
         total = total + commit_delta(before_vec, after_vec)
     return CommitScore(
         sha=record.sha,

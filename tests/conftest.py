@@ -214,6 +214,47 @@ def rename_repo(tmp_path_factory) -> Path:
     return fx.path
 
 
+# Paths git C-quotes in its human-readable output ('"', tab, newline), or
+# would without core.quotepath=off (non-ASCII).
+QUOTED_PATHS = (
+    'we"ird.py',
+    "tab\there.py",
+    "new\nline.py",
+    "na\u00efve.py",
+    're"named\t.py',
+    "moved\nna\u00efve.py",
+)
+
+
+@pytest.fixture(scope="session")
+def quoted_repo(tmp_path_factory) -> Path:
+    """Adds, modifies, renames and deletes .py files with quoted names."""
+    weird, tab, newline, accent, renamed_tab, renamed_newline = QUOTED_PATHS
+    fx = GitFixture(tmp_path_factory.mktemp("quoted") / "repo")
+    fx.write(weird, UTIL_V1)
+    fx.commit(ALICE, "2021-01-05T10:00:00Z", "add a quoted name")
+    fx.write(tab, GEN_PY)
+    fx.commit(BOB, "2021-02-05T10:00:00Z", "add a tab name")
+    fx.write(newline, KEEP_V1)
+    fx.commit(CARLA_LOWER, "2021-03-05T10:00:00Z", "add a newline name")
+    fx.write(accent, BOT_PY)
+    fx.commit(ALICE, "2021-04-05T10:00:00Z", "add a non-ASCII name")
+    fx.write(weird, UTIL_V2)
+    fx.commit(BOB, "2022-01-05T10:00:00Z", "grow the quoted file")
+    fx.write(accent, BOT_PY + "names = [n for n in release]\n")
+    fx.commit(CARLA_LOWER, "2022-02-05T10:00:00Z", "grow the non-ASCII file")
+    fx.move(tab, renamed_tab)
+    fx.commit(ALICE, "2022-03-05T10:00:00Z", "rename the tab file")
+    fx.move(newline, renamed_newline)
+    fx.write(renamed_newline, KEEP_V2)
+    fx.commit(BOB, "2022-04-05T10:00:00Z", "rename and extend the newline file")
+    fx.remove(weird)
+    fx.commit(CARLA_LOWER, "2022-05-05T10:00:00Z", "drop the quoted file")
+    fx.move(accent, 'na\u00efve "notes".txt')
+    fx.commit(ALICE, "2022-06-05T10:00:00Z", "the non-ASCII file is prose now")
+    return fx.path
+
+
 # -- synthetic ~500-commit repository (built with fast-import) ----------
 
 _SNIPPET_POOL = [

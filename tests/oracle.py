@@ -61,12 +61,14 @@ def materialize_tree(repo_path, sha: str) -> dict[str, bytes]:
 
 def rename_pairs(repo_path, parent: str, sha: str) -> dict[str, str]:
     """new path -> old path for every rename git detects between the two commits."""
-    out = _git(repo_path, "diff", "--name-status", "-M", parent, sha)
+    fields = _git(repo_path, "diff", "--name-status", "-z", "-M", parent, sha).split("\0")
     pairs: dict[str, str] = {}
-    for line in out.splitlines():
-        fields = line.split("\t")
-        if fields and fields[0].startswith("R") and len(fields) == 3:
-            pairs[fields[2]] = fields[1]
+    i = 0
+    while i < len(fields) - 1:  # -z: "status\0path\0", plus "new path\0" for R and C
+        status = fields[i]
+        if status.startswith("R"):
+            pairs[fields[i + 2]] = fields[i + 1]
+        i += 3 if status[:1] in ("R", "C") else 2
     return pairs
 
 

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from cefr_progress import history, scoring
 from cefr_progress.cli import main
+from cefr_progress.history import RepoSpec, extract_commits, prepare_repo
 
 
 def test_analyze_fixture_writes_three_reports(linear_repo, tmp_path, capsys):
@@ -26,6 +28,48 @@ def test_analyze_summary_counts_skipped_files(linear_repo, tmp_path, capsys):
 
 def test_analyze_nonexistent_repo_exits_2(tmp_path):
     assert main(["analyze", str(tmp_path / "missing"), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_analyze_without_git_binary_exits_2(linear_repo, tmp_path, monkeypatch):
+    empty = tmp_path / "empty-path"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    assert main(["analyze", str(linear_repo), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_analyze_analyzes_each_distinct_text_once(big_repo, tmp_path, monkeypatch):
+    reads = []
+    read_blob = history.Repo.read_blob
+
+    def counting_read_blob(self, oid):
+        reads.append(oid)
+        return read_blob(self, oid)
+
+    monkeypatch.setattr(history.Repo, "read_blob", counting_read_blob)
+    with prepare_repo(RepoSpec(str(big_repo))) as repo:
+        records = extract_commits(repo)
+    sides = [
+        text
+        for record in records
+        for change in record.changes
+        for text in (change.before_text, change.after_text)
+        if text is not None
+    ]
+    texts = set(sides)
+    assert len(reads) == len(set(reads)) == len(texts) < len(sides)
+    # equal texts come from one blob read, so they are one object
+    assert len({id(text) for text in sides}) == len(texts)
+
+    calls = []
+    analyze_source = scoring.analyze_source
+
+    def counting_analyze_source(source, catalog):
+        calls.append(source)
+        return analyze_source(source, catalog)
+
+    monkeypatch.setattr(scoring, "analyze_source", counting_analyze_source)
+    assert main(["analyze", str(big_repo), "--out", str(tmp_path / "o"), "--jobs", "1"]) == 0
+    assert len(calls) == len(texts)
 
 
 def test_analyze_bad_catalog_exits_3(linear_repo, tmp_path):

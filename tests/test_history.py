@@ -5,15 +5,41 @@ import pytest
 from cefr_progress.history import (
     CommitRecord,
     ContributorId,
+    Repo,
     RepoError,
     RepoSpec,
     extract_commits,
-    get_version,
-    group_by_contributor,
     prepare_repo,
 )
 
-from conftest import ALICE, BOB, GitFixture, KEEP_V1, KEEP_V2, UTIL_V1, UTIL_V2
+from conftest import ALICE, BOB, QUOTED_PATHS, GitFixture, KEEP_V1, KEEP_V2, UTIL_V1, UTIL_V2
+
+
+def get_version(repo: Repo, path: str, sha: str) -> str | None:
+    """Text of `path` at commit `sha`; None when absent there or binary."""
+    try:
+        repo.git("rev-parse", "--verify", "--quiet", f"{sha}^{{commit}}")
+    except RepoError:
+        raise RepoError("bad_sha", f"no such commit: {sha}") from None
+    try:
+        oid = repo.git("rev-parse", "--verify", "--quiet", f"{sha}:{path}").strip()
+    except RepoError:
+        return None
+    data = repo.read_blob(oid)
+    if data is None or b"\x00" in data:
+        return None
+    return data.decode("utf-8", errors="replace")
+
+
+def group_by_contributor(commits: list[CommitRecord]) -> dict[ContributorId, list[CommitRecord]]:
+    """Partition commits by anon_id, preserving commit order within each group."""
+    groups: dict[str, list[CommitRecord]] = {}
+    representatives: dict[str, ContributorId] = {}
+    for record in commits:
+        key = record.contributor.anon_id
+        groups.setdefault(key, []).append(record)
+        representatives.setdefault(key, record.contributor)
+    return {representatives[key]: records for key, records in groups.items()}
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +227,35 @@ def test_unicode_and_spaced_paths(tmp_path):
     assert (renamed.path, renamed.old_path) == ("renamed ß.py", "weird name äöü.py")
 
 
+def test_quoted_paths_come_back_verbatim(quoted_repo):
+    weird, tab, newline, accent, renamed_tab, renamed_newline = QUOTED_PATHS
+    with prepare_repo(RepoSpec(str(quoted_repo))) as repo:
+        records = extract_commits(repo)
+        seen = []
+        for record in records:
+            for change in record.changes:
+                seen.append((change.change_type, change.old_path, change.path))
+                if change.change_type != "added":
+                    before_path = change.old_path or change.path
+                    assert change.before_text == get_version(repo, before_path, record.parent_sha)
+                    assert change.before_text
+                if change.change_type != "deleted":
+                    assert change.after_text == get_version(repo, change.path, record.sha)
+                    assert change.after_text
+    assert seen == [
+        ("added", None, weird),
+        ("added", None, tab),
+        ("added", None, newline),
+        ("added", None, accent),
+        ("modified", None, weird),
+        ("modified", None, accent),
+        ("renamed", tab, renamed_tab),
+        ("renamed", newline, renamed_newline),
+        ("deleted", None, weird),
+        ("deleted", None, accent),  # renamed out of .py
+    ]
+
+
 def test_committer_identity_mode(tmp_path):
     fx = GitFixture(tmp_path / "repo")
     fx.write("a.py", "a = 1\n")
@@ -283,6 +338,16 @@ def test_prepare_repo_rejects_shallow_clone(linear_repo, tmp_path):
     with pytest.raises(RepoError) as err:
         prepare_repo(RepoSpec(str(shallow)))
     assert err.value.kind == "shallow"
+
+
+def test_missing_git_binary_is_a_repo_error(linear_repo, tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path))
+    with pytest.raises(RepoError) as err:
+        prepare_repo(RepoSpec(str(linear_repo)))
+    assert err.value.kind == "git_missing"
+    with pytest.raises(RepoError) as err:
+        Repo(linear_repo).read_blob("0" * 40)
+    assert err.value.kind == "git_missing"
 
 
 def test_empty_repository_raises(tmp_path):
