@@ -1,9 +1,11 @@
 """Syntactic construct counting for Python source text.
 
-Walks the parse tree of one source file and emits a (kind, line) occurrence
-for every construct in the analyzer vocabulary, then folds the cataloged
-occurrences into a six-level count vector.  Classification is purely
-syntactic: no imports are resolved and no types are inferred.
+Walks the parse tree of one source file once, with an explicit stack, and
+emits a (kind, line) occurrence for every construct in the analyzer
+vocabulary, then folds the cataloged occurrences into a six-level count
+vector.  Classification is purely syntactic: no imports are resolved and no
+types are inferred.  Kinds that one node type always emits come from a
+type -> kind table; the conditional kinds are branches on the node type.
 
 Counting rules worth knowing (each occurrence is one syntax-tree match):
 
@@ -16,14 +18,20 @@ Counting rules worth knowing (each occurrence is one syntax-tree match):
   ``else_clause`` plus ``if_statement``.
 * List/tuple displays count only in load context; store-context targets
   count as ``tuple_unpacking`` instead.
+* ``generator_function`` follows the compiler: a def is a generator when a
+  ``yield`` runs in its frame.  A yield in a nested def's decorator,
+  default or annotation runs in the enclosing def, so it marks that one.
 * ``closure`` uses the compiler's own scoping rules (symtable): an inner
-  def/lambda counts when it has at least one free variable.
+  def/lambda counts when it has at least one free variable.  The symbol
+  table is built only when the walk found a def or lambda.
 * Class-protocol kinds (``context_manager_definition``,
   ``descriptor_definition``, ``dunder_new_override``, ``metaclass``)
   anchor at the class statement's line.
 
 Source that does not compile under the running Python 3 grammar yields
 ``parse_ok=False`` and an all-zero vector; the pipeline never aborts on it.
+Nesting too deep for the parser or the symbol table (RecursionError,
+MemoryError) is treated the same way.
 """
 
 from __future__ import annotations
@@ -107,292 +115,192 @@ class AnalysisResult:
     parse_ok: bool
 
 
-_ARITHMETIC_OPS = (ast.Add, ast.Sub, ast.Mult, ast.MatMult, ast.Div, ast.Mod, ast.Pow, ast.FloorDiv)
+_ARITHMETIC_OPS = frozenset({
+    ast.Add, ast.Sub, ast.Mult, ast.MatMult, ast.Div, ast.Mod, ast.Pow, ast.FloorDiv,
+})
 _CM_PAIRS = (("__enter__", "__exit__"), ("__aenter__", "__aexit__"))
 _DESCRIPTOR_DUNDERS = {"__get__", "__set__", "__delete__"}
 _PROPERTY_ATTRS = {"setter", "getter", "deleter"}
+_UNPACKING_TARGETS = (ast.Tuple, ast.List)
+_FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_CALLABLES = frozenset({ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda})
+_TRY_STAR = getattr(ast, "TryStar", ast.Try)  # except* groups, when the grammar has them
+_ELSE_BLOCKS = frozenset({ast.For, ast.AsyncFor, ast.While, ast.Try, _TRY_STAR})
+
+#: Kinds that every node of one type emits, anchored at that node's line.
+_NODE_KINDS: dict[type, str] = {
+    ast.Assign: "simple_assignment",
+    ast.AugAssign: "augmented_assignment",
+    ast.For: "for_statement",
+    ast.AsyncFor: "for_statement",
+    ast.While: "while_statement",
+    ast.FunctionDef: "function_definition",
+    ast.AsyncFunctionDef: "function_definition",
+    ast.Lambda: "lambda_expression",
+    ast.ClassDef: "class_definition",
+    ast.Import: "import_statement",
+    ast.ImportFrom: "import_statement",
+    ast.Return: "return_statement",
+    ast.Break: "break_statement",
+    ast.Continue: "continue_statement",
+    ast.Try: "try_except",
+    _TRY_STAR: "try_except",
+    ast.With: "with_statement",
+    ast.AsyncWith: "with_statement",
+    ast.Raise: "raise_statement",
+    ast.Global: "global_declaration",
+    ast.Nonlocal: "nonlocal_declaration",
+    ast.Assert: "assert_statement",
+    ast.Call: "function_call",
+    ast.JoinedStr: "string_formatting",
+    ast.Compare: "comparison_expression",
+    ast.Dict: "dict_literal",
+    ast.Set: "set_literal",
+    ast.ListComp: "list_comprehension",
+    ast.DictComp: "dict_comprehension",
+    ast.SetComp: "set_comprehension",
+    ast.GeneratorExp: "generator_expression",
+    ast.IfExp: "conditional_expression",
+    ast.YieldFrom: "yield_from",
+    ast.Await: "await_expression",
+}
 
 
-def _has_own_yield(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """True when the function's own body (not nested defs) contains a yield."""
-    stack: list[ast.AST] = list(func.body)
+def _walk(tree: ast.Module) -> tuple[list[Occurrence], set[tuple[str, int]]]:
+    """Every occurrence but ``closure``, plus the (name, line) of each def and lambda.
+
+    One pass with an explicit stack.  Each entry carries the innermost def
+    or lambda whose body holds the node, so a yield marks that def as a
+    generator without walking its body again.
+    """
+    found: list[Occurrence] = []
+    defs: set[tuple[str, int]] = set()
+    generators: set[ast.AST] = set()
+    elifs: set[ast.AST] = set()
+    stack: list[tuple[ast.AST, ast.AST | None]] = [(tree, None)]
     while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return False
-
-
-def _subscript_uses_slice(node: ast.Subscript) -> bool:
-    sl = node.slice
-    if isinstance(sl, ast.Slice):
-        return True
-    return isinstance(sl, ast.Tuple) and any(isinstance(e, ast.Slice) for e in sl.elts)
-
-
-class _ConstructCollector(ast.NodeVisitor):
-    """Accumulates (kind, line) pairs over one parse tree."""
-
-    def __init__(self) -> None:
-        self.found: list[Occurrence] = []
-        self._elif_nodes: set[int] = set()
-
-    def emit(self, kind: str, node: ast.AST) -> None:
-        self.found.append((kind, node.lineno))
-
-    # -- statements ---------------------------------------------------
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        self.emit("simple_assignment", node)
-        for target in node.targets:
-            if isinstance(target, (ast.Tuple, ast.List)):
-                self.emit("tuple_unpacking", target)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        # bare annotations (x: int) declare without assigning
-        if node.value is not None:
-            self.emit("simple_assignment", node)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self.emit("augmented_assignment", node)
-        self.generic_visit(node)
-
-    def visit_If(self, node: ast.If) -> None:
-        if id(node) in self._elif_nodes:
-            self.emit("elif_clause", node)
-        else:
-            self.emit("if_statement", node)
-        if node.orelse:
-            first = node.orelse[0]
-            # an elif is the sole If in orelse sharing the parent's column
-            if (len(node.orelse) == 1 and isinstance(first, ast.If)
-                    and first.col_offset == node.col_offset):
-                self._elif_nodes.add(id(first))
+        node, owner = stack.pop()
+        t = type(node)
+        kind = _NODE_KINDS.get(t)
+        if kind is not None:
+            found.append((kind, node.lineno))
+        targets = ()
+        if t is ast.If:
+            found.append(("elif_clause" if node in elifs else "if_statement", node.lineno))
+            if node.orelse:
+                first = node.orelse[0]
+                # an elif is the sole If in orelse sharing the parent's column
+                if (len(node.orelse) == 1 and type(first) is ast.If
+                        and first.col_offset == node.col_offset):
+                    elifs.add(first)
+                else:
+                    found.append(("else_clause", first.lineno))
+        elif t in _ELSE_BLOCKS:
+            if node.orelse:
+                found.append(("else_clause", node.orelse[0].lineno))
+            if t is ast.For or t is ast.AsyncFor:
+                targets = (node.target,)
+        elif t is ast.Assign:
+            targets = node.targets
+        elif t is ast.With or t is ast.AsyncWith:
+            targets = [item.optional_vars for item in node.items]
+        elif t is ast.comprehension:
+            targets = (node.target,)
+        elif t is ast.AnnAssign:
+            # bare annotations (x: int) declare without assigning
+            if node.value is not None:
+                found.append(("simple_assignment", node.lineno))
+        elif t in _CALLABLES:
+            args = node.args
+            for default in args.defaults + args.kw_defaults:
+                if default is not None:
+                    found.append(("default_parameter", default.lineno))
+            if args.vararg is not None:
+                found.append(("star_args_parameter", node.lineno))
+            if args.kwarg is not None:
+                found.append(("kw_args_parameter", node.lineno))
+            if t is ast.Lambda:
+                defs.add(("lambda", node.lineno))
             else:
-                self.emit("else_clause", first)
-        self.generic_visit(node)
+                defs.add((node.name, node.lineno))
+                if t is ast.AsyncFunctionDef:
+                    found.append(("async_function", node.lineno))
+                for dec in node.decorator_list:
+                    found.append(("decorator_application", dec.lineno))
+                    if ((type(dec) is ast.Name and dec.id == "property")
+                            or (type(dec) is ast.Attribute and dec.attr in _PROPERTY_ATTRS)):
+                        found.append(("property_definition", node.lineno))
+        elif t is ast.ClassDef:
+            line = node.lineno
+            for dec in node.decorator_list:
+                found.append(("decorator_application", dec.lineno))
+            if node.bases:
+                found.append(("class_inheritance", line))
+            if len(node.bases) >= 2:
+                found.append(("multiple_inheritance", line))
+            if (any(kw.arg == "metaclass" for kw in node.keywords)
+                    or any(type(b) is ast.Name and b.id == "type" for b in node.bases)):
+                found.append(("metaclass", line))
+            methods = {stmt.name for stmt in node.body if type(stmt) in _FUNCTION_DEFS}
+            if any(enter in methods and exit_ in methods for enter, exit_ in _CM_PAIRS):
+                found.append(("context_manager_definition", line))
+            if methods & _DESCRIPTOR_DUNDERS:
+                found.append(("descriptor_definition", line))
+            if "__new__" in methods:
+                found.append(("dunder_new_override", line))
+        elif t is ast.Call:
+            func = node.func
+            if type(func) is ast.Name and func.id in ("getattr", "setattr"):
+                found.append(("dynamic_attribute", node.lineno))
+            elif type(func) is ast.Attribute and func.attr == "format":
+                found.append(("string_formatting", node.lineno))
+        elif t is ast.BinOp:
+            if type(node.op) in _ARITHMETIC_OPS:
+                found.append(("arithmetic_expression", node.lineno))
+        elif t is ast.List:
+            if type(node.ctx) is ast.Load:
+                found.append(("list_literal", node.lineno))
+                if any(type(e) is ast.List for e in node.elts):
+                    found.append(("nested_list", node.lineno))
+        elif t is ast.Tuple:
+            if type(node.ctx) is ast.Load:
+                found.append(("tuple_literal", node.lineno))
+        elif t is ast.Subscript:
+            sl = node.slice
+            if type(sl) is ast.Slice or (
+                    type(sl) is ast.Tuple and any(type(e) is ast.Slice for e in sl.elts)):
+                found.append(("slice_expression", node.lineno))
+        elif t is ast.Yield or t is ast.YieldFrom:
+            if owner is not None:
+                generators.add(owner)
+        for target in targets:
+            if type(target) in _UNPACKING_TARGETS:
+                found.append(("tuple_unpacking", target.lineno))
 
-    def _loop_common(self, node: ast.For | ast.AsyncFor | ast.While) -> None:
-        if node.orelse:
-            self.emit("else_clause", node.orelse[0])
-        self.generic_visit(node)
+        # decorators, defaults and annotations run in the enclosing scope;
+        # only the body belongs to the def or lambda itself
+        body_owner = node if t in _CALLABLES else owner
+        for field in node._fields:
+            child = getattr(node, field, None)
+            child_owner = body_owner if field == "body" else owner
+            if type(child) is list:
+                for item in child:
+                    if isinstance(item, ast.AST):
+                        stack.append((item, child_owner))
+            elif isinstance(child, ast.AST):
+                stack.append((child, child_owner))
 
-    def visit_For(self, node: ast.For) -> None:
-        self.emit("for_statement", node)
-        if isinstance(node.target, (ast.Tuple, ast.List)):
-            self.emit("tuple_unpacking", node.target)
-        self._loop_common(node)
-
-    visit_AsyncFor = visit_For
-
-    def visit_While(self, node: ast.While) -> None:
-        self.emit("while_statement", node)
-        self._loop_common(node)
-
-    def _visit_callable_def(self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> None:
-        args = node.args
-        for default in list(args.defaults) + [d for d in args.kw_defaults if d is not None]:
-            self.emit("default_parameter", default)
-        if args.vararg is not None:
-            self.emit("star_args_parameter", node)
-        if args.kwarg is not None:
-            self.emit("kw_args_parameter", node)
-
-    def _visit_funcdef(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        self.emit("function_definition", node)
-        if isinstance(node, ast.AsyncFunctionDef):
-            self.emit("async_function", node)
-        if _has_own_yield(node):
-            self.emit("generator_function", node)
-        for dec in node.decorator_list:
-            self.emit("decorator_application", dec)
-            if isinstance(dec, ast.Name) and dec.id == "property":
-                self.emit("property_definition", node)
-            elif isinstance(dec, ast.Attribute) and dec.attr in _PROPERTY_ATTRS:
-                self.emit("property_definition", node)
-        self._visit_callable_def(node)
-        self.generic_visit(node)
-
-    visit_FunctionDef = _visit_funcdef
-    visit_AsyncFunctionDef = _visit_funcdef
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self.emit("lambda_expression", node)
-        self._visit_callable_def(node)
-        self.generic_visit(node)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.emit("class_definition", node)
-        for dec in node.decorator_list:
-            self.emit("decorator_application", dec)
-        if node.bases:
-            self.emit("class_inheritance", node)
-        if len(node.bases) >= 2:
-            self.emit("multiple_inheritance", node)
-        if (any(kw.arg == "metaclass" for kw in node.keywords)
-                or any(isinstance(b, ast.Name) and b.id == "type" for b in node.bases)):
-            self.emit("metaclass", node)
-        methods = {stmt.name for stmt in node.body
-                   if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
-        if any(enter in methods and exit_ in methods for enter, exit_ in _CM_PAIRS):
-            self.emit("context_manager_definition", node)
-        if methods & _DESCRIPTOR_DUNDERS:
-            self.emit("descriptor_definition", node)
-        if "__new__" in methods:
-            self.emit("dunder_new_override", node)
-        self.generic_visit(node)
-
-    def visit_Import(self, node: ast.Import) -> None:
-        self.emit("import_statement", node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        self.emit("import_statement", node)
-
-    def visit_Return(self, node: ast.Return) -> None:
-        self.emit("return_statement", node)
-        self.generic_visit(node)
-
-    def visit_Break(self, node: ast.Break) -> None:
-        self.emit("break_statement", node)
-
-    def visit_Continue(self, node: ast.Continue) -> None:
-        self.emit("continue_statement", node)
-
-    def visit_Try(self, node: ast.Try) -> None:
-        self.emit("try_except", node)
-        if node.orelse:
-            self.emit("else_clause", node.orelse[0])
-        self.generic_visit(node)
-
-    visit_TryStar = visit_Try  # except* groups, when the grammar has them
-
-    def visit_With(self, node: ast.With | ast.AsyncWith) -> None:
-        self.emit("with_statement", node)
-        for item in node.items:
-            if isinstance(item.optional_vars, (ast.Tuple, ast.List)):
-                self.emit("tuple_unpacking", item.optional_vars)
-        self.generic_visit(node)
-
-    visit_AsyncWith = visit_With
-
-    def visit_Raise(self, node: ast.Raise) -> None:
-        self.emit("raise_statement", node)
-        self.generic_visit(node)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        self.emit("global_declaration", node)
-
-    def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
-        self.emit("nonlocal_declaration", node)
-
-    def visit_Assert(self, node: ast.Assert) -> None:
-        self.emit("assert_statement", node)
-        self.generic_visit(node)
-
-    # -- expressions --------------------------------------------------
-
-    def visit_Call(self, node: ast.Call) -> None:
-        self.emit("function_call", node)
-        if isinstance(node.func, ast.Name) and node.func.id in ("getattr", "setattr"):
-            self.emit("dynamic_attribute", node)
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "format":
-            self.emit("string_formatting", node)
-        self.generic_visit(node)
-
-    def visit_JoinedStr(self, node: ast.JoinedStr) -> None:
-        self.emit("string_formatting", node)
-        self.generic_visit(node)
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if isinstance(node.op, _ARITHMETIC_OPS):
-            self.emit("arithmetic_expression", node)
-        self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        self.emit("comparison_expression", node)
-        self.generic_visit(node)
-
-    def visit_List(self, node: ast.List) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self.emit("list_literal", node)
-            if any(isinstance(e, ast.List) for e in node.elts):
-                self.emit("nested_list", node)
-        self.generic_visit(node)
-
-    def visit_Tuple(self, node: ast.Tuple) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self.emit("tuple_literal", node)
-        self.generic_visit(node)
-
-    def visit_Dict(self, node: ast.Dict) -> None:
-        self.emit("dict_literal", node)
-        self.generic_visit(node)
-
-    def visit_Set(self, node: ast.Set) -> None:
-        self.emit("set_literal", node)
-        self.generic_visit(node)
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        if _subscript_uses_slice(node):
-            self.emit("slice_expression", node)
-        self.generic_visit(node)
-
-    def visit_ListComp(self, node: ast.ListComp) -> None:
-        self.emit("list_comprehension", node)
-        self.generic_visit(node)
-
-    def visit_DictComp(self, node: ast.DictComp) -> None:
-        self.emit("dict_comprehension", node)
-        self.generic_visit(node)
-
-    def visit_SetComp(self, node: ast.SetComp) -> None:
-        self.emit("set_comprehension", node)
-        self.generic_visit(node)
-
-    def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
-        self.emit("generator_expression", node)
-        self.generic_visit(node)
-
-    def visit_comprehension(self, node: ast.comprehension) -> None:
-        if isinstance(node.target, (ast.Tuple, ast.List)):
-            self.emit("tuple_unpacking", node.target)
-        self.generic_visit(node)
-
-    def visit_IfExp(self, node: ast.IfExp) -> None:
-        self.emit("conditional_expression", node)
-        self.generic_visit(node)
-
-    def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
-        self.emit("yield_from", node)
-        self.generic_visit(node)
-
-    def visit_Await(self, node: ast.Await) -> None:
-        self.emit("await_expression", node)
-        self.generic_visit(node)
+    found.extend(("generator_function", d.lineno) for d in generators if type(d) is not ast.Lambda)
+    return found, defs
 
 
-def _closure_occurrences(source: str, tree: ast.Module) -> list[Occurrence]:
+def _closure_occurrences(table: symtable.SymbolTable, defs: set[tuple[str, int]]) -> list[Occurrence]:
     """Defs/lambdas with free variables, located via the compiler's symbol tables.
 
     Matching symtable blocks back to def/lambda nodes by (name, line) keeps
     comprehension scopes (which also appear as function blocks) out of the
     count.
     """
-    defs: set[tuple[str, int]] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defs.add((node.name, node.lineno))
-        elif isinstance(node, ast.Lambda):
-            defs.add(("lambda", node.lineno))
-    if not defs:
-        return []
-
-    table = symtable.symtable(source, "<analysis>", "exec")
     found: list[Occurrence] = []
     stack = [table]
     while stack:
@@ -415,14 +323,15 @@ def count_constructs(source: str) -> list[Occurrence]:
     """
     try:
         tree = ast.parse(source)
-        closures = _closure_occurrences(source, tree)
-    except (SyntaxError, ValueError) as exc:
+        found, defs = _walk(tree)
+        if defs:
+            found += _closure_occurrences(symtable.symtable(source, "<analysis>", "exec"), defs)
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         # symtable rejects a little more than ast.parse (e.g. unbound
-        # nonlocal); either way the compiler refuses this source
-        raise ParseError(str(exc)) from exc
-    collector = _ConstructCollector()
-    collector.visit(tree)
-    return sorted(collector.found + closures, key=lambda occ: (occ[1], occ[0]))
+        # nonlocal), and deep nesting exhausts the parser's stack or memory;
+        # either way the compiler refuses this source
+        raise ParseError(f"{type(exc).__name__}: {exc}") from exc
+    return sorted(found, key=lambda occ: (occ[1], occ[0]))
 
 
 def analyze_source(source: str, catalog: Catalog) -> AnalysisResult:

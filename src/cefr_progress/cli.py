@@ -16,7 +16,6 @@ import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -35,24 +34,11 @@ EXIT_IO = 4
 EXIT_PARSE = 5
 
 
-@dataclass
-class RunConfig:
-    source: str
-    out_dir: Path = Path("cefr-report")
-    period: Granularity = Granularity.YEARLY
-    catalog_path: Path | None = None
-    top_n: int = 10
-    show_names: bool = False
-    bot_patterns: tuple[str, ...] = DEFAULT_BOT_PATTERNS
-    identity: str = "author"
-    jobs: int = 1
-    workdir: Path | None = None
-
-    def __post_init__(self) -> None:
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _score_all(records, catalog: Catalog, jobs: int):
@@ -75,34 +61,33 @@ def _score_all(records, catalog: Catalog, jobs: int):
     return [score_commit(record, catalog, memo) for record in records]
 
 
-def cmd_analyze(config: RunConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        catalog = load_catalog(config.catalog_path)
+        catalog = load_catalog(args.catalog or None)
     except CatalogError as exc:
         log.error("catalog error: %s", exc)
         return EXIT_CATALOG
 
     try:
-        repo = prepare_repo(RepoSpec(source=config.source, workdir=config.workdir))
-        with repo:
-            log.info("extracting commit history of %s", config.source)
-            records = extract_commits(repo, identity=config.identity)
+        with prepare_repo(RepoSpec(source=args.repo)) as repo:
+            log.info("extracting commit history of %s", args.repo)
+            records = extract_commits(repo, identity=args.identity)
     except RepoError as exc:
         log.error("repository error: %s", exc)
         return EXIT_REPO
 
-    log.info("scoring %d commits with %d job(s)", len(records), config.jobs)
-    scores = _score_all(records, catalog, config.jobs)
+    log.info("scoring %d commits with %d job(s)", len(records), args.jobs)
+    scores = _score_all(records, catalog, args.jobs)
     report = build_report(
         scores,
-        repo=config.source,
-        period=config.period,
-        bot_patterns=config.bot_patterns,
+        repo=args.repo,
+        period=Granularity(args.period),
+        bot_patterns=tuple(args.bot_pattern) if args.bot_pattern else DEFAULT_BOT_PATTERNS,
     )
 
     try:
         bundle = write_report_bundle(
-            report, config.out_dir, top_n=config.top_n, show_names=config.show_names
+            report, Path(args.out), top_n=args.top, show_names=args.show_names
         )
     except OSError as exc:
         log.error("cannot write reports: %s", exc)
@@ -117,7 +102,7 @@ def cmd_analyze(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_classify(path: Path, catalog_path: Path | None) -> int:
+def cmd_classify(path: Path, catalog_path: str | None) -> int:
     try:
         catalog = load_catalog(catalog_path)
     except CatalogError as exc:
@@ -160,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="time bucket granularity (default: %(default)s)",
     )
     analyze.add_argument("--catalog", default=None, help="catalog file overriding default rules")
-    analyze.add_argument("--top", type=int, default=10, help="contributor radars in the HTML (default: %(default)s)")
+    analyze.add_argument("--top", type=_positive_int, default=10, help="contributor radars in the HTML (default: %(default)s)")
     analyze.add_argument("--show-names", action="store_true", help="show real names instead of anonymized IDs")
     analyze.add_argument(
         "--bot-pattern", action="append", default=None, metavar="REGEX",
@@ -171,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which git identity is credited (default: %(default)s)",
     )
     analyze.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes analyzing distinct file versions (default: %(default)s)",
     )
 
@@ -187,24 +172,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "classify":
-        catalog_path = Path(args.catalog) if args.catalog else None
-        return cmd_classify(Path(args.file), catalog_path)
+        return cmd_classify(Path(args.file), args.catalog or None)
 
-    try:
-        config = RunConfig(
-            source=args.repo,
-            out_dir=Path(args.out),
-            period=Granularity(args.period),
-            catalog_path=Path(args.catalog) if args.catalog else None,
-            top_n=args.top,
-            show_names=args.show_names,
-            bot_patterns=tuple(args.bot_pattern) if args.bot_pattern else DEFAULT_BOT_PATTERNS,
-            identity=args.identity,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        build_parser().error(str(exc))
-    return cmd_analyze(config)
+    return cmd_analyze(args)
 
 
 if __name__ == "__main__":

@@ -161,14 +161,15 @@ def build_profiles(scores: list[CommitScore], period: Granularity) -> list[Contr
 
 
 def most_proficient_contributor(profiles: list[ContributorProfile]) -> TopContributor:
-    """The contributor maximizing total C1+C2, with their per-period C1/C2 rows."""
+    """The contributor maximizing total C1+C2, with their per-period C1/C2 rows.
+
+    Expects `build_profiles` order (or a filtered subsequence of it), whose
+    first profile is the maximum and whose periods are already sorted.
+    """
     if not profiles:
         raise EmptyInput("no contributor profiles")
-    best = min(profiles, key=_profile_sort_key)
-    rows = tuple(
-        (pkey, vec[Level.C1], vec[Level.C2])
-        for pkey, vec in sorted(best.by_period.items())
-    )
+    best = profiles[0]
+    rows = tuple((pkey, vec[Level.C1], vec[Level.C2]) for pkey, vec in best.by_period.items())
     return TopContributor(contributor=best.contributor, periods=rows)
 
 

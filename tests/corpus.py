@@ -459,6 +459,22 @@ SNIPPETS: list[Snippet] = [
         ],
     ),
     Snippet(
+        # the decorator runs in outer's frame, so the compiler makes outer
+        # the generator, not inner
+        "yield_in_decorator",
+        _src(
+            "def outer():",
+            "    @(yield)",
+            "    def inner(): pass",
+        ),
+        [
+            ("function_definition", 1),
+            ("generator_function", 1),
+            ("decorator_application", 2),
+            ("function_definition", 3),
+        ],
+    ),
+    Snippet(
         "uncounted_statement",
         _src("pass"),
         [],

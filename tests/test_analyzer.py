@@ -1,4 +1,9 @@
+import ast
+import inspect
+import sysconfig
+import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +27,26 @@ CATALOG = default_catalog()
 def test_corpus_occurrences_match_hand_labels(snippet):
     got = count_constructs(snippet.source)
     assert Counter(got) == Counter(snippet.expected)
+
+
+def _generator_def_lines(source):
+    """First lines of the defs whose code objects the compiler flags as generators."""
+    flags = inspect.CO_GENERATOR | inspect.CO_ASYNC_GENERATOR
+    lines = []
+    stack = [compile(source, "<snippet>", "exec")]
+    while stack:
+        code = stack.pop()
+        stack.extend(const for const in code.co_consts if isinstance(const, types.CodeType))
+        # <genexpr> and friends are generators too, but no def
+        if code.co_flags & flags and not code.co_name.startswith("<"):
+            lines.append(code.co_firstlineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("snippet", SNIPPETS, ids=[s.name for s in SNIPPETS])
+def test_generator_labels_match_the_compiler(snippet):
+    labeled = sorted(line for kind, line in snippet.expected if kind == "generator_function")
+    assert labeled == _generator_def_lines(snippet.source)
 
 
 def test_corpus_covers_whole_vocabulary():
@@ -71,6 +96,20 @@ def test_python2_print_statement_is_a_parse_failure():
 def test_count_constructs_raises_on_bad_source():
     with pytest.raises(ParseError):
         count_constructs("def broken(:\n")
+
+
+@pytest.mark.parametrize("source, parse_ok, counts", [
+    # one assignment and 999 additions, nested 999 deep on the left
+    ("x = " + " + ".join(["1"] * 1000), True, [1000, 0, 0, 0, 0, 0]),
+    # RecursionError during ast construction
+    (" + ".join(["1"] * 100_000), False, [0] * 6),
+    # MemoryError from the parser
+    ("-" * 100_000 + "1", False, [0] * 6),
+], ids=["sum_1000", "sum_100000", "minus_100000"])
+def test_deep_input_counts_or_skips(source, parse_ok, counts):
+    result = analyze_source(source, CATALOG)
+    assert result.parse_ok is parse_ok
+    assert result.vector.as_list() == counts
 
 
 def test_unbound_nonlocal_is_a_parse_failure():
@@ -176,3 +215,56 @@ def test_level_vector_addition_and_total():
     assert (a + b).as_list() == [1, 3, 3, 0, 0, 1]
     assert (a + b).total() == 8
     assert a.c1_plus_c2() == 1
+
+
+#: kinds that one node type always emits, and those node types
+_ONE_NODE_KINDS = {
+    "import_statement": (ast.Import, ast.ImportFrom),
+    "function_call": (ast.Call,),
+    "lambda_expression": (ast.Lambda,),
+    "for_statement": (ast.For, ast.AsyncFor),
+    "while_statement": (ast.While,),
+    "function_definition": (ast.FunctionDef, ast.AsyncFunctionDef),
+    "async_function": (ast.AsyncFunctionDef,),
+    "class_definition": (ast.ClassDef,),
+    "return_statement": (ast.Return,),
+    "break_statement": (ast.Break,),
+    "continue_statement": (ast.Continue,),
+    "try_except": (ast.Try, getattr(ast, "TryStar", ast.Try)),
+    "with_statement": (ast.With, ast.AsyncWith),
+    "raise_statement": (ast.Raise,),
+    "global_declaration": (ast.Global,),
+    "nonlocal_declaration": (ast.Nonlocal,),
+    "assert_statement": (ast.Assert,),
+    "augmented_assignment": (ast.AugAssign,),
+    "comparison_expression": (ast.Compare,),
+    "dict_literal": (ast.Dict,),
+    "set_literal": (ast.Set,),
+    "list_comprehension": (ast.ListComp,),
+    "dict_comprehension": (ast.DictComp,),
+    "set_comprehension": (ast.SetComp,),
+    "generator_expression": (ast.GeneratorExp,),
+    "conditional_expression": (ast.IfExp,),
+    "yield_from": (ast.YieldFrom,),
+    "await_expression": (ast.Await,),
+}
+
+
+def test_one_node_kinds_match_ast_walk_on_stdlib():
+    stdlib = Path(sysconfig.get_paths()["stdlib"])
+    modules = sorted(
+        path for path in stdlib.rglob("*.py") if "site-packages" not in path.relative_to(stdlib).parts
+    )
+    compared = 0
+    # every 35th module: a fixed selection of real code
+    for path in modules[::35]:
+        source = path.read_text(encoding="utf-8", errors="replace")
+        try:
+            kinds = Counter(kind for kind, _line in count_constructs(source))
+        except ParseError:
+            continue
+        nodes = Counter(type(node) for node in ast.walk(ast.parse(source)))
+        for kind, node_types in _ONE_NODE_KINDS.items():
+            assert kinds[kind] == sum(nodes[t] for t in set(node_types)), (path, kind)
+        compared += 1
+    assert compared >= 40

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cefr_progress
 from cefr_progress import history, scoring
 from cefr_progress.cli import main
 from cefr_progress.history import RepoSpec, extract_commits, prepare_repo
@@ -129,9 +132,11 @@ def test_analyze_jobs_flag(linear_repo, tmp_path):
     assert main(["analyze", str(linear_repo), "--out", str(tmp_path / "o"), "--jobs", "2"]) == 0
 
 
-def test_analyze_rejects_bad_jobs(linear_repo, tmp_path):
-    with pytest.raises(SystemExit):
-        main(["analyze", str(linear_repo), "--out", str(tmp_path / "o"), "--jobs", "0"])
+@pytest.mark.parametrize("option", ["--jobs", "--top"], ids=["jobs", "top"])
+def test_analyze_rejects_bad_jobs(linear_repo, tmp_path, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(linear_repo), "--out", str(tmp_path / "o"), option, "0"])
+    assert exc.value.code == 2  # argparse's usage error
 
 
 def test_classify_metaclass_file(tmp_path, capsys):
@@ -158,6 +163,12 @@ def test_classify_broken_file_exits_5(tmp_path):
     assert main(["classify", str(target)]) == 5
 
 
+def test_classify_too_deep_file_exits_5(tmp_path):
+    target = tmp_path / "deep.py"
+    target.write_text(" + ".join(["1"] * 100_000) + "\n")
+    assert main(["classify", str(target)]) == 5
+
+
 def test_classify_unreadable_file_exits_4(tmp_path):
     assert main(["classify", str(tmp_path / "missing.py")]) == 4
 
@@ -174,10 +185,14 @@ def test_classify_with_catalog_override(tmp_path, capsys):
 
 
 def test_module_entry_point_smoke(linear_repo, tmp_path):
+    # the child imports the package from where this test imported it
+    package_root = str(Path(cefr_progress.__file__).parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cefr_progress", "analyze", str(linear_repo), "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("commits analyzed:")
