@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
-from .analyzer import LevelVector, analyze_source
+from .analyzer import LevelVector, analyze_source, source_text
 from .catalog import Catalog, CatalogError, load_catalog, LEVEL_LABELS
 from .history import RepoError, RepoSpec, extract_commits, prepare_repo
 from .report import write_report_bundle
@@ -109,12 +109,12 @@ def cmd_classify(path: Path, catalog_path: str | None) -> int:
         log.error("catalog error: %s", exc)
         return EXIT_CATALOG
     try:
-        source = Path(path).read_text(encoding="utf-8", errors="replace")
+        data = Path(path).read_bytes()
     except OSError as exc:
         log.error("cannot read %s: %s", path, exc)
         return EXIT_IO
 
-    result = analyze_source(source, catalog)
+    result = analyze_source(source_text(data), catalog)
     if not result.parse_ok:
         log.error("%s does not parse under the running Python grammar", path)
         return EXIT_PARSE

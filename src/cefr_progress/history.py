@@ -16,6 +16,8 @@ Identity and ordering decisions:
   history linear so each commit diffs against exactly one parent.
 * Renames count as modifications with the before text taken from the old
   path; blobs containing NUL bytes are treated as absent (binary policy).
+* Other blobs are decoded the way Python decodes a source file, so a PEP 263
+  encoding cookie and a UTF-8 BOM are honoured.
 * Changes whose sides share a blob id share one decoded text object, so
   text memory grows with the distinct blobs, not with the changes.
 """
@@ -25,10 +27,14 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import shutil
 import subprocess
+import tempfile
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .analyzer import source_text
 
 log = logging.getLogger(__name__)
 
@@ -188,7 +194,7 @@ def _assert_not_shallow(repo: Repo) -> None:
 
 
 def prepare_repo(spec: RepoSpec) -> Repo:
-    """Local passthrough for paths; cached bare clone for URLs."""
+    """Local passthrough for paths; cached bare clone for URLs, fetched on reuse."""
     candidate = Path(spec.source)
     if candidate.exists():
         if _run_git("-C", str(candidate), "rev-parse", "--git-dir").returncode != 0:
@@ -199,23 +205,41 @@ def prepare_repo(spec: RepoSpec) -> Repo:
 
     key = hashlib.sha256(spec.source.encode("utf-8")).hexdigest()[:16]
     clone_dir = _cache_root(spec) / "clones" / key
-    if not clone_dir.exists():
+    if clone_dir.exists():
+        log.info("fetching %s into cached clone %s", spec.source, clone_dir)
+        # a bare clone has no fetch refspec of its own
+        Repo(clone_dir).git("fetch", "--prune", "origin", "+refs/heads/*:refs/heads/*")
+    else:
         log.info("cloning %s into %s", spec.source, clone_dir)
         clone_dir.parent.mkdir(parents=True, exist_ok=True)
-        proc = _run_git("clone", "--bare", spec.source, str(clone_dir))
-        if proc.returncode != 0:
-            raise RepoError("clone_failed", f"clone of {spec.source} failed: {proc.stderr.strip()}")
-    else:
-        log.info("reusing cached clone %s", clone_dir)
+        _clone_into_place(spec.source, clone_dir)
     repo = Repo(clone_dir)
     _assert_not_shallow(repo)
     return repo
 
 
+def _clone_into_place(url: str, clone_dir: Path) -> None:
+    """Bare-clone `url` beside `clone_dir` and rename it into place, so that a
+    concurrent run never sees a partial clone."""
+    staging = Path(tempfile.mkdtemp(prefix=f"{clone_dir.name}.", dir=clone_dir.parent))
+    try:
+        proc = _run_git("clone", "--bare", url, str(staging))
+        if proc.returncode != 0:
+            raise RepoError("clone_failed", f"clone of {url} failed: {proc.stderr.strip()}")
+        try:
+            staging.rename(clone_dir)
+        except OSError as exc:
+            # another run may have put its clone in place first
+            if not clone_dir.exists():
+                raise RepoError("clone_failed", f"cannot move clone into {clone_dir}: {exc}") from exc
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def _decode_blob(data: bytes | None) -> str | None:
     if data is None or b"\x00" in data:
         return None
-    return data.decode("utf-8", errors="replace")
+    return source_text(data)
 
 
 def _side(mode: str, oid: str) -> str | None:

@@ -475,6 +475,60 @@ SNIPPETS: list[Snippet] = [
         ],
     ),
     Snippet(
+        # the comprehension is a scope of its own, so a lambda in it that
+        # reads the loop variable captures it even at module level
+        "lambda_in_module_comprehension",
+        _src("fs = [lambda: i for i in range(3)]"),
+        [
+            ("simple_assignment", 1),
+            ("list_comprehension", 1),
+            ("lambda_expression", 1),
+            ("closure", 1),
+            ("function_call", 1),
+        ],
+    ),
+    Snippet(
+        "method_returns_lambda",
+        _src(
+            "class Box:",
+            "    def getter(self):",
+            "        return lambda: self",
+        ),
+        [
+            ("class_definition", 1),
+            ("function_definition", 2),
+            ("return_statement", 3),
+            ("lambda_expression", 3),
+            ("closure", 3),
+        ],
+    ),
+    Snippet(
+        "lambda_returns_lambda",
+        _src("adder = lambda x: lambda y: x + y"),
+        [
+            ("simple_assignment", 1),
+            ("lambda_expression", 1),
+            ("lambda_expression", 1),
+            ("closure", 1),
+            ("arithmetic_expression", 1),
+        ],
+    ),
+    Snippet(
+        # a comprehension's first iterable runs in the enclosing frame, so
+        # this yield makes first a generator
+        "yield_in_first_iterable",
+        _src(
+            "def first():",
+            "    return [x for x in (yield)]",
+        ),
+        [
+            ("function_definition", 1),
+            ("generator_function", 1),
+            ("return_statement", 2),
+            ("list_comprehension", 2),
+        ],
+    ),
+    Snippet(
         "uncounted_statement",
         _src("pass"),
         [],

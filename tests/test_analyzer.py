@@ -1,5 +1,6 @@
 import ast
 import inspect
+import symtable
 import sysconfig
 import types
 from collections import Counter
@@ -10,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cefr_progress.analyzer import (
+    _CHILD_FIELDS,
     KIND_VOCABULARY,
     LevelVector,
     ParseError,
     analyze_source,
     count_constructs,
+    source_text,
 )
 from cefr_progress.catalog import Catalog, ConstructRule, Level, default_catalog
 
@@ -116,6 +119,118 @@ def test_unbound_nonlocal_is_a_parse_failure():
     # ast.parse alone accepts this; the compiler's scope pass rejects it
     result = analyze_source("def f():\n    nonlocal q\n", CATALOG)
     assert not result.parse_ok
+
+
+def _compiler_verdict(source):
+    """parse_ok by its definition: ast.parse accepts the source and, when it
+    has a def or lambda, so does symtable."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError:
+        return False
+    callables = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    if not any(isinstance(node, callables) for node in ast.walk(tree)):
+        return True
+    try:
+        symtable.symtable(source, "<case>", "exec")
+    except SyntaxError:
+        return False
+    return True
+
+
+#: Sources the parser accepts and the scope pass rejects, each with a def or
+#: lambda at module level and none nested in another scope.
+_SCOPE_REJECTED = {
+    "global_after_assign": "def f():\n    x = 1\n    global x\n",
+    "global_param": "def f(a):\n    global a\n",
+    "nonlocal_unbound": "def f():\n    nonlocal q\n",
+    "nonlocal_at_module_level": "def f(): pass\nnonlocal q\n",
+    "walrus_rebinds_comprehension_var": "def f(): pass\n[i := 0 for i in range(3)]\n",
+    "walrus_in_comprehension_iterable": "def f(): pass\n[x for x in (y := [1])]\n",
+    "walrus_in_class_comprehension": "def f(): pass\nclass C:\n    [(y := 1) for x in range(3)]\n",
+    "future_unknown_feature": "from __future__ import braces\ndef f(): pass\n",
+    "future_annotation_yield": "from __future__ import annotations\ndef f(x: (yield)): pass\n",
+    "star_import_in_def": "def f():\n    from os import *\n",
+    "star_import_in_class": "def f(): pass\nclass C:\n    from os import *\n",
+    "repeated_parameter": "def f(a, a): pass\n",
+    "repeated_keyword_only": "def f(*, a, a): pass\n",
+    "repeated_star_parameter": "def f(a, *a): pass\n",
+    "repeated_lambda_parameter": "f = lambda a, a: 0\n",
+    "yield_in_comprehension": "def f():\n    return [(yield) for x in y]\n",
+    "yield_in_generator_expression": "def f():\n    return list((yield) for x in y)\n",
+    "yield_from_in_comprehension": "def f():\n    return [(yield from x) for x in y]\n",
+}
+
+#: The same constructs where the scope pass accepts them, or where the file
+#: has no def or lambda, so the symbol table is not consulted.
+_SCOPE_ACCEPTED = {
+    "global_declared_first": "def f():\n    global g\n    g = 1\n",
+    "walrus_in_condition": "def f(): pass\nif (n := 1): pass\n",
+    "future_annotations": "from __future__ import annotations\ndef f(x: int): pass\n",
+    "star_import_at_module_level": "from os import *\ndef f(): pass\n",
+    "yield_in_first_iterable": "def f():\n    return [x for x in (yield)]\n",
+    "await_in_async_comprehension": "async def f(y):\n    return [await x for x in y]\n",
+    "nonlocal_without_def": "nonlocal q\n",
+    "walrus_rebind_without_def": "[i := 0 for i in range(3)]\n",
+    "yield_in_comprehension_without_def": "[(yield) for x in y]\n",
+}
+
+
+@pytest.mark.parametrize(
+    "source, rejected",
+    [(src, True) for src in _SCOPE_REJECTED.values()]
+    + [(src, False) for src in _SCOPE_ACCEPTED.values()],
+    ids=[*_SCOPE_REJECTED, *_SCOPE_ACCEPTED],
+)
+def test_parse_ok_matches_the_compiler_verdict(source, rejected):
+    expected = _compiler_verdict(source)
+    assert expected is not rejected
+    assert analyze_source(source, CATALOG).parse_ok is expected
+
+
+@pytest.mark.parametrize("source, calls, closures", [
+    (
+        "def f(x):\n"
+        "    return [x for _ in range(3)]\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return super().m()\n"
+        "    g = lambda self: 1\n",
+        0, 0,
+    ),
+    (
+        "def outer(x):\n"
+        "    def inner():\n"
+        "        return x\n"
+        "    return inner\n",
+        1, 1,
+    ),
+], ids=["module_and_class_level_defs", "closure"])
+def test_symbol_table_is_built_only_for_nested_defs(monkeypatch, source, calls, closures):
+    built = []
+    real = symtable.symtable
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(symtable, "symtable", counting)
+    kinds = [kind for kind, _line in count_constructs(source)]
+    assert len(built) == calls
+    assert kinds.count("closure") == closures
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"\xef\xbb\xbfx = 1\n", 1),
+    (b"# -*- coding: latin-1 -*-\nna\xefve = 1\n", 2),
+    # undecodable as UTF-8, but only inside a comment
+    (b"x = 1\n# caf\xe9\n", 1),
+], ids=["utf8_bom", "latin1_cookie", "stray_byte_in_comment"])
+def test_source_bytes_decode_like_the_compiler(data, line):
+    compile(data, "<bytes>", "exec")  # the compiler accepts each of these
+    result = analyze_source(source_text(data), CATALOG)
+    assert result.parse_ok
+    assert result.occurrences == (("simple_assignment", line),)
 
 
 def test_vector_counts_only_cataloged_kinds():
@@ -250,15 +365,19 @@ _ONE_NODE_KINDS = {
 }
 
 
-def test_one_node_kinds_match_ast_walk_on_stdlib():
+@pytest.fixture(scope="module")
+def stdlib_sample():
+    """(path, source) of every 35th stdlib module: a fixed selection of real code."""
     stdlib = Path(sysconfig.get_paths()["stdlib"])
     modules = sorted(
         path for path in stdlib.rglob("*.py") if "site-packages" not in path.relative_to(stdlib).parts
     )
+    return [(path, path.read_text(encoding="utf-8", errors="replace")) for path in modules[::35]]
+
+
+def test_one_node_kinds_match_ast_walk_on_stdlib(stdlib_sample):
     compared = 0
-    # every 35th module: a fixed selection of real code
-    for path in modules[::35]:
-        source = path.read_text(encoding="utf-8", errors="replace")
+    for path, source in stdlib_sample:
         try:
             kinds = Counter(kind for kind, _line in count_constructs(source))
         except ParseError:
@@ -268,3 +387,27 @@ def test_one_node_kinds_match_ast_walk_on_stdlib():
             assert kinds[kind] == sum(nodes[t] for t in set(node_types)), (path, kind)
         compared += 1
     assert compared >= 40
+
+
+#: Node types a skipped field may hold: singletons that can emit no kind.
+_SINGLETONS = (ast.expr_context, ast.operator, ast.boolop, ast.unaryop, ast.cmpop)
+
+
+def test_skipped_fields_hold_no_nodes_on_stdlib(stdlib_sample):
+    checked = 0
+    for path, source in stdlib_sample:
+        try:
+            tree = ast.parse(source)
+        except SyntaxError:
+            continue
+        for node in ast.walk(tree):
+            descended = set(_CHILD_FIELDS.get(type(node), ()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                descended.add("body")  # pushed by the def's own branch
+            for field in set(node._fields) - descended:
+                value = getattr(node, field, None)
+                for item in value if isinstance(value, list) else [value]:
+                    assert not isinstance(item, ast.AST) or isinstance(item, _SINGLETONS), (
+                        path, type(node).__name__, field, type(item).__name__)
+        checked += 1
+    assert checked >= 40

@@ -169,6 +169,19 @@ def test_classify_too_deep_file_exits_5(tmp_path):
     assert main(["classify", str(target)]) == 5
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"\xef\xbb\xbfx = 1\n", 1),
+    (b"# -*- coding: latin-1 -*-\nna\xefve = 1\n", 2),
+], ids=["utf8_bom", "latin1_cookie"])
+def test_classify_decodes_like_the_compiler(tmp_path, capsys, data, line):
+    compile(data, "<bytes>", "exec")  # the compiler accepts each of these
+    target = tmp_path / "encoded.py"
+    target.write_bytes(data)
+    assert main(["classify", str(target)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["occurrences"] == [{"kind": "simple_assignment", "line": line}]
+
+
 def test_classify_unreadable_file_exits_4(tmp_path):
     assert main(["classify", str(tmp_path / "missing.py")]) == 4
 

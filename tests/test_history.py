@@ -256,6 +256,17 @@ def test_quoted_paths_come_back_verbatim(quoted_repo):
     ]
 
 
+def test_encoded_blobs_decode_like_the_compiler(tmp_path):
+    fx = GitFixture(tmp_path / "encoded")
+    fx.write("bom.py", b"\xef\xbb\xbfx = 1\n")
+    fx.write("latin.py", b"# -*- coding: latin-1 -*-\nna\xefve = 1\n")
+    fx.commit(ALICE, "2024-01-01T12:00:00+00:00", "encoded files")
+    with prepare_repo(RepoSpec(str(fx.path))) as repo:
+        (record,) = extract_commits(repo)
+    texts = {change.path: change.after_text for change in record.changes}
+    assert texts == {"bom.py": "x = 1\n", "latin.py": "# -*- coding: latin-1 -*-\nna\u00efve = 1\n"}
+
+
 def test_committer_identity_mode(tmp_path):
     fx = GitFixture(tmp_path / "repo")
     fx.write("a.py", "a = 1\n")
@@ -313,6 +324,22 @@ def test_prepare_repo_clones_urls_and_reuses_cache(linear_repo, tmp_path):
     second = prepare_repo(spec)
     assert second.path == first.path
     assert marker.exists()
+
+
+def test_prepare_repo_fetches_cached_clone_on_reuse(linear_repo, tmp_path):
+    source = tmp_path / "source"
+    subprocess.run(["git", "clone", "-q", str(linear_repo), str(source)], check=True, capture_output=True)
+    spec = RepoSpec(source.as_uri(), workdir=tmp_path / "cache")
+    with prepare_repo(spec) as first:
+        assert len(extract_commits(first)) == 7
+    upstream = GitFixture(source)
+    upstream.write("later.py", "y = 2\n")
+    upstream.commit(ALICE, "2024-06-01T12:00:00+00:00", "later")
+    with prepare_repo(spec) as second:
+        assert second.path == first.path
+        assert len(extract_commits(second)) == 8
+    # the clone was staged beside its final place and renamed; nothing is left over
+    assert [p.name for p in second.path.parent.iterdir()] == [second.path.name]
 
 
 def test_prepare_repo_cache_env_var(linear_repo, tmp_path, monkeypatch):
