@@ -112,7 +112,7 @@ class LevelVector:
     def __post_init__(self) -> None:
         if len(self.counts) != 6:
             raise ValueError("LevelVector needs exactly six counts")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError(f"negative count in {self.counts}")
 
     @classmethod
@@ -394,9 +394,10 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], set[tuple[str, int]], boo
 def _closure_occurrences(table: symtable.SymbolTable, nested: set[tuple[str, int]]) -> list[Occurrence]:
     """Nested defs/lambdas with free variables, located via the compiler's symbol tables.
 
-    Matching symtable blocks back to def/lambda nodes by (name, line) keeps
-    comprehension scopes (which also appear as function blocks) out of the
-    count.
+    Symtable blocks are matched back to def/lambda nodes by (name, line).
+    Comprehension scopes also appear as function blocks, named ``listcomp``,
+    ``genexpr`` and so on; their implicit parameter ``.0``, which no def
+    can declare, keeps them out of the count even beside a def of that name.
     """
     found: list[Occurrence] = []
     stack = [table]
@@ -404,7 +405,8 @@ def _closure_occurrences(table: symtable.SymbolTable, nested: set[tuple[str, int
         block = stack.pop()
         stack.extend(block.get_children())
         if (isinstance(block, symtable.Function)
-                and (block.get_name(), block.get_lineno()) in nested):
+                and (block.get_name(), block.get_lineno()) in nested
+                and ".0" not in block.get_parameters()):
             # __class__ is the implicit cell behind zero-argument super(),
             # not a user capture
             frees = set(block.get_frees()) - {"__class__"}

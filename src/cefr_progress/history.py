@@ -4,8 +4,9 @@ Walks the default branch's first-parent chain of a repository and emits one
 CommitRecord per non-merge commit, carrying the before/after texts of every
 changed ``.py`` file.  All repository access goes through the ``git``
 executable: one ``git log --raw -z`` pass gives every change with its old
-and new blob ids and its paths verbatim, and a persistent
-``git cat-file --batch`` subprocess reads each distinct blob once by id.
+and new blob ids and its paths verbatim, and then one streamed
+``git cat-file --batch --buffer`` exchange reads each distinct blob once
+by id.  No git process outlives the call that starts it.
 
 Identity and ordering decisions:
 
@@ -30,7 +31,8 @@ import os
 import shutil
 import subprocess
 import tempfile
-from collections.abc import Callable, Iterator
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,7 +48,8 @@ CACHE_ENV_VAR = "CEFR_PROGRESS_CACHE"
 class RepoError(Exception):
     """Repository access failure.
 
-    `kind` is one of "clone_failed", "shallow", "empty", "bad_sha", "git_missing".
+    `kind` is one of "clone_failed", "git_failed" (a git command on an existing
+    repository failed), "shallow", "empty", "bad_sha", "git_missing".
     """
 
     def __init__(self, kind: str, message: str):
@@ -116,20 +119,15 @@ def _start_git(*args: str, **pipes) -> subprocess.Popen:
 
 
 class Repo:
-    """Read handle on a local git repository.
-
-    Holds one lazily started ``cat-file --batch`` subprocess for blob reads;
-    concurrent readers should each hold their own Repo.
-    """
+    """Read handle on a local git repository."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self._batch: subprocess.Popen | None = None
 
     def git(self, *args: str) -> str:
         proc = _run_git("-C", str(self.path), "-c", "core.quotepath=off", *args)
         if proc.returncode != 0:
-            raise RepoError("clone_failed", f"git {args[0]} failed: {proc.stderr.strip()}")
+            raise RepoError("git_failed", f"git {args[0]} failed: {proc.stderr.strip()}")
         return proc.stdout
 
     def git_fields(self, *args: str) -> Iterator[bytes]:
@@ -143,34 +141,55 @@ class Repo:
                 *fields, rest = (rest + chunk).split(b"\0")
                 yield from fields
         if proc.returncode != 0:
-            raise RepoError("clone_failed", f"git {args[0]} exited with status {proc.returncode}")
+            raise RepoError("git_failed", f"git {args[0]} exited with status {proc.returncode}")
 
-    def _batch_proc(self) -> subprocess.Popen:
-        if self._batch is None or self._batch.poll() is not None:
-            self._batch = _start_git(
-                "-C", str(self.path), "cat-file", "--batch",
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            )
-        return self._batch
+    def read_blobs(self, oids: list[str]) -> Iterator[tuple[str, bytes | None]]:
+        """(oid, raw bytes) for each of `oids` in order; None when it names no blob here.
+
+        One ``cat-file --batch --buffer`` exchange serves every id: a feeder
+        thread writes the ids while this one reads the replies, so that
+        neither side can fill its pipe while the other waits.
+        """
+        proc = _start_git(
+            "-C", str(self.path), "cat-file", "--batch", "--buffer",
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        )
+
+        def feed() -> None:
+            try:
+                with proc.stdin:
+                    proc.stdin.writelines(f"{oid}\n".encode("ascii") for oid in oids)
+            except OSError:  # git has gone; the reader reports it
+                pass
+
+        feeder = threading.Thread(target=feed, name="cat-file feeder", daemon=True)
+        feeder.start()
+        with proc:
+            try:
+                for oid in oids:
+                    header = proc.stdout.readline().split()
+                    if not header:
+                        raise RepoError("git_failed", f"git cat-file ended before {oid}")
+                    if len(header) != 3:
+                        yield oid, None  # "<oid> missing" or "<oid> ambiguous"
+                        continue
+                    data = proc.stdout.read(int(header[2]))
+                    proc.stdout.read(1)  # trailing newline
+                    yield oid, data if header[1] == b"blob" else None
+            except BaseException:
+                # an error, or a reader that stopped early: stop git, so
+                # that a feeder blocked on a full pipe is released too
+                proc.kill()
+                raise
+            finally:
+                feeder.join()
 
     def read_blob(self, oid: str) -> bytes | None:
         """Raw bytes of the blob named `oid`, or None when it is no blob here."""
-        proc = self._batch_proc()
-        proc.stdin.write(f"{oid}\n".encode("ascii"))
-        proc.stdin.flush()
-        header = proc.stdout.readline().split()
-        if len(header) != 3:
-            return None  # "<oid> missing" or "<oid> ambiguous"
-        data = proc.stdout.read(int(header[2]))
-        proc.stdout.read(1)  # trailing newline
-        return data if header[1] == b"blob" else None
+        return dict(self.read_blobs([oid]))[oid]
 
     def close(self) -> None:
-        if self._batch is not None:
-            self._batch.stdin.close()
-            self._batch.wait(timeout=10)
-            self._batch.stdout.close()
-        self._batch = None
+        """Nothing to release: each git process ends within the call that starts it."""
 
     def __enter__(self) -> "Repo":
         return self
@@ -252,9 +271,10 @@ _KINDS = {"A": "added", "C": "added", "D": "deleted", "M": "modified", "T": "mod
 
 
 def _change(
-    status: str, paths: list[str], old: str | None, new: str | None, text_of: Callable
-) -> FileChange | None:
-    """The .py FileChange for one raw diff entry, or None when it touches no .py file.
+    status: str, paths: list[str], old: str | None, new: str | None
+) -> tuple[str, str, str | None, str | None, str | None] | None:
+    """The .py FileChange fields for one raw diff entry, with blob ids in place of
+    the texts, or None when the entry touches no .py file.
 
     A copy counts as added (its source still exists), a rename out of .py as
     a deletion, and a typechange (T) as a modification.
@@ -267,7 +287,7 @@ def _change(
     kind = _KINDS.get(status)
     if kind is None or not path.endswith(".py"):
         return None
-    return FileChange(path, kind, text_of(old), text_of(new), paths[0] if kind == "renamed" else None)
+    return path, kind, old, new, paths[0] if kind == "renamed" else None
 
 
 def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[str, list]]:
@@ -304,36 +324,45 @@ def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecor
     if _run_git("-C", str(repo.path), "rev-parse", "--verify", "--quiet", "HEAD").returncode != 0:
         raise RepoError("empty", f"{repo.path} has no commits on its default branch")
 
-    texts: dict[str | None, str | None] = {None: None}  # blob id -> decoded text
-
-    def text_of(oid: str | None) -> str | None:
-        if oid not in texts:
-            texts[oid] = _decode_blob(repo.read_blob(oid))
-        return texts[oid]
-
     fmt = _FIELD_SEP.join(["%H", "%P", "%an", "%ae", "%at", "%cn", "%ce"])
     fields = repo.git_fields(
         "log", "--first-parent", "--topo-order", "--reverse", "--raw", "-z",
         "--no-abbrev", "-M", f"--format={fmt}", "HEAD",
     )
-    records: list[CommitRecord] = []
+    identities: dict[tuple[str, str], ContributorId] = {}
+    commits = []  # CommitRecord fields, with blob ids in place of the texts
+    oids: dict[str | None, None] = {}  # every blob id named, in first-use order
     for header, entries in _raw_log(fields):
         sha, parents_raw, a_name, a_email, a_time, c_name, c_email = header.split(_FIELD_SEP)
         parents = parents_raw.split()
         if len(parents) >= 2:
             log.debug("skipping merge commit %s", sha)
             continue
-        changes = [change for entry in entries if (change := _change(*entry, text_of)) is not None]
+        changes = [change for entry in entries if (change := _change(*entry)) is not None]
+        for _, _, old, new, _ in changes:
+            oids[old] = oids[new] = None
         name, email = (a_name, a_email) if identity == "author" else (c_name, c_email)
-        records.append(
-            CommitRecord(
-                sha=sha,
-                parent_sha=parents[0] if parents else None,
-                contributor=ContributorId.from_identity(name, email),
-                timestamp=int(a_time),
-                changes=tuple(changes),
-            )
-        )
-    if not records:
+        contributor = identities.get((name, email))
+        if contributor is None:
+            contributor = identities[name, email] = ContributorId.from_identity(name, email)
+        commits.append((sha, parents[0] if parents else None, contributor, int(a_time), changes))
+    if not commits:
         raise RepoError("empty", f"{repo.path} has no non-merge commits")
-    return records
+
+    oids.pop(None, None)
+    # one decoded text per blob id, so equal sides share one object
+    texts: dict[str | None, str | None] = {None: None}
+    texts.update((oid, _decode_blob(data)) for oid, data in repo.read_blobs(list(oids)))
+    return [
+        CommitRecord(
+            sha=sha,
+            parent_sha=parent,
+            contributor=contributor,
+            timestamp=timestamp,
+            changes=tuple(
+                FileChange(path, kind, texts[old], texts[new], old_path)
+                for path, kind, old, new, old_path in changes
+            ),
+        )
+        for sha, parent, contributor, timestamp, changes in commits
+    ]

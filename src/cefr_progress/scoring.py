@@ -129,35 +129,61 @@ def _profile_sort_key(profile: ContributorProfile):
     return (-profile.total.c1_plus_c2(), -profile.total.total(), profile.contributor.anon_id)
 
 
+def _vector_sum(rows) -> LevelVector:
+    """The component-wise sum of 6-int rows; a zero row keeps six columns when there are none."""
+    return LevelVector(tuple(map(sum, zip(*rows, [0] * 6))))
+
+
+def _rollup(
+    scores: list[CommitScore], period: Granularity
+) -> tuple[list[ContributorProfile], dict[str, LevelVector], LevelVector]:
+    """One pass over `scores`: the `build_profiles` list and the `project_rollup` pair.
+
+    Buckets are plain 6-int lists until the pass ends, and each commit's
+    period key comes from a memo keyed by UTC day, which never straddles a
+    month or a year.
+    """
+    keys: dict[int, str] = {}  # UTC day -> period key
+    project: dict[str, list[int]] = {}
+    people: dict[str, list] = {}  # anon_id -> [ContributorId, commit count, {period key: counts}]
+    for score in scores:
+        day = score.timestamp // 86400
+        pkey = keys.get(day)
+        if pkey is None:
+            pkey = keys[day] = period_key(score.timestamp, period)
+        contributor = score.contributor
+        person = people.get(contributor.anon_id)
+        if person is None:
+            person = people[contributor.anon_id] = [contributor, 0, {}]
+        person[1] += 1
+        mine = person[2].get(pkey)
+        if mine is None:
+            mine = person[2][pkey] = [0] * 6
+        ours = project.get(pkey)
+        if ours is None:
+            ours = project[pkey] = [0] * 6
+        for level, count in enumerate(score.delta.counts):
+            if count:
+                mine[level] += count
+                ours[level] += count
+
+    profiles = [
+        ContributorProfile(
+            contributor=contributor,
+            total=_vector_sum(periods.values()),
+            by_period={pkey: LevelVector(tuple(counts)) for pkey, counts in sorted(periods.items())},
+            commit_count=commit_count,
+        )
+        for contributor, commit_count, periods in people.values()
+    ]
+    profiles.sort(key=_profile_sort_key)
+    by_period = {pkey: LevelVector(tuple(counts)) for pkey, counts in sorted(project.items())}
+    return profiles, by_period, _vector_sum(project.values())
+
+
 def build_profiles(scores: list[CommitScore], period: Granularity) -> list[ContributorProfile]:
     """Per-contributor period buckets, ordered by C1+C2, then total, then anon_id."""
-    buckets: dict[str, dict[str, LevelVector]] = {}
-    counts: dict[str, int] = {}
-    identities: dict[str, ContributorId] = {}
-    for score in scores:
-        key = score.contributor.anon_id
-        identities.setdefault(key, score.contributor)
-        counts[key] = counts.get(key, 0) + 1
-        periods = buckets.setdefault(key, {})
-        pkey = period_key(score.timestamp, period)
-        periods[pkey] = periods.get(pkey, LevelVector.zero()) + score.delta
-
-    profiles = []
-    for key, periods in buckets.items():
-        total = LevelVector.zero()
-        for vec in periods.values():
-            total = total + vec
-        ordered = dict(sorted(periods.items()))
-        profiles.append(
-            ContributorProfile(
-                contributor=identities[key],
-                total=total,
-                by_period=ordered,
-                commit_count=counts[key],
-            )
-        )
-    profiles.sort(key=_profile_sort_key)
-    return profiles
+    return _rollup(scores, period)[0]
 
 
 def most_proficient_contributor(profiles: list[ContributorProfile]) -> TopContributor:
@@ -177,13 +203,8 @@ def project_rollup(
     scores: list[CommitScore], period: Granularity
 ) -> tuple[dict[str, LevelVector], LevelVector]:
     """Per-period sums across all contributors, plus the grand total."""
-    by_period: dict[str, LevelVector] = {}
-    total = LevelVector.zero()
-    for score in scores:
-        pkey = period_key(score.timestamp, period)
-        by_period[pkey] = by_period.get(pkey, LevelVector.zero()) + score.delta
-        total = total + score.delta
-    return dict(sorted(by_period.items())), total
+    _, by_period, total = _rollup(scores, period)
+    return by_period, total
 
 
 def is_bot(contributor: ContributorId, patterns: tuple[str, ...]) -> bool:
@@ -205,7 +226,7 @@ def build_report(
     generated_at is the newest analyzed commit timestamp, which keeps
     emission byte-deterministic for a fixed repository state.
     """
-    all_profiles = build_profiles(scores, period)
+    all_profiles, by_period, total = _rollup(scores, period)
     profiles = []
     excluded = LevelVector.zero()
     for profile in all_profiles:
@@ -214,7 +235,6 @@ def build_report(
         else:
             profiles.append(profile)
 
-    by_period, total = project_rollup(scores, period)
     top = most_proficient_contributor(profiles) if profiles else None
     return ProjectReport(
         repo=repo,

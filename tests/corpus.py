@@ -529,6 +529,36 @@ SNIPPETS: list[Snippet] = [
         ],
     ),
     Snippet(
+        # the comprehension's own symbol table block is also named listcomp
+        # and sits on the def's line
+        "closure_named_listcomp",
+        _src(
+            "def f(a):",
+            "    def listcomp(): return [a for _ in b]",
+        ),
+        [
+            ("function_definition", 1),
+            ("function_definition", 2),
+            ("closure", 2),
+            ("return_statement", 2),
+            ("list_comprehension", 2),
+        ],
+    ),
+    Snippet(
+        "closure_named_genexpr",
+        _src(
+            "def f(a):",
+            "    def genexpr(): return (a for _ in b)",
+        ),
+        [
+            ("function_definition", 1),
+            ("function_definition", 2),
+            ("closure", 2),
+            ("return_statement", 2),
+            ("generator_expression", 2),
+        ],
+    ),
+    Snippet(
         "uncounted_statement",
         _src("pass"),
         [],

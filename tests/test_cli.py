@@ -9,7 +9,9 @@ import pytest
 import cefr_progress
 from cefr_progress import history, scoring
 from cefr_progress.cli import main
-from cefr_progress.history import RepoSpec, extract_commits, prepare_repo
+from cefr_progress.history import RepoError, RepoSpec, extract_commits, prepare_repo
+
+from conftest import ALICE, GitFixture
 
 
 def test_analyze_fixture_writes_three_reports(linear_repo, tmp_path, capsys):
@@ -40,15 +42,30 @@ def test_analyze_without_git_binary_exits_2(linear_repo, tmp_path, monkeypatch):
     assert main(["analyze", str(linear_repo), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_analyze_unreadable_history_exits_2(tmp_path):
+    fixture = GitFixture(tmp_path / "repo")
+    fixture.write("a.py", "x = 1\n")
+    fixture.commit(ALICE, "2020-01-01T00:00:00Z", "one")
+    tree = fixture.run("rev-parse", "HEAD^{tree}").strip()
+    fixture.write("a.py", "x = 2\n")
+    fixture.commit(ALICE, "2020-01-02T00:00:00Z", "two")
+    (fixture.path / ".git" / "objects" / tree[:2] / tree[2:]).unlink()
+    with pytest.raises(RepoError) as err:
+        with prepare_repo(RepoSpec(str(fixture.path))) as repo:
+            extract_commits(repo)
+    assert err.value.kind == "git_failed"
+    assert main(["analyze", str(fixture.path), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_analyze_analyzes_each_distinct_text_once(big_repo, tmp_path, monkeypatch):
     reads = []
-    read_blob = history.Repo.read_blob
+    read_blobs = history.Repo.read_blobs
 
-    def counting_read_blob(self, oid):
-        reads.append(oid)
-        return read_blob(self, oid)
+    def counting_read_blobs(self, oids):
+        reads.extend(oids)
+        return read_blobs(self, oids)
 
-    monkeypatch.setattr(history.Repo, "read_blob", counting_read_blob)
+    monkeypatch.setattr(history.Repo, "read_blobs", counting_read_blobs)
     with prepare_repo(RepoSpec(str(big_repo))) as repo:
         records = extract_commits(repo)
     sides = [

@@ -1,7 +1,9 @@
 import subprocess
+import threading
 
 import pytest
 
+from cefr_progress import history
 from cefr_progress.history import (
     CommitRecord,
     ContributorId,
@@ -375,6 +377,67 @@ def test_missing_git_binary_is_a_repo_error(linear_repo, tmp_path, monkeypatch):
     with pytest.raises(RepoError) as err:
         Repo(linear_repo).read_blob("0" * 40)
     assert err.value.kind == "git_missing"
+
+
+def test_git_command_failure_is_git_failed(linear_repo):
+    repo = Repo(linear_repo)
+    with pytest.raises(RepoError) as err:
+        repo.git("rev-parse", "--verify", "no-such-ref")
+    assert err.value.kind == "git_failed"
+    with pytest.raises(RepoError) as err:
+        list(repo.git_fields("log", "-z", "no-such-ref"))
+    assert err.value.kind == "git_failed"
+
+
+def test_read_blobs_answers_every_id_in_order(tmp_path):
+    fixture = GitFixture(tmp_path / "blobs")
+    big_text = b"y = 2\n" * 200_000  # 1.2 MB, far more than a pipe holds
+    fixture.write("small.py", "x = 1\n")
+    fixture.write("big.py", big_text)
+    fixture.commit(ALICE, "2020-01-01T00:00:00Z", "one")
+    small, big, tree = (
+        fixture.run("rev-parse", name).strip() for name in ("HEAD:small.py", "HEAD:big.py", "HEAD^{tree}")
+    )
+    missing = "1" * 40
+    # git blocks writing the big blob while about 120 kB of ids still wait to be
+    # written, so reading the replies only after writing every id would deadlock
+    oids = [big, missing, tree] + [small] * 3000 + [big]
+    replies = []
+    reader = threading.Thread(target=lambda: replies.extend(Repo(fixture.path).read_blobs(oids)), daemon=True)
+    reader.start()
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert [oid for oid, _ in replies] == oids
+    assert replies[:4] == [(big, big_text), (missing, None), (tree, None), (small, b"x = 1\n")]
+    assert replies[-1] == (big, big_text)
+
+
+def test_no_git_process_outlives_its_call(linear_repo, monkeypatch):
+    started = []
+    start_git = history._start_git
+
+    def recording_start_git(*args, **pipes):
+        started.append(start_git(*args, **pipes))
+        return started[-1]
+
+    monkeypatch.setattr(history, "_start_git", recording_start_git)
+    with prepare_repo(RepoSpec(str(linear_repo))) as repo:
+        records = extract_commits(repo)
+        oids = repo.git("rev-list", "--objects", "--no-object-names", "--all").split()
+
+        def stop_early():
+            blobs = repo.read_blobs(oids * 1000)  # more ids than the pipe to git holds
+            next(blobs)
+            blobs.close()
+
+        reader = threading.Thread(target=stop_early, daemon=True)
+        reader.start()
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        with pytest.raises(RepoError):
+            list(repo.git_fields("log", "-z", "no-such-ref"))
+    assert records and len(started) == 4
+    assert all(proc.returncode is not None for proc in started)
 
 
 def test_empty_repository_raises(tmp_path):

@@ -1,3 +1,4 @@
+import calendar
 import random
 
 import pytest
@@ -5,15 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cefr_progress.analyzer import LevelVector
-from cefr_progress.catalog import default_catalog
+from cefr_progress.catalog import Level, default_catalog
 from cefr_progress.history import CommitRecord, ContributorId, FileChange
 from cefr_progress.scoring import (
+    DEFAULT_BOT_PATTERNS,
     CommitScore,
+    ContributorProfile,
     EmptyInput,
     Granularity,
+    ProjectReport,
+    TopContributor,
     build_profiles,
     build_report,
     commit_delta,
+    is_bot,
     most_proficient_contributor,
     period_key,
     project_rollup,
@@ -261,3 +267,74 @@ def test_build_report_empty_scores():
     assert report.profiles == ()
     assert report.top_contributor is None
     assert report.generated_at == 0
+
+
+def reference_report(scores, period):
+    """`build_report` the plain way: a `period_key` and `LevelVector` sums for every score."""
+    people = {}
+    project = {}
+    total = LevelVector.zero()
+    for score in scores:
+        pkey = period_key(score.timestamp, period)
+        contributor, commits, periods = people.get(score.contributor.anon_id, (score.contributor, 0, {}))
+        periods[pkey] = periods.get(pkey, LevelVector.zero()) + score.delta
+        people[score.contributor.anon_id] = (contributor, commits + 1, periods)
+        project[pkey] = project.get(pkey, LevelVector.zero()) + score.delta
+        total = total + score.delta
+    profiles = sorted(
+        (
+            ContributorProfile(contributor, sum(periods.values(), LevelVector.zero()),
+                               dict(sorted(periods.items())), commits)
+            for contributor, commits, periods in people.values()
+        ),
+        key=lambda p: (-p.total.c1_plus_c2(), -p.total.total(), p.contributor.anon_id),
+    )
+    kept = [p for p in profiles if not is_bot(p.contributor, DEFAULT_BOT_PATTERNS)]
+    excluded = sum((p.total for p in profiles if p not in kept), LevelVector.zero())
+    top = None
+    if kept:
+        rows = tuple((pkey, vec[Level.C1], vec[Level.C2]) for pkey, vec in kept[0].by_period.items())
+        top = TopContributor(kept[0].contributor, rows)
+    return ProjectReport(
+        repo="fixture",
+        generated_at=max((s.timestamp for s in scores), default=0),
+        period=period,
+        project_total=total,
+        project_by_period=dict(sorted(project.items())),
+        profiles=tuple(kept),
+        excluded_total=excluded,
+        top_contributor=top,
+        commit_count=len(scores),
+        files_analyzed=sum(s.files_analyzed for s in scores),
+        files_skipped=sum(s.files_skipped for s in scores),
+    )
+
+
+# a second spelling of Alice's email: same anon_id, the first one seen names the profile
+ALICE_UPPER = ContributorId.from_identity("A. Dev", "ALICE@example.com ")
+# the first and last second of UTC months between 1900 and 2100, and their neighbours
+month_edges = st.builds(
+    lambda year, month, offset: calendar.timegm((year, month, 1, 0, 0, 0)) + offset,
+    st.integers(min_value=1900, max_value=2100),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([-1, 0, 1]),
+)
+scores_strategy = st.lists(
+    st.builds(
+        CommitScore,
+        sha=st.just("f" * 40),
+        contributor=st.sampled_from([ALICE, ALICE_UPPER, BOB, BOT]),
+        timestamp=st.one_of(month_edges, st.integers(min_value=-2_208_988_800, max_value=4_102_444_800)),
+        delta=st.tuples(*[st.integers(min_value=0, max_value=3)] * 6).map(LevelVector),
+        files_analyzed=st.integers(min_value=0, max_value=3),
+        files_skipped=st.integers(min_value=0, max_value=2),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=scores_strategy, period=st.sampled_from(list(Granularity)))
+def test_build_report_matches_per_score_reference(scores, period):
+    # repr also compares the order of every dict, which the emitted files follow
+    assert repr(build_report(scores, repo="fixture", period=period)) == repr(reference_report(scores, period))
