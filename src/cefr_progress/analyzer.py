@@ -21,10 +21,16 @@ Counting rules worth knowing (each occurrence is one syntax-tree match):
 * ``generator_function`` follows the compiler: a def is a generator when a
   ``yield`` runs in its frame.  A yield in a nested def's decorator,
   default or annotation runs in the enclosing def, so it marks that one.
-* ``closure`` uses the compiler's own scoping rules (symtable): an inner
-  def/lambda counts when it has at least one free variable.  Only a def or
-  lambda inside a def, lambda or comprehension can have one (a lambda in a
-  module-level comprehension included), so only those are matched.
+* ``closure`` follows the compiler's scoping rules: a def or lambda counts
+  when it has a free variable, a name it reads or declares ``nonlocal``
+  that an enclosing def, lambda or comprehension binds.  Class bodies are
+  invisible to the scopes nested in them, a free name passes through every
+  def between its use and its binding (each of them counts), and the
+  implicit ``__class__`` cell behind zero-argument ``super()`` is no
+  capture.  Only a def or lambda inside a def, lambda or comprehension can
+  have a free variable (a lambda in a module-level comprehension included),
+  so the analyzer's own scope pass resolves names only inside the
+  outermost def, lambda or comprehension that holds one.
 * Class-protocol kinds (``context_manager_definition``,
   ``descriptor_definition``, ``dunder_new_override``, ``metaclass``)
   anchor at the class statement's line.
@@ -36,18 +42,14 @@ has any def or lambda, so does ``symtable``.  Nesting too deep for the
 parser or the symbol table (RecursionError, MemoryError) is a parse failure
 too.
 
-The symbol table parses the source a second time, so it is built only when
-the file has a def or lambda and the walk saw one of:
-
-* a def or lambda inside a def, lambda or comprehension (a closure
-  candidate);
-* a construct the scope pass can reject after the parser accepted it:
-  ``global``, ``nonlocal``, a walrus, ``from __future__ import``, a star
-  import, a repeated parameter name, or a ``yield``/``await`` inside a
-  comprehension.
-
-Any other source with a def or lambda is accepted by the scope pass, so
-skipping the table there leaves ``parse_ok`` unchanged.
+The symbol table is built only for that verdict, never to count.  It
+parses the source a second time, so it is built only when the file has a
+def or lambda and a construct the compiler's scope pass can reject after
+the parser accepted it: ``global``, ``nonlocal``, a walrus,
+``from __future__ import``, a star import, a repeated parameter name, or a
+``yield``/``await`` inside a comprehension.  Any other source with a def or
+lambda is accepted by the compiler's scope pass, so skipping the table
+there leaves ``parse_ok`` unchanged.
 """
 
 from __future__ import annotations
@@ -227,9 +229,11 @@ _CHILD_FIELDS: dict[type, tuple[str, ...]] = {
 }
 
 
-def _walk(tree: ast.Module) -> tuple[list[Occurrence], set[tuple[str, int]], bool]:
-    """Every occurrence but ``closure``, the (name, line) of each nested def and
-    lambda, and whether the source needs the compiler's symbol table.
+def _walk(tree: ast.Module) -> tuple[list[Occurrence], list[ast.AST], bool, bool]:
+    """Every occurrence but ``closure``; the outermost defs, lambdas and
+    comprehensions that hold a nested def or lambda; whether the verdict
+    needs the compiler's symbol table; and whether the source imports
+    ``annotations`` from ``__future__``.
 
     One pass with an explicit stack.  Each entry carries its owner: the
     innermost def or lambda whose body holds the node, or the innermost
@@ -239,12 +243,14 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], set[tuple[str, int]], boo
     closure can occur.
     """
     found: list[Occurrence] = []
-    nested: set[tuple[str, int]] = set()
     generators: set[ast.AST] = set()
     elifs: set[ast.AST] = set()
     # comprehension -> the def or lambda (or None) whose frame evaluates it
     frames: dict[ast.AST, ast.AST | None] = {}
-    has_defs = scope_checked = False
+    # def, lambda or comprehension -> the outermost one around it (itself at the top)
+    roots: dict[ast.AST, ast.AST] = {}
+    holders: dict[ast.AST, None] = {}  # the roots that hold a nested def or lambda
+    has_defs = scope_checked = future_annotations = False
     stack: list[tuple[ast.AST, ast.AST | None]] = [(tree, None)]
     push = stack.append
     child_fields = _CHILD_FIELDS
@@ -310,17 +316,16 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], set[tuple[str, int]], boo
                 if len(set(params)) < len(params):
                     scope_checked = True
                 has_defs = True
+                root = roots[node] = node if owner is None else roots[owner]
+                if owner is not None:
+                    holders[root] = None
                 # decorators, defaults and annotations run in the enclosing
                 # scope; only the body belongs to the def or lambda itself
                 body = node.body
                 if t is ast.Lambda:
-                    if owner is not None:
-                        nested.add(("lambda", node.lineno))
                     if type(body) in child_fields:
                         push((body, node))
                 else:
-                    if owner is not None:
-                        nested.add((node.name, node.lineno))
                     for stmt in body:
                         push((stmt, node))
                     if t is ast.AsyncFunctionDef:
@@ -332,6 +337,7 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], set[tuple[str, int]], boo
                             found.append(("property_definition", node.lineno))
             elif t in _COMPREHENSIONS:
                 frames[node] = frames.get(owner, owner)
+                roots[node] = node if owner is None else roots[owner]
                 scope = node
             elif t is ast.comprehension:
                 targets = (node.target,)
@@ -370,7 +376,10 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], set[tuple[str, int]], boo
                 if frame is not None and t is not ast.Await:
                     generators.add(frame)
             elif t is ast.ImportFrom:
-                if node.module == "__future__" or node.names[0].name == "*":
+                if node.module == "__future__":
+                    scope_checked = True
+                    future_annotations |= any(alias.name == "annotations" for alias in node.names)
+                elif node.names[0].name == "*":
                     scope_checked = True
             else:  # _SCOPE_CHECKED
                 scope_checked = True
@@ -388,30 +397,204 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], set[tuple[str, int]], boo
                 push((child, scope))
 
     found.extend(("generator_function", d.lineno) for d in generators if type(d) is not ast.Lambda)
-    return found, nested, bool(nested) or (has_defs and scope_checked)
+    return found, list(holders), has_defs and scope_checked, future_annotations
 
 
-def _closure_occurrences(table: symtable.SymbolTable, nested: set[tuple[str, int]]) -> list[Occurrence]:
-    """Nested defs/lambdas with free variables, located via the compiler's symbol tables.
+#: Scope kinds of the closure pass.  A class scope's names are hidden from
+#: the scopes nested in it; a comprehension's walrus targets bind outside it.
+_FUNCTION, _COMPREHENSION, _CLASS = range(3)
 
-    Symtable blocks are matched back to def/lambda nodes by (name, line).
-    Comprehension scopes also appear as function blocks, named ``listcomp``,
-    ``genexpr`` and so on; their implicit parameter ``.0``, which no def
-    can declare, keeps them out of the count even beside a def of that name.
+#: Node types with a branch in the closure pass; every other type only descends.
+_SCOPE_NODES = frozenset({
+    ast.ClassDef, ast.NamedExpr, ast.Global, ast.Nonlocal, ast.Import, ast.ImportFrom,
+    ast.ExceptHandler, ast.AnnAssign, ast.MatchAs, ast.MatchStar, ast.MatchMapping,
+}) | _CALLABLES | _COMPREHENSIONS
+
+#: The node types the closure pass pushes: those the walk pushes, and names.
+_SCOPE_PUSHED = frozenset(_CHILD_FIELDS) | {ast.Name}
+
+
+class _Scope:
+    """One scope of the closure pass: the names it binds, reads and declares."""
+
+    __slots__ = ("parent", "kind", "node", "private", "binds", "uses", "globals", "nonlocals",
+                 "local", "visible", "free")
+
+    def __init__(self, parent: "_Scope | None", kind: int, node: ast.AST | None = None):
+        self.parent, self.kind, self.node = parent, kind, node
+        # the class name that mangles private names here, leading underscores stripped
+        self.private = parent.private if parent is not None else None
+        self.binds: set[str] = set()
+        self.uses: set[str] = set()
+        self.globals: set[str] = set()
+        self.nonlocals: set[str] = set()
+        self.free: set[str] = set()
+
+    def mangle(self, name: str) -> str:
+        """`name` as the compiler records it here: ``__x`` in class ``C`` is ``_C__x``."""
+        if self.private is None or name[:2] != "__" or name[-2:] == "__":
+            return name
+        return f"_{self.private}{name}"
+
+
+def _closures(root: ast.AST, future_annotations: bool) -> list[Occurrence]:
+    """A ``closure`` occurrence for each def or lambda nested in `root` that has
+    a free variable other than the implicit ``__class__`` cell.
+
+    `root` is an outermost def, lambda or comprehension, so the scope around
+    it is a module or a class, and no name bound there is free inside.  The
+    pass collects what each scope binds, reads and declares, then resolves
+    the names as the compiler's scope pass does: from the outside in, which
+    names of the enclosing functions each scope sees; from the inside out,
+    the free names, which pass up through every scope that does not bind
+    them.  A class body hides its own names from the scopes nested in it.
+    Under ``from __future__ import annotations`` the compiler leaves
+    annotations out of its scope pass, and so does this one.  Private names
+    are mangled by the classes inside `root` only: the class around it is
+    not known here.
     """
-    found: list[Occurrence] = []
-    stack = [table]
+    outer = _Scope(None, _CLASS)
+    scopes = [outer]
+    stack: list[tuple[ast.AST, _Scope]] = [(root, outer)]
+    push = stack.append
+    child_fields = _CHILD_FIELDS
+    pushed = _SCOPE_PUSHED
+    Name, Load = ast.Name, ast.Load
+
+    def enter(parent: _Scope, kind: int, node: ast.AST | None = None) -> _Scope:
+        scope = _Scope(parent, kind, node)
+        scopes.append(scope)
+        return scope
+
+    def type_params(scope: _Scope, node: ast.AST) -> _Scope:
+        # PEP 695 (Python 3.12+): a generic def's or class's type parameters
+        # bind in a scope of their own around it
+        params = getattr(node, "type_params", None)
+        if not params:
+            return scope
+        scope = enter(scope, _FUNCTION)
+        for param in params:
+            scope.binds.add(scope.mangle(param.name))
+            push((param, scope))
+        return scope
+
     while stack:
-        block = stack.pop()
-        stack.extend(block.get_children())
-        if (isinstance(block, symtable.Function)
-                and (block.get_name(), block.get_lineno()) in nested
-                and ".0" not in block.get_parameters()):
-            # __class__ is the implicit cell behind zero-argument super(),
-            # not a user capture
-            frees = set(block.get_frees()) - {"__class__"}
-            if frees:
-                found.append(("closure", block.get_lineno()))
+        node, scope = stack.pop()
+        t = type(node)
+        fields = child_fields.get(t)
+        if fields is None:  # a Name, or a Constant pushed by a branch below
+            if t is Name:
+                name = node.id if scope.private is None else scope.mangle(node.id)
+                (scope.uses if type(node.ctx) is Load else scope.binds).add(name)
+            continue
+        if t in _SCOPE_NODES:
+            if t is ast.ClassDef:
+                scope.binds.add(scope.mangle(node.name))
+                for dec in node.decorator_list:
+                    push((dec, scope))
+                scope = type_params(scope, node)
+                for base in node.bases + node.keywords:
+                    push((base, scope))
+                inner = enter(scope, _CLASS)
+                inner.private = node.name.lstrip("_") or None
+                for stmt in node.body:
+                    push((stmt, inner))
+                continue
+            if t in _CALLABLES:
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                outside = type_params(scope, node)
+                if node is not root:  # the root's own signature runs outside it
+                    for default in args.defaults + args.kw_defaults:
+                        if default is not None:
+                            push((default, scope))
+                    if t is not ast.Lambda:
+                        scope.binds.add(scope.mangle(node.name))
+                        for dec in node.decorator_list:
+                            push((dec, scope))
+                        if not future_annotations:
+                            for annotation in [a.annotation for a in params] + [node.returns]:
+                                if annotation is not None:
+                                    push((annotation, outside))
+                inner = enter(outside, _FUNCTION, node)
+                inner.binds.update(inner.mangle(a.arg) for a in params)
+                for stmt in node.body if t is not ast.Lambda else (node.body,):
+                    push((stmt, inner))
+                continue
+            if t in _COMPREHENSIONS:
+                # the first iterable runs in the enclosing scope
+                first, *rest = node.generators
+                push((first.iter, scope))
+                inner = enter(scope, _COMPREHENSION)
+                push((first.target, inner))
+                for item in first.ifs + rest:
+                    push((item, inner))
+                for item in (node.key, node.value) if t is ast.DictComp else (node.elt,):
+                    push((item, inner))
+                continue
+            if t is ast.NamedExpr:
+                name = scope.mangle(node.target.id)
+                if scope.kind is _COMPREHENSION:
+                    # the target binds in the function the comprehensions run in
+                    # (at module level it is a global); in each one it is free
+                    scope.uses.add(name)
+                    frame = scope.parent
+                    while frame.kind is _COMPREHENSION:
+                        frame = frame.parent
+                    if frame.kind is _FUNCTION:
+                        frame.binds.add(name)
+                else:
+                    scope.binds.add(name)
+                push((node.value, scope))
+                continue
+            if t is ast.Global or t is ast.Nonlocal:
+                declared = scope.globals if t is ast.Global else scope.nonlocals
+                declared.update(scope.mangle(name) for name in node.names)
+                continue
+            if t is ast.Import or t is ast.ImportFrom:
+                for alias in node.names:
+                    if alias.name != "*":
+                        scope.binds.add(scope.mangle(alias.asname or alias.name.partition(".")[0]))
+                continue
+            if t is ast.AnnAssign:
+                target = node.target
+                if type(target) is not Name:
+                    push((target, scope))
+                elif node.simple or node.value is not None:  # "(x): int" alone binds nothing
+                    scope.binds.add(scope.mangle(target.id))
+                if not future_annotations:
+                    push((node.annotation, scope))
+                if node.value is not None:
+                    push((node.value, scope))
+                continue
+            # an except clause's name, a capture pattern or a mapping pattern's **rest
+            name = node.rest if t is ast.MatchMapping else node.name
+            if name is not None:
+                scope.binds.add(scope.mangle(name))
+
+        for field in fields:
+            child = getattr(node, field)
+            if type(child) is list:
+                for item in child:
+                    if type(item) in pushed:
+                        push((item, scope))
+            elif type(child) in pushed:
+                push((child, scope))
+
+    outer.visible = set()
+    for scope in scopes[1:]:  # enclosing scopes first
+        bound = scope.parent.visible  # the enclosing functions' names this scope can see
+        scope.local = local = scope.binds - scope.globals - scope.nonlocals
+        scope.free = ((scope.uses | scope.nonlocals) - local - scope.globals) & bound
+        scope.visible = bound if scope.kind is _CLASS else local | (bound - scope.globals)
+    found: list[Occurrence] = []
+    for scope in reversed(scopes[1:]):  # nested scopes first
+        free = scope.free
+        parent = scope.parent
+        parent.free |= free if parent.kind is _CLASS else free - parent.local
+        if scope.node is not None and scope.node is not root and free - {"__class__"}:
+            found.append(("closure", scope.node.lineno))
     return found
 
 
@@ -422,9 +605,11 @@ def count_constructs(source: str) -> list[Occurrence]:
     """
     try:
         tree = ast.parse(source)
-        found, nested, needs_table = _walk(tree)
+        found, roots, needs_table, future_annotations = _walk(tree)
         if needs_table:
-            found += _closure_occurrences(symtable.symtable(source, "<analysis>", "exec"), nested)
+            symtable.symtable(source, "<analysis>", "exec")
+        for root in roots:
+            found += _closures(root, future_annotations)
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         # symtable rejects a little more than ast.parse (e.g. unbound
         # nonlocal), and deep nesting exhausts the parser's stack or memory;

@@ -16,7 +16,8 @@ Identity and ordering decisions:
 * Merge commits are skipped outright; the first-parent chain keeps the
   history linear so each commit diffs against exactly one parent.
 * Renames count as modifications with the before text taken from the old
-  path; blobs containing NUL bytes are treated as absent (binary policy).
+  path; blobs containing NUL bytes are treated as absent (binary policy),
+  and so are symlinks and submodules, whose blobs hold no source text.
 * Other blobs are decoded the way Python decodes a source file, so a PEP 263
   encoding cookie and a UTF-8 BOM are honoured.
 * Changes whose sides share a blob id share one decoded text object, so
@@ -84,7 +85,7 @@ class FileChange:
 
     `path` is the repository-relative path after the commit (the old path for
     deletions); `old_path` is set for renames.  Absent texts mean the file
-    did not exist on that side, or the blob was binary.
+    did not exist on that side, or it was binary, a symlink or a submodule.
     """
 
     path: str
@@ -261,10 +262,15 @@ def _decode_blob(data: bytes | None) -> str | None:
     return source_text(data)
 
 
+#: Modes whose blob is no file text: a symlink's blob holds its target path,
+#: and a submodule's id names a commit.
+_NOT_TEXT_MODES = ("120000", "160000")
+
+
 def _side(mode: str, oid: str) -> str | None:
     """The blob id on one side of a raw diff entry; None when that side is absent
-    (the null id) or a submodule (gitlink mode 160000)."""
-    return None if mode == "160000" or not oid.strip("0") else oid
+    (the null id), a symlink or a submodule."""
+    return None if mode in _NOT_TEXT_MODES or not oid.strip("0") else oid
 
 
 _KINDS = {"A": "added", "C": "added", "D": "deleted", "M": "modified", "T": "modified", "R": "renamed"}

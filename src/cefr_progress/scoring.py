@@ -81,20 +81,24 @@ def level_vector(text: str, catalog: Catalog) -> LevelVector | None:
     return result.vector if result.parse_ok else None
 
 
+_ABSENT = LevelVector.zero()  # the vector of a side that does not exist
+
+
 def score_commit(
     record: CommitRecord, catalog: Catalog, memo: dict[str, LevelVector | None] | None = None
 ) -> CommitScore:
     """Sum the per-file clamped deltas of one commit.
 
     A file whose present side fails to parse is skipped and contributes
-    nothing; absent sides (added/deleted/binary) count as the zero vector.
+    nothing; absent sides (added/deleted/binary/symlink) count as the zero
+    vector.  The deltas are summed as ints into one LevelVector per commit.
     `memo` maps texts to their `level_vector` under `catalog`; texts it
     lacks are analyzed and added, so a memo shared across commits analyzes
     each distinct text once.
     """
     if memo is None:
         memo = {}
-    total = LevelVector.zero()
+    total = [0] * 6
     analyzed = 0
     skipped = 0
     for change in record.changes:
@@ -102,18 +106,20 @@ def score_commit(
         for text in (change.before_text, change.after_text):
             if text is not None and text not in memo:
                 memo[text] = level_vector(text, catalog)
-            sides.append(LevelVector.zero() if text is None else memo[text])
+            sides.append(_ABSENT if text is None else memo[text])
         before_vec, after_vec = sides
         if before_vec is None or after_vec is None:
             skipped += 1
             continue
         analyzed += 1
-        total = total + commit_delta(before_vec, after_vec)
+        for level, (before, after) in enumerate(zip(before_vec.counts, after_vec.counts)):
+            if after > before:
+                total[level] += after - before
     return CommitScore(
         sha=record.sha,
         contributor=record.contributor,
         timestamp=record.timestamp,
-        delta=total,
+        delta=LevelVector(tuple(total)),
         files_analyzed=analyzed,
         files_skipped=skipped,
     )

@@ -255,6 +255,26 @@ def quoted_repo(tmp_path_factory) -> Path:
     return fx.path
 
 
+@pytest.fixture(scope="session")
+def symlink_repo(tmp_path_factory) -> Path:
+    """A real .py file, .py symlinks to it, and a file that becomes a symlink.
+
+    Git stores a symlink's target path as its blob: "pkg/real.py" would
+    parse as a division, "../pkg/real.py" would not parse at all.
+    """
+    fx = GitFixture(tmp_path_factory.mktemp("symlink") / "repo")
+    fx.write("pkg/real.py", UTIL_V2)
+    fx.write("pkg/old.py", GEN_PY)
+    fx.commit(ALICE, "2023-01-05T10:00:00Z", "add the real files")
+    os.symlink("pkg/real.py", fx.path / "alias.py")
+    os.symlink("../pkg/real.py", fx.path / "pkg" / "up.py")
+    fx.commit(BOB, "2023-02-05T10:00:00Z", "link to the real file")
+    (fx.path / "pkg" / "old.py").unlink()
+    os.symlink("real.py", fx.path / "pkg" / "old.py")
+    fx.commit(ALICE, "2023-03-05T10:00:00Z", "the old file becomes a link")
+    return fx.path
+
+
 # -- synthetic ~500-commit repository (built with fast-import) ----------
 
 _SNIPPET_POOL = [

@@ -559,6 +559,66 @@ SNIPPETS: list[Snippet] = [
         ],
     ),
     Snippet(
+        # middle reads no name itself, but inner's free x passes through it,
+        # so both are closures
+        "capture_passes_through_middle_def",
+        _src(
+            "def outer(x):",
+            "    def middle():",
+            "        def inner():",
+            "            return x",
+            "        return inner",
+            "    return middle",
+        ),
+        [
+            ("function_definition", 1),
+            ("function_definition", 2),
+            ("closure", 2),
+            ("function_definition", 3),
+            ("closure", 3),
+            ("return_statement", 4),
+            ("return_statement", 5),
+            ("return_statement", 6),
+        ],
+    ),
+    Snippet(
+        # a method cannot see its class body's names: width is a global here
+        "class_body_name_is_not_captured",
+        _src(
+            "def make():",
+            "    class Box:",
+            "        width = 2",
+            "        def area(self):",
+            "            return width",
+            "    return Box",
+        ),
+        [
+            ("function_definition", 1),
+            ("class_definition", 2),
+            ("simple_assignment", 3),
+            ("function_definition", 4),
+            ("return_statement", 5),
+            ("return_statement", 6),
+        ],
+    ),
+    Snippet(
+        # a walrus in a comprehension binds last in pick, where the lambda finds it
+        "lambda_captures_walrus_target",
+        _src(
+            "def pick(items):",
+            "    found = [lambda: last for item in items if (last := item)]",
+            "    return found",
+        ),
+        [
+            ("function_definition", 1),
+            ("simple_assignment", 2),
+            ("list_comprehension", 2),
+            ("lambda_expression", 2),
+            ("closure", 2),
+            ("return_statement", 3),
+        ],
+    ),
+    Snippet(
         "uncounted_statement",
         _src("pass"),
         [],

@@ -91,14 +91,16 @@ def _assert_matches_oracle(repo_path):
         ][email]
 
 
-def test_criterion_4_brute_force_equivalence(linear_repo, merge_repo, rename_repo, quoted_repo):
+def test_criterion_4_brute_force_equivalence(linear_repo, merge_repo, rename_repo, quoted_repo, symlink_repo):
     started = time.monotonic()
-    for fixture in (linear_repo, merge_repo, rename_repo, quoted_repo):
+    for fixture in (linear_repo, merge_repo, rename_repo, quoted_repo, symlink_repo):
         _assert_matches_oracle(fixture)
     assert time.monotonic() - started < 30.0
 
 
-@pytest.mark.parametrize("fixture_name", ["linear_repo", "merge_repo", "rename_repo", "quoted_repo"])
+@pytest.mark.parametrize(
+    "fixture_name", ["linear_repo", "merge_repo", "rename_repo", "quoted_repo", "symlink_repo"]
+)
 def test_criterion_5_conservation_identity(fixture_name, request):
     repo_path = request.getfixturevalue(fixture_name)
     _, scores, report = _pipeline_outputs(repo_path)

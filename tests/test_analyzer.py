@@ -203,10 +203,20 @@ def test_parse_ok_matches_the_compiler_verdict(source, rejected):
         "    def inner():\n"
         "        return x\n"
         "    return inner\n",
+        0, 1,
+    ),
+    (
+        "def outer(x):\n"
+        "    global y\n"
+        "    def inner():\n"
+        "        return x\n"
+        "    return inner\n",
         1, 1,
     ),
-], ids=["module_and_class_level_defs", "closure"])
+], ids=["module_and_class_level_defs", "closure", "closure_with_global"])
 def test_symbol_table_is_built_only_for_nested_defs(monkeypatch, source, calls, closures):
+    # closures come from the analyzer's own scope pass; the table is built
+    # only for the verdict on a construct the compiler's scope pass can reject
     built = []
     real = symtable.symtable
 
@@ -411,3 +421,190 @@ def test_skipped_fields_hold_no_nodes_on_stdlib(stdlib_sample):
                         path, type(node).__name__, field, type(item).__name__)
         checked += 1
     assert checked >= 40
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_COMPREHENSION_NODES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _nested_defs(tree):
+    """(name, line) of each def and lambda in a def's or lambda's body or anywhere
+    in a comprehension: the only ones that can have a free variable."""
+    nested = set()
+    stack = [(tree, False)]
+    while stack:
+        node, inside = stack.pop()
+        if isinstance(node, _DEFS):
+            if inside:
+                nested.add((getattr(node, "name", "lambda"), node.lineno))
+            body = node.body if isinstance(node.body, list) else [node.body]
+            stack.extend((child, True) for child in body)
+            # decorators, defaults and annotations belong to the enclosing scope
+            stack.extend(
+                (child, inside) for child in ast.iter_child_nodes(node)
+                if not any(child is stmt for stmt in body)
+            )
+        else:
+            inside = inside or isinstance(node, _COMPREHENSION_NODES)
+            stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return nested
+
+
+def symtable_closures(source):
+    """The closure reference: the nested defs and lambdas whose symbol-table
+    block has a free variable, sorted ``closure`` occurrences.
+
+    Blocks are matched back to the defs by (name, line).  A comprehension's
+    block has the implicit parameter ``.0``, which no def can declare, so it
+    is never matched, even beside a def named ``listcomp``.  ``__class__``,
+    the cell behind zero-argument ``super()``, is no capture.
+    """
+    nested = _nested_defs(ast.parse(source))
+    found = []
+    stack = [symtable.symtable(source, "<reference>", "exec")]
+    while stack:
+        block = stack.pop()
+        stack.extend(block.get_children())
+        if (isinstance(block, symtable.Function)
+                and (block.get_name(), block.get_lineno()) in nested
+                and ".0" not in block.get_parameters()
+                and set(block.get_frees()) - {"__class__"}):
+            found.append(("closure", block.get_lineno()))
+    return sorted(found)
+
+
+def _closures_of(source):
+    return sorted(occ for occ in count_constructs(source) if occ[0] == "closure")
+
+
+def test_closures_match_symtable_on_stdlib(stdlib_sample):
+    compared = closures = 0
+    for path, source in stdlib_sample:
+        try:
+            found = _closures_of(source)
+        except ParseError:
+            continue
+        assert found == symtable_closures(source), path
+        compared += 1
+        closures += len(found)
+    assert compared >= 40 and closures >= 50
+
+
+#: One case per scope rule, each holding at least one def or lambda that the
+#: rule makes a closure or keeps from being one.
+_SCOPE_RULES = {
+    "class_global_still_sees_function": (
+        "def f():\n    x = 1\n    class C:\n        global x\n        def m(self):\n            return x\n"),
+    "function_global_hides_binding": (
+        "def f():\n    x = 1\n    def g():\n        global x\n        def h():\n            return x\n"),
+    "nonlocal_alone_captures": "def f():\n    x = 1\n    def g():\n        nonlocal x\n",
+    "nonlocal_in_class_body": (
+        "def f():\n    x = 1\n    class C:\n        nonlocal x\n        def m(self):\n            return x\n"),
+    "walrus_at_module_level_is_global": "fs = [lambda: last for x in xs if (last := x)]\n",
+    "walrus_target_declared_global": (
+        "def f(xs):\n    global last\n    return [lambda: last for x in xs if (last := x)]\n"),
+    "walrus_in_nested_comprehension": "def f(xs):\n    return [[lambda: y for a in b if (y := a)] for c in xs]\n",
+    "comprehension_variable_captured": "def f(x):\n    return [lambda: x for x in range(3)]\n",
+    "first_iterable_runs_outside": "[x for x in (lambda a: lambda: a)(1)]\n",
+    "first_iterable_cannot_see_comprehension": "def f():\n    return [y for y in (lambda: y)()]\n",
+    "class_comprehension_sees_function": (
+        "def f():\n    y = 1\n    class C:\n        z = [lambda: y for _ in range(2)]\n"),
+    "defaults_run_outside": "def f(a):\n    def g(b=lambda: a):\n        return b\n    return g\n",
+    "decorators_run_outside": "def f(a):\n    @(lambda fn: a)\n    def g(): pass\n",
+    "annotations_run_outside": "def f(t):\n    def g():\n        def h(x: t) -> t: pass\n",
+    "future_annotations_are_not_evaluated": (
+        "from __future__ import annotations\n"
+        "def f(t):\n    def g():\n        def h(x: t) -> t: pass\n        y: (lambda: t) = 1\n"),
+    "parameter_shadows": "def f(x):\n    def g(x):\n        return x\n",
+    "import_alias_binds": (
+        "def f():\n    import os.path\n    import sys as system\n    from a import b as c\n"
+        "    return lambda: (os, system, c)\n"),
+    "except_name_binds": "def f():\n    try: pass\n    except E as err:\n        return lambda: err\n",
+    "match_captures_bind": (
+        "def f(v):\n    match v:\n        case [a, *rest]: return lambda: rest\n"
+        "        case {'k': b, **others}: return lambda: others\n"
+        "        case C(q) as whole: return lambda: whole\n"),
+    "del_binds": "def f():\n    del x\n    return lambda: x\n",
+    "bare_annotation_binds": "def f():\n    x: int\n    return lambda: x\n",
+    "parenthesized_bare_annotation_does_not_bind": "def f():\n    (x): int\n    return lambda: x\n",
+    "class_and_def_names_bind": (
+        "def f():\n    class K: pass\n    def g(): pass\n    return lambda: (K, g)\n"),
+    "super_is_no_capture": "class C:\n    def m(self):\n        return lambda: super().m()\n",
+    "bound_class_cell_is_no_capture": "def f():\n    __class__ = 1\n    def g():\n        return __class__\n",
+    "private_name_mangled_in_class": (
+        "def f():\n    __x = 1\n    class C:\n        def m(self):\n            return __x\n"),
+    "private_name_within_method": "class C:\n    def m(self):\n        __x = 1\n        return lambda: __x\n",
+    "underscore_class_does_not_mangle": (
+        "def f():\n    __x = 1\n    class _:\n        def m(self):\n            return __x\n"),
+}
+
+
+@pytest.mark.parametrize("source", _SCOPE_RULES.values(), ids=_SCOPE_RULES)
+def test_closures_follow_the_scope_rules(source):
+    assert _closures_of(source) == symtable_closures(source)
+
+
+_NAMES = ("a", "b", "c")
+
+
+@st.composite
+def _expressions(draw, depth):
+    """An expression over _NAMES, with lambdas, comprehensions and walrus targets."""
+    kind = draw(st.sampled_from(("name", "lambda", "comprehension", "walrus", "pair") if depth else ("name",)))
+    name = draw(st.sampled_from(_NAMES))
+    if kind == "name":
+        return name
+    if kind == "lambda":
+        params = draw(st.lists(st.sampled_from(_NAMES), max_size=2, unique=True))
+        return f"(lambda {', '.join(params)}: {draw(_expressions(depth - 1))})"
+    if kind == "comprehension":
+        element, iterable, condition = (draw(_expressions(depth - 1)) for _ in range(3))
+        return f"[{element} for {name} in {iterable} if {condition}]"
+    if kind == "walrus":
+        return f"({name} := {draw(_expressions(depth - 1))})"
+    return f"({draw(_expressions(depth - 1))}, {draw(_expressions(depth - 1))})"
+
+
+@st.composite
+def _block(draw, depth, indent="", in_def=False, first="def"):
+    """Statements binding and reading _NAMES: nested defs (with defaults and
+    decorators) and class bodies, global/nonlocal declarations, walrus targets."""
+    lines = []
+    keyword = draw(st.sampled_from((None, None, "global", "nonlocal"))) if indent else None
+    if keyword:
+        lines.append(f"{indent}{keyword} {draw(st.sampled_from(_NAMES))}")
+    kinds = ("assign", "expression") + (("return",) if in_def else ()) + (("def", "class") if depth else ())
+    for kind in [first] + draw(st.lists(st.sampled_from(kinds), max_size=2)):
+        name = draw(st.sampled_from(_NAMES))
+        value = draw(_expressions(max(depth, 1)))
+        if kind == "assign":
+            lines.append(f"{indent}{name} = {value}")
+        elif kind == "expression":
+            lines.append(f"{indent}{value}")
+        elif kind == "return":
+            lines.append(f"{indent}return {value}")
+        elif kind == "class":
+            lines.append(f"{indent}class {name}:")
+            lines += draw(_block(depth - 1, indent + "    ", first="assign"))
+        else:
+            params = draw(st.lists(st.sampled_from(_NAMES), max_size=2, unique=True))
+            if params and draw(st.booleans()):
+                params[-1] += f"={value}"
+            if draw(st.booleans()):
+                lines.append(f"{indent}@{draw(_expressions(1))}")
+            lines.append(f"{indent}def {name}({', '.join(params)}):")
+            lines += draw(_block(max(depth - 1, 0), indent + "    ", in_def=True, first="return"))
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block(depth=3).map(lambda lines: "\n".join(lines) + "\n"))
+def test_closures_match_symtable_on_generated_scopes(source):
+    # every generated module opens with a def, so symtable alone decides the verdict
+    try:
+        expected = symtable_closures(source)
+    except SyntaxError:
+        with pytest.raises(ParseError):
+            count_constructs(source)
+        return
+    assert _closures_of(source) == expected

@@ -8,10 +8,13 @@ import pytest
 
 import cefr_progress
 from cefr_progress import history, scoring
+from cefr_progress.catalog import default_catalog
 from cefr_progress.cli import main
 from cefr_progress.history import RepoError, RepoSpec, extract_commits, prepare_repo
 
-from conftest import ALICE, GitFixture
+from conftest import ALICE, GEN_PY, UTIL_V2, GitFixture
+
+CATALOG = default_catalog()
 
 
 def test_analyze_fixture_writes_three_reports(linear_repo, tmp_path, capsys):
@@ -29,6 +32,17 @@ def test_analyze_summary_counts_skipped_files(linear_repo, tmp_path, capsys):
     code = main(["analyze", str(linear_repo), "--out", str(tmp_path / "o")])
     assert code == 0
     assert "files skipped: 1" in capsys.readouterr().out  # broken.py
+
+
+def test_analyze_counts_only_the_real_file_behind_symlinks(symlink_repo, tmp_path):
+    # pkg/old.py: its generator counts when added; becoming a link removes it
+    # and so adds nothing.  The links add nothing and skip nothing.
+    out = tmp_path / "out"
+    assert main(["analyze", str(symlink_repo), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    real, old = (scoring.level_vector(text, CATALOG) for text in (UTIL_V2, GEN_PY))
+    assert report["project_total"] == (real + old).as_list()
+    assert report["files_skipped"] == 0
 
 
 def test_analyze_nonexistent_repo_exits_2(tmp_path):

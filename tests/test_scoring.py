@@ -141,6 +141,34 @@ def test_score_commit_identical_rename_is_zero():
     assert score_commit(record, CATALOG).delta == LevelVector.zero()
 
 
+sides = st.one_of(st.none(), st.just("unparseable"), vectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(files=st.lists(st.tuples(sides, sides), max_size=5))
+def test_score_commit_matches_per_file_reference(files):
+    memo = {}  # text -> its vector, or None when it does not parse
+    changes = []
+    for i, pair in enumerate(files):
+        texts = []
+        for side, value in zip("ba", pair):
+            text = None if value is None else f"{side}{i}"
+            if text is not None:
+                memo[text] = None if value == "unparseable" else value
+            texts.append(text)
+        changes.append(FileChange(f"f{i}.py", "modified", *texts))
+    # the reference: one clamped LevelVector per file, added up
+    total, skipped = LevelVector.zero(), 0
+    for before, after in files:
+        if "unparseable" in (before, after):
+            skipped += 1
+        else:
+            total = total + commit_delta(before or LevelVector.zero(), after or LevelVector.zero())
+    score = score_commit(_record(changes), CATALOG, memo)
+    assert score.delta == total
+    assert (score.files_analyzed, score.files_skipped) == (len(files) - skipped, skipped)
+
+
 def test_period_key_uses_utc():
     # 2014-12-31T23:30:00Z
     assert period_key(1420068600, Granularity.YEARLY) == "2014"
