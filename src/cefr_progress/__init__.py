@@ -25,12 +25,10 @@ from .scoring import (
     Granularity,
     ProjectReport,
     TopContributor,
-    build_profiles,
     build_report,
     commit_delta,
     level_vector,
     most_proficient_contributor,
-    project_rollup,
     score_commit,
 )
 
@@ -43,7 +41,6 @@ __all__ = [
     "extract_commits", "prepare_repo",
     "ReportBundle", "emit_csv", "emit_html", "emit_json", "write_report_bundle",
     "CommitScore", "ContributorProfile", "Granularity", "ProjectReport", "TopContributor",
-    "build_profiles", "build_report", "commit_delta", "level_vector", "most_proficient_contributor",
-    "project_rollup", "score_commit",
+    "build_report", "commit_delta", "level_vector", "most_proficient_contributor", "score_commit",
     "__version__",
 ]

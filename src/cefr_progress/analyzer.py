@@ -6,6 +6,8 @@ vocabulary, then folds the cataloged occurrences into a six-level count
 vector.  Classification is purely syntactic: no imports are resolved and no
 types are inferred.  Kinds that one node type always emits come from a
 type -> kind table; the conditional kinds are branches on the node type.
+The same walk records, per scope, the names the code binds, reads and
+declares, which is all ``generator_function`` and ``closure`` need.
 
 Counting rules worth knowing (each occurrence is one syntax-tree match):
 
@@ -23,33 +25,36 @@ Counting rules worth knowing (each occurrence is one syntax-tree match):
   default or annotation runs in the enclosing def, so it marks that one.
 * ``closure`` follows the compiler's scoping rules: a def or lambda counts
   when it has a free variable, a name it reads or declares ``nonlocal``
-  that an enclosing def, lambda or comprehension binds.  Class bodies are
-  invisible to the scopes nested in them, a free name passes through every
-  def between its use and its binding (each of them counts), and the
-  implicit ``__class__`` cell behind zero-argument ``super()`` is no
-  capture.  Only a def or lambda inside a def, lambda or comprehension can
-  have a free variable (a lambda in a module-level comprehension included),
-  so the analyzer's own scope pass resolves names only inside the
-  outermost def, lambda or comprehension that holds one.
+  that an enclosing def, lambda or comprehension binds.
+  - Decorators, defaults, class bases and a comprehension's first iterable
+    run in the enclosing scope; under ``from __future__ import annotations``
+    (read from the file's leading block, as the compiler does) annotations
+    run nowhere, so their names capture nothing.
+  - Class bodies are invisible to the scopes nested in them, and private
+    names are mangled by the innermost class.
+  - A free name passes through every def between its use and its binding,
+    and each of them counts.
+  - The implicit ``__class__`` cell behind zero-argument ``super()`` is no
+    capture.
+  Only a def or lambda inside a def, lambda or comprehension can have a free
+  variable, so names are resolved only in files that have one.
 * Class-protocol kinds (``context_manager_definition``,
   ``descriptor_definition``, ``dunder_new_override``, ``metaclass``)
   anchor at the class statement's line.
 
-Source that does not compile under the running Python 3 grammar yields
+``parse_ok`` holds when ``ast.parse`` and the compiler's scope pass (its
+symbol table) both accept the source.  Other source yields
 ``parse_ok=False`` and an all-zero vector; the pipeline never aborts on it.
-``parse_ok`` holds when ``ast.parse`` accepts the source and, if the source
-has any def or lambda, so does ``symtable``.  Nesting too deep for the
-parser or the symbol table (RecursionError, MemoryError) is a parse failure
-too.
+Nesting too deep for the parser or the symbol table (RecursionError,
+MemoryError) is a parse failure too.
 
 The symbol table is built only for that verdict, never to count.  It
-parses the source a second time, so it is built only when the file has a
-def or lambda and a construct the compiler's scope pass can reject after
-the parser accepted it: ``global``, ``nonlocal``, a walrus,
-``from __future__ import``, a star import, a repeated parameter name, or a
-``yield``/``await`` inside a comprehension.  Any other source with a def or
-lambda is accepted by the compiler's scope pass, so skipping the table
-there leaves ``parse_ok`` unchanged.
+parses the source a second time, so it is built only when the walk finds a
+construct the compiler's scope pass can reject after the parser accepted
+it: ``global``, ``nonlocal``, a walrus, ``from __future__ import``, a star
+import outside module scope, a repeated parameter name (after mangling), or
+a ``yield``/``await`` inside a comprehension.  The scope pass accepts any
+other source, so skipping the table there leaves ``parse_ok`` unchanged.
 """
 
 from __future__ import annotations
@@ -160,8 +165,6 @@ _CALLABLES = frozenset({ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda})
 _COMPREHENSIONS = frozenset({ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp})
 _TRY_STAR = getattr(ast, "TryStar", ast.Try)  # except* groups, when the grammar has them
 _ELSE_BLOCKS = frozenset({ast.For, ast.AsyncFor, ast.While, ast.Try, _TRY_STAR})
-#: Nodes the compiler's scope pass can reject after the parser accepted them.
-_SCOPE_CHECKED = frozenset({ast.Global, ast.Nonlocal, ast.NamedExpr})
 
 #: Kinds that every node of one type emits, anchored at that node's line.
 _NODE_KINDS: dict[type, str] = {
@@ -201,12 +204,17 @@ _NODE_KINDS: dict[type, str] = {
     ast.Await: "await_expression",
 }
 
+#: Nodes that bind the name they carry: an except clause's name, a capture
+#: pattern, and a mapping pattern's ``**rest``.
+_CAPTURES = frozenset({ast.ExceptHandler, ast.MatchAs, ast.MatchStar, ast.MatchMapping})
+
 #: Node types with a branch in _walk; every other type only looks up _NODE_KINDS.
 _CONDITIONAL = frozenset({
     ast.If, ast.Assign, ast.AnnAssign, ast.With, ast.AsyncWith, ast.comprehension,
     ast.ClassDef, ast.Call, ast.BinOp, ast.List, ast.Tuple, ast.Subscript,
-    ast.Yield, ast.YieldFrom, ast.Await, ast.ImportFrom,
-}) | _ELSE_BLOCKS | _CALLABLES | _COMPREHENSIONS | _SCOPE_CHECKED
+    ast.Yield, ast.YieldFrom, ast.Await, ast.Import, ast.ImportFrom,
+    ast.NamedExpr, ast.Global, ast.Nonlocal,
+}) | _ELSE_BLOCKS | _CALLABLES | _COMPREHENSIONS | _CAPTURES
 
 #: Fields that hold no node the walk needs: identifiers, numbers, strings and
 #: the expression-context and operator singletons.
@@ -217,50 +225,126 @@ _LEAF_FIELDS = frozenset({
 
 #: The fields the walk descends into, per node type it pushes.  Name and
 #: Constant are absent: they emit no kind and hold no node, so they are never
-#: pushed.  A def's or lambda's body is pushed by its branch, with the def as
-#: its owner.
+#: pushed; a name goes to the list of its scope.  The branches for defs,
+#: lambdas, classes, comprehensions, walrus targets and annotated assignments
+#: push their nodes' children themselves.
 _CHILD_FIELDS: dict[type, tuple[str, ...]] = {
-    cls: tuple(
-        f for f in cls._fields
-        if f not in _LEAF_FIELDS and not (cls in _CALLABLES and f == "body")
-    )
+    cls: tuple(f for f in cls._fields if f not in _LEAF_FIELDS)
     for cls in vars(ast).values()
     if isinstance(cls, type) and issubclass(cls, ast.AST) and cls not in (ast.Name, ast.Constant)
 }
 
+#: Scope kinds.  A class scope's names are hidden from the scopes nested in
+#: it, and so are the module's; a comprehension's walrus targets bind outside it.
+_FUNCTION, _COMPREHENSION, _CLASS = range(3)
 
-def _walk(tree: ast.Module) -> tuple[list[Occurrence], list[ast.AST], bool, bool]:
-    """Every occurrence but ``closure``; the outermost defs, lambdas and
-    comprehensions that hold a nested def or lambda; whether the verdict
-    needs the compiler's symbol table; and whether the source imports
-    ``annotations`` from ``__future__``.
+_NO_NAMES: frozenset[str] = frozenset()
 
-    One pass with an explicit stack.  Each entry carries its owner: the
-    innermost def or lambda whose body holds the node, or the innermost
-    comprehension around it (its first iterable included).  A yield marks
-    the def that runs it as a generator without walking the def's body
-    again.  A def or lambda with an owner is nested, the only place a
-    closure can occur.
+
+class _Scope:
+    """One scope: the names it binds, reads and declares, and what the code that
+    runs in it needs to know of the scopes around it."""
+
+    __slots__ = ("parent", "kind", "node", "frame", "inside", "private",
+                 "names", "binds", "uses", "globals", "nonlocals", "local", "visible", "free")
+
+    def __init__(self, parent: "_Scope | None", kind: int, node: ast.AST | None = None):
+        # `node` is the def or lambda whose own scope this is; the module, a
+        # class, a comprehension and a type-parameter scope have none
+        self.parent, self.kind, self.node = parent, kind, node
+        # the names read, stored or deleted here, sorted into `uses` and
+        # `binds` only if names are resolved
+        self.names: list[ast.Name] = []
+        self.binds: set[str] = set()
+        self.uses: set[str] = set()
+        self.globals = self.nonlocals = _NO_NAMES
+        if parent is None:
+            self.frame = self.private = None
+            self.inside = False
+        else:
+            # the def or lambda whose frame runs the code here
+            self.frame = node if node is not None else parent.frame
+            # whether a def, lambda or comprehension holds the code here
+            self.inside = node is not None or kind is _COMPREHENSION or parent.inside
+            # the class name that mangles private names here, leading underscores stripped
+            self.private = parent.private
+
+    def mangle(self, name: str) -> str:
+        """`name` as the compiler records it here: ``__x`` in class ``C`` is ``_C__x``."""
+        if self.private is None or name[:2] != "__" or name[-2:] == "__":
+            return name
+        return f"_{self.private}{name}"
+
+
+def _future_annotations(tree: ast.Module) -> bool:
+    """Whether the file imports ``annotations`` from ``__future__`` where the
+    compiler honours it: in the leading block of ``__future__`` imports, after
+    the docstring, if any."""
+    start = 1 if ast.get_docstring(tree, clean=False) is not None else 0
+    for stmt in tree.body[start:]:
+        if type(stmt) is not ast.ImportFrom or stmt.module != "__future__":
+            return False
+        if any(alias.name == "annotations" for alias in stmt.names):
+            return True
+    return False
+
+
+def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
+    """Every occurrence, and whether the verdict needs the compiler's symbol table.
+
+    One pass with an explicit stack.  Each entry carries the scope its node
+    runs in.  Every scope records the names it binds, reads and declares as
+    the walk counts, and tells a yield which def it makes a generator.  Names
+    are resolved once, after the walk, and only when some def or lambda lies
+    in a def, lambda or comprehension, the only place a closure can occur.
+    Until then a plain name is only appended to its scope's list.
     """
     found: list[Occurrence] = []
     generators: set[ast.AST] = set()
     elifs: set[ast.AST] = set()
-    # comprehension -> the def or lambda (or None) whose frame evaluates it
-    frames: dict[ast.AST, ast.AST | None] = {}
-    # def, lambda or comprehension -> the outermost one around it (itself at the top)
-    roots: dict[ast.AST, ast.AST] = {}
-    holders: dict[ast.AST, None] = {}  # the roots that hold a nested def or lambda
-    has_defs = scope_checked = future_annotations = False
-    stack: list[tuple[ast.AST, ast.AST | None]] = [(tree, None)]
+    module = _Scope(None, _CLASS)
+    scopes = [module]  # every scope, each after the one around it
+    # under `from __future__ import annotations` no annotation is evaluated:
+    # they run in a scope of their own, whose names resolve to nothing
+    detached = None
+    if _future_annotations(tree):
+        detached = _Scope(None, _CLASS)
+        scopes.append(detached)
+    nested = scope_checked = False
+    stack: list[tuple[ast.AST, _Scope]] = [(tree, module)]
     push = stack.append
     child_fields = _CHILD_FIELDS
+    Name = ast.Name
+
+    def visit(nodes, scope: _Scope) -> None:
+        for item in nodes:
+            if type(item) in child_fields:
+                push((item, scope))
+            elif type(item) is Name:
+                scope.names.append(item)
+
+    def enter(parent: _Scope, kind: int, node: ast.AST | None = None) -> _Scope:
+        scope = _Scope(parent, kind, node)
+        scopes.append(scope)
+        return scope
+
+    def type_params(scope: _Scope, node: ast.AST) -> _Scope:
+        # PEP 695 (Python 3.12+): a generic def's or class's type parameters
+        # bind in a scope of their own around it
+        params = getattr(node, "type_params", None)
+        if not params:
+            return scope
+        scope = enter(scope, _FUNCTION)
+        scope.binds.update(scope.mangle(param.name) for param in params)
+        visit(params, scope)
+        return scope
+
     while stack:
-        node, owner = stack.pop()
+        node, scope = stack.pop()
         t = type(node)
         kind = _NODE_KINDS.get(t)
         if kind is not None:
             found.append((kind, node.lineno))
-        scope = owner
         if t in _CONDITIONAL:
             targets = ()
             if t is ast.Call:
@@ -304,49 +388,67 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], list[ast.AST], bool, bool
                     targets = (node.target,)
             elif t in _CALLABLES:
                 args = node.args
-                for default in args.defaults + args.kw_defaults:
+                defaults = args.defaults + args.kw_defaults
+                for default in defaults:
                     if default is not None:
                         found.append(("default_parameter", default.lineno))
                 if args.vararg is not None:
                     found.append(("star_args_parameter", node.lineno))
                 if args.kwarg is not None:
                     found.append(("kw_args_parameter", node.lineno))
-                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-                params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
-                if len(set(params)) < len(params):
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                nested = nested or scope.inside
+                # defaults and decorators run in the enclosing scope, annotations
+                # in the type-parameter scope around the def, the body in its own
+                visit(defaults, scope)
+                outside = type_params(scope, node)
+                inner = enter(outside, _FUNCTION, node)
+                inner.binds.update(inner.mangle(a.arg) for a in params)
+                if len(inner.binds) < len(params):  # a parameter name repeats
                     scope_checked = True
-                has_defs = True
-                root = roots[node] = node if owner is None else roots[owner]
-                if owner is not None:
-                    holders[root] = None
-                # decorators, defaults and annotations run in the enclosing
-                # scope; only the body belongs to the def or lambda itself
-                body = node.body
                 if t is ast.Lambda:
-                    if type(body) in child_fields:
-                        push((body, node))
-                else:
-                    for stmt in body:
-                        push((stmt, node))
-                    if t is ast.AsyncFunctionDef:
-                        found.append(("async_function", node.lineno))
-                    for dec in node.decorator_list:
-                        found.append(("decorator_application", dec.lineno))
-                        if ((type(dec) is ast.Name and dec.id == "property")
-                                or (type(dec) is ast.Attribute and dec.attr in _PROPERTY_ATTRS)):
-                            found.append(("property_definition", node.lineno))
+                    visit((node.body,), inner)
+                    continue
+                scope.binds.add(scope.mangle(node.name))
+                if t is ast.AsyncFunctionDef:
+                    found.append(("async_function", node.lineno))
+                for dec in node.decorator_list:
+                    found.append(("decorator_application", dec.lineno))
+                    if ((type(dec) is ast.Name and dec.id == "property")
+                            or (type(dec) is ast.Attribute and dec.attr in _PROPERTY_ATTRS)):
+                        found.append(("property_definition", node.lineno))
+                visit(node.decorator_list, scope)
+                visit([a.annotation for a in params] + [node.returns],
+                      outside if detached is None else detached)
+                visit(node.body, inner)
+                continue
             elif t in _COMPREHENSIONS:
-                frames[node] = frames.get(owner, owner)
-                roots[node] = node if owner is None else roots[owner]
-                scope = node
+                # the first iterable runs in the enclosing scope; the first
+                # generator is not pushed, so its target is counted here
+                first, *rest = node.generators
+                visit((first.iter,), scope)
+                if type(first.target) in _UNPACKING_TARGETS:
+                    found.append(("tuple_unpacking", first.target.lineno))
+                elements = (node.key, node.value) if t is ast.DictComp else (node.elt,)
+                visit((first.target, *first.ifs, *rest, *elements), enter(scope, _COMPREHENSION))
+                continue
             elif t is ast.comprehension:
                 targets = (node.target,)
             elif t is ast.With or t is ast.AsyncWith:
                 targets = [item.optional_vars for item in node.items]
             elif t is ast.AnnAssign:
+                target = node.target
+                if type(target) is not Name:
+                    visit((target,), scope)
+                elif node.simple or node.value is not None:  # "(x): int" alone binds nothing
+                    scope.binds.add(scope.mangle(target.id))
                 # bare annotations (x: int) declare without assigning
                 if node.value is not None:
                     found.append(("simple_assignment", node.lineno))
+                    visit((node.value,), scope)
+                visit((node.annotation,), scope if detached is None else detached)
+                continue
             elif t is ast.ClassDef:
                 line = node.lineno
                 for dec in node.decorator_list:
@@ -359,30 +461,63 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], list[ast.AST], bool, bool
                         or any(type(b) is ast.Name and b.id == "type" for b in node.bases)):
                     found.append(("metaclass", line))
                 methods = {stmt.name for stmt in node.body if type(stmt) in _FUNCTION_DEFS}
-                if any(enter in methods and exit_ in methods for enter, exit_ in _CM_PAIRS):
+                if any(opener in methods and closer in methods for opener, closer in _CM_PAIRS):
                     found.append(("context_manager_definition", line))
                 if methods & _DESCRIPTOR_DUNDERS:
                     found.append(("descriptor_definition", line))
                 if "__new__" in methods:
                     found.append(("dunder_new_override", line))
+                # decorators run in the enclosing scope, bases and keywords in
+                # the type-parameter scope around the class, the body in its own
+                scope.binds.add(scope.mangle(node.name))
+                visit(node.decorator_list, scope)
+                outside = type_params(scope, node)
+                visit(node.bases + node.keywords, outside)
+                inner = enter(outside, _CLASS)
+                inner.private = node.name.lstrip("_") or None
+                visit(node.body, inner)
+                continue
             elif t is ast.Yield or t is ast.YieldFrom or t is ast.Await:
-                frame = owner
-                if owner in frames:
-                    # a yield or await inside a comprehension is left to the scope
-                    # pass; the first iterable runs in the enclosing frame, so a
-                    # yield there makes that frame a generator
+                if scope.kind is _COMPREHENSION:  # left to the compiler's scope pass
                     scope_checked = True
-                    frame = frames[owner]
-                if frame is not None and t is not ast.Await:
-                    generators.add(frame)
-            elif t is ast.ImportFrom:
-                if node.module == "__future__":
-                    scope_checked = True
-                    future_annotations |= any(alias.name == "annotations" for alias in node.names)
-                elif node.names[0].name == "*":
-                    scope_checked = True
-            else:  # _SCOPE_CHECKED
+                if t is not ast.Await and scope.frame is not None:
+                    generators.add(scope.frame)
+            elif t is ast.NamedExpr:
                 scope_checked = True
+                name = scope.mangle(node.target.id)
+                if scope.kind is _COMPREHENSION:
+                    # the target binds in the function the comprehensions run in
+                    # (at module level it is a global); in each one it is free
+                    scope.uses.add(name)
+                    outer = scope.parent
+                    while outer.kind is _COMPREHENSION:
+                        outer = outer.parent
+                    if outer.kind is _FUNCTION:
+                        outer.binds.add(name)
+                else:
+                    scope.binds.add(name)
+                visit((node.value,), scope)
+                continue
+            elif t is ast.Import or t is ast.ImportFrom:
+                if t is ast.ImportFrom and (
+                        node.module == "__future__"
+                        # a star import is legal at module level only
+                        or (node.names[0].name == "*" and scope.parent is not None)):
+                    scope_checked = True
+                for alias in node.names:
+                    if alias.name != "*":
+                        scope.binds.add(scope.mangle(alias.asname or alias.name.partition(".")[0]))
+                continue
+            elif t is ast.Global:
+                scope_checked = True
+                scope.globals |= set(map(scope.mangle, node.names))
+            elif t is ast.Nonlocal:
+                scope_checked = True
+                scope.nonlocals |= set(map(scope.mangle, node.names))
+            else:  # _CAPTURES
+                name = node.rest if t is ast.MatchMapping else node.name
+                if name is not None:
+                    scope.binds.add(scope.mangle(name))
             for target in targets:
                 if type(target) in _UNPACKING_TARGETS:
                     found.append(("tuple_unpacking", target.lineno))
@@ -393,207 +528,43 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], list[ast.AST], bool, bool
                 for item in child:
                     if type(item) in child_fields:
                         push((item, scope))
+                    elif type(item) is Name:
+                        scope.names.append(item)
             elif type(child) in child_fields:
                 push((child, scope))
+            elif type(child) is Name:
+                scope.names.append(child)
 
     found.extend(("generator_function", d.lineno) for d in generators if type(d) is not ast.Lambda)
-    return found, list(holders), has_defs and scope_checked, future_annotations
+    if nested:
+        found += _resolve(scopes)
+    return found, scope_checked
 
 
-#: Scope kinds of the closure pass.  A class scope's names are hidden from
-#: the scopes nested in it; a comprehension's walrus targets bind outside it.
-_FUNCTION, _COMPREHENSION, _CLASS = range(3)
+def _resolve(scopes: list[_Scope]) -> list[Occurrence]:
+    """A ``closure`` occurrence for each def or lambda with a free variable other
+    than the implicit ``__class__`` cell.
 
-#: Node types with a branch in the closure pass; every other type only descends.
-_SCOPE_NODES = frozenset({
-    ast.ClassDef, ast.NamedExpr, ast.Global, ast.Nonlocal, ast.Import, ast.ImportFrom,
-    ast.ExceptHandler, ast.AnnAssign, ast.MatchAs, ast.MatchStar, ast.MatchMapping,
-}) | _CALLABLES | _COMPREHENSIONS
-
-#: The node types the closure pass pushes: those the walk pushes, and names.
-_SCOPE_PUSHED = frozenset(_CHILD_FIELDS) | {ast.Name}
-
-
-class _Scope:
-    """One scope of the closure pass: the names it binds, reads and declares."""
-
-    __slots__ = ("parent", "kind", "node", "private", "binds", "uses", "globals", "nonlocals",
-                 "local", "visible", "free")
-
-    def __init__(self, parent: "_Scope | None", kind: int, node: ast.AST | None = None):
-        self.parent, self.kind, self.node = parent, kind, node
-        # the class name that mangles private names here, leading underscores stripped
-        self.private = parent.private if parent is not None else None
-        self.binds: set[str] = set()
-        self.uses: set[str] = set()
-        self.globals: set[str] = set()
-        self.nonlocals: set[str] = set()
-        self.free: set[str] = set()
-
-    def mangle(self, name: str) -> str:
-        """`name` as the compiler records it here: ``__x`` in class ``C`` is ``_C__x``."""
-        if self.private is None or name[:2] != "__" or name[-2:] == "__":
-            return name
-        return f"_{self.private}{name}"
-
-
-def _closures(root: ast.AST, future_annotations: bool) -> list[Occurrence]:
-    """A ``closure`` occurrence for each def or lambda nested in `root` that has
-    a free variable other than the implicit ``__class__`` cell.
-
-    `root` is an outermost def, lambda or comprehension, so the scope around
-    it is a module or a class, and no name bound there is free inside.  The
-    pass collects what each scope binds, reads and declares, then resolves
-    the names as the compiler's scope pass does: from the outside in, which
-    names of the enclosing functions each scope sees; from the inside out,
-    the free names, which pass up through every scope that does not bind
-    them.  A class body hides its own names from the scopes nested in it.
-    Under ``from __future__ import annotations`` the compiler leaves
-    annotations out of its scope pass, and so does this one.  Private names
-    are mangled by the classes inside `root` only: the class around it is
-    not known here.
+    Resolves the names the walk recorded as the compiler's scope pass does:
+    from the outside in, which names of the enclosing functions each scope
+    sees; from the inside out, the free names, which pass up through every
+    scope that does not bind them.  A class body hides its own names from
+    the scopes nested in it.
     """
-    outer = _Scope(None, _CLASS)
-    scopes = [outer]
-    stack: list[tuple[ast.AST, _Scope]] = [(root, outer)]
-    push = stack.append
-    child_fields = _CHILD_FIELDS
-    pushed = _SCOPE_PUSHED
-    Name, Load = ast.Name, ast.Load
-
-    def enter(parent: _Scope, kind: int, node: ast.AST | None = None) -> _Scope:
-        scope = _Scope(parent, kind, node)
-        scopes.append(scope)
-        return scope
-
-    def type_params(scope: _Scope, node: ast.AST) -> _Scope:
-        # PEP 695 (Python 3.12+): a generic def's or class's type parameters
-        # bind in a scope of their own around it
-        params = getattr(node, "type_params", None)
-        if not params:
-            return scope
-        scope = enter(scope, _FUNCTION)
-        for param in params:
-            scope.binds.add(scope.mangle(param.name))
-            push((param, scope))
-        return scope
-
-    while stack:
-        node, scope = stack.pop()
-        t = type(node)
-        fields = child_fields.get(t)
-        if fields is None:  # a Name, or a Constant pushed by a branch below
-            if t is Name:
-                name = node.id if scope.private is None else scope.mangle(node.id)
-                (scope.uses if type(node.ctx) is Load else scope.binds).add(name)
-            continue
-        if t in _SCOPE_NODES:
-            if t is ast.ClassDef:
-                scope.binds.add(scope.mangle(node.name))
-                for dec in node.decorator_list:
-                    push((dec, scope))
-                scope = type_params(scope, node)
-                for base in node.bases + node.keywords:
-                    push((base, scope))
-                inner = enter(scope, _CLASS)
-                inner.private = node.name.lstrip("_") or None
-                for stmt in node.body:
-                    push((stmt, inner))
-                continue
-            if t in _CALLABLES:
-                args = node.args
-                params = args.posonlyargs + args.args + args.kwonlyargs
-                params += [a for a in (args.vararg, args.kwarg) if a is not None]
-                outside = type_params(scope, node)
-                if node is not root:  # the root's own signature runs outside it
-                    for default in args.defaults + args.kw_defaults:
-                        if default is not None:
-                            push((default, scope))
-                    if t is not ast.Lambda:
-                        scope.binds.add(scope.mangle(node.name))
-                        for dec in node.decorator_list:
-                            push((dec, scope))
-                        if not future_annotations:
-                            for annotation in [a.annotation for a in params] + [node.returns]:
-                                if annotation is not None:
-                                    push((annotation, outside))
-                inner = enter(outside, _FUNCTION, node)
-                inner.binds.update(inner.mangle(a.arg) for a in params)
-                for stmt in node.body if t is not ast.Lambda else (node.body,):
-                    push((stmt, inner))
-                continue
-            if t in _COMPREHENSIONS:
-                # the first iterable runs in the enclosing scope
-                first, *rest = node.generators
-                push((first.iter, scope))
-                inner = enter(scope, _COMPREHENSION)
-                push((first.target, inner))
-                for item in first.ifs + rest:
-                    push((item, inner))
-                for item in (node.key, node.value) if t is ast.DictComp else (node.elt,):
-                    push((item, inner))
-                continue
-            if t is ast.NamedExpr:
-                name = scope.mangle(node.target.id)
-                if scope.kind is _COMPREHENSION:
-                    # the target binds in the function the comprehensions run in
-                    # (at module level it is a global); in each one it is free
-                    scope.uses.add(name)
-                    frame = scope.parent
-                    while frame.kind is _COMPREHENSION:
-                        frame = frame.parent
-                    if frame.kind is _FUNCTION:
-                        frame.binds.add(name)
-                else:
-                    scope.binds.add(name)
-                push((node.value, scope))
-                continue
-            if t is ast.Global or t is ast.Nonlocal:
-                declared = scope.globals if t is ast.Global else scope.nonlocals
-                declared.update(scope.mangle(name) for name in node.names)
-                continue
-            if t is ast.Import or t is ast.ImportFrom:
-                for alias in node.names:
-                    if alias.name != "*":
-                        scope.binds.add(scope.mangle(alias.asname or alias.name.partition(".")[0]))
-                continue
-            if t is ast.AnnAssign:
-                target = node.target
-                if type(target) is not Name:
-                    push((target, scope))
-                elif node.simple or node.value is not None:  # "(x): int" alone binds nothing
-                    scope.binds.add(scope.mangle(target.id))
-                if not future_annotations:
-                    push((node.annotation, scope))
-                if node.value is not None:
-                    push((node.value, scope))
-                continue
-            # an except clause's name, a capture pattern or a mapping pattern's **rest
-            name = node.rest if t is ast.MatchMapping else node.name
-            if name is not None:
-                scope.binds.add(scope.mangle(name))
-
-        for field in fields:
-            child = getattr(node, field)
-            if type(child) is list:
-                for item in child:
-                    if type(item) in pushed:
-                        push((item, scope))
-            elif type(child) in pushed:
-                push((child, scope))
-
-    outer.visible = set()
-    for scope in scopes[1:]:  # enclosing scopes first
-        bound = scope.parent.visible  # the enclosing functions' names this scope can see
+    for scope in scopes:  # enclosing scopes first
+        for name in scope.names:
+            (scope.uses if type(name.ctx) is ast.Load else scope.binds).add(scope.mangle(name.id))
+        bound = _NO_NAMES if scope.parent is None else scope.parent.visible
         scope.local = local = scope.binds - scope.globals - scope.nonlocals
         scope.free = ((scope.uses | scope.nonlocals) - local - scope.globals) & bound
         scope.visible = bound if scope.kind is _CLASS else local | (bound - scope.globals)
     found: list[Occurrence] = []
-    for scope in reversed(scopes[1:]):  # nested scopes first
+    for scope in reversed(scopes):  # nested scopes first
         free = scope.free
         parent = scope.parent
-        parent.free |= free if parent.kind is _CLASS else free - parent.local
-        if scope.node is not None and scope.node is not root and free - {"__class__"}:
+        if parent is not None:
+            parent.free |= free if parent.kind is _CLASS else free - parent.local
+        if scope.node is not None and free - {"__class__"}:
             found.append(("closure", scope.node.lineno))
     return found
 
@@ -604,12 +575,9 @@ def count_constructs(source: str) -> list[Occurrence]:
     Raises ParseError when the text does not compile.
     """
     try:
-        tree = ast.parse(source)
-        found, roots, needs_table, future_annotations = _walk(tree)
+        found, needs_table = _walk(ast.parse(source))
         if needs_table:
             symtable.symtable(source, "<analysis>", "exec")
-        for root in roots:
-            found += _closures(root, future_annotations)
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         # symtable rejects a little more than ast.parse (e.g. unbound
         # nonlocal), and deep nesting exhausts the parser's stack or memory;

@@ -50,7 +50,7 @@ class RepoError(Exception):
     """Repository access failure.
 
     `kind` is one of "clone_failed", "git_failed" (a git command on an existing
-    repository failed), "shallow", "empty", "bad_sha", "git_missing".
+    repository failed), "shallow", "empty", "git_missing".
     """
 
     def __init__(self, kind: str, message: str):
@@ -86,6 +86,8 @@ class FileChange:
     `path` is the repository-relative path after the commit (the old path for
     deletions); `old_path` is set for renames.  Absent texts mean the file
     did not exist on that side, or it was binary, a symlink or a submodule.
+    A change with no text on either side holds nothing to analyze, so
+    `extract_commits` leaves it out.
     """
 
     path: str
@@ -368,6 +370,7 @@ def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecor
             changes=tuple(
                 FileChange(path, kind, texts[old], texts[new], old_path)
                 for path, kind, old, new, old_path in changes
+                if texts[old] is not None or texts[new] is not None
             ),
         )
         for sha, parent, contributor, timestamp, changes in commits

@@ -143,7 +143,9 @@ def _vector_sum(rows) -> LevelVector:
 def _rollup(
     scores: list[CommitScore], period: Granularity
 ) -> tuple[list[ContributorProfile], dict[str, LevelVector], LevelVector]:
-    """One pass over `scores`: the `build_profiles` list and the `project_rollup` pair.
+    """One pass over `scores`: the contributor profiles, ordered by C1+C2, then
+    total, then anon_id; the per-period sums across all contributors; and the
+    grand total.
 
     Buckets are plain 6-int lists until the pass ends, and each commit's
     period key comes from a memo keyed by UTC day, which never straddles a
@@ -187,30 +189,18 @@ def _rollup(
     return profiles, by_period, _vector_sum(project.values())
 
 
-def build_profiles(scores: list[CommitScore], period: Granularity) -> list[ContributorProfile]:
-    """Per-contributor period buckets, ordered by C1+C2, then total, then anon_id."""
-    return _rollup(scores, period)[0]
-
-
 def most_proficient_contributor(profiles: list[ContributorProfile]) -> TopContributor:
     """The contributor maximizing total C1+C2, with their per-period C1/C2 rows.
 
-    Expects `build_profiles` order (or a filtered subsequence of it), whose
-    first profile is the maximum and whose periods are already sorted.
+    Expects the profiles in `_rollup` order (or a filtered subsequence of
+    it), whose first profile is the maximum and whose periods are already
+    sorted.
     """
     if not profiles:
         raise EmptyInput("no contributor profiles")
     best = profiles[0]
     rows = tuple((pkey, vec[Level.C1], vec[Level.C2]) for pkey, vec in best.by_period.items())
     return TopContributor(contributor=best.contributor, periods=rows)
-
-
-def project_rollup(
-    scores: list[CommitScore], period: Granularity
-) -> tuple[dict[str, LevelVector], LevelVector]:
-    """Per-period sums across all contributors, plus the grand total."""
-    _, by_period, total = _rollup(scores, period)
-    return by_period, total
 
 
 def is_bot(contributor: ContributorId, patterns: tuple[str, ...]) -> bool:

@@ -122,24 +122,17 @@ def test_unbound_nonlocal_is_a_parse_failure():
 
 
 def _compiler_verdict(source):
-    """parse_ok by its definition: ast.parse accepts the source and, when it
-    has a def or lambda, so does symtable."""
+    """parse_ok by its definition: ast.parse and symtable accept the source."""
     try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return False
-    callables = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-    if not any(isinstance(node, callables) for node in ast.walk(tree)):
-        return True
-    try:
+        ast.parse(source)
         symtable.symtable(source, "<case>", "exec")
     except SyntaxError:
         return False
     return True
 
 
-#: Sources the parser accepts and the scope pass rejects, each with a def or
-#: lambda at module level and none nested in another scope.
+#: Sources the parser accepts and the scope pass rejects, none with a def or
+#: lambda nested in another scope.
 _SCOPE_REJECTED = {
     "global_after_assign": "def f():\n    x = 1\n    global x\n",
     "global_param": "def f(a):\n    global a\n",
@@ -159,10 +152,13 @@ _SCOPE_REJECTED = {
     "yield_in_comprehension": "def f():\n    return [(yield) for x in y]\n",
     "yield_in_generator_expression": "def f():\n    return list((yield) for x in y)\n",
     "yield_from_in_comprehension": "def f():\n    return [(yield from x) for x in y]\n",
+    "repeated_mangled_parameter": "class C:\n    def m(self, __x, _C__x): pass\n",
+    "nonlocal_without_def": "nonlocal q\n",
+    "walrus_rebind_without_def": "[i := 0 for i in range(3)]\n",
+    "yield_in_comprehension_without_def": "[(yield) for x in y]\n",
 }
 
-#: The same constructs where the scope pass accepts them, or where the file
-#: has no def or lambda, so the symbol table is not consulted.
+#: The same constructs where the scope pass accepts them.
 _SCOPE_ACCEPTED = {
     "global_declared_first": "def f():\n    global g\n    g = 1\n",
     "walrus_in_condition": "def f(): pass\nif (n := 1): pass\n",
@@ -170,9 +166,6 @@ _SCOPE_ACCEPTED = {
     "star_import_at_module_level": "from os import *\ndef f(): pass\n",
     "yield_in_first_iterable": "def f():\n    return [x for x in (yield)]\n",
     "await_in_async_comprehension": "async def f(y):\n    return [await x for x in y]\n",
-    "nonlocal_without_def": "nonlocal q\n",
-    "walrus_rebind_without_def": "[i := 0 for i in range(3)]\n",
-    "yield_in_comprehension_without_def": "[(yield) for x in y]\n",
 }
 
 
@@ -213,7 +206,15 @@ def test_parse_ok_matches_the_compiler_verdict(source, rejected):
         "    return inner\n",
         1, 1,
     ),
-], ids=["module_and_class_level_defs", "closure", "closure_with_global"])
+    (
+        "from os import *\n"
+        "def outer(x):\n"
+        "    def inner():\n"
+        "        return x\n"
+        "    return inner\n",
+        0, 1,
+    ),
+], ids=["module_and_class_level_defs", "closure", "closure_with_global", "closure_with_module_star_import"])
 def test_symbol_table_is_built_only_for_nested_defs(monkeypatch, source, calls, closures):
     # closures come from the analyzer's own scope pass; the table is built
     # only for the verdict on a construct the compiler's scope pass can reject
@@ -412,8 +413,6 @@ def test_skipped_fields_hold_no_nodes_on_stdlib(stdlib_sample):
             continue
         for node in ast.walk(tree):
             descended = set(_CHILD_FIELDS.get(type(node), ()))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                descended.add("body")  # pushed by the def's own branch
             for field in set(node._fields) - descended:
                 value = getattr(node, field, None)
                 for item in value if isinstance(value, list) else [value]:
@@ -515,6 +514,9 @@ _SCOPE_RULES = {
     "future_annotations_are_not_evaluated": (
         "from __future__ import annotations\n"
         "def f(t):\n    def g():\n        def h(x: t) -> t: pass\n        y: (lambda: t) = 1\n"),
+    "late_future_import_is_no_future_statement": (
+        "def f(t):\n    def g():\n        def h(x: (lambda: t)): pass\n"
+        "from __future__ import annotations\n"),
     "parameter_shadows": "def f(x):\n    def g(x):\n        return x\n",
     "import_alias_binds": (
         "def f():\n    import os.path\n    import sys as system\n    from a import b as c\n"
@@ -534,6 +536,7 @@ _SCOPE_RULES = {
     "private_name_mangled_in_class": (
         "def f():\n    __x = 1\n    class C:\n        def m(self):\n            return __x\n"),
     "private_name_within_method": "class C:\n    def m(self):\n        __x = 1\n        return lambda: __x\n",
+    "private_name_spelled_mangled": "class C:\n    def m(self):\n        _C__x = 1\n        return lambda: __x\n",
     "underscore_class_does_not_mangle": (
         "def f():\n    __x = 1\n    class _:\n        def m(self):\n            return __x\n"),
 }

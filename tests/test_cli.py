@@ -36,13 +36,15 @@ def test_analyze_summary_counts_skipped_files(linear_repo, tmp_path, capsys):
 
 def test_analyze_counts_only_the_real_file_behind_symlinks(symlink_repo, tmp_path):
     # pkg/old.py: its generator counts when added; becoming a link removes it
-    # and so adds nothing.  The links add nothing and skip nothing.
+    # and so adds nothing.  The links add nothing, skip nothing and, with no
+    # text on either side, are not analyzed either.
     out = tmp_path / "out"
     assert main(["analyze", str(symlink_repo), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     real, old = (scoring.level_vector(text, CATALOG) for text in (UTIL_V2, GEN_PY))
     assert report["project_total"] == (real + old).as_list()
     assert report["files_skipped"] == 0
+    assert report["files_analyzed"] == 3  # real.py and old.py added, old.py removed
 
 
 def test_analyze_nonexistent_repo_exits_2(tmp_path):

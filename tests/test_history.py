@@ -1,3 +1,4 @@
+import calendar
 import subprocess
 import threading
 
@@ -104,10 +105,12 @@ def test_get_version_bad_sha(linear_repo):
 
 
 def test_binary_blob_reads_as_absent(rename_repo):
+    # img.py is added as a binary blob: with no text on either side, the
+    # change is left out, while its commit is still recorded
     with prepare_repo(RepoSpec(str(rename_repo))) as repo:
         records = extract_commits(repo)
-    binary_adds = [c for r in records for c in r.changes if c.path == "img.py"]
-    assert binary_adds and binary_adds[0].after_text is None
+    added_at = calendar.timegm((2019, 5, 5, 10, 0, 0))
+    assert [r.changes for r in records if r.timestamp == added_at] == [()]
 
 
 def test_extract_commits_deterministic(linear_repo, linear_records):

@@ -16,13 +16,11 @@ from cefr_progress.scoring import (
     Granularity,
     ProjectReport,
     TopContributor,
-    build_profiles,
     build_report,
     commit_delta,
     is_bot,
     most_proficient_contributor,
     period_key,
-    project_rollup,
     score_commit,
 )
 
@@ -34,6 +32,11 @@ BOT = ContributorId.from_identity("dep[bot]", "dep-bot@example.com")
 
 TS_2014 = 1400000000  # 2014-05-13 UTC
 TS_2015 = 1430000000  # 2015-04-25 UTC
+
+
+def profiles_of(scores, period=Granularity.YEARLY):
+    """The report's contributor profiles, with no identity excluded as a bot."""
+    return list(build_report(scores, repo="r", period=period, bot_patterns=()).profiles)
 
 
 def make_score(contributor, ts, counts, sha="f" * 40):
@@ -180,7 +183,7 @@ def test_period_key_uses_utc():
 def test_build_profiles_buckets_by_period():
     d1, d2 = (1, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0)
     scores = [make_score(ALICE, TS_2014, d1), make_score(ALICE, TS_2015, d2)]
-    (profile,) = build_profiles(scores, Granularity.YEARLY)
+    (profile,) = profiles_of(scores)
     assert profile.by_period == {
         "2014": LevelVector(d1),
         "2015": LevelVector(d2),
@@ -190,7 +193,7 @@ def test_build_profiles_buckets_by_period():
 
 
 def test_build_profiles_empty():
-    assert build_profiles([], Granularity.YEARLY) == []
+    assert profiles_of([]) == []
 
 
 def test_build_profiles_ordering():
@@ -198,7 +201,7 @@ def test_build_profiles_ordering():
         make_score(ALICE, TS_2014, (9, 0, 0, 0, 0, 0)),   # big total, no C1/C2
         make_score(BOB, TS_2014, (0, 0, 0, 0, 1, 1)),     # small total, C1+C2 = 2
     ]
-    profiles = build_profiles(scores, Granularity.YEARLY)
+    profiles = profiles_of(scores)
     assert [p.contributor.anon_id for p in profiles] == [BOB.anon_id, ALICE.anon_id]
 
 
@@ -209,15 +212,15 @@ def test_build_profiles_order_independent():
     ] + [
         make_score(BOB, TS_2015, (0, 2, 0, 0, 0, 1), sha=f"{i + 5:040x}") for i in range(5)
     ]
-    reference = build_profiles(scores, Granularity.MONTHLY)
+    reference = profiles_of(scores, Granularity.MONTHLY)
     for _ in range(5):
         shuffled = scores[:]
         rng.shuffle(shuffled)
-        assert build_profiles(shuffled, Granularity.MONTHLY) == reference
+        assert profiles_of(shuffled, Granularity.MONTHLY) == reference
 
 
 def test_most_proficient_singleton():
-    profiles = build_profiles([make_score(ALICE, TS_2014, (1, 0, 0, 0, 0, 0))], Granularity.YEARLY)
+    profiles = profiles_of([make_score(ALICE, TS_2014, (1, 0, 0, 0, 0, 0))])
     top = most_proficient_contributor(profiles)
     assert top.contributor.anon_id == ALICE.anon_id
     assert top.periods == (("2014", 0, 0),)
@@ -228,7 +231,7 @@ def test_most_proficient_argmax_on_c1_c2():
         make_score(ALICE, TS_2014, (0, 0, 0, 0, 6, 4)),   # C1+C2 = 10
         make_score(BOB, TS_2014, (50, 0, 0, 0, 2, 1)),    # C1+C2 = 3
     ]
-    top = most_proficient_contributor(build_profiles(scores, Granularity.YEARLY))
+    top = most_proficient_contributor(profiles_of(scores))
     assert top.contributor.anon_id == ALICE.anon_id
     assert top.periods == (("2014", 6, 4),)
 
@@ -243,21 +246,21 @@ def test_argmax_invariant_under_uniform_scaling():
         make_score(ALICE, TS_2014, (2, 0, 0, 0, 3, 0)),
         make_score(BOB, TS_2015, (9, 0, 0, 0, 1, 1)),
     ]
-    chosen = most_proficient_contributor(build_profiles(base, Granularity.YEARLY))
+    chosen = most_proficient_contributor(profiles_of(base))
     for k in (2, 5, 17):
         scaled = [
             make_score(s.contributor, s.timestamp, tuple(c * k for c in s.delta.counts))
             for s in base
         ]
-        top = most_proficient_contributor(build_profiles(scaled, Granularity.YEARLY))
+        top = most_proficient_contributor(profiles_of(scaled))
         assert top.contributor.anon_id == chosen.contributor.anon_id
 
 
 def test_project_rollup_single_period_equals_total():
     scores = [make_score(ALICE, TS_2014, (1, 2, 0, 0, 0, 0)), make_score(BOB, TS_2014, (3, 0, 1, 0, 0, 0))]
-    by_period, total = project_rollup(scores, Granularity.YEARLY)
-    assert list(by_period) == ["2014"]
-    assert by_period["2014"] == total == LevelVector((4, 2, 1, 0, 0, 0))
+    report = build_report(scores, repo="r", bot_patterns=())
+    assert list(report.project_by_period) == ["2014"]
+    assert report.project_by_period["2014"] == report.project_total == LevelVector((4, 2, 1, 0, 0, 0))
 
 
 def test_rollup_total_equals_profile_totals():
@@ -266,11 +269,11 @@ def test_rollup_total_equals_profile_totals():
         make_score(BOB, TS_2015, (0, 2, 0, 0, 0, 1)),
         make_score(ALICE, TS_2015, (0, 0, 3, 0, 0, 0)),
     ]
-    _, total = project_rollup(scores, Granularity.YEARLY)
+    report = build_report(scores, repo="r", bot_patterns=())
     profile_sum = LevelVector.zero()
-    for profile in build_profiles(scores, Granularity.YEARLY):
+    for profile in report.profiles:
         profile_sum = profile_sum + profile.total
-    assert profile_sum == total
+    assert profile_sum == report.project_total
 
 
 def test_build_report_bot_residual_keeps_sum_identity():
