@@ -1,12 +1,6 @@
 """Track CEFR-style Python code proficiency progression across a git history."""
 
-from .analyzer import (
-    KIND_VOCABULARY,
-    AnalysisResult,
-    LevelVector,
-    analyze_source,
-    count_constructs,
-)
+from .analyzer import AnalysisResult, LevelVector, analyze_source, count_constructs
 from .catalog import Catalog, CatalogError, ConstructRule, Level, load_catalog
 from .history import (
     CommitRecord,
@@ -18,7 +12,7 @@ from .history import (
     extract_commits,
     prepare_repo,
 )
-from .report import ReportBundle, emit_csv, emit_html, emit_json, write_report_bundle
+from .report import emit_csv, emit_html, emit_json, write_report_bundle
 from .scoring import (
     CommitScore,
     ContributorProfile,
@@ -26,21 +20,19 @@ from .scoring import (
     ProjectReport,
     TopContributor,
     build_report,
-    commit_delta,
     level_vector,
-    most_proficient_contributor,
     score_commit,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "KIND_VOCABULARY", "AnalysisResult", "LevelVector", "analyze_source", "count_constructs",
+    "AnalysisResult", "LevelVector", "analyze_source", "count_constructs",
     "Catalog", "CatalogError", "ConstructRule", "Level", "load_catalog",
     "CommitRecord", "ContributorId", "FileChange", "Repo", "RepoError", "RepoSpec",
     "extract_commits", "prepare_repo",
-    "ReportBundle", "emit_csv", "emit_html", "emit_json", "write_report_bundle",
+    "emit_csv", "emit_html", "emit_json", "write_report_bundle",
     "CommitScore", "ContributorProfile", "Granularity", "ProjectReport", "TopContributor",
-    "build_report", "commit_delta", "level_vector", "most_proficient_contributor", "score_commit",
+    "build_report", "level_vector", "score_commit",
     "__version__",
 ]

@@ -43,8 +43,10 @@ Counting rules worth knowing (each occurrence is one syntax-tree match):
   anchor at the class statement's line.
 
 ``parse_ok`` holds when ``ast.parse`` and the compiler's scope pass (its
-symbol table) both accept the source.  Other source yields
-``parse_ok=False`` and an all-zero vector; the pipeline never aborts on it.
+symbol table) both accept the source, and every ``from __future__`` import
+stands in the file's leading block (after the docstring, if any), as
+``compile()`` requires.  Other source yields ``parse_ok=False`` and an
+all-zero vector; the pipeline never aborts on it.
 Nesting too deep for the parser or the symbol table (RecursionError,
 MemoryError) is a parse failure too.
 
@@ -70,27 +72,6 @@ from .catalog import Catalog, Level
 log = logging.getLogger(__name__)
 
 Occurrence = tuple[str, int]
-
-#: Every construct kind count_constructs can emit.
-KIND_VOCABULARY = frozenset({
-    "simple_assignment", "if_statement", "for_statement", "while_statement",
-    "function_definition", "function_call", "import_statement", "return_statement",
-    "arithmetic_expression", "comparison_expression", "list_literal",
-    "nested_list", "dict_literal", "set_literal", "tuple_literal",
-    "elif_clause", "else_clause", "string_formatting", "default_parameter",
-    "tuple_unpacking", "slice_expression", "augmented_assignment",
-    "break_statement", "continue_statement", "try_except", "with_statement",
-    "lambda_expression", "class_definition", "star_args_parameter",
-    "kw_args_parameter", "raise_statement", "global_declaration", "nonlocal_declaration",
-    "list_comprehension", "dict_comprehension", "set_comprehension",
-    "generator_expression", "decorator_application", "class_inheritance",
-    "conditional_expression", "assert_statement",
-    "generator_function", "yield_from", "closure", "property_definition",
-    "context_manager_definition", "multiple_inheritance",
-    "metaclass", "descriptor_definition", "async_function", "await_expression",
-    "dynamic_attribute", "dunder_new_override",
-})
-
 
 def source_text(data: bytes) -> str:
     """Decode source bytes the way Python does: UTF-8 by default, honouring a
@@ -276,17 +257,18 @@ class _Scope:
         return f"_{self.private}{name}"
 
 
-def _future_annotations(tree: ast.Module) -> bool:
-    """Whether the file imports ``annotations`` from ``__future__`` where the
-    compiler honours it: in the leading block of ``__future__`` imports, after
-    the docstring, if any."""
+def _future_block(tree: ast.Module) -> tuple[int, bool]:
+    """The leading block of ``__future__`` imports, after the docstring if any,
+    the only place the compiler honours them: the line of its last import (0
+    when there is none), and whether it imports ``annotations``."""
     start = 1 if ast.get_docstring(tree, clean=False) is not None else 0
+    last, annotations = 0, False
     for stmt in tree.body[start:]:
         if type(stmt) is not ast.ImportFrom or stmt.module != "__future__":
-            return False
-        if any(alias.name == "annotations" for alias in stmt.names):
-            return True
-    return False
+            break
+        last = stmt.lineno
+        annotations = annotations or any(alias.name == "annotations" for alias in stmt.names)
+    return last, annotations
 
 
 def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
@@ -304,10 +286,11 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
     elifs: set[ast.AST] = set()
     module = _Scope(None, _CLASS)
     scopes = [module]  # every scope, each after the one around it
+    future_line, future_annotations = _future_block(tree)
     # under `from __future__ import annotations` no annotation is evaluated:
     # they run in a scope of their own, whose names resolve to nothing
     detached = None
-    if _future_annotations(tree):
+    if future_annotations:
         detached = _Scope(None, _CLASS)
         scopes.append(detached)
     nested = scope_checked = False
@@ -499,10 +482,15 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 visit((node.value,), scope)
                 continue
             elif t is ast.Import or t is ast.ImportFrom:
-                if t is ast.ImportFrom and (
-                        node.module == "__future__"
-                        # a star import is legal at module level only
-                        or (node.names[0].name == "*" and scope.parent is not None)):
+                if t is ast.ImportFrom and node.module == "__future__":
+                    # compile() rejects a late one in code generation, which
+                    # the symbol table does not run; the table itself rejects
+                    # one that shares a line with the block's last import
+                    if node.lineno > future_line:
+                        raise SyntaxError("from __future__ imports must occur at the beginning of the file")
+                    scope_checked = True
+                # a star import is legal at module level only
+                elif t is ast.ImportFrom and node.names[0].name == "*" and scope.parent is not None:
                     scope_checked = True
                 for alias in node.names:
                     if alias.name != "*":

@@ -93,9 +93,6 @@ class Catalog:
         rule = self._by_kind.get(kind)
         return rule.level if rule is not None else None
 
-    def kinds(self) -> frozenset[str]:
-        return frozenset(self._by_kind)
-
 
 # Default construct -> level table.  The A1/A2/B1/B2/C1/C2 anchors for
 # if statements, nested lists, break, list comprehensions, generator
@@ -204,17 +201,6 @@ def parse_catalog_text(text: str, *, version: str = "custom") -> Catalog:
         seen.add(kind)
         rules.append(ConstructRule(kind, level, description))
     return Catalog(version=version, rules=tuple(rules))
-
-
-def dump_catalog(catalog: Catalog) -> str:
-    """Render a Catalog in the catalog file format; parse_catalog_text inverts it."""
-    lines = [f"!version {catalog.version}"]
-    for rule in catalog.rules:
-        entry = f"{rule.kind} {rule.level.name}"
-        if rule.description:
-            entry += f" {rule.description}"
-        lines.append(entry)
-    return "\n".join(lines) + "\n"
 
 
 def merge_catalogs(base: Catalog, override: Catalog) -> Catalog:

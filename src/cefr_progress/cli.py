@@ -4,8 +4,8 @@ Subcommands:
   analyze   mine a repository and write JSON/CSV/HTML reports
   classify  print one file's construct occurrences and level vector as JSON
 
-Exit codes: 0 success, 2 repository error, 3 catalog error, 4 I/O error,
-5 parse failure (classify only).  Progress goes to stderr; machine output
+Exit codes: 0 success, 2 repository or usage error, 3 catalog error, 4 I/O
+error, 5 parse failure (classify only).  Progress goes to stderr; machine output
 goes to files or stdout only.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -39,6 +40,14 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _regex(text: str) -> str:
+    try:
+        re.compile(text)
+    except re.error as exc:
+        raise argparse.ArgumentTypeError(f"invalid regular expression {text!r}: {exc}") from None
+    return text
 
 
 def _score_all(records, catalog: Catalog, jobs: int):
@@ -86,9 +95,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     try:
-        bundle = write_report_bundle(
-            report, Path(args.out), top_n=args.top, show_names=args.show_names
-        )
+        write_report_bundle(report, Path(args.out), top_n=args.top, show_names=args.show_names)
     except OSError as exc:
         log.error("cannot write reports: %s", exc)
         return EXIT_IO
@@ -98,7 +105,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"commits analyzed: {report.commit_count}; files skipped: {report.files_skipped}; "
         f"top contributor: {top}"
     )
-    log.info("wrote %s, %s, %s", bundle.json_path, bundle.csv_path, bundle.html_path)
+    log.info("wrote report.json, report.csv and report.html into %s", args.out)
     return EXIT_OK
 
 
@@ -148,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--top", type=_positive_int, default=10, help="contributor radars in the HTML (default: %(default)s)")
     analyze.add_argument("--show-names", action="store_true", help="show real names instead of anonymized IDs")
     analyze.add_argument(
-        "--bot-pattern", action="append", default=None, metavar="REGEX",
+        "--bot-pattern", action="append", type=_regex, default=None, metavar="REGEX",
         help="identity-name regex treated as a bot; repeatable; replaces the default (\\[bot\\]$)",
     )
     analyze.add_argument(

@@ -32,7 +32,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,26 +80,24 @@ class ContributorId:
 
 @dataclass(frozen=True)
 class FileChange:
-    """One changed .py file within a commit.
+    """One changed .py file within a commit: its path, and its text before and
+    after the commit.
 
     `path` is the repository-relative path after the commit (the old path for
-    deletions); `old_path` is set for renames.  Absent texts mean the file
-    did not exist on that side, or it was binary, a symlink or a submodule.
-    A change with no text on either side holds nothing to analyze, so
-    `extract_commits` leaves it out.
+    deletions).  A renamed file's before text is read from its old path.  An
+    absent text means the file did not exist on that side, or it was binary,
+    a symlink or a submodule.  A change with no text on either side holds
+    nothing to analyze, so `extract_commits` leaves it out.
     """
 
     path: str
-    change_type: str  # added | modified | deleted | renamed
     before_text: str | None = None
     after_text: str | None = None
-    old_path: str | None = None
 
 
 @dataclass(frozen=True)
 class CommitRecord:
     sha: str
-    parent_sha: str | None
     contributor: ContributorId
     timestamp: int
     changes: tuple[FileChange, ...] = field(default=())
@@ -128,7 +125,7 @@ class Repo:
         self.path = Path(path)
 
     def git(self, *args: str) -> str:
-        proc = _run_git("-C", str(self.path), "-c", "core.quotepath=off", *args)
+        proc = _run_git("-C", str(self.path), *args)
         if proc.returncode != 0:
             raise RepoError("git_failed", f"git {args[0]} failed: {proc.stderr.strip()}")
         return proc.stdout
@@ -149,43 +146,28 @@ class Repo:
     def read_blobs(self, oids: list[str]) -> Iterator[tuple[str, bytes | None]]:
         """(oid, raw bytes) for each of `oids` in order; None when it names no blob here.
 
-        One ``cat-file --batch --buffer`` exchange serves every id: a feeder
-        thread writes the ids while this one reads the replies, so that
-        neither side can fill its pipe while the other waits.
+        One ``cat-file --batch --buffer`` exchange serves every id.  git reads
+        the ids from a temporary file, not a pipe, so it never waits on this
+        process to write while this process waits on its replies.  A reader
+        that stops early closes git's stdout, and git ends on the broken pipe.
         """
-        proc = _start_git(
-            "-C", str(self.path), "cat-file", "--batch", "--buffer",
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        )
-
-        def feed() -> None:
-            try:
-                with proc.stdin:
-                    proc.stdin.writelines(f"{oid}\n".encode("ascii") for oid in oids)
-            except OSError:  # git has gone; the reader reports it
-                pass
-
-        feeder = threading.Thread(target=feed, name="cat-file feeder", daemon=True)
-        feeder.start()
+        with tempfile.TemporaryFile() as ids:
+            ids.write("".join(f"{oid}\n" for oid in oids).encode("ascii"))
+            ids.seek(0)
+            proc = _start_git(
+                "-C", str(self.path), "cat-file", "--batch", "--buffer", stdin=ids, stdout=subprocess.PIPE,
+            )
         with proc:
-            try:
-                for oid in oids:
-                    header = proc.stdout.readline().split()
-                    if not header:
-                        raise RepoError("git_failed", f"git cat-file ended before {oid}")
-                    if len(header) != 3:
-                        yield oid, None  # "<oid> missing" or "<oid> ambiguous"
-                        continue
-                    data = proc.stdout.read(int(header[2]))
-                    proc.stdout.read(1)  # trailing newline
-                    yield oid, data if header[1] == b"blob" else None
-            except BaseException:
-                # an error, or a reader that stopped early: stop git, so
-                # that a feeder blocked on a full pipe is released too
-                proc.kill()
-                raise
-            finally:
-                feeder.join()
+            for oid in oids:
+                header = proc.stdout.readline().split()
+                if not header:
+                    raise RepoError("git_failed", f"git cat-file ended before {oid}")
+                if len(header) != 3:
+                    yield oid, None  # "<oid> missing" or "<oid> ambiguous"
+                    continue
+                data = proc.stdout.read(int(header[2]))
+                proc.stdout.read(1)  # trailing newline
+                yield oid, data if header[1] == b"blob" else None
 
     def read_blob(self, oid: str) -> bytes | None:
         """Raw bytes of the blob named `oid`, or None when it is no blob here."""
@@ -275,27 +257,24 @@ def _side(mode: str, oid: str) -> str | None:
     return None if mode in _NOT_TEXT_MODES or not oid.strip("0") else oid
 
 
-_KINDS = {"A": "added", "C": "added", "D": "deleted", "M": "modified", "T": "modified", "R": "renamed"}
-
-
 def _change(
     status: str, paths: list[str], old: str | None, new: str | None
-) -> tuple[str, str, str | None, str | None, str | None] | None:
-    """The .py FileChange fields for one raw diff entry, with blob ids in place of
-    the texts, or None when the entry touches no .py file.
+) -> tuple[str, str | None, str | None] | None:
+    """(path, old blob id, new blob id) of the .py FileChange for one raw diff
+    entry, or None when the entry touches no .py file.
 
     A copy counts as added (its source still exists), a rename out of .py as
-    a deletion, and a typechange (T) as a modification.
+    a deletion, and a typechange (T) as a modification.  A rename's old blob
+    is its old path's.  Unmerged (U) and unknown (X) entries change nothing.
     """
     path = paths[-1]
     if status == "C":
         old = None
     elif status == "R" and not path.endswith(".py"):
-        status, path, new = "D", paths[0], None
-    kind = _KINDS.get(status)
-    if kind is None or not path.endswith(".py"):
+        path, new = paths[0], None
+    if status not in "ACDMRT" or not path.endswith(".py"):
         return None
-    return path, kind, old, new, paths[0] if kind == "renamed" else None
+    return path, old, new
 
 
 def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[str, list]]:
@@ -342,18 +321,17 @@ def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecor
     oids: dict[str | None, None] = {}  # every blob id named, in first-use order
     for header, entries in _raw_log(fields):
         sha, parents_raw, a_name, a_email, a_time, c_name, c_email = header.split(_FIELD_SEP)
-        parents = parents_raw.split()
-        if len(parents) >= 2:
+        if len(parents_raw.split()) >= 2:
             log.debug("skipping merge commit %s", sha)
             continue
         changes = [change for entry in entries if (change := _change(*entry)) is not None]
-        for _, _, old, new, _ in changes:
+        for _, old, new in changes:
             oids[old] = oids[new] = None
         name, email = (a_name, a_email) if identity == "author" else (c_name, c_email)
         contributor = identities.get((name, email))
         if contributor is None:
             contributor = identities[name, email] = ContributorId.from_identity(name, email)
-        commits.append((sha, parents[0] if parents else None, contributor, int(a_time), changes))
+        commits.append((sha, contributor, int(a_time), changes))
     if not commits:
         raise RepoError("empty", f"{repo.path} has no non-merge commits")
 
@@ -364,14 +342,13 @@ def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecor
     return [
         CommitRecord(
             sha=sha,
-            parent_sha=parent,
             contributor=contributor,
             timestamp=timestamp,
             changes=tuple(
-                FileChange(path, kind, texts[old], texts[new], old_path)
-                for path, kind, old, new, old_path in changes
+                FileChange(path, texts[old], texts[new])
+                for path, old, new in changes
                 if texts[old] is not None or texts[new] is not None
             ),
         )
-        for sha, parent, contributor, timestamp, changes in commits
+        for sha, contributor, timestamp, changes in commits
     ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import html
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .analyzer import LevelVector
@@ -21,14 +20,6 @@ from .scoring import ContributorProfile, ProjectReport
 SCHEMA_VERSION = "1"
 
 _LEVEL_COLORS = ("#4e79a7", "#59a14f", "#edc948", "#f28e2b", "#e15759", "#b07aa1")
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    json_path: Path
-    csv_path: Path
-    html_path: Path
-    schema_version: str = SCHEMA_VERSION
 
 
 def _contributor_payload(profile: ContributorProfile, show_names: bool) -> dict:
@@ -272,12 +263,10 @@ def write_report_bundle(
     *,
     top_n: int = 10,
     show_names: bool = False,
-) -> ReportBundle:
-    """Emit all three report files into `outdir` (created if needed)."""
+) -> None:
+    """Emit report.json, report.csv and report.html into `outdir` (created if needed)."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    return ReportBundle(
-        json_path=emit_json(report, out / "report.json", show_names=show_names),
-        csv_path=emit_csv(report, out / "report.csv"),
-        html_path=emit_html(report, out / "report.html", top_n=top_n, show_names=show_names),
-    )
+    emit_json(report, out / "report.json", show_names=show_names)
+    emit_csv(report, out / "report.csv")
+    emit_html(report, out / "report.html", top_n=top_n, show_names=show_names)

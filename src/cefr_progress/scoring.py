@@ -26,10 +26,6 @@ class Granularity(str, enum.Enum):
     YEARLY = "yearly"
 
 
-class EmptyInput(Exception):
-    """An aggregate query was asked of zero profiles."""
-
-
 @dataclass(frozen=True)
 class CommitScore:
     sha: str
@@ -68,11 +64,6 @@ class ProjectReport:
     commit_count: int
     files_analyzed: int
     files_skipped: int
-
-
-def commit_delta(before: LevelVector, after: LevelVector) -> LevelVector:
-    """Component-wise max(after - before, 0)."""
-    return LevelVector(tuple(max(a - b, 0) for a, b in zip(after.counts, before.counts)))
 
 
 def level_vector(text: str, catalog: Catalog) -> LevelVector | None:
@@ -189,20 +180,6 @@ def _rollup(
     return profiles, by_period, _vector_sum(project.values())
 
 
-def most_proficient_contributor(profiles: list[ContributorProfile]) -> TopContributor:
-    """The contributor maximizing total C1+C2, with their per-period C1/C2 rows.
-
-    Expects the profiles in `_rollup` order (or a filtered subsequence of
-    it), whose first profile is the maximum and whose periods are already
-    sorted.
-    """
-    if not profiles:
-        raise EmptyInput("no contributor profiles")
-    best = profiles[0]
-    rows = tuple((pkey, vec[Level.C1], vec[Level.C2]) for pkey, vec in best.by_period.items())
-    return TopContributor(contributor=best.contributor, periods=rows)
-
-
 def is_bot(contributor: ContributorId, patterns: tuple[str, ...]) -> bool:
     return any(re.search(pattern, contributor.raw_name) for pattern in patterns)
 
@@ -231,7 +208,12 @@ def build_report(
         else:
             profiles.append(profile)
 
-    top = most_proficient_contributor(profiles) if profiles else None
+    top = None
+    if profiles:
+        # `_rollup` order puts the most proficient (by C1+C2) first, its periods sorted
+        best = profiles[0]
+        rows = tuple((pkey, vec[Level.C1], vec[Level.C2]) for pkey, vec in best.by_period.items())
+        top = TopContributor(contributor=best.contributor, periods=rows)
     return ProjectReport(
         repo=repo,
         generated_at=max((s.timestamp for s in scores), default=0),

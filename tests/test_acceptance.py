@@ -11,22 +11,29 @@ from collections import Counter
 
 import pytest
 
-from cefr_progress.analyzer import LevelVector, count_constructs, KIND_VOCABULARY
+from cefr_progress.analyzer import LevelVector, count_constructs
 from cefr_progress.catalog import Level, default_catalog
 from cefr_progress.cli import main
-from cefr_progress.history import RepoSpec, extract_commits, prepare_repo
-from cefr_progress.scoring import Granularity, build_report, commit_delta, score_commit
+from cefr_progress.history import CommitRecord, ContributorId, FileChange, RepoSpec, extract_commits, prepare_repo
+from cefr_progress.scoring import Granularity, build_report, score_commit
 
 from corpus import SNIPPETS
 from oracle import oracle_commit_deltas, oracle_rollups
 
 CATALOG = default_catalog()
+ONE_FILE = CommitRecord("0" * 40, ContributorId.from_identity("A", "a@example.com"), 0,
+                        (FileChange("f.py", "before", "after"),))
+
+
+def scored_delta(before, after):
+    """`score_commit`'s delta for one modified file whose sides have the vectors `before` and `after`."""
+    return score_commit(ONE_FILE, CATALOG, {"before": before, "after": after}).delta
 
 
 def test_criterion_1_clamped_delta_rule():
     before = LevelVector((46, 41, 25, 14, 12, 3))
     after = LevelVector((57, 49, 31, 12, 13, 8))
-    assert commit_delta(before, after).as_list() == [11, 8, 6, 0, 1, 5]
+    assert scored_delta(before, after).as_list() == [11, 8, 6, 0, 1, 5]
 
 
 def test_criterion_2_catalog_seed_constructs():
@@ -45,7 +52,7 @@ def test_criterion_2_catalog_seed_constructs():
 def test_criterion_3_analyzer_matches_hand_labels():
     assert len(SNIPPETS) >= 20
     covered = {kind for snippet in SNIPPETS for kind, _ in snippet.expected}
-    assert covered == KIND_VOCABULARY
+    assert covered == {rule.kind for rule in CATALOG.rules}
     discrepancies = []
     for snippet in SNIPPETS:
         got = Counter(count_constructs(snippet.source))
@@ -132,7 +139,7 @@ def test_criterion_7_clamp_property_10k():
     for _ in range(10_000):
         before = LevelVector(tuple(rng.randrange(0, 400) for _ in range(6)))
         after = LevelVector(tuple(rng.randrange(0, 400) for _ in range(6)))
-        delta = commit_delta(before, after)
+        delta = scored_delta(before, after)
         for i in range(6):
             assert delta.counts[i] >= 0
             if after.counts[i] <= before.counts[i]:

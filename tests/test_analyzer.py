@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from cefr_progress.analyzer import (
     _CHILD_FIELDS,
-    KIND_VOCABULARY,
     LevelVector,
     ParseError,
     analyze_source,
@@ -54,7 +53,7 @@ def test_generator_labels_match_the_compiler(snippet):
 
 def test_corpus_covers_whole_vocabulary():
     labeled = {kind for snippet in SNIPPETS for kind, _ in snippet.expected}
-    assert labeled == KIND_VOCABULARY
+    assert labeled == {rule.kind for rule in CATALOG.rules}
     assert len(SNIPPETS) >= 20
 
 
@@ -122,17 +121,17 @@ def test_unbound_nonlocal_is_a_parse_failure():
 
 
 def _compiler_verdict(source):
-    """parse_ok by its definition: ast.parse and symtable accept the source."""
+    """Whether ``compile()`` accepts the source."""
     try:
-        ast.parse(source)
-        symtable.symtable(source, "<case>", "exec")
+        compile(source, "<case>", "exec")
     except SyntaxError:
         return False
     return True
 
 
-#: Sources the parser accepts and the scope pass rejects, none with a def or
-#: lambda nested in another scope.
+#: Sources the parser accepts and the compiler rejects, none with a def or
+#: lambda nested in another scope: most in its scope pass, the late
+#: ``__future__`` imports in code generation.
 _SCOPE_REJECTED = {
     "global_after_assign": "def f():\n    x = 1\n    global x\n",
     "global_param": "def f(a):\n    global a\n",
@@ -156,6 +155,10 @@ _SCOPE_REJECTED = {
     "nonlocal_without_def": "nonlocal q\n",
     "walrus_rebind_without_def": "[i := 0 for i in range(3)]\n",
     "yield_in_comprehension_without_def": "[(yield) for x in y]\n",
+    "late_future_import": "import os\nfrom __future__ import annotations\n",
+    "future_import_in_def": "def f():\n    from __future__ import annotations\n",
+    "future_import_after_leading_block": (
+        "from __future__ import annotations\nx = 1\nfrom __future__ import division\n"),
 }
 
 #: The same constructs where the scope pass accepts them.
@@ -166,6 +169,8 @@ _SCOPE_ACCEPTED = {
     "star_import_at_module_level": "from os import *\ndef f(): pass\n",
     "yield_in_first_iterable": "def f():\n    return [x for x in (yield)]\n",
     "await_in_async_comprehension": "async def f(y):\n    return [await x for x in y]\n",
+    "future_import_after_docstring": '"""doc"""\nfrom __future__ import annotations\n',
+    "two_leading_future_imports": "from __future__ import annotations\nfrom __future__ import division\n",
 }
 
 
@@ -514,9 +519,9 @@ _SCOPE_RULES = {
     "future_annotations_are_not_evaluated": (
         "from __future__ import annotations\n"
         "def f(t):\n    def g():\n        def h(x: t) -> t: pass\n        y: (lambda: t) = 1\n"),
-    "late_future_import_is_no_future_statement": (
-        "def f(t):\n    def g():\n        def h(x: (lambda: t)): pass\n"
-        "from __future__ import annotations\n"),
+    "future_import_after_docstring_is_a_future_statement": (
+        '"""doc"""\nfrom __future__ import annotations\n'
+        "def f(t):\n    def g():\n        def h(x: (lambda: t)): pass\n"),
     "parameter_shadows": "def f(x):\n    def g(x):\n        return x\n",
     "import_alias_binds": (
         "def f():\n    import os.path\n    import sys as system\n    from a import b as c\n"

@@ -172,6 +172,14 @@ def test_analyze_rejects_bad_jobs(linear_repo, tmp_path, option):
     assert exc.value.code == 2  # argparse's usage error
 
 
+def test_analyze_rejects_bad_bot_pattern(linear_repo, tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(linear_repo), "--out", str(out), "--bot-pattern", "["])
+    assert exc.value.code == 2  # rejected before any history is read
+    assert not (out / "report.json").exists()
+
+
 def test_classify_metaclass_file(tmp_path, capsys):
     target = tmp_path / "meta.py"
     target.write_text("class Special(Base, metaclass=Meta):\n    pass\n")

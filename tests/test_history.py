@@ -34,6 +34,14 @@ def get_version(repo: Repo, path: str, sha: str) -> str | None:
     return data.decode("utf-8", errors="replace")
 
 
+def parent_of(repo: Repo, sha: str) -> str | None:
+    """The first parent of commit `sha`; None for a root commit."""
+    try:
+        return repo.git("rev-parse", "--verify", "--quiet", f"{sha}^").strip()
+    except RepoError:
+        return None
+
+
 def group_by_contributor(commits: list[CommitRecord]) -> dict[ContributorId, list[CommitRecord]]:
     """Partition commits by anon_id, preserving commit order within each group."""
     groups: dict[str, list[CommitRecord]] = {}
@@ -58,11 +66,11 @@ def test_linear_history_commit_count_and_order(linear_records):
     assert all(len(r.sha) == 40 for r in linear_records)
 
 
-def test_root_commit_has_no_parent_and_added_file(linear_records):
+def test_root_commit_has_no_parent_and_added_file(linear_repo, linear_records):
     root = linear_records[0]
-    assert root.parent_sha is None
-    assert [c.change_type for c in root.changes] == ["added"]
-    change = root.changes[0]
+    with prepare_repo(RepoSpec(str(linear_repo))) as repo:
+        assert parent_of(repo, root.sha) is None
+    (change,) = root.changes
     assert change.path == "util.py"
     assert change.before_text is None
     assert change.after_text == UTIL_V1
@@ -76,25 +84,29 @@ def test_non_python_commit_has_empty_changes(linear_records):
 def test_modified_change_carries_both_texts(linear_records):
     second = linear_records[1]
     (change,) = second.changes
-    assert change.change_type == "modified"
+    assert change.path == "util.py"
     assert change.before_text == UTIL_V1
     assert change.after_text == UTIL_V2
 
 
 def test_modified_texts_match_get_version(linear_repo, linear_records):
     with prepare_repo(RepoSpec(str(linear_repo))) as repo:
+        modified = 0
         for record in linear_records:
+            parent = parent_of(repo, record.sha)
             for change in record.changes:
-                if change.change_type == "modified":
-                    assert change.before_text == get_version(repo, change.path, record.parent_sha)
-                    assert change.after_text == get_version(repo, change.path, record.sha)
+                before = get_version(repo, change.path, parent) if parent else None
+                assert change.before_text == before
+                assert change.after_text == get_version(repo, change.path, record.sha)
+                modified += before is not None
+    assert modified == 2
 
 
 def test_get_version_absent_before_creation(linear_repo, linear_records):
     gen_commit = linear_records[2]
     with prepare_repo(RepoSpec(str(linear_repo))) as repo:
         assert get_version(repo, "gen.py", gen_commit.sha) is not None
-        assert get_version(repo, "gen.py", gen_commit.parent_sha) is None
+        assert get_version(repo, "gen.py", parent_of(repo, gen_commit.sha)) is None
 
 
 def test_get_version_bad_sha(linear_repo):
@@ -173,26 +185,30 @@ def test_commit_after_merge_diffs_against_merge_parent(merge_repo):
     last = records[-1]
     (change,) = last.changes
     assert change.path == "b.py"
-    assert change.change_type == "modified"
     assert change.before_text == "def helper():\n    return [v for v in data]\n"
+    assert change.after_text == "def helper():\n    return [v for v in data]\n\nextra = True\n"
 
 
 def test_clean_rename_is_a_modification_with_old_text(rename_repo):
     with prepare_repo(RepoSpec(str(rename_repo))) as repo:
         records = extract_commits(repo)
+        parent = parent_of(repo, records[1].sha)
+        # the before text is the old path's: the new one does not exist yet
+        assert get_version(repo, "tool.py", parent) == "tools = {'a': 1}\n"
+        assert get_version(repo, "core.py", parent) is None
     (change,) = records[1].changes
-    assert change.change_type == "renamed"
     assert change.path == "core.py"
-    assert change.old_path == "tool.py"
     assert change.before_text == change.after_text == "tools = {'a': 1}\n"
 
 
 def test_edited_rename_keeps_before_from_old_path(rename_repo):
     with prepare_repo(RepoSpec(str(rename_repo))) as repo:
         records = extract_commits(repo)
+        parent = parent_of(repo, records[2].sha)
+        assert get_version(repo, "keep.py", parent) == KEEP_V1
+        assert get_version(repo, "kept.py", parent) is None
     (change,) = records[2].changes
-    assert change.change_type == "renamed"
-    assert (change.path, change.old_path) == ("kept.py", "keep.py")
+    assert change.path == "kept.py"
     assert change.before_text == KEEP_V1
     assert change.after_text == KEEP_V2
 
@@ -201,7 +217,6 @@ def test_deletion_has_no_after_text(rename_repo):
     with prepare_repo(RepoSpec(str(rename_repo))) as repo:
         records = extract_commits(repo)
     (change,) = records[3].changes
-    assert change.change_type == "deleted"
     assert change.path == "junk.py"
     assert change.after_text is None
     assert change.before_text == "junk = [1, 2]\n"
@@ -211,9 +226,9 @@ def test_rename_out_of_python_counts_as_deletion(rename_repo):
     with prepare_repo(RepoSpec(str(rename_repo))) as repo:
         records = extract_commits(repo)
     (change,) = records[6].changes
-    assert change.change_type == "deleted"
     assert change.path == "extra.py"
     assert change.before_text == "flag = True\n"
+    assert change.after_text is None
 
 
 def test_unicode_and_spaced_paths(tmp_path):
@@ -227,38 +242,37 @@ def test_unicode_and_spaced_paths(tmp_path):
     (added,) = records[0].changes
     assert added.path == "weird name äöü.py"
     assert added.after_text == "x = 1\n"
+    # one change at the new path, its before text read from the old one
     (renamed,) = records[1].changes
-    assert renamed.change_type == "renamed"
-    assert (renamed.path, renamed.old_path) == ("renamed ß.py", "weird name äöü.py")
+    assert renamed.path == "renamed ß.py"
+    assert renamed.before_text == renamed.after_text == "x = 1\n"
 
 
 def test_quoted_paths_come_back_verbatim(quoted_repo):
     weird, tab, newline, accent, renamed_tab, renamed_newline = QUOTED_PATHS
+    # (path of the before text, path of the after text) of each change in order
+    sides = [
+        (None, weird),
+        (None, tab),
+        (None, newline),
+        (None, accent),
+        (weird, weird),
+        (accent, accent),
+        (tab, renamed_tab),
+        (newline, renamed_newline),
+        (weird, None),
+        (accent, None),  # renamed out of .py
+    ]
     with prepare_repo(RepoSpec(str(quoted_repo))) as repo:
         records = extract_commits(repo)
-        seen = []
-        for record in records:
-            for change in record.changes:
-                seen.append((change.change_type, change.old_path, change.path))
-                if change.change_type != "added":
-                    before_path = change.old_path or change.path
-                    assert change.before_text == get_version(repo, before_path, record.parent_sha)
-                    assert change.before_text
-                if change.change_type != "deleted":
-                    assert change.after_text == get_version(repo, change.path, record.sha)
-                    assert change.after_text
-    assert seen == [
-        ("added", None, weird),
-        ("added", None, tab),
-        ("added", None, newline),
-        ("added", None, accent),
-        ("modified", None, weird),
-        ("modified", None, accent),
-        ("renamed", tab, renamed_tab),
-        ("renamed", newline, renamed_newline),
-        ("deleted", None, weird),
-        ("deleted", None, accent),  # renamed out of .py
-    ]
+        changes = [(record, change) for record in records for change in record.changes]
+        assert [change.path for _, change in changes] == [after or before for before, after in sides]
+        for (record, change), (before_path, after_path) in zip(changes, sides):
+            parent = parent_of(repo, record.sha)
+            before = get_version(repo, before_path, parent) if before_path else None
+            after = get_version(repo, after_path, record.sha) if after_path else None
+            assert (before is None, after is None) == (before_path is None, after_path is None)
+            assert (change.before_text, change.after_text) == (before, after)
 
 
 def test_encoded_blobs_decode_like_the_compiler(tmp_path):

@@ -175,11 +175,10 @@ def test_html_anonymous_by_default(tmp_path):
 
 def test_emitters_are_pure_functions_of_inputs(tmp_path):
     report = sample_report()
-    first = write_report_bundle(report, tmp_path / "one")
-    second = write_report_bundle(report, tmp_path / "two")
-    assert first.json_path.read_bytes() == second.json_path.read_bytes()
-    assert first.csv_path.read_bytes() == second.csv_path.read_bytes()
-    assert first.html_path.read_bytes() == second.html_path.read_bytes()
+    write_report_bundle(report, tmp_path / "one")
+    write_report_bundle(report, tmp_path / "two")
+    for name in ("report.json", "report.csv", "report.html"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
 def test_payload_contributor_order_matches_profiles():

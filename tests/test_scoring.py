@@ -1,7 +1,6 @@
 import calendar
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,14 +11,11 @@ from cefr_progress.scoring import (
     DEFAULT_BOT_PATTERNS,
     CommitScore,
     ContributorProfile,
-    EmptyInput,
     Granularity,
     ProjectReport,
     TopContributor,
     build_report,
-    commit_delta,
     is_bot,
-    most_proficient_contributor,
     period_key,
     score_commit,
 )
@@ -50,19 +46,34 @@ def make_score(contributor, ts, counts, sha="f" * 40):
     )
 
 
+def _record(changes, contributor=ALICE, ts=TS_2014, sha="a" * 40):
+    return CommitRecord(sha=sha, contributor=contributor, timestamp=ts, changes=tuple(changes))
+
+
+def commit_delta(before, after):
+    """The per-file reference rule: component-wise max(after - before, 0)."""
+    return LevelVector(tuple(max(a - b, 0) for a, b in zip(after.counts, before.counts)))
+
+
+def scored_delta(before, after):
+    """`score_commit`'s delta for one modified file whose sides have the vectors `before` and `after`."""
+    record = _record([FileChange("f.py", "before", "after")])
+    return score_commit(record, CATALOG, {"before": before, "after": after}).delta
+
+
 def test_commit_delta_clamped_difference():
     before = LevelVector((46, 41, 25, 14, 12, 3))
     after = LevelVector((57, 49, 31, 12, 13, 8))
-    assert commit_delta(before, after).as_list() == [11, 8, 6, 0, 1, 5]
+    assert scored_delta(before, after).as_list() == [11, 8, 6, 0, 1, 5]
 
 
 def test_commit_delta_identity_is_zero():
     v = LevelVector((4, 0, 2, 1, 0, 9))
-    assert commit_delta(v, v) == LevelVector.zero()
+    assert scored_delta(v, v) == LevelVector.zero()
 
 
 def test_commit_delta_pure_deletion_is_zero():
-    assert commit_delta(LevelVector((5, 0, 0, 0, 0, 0)), LevelVector.zero()) == LevelVector.zero()
+    assert scored_delta(LevelVector((5, 0, 0, 0, 0, 0)), LevelVector.zero()) == LevelVector.zero()
 
 
 vectors = st.tuples(*[st.integers(min_value=0, max_value=500)] * 6).map(LevelVector)
@@ -71,7 +82,7 @@ vectors = st.tuples(*[st.integers(min_value=0, max_value=500)] * 6).map(LevelVec
 @settings(max_examples=200, deadline=None)
 @given(before=vectors, after=vectors)
 def test_commit_delta_clamp_property(before, after):
-    delta = commit_delta(before, after)
+    delta = scored_delta(before, after)
     for i in range(6):
         assert delta.counts[i] >= 0
         if after.counts[i] <= before.counts[i]:
@@ -80,12 +91,8 @@ def test_commit_delta_clamp_property(before, after):
             assert delta.counts[i] == after.counts[i] - before.counts[i]
 
 
-def _record(changes, contributor=ALICE, ts=TS_2014, sha="a" * 40):
-    return CommitRecord(sha=sha, parent_sha=None, contributor=contributor, timestamp=ts, changes=tuple(changes))
-
-
 def test_score_commit_added_file_counts_fully():
-    record = _record([FileChange("new.py", "added", after_text="x = 1\ny = [1, 2]\n")])
+    record = _record([FileChange("new.py", after_text="x = 1\ny = [1, 2]\n")])
     score = score_commit(record, CATALOG)
     # two assignments and one list literal, all A1
     assert score.delta.as_list() == [3, 0, 0, 0, 0, 0]
@@ -93,7 +100,7 @@ def test_score_commit_added_file_counts_fully():
 
 
 def test_score_commit_deletion_contributes_nothing():
-    record = _record([FileChange("old.py", "deleted", before_text="x = 1\n")])
+    record = _record([FileChange("old.py", before_text="x = 1\n")])
     score = score_commit(record, CATALOG)
     assert score.delta == LevelVector.zero()
     assert score.files_analyzed == 1
@@ -101,8 +108,8 @@ def test_score_commit_deletion_contributes_nothing():
 
 def test_score_commit_sums_across_files():
     record = _record([
-        FileChange("a.py", "added", after_text="x = 1\n"),
-        FileChange("b.py", "added", after_text="d = {'k': 1}\ns = {1}\n"),
+        FileChange("a.py", after_text="x = 1\n"),
+        FileChange("b.py", after_text="d = {'k': 1}\ns = {1}\n"),
     ])
     score = score_commit(record, CATALOG)
     assert score.delta.as_list() == [3, 2, 0, 0, 0, 0]
@@ -112,8 +119,8 @@ def test_score_commit_clamps_per_file_before_summing():
     # one file loses two assignments, the other gains one: the loss must not
     # cancel the gain
     record = _record([
-        FileChange("shrink.py", "modified", before_text="a = 1\nb = 2\nc = 3\n", after_text="a = 1\n"),
-        FileChange("grow.py", "added", after_text="n = 1\n"),
+        FileChange("shrink.py", before_text="a = 1\nb = 2\nc = 3\n", after_text="a = 1\n"),
+        FileChange("grow.py", after_text="n = 1\n"),
     ])
     score = score_commit(record, CATALOG)
     assert score.delta.as_list() == [1, 0, 0, 0, 0, 0]
@@ -121,8 +128,8 @@ def test_score_commit_clamps_per_file_before_summing():
 
 def test_score_commit_skips_parse_failures():
     record = _record([
-        FileChange("bad.py", "added", after_text="def broken(:\n"),
-        FileChange("good.py", "added", after_text="x = 1\n"),
+        FileChange("bad.py", after_text="def broken(:\n"),
+        FileChange("good.py", after_text="x = 1\n"),
     ])
     score = score_commit(record, CATALOG)
     assert score.delta.as_list() == [1, 0, 0, 0, 0, 0]
@@ -131,7 +138,7 @@ def test_score_commit_skips_parse_failures():
 
 def test_score_commit_skips_when_before_side_fails():
     record = _record([
-        FileChange("was_py2.py", "modified", before_text='print "x"\n', after_text="print('x')\n"),
+        FileChange("was_py2.py", before_text='print "x"\n', after_text="print('x')\n"),
     ])
     score = score_commit(record, CATALOG)
     assert score.delta == LevelVector.zero()
@@ -140,7 +147,8 @@ def test_score_commit_skips_when_before_side_fails():
 
 def test_score_commit_identical_rename_is_zero():
     text = "def f():\n    return 1\n"
-    record = _record([FileChange("new.py", "renamed", before_text=text, after_text=text, old_path="old.py")])
+    # a rename carries the old path's text as its before text
+    record = _record([FileChange("new.py", before_text=text, after_text=text)])
     assert score_commit(record, CATALOG).delta == LevelVector.zero()
 
 
@@ -159,7 +167,7 @@ def test_score_commit_matches_per_file_reference(files):
             if text is not None:
                 memo[text] = None if value == "unparseable" else value
             texts.append(text)
-        changes.append(FileChange(f"f{i}.py", "modified", *texts))
+        changes.append(FileChange(f"f{i}.py", *texts))
     # the reference: one clamped LevelVector per file, added up
     total, skipped = LevelVector.zero(), 0
     for before, after in files:
@@ -219,9 +227,13 @@ def test_build_profiles_order_independent():
         assert profiles_of(shuffled, Granularity.MONTHLY) == reference
 
 
+def top_contributor(scores):
+    """The report's most proficient contributor, with no identity excluded as a bot."""
+    return build_report(scores, repo="r", bot_patterns=()).top_contributor
+
+
 def test_most_proficient_singleton():
-    profiles = profiles_of([make_score(ALICE, TS_2014, (1, 0, 0, 0, 0, 0))])
-    top = most_proficient_contributor(profiles)
+    top = top_contributor([make_score(ALICE, TS_2014, (1, 0, 0, 0, 0, 0))])
     assert top.contributor.anon_id == ALICE.anon_id
     assert top.periods == (("2014", 0, 0),)
 
@@ -231,14 +243,9 @@ def test_most_proficient_argmax_on_c1_c2():
         make_score(ALICE, TS_2014, (0, 0, 0, 0, 6, 4)),   # C1+C2 = 10
         make_score(BOB, TS_2014, (50, 0, 0, 0, 2, 1)),    # C1+C2 = 3
     ]
-    top = most_proficient_contributor(profiles_of(scores))
+    top = top_contributor(scores)
     assert top.contributor.anon_id == ALICE.anon_id
     assert top.periods == (("2014", 6, 4),)
-
-
-def test_most_proficient_empty_raises():
-    with pytest.raises(EmptyInput):
-        most_proficient_contributor([])
 
 
 def test_argmax_invariant_under_uniform_scaling():
@@ -246,13 +253,13 @@ def test_argmax_invariant_under_uniform_scaling():
         make_score(ALICE, TS_2014, (2, 0, 0, 0, 3, 0)),
         make_score(BOB, TS_2015, (9, 0, 0, 0, 1, 1)),
     ]
-    chosen = most_proficient_contributor(profiles_of(base))
+    chosen = top_contributor(base)
     for k in (2, 5, 17):
         scaled = [
             make_score(s.contributor, s.timestamp, tuple(c * k for c in s.delta.counts))
             for s in base
         ]
-        top = most_proficient_contributor(profiles_of(scaled))
+        top = top_contributor(scaled)
         assert top.contributor.anon_id == chosen.contributor.anon_id
 
 
