@@ -193,7 +193,7 @@ _CAPTURES = frozenset({ast.ExceptHandler, ast.MatchAs, ast.MatchStar, ast.MatchM
 _CONDITIONAL = frozenset({
     ast.If, ast.Assign, ast.AnnAssign, ast.With, ast.AsyncWith, ast.comprehension,
     ast.ClassDef, ast.Call, ast.BinOp, ast.List, ast.Tuple, ast.Subscript,
-    ast.Yield, ast.YieldFrom, ast.Await, ast.Import, ast.ImportFrom,
+    ast.Return, ast.Yield, ast.YieldFrom, ast.Await, ast.Import, ast.ImportFrom,
     ast.NamedExpr, ast.Global, ast.Nonlocal,
 }) | _ELSE_BLOCKS | _CALLABLES | _COMPREHENSIONS | _CAPTURES
 
@@ -460,10 +460,13 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 inner.private = node.name.lstrip("_") or None
                 visit(node.body, inner)
                 continue
-            elif t is ast.Yield or t is ast.YieldFrom or t is ast.Await:
+            elif t is ast.Yield or t is ast.YieldFrom or t is ast.Await or t is ast.Return:
+                # compile() rejects these at module and class level, in code generation
+                if scope.kind is _CLASS:
+                    raise SyntaxError(f"{t.__name__} outside function")
                 if scope.kind is _COMPREHENSION:  # left to the compiler's scope pass
                     scope_checked = True
-                if t is not ast.Await and scope.frame is not None:
+                if (t is ast.Yield or t is ast.YieldFrom) and scope.frame is not None:
                     generators.add(scope.frame)
             elif t is ast.NamedExpr:
                 scope_checked = True

@@ -3,18 +3,18 @@
 Walks the default branch's first-parent chain of a repository and emits one
 CommitRecord per non-merge commit, carrying the before/after texts of every
 changed ``.py`` file.  All repository access goes through the ``git``
-executable: one ``git log --raw -z`` pass gives every change with its old
-and new blob ids and its paths verbatim, and then one streamed
-``git cat-file --batch --buffer`` exchange reads each distinct blob once
-by id.  No git process outlives the call that starts it.
+executable: one ``git log --first-parent --no-merges --raw -z`` pass gives
+every change with its old and new blob ids and its paths verbatim, and then
+one streamed ``git cat-file --batch --buffer`` exchange reads each distinct
+blob once by id.  No git process outlives the call that starts it.
 
 Identity and ordering decisions:
 
 * Contributors are keyed by the git *author* by default (``committer``
   available as a mode); the anonymized ID is the first 8 hex digits of
   SHA-256 over the lowercased, trimmed email.
-* Merge commits are skipped outright; the first-parent chain keeps the
-  history linear so each commit diffs against exactly one parent.
+* git's walk picks the non-merge commits of the first-parent chain, newest
+  first; each diffs against its one parent, and the records are oldest first.
 * Renames count as modifications with the before text taken from the old
   path; blobs containing NUL bytes are treated as absent (binary policy),
   and so are symlinks and submodules, whose blobs hold no source text.
@@ -39,8 +39,6 @@ from pathlib import Path
 from .analyzer import source_text
 
 log = logging.getLogger(__name__)
-
-_FIELD_SEP = "\x1f"
 
 CACHE_ENV_VAR = "CEFR_PROGRESS_CACHE"
 
@@ -192,20 +190,21 @@ def _cache_root(spec: RepoSpec) -> Path:
     return Path.home() / ".cache" / "cefr-progress"
 
 
-def _assert_not_shallow(repo: Repo) -> None:
-    if repo.git("rev-parse", "--is-shallow-repository").strip() == "true":
-        raise RepoError("shallow", f"{repo.path} is a shallow clone; full history is required")
+def _open(path: Path) -> Repo:
+    """The repository at `path`, after one probe for a non-repository or a shallow clone."""
+    proc = _run_git("-C", str(path), "rev-parse", "--is-shallow-repository")
+    if proc.returncode != 0:
+        raise RepoError("clone_failed", f"{path} exists but is not a git repository")
+    if proc.stdout.strip() == "true":
+        raise RepoError("shallow", f"{path} is a shallow clone; full history is required")
+    return Repo(path)
 
 
 def prepare_repo(spec: RepoSpec) -> Repo:
     """Local passthrough for paths; cached bare clone for URLs, fetched on reuse."""
     candidate = Path(spec.source)
     if candidate.exists():
-        if _run_git("-C", str(candidate), "rev-parse", "--git-dir").returncode != 0:
-            raise RepoError("clone_failed", f"{spec.source} exists but is not a git repository")
-        repo = Repo(candidate)
-        _assert_not_shallow(repo)
-        return repo
+        return _open(candidate)
 
     key = hashlib.sha256(spec.source.encode("utf-8")).hexdigest()[:16]
     clone_dir = _cache_root(spec) / "clones" / key
@@ -217,9 +216,7 @@ def prepare_repo(spec: RepoSpec) -> Repo:
         log.info("cloning %s into %s", spec.source, clone_dir)
         clone_dir.parent.mkdir(parents=True, exist_ok=True)
         _clone_into_place(spec.source, clone_dir)
-    repo = Repo(clone_dir)
-    _assert_not_shallow(repo)
-    return repo
+    return _open(clone_dir)
 
 
 def _clone_into_place(url: str, clone_dir: Path) -> None:
@@ -277,11 +274,13 @@ def _change(
     return path, old, new
 
 
-def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[str, list]]:
-    """(header, [(status, paths, old blob id, new blob id)]) per commit of ``git log --raw -z``.
+def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]]:
+    """((sha, time, name, email), [(status, paths, old blob id, new blob id)]) per commit
+    of ``git log --raw -z`` with four NUL-separated format fields.
 
-    Each header, raw entry and unquoted path ends in NUL.  A raw entry starts with
-    ":" ("\\n:" for a commit's first) and is followed by its one or two paths.
+    Each field, raw entry and unquoted path ends in NUL.  A raw entry starts with ":"
+    ("\\n:" for a commit's first) and is followed by its one or two paths.  Any
+    other field starts a header of four fields, empty ones included.
     """
     header, entries = None, []
     for field in fields:
@@ -291,49 +290,46 @@ def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[str, list]]:
             count = 2 if status[0] in "RC" else 1
             paths = [next(fields).decode("utf-8", errors="surrogateescape") for _ in range(count)]
             entries.append((status[0], paths, _side(old_mode, old_oid), _side(new_mode, new_oid)))
-        elif field:
+        else:
             if header is not None:
                 yield header, entries
-            header, entries = field.decode("utf-8", errors="replace"), []
+            header, entries = (field, next(fields), next(fields), next(fields)), []
     if header is not None:
         yield header, entries
 
 
 def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecord]:
-    """CommitRecords for the default branch's first-parent chain, oldest first.
+    """CommitRecords for the non-merge commits of the default branch's first-parent
+    chain, oldest first, each with its changed .py files' before/after texts.
 
-    Merge commits are dropped; every remaining record carries the changed
-    .py files with their before/after texts.  `identity` selects whether the
-    author or the committer is credited.
+    `identity` selects whether the author or the committer is credited.
     """
     if identity not in ("author", "committer"):
         raise ValueError(f"identity must be 'author' or 'committer', not {identity!r}")
     if _run_git("-C", str(repo.path), "rev-parse", "--verify", "--quiet", "HEAD").returncode != 0:
         raise RepoError("empty", f"{repo.path} has no commits on its default branch")
 
-    fmt = _FIELD_SEP.join(["%H", "%P", "%an", "%ae", "%at", "%cn", "%ce"])
+    who = identity[0]  # %an/%ae or %cn/%ce
+    # NUL separates the fields because no git identity can contain it
     fields = repo.git_fields(
-        "log", "--first-parent", "--topo-order", "--reverse", "--raw", "-z",
-        "--no-abbrev", "-M", f"--format={fmt}", "HEAD",
+        "log", "--first-parent", "--no-merges", "--raw", "-z", "--no-abbrev", "-M",
+        f"--format=%H%x00%at%x00%{who}n%x00%{who}e", "HEAD",
     )
-    identities: dict[tuple[str, str], ContributorId] = {}
+    identities: dict[tuple[bytes, bytes], ContributorId] = {}
     commits = []  # CommitRecord fields, with blob ids in place of the texts
     oids: dict[str | None, None] = {}  # every blob id named, in first-use order
-    for header, entries in _raw_log(fields):
-        sha, parents_raw, a_name, a_email, a_time, c_name, c_email = header.split(_FIELD_SEP)
-        if len(parents_raw.split()) >= 2:
-            log.debug("skipping merge commit %s", sha)
-            continue
+    for (sha, time, name, email), entries in _raw_log(fields):
         changes = [change for entry in entries if (change := _change(*entry)) is not None]
         for _, old, new in changes:
             oids[old] = oids[new] = None
-        name, email = (a_name, a_email) if identity == "author" else (c_name, c_email)
         contributor = identities.get((name, email))
         if contributor is None:
-            contributor = identities[name, email] = ContributorId.from_identity(name, email)
-        commits.append((sha, contributor, int(a_time), changes))
+            identity_text = (field.decode("utf-8", errors="replace") for field in (name, email))
+            contributor = identities[name, email] = ContributorId.from_identity(*identity_text)
+        commits.append((sha.decode("ascii"), contributor, int(time), changes))
     if not commits:
         raise RepoError("empty", f"{repo.path} has no non-merge commits")
+    commits.reverse()  # git walks newest first
 
     oids.pop(None, None)
     # one decoded text per blob id, so equal sides share one object

@@ -129,9 +129,9 @@ def _compiler_verdict(source):
     return True
 
 
-#: Sources the parser accepts and the compiler rejects, none with a def or
-#: lambda nested in another scope: most in its scope pass, the late
-#: ``__future__`` imports in code generation.
+#: Sources the parser accepts and the compiler rejects: most in its scope
+#: pass; the late ``__future__`` imports, and return, yield and await in the
+#: module or a class body, in code generation.
 _SCOPE_REJECTED = {
     "global_after_assign": "def f():\n    x = 1\n    global x\n",
     "global_param": "def f(a):\n    global a\n",
@@ -159,6 +159,12 @@ _SCOPE_REJECTED = {
     "future_import_in_def": "def f():\n    from __future__ import annotations\n",
     "future_import_after_leading_block": (
         "from __future__ import annotations\nx = 1\nfrom __future__ import division\n"),
+    "return_at_module_level": "return 1\n",
+    "return_in_class_body": "class C:\n    return 1\n",
+    "yield_at_module_level": "x = yield 1\n",
+    "yield_in_class_body_in_def": "def f():\n    class C:\n        x = yield 1\n",
+    "await_at_module_level": "await x\n",
+    "yield_in_module_level_default": "def f(x=(yield 1)): pass\n",
 }
 
 #: The same constructs where the scope pass accepts them.
@@ -171,6 +177,8 @@ _SCOPE_ACCEPTED = {
     "await_in_async_comprehension": "async def f(y):\n    return [await x for x in y]\n",
     "future_import_after_docstring": '"""doc"""\nfrom __future__ import annotations\n',
     "two_leading_future_imports": "from __future__ import annotations\nfrom __future__ import division\n",
+    "yield_in_class_level_lambda": "class C:\n    f = lambda: (yield)\n",
+    "yield_in_class_bases_in_def": "def f():\n    class C((yield)): pass\n",
 }
 
 

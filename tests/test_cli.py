@@ -47,6 +47,16 @@ def test_analyze_counts_only_the_real_file_behind_symlinks(symlink_repo, tmp_pat
     assert report["files_analyzed"] == 3  # real.py and old.py added, old.py removed
 
 
+def test_analyze_credits_a_name_with_a_unit_separator_verbatim(tmp_path):
+    fixture = GitFixture(tmp_path / "repo")
+    fixture.write("a.py", "x = 1\n")
+    fixture.commit(("A\x1fB", "ab@example.com"), "2020-01-01T00:00:00Z", "one")
+    out = tmp_path / "out"
+    assert main(["analyze", str(fixture.path), "--out", str(out), "--show-names"]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert [(c["name"], c["email"]) for c in report["contributors"]] == [("A\x1fB", "ab@example.com")]
+
+
 def test_analyze_nonexistent_repo_exits_2(tmp_path):
     assert main(["analyze", str(tmp_path / "missing"), "--out", str(tmp_path / "o")]) == 2
 

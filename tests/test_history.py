@@ -189,6 +189,52 @@ def test_commit_after_merge_diffs_against_merge_parent(merge_repo):
     assert change.after_text == "def helper():\n    return [v for v in data]\n\nextra = True\n"
 
 
+def test_records_follow_the_first_parent_chain_whatever_the_dates(tmp_path):
+    # the dates run backwards along the chain, and the merge is dated last
+    fx = GitFixture(tmp_path / "repo")
+    fx.write("a.py", "a = 1\n")
+    fx.commit(ALICE, "2020-05-01T00:00:00Z", "one")
+    fx.write("a.py", "a = 2\n")
+    fx.commit(ALICE, "2020-04-01T00:00:00Z", "two")
+    fx.run("branch", "side")
+    fx.write("a.py", "a = 3\n")
+    fx.commit(BOB, "2020-03-01T00:00:00Z", "three")
+    fx.checkout("side")
+    fx.write("s.py", "s = 1\n")
+    side = fx.commit(BOB, "2020-03-15T00:00:00Z", "side")
+    fx.checkout("main")
+    merge = fx.merge("side", ALICE, "2030-01-01T00:00:00Z")
+    fx.write("a.py", "a = 4\n")
+    fx.commit(ALICE, "2020-02-01T00:00:00Z", "four")
+    chain = fx.run("rev-list", "--first-parent", "HEAD").split()[::-1]
+    with prepare_repo(RepoSpec(str(fx.path))) as repo:
+        records = extract_commits(repo)
+    shas = [r.sha for r in records]
+    assert shas == [sha for sha in chain if sha != merge]
+    assert len(shas) == 4 and merge not in shas and side not in shas
+    assert [change.after_text for r in records for change in r.changes] == [f"a = {i}\n" for i in range(1, 5)]
+
+
+def test_empty_author_name_keeps_the_fields_after_it(tmp_path):
+    # git logs the nameless author as an empty field
+    fx = GitFixture(tmp_path / "repo")
+    commits = [("author <a@x> 1577836800 +0000", "x = 0\n"), ("author Bob <b@x> 1577923200 +0000", "x = 1\n")]
+    stream = "".join(
+        f"commit refs/heads/main\n{author}\ncommitter c <c@x> 1577836800 +0000\ndata 1\n.\n"
+        f"M 100644 inline a.py\ndata {len(text)}\n{text}\n"
+        for author, text in commits
+    )
+    subprocess.run(
+        ["git", "-C", str(fx.path), "fast-import", "--quiet"], input=stream.encode(), check=True, capture_output=True,
+    )
+    with prepare_repo(RepoSpec(str(fx.path))) as repo:
+        records = extract_commits(repo)
+    assert [(r.contributor.raw_name, r.contributor.raw_email, r.timestamp) for r in records] == [
+        ("", "a@x", 1577836800), ("Bob", "b@x", 1577923200),
+    ]
+    assert [change.after_text for r in records for change in r.changes] == ["x = 0\n", "x = 1\n"]
+
+
 def test_clean_rename_is_a_modification_with_old_text(rename_repo):
     with prepare_repo(RepoSpec(str(rename_repo))) as repo:
         records = extract_commits(repo)
