@@ -45,7 +45,12 @@ Counting rules worth knowing (each occurrence is one syntax-tree match):
 ``parse_ok`` holds when ``ast.parse`` and the compiler's scope pass (its
 symbol table) both accept the source, and every ``from __future__`` import
 stands in the file's leading block (after the docstring, if any), as
-``compile()`` requires.  Other source yields ``parse_ok=False`` and an
+``compile()`` requires.  The walk also refuses what ``compile()`` refuses in
+code generation: ``return``, ``yield`` and ``await`` in the module or a
+class body; ``await``, ``async for``, ``async with`` and asynchronous
+comprehensions outside an async def (a generator expression may await
+anywhere); ``yield from`` in an async def; and ``return`` with a value in
+an async generator.  Other source yields ``parse_ok=False`` and an
 all-zero vector; the pipeline never aborts on it.
 Nesting too deep for the parser or the symbol table (RecursionError,
 MemoryError) is a parse failure too.
@@ -65,6 +70,7 @@ import ast
 import importlib.util
 import logging
 import symtable
+import sys
 from dataclasses import dataclass
 
 from .catalog import Catalog, Level
@@ -215,6 +221,9 @@ _CHILD_FIELDS: dict[type, tuple[str, ...]] = {
     if isinstance(cls, type) and issubclass(cls, ast.AST) and cls not in (ast.Name, ast.Constant)
 }
 
+#: Whether a comprehension may hold an asynchronous one, which makes it asynchronous too.
+_NESTED_ASYNC = sys.version_info >= (3, 11)
+
 #: Scope kinds.  A class scope's names are hidden from the scopes nested in
 #: it, and so are the module's; a comprehension's walrus targets bind outside it.
 _FUNCTION, _COMPREHENSION, _CLASS = range(3)
@@ -226,13 +235,14 @@ class _Scope:
     """One scope: the names it binds, reads and declares, and what the code that
     runs in it needs to know of the scopes around it."""
 
-    __slots__ = ("parent", "kind", "node", "frame", "inside", "private",
+    __slots__ = ("parent", "kind", "node", "frame", "inside", "private", "genexp",
                  "names", "binds", "uses", "globals", "nonlocals", "local", "visible", "free")
 
     def __init__(self, parent: "_Scope | None", kind: int, node: ast.AST | None = None):
         # `node` is the def or lambda whose own scope this is; the module, a
         # class, a comprehension and a type-parameter scope have none
         self.parent, self.kind, self.node = parent, kind, node
+        self.genexp = False  # whether this is a generator expression's scope
         # the names read, stored or deleted here, sorted into `uses` and
         # `binds` only if names are resolved
         self.names: list[ast.Name] = []
@@ -271,6 +281,22 @@ def _future_block(tree: ast.Module) -> tuple[int, bool]:
     return last, annotations
 
 
+def _async_comprehension(scope: _Scope) -> None:
+    """Raise SyntaxError where compile() refuses the comprehension whose scope
+    is `scope` when it awaits or has an ``async for``.
+
+    A generator expression may await anywhere.  Any other comprehension makes
+    the scope around it asynchronous too, and only an async def may hold it,
+    or from Python 3.11 on, a comprehension.
+    """
+    while not scope.genexp:
+        scope = scope.parent
+        if scope.kind is not _COMPREHENSION or not _NESTED_ASYNC:
+            if type(scope.node) is not ast.AsyncFunctionDef:
+                raise SyntaxError("asynchronous comprehension outside of an asynchronous function")
+            return
+
+
 def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
     """Every occurrence, and whether the verdict needs the compiler's symbol table.
 
@@ -283,6 +309,7 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
     """
     found: list[Occurrence] = []
     generators: set[ast.AST] = set()
+    returns: set[ast.AST] = set()  # the async defs that return a value
     elifs: set[ast.AST] = set()
     module = _Scope(None, _CLASS)
     scopes = [module]  # every scope, each after the one around it
@@ -369,6 +396,8 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                     found.append(("else_clause", node.orelse[0].lineno))
                 if t is ast.For or t is ast.AsyncFor:
                     targets = (node.target,)
+                    if t is ast.AsyncFor and type(scope.node) is not ast.AsyncFunctionDef:
+                        raise SyntaxError("'async for' outside async function")
             elif t in _CALLABLES:
                 args = node.args
                 defaults = args.defaults + args.kw_defaults
@@ -414,12 +443,20 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 if type(first.target) in _UNPACKING_TARGETS:
                     found.append(("tuple_unpacking", first.target.lineno))
                 elements = (node.key, node.value) if t is ast.DictComp else (node.elt,)
-                visit((first.target, *first.ifs, *rest, *elements), enter(scope, _COMPREHENSION))
+                inner = enter(scope, _COMPREHENSION)
+                inner.genexp = t is ast.GeneratorExp
+                if first.is_async:
+                    _async_comprehension(inner)
+                visit((first.target, *first.ifs, *rest, *elements), inner)
                 continue
             elif t is ast.comprehension:
                 targets = (node.target,)
+                if node.is_async:
+                    _async_comprehension(scope)
             elif t is ast.With or t is ast.AsyncWith:
                 targets = [item.optional_vars for item in node.items]
+                if t is ast.AsyncWith and type(scope.node) is not ast.AsyncFunctionDef:
+                    raise SyntaxError("'async with' outside async function")
             elif t is ast.AnnAssign:
                 target = node.target
                 if type(target) is not Name:
@@ -466,7 +503,17 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                     raise SyntaxError(f"{t.__name__} outside function")
                 if scope.kind is _COMPREHENSION:  # left to the compiler's scope pass
                     scope_checked = True
-                if (t is ast.Yield or t is ast.YieldFrom) and scope.frame is not None:
+                if t is ast.Await:
+                    if scope.kind is _COMPREHENSION:
+                        _async_comprehension(scope)
+                    elif type(scope.node) is not ast.AsyncFunctionDef:
+                        raise SyntaxError("'await' outside async function")
+                elif t is ast.Return:
+                    if node.value is not None and type(scope.node) is ast.AsyncFunctionDef:
+                        returns.add(scope.node)
+                elif scope.frame is not None:
+                    if t is ast.YieldFrom and type(scope.frame) is ast.AsyncFunctionDef:
+                        raise SyntaxError("'yield from' inside async function")
                     generators.add(scope.frame)
             elif t is ast.NamedExpr:
                 scope_checked = True
@@ -526,6 +573,8 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
             elif type(child) is Name:
                 scope.names.append(child)
 
+    if not returns.isdisjoint(generators):
+        raise SyntaxError("'return' with value in async generator")
     found.extend(("generator_function", d.lineno) for d in generators if type(d) is not ast.Lambda)
     if nested:
         found += _resolve(scopes)

@@ -16,15 +16,18 @@ import json
 import logging
 import re
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
-from .analyzer import LevelVector, analyze_source, source_text
+from .analyzer import analyze_source, source_text
 from .catalog import Catalog, CatalogError, load_catalog, LEVEL_LABELS
-from .history import RepoError, RepoSpec, extract_commits, prepare_repo
+from .history import CommitBlobs, RepoError, RepoSpec, prepare_repo, walk_history
 from .report import write_report_bundle
-from .scoring import DEFAULT_BOT_PATTERNS, Granularity, build_report, level_vector, score_commit
+from .scoring import (
+    ABSENT, DEFAULT_BOT_PATTERNS, Entry, Granularity, blob_entry, build_report, score_blobs,
+)
 
 log = logging.getLogger("cefr_progress")
 
@@ -50,24 +53,62 @@ def _regex(text: str) -> str:
     return text
 
 
-def _score_all(records, catalog: Catalog, jobs: int):
-    memo: dict[str, LevelVector | None] = {}
-    if jobs > 1:
-        # workers get each distinct text once and return its vector, in input order
-        texts = list(dict.fromkeys(
-            text
-            for record in records
-            for change in record.changes
-            for text in (change.before_text, change.after_text)
-            if text is not None
-        ))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            vectors = pool.map(
-                partial(level_vector, catalog=catalog), texts,
-                chunksize=max(1, len(texts) // (jobs * 4)),
-            )
-            memo.update(zip(texts, vectors))
-    return [score_commit(record, catalog, memo) for record in records]
+#: Raw blob bytes per task sent to a worker: small, so that the workers share
+#: the last blobs of a history evenly.
+_CHUNK_BYTES = 1 << 16
+
+
+def _entries(blobs: list[bytes], catalog: Catalog) -> list[Entry]:
+    return [blob_entry(data, catalog) for data in blobs]
+
+
+def _analyze_history(
+    source: str, catalog: Catalog, identity: str, jobs: int
+) -> tuple[list[CommitBlobs], dict[str | None, Entry]]:
+    """The commits of the repository at `source`, and the memo entry of each blob they name.
+
+    Each blob is analyzed as git reads it, while the history walk goes on:
+    here at one job; with more, by worker processes, which get raw blob bytes
+    in small chunks and return memo entries.
+    """
+    commits: list[CommitBlobs] = []
+    memo: dict[str | None, Entry] = {None: ABSENT}
+    if jobs == 1:
+        with prepare_repo(RepoSpec(source)) as repo:
+            for oid, data in walk_history(repo, commits, identity=identity):
+                memo[oid] = blob_entry(data, catalog)
+        return commits, memo
+
+    analyze = partial(_entries, catalog=catalog)
+    sent: deque = deque()  # (blob ids, future of their entries), oldest first
+
+    def collect() -> None:
+        oids, future = sent.popleft()
+        memo.update(zip(oids, future.result()))
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Under the fork start method the first task forks every worker.  Forked
+        # before git starts, no worker holds a pipe to git: one holding
+        # cat-file's input open would keep git from ever seeing its end.
+        pool.submit(int)
+        oids, chunk, size = [], [], 0
+        with prepare_repo(RepoSpec(source)) as repo:
+            for oid, data in walk_history(repo, commits, identity=identity):
+                if data is None:  # no text to send
+                    memo[oid] = ABSENT
+                    continue
+                oids.append(oid)
+                chunk.append(data)
+                size += len(data)
+                if size >= _CHUNK_BYTES:
+                    sent.append((oids, pool.submit(analyze, chunk)))
+                    oids, chunk, size = [], [], 0
+                    if len(sent) > 4 * jobs:  # bounds the bytes waiting for a worker
+                        collect()
+        sent.append((oids, pool.submit(analyze, chunk)))
+        while sent:
+            collect()
+    return commits, memo
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -78,15 +119,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_CATALOG
 
     try:
-        with prepare_repo(RepoSpec(source=args.repo)) as repo:
-            log.info("extracting commit history of %s", args.repo)
-            records = extract_commits(repo, identity=args.identity)
+        log.info("analyzing the commit history of %s with %d job(s)", args.repo, args.jobs)
+        commits, memo = _analyze_history(args.repo, catalog, args.identity, args.jobs)
     except RepoError as exc:
         log.error("repository error: %s", exc)
         return EXIT_REPO
 
-    log.info("scoring %d commits with %d job(s)", len(records), args.jobs)
-    scores = _score_all(records, catalog, args.jobs)
+    log.info("scoring %d commits", len(commits))
+    scores = [score_blobs(commit, memo) for commit in commits]
     report = build_report(
         scores,
         repo=args.repo,

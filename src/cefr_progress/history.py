@@ -1,12 +1,15 @@
 """Git history mining.
 
-Walks the default branch's first-parent chain of a repository and emits one
-CommitRecord per non-merge commit, carrying the before/after texts of every
-changed ``.py`` file.  All repository access goes through the ``git``
-executable: one ``git log --first-parent --no-merges --raw -z`` pass gives
-every change with its old and new blob ids and its paths verbatim, and then
-one streamed ``git cat-file --batch --buffer`` exchange reads each distinct
-blob once by id.  No git process outlives the call that starts it.
+Walks the default branch's first-parent chain of a repository in one pass.
+All repository access goes through the ``git`` executable: one
+``git log --first-parent --no-merges --raw -z`` gives every change with its
+old and new blob ids and its paths verbatim, and while it still runs, one
+``git cat-file --batch`` process reads each distinct ``.py`` blob once by
+id, in bounded batches.  `walk_history` hands each blob's raw bytes on as
+its reply arrives and records every commit as its changes' blob ids, so
+`analyze` keeps one vector per blob, never the texts.  `extract_commits` is
+the text view of the same walk: it decodes each blob and gives CommitRecords
+with before/after texts.  No git process outlives the call that starts it.
 
 Identity and ordering decisions:
 
@@ -26,15 +29,17 @@ Identity and ordering decisions:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import os
 import shutil
 import subprocess
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .analyzer import source_text
 
@@ -101,6 +106,17 @@ class CommitRecord:
     changes: tuple[FileChange, ...] = field(default=())
 
 
+class CommitBlobs(NamedTuple):
+    """One non-merge commit as `walk_history` records it: each changed .py file
+    as (path, old blob id, new blob id), with None for a side that holds no
+    blob (absent, a symlink or a submodule).  Paths follow FileChange."""
+
+    sha: str
+    contributor: ContributorId
+    timestamp: int
+    changes: tuple[tuple[str, str | None, str | None], ...]
+
+
 def _run_git(*args: str) -> subprocess.CompletedProcess:
     """Run ``git`` with `args` and capture its output as text."""
     try:
@@ -114,6 +130,35 @@ def _start_git(*args: str, **pipes) -> subprocess.Popen:
         return subprocess.Popen(["git", *args], **pipes)
     except OSError as exc:
         raise RepoError("git_missing", f"cannot run git: {exc}") from exc
+
+
+#: Blob ids per request to ``git cat-file``.  An id and its newline take at
+#: most 65 bytes (SHA-256), so a batch stays under the 4 KiB a pipe holds at
+#: the least.  Each batch's replies are read before the next is written, so
+#: git never waits on this process to read while this process waits on git.
+_BATCH = 60
+
+
+def ask(proc: subprocess.Popen, oids: list[str]) -> Iterator[tuple[str, bytes | None]]:
+    """(oid, raw bytes) for each of `oids` in order from the ``cat-file --batch``
+    process `proc`, each as its reply arrives; None when an id names no blob."""
+    for start in range(0, len(oids), _BATCH):
+        batch = oids[start:start + _BATCH]
+        try:
+            proc.stdin.write("".join(f"{oid}\n" for oid in batch).encode("ascii"))
+            proc.stdin.flush()
+        except BrokenPipeError:
+            raise RepoError("git_failed", "git cat-file ended early") from None
+        for oid in batch:
+            header = proc.stdout.readline().split()
+            if not header:
+                raise RepoError("git_failed", f"git cat-file ended before {oid}")
+            if len(header) != 3:
+                yield oid, None  # "<oid> missing" or "<oid> ambiguous"
+                continue
+            data = proc.stdout.read(int(header[2]))
+            proc.stdout.read(1)  # trailing newline
+            yield oid, data if header[1] == b"blob" else None
 
 
 class Repo:
@@ -131,41 +176,32 @@ class Repo:
     def git_fields(self, *args: str) -> Iterator[bytes]:
         """The NUL-terminated fields of a ``git ... -z`` command's output, as git writes them.
 
-        git's own messages go to stderr, like the rest of the progress output.
+        Each read takes what git has written so far, so the fields come while
+        git still runs.  git's own messages go to stderr, like the rest of the
+        progress output.
         """
         with _start_git("-C", str(self.path), *args, stdout=subprocess.PIPE) as proc:
             rest = b""
-            for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            for chunk in iter(lambda: proc.stdout.read1(1 << 16), b""):
                 *fields, rest = (rest + chunk).split(b"\0")
                 yield from fields
         if proc.returncode != 0:
             raise RepoError("git_failed", f"git {args[0]} exited with status {proc.returncode}")
 
-    def read_blobs(self, oids: list[str]) -> Iterator[tuple[str, bytes | None]]:
+    def cat_file(self) -> subprocess.Popen:
+        """A ``git cat-file --batch`` process to ask for blobs with `ask`."""
+        return _start_git(
+            "-C", str(self.path), "cat-file", "--batch", stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        )
+
+    def read_blobs(self, oids: Iterable[str]) -> Iterator[tuple[str, bytes | None]]:
         """(oid, raw bytes) for each of `oids` in order; None when it names no blob here.
 
-        One ``cat-file --batch --buffer`` exchange serves every id.  git reads
-        the ids from a temporary file, not a pipe, so it never waits on this
-        process to write while this process waits on its replies.  A reader
-        that stops early closes git's stdout, and git ends on the broken pipe.
+        One ``cat-file`` process serves every id.  A reader that stops early
+        closes git's pipes, and git ends.
         """
-        with tempfile.TemporaryFile() as ids:
-            ids.write("".join(f"{oid}\n" for oid in oids).encode("ascii"))
-            ids.seek(0)
-            proc = _start_git(
-                "-C", str(self.path), "cat-file", "--batch", "--buffer", stdin=ids, stdout=subprocess.PIPE,
-            )
-        with proc:
-            for oid in oids:
-                header = proc.stdout.readline().split()
-                if not header:
-                    raise RepoError("git_failed", f"git cat-file ended before {oid}")
-                if len(header) != 3:
-                    yield oid, None  # "<oid> missing" or "<oid> ambiguous"
-                    continue
-                data = proc.stdout.read(int(header[2]))
-                proc.stdout.read(1)  # trailing newline
-                yield oid, data if header[1] == b"blob" else None
+        with self.cat_file() as proc:
+            yield from ask(proc, list(oids))
 
     def read_blob(self, oid: str) -> bytes | None:
         """Raw bytes of the blob named `oid`, or None when it is no blob here."""
@@ -237,12 +273,6 @@ def _clone_into_place(url: str, clone_dir: Path) -> None:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _decode_blob(data: bytes | None) -> str | None:
-    if data is None or b"\x00" in data:
-        return None
-    return source_text(data)
-
-
 #: Modes whose blob is no file text: a symlink's blob holds its target path,
 #: and a submodule's id names a commit.
 _NOT_TEXT_MODES = ("120000", "160000")
@@ -298,9 +328,17 @@ def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]
         yield header, entries
 
 
-def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecord]:
-    """CommitRecords for the non-merge commits of the default branch's first-parent
-    chain, oldest first, each with its changed .py files' before/after texts.
+def walk_history(
+    repo: Repo, commits: list[CommitBlobs], *, identity: str = "author"
+) -> Iterator[tuple[str, bytes | None]]:
+    """Walk the non-merge commits of the default branch's first-parent chain once.
+
+    Yields (blob id, raw bytes) for each distinct .py blob the changes name,
+    as git reads it, while ``git log`` still runs; the bytes are None when the
+    blob holds no text (missing or binary).  Fills the empty list `commits`
+    with one CommitBlobs per commit, oldest first once the walk ends.
+    A side with no blob id (absent, a symlink or a submodule) is None in
+    the changes and is never yielded.
 
     `identity` selects whether the author or the committer is credited.
     """
@@ -310,31 +348,55 @@ def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecor
         raise RepoError("empty", f"{repo.path} has no commits on its default branch")
 
     who = identity[0]  # %an/%ae or %cn/%ce
+    identities: dict[tuple[bytes, bytes], ContributorId] = {}
+    named: set[str | None] = {None}  # every blob id asked for, and the absent side
+    wanted: list[str] = []  # blob ids named since the last request
     # NUL separates the fields because no git identity can contain it
-    fields = repo.git_fields(
+    log = repo.git_fields(
         "log", "--first-parent", "--no-merges", "--raw", "-z", "--no-abbrev", "-M",
         f"--format=%H%x00%at%x00%{who}n%x00%{who}e", "HEAD",
     )
-    identities: dict[tuple[bytes, bytes], ContributorId] = {}
-    commits = []  # CommitRecord fields, with blob ids in place of the texts
-    oids: dict[str | None, None] = {}  # every blob id named, in first-use order
-    for (sha, time, name, email), entries in _raw_log(fields):
-        changes = [change for entry in entries if (change := _change(*entry)) is not None]
-        for _, old, new in changes:
-            oids[old] = oids[new] = None
-        contributor = identities.get((name, email))
-        if contributor is None:
-            identity_text = (field.decode("utf-8", errors="replace") for field in (name, email))
-            contributor = identities[name, email] = ContributorId.from_identity(*identity_text)
-        commits.append((sha.decode("ascii"), contributor, int(time), changes))
+    with repo.cat_file() as proc, contextlib.closing(log) as fields:
+        for (sha, time, name, email), entries in _raw_log(fields):
+            changes = tuple(change for entry in entries if (change := _change(*entry)) is not None)
+            for _, old, new in changes:
+                for oid in (old, new):
+                    if oid not in named:
+                        named.add(oid)
+                        wanted.append(oid)
+            contributor = identities.get((name, email))
+            if contributor is None:
+                identity_text = (field.decode("utf-8", errors="replace") for field in (name, email))
+                contributor = identities[name, email] = ContributorId.from_identity(*identity_text)
+            commits.append(CommitBlobs(sha.decode("ascii"), contributor, int(time), changes))
+            if len(wanted) >= _BATCH:
+                yield from _texts(proc, wanted)
+                wanted = []
+        yield from _texts(proc, wanted)
     if not commits:
         raise RepoError("empty", f"{repo.path} has no non-merge commits")
     commits.reverse()  # git walks newest first
 
-    oids.pop(None, None)
+
+def _texts(proc: subprocess.Popen, oids: list[str]) -> Iterator[tuple[str, bytes | None]]:
+    """`ask`'s replies, with None for a binary blob as well."""
+    for oid, data in ask(proc, oids):
+        yield oid, None if data is None or b"\0" in data else data
+
+
+def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecord]:
+    """CommitRecords for the non-merge commits of the default branch's first-parent
+    chain, oldest first, each with its changed .py files' before/after texts.
+
+    The text view of `walk_history`: each blob is decoded once, and a change
+    with no text on either side is left out.  `identity` selects whether the
+    author or the committer is credited.
+    """
+    commits: list[CommitBlobs] = []
     # one decoded text per blob id, so equal sides share one object
     texts: dict[str | None, str | None] = {None: None}
-    texts.update((oid, _decode_blob(data)) for oid, data in repo.read_blobs(list(oids)))
+    for oid, data in walk_history(repo, commits, identity=identity):
+        texts[oid] = None if data is None else source_text(data)
     return [
         CommitRecord(
             sha=sha,

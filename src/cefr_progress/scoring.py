@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .analyzer import LevelVector, analyze_source
+from .analyzer import LevelVector, analyze_source, source_text
 from .catalog import Catalog, Level
-from .history import CommitRecord, ContributorId
+from .history import CommitBlobs, CommitRecord, ContributorId
 
 DEFAULT_BOT_PATTERNS = (r"\[bot\]$",)
 
@@ -72,7 +72,44 @@ def level_vector(text: str, catalog: Catalog) -> LevelVector | None:
     return result.vector if result.parse_ok else None
 
 
-_ABSENT = LevelVector.zero()  # the vector of a side that does not exist
+#: A blob's memo entry when it has no text: binary or missing, and a side with
+#: no blob at all (absent, a symlink or a submodule).  Any other entry is the
+#: blob's six level counts, or None (SKIPPED) when it does not parse or nests
+#: too deep.  ABSENT is compared by identity, so it never comes from a worker.
+ABSENT = "absent"
+SKIPPED = None
+
+Entry = tuple[int, ...] | str | None
+
+
+def blob_entry(data: bytes | None, catalog: Catalog) -> Entry:
+    """The memo entry of one blob from its raw bytes; `data` is None for a blob with no text."""
+    if data is None:
+        return ABSENT
+    vector = level_vector(source_text(data), catalog)
+    return SKIPPED if vector is None else vector.counts
+
+
+_ZERO = (0,) * 6  # the counts of a side that does not exist
+
+
+def _score(sha: str, contributor: ContributorId, timestamp: int, sides) -> CommitScore:
+    """Sum the per-file clamped deltas of one commit's (before, after) count pairs.
+
+    A pair with a SKIPPED side is skipped and contributes nothing.
+    """
+    total = [0] * 6
+    analyzed = 0
+    skipped = 0
+    for before, after in sides:
+        if before is SKIPPED or after is SKIPPED:
+            skipped += 1
+            continue
+        analyzed += 1
+        for level, (old, new) in enumerate(zip(before, after)):
+            if new > old:
+                total[level] += new - old
+    return CommitScore(sha, contributor, timestamp, LevelVector(tuple(total)), analyzed, skipped)
 
 
 def score_commit(
@@ -89,31 +126,34 @@ def score_commit(
     """
     if memo is None:
         memo = {}
-    total = [0] * 6
-    analyzed = 0
-    skipped = 0
-    for change in record.changes:
-        sides = []
-        for text in (change.before_text, change.after_text):
-            if text is not None and text not in memo:
-                memo[text] = level_vector(text, catalog)
-            sides.append(_ABSENT if text is None else memo[text])
-        before_vec, after_vec = sides
-        if before_vec is None or after_vec is None:
-            skipped += 1
-            continue
-        analyzed += 1
-        for level, (before, after) in enumerate(zip(before_vec.counts, after_vec.counts)):
-            if after > before:
-                total[level] += after - before
-    return CommitScore(
-        sha=record.sha,
-        contributor=record.contributor,
-        timestamp=record.timestamp,
-        delta=LevelVector(tuple(total)),
-        files_analyzed=analyzed,
-        files_skipped=skipped,
-    )
+
+    def counts(text: str | None) -> tuple[int, ...] | None:
+        if text is None:
+            return _ZERO
+        if text not in memo:
+            memo[text] = level_vector(text, catalog)
+        vector = memo[text]
+        return SKIPPED if vector is None else vector.counts
+
+    sides = [(counts(change.before_text), counts(change.after_text)) for change in record.changes]
+    return _score(record.sha, record.contributor, record.timestamp, sides)
+
+
+def score_blobs(commit: CommitBlobs, memo: dict[str | None, Entry]) -> CommitScore:
+    """`score_commit` for a commit recorded by blob ids, from the memo entries
+    of its blobs (`memo[None]` is ABSENT).  A change with no text on either
+    side is left out, as `extract_commits` leaves it out."""
+    sides = []
+    for _, old, new in commit.changes:
+        before, after = memo[old], memo[new]
+        if before is ABSENT:
+            if after is ABSENT:
+                continue
+            before = _ZERO
+        elif after is ABSENT:
+            after = _ZERO
+        sides.append((before, after))
+    return _score(commit.sha, commit.contributor, commit.timestamp, sides)
 
 
 def period_key(timestamp: int, period: Granularity) -> str:

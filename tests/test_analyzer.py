@@ -1,6 +1,7 @@
 import ast
 import inspect
 import symtable
+import sys
 import sysconfig
 import types
 from collections import Counter
@@ -130,8 +131,8 @@ def _compiler_verdict(source):
 
 
 #: Sources the parser accepts and the compiler rejects: most in its scope
-#: pass; the late ``__future__`` imports, and return, yield and await in the
-#: module or a class body, in code generation.
+#: pass; the late ``__future__`` imports, return, yield and await in the
+#: module or a class body, and misplaced async constructs, in code generation.
 _SCOPE_REJECTED = {
     "global_after_assign": "def f():\n    x = 1\n    global x\n",
     "global_param": "def f(a):\n    global a\n",
@@ -165,6 +166,25 @@ _SCOPE_REJECTED = {
     "yield_in_class_body_in_def": "def f():\n    class C:\n        x = yield 1\n",
     "await_at_module_level": "await x\n",
     "yield_in_module_level_default": "def f(x=(yield 1)): pass\n",
+    "await_in_def": "def f():\n    await x\n",
+    "await_in_lambda": "f = lambda: await x\n",
+    "await_in_lambda_in_async_def": "async def f():\n    return lambda: await x\n",
+    "await_in_default_in_def": "def g():\n    async def f(a=await x): pass\n",
+    "await_in_first_iterable_in_def": "def f():\n    return (x for x in await y)\n",
+    "async_for_in_def": "def f():\n    async for x in y: pass\n",
+    "async_with_in_def": "def f():\n    async with x: pass\n",
+    "async_for_in_class_in_async_def": "async def f():\n    class C:\n        async for x in y: pass\n",
+    "await_in_list_comprehension_in_def": "def f():\n    return [await x for y in z]\n",
+    "await_in_set_comprehension_at_module_level": "s = {await x for y in z}\n",
+    "async_comprehension_in_def": "def f():\n    return {x: 1 async for x in y}\n",
+    "async_second_generator_in_def": "def f():\n    return [x for y in z async for x in y]\n",
+    "nested_async_comprehension_in_def": "def f():\n    return [[x async for x in y] for y in z]\n",
+    "async_comprehension_in_class_in_async_def": (
+        "async def f():\n    class C:\n        s = [await x for x in y]\n"),
+    "return_value_in_async_generator": "async def f():\n    yield 1\n    return 2\n",
+    "return_none_before_yield_in_async_generator": (
+        "async def f():\n    if x:\n        return None\n    yield 1\n"),
+    "yield_from_in_async_def": "async def f():\n    yield from x\n",
 }
 
 #: The same constructs where the scope pass accepts them.
@@ -179,14 +199,30 @@ _SCOPE_ACCEPTED = {
     "two_leading_future_imports": "from __future__ import annotations\nfrom __future__ import division\n",
     "yield_in_class_level_lambda": "class C:\n    f = lambda: (yield)\n",
     "yield_in_class_bases_in_def": "def f():\n    class C((yield)): pass\n",
+    "await_in_generator_expression_in_def": "def f():\n    return (await x for y in z)\n",
+    "await_in_generator_expression_at_module_level": "g = (await x for y in z)\n",
+    "async_generator_expression_in_lambda": "f = lambda: (x async for x in y)\n",
+    "async_for_and_with_in_async_def": "async def f():\n    async with a:\n        async for x in y: pass\n",
+    "await_in_default_in_async_def": "async def g():\n    def f(a=await x): pass\n",
+    "bare_return_in_async_generator": "async def f():\n    yield 1\n    return\n",
+    "return_value_in_def_in_async_generator": "async def f():\n    yield 1\n    def g():\n        return 2\n",
+    "return_value_in_async_def": "async def f():\n    return 2\n",
+}
+
+#: Comprehensions holding an asynchronous one, which the compiler accepts from Python 3.11 on.
+_NESTED_ASYNC = {
+    "async_comprehension_in_generator_expression_in_def": (
+        "def f():\n    return ([x async for x in y] for y in z)\n"),
+    "nested_async_comprehension_in_async_def": "async def f():\n    return [[x async for x in y] for y in z]\n",
 }
 
 
 @pytest.mark.parametrize(
     "source, rejected",
     [(src, True) for src in _SCOPE_REJECTED.values()]
-    + [(src, False) for src in _SCOPE_ACCEPTED.values()],
-    ids=[*_SCOPE_REJECTED, *_SCOPE_ACCEPTED],
+    + [(src, False) for src in _SCOPE_ACCEPTED.values()]
+    + [(src, sys.version_info < (3, 11)) for src in _NESTED_ASYNC.values()],
+    ids=[*_SCOPE_REJECTED, *_SCOPE_ACCEPTED, *_NESTED_ASYNC],
 )
 def test_parse_ok_matches_the_compiler_verdict(source, rejected):
     expected = _compiler_verdict(source)

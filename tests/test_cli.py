@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -84,14 +85,29 @@ def test_analyze_unreadable_history_exits_2(tmp_path):
 
 
 def test_analyze_analyzes_each_distinct_text_once(big_repo, tmp_path, monkeypatch):
-    reads = []
-    read_blobs = history.Repo.read_blobs
+    started, asked, analyzed = [], [], []
+    start_git, ask, analyze_source = history._start_git, history.ask, scoring.analyze_source
 
-    def counting_read_blobs(self, oids):
-        reads.extend(oids)
-        return read_blobs(self, oids)
+    def recording_start_git(*args, **pipes):
+        started.append(args[2])  # the git command after "-C <path>"
+        return start_git(*args, **pipes)
 
-    monkeypatch.setattr(history.Repo, "read_blobs", counting_read_blobs)
+    def recording_ask(proc, oids):
+        asked.extend(oids)
+        return ask(proc, oids)
+
+    def counting_analyze_source(source, catalog):
+        analyzed.append(source)
+        return analyze_source(source, catalog)
+
+    monkeypatch.setattr(history, "_start_git", recording_start_git)
+    monkeypatch.setattr(history, "ask", recording_ask)
+    monkeypatch.setattr(scoring, "analyze_source", counting_analyze_source)
+    assert main(["analyze", str(big_repo), "--out", str(tmp_path / "o"), "--jobs", "1"]) == 0
+    assert started.count("cat-file") == 1
+    # each distinct blob id is asked for once and analyzed once
+    assert len(asked) == len(set(asked)) == len(analyzed)
+
     with prepare_repo(RepoSpec(str(big_repo))) as repo:
         records = extract_commits(repo)
     sides = [
@@ -102,20 +118,61 @@ def test_analyze_analyzes_each_distinct_text_once(big_repo, tmp_path, monkeypatc
         if text is not None
     ]
     texts = set(sides)
-    assert len(reads) == len(set(reads)) == len(texts) < len(sides)
+    assert len(set(analyzed)) == len(texts) < len(sides)
     # equal texts come from one blob read, so they are one object
     assert len({id(text) for text in sides}) == len(texts)
 
-    calls = []
-    analyze_source = scoring.analyze_source
 
-    def counting_analyze_source(source, catalog):
-        calls.append(source)
-        return analyze_source(source, catalog)
+def _run_analyze(repo, out, *options):
+    """`analyze` in a child process that imports the package from where the
+    tests imported it.  A run that hangs fails instead of hanging the suite,
+    and its workers and git processes are killed with it."""
+    package_root = str(Path(cefr_progress.__file__).parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "cefr_progress", "analyze", str(repo), "--out", str(out), *options],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
-    monkeypatch.setattr(scoring, "analyze_source", counting_analyze_source)
-    assert main(["analyze", str(big_repo), "--out", str(tmp_path / "o"), "--jobs", "1"]) == 0
-    assert len(calls) == len(texts)
+
+def test_analyze_a_commit_that_names_more_blobs_than_a_pipe_holds(tmp_path):
+    # 3,000 blob ids make about 120 kB of requests to git cat-file, more than
+    # a pipe holds: written at once before reading, they would deadlock
+    fixture = GitFixture(tmp_path / "repo")
+    files = "".join(f"M 100644 inline pkg/m{i}.py\ndata {len(f'x = {i}')}\nx = {i}\n" for i in range(3000))
+    stream = (
+        "commit refs/heads/main\nauthor A <a@x> 1577836800 +0000\ncommitter A <a@x> 1577836800 +0000\n"
+        f"data 1\n.\n{files}"
+    )
+    subprocess.run(
+        ["git", "-C", str(fixture.path), "fast-import", "--quiet"], input=stream.encode(), check=True, capture_output=True,
+    )
+    out = tmp_path / "out"
+    proc = _run_analyze(fixture.path, out)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["files_analyzed"] == 3000
+    assert report["project_total"] == [3000, 0, 0, 0, 0, 0]  # one simple assignment each
+
+
+def test_analyze_in_parallel_writes_the_serial_reports(big_repo, tmp_path):
+    # workers forked after a pipe to git exists would hold git's input open,
+    # and git would never end: the run would hang, not fail
+    for jobs in ("1", "2"):
+        proc = _run_analyze(big_repo, tmp_path / jobs, "--jobs", jobs)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("report.json", "report.csv", "report.html"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_analyze_bad_catalog_exits_3(linear_repo, tmp_path):
@@ -249,15 +306,7 @@ def test_classify_with_catalog_override(tmp_path, capsys):
 
 
 def test_module_entry_point_smoke(linear_repo, tmp_path):
-    # the child imports the package from where this test imported it
-    package_root = str(Path(cefr_progress.__file__).parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cefr_progress", "analyze", str(linear_repo), "--out", str(tmp_path / "o")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-    )
+    proc = _run_analyze(linear_repo, tmp_path / "o")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("commits analyzed:")
     # progress stays on stderr, machine output on stdout

@@ -475,7 +475,7 @@ def test_read_blobs_answers_every_id_in_order(tmp_path):
     assert replies[-1] == (big, big_text)
 
 
-def test_no_git_process_outlives_its_call(linear_repo, monkeypatch):
+def test_no_git_process_outlives_its_call(linear_repo, tmp_path, monkeypatch):
     started = []
     start_git = history._start_git
 
@@ -500,6 +500,33 @@ def test_no_git_process_outlives_its_call(linear_repo, monkeypatch):
         with pytest.raises(RepoError):
             list(repo.git_fields("log", "-z", "no-such-ref"))
     assert records and len(started) == 4
+    assert all(proc.returncode is not None for proc in started)
+
+    # git log fails in the middle of the walk, after the newest commit's blobs
+    # were asked for: the tree of the oldest commit is missing, so git cannot
+    # diff the second commit
+    fixture = GitFixture(tmp_path / "broken")
+    fixture.write("a.py", "x = 1\n")
+    fixture.commit(ALICE, "2020-01-01T00:00:00Z", "one")
+    tree = fixture.run("rev-parse", "HEAD^{tree}").strip()
+    fixture.write("a.py", "x = 2\n")
+    fixture.commit(ALICE, "2020-01-02T00:00:00Z", "two")
+    fixture.write("b.py", "y = 1\n")
+    fixture.commit(ALICE, "2020-01-03T00:00:00Z", "three")
+    for i in range(2 * history._BATCH):
+        fixture.write(f"pkg/m{i}.py", f"m = {i}\n")
+    fixture.commit(ALICE, "2020-01-04T00:00:00Z", "four")
+    (fixture.path / ".git" / "objects" / tree[:2] / tree[2:]).unlink()
+    started.clear()
+    asked = []
+    ask = history.ask
+    monkeypatch.setattr(history, "ask", lambda proc, oids: asked.extend(oids) or ask(proc, oids))
+    with pytest.raises(RepoError) as err:
+        with prepare_repo(RepoSpec(str(fixture.path))) as repo:
+            extract_commits(repo)
+    assert err.value.kind == "git_failed"
+    assert len(asked) == 2 * history._BATCH
+    assert sorted(proc.args[3] for proc in started) == ["cat-file", "log"]
     assert all(proc.returncode is not None for proc in started)
 
 
