@@ -44,13 +44,20 @@ Counting rules worth knowing (each occurrence is one syntax-tree match):
 
 ``parse_ok`` holds when ``ast.parse`` and the compiler's scope pass (its
 symbol table) both accept the source, and every ``from __future__`` import
-stands in the file's leading block (after the docstring, if any), as
-``compile()`` requires.  The walk also refuses what ``compile()`` refuses in
-code generation: ``return``, ``yield`` and ``await`` in the module or a
-class body; ``await``, ``async for``, ``async with`` and asynchronous
-comprehensions outside an async def (a generator expression may await
-anywhere); ``yield from`` in an async def; and ``return`` with a value in
-an async generator.  Other source yields ``parse_ok=False`` and an
+is a statement of the file's leading block of them (after the docstring, if
+any), as ``compile()`` requires.  The block ends at its first other
+statement, even one on the same line: in ``from __future__ import a; import
+b; from __future__ import c`` the last import is late.  The walk also
+refuses what ``compile()`` refuses in code generation: ``return``, ``yield``
+and ``await`` in the module or a class body; ``await``, ``async for``,
+``async with`` and asynchronous comprehensions outside an async def (a
+generator expression may await anywhere); ``yield from`` in an async def;
+``return`` with a value in an async generator; and ``break`` or
+``continue`` outside a loop.  Either must stand in the body of a ``for``,
+``async for`` or ``while``, or in a block of an ``if``, ``with``, ``try``
+(``finally`` included) or ``match`` statement there, with no def or class
+between.  A loop's ``else`` block is outside the loop, and neither may jump
+out of an ``except*`` block.  Other source yields ``parse_ok=False`` and an
 all-zero vector; the pipeline never aborts on it.
 Nesting too deep for the parser or the symbol table (RecursionError,
 MemoryError) is a parse failure too.
@@ -200,7 +207,7 @@ _CONDITIONAL = frozenset({
     ast.If, ast.Assign, ast.AnnAssign, ast.With, ast.AsyncWith, ast.comprehension,
     ast.ClassDef, ast.Call, ast.BinOp, ast.List, ast.Tuple, ast.Subscript,
     ast.Return, ast.Yield, ast.YieldFrom, ast.Await, ast.Import, ast.ImportFrom,
-    ast.NamedExpr, ast.Global, ast.Nonlocal,
+    ast.NamedExpr, ast.Global, ast.Nonlocal, ast.Break, ast.Continue, ast.Match,
 }) | _ELSE_BLOCKS | _CALLABLES | _COMPREHENSIONS | _CAPTURES
 
 #: Fields that hold no node the walk needs: identifiers, numbers, strings and
@@ -267,18 +274,17 @@ class _Scope:
         return f"_{self.private}{name}"
 
 
-def _future_block(tree: ast.Module) -> tuple[int, bool]:
+def _future_block(tree: ast.Module) -> tuple[list[ast.stmt], bool]:
     """The leading block of ``__future__`` imports, after the docstring if any,
-    the only place the compiler honours them: the line of its last import (0
-    when there is none), and whether it imports ``annotations``."""
+    the only place the compiler honours them: its import statements, and
+    whether they import ``annotations``."""
     start = 1 if ast.get_docstring(tree, clean=False) is not None else 0
-    last, annotations = 0, False
+    block: list[ast.stmt] = []
     for stmt in tree.body[start:]:
         if type(stmt) is not ast.ImportFrom or stmt.module != "__future__":
             break
-        last = stmt.lineno
-        annotations = annotations or any(alias.name == "annotations" for alias in stmt.names)
-    return last, annotations
+        block.append(stmt)
+    return block, any(alias.name == "annotations" for stmt in block for alias in stmt.names)
 
 
 def _async_comprehension(scope: _Scope) -> None:
@@ -311,9 +317,12 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
     generators: set[ast.AST] = set()
     returns: set[ast.AST] = set()  # the async defs that return a value
     elifs: set[ast.AST] = set()
+    # the statements a break or continue may stand in: a loop's body, and the
+    # blocks of an if, with, try or match among them, but no def or class body
+    looped: set[ast.AST] = set()
     module = _Scope(None, _CLASS)
     scopes = [module]  # every scope, each after the one around it
-    future_line, future_annotations = _future_block(tree)
+    future_block, future_annotations = _future_block(tree)
     # under `from __future__ import annotations` no annotation is evaluated:
     # they run in a scope of their own, whose names resolve to nothing
     detached = None
@@ -383,6 +392,8 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                         found.append(("nested_list", node.lineno))
             elif t is ast.If:
                 found.append(("elif_clause" if node in elifs else "if_statement", node.lineno))
+                if node in looped:
+                    looped.update(node.body, node.orelse)
                 if node.orelse:
                     first = node.orelse[0]
                     # an elif is the sole If in orelse sharing the parent's column
@@ -394,6 +405,15 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
             elif t in _ELSE_BLOCKS:
                 if node.orelse:
                     found.append(("else_clause", node.orelse[0].lineno))
+                if t is ast.Try or t is _TRY_STAR:
+                    if node in looped:
+                        looped.update(node.body, node.orelse, node.finalbody)
+                        if t is ast.Try:  # compile() refuses a jump out of an except* block
+                            looped.update(*(handler.body for handler in node.handlers))
+                else:  # a loop, whose else block is in a loop only if the loop is
+                    if node in looped:
+                        looped.update(node.orelse)
+                    looped.update(node.body)
                 if t is ast.For or t is ast.AsyncFor:
                     targets = (node.target,)
                     if t is ast.AsyncFor and type(scope.node) is not ast.AsyncFunctionDef:
@@ -455,6 +475,8 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                     _async_comprehension(scope)
             elif t is ast.With or t is ast.AsyncWith:
                 targets = [item.optional_vars for item in node.items]
+                if node in looped:
+                    looped.update(node.body)
                 if t is ast.AsyncWith and type(scope.node) is not ast.AsyncFunctionDef:
                     raise SyntaxError("'async with' outside async function")
             elif t is ast.AnnAssign:
@@ -533,10 +555,10 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 continue
             elif t is ast.Import or t is ast.ImportFrom:
                 if t is ast.ImportFrom and node.module == "__future__":
-                    # compile() rejects a late one in code generation, which
-                    # the symbol table does not run; the table itself rejects
-                    # one that shares a line with the block's last import
-                    if node.lineno > future_line:
+                    # compile() rejects one outside the leading block, even on
+                    # the block's last line, in code generation or in its
+                    # scope pass, depending on the version
+                    if node not in future_block:
                         raise SyntaxError("from __future__ imports must occur at the beginning of the file")
                     scope_checked = True
                 # a star import is legal at module level only
@@ -552,6 +574,13 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
             elif t is ast.Nonlocal:
                 scope_checked = True
                 scope.nonlocals |= set(map(scope.mangle, node.names))
+            elif t is ast.Break or t is ast.Continue:
+                # compile() rejects these outside a loop in code generation
+                if node not in looped:
+                    raise SyntaxError(f"'{t.__name__.lower()}' outside loop")
+            elif t is ast.Match:
+                if node in looped:
+                    looped.update(*(case.body for case in node.cases))
             else:  # _CAPTURES
                 name = node.rest if t is ast.MatchMapping else node.name
                 if name is not None:

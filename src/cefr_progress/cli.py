@@ -18,16 +18,13 @@ import re
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
 from .analyzer import analyze_source, source_text
 from .catalog import Catalog, CatalogError, load_catalog, LEVEL_LABELS
 from .history import CommitBlobs, RepoError, RepoSpec, prepare_repo, walk_history
 from .report import write_report_bundle
-from .scoring import (
-    ABSENT, DEFAULT_BOT_PATTERNS, Entry, Granularity, blob_entry, build_report, score_blobs,
-)
+from .scoring import DEFAULT_BOT_PATTERNS, Entry, Granularity, blob_entry, build_report, score_blobs
 
 log = logging.getLogger("cefr_progress")
 
@@ -58,13 +55,13 @@ def _regex(text: str) -> str:
 _CHUNK_BYTES = 1 << 16
 
 
-def _entries(blobs: list[bytes], catalog: Catalog) -> list[Entry]:
+def _entries(blobs: list[bytes | None], catalog: Catalog) -> list[Entry]:
     return [blob_entry(data, catalog) for data in blobs]
 
 
 def _analyze_history(
     source: str, catalog: Catalog, identity: str, jobs: int
-) -> tuple[list[CommitBlobs], dict[str | None, Entry]]:
+) -> tuple[list[CommitBlobs], dict[str, Entry]]:
     """The commits of the repository at `source`, and the memo entry of each blob they name.
 
     Each blob is analyzed as git reads it, while the history walk goes on:
@@ -72,14 +69,13 @@ def _analyze_history(
     in small chunks and return memo entries.
     """
     commits: list[CommitBlobs] = []
-    memo: dict[str | None, Entry] = {None: ABSENT}
+    memo: dict[str, Entry] = {}
     if jobs == 1:
         with prepare_repo(RepoSpec(source)) as repo:
             for oid, data in walk_history(repo, commits, identity=identity):
                 memo[oid] = blob_entry(data, catalog)
         return commits, memo
 
-    analyze = partial(_entries, catalog=catalog)
     sent: deque = deque()  # (blob ids, future of their entries), oldest first
 
     def collect() -> None:
@@ -94,18 +90,15 @@ def _analyze_history(
         oids, chunk, size = [], [], 0
         with prepare_repo(RepoSpec(source)) as repo:
             for oid, data in walk_history(repo, commits, identity=identity):
-                if data is None:  # no text to send
-                    memo[oid] = ABSENT
-                    continue
                 oids.append(oid)
                 chunk.append(data)
-                size += len(data)
+                size += len(data or b"")
                 if size >= _CHUNK_BYTES:
-                    sent.append((oids, pool.submit(analyze, chunk)))
+                    sent.append((oids, pool.submit(_entries, chunk, catalog)))
                     oids, chunk, size = [], [], 0
                     if len(sent) > 4 * jobs:  # bounds the bytes waiting for a worker
                         collect()
-        sent.append((oids, pool.submit(analyze, chunk)))
+        sent.append((oids, pool.submit(_entries, chunk, catalog)))
         while sent:
             collect()
     return commits, memo
@@ -126,9 +119,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_REPO
 
     log.info("scoring %d commits", len(commits))
-    scores = [score_blobs(commit, memo) for commit in commits]
     report = build_report(
-        scores,
+        (score_blobs(commit, memo) for commit in commits),
         repo=args.repo,
         period=Granularity(args.period),
         bot_patterns=tuple(args.bot_pattern) if args.bot_pattern else DEFAULT_BOT_PATTERNS,

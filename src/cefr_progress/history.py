@@ -36,7 +36,7 @@ import os
 import shutil
 import subprocess
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -194,18 +194,10 @@ class Repo:
             "-C", str(self.path), "cat-file", "--batch", stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         )
 
-    def read_blobs(self, oids: Iterable[str]) -> Iterator[tuple[str, bytes | None]]:
-        """(oid, raw bytes) for each of `oids` in order; None when it names no blob here.
-
-        One ``cat-file`` process serves every id.  A reader that stops early
-        closes git's pipes, and git ends.
-        """
-        with self.cat_file() as proc:
-            yield from ask(proc, list(oids))
-
     def read_blob(self, oid: str) -> bytes | None:
         """Raw bytes of the blob named `oid`, or None when it is no blob here."""
-        return dict(self.read_blobs([oid]))[oid]
+        with self.cat_file() as proc:
+            return next(ask(proc, [oid]))[1]
 
     def close(self) -> None:
         """Nothing to release: each git process ends within the call that starts it."""

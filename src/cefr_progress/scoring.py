@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -72,14 +73,13 @@ def level_vector(text: str, catalog: Catalog) -> LevelVector | None:
     return result.vector if result.parse_ok else None
 
 
-#: A blob's memo entry when it has no text: binary or missing, and a side with
-#: no blob at all (absent, a symlink or a submodule).  Any other entry is the
-#: blob's six level counts, or None (SKIPPED) when it does not parse or nests
-#: too deep.  ABSENT is compared by identity, so it never comes from a worker.
-ABSENT = "absent"
+#: A blob's memo entry when it has no text: binary or missing.  Any other
+#: entry is the blob's six level counts, or None (SKIPPED) when it does not
+#: parse or nests too deep.  Entries compare by value, so they survive pickling.
+ABSENT = ()
 SKIPPED = None
 
-Entry = tuple[int, ...] | str | None
+Entry = tuple[int, ...] | None
 
 
 def blob_entry(data: bytes | None, catalog: Catalog) -> Entry:
@@ -139,18 +139,20 @@ def score_commit(
     return _score(record.sha, record.contributor, record.timestamp, sides)
 
 
-def score_blobs(commit: CommitBlobs, memo: dict[str | None, Entry]) -> CommitScore:
+def score_blobs(commit: CommitBlobs, memo: dict[str, Entry]) -> CommitScore:
     """`score_commit` for a commit recorded by blob ids, from the memo entries
-    of its blobs (`memo[None]` is ABSENT).  A change with no text on either
-    side is left out, as `extract_commits` leaves it out."""
+    of its blobs.  A side with no blob id is absent; an id the memo lacks
+    raises KeyError.  A change with no text on either side is left out, as
+    `extract_commits` leaves it out."""
     sides = []
     for _, old, new in commit.changes:
-        before, after = memo[old], memo[new]
-        if before is ABSENT:
-            if after is ABSENT:
+        before = ABSENT if old is None else memo[old]
+        after = ABSENT if new is None else memo[new]
+        if before == ABSENT:
+            if after == ABSENT:
                 continue
             before = _ZERO
-        elif after is ABSENT:
+        elif after == ABSENT:
             after = _ZERO
         sides.append((before, after))
     return _score(commit.sha, commit.contributor, commit.timestamp, sides)
@@ -171,12 +173,25 @@ def _vector_sum(rows) -> LevelVector:
     return LevelVector(tuple(map(sum, zip(*rows, [0] * 6))))
 
 
-def _rollup(
-    scores: list[CommitScore], period: Granularity
-) -> tuple[list[ContributorProfile], dict[str, LevelVector], LevelVector]:
-    """One pass over `scores`: the contributor profiles, ordered by C1+C2, then
-    total, then anon_id; the per-period sums across all contributors; and the
-    grand total.
+def is_bot(contributor: ContributorId, patterns: tuple[str, ...]) -> bool:
+    return any(re.search(pattern, contributor.raw_name) for pattern in patterns)
+
+
+def build_report(
+    scores: Iterable[CommitScore],
+    *,
+    repo: str,
+    period: Granularity = Granularity.YEARLY,
+    bot_patterns: tuple[str, ...] = DEFAULT_BOT_PATTERNS,
+) -> ProjectReport:
+    """Assemble the full project report from per-commit scores, read in one pass.
+
+    Contributor profiles are ordered by C1+C2, then total, then anon_id.
+    Bot-matching identities stay in the project totals but are dropped from
+    the contributor list; their sum lands in `excluded_total` so that
+    project_total == sum(profile totals) + excluded_total holds exactly.
+    generated_at is the newest analyzed commit timestamp (0 with no scores),
+    which keeps emission byte-deterministic for a fixed repository state.
 
     Buckets are plain 6-int lists until the pass ends, and each commit's
     period key comes from a memo keyed by UTC day, which never straddles a
@@ -185,11 +200,18 @@ def _rollup(
     keys: dict[int, str] = {}  # UTC day -> period key
     project: dict[str, list[int]] = {}
     people: dict[str, list] = {}  # anon_id -> [ContributorId, commit count, {period key: counts}]
+    analyzed = skipped = 0
+    newest = float("-inf")
     for score in scores:
-        day = score.timestamp // 86400
+        timestamp = score.timestamp
+        analyzed += score.files_analyzed
+        skipped += score.files_skipped
+        if timestamp > newest:
+            newest = timestamp
+        day = timestamp // 86400
         pkey = keys.get(day)
         if pkey is None:
-            pkey = keys[day] = period_key(score.timestamp, period)
+            pkey = keys[day] = period_key(timestamp, period)
         contributor = score.contributor
         person = people.get(contributor.anon_id)
         if person is None:
@@ -206,7 +228,7 @@ def _rollup(
                 mine[level] += count
                 ours[level] += count
 
-    profiles = [
+    all_profiles = [
         ContributorProfile(
             contributor=contributor,
             total=_vector_sum(periods.values()),
@@ -215,31 +237,7 @@ def _rollup(
         )
         for contributor, commit_count, periods in people.values()
     ]
-    profiles.sort(key=_profile_sort_key)
-    by_period = {pkey: LevelVector(tuple(counts)) for pkey, counts in sorted(project.items())}
-    return profiles, by_period, _vector_sum(project.values())
-
-
-def is_bot(contributor: ContributorId, patterns: tuple[str, ...]) -> bool:
-    return any(re.search(pattern, contributor.raw_name) for pattern in patterns)
-
-
-def build_report(
-    scores: list[CommitScore],
-    *,
-    repo: str,
-    period: Granularity = Granularity.YEARLY,
-    bot_patterns: tuple[str, ...] = DEFAULT_BOT_PATTERNS,
-) -> ProjectReport:
-    """Assemble the full project report from per-commit scores.
-
-    Bot-matching identities stay in the project totals but are dropped from
-    the contributor list; their sum lands in `excluded_total` so that
-    project_total == sum(profile totals) + excluded_total holds exactly.
-    generated_at is the newest analyzed commit timestamp, which keeps
-    emission byte-deterministic for a fixed repository state.
-    """
-    all_profiles, by_period, total = _rollup(scores, period)
+    all_profiles.sort(key=_profile_sort_key)
     profiles = []
     excluded = LevelVector.zero()
     for profile in all_profiles:
@@ -250,20 +248,20 @@ def build_report(
 
     top = None
     if profiles:
-        # `_rollup` order puts the most proficient (by C1+C2) first, its periods sorted
+        # the most proficient (by C1+C2) sorts first, its periods sorted
         best = profiles[0]
         rows = tuple((pkey, vec[Level.C1], vec[Level.C2]) for pkey, vec in best.by_period.items())
         top = TopContributor(contributor=best.contributor, periods=rows)
     return ProjectReport(
         repo=repo,
-        generated_at=max((s.timestamp for s in scores), default=0),
+        generated_at=newest if people else 0,
         period=period,
-        project_total=total,
-        project_by_period=by_period,
+        project_total=_vector_sum(project.values()),
+        project_by_period={pkey: LevelVector(tuple(counts)) for pkey, counts in sorted(project.items())},
         profiles=tuple(profiles),
         excluded_total=excluded,
         top_contributor=top,
-        commit_count=len(scores),
-        files_analyzed=sum(s.files_analyzed for s in scores),
-        files_skipped=sum(s.files_skipped for s in scores),
+        commit_count=sum(profile.commit_count for profile in all_profiles),
+        files_analyzed=analyzed,
+        files_skipped=skipped,
     )

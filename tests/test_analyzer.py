@@ -21,6 +21,7 @@ from cefr_progress.analyzer import (
 )
 from cefr_progress.catalog import Catalog, ConstructRule, Level, default_catalog
 
+import verdict_differential
 from corpus import SNIPPETS
 
 CATALOG = default_catalog()
@@ -132,7 +133,8 @@ def _compiler_verdict(source):
 
 #: Sources the parser accepts and the compiler rejects: most in its scope
 #: pass; the late ``__future__`` imports, return, yield and await in the
-#: module or a class body, and misplaced async constructs, in code generation.
+#: module or a class body, misplaced async constructs, and break and continue
+#: outside a loop, in code generation.
 _SCOPE_REJECTED = {
     "global_after_assign": "def f():\n    x = 1\n    global x\n",
     "global_param": "def f(a):\n    global a\n",
@@ -160,6 +162,17 @@ _SCOPE_REJECTED = {
     "future_import_in_def": "def f():\n    from __future__ import annotations\n",
     "future_import_after_leading_block": (
         "from __future__ import annotations\nx = 1\nfrom __future__ import division\n"),
+    "future_import_after_statement_on_its_line": (
+        "from __future__ import nested_scopes; import string; from __future__ import nested_scopes\n"),
+    "break_at_module_level": "break\n",
+    "break_in_if_outside_loop": "if x:\n    break\n",
+    "continue_in_def": "def f():\n    continue\n",
+    "break_in_loop_else": "for x in y:\n    pass\nelse:\n    break\n",
+    "continue_in_while_else": "while x:\n    pass\nelse:\n    continue\n",
+    "continue_in_def_in_loop": "for x in y:\n    def f():\n        continue\n",
+    "break_in_class_in_loop": "while x:\n    class C:\n        break\n",
+    "continue_in_except_star_in_loop": (
+        "for x in y:\n    try:\n        pass\n    except* E:\n        continue\n"),
     "return_at_module_level": "return 1\n",
     "return_in_class_body": "class C:\n    return 1\n",
     "yield_at_module_level": "x = yield 1\n",
@@ -207,13 +220,28 @@ _SCOPE_ACCEPTED = {
     "bare_return_in_async_generator": "async def f():\n    yield 1\n    return\n",
     "return_value_in_def_in_async_generator": "async def f():\n    yield 1\n    def g():\n        return 2\n",
     "return_value_in_async_def": "async def f():\n    return 2\n",
+    "future_imports_sharing_a_line": "from __future__ import annotations; from __future__ import division\n",
+    "break_in_if_in_loop": "for x in y:\n    if x:\n        break\n    elif y:\n        continue\n    else:\n        break\n",
+    "break_in_with_in_loop": "while x:\n    with a:\n        break\n",
+    "break_in_try_in_loop": (
+        "for x in y:\n    try:\n        break\n    except E:\n        continue\n    else:\n        break\n"),
+    "continue_in_finally_in_loop": "for x in y:\n    try:\n        pass\n    finally:\n        continue\n",
+    "break_in_match_in_loop": "for x in y:\n    match x:\n        case 1:\n            break\n",
+    "break_in_async_for": "async def f():\n    async for x in y:\n        break\n",
+    "break_in_inner_loop_else": "for a in b:\n    for x in y:\n        pass\n    else:\n        break\n",
 }
 
-#: Comprehensions holding an asynchronous one, which the compiler accepts from Python 3.11 on.
-_NESTED_ASYNC = {
+#: Comprehensions holding an asynchronous one, and except* blocks (a loop
+#: inside one, a break in a try*'s else), which the compiler accepts from
+#: Python 3.11 on.
+_FROM_3_11 = {
     "async_comprehension_in_generator_expression_in_def": (
         "def f():\n    return ([x async for x in y] for y in z)\n"),
     "nested_async_comprehension_in_async_def": "async def f():\n    return [[x async for x in y] for y in z]\n",
+    "loop_in_except_star": (
+        "for x in y:\n    try:\n        pass\n    except* E:\n        for z in w:\n            break\n"),
+    "break_in_try_star_else_in_loop": (
+        "for x in y:\n    try:\n        pass\n    except* E:\n        pass\n    else:\n        break\n"),
 }
 
 
@@ -221,13 +249,18 @@ _NESTED_ASYNC = {
     "source, rejected",
     [(src, True) for src in _SCOPE_REJECTED.values()]
     + [(src, False) for src in _SCOPE_ACCEPTED.values()]
-    + [(src, sys.version_info < (3, 11)) for src in _NESTED_ASYNC.values()],
-    ids=[*_SCOPE_REJECTED, *_SCOPE_ACCEPTED, *_NESTED_ASYNC],
+    + [(src, sys.version_info < (3, 11)) for src in _FROM_3_11.values()],
+    ids=[*_SCOPE_REJECTED, *_SCOPE_ACCEPTED, *_FROM_3_11],
 )
 def test_parse_ok_matches_the_compiler_verdict(source, rejected):
     expected = _compiler_verdict(source)
     assert expected is not rejected
     assert analyze_source(source, CATALOG).parse_ok is expected
+
+
+def test_parse_ok_matches_compile_on_a_stdlib_sample():
+    # every 20th file; `python tests/verdict_differential.py` checks them all
+    assert verdict_differential.differences(verdict_differential.stdlib_files()[::20]) == []
 
 
 @pytest.mark.parametrize("source, calls, closures", [

@@ -13,6 +13,7 @@ from cefr_progress.history import (
     RepoSpec,
     extract_commits,
     prepare_repo,
+    walk_history,
 )
 
 from conftest import ALICE, BOB, QUOTED_PATHS, GitFixture, KEEP_V1, KEEP_V2, UTIL_V1, UTIL_V2
@@ -452,7 +453,7 @@ def test_git_command_failure_is_git_failed(linear_repo):
     assert err.value.kind == "git_failed"
 
 
-def test_read_blobs_answers_every_id_in_order(tmp_path):
+def test_ask_answers_every_id_in_order(tmp_path):
     fixture = GitFixture(tmp_path / "blobs")
     big_text = b"y = 2\n" * 200_000  # 1.2 MB, far more than a pipe holds
     fixture.write("small.py", "x = 1\n")
@@ -466,7 +467,12 @@ def test_read_blobs_answers_every_id_in_order(tmp_path):
     # written, so reading the replies only after writing every id would deadlock
     oids = [big, missing, tree] + [small] * 3000 + [big]
     replies = []
-    reader = threading.Thread(target=lambda: replies.extend(Repo(fixture.path).read_blobs(oids)), daemon=True)
+
+    def read():
+        with Repo(fixture.path).cat_file() as proc:
+            replies.extend(history.ask(proc, oids))
+
+    reader = threading.Thread(target=read, daemon=True)
     reader.start()
     reader.join(timeout=60)
     assert not reader.is_alive()
@@ -475,7 +481,7 @@ def test_read_blobs_answers_every_id_in_order(tmp_path):
     assert replies[-1] == (big, big_text)
 
 
-def test_no_git_process_outlives_its_call(linear_repo, tmp_path, monkeypatch):
+def test_no_git_process_outlives_its_call(linear_repo, big_repo, tmp_path, monkeypatch):
     started = []
     start_git = history._start_git
 
@@ -486,20 +492,25 @@ def test_no_git_process_outlives_its_call(linear_repo, tmp_path, monkeypatch):
     monkeypatch.setattr(history, "_start_git", recording_start_git)
     with prepare_repo(RepoSpec(str(linear_repo))) as repo:
         records = extract_commits(repo)
-        oids = repo.git("rev-list", "--objects", "--no-object-names", "--all").split()
-
-        def stop_early():
-            blobs = repo.read_blobs(oids * 1000)  # more ids than the pipe to git holds
-            next(blobs)
-            blobs.close()
-
-        reader = threading.Thread(target=stop_early, daemon=True)
-        reader.start()
-        reader.join(timeout=60)
-        assert not reader.is_alive()
         with pytest.raises(RepoError):
             list(repo.git_fields("log", "-z", "no-such-ref"))
-    assert records and len(started) == 4
+    assert records and len(started) == 3
+    assert all(proc.returncode is not None for proc in started)
+
+    # a walk stopped at its first blob, while git log still has more history
+    # to write than the pipe from it holds, ends both git processes
+    started.clear()
+
+    def stop_early():
+        blobs = walk_history(Repo(big_repo), [])
+        next(blobs)
+        blobs.close()
+
+    reader = threading.Thread(target=stop_early, daemon=True)
+    reader.start()
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert sorted(proc.args[3] for proc in started) == ["cat-file", "log"]
     assert all(proc.returncode is not None for proc in started)
 
     # git log fails in the middle of the walk, after the newest commit's blobs

@@ -1,12 +1,15 @@
 import calendar
+import pickle
 import random
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cefr_progress.analyzer import LevelVector
 from cefr_progress.catalog import Level, default_catalog
-from cefr_progress.history import CommitRecord, ContributorId, FileChange
+from cefr_progress.history import CommitRecord, ContributorId, FileChange, RepoSpec, prepare_repo, walk_history
 from cefr_progress.scoring import (
     DEFAULT_BOT_PATTERNS,
     CommitScore,
@@ -14,11 +17,16 @@ from cefr_progress.scoring import (
     Granularity,
     ProjectReport,
     TopContributor,
+    blob_entry,
     build_report,
     is_bot,
+    level_vector,
     period_key,
+    score_blobs,
     score_commit,
 )
+
+from conftest import GitFixture
 
 CATALOG = default_catalog()
 
@@ -376,3 +384,38 @@ scores_strategy = st.lists(
 def test_build_report_matches_per_score_reference(scores, period):
     # repr also compares the order of every dict, which the emitted files follow
     assert repr(build_report(scores, repo="fixture", period=period)) == repr(reference_report(scores, period))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scores=scores_strategy, period=st.sampled_from(list(Granularity)))
+def test_build_report_reads_a_one_shot_stream(scores, period):
+    once = build_report((score for score in scores), repo="fixture", period=period)
+    assert repr(once) == repr(build_report(scores, repo="fixture", period=period))
+
+
+def test_a_pickled_memo_scores_like_the_original(tmp_path):
+    # worker processes send memo entries back pickled, so each entry, the
+    # one of a blob with no text included, must keep its meaning by value
+    fixture = GitFixture(tmp_path / "repo")
+    identity = ("Alice", "alice@example.com")
+    fixture.write("a.py", "x = [1, 2]\n")
+    fixture.write("b.py", b"\x00binary\x00")
+    fixture.commit(identity, "2020-01-01T00:00:00Z", "a text and a binary blob")
+    fixture.write("a.py", b"\x00binary now\x00")
+    fixture.write("b.py", "def broken(:\n")
+    fixture.commit(identity, "2020-02-01T00:00:00Z", "swap text and binary")
+    commits = []
+    with prepare_repo(RepoSpec(str(fixture.path))) as repo:
+        memo = {oid: blob_entry(data, CATALOG) for oid, data in walk_history(repo, commits)}
+    copied = pickle.loads(pickle.dumps(memo))
+    scores = [score_blobs(commit, memo) for commit in commits]
+    assert [score_blobs(commit, copied) for commit in commits] == scores
+    # the binary b.py added holds no text on either side, so it is left out;
+    # a.py turning binary scores as a deletion and b.py turning into
+    # unparseable text is skipped
+    assert [(s.delta, s.files_analyzed, s.files_skipped) for s in scores] == [
+        (level_vector("x = [1, 2]\n", CATALOG), 1, 0),
+        (LevelVector.zero(), 1, 1),
+    ]
+    with pytest.raises(KeyError):
+        score_blobs(commits[0], {})
