@@ -7,13 +7,11 @@ are ignored.  Each difference is printed, and the exit status is 1 when there
 is one.  It needs no pytest, so every installed interpreter can check its own
 grammar:
 
-    python tests/verdict_differential.py             # every file
-    python tests/verdict_differential.py --every 20  # every 20th file
+    python tests/verdict_differential.py
 """
 
 from __future__ import annotations
 
-import argparse
 import platform
 import sys
 import sysconfig
@@ -55,11 +53,8 @@ def differences(paths: list[Path]) -> list[tuple[Path, bool]]:
     return found
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--every", type=int, default=1, metavar="N", help="check every Nth file only")
-    args = parser.parse_args(argv)
-    files = stdlib_files()[::args.every]
+def main() -> int:
+    files = stdlib_files()
     found = differences(files)
     for path, parse_ok in found:
         verdict = "rejects" if parse_ok else "accepts"
