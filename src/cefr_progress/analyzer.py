@@ -42,33 +42,27 @@ Counting rules worth knowing (each occurrence is one syntax-tree match):
   ``descriptor_definition``, ``dunder_new_override``, ``metaclass``)
   anchor at the class statement's line.
 
-``parse_ok`` holds when ``ast.parse`` and the compiler's scope pass (its
-symbol table) both accept the source, and every ``from __future__`` import
-is a statement of the file's leading block of them (after the docstring, if
-any), as ``compile()`` requires.  The block ends at its first other
-statement, even one on the same line: in ``from __future__ import a; import
-b; from __future__ import c`` the last import is late.  The walk also
-refuses what ``compile()`` refuses in code generation: ``return``, ``yield``
-and ``await`` in the module or a class body; ``await``, ``async for``,
-``async with`` and asynchronous comprehensions outside an async def (a
-generator expression may await anywhere); ``yield from`` in an async def;
-``return`` with a value in an async generator; and ``break`` or
-``continue`` outside a loop.  Either must stand in the body of a ``for``,
+``parse_ok`` holds when ``compile()`` accepts the source.  The walk counts
+on the tree ``ast.parse`` returns, and only compiles that tree (never the
+text again) when the file holds a construct the compiler can reject after
+the parser accepted it: ``global``, ``nonlocal``, a walrus, a ``from
+__future__`` import, a star import outside module scope, a repeated
+parameter or keyword name, ``return``, ``yield`` or ``await`` in the module
+or a class body or a comprehension, ``await``, ``async for`` or ``async
+with`` outside an async def, an asynchronous comprehension, an async
+generator, a starred assignment target, ``match``, ``except*``, a bare
+``except:`` before another handler, PEP 695 type parameters or a ``type``
+alias, the name ``__debug__`` anywhere in the text, or a ``break`` or
+``continue`` outside a loop.  In a loop means in the body of a ``for``,
 ``async for`` or ``while``, or in a block of an ``if``, ``with``, ``try``
 (``finally`` included) or ``match`` statement there, with no def or class
-between.  A loop's ``else`` block is outside the loop, and neither may jump
-out of an ``except*`` block.  Other source yields ``parse_ok=False`` and an
-all-zero vector; the pipeline never aborts on it.
-Nesting too deep for the parser or the symbol table (RecursionError,
-MemoryError) is a parse failure too.
-
-The symbol table is built only for that verdict, never to count.  It
-parses the source a second time, so it is built only when the walk finds a
-construct the compiler's scope pass can reject after the parser accepted
-it: ``global``, ``nonlocal``, a walrus, ``from __future__ import``, a star
-import outside module scope, a repeated parameter name (after mangling), or
-a ``yield``/``await`` inside a comprehension.  The scope pass accepts any
-other source, so skipping the table there leaves ``parse_ok`` unchanged.
+between, and not in the loop's ``else`` block.  ``compile()`` accepts any
+other source the parser does, except, up to Python 3.12, one with more than
+20 statically nested blocks.  A refused source yields ``parse_ok=False`` and an
+all-zero vector; the pipeline never aborts on it.  Nesting too deep for the
+parser or the compiler (RecursionError, MemoryError) is a parse failure too.
+Warnings play no part: neither the parser's nor the compiler's reach the
+caller, whatever its warnings filter.
 """
 
 from __future__ import annotations
@@ -76,8 +70,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import logging
-import symtable
-import sys
+import warnings
 from dataclasses import dataclass
 
 from .catalog import Catalog, Level
@@ -159,6 +152,9 @@ _CALLABLES = frozenset({ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda})
 _COMPREHENSIONS = frozenset({ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp})
 _TRY_STAR = getattr(ast, "TryStar", ast.Try)  # except* groups, when the grammar has them
 _ELSE_BLOCKS = frozenset({ast.For, ast.AsyncFor, ast.While, ast.Try, _TRY_STAR})
+#: PEP 695 nodes (Python 3.12+): a ``type`` alias and the type parameters
+_TYPE_PARAMS = frozenset(
+    getattr(ast, name) for name in ("TypeAlias", "TypeVar", "ParamSpec", "TypeVarTuple") if hasattr(ast, name))
 
 #: Kinds that every node of one type emits, anchored at that node's line.
 _NODE_KINDS: dict[type, str] = {
@@ -207,8 +203,8 @@ _CONDITIONAL = frozenset({
     ast.If, ast.Assign, ast.AnnAssign, ast.With, ast.AsyncWith, ast.comprehension,
     ast.ClassDef, ast.Call, ast.BinOp, ast.List, ast.Tuple, ast.Subscript,
     ast.Return, ast.Yield, ast.YieldFrom, ast.Await, ast.Import, ast.ImportFrom,
-    ast.NamedExpr, ast.Global, ast.Nonlocal, ast.Break, ast.Continue, ast.Match,
-}) | _ELSE_BLOCKS | _CALLABLES | _COMPREHENSIONS | _CAPTURES
+    ast.NamedExpr, ast.Global, ast.Nonlocal, ast.Break, ast.Continue, ast.Match, ast.Starred,
+}) | _ELSE_BLOCKS | _CALLABLES | _COMPREHENSIONS | _CAPTURES | _TYPE_PARAMS
 
 #: Fields that hold no node the walk needs: identifiers, numbers, strings and
 #: the expression-context and operator singletons.
@@ -228,9 +224,6 @@ _CHILD_FIELDS: dict[type, tuple[str, ...]] = {
     if isinstance(cls, type) and issubclass(cls, ast.AST) and cls not in (ast.Name, ast.Constant)
 }
 
-#: Whether a comprehension may hold an asynchronous one, which makes it asynchronous too.
-_NESTED_ASYNC = sys.version_info >= (3, 11)
-
 #: Scope kinds.  A class scope's names are hidden from the scopes nested in
 #: it, and so are the module's; a comprehension's walrus targets bind outside it.
 _FUNCTION, _COMPREHENSION, _CLASS = range(3)
@@ -242,14 +235,13 @@ class _Scope:
     """One scope: the names it binds, reads and declares, and what the code that
     runs in it needs to know of the scopes around it."""
 
-    __slots__ = ("parent", "kind", "node", "frame", "inside", "private", "genexp",
+    __slots__ = ("parent", "kind", "node", "frame", "inside", "private",
                  "names", "binds", "uses", "globals", "nonlocals", "local", "visible", "free")
 
     def __init__(self, parent: "_Scope | None", kind: int, node: ast.AST | None = None):
         # `node` is the def or lambda whose own scope this is; the module, a
         # class, a comprehension and a type-parameter scope have none
         self.parent, self.kind, self.node = parent, kind, node
-        self.genexp = False  # whether this is a generator expression's scope
         # the names read, stored or deleted here, sorted into `uses` and
         # `binds` only if names are resolved
         self.names: list[ast.Name] = []
@@ -274,37 +266,26 @@ class _Scope:
         return f"_{self.private}{name}"
 
 
-def _future_block(tree: ast.Module) -> tuple[list[ast.stmt], bool]:
-    """The leading block of ``__future__`` imports, after the docstring if any,
-    the only place the compiler honours them: its import statements, and
-    whether they import ``annotations``."""
+def _future_annotations(tree: ast.Module) -> bool:
+    """Whether the leading block of ``__future__`` imports, after the docstring
+    if any, imports ``annotations``: the compiler honours no other."""
     start = 1 if ast.get_docstring(tree, clean=False) is not None else 0
-    block: list[ast.stmt] = []
     for stmt in tree.body[start:]:
         if type(stmt) is not ast.ImportFrom or stmt.module != "__future__":
-            break
-        block.append(stmt)
-    return block, any(alias.name == "annotations" for stmt in block for alias in stmt.names)
+            return False
+        if any(alias.name == "annotations" for alias in stmt.names):
+            return True
+    return False
 
 
-def _async_comprehension(scope: _Scope) -> None:
-    """Raise SyntaxError where compile() refuses the comprehension whose scope
-    is `scope` when it awaits or has an ``async for``.
-
-    A generator expression may await anywhere.  Any other comprehension makes
-    the scope around it asynchronous too, and only an async def may hold it,
-    or from Python 3.11 on, a comprehension.
-    """
-    while not scope.genexp:
-        scope = scope.parent
-        if scope.kind is not _COMPREHENSION or not _NESTED_ASYNC:
-            if type(scope.node) is not ast.AsyncFunctionDef:
-                raise SyntaxError("asynchronous comprehension outside of an asynchronous function")
-            return
+def _repeats(keywords: list[ast.keyword]) -> bool:
+    """Whether a keyword name repeats in a call or a class statement."""
+    names = [kw.arg for kw in keywords if kw.arg is not None]
+    return len(set(names)) < len(names)
 
 
 def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
-    """Every occurrence, and whether the verdict needs the compiler's symbol table.
+    """Every occurrence, and whether the verdict needs ``compile()``.
 
     One pass with an explicit stack.  Each entry carries the scope its node
     runs in.  Every scope records the names it binds, reads and declares as
@@ -315,21 +296,19 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
     """
     found: list[Occurrence] = []
     generators: set[ast.AST] = set()
-    returns: set[ast.AST] = set()  # the async defs that return a value
     elifs: set[ast.AST] = set()
     # the statements a break or continue may stand in: a loop's body, and the
     # blocks of an if, with, try or match among them, but no def or class body
     looped: set[ast.AST] = set()
     module = _Scope(None, _CLASS)
     scopes = [module]  # every scope, each after the one around it
-    future_block, future_annotations = _future_block(tree)
     # under `from __future__ import annotations` no annotation is evaluated:
     # they run in a scope of their own, whose names resolve to nothing
     detached = None
-    if future_annotations:
+    if _future_annotations(tree):
         detached = _Scope(None, _CLASS)
         scopes.append(detached)
-    nested = scope_checked = False
+    nested = unsure = False  # unsure: the parser's verdict may not be compile()'s
     stack: list[tuple[ast.AST, _Scope]] = [(tree, module)]
     push = stack.append
     child_fields = _CHILD_FIELDS
@@ -367,6 +346,8 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
         if t in _CONDITIONAL:
             targets = ()
             if t is ast.Call:
+                if len(node.keywords) > 1 and _repeats(node.keywords):
+                    unsure = True
                 func = node.func
                 if type(func) is ast.Name and func.id in ("getattr", "setattr"):
                     found.append(("dynamic_attribute", node.lineno))
@@ -406,10 +387,12 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 if node.orelse:
                     found.append(("else_clause", node.orelse[0].lineno))
                 if t is ast.Try or t is _TRY_STAR:
+                    # t is ast.Try on Python 3.10, which has no except*
+                    if t is not ast.Try or any(handler.type is None for handler in node.handlers[:-1]):
+                        unsure = True
                     if node in looped:
-                        looped.update(node.body, node.orelse, node.finalbody)
-                        if t is ast.Try:  # compile() refuses a jump out of an except* block
-                            looped.update(*(handler.body for handler in node.handlers))
+                        looped.update(node.body, node.orelse, node.finalbody,
+                                      *(handler.body for handler in node.handlers))
                 else:  # a loop, whose else block is in a loop only if the loop is
                     if node in looped:
                         looped.update(node.orelse)
@@ -417,7 +400,7 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 if t is ast.For or t is ast.AsyncFor:
                     targets = (node.target,)
                     if t is ast.AsyncFor and type(scope.node) is not ast.AsyncFunctionDef:
-                        raise SyntaxError("'async for' outside async function")
+                        unsure = True
             elif t in _CALLABLES:
                 args = node.args
                 defaults = args.defaults + args.kw_defaults
@@ -438,7 +421,7 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 inner = enter(outside, _FUNCTION, node)
                 inner.binds.update(inner.mangle(a.arg) for a in params)
                 if len(inner.binds) < len(params):  # a parameter name repeats
-                    scope_checked = True
+                    unsure = True
                 if t is ast.Lambda:
                     visit((node.body,), inner)
                     continue
@@ -463,22 +446,19 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 if type(first.target) in _UNPACKING_TARGETS:
                     found.append(("tuple_unpacking", first.target.lineno))
                 elements = (node.key, node.value) if t is ast.DictComp else (node.elt,)
+                if any(generator.is_async for generator in node.generators):
+                    unsure = True
                 inner = enter(scope, _COMPREHENSION)
-                inner.genexp = t is ast.GeneratorExp
-                if first.is_async:
-                    _async_comprehension(inner)
                 visit((first.target, *first.ifs, *rest, *elements), inner)
                 continue
             elif t is ast.comprehension:
                 targets = (node.target,)
-                if node.is_async:
-                    _async_comprehension(scope)
             elif t is ast.With or t is ast.AsyncWith:
                 targets = [item.optional_vars for item in node.items]
                 if node in looped:
                     looped.update(node.body)
                 if t is ast.AsyncWith and type(scope.node) is not ast.AsyncFunctionDef:
-                    raise SyntaxError("'async with' outside async function")
+                    unsure = True
             elif t is ast.AnnAssign:
                 target = node.target
                 if type(target) is not Name:
@@ -499,6 +479,8 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                     found.append(("class_inheritance", line))
                 if len(node.bases) >= 2:
                     found.append(("multiple_inheritance", line))
+                if len(node.keywords) > 1 and _repeats(node.keywords):
+                    unsure = True
                 if (any(kw.arg == "metaclass" for kw in node.keywords)
                         or any(type(b) is ast.Name and b.id == "type" for b in node.bases)):
                     found.append(("metaclass", line))
@@ -520,25 +502,15 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 visit(node.body, inner)
                 continue
             elif t is ast.Yield or t is ast.YieldFrom or t is ast.Await or t is ast.Return:
-                # compile() rejects these at module and class level, in code generation
-                if scope.kind is _CLASS:
-                    raise SyntaxError(f"{t.__name__} outside function")
-                if scope.kind is _COMPREHENSION:  # left to the compiler's scope pass
-                    scope_checked = True
-                if t is ast.Await:
-                    if scope.kind is _COMPREHENSION:
-                        _async_comprehension(scope)
-                    elif type(scope.node) is not ast.AsyncFunctionDef:
-                        raise SyntaxError("'await' outside async function")
-                elif t is ast.Return:
-                    if node.value is not None and type(scope.node) is ast.AsyncFunctionDef:
-                        returns.add(scope.node)
-                elif scope.frame is not None:
-                    if t is ast.YieldFrom and type(scope.frame) is ast.AsyncFunctionDef:
-                        raise SyntaxError("'yield from' inside async function")
+                # compile() rejects each of these in the module or a class body,
+                # some in a comprehension, and an await outside an async def
+                if scope.kind is not _FUNCTION or (
+                        t is ast.Await and type(scope.node) is not ast.AsyncFunctionDef):
+                    unsure = True
+                if (t is ast.Yield or t is ast.YieldFrom) and scope.frame is not None:
                     generators.add(scope.frame)
             elif t is ast.NamedExpr:
-                scope_checked = True
+                unsure = True
                 name = scope.mangle(node.target.id)
                 if scope.kind is _COMPREHENSION:
                     # the target binds in the function the comprehensions run in
@@ -554,33 +526,34 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 visit((node.value,), scope)
                 continue
             elif t is ast.Import or t is ast.ImportFrom:
-                if t is ast.ImportFrom and node.module == "__future__":
-                    # compile() rejects one outside the leading block, even on
-                    # the block's last line, in code generation or in its
-                    # scope pass, depending on the version
-                    if node not in future_block:
-                        raise SyntaxError("from __future__ imports must occur at the beginning of the file")
-                    scope_checked = True
-                # a star import is legal at module level only
-                elif t is ast.ImportFrom and node.names[0].name == "*" and scope.parent is not None:
-                    scope_checked = True
+                # compile() checks where a __future__ import stands and what it
+                # names; a star import is legal at module level only
+                if t is ast.ImportFrom and (node.module == "__future__" or (
+                        node.names[0].name == "*" and scope.parent is not None)):
+                    unsure = True
                 for alias in node.names:
                     if alias.name != "*":
                         scope.binds.add(scope.mangle(alias.asname or alias.name.partition(".")[0]))
                 continue
             elif t is ast.Global:
-                scope_checked = True
+                unsure = True
                 scope.globals |= set(map(scope.mangle, node.names))
             elif t is ast.Nonlocal:
-                scope_checked = True
+                unsure = True
                 scope.nonlocals |= set(map(scope.mangle, node.names))
             elif t is ast.Break or t is ast.Continue:
-                # compile() rejects these outside a loop in code generation
+                # compile() rejects these outside a loop
                 if node not in looped:
-                    raise SyntaxError(f"'{t.__name__.lower()}' outside loop")
+                    unsure = True
             elif t is ast.Match:
+                unsure = True
                 if node in looped:
                     looped.update(*(case.body for case in node.cases))
+            elif t is ast.Starred:
+                if type(node.ctx) is ast.Store:
+                    unsure = True
+            elif t in _TYPE_PARAMS:
+                unsure = True
             else:  # _CAPTURES
                 name = node.rest if t is ast.MatchMapping else node.name
                 if name is not None:
@@ -602,12 +575,12 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
             elif type(child) is Name:
                 scope.names.append(child)
 
-    if not returns.isdisjoint(generators):
-        raise SyntaxError("'return' with value in async generator")
+    if any(type(d) is ast.AsyncFunctionDef for d in generators):
+        unsure = True  # an async generator may not return a value or yield from
     found.extend(("generator_function", d.lineno) for d in generators if type(d) is not ast.Lambda)
     if nested:
         found += _resolve(scopes)
-    return found, scope_checked
+    return found, unsure
 
 
 def _resolve(scopes: list[_Scope]) -> list[Occurrence]:
@@ -644,13 +617,18 @@ def count_constructs(source: str) -> list[Occurrence]:
     Raises ParseError when the text does not compile.
     """
     try:
-        found, needs_table = _walk(ast.parse(source))
-        if needs_table:
-            symtable.symtable(source, "<analysis>", "exec")
+        with warnings.catch_warnings():
+            # a warning is no verdict, whatever filter the caller runs under
+            warnings.simplefilter("ignore")
+            tree = ast.parse(source)
+            found, unsure = _walk(tree)
+            if unsure or "__debug__" in source:
+                # this module's own __future__ imports must not leak into the verdict
+                compile(tree, "<analysis>", "exec", dont_inherit=True)
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
-        # symtable rejects a little more than ast.parse (e.g. unbound
-        # nonlocal), and deep nesting exhausts the parser's stack or memory;
-        # either way the compiler refuses this source
+        # compile() rejects a little more than ast.parse (e.g. unbound
+        # nonlocal), and deep nesting exhausts the parser's or the
+        # compiler's stack or memory; either way this source does not compile
         raise ParseError(f"{type(exc).__name__}: {exc}") from exc
     return sorted(found, key=lambda occ: (occ[1], occ[0]))
 

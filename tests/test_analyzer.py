@@ -1,9 +1,11 @@
 import ast
+import builtins
 import inspect
+import random
 import symtable
-import sys
 import sysconfig
 import types
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from cefr_progress.analyzer import (
 from cefr_progress.catalog import Catalog, ConstructRule, Level, default_catalog
 
 import verdict_differential
+from conftest import _SNIPPET_POOL, _file_body
 from corpus import SNIPPETS
 
 CATALOG = default_catalog()
@@ -122,140 +125,26 @@ def test_unbound_nonlocal_is_a_parse_failure():
     assert not result.parse_ok
 
 
-def _compiler_verdict(source):
-    """Whether ``compile()`` accepts the source."""
-    try:
-        compile(source, "<case>", "exec")
-    except SyntaxError:
-        return False
-    return True
-
-
-#: Sources the parser accepts and the compiler rejects: most in its scope
-#: pass; the late ``__future__`` imports, return, yield and await in the
-#: module or a class body, misplaced async constructs, and break and continue
-#: outside a loop, in code generation.
-_SCOPE_REJECTED = {
-    "global_after_assign": "def f():\n    x = 1\n    global x\n",
-    "global_param": "def f(a):\n    global a\n",
-    "nonlocal_unbound": "def f():\n    nonlocal q\n",
-    "nonlocal_at_module_level": "def f(): pass\nnonlocal q\n",
-    "walrus_rebinds_comprehension_var": "def f(): pass\n[i := 0 for i in range(3)]\n",
-    "walrus_in_comprehension_iterable": "def f(): pass\n[x for x in (y := [1])]\n",
-    "walrus_in_class_comprehension": "def f(): pass\nclass C:\n    [(y := 1) for x in range(3)]\n",
-    "future_unknown_feature": "from __future__ import braces\ndef f(): pass\n",
-    "future_annotation_yield": "from __future__ import annotations\ndef f(x: (yield)): pass\n",
-    "star_import_in_def": "def f():\n    from os import *\n",
-    "star_import_in_class": "def f(): pass\nclass C:\n    from os import *\n",
-    "repeated_parameter": "def f(a, a): pass\n",
-    "repeated_keyword_only": "def f(*, a, a): pass\n",
-    "repeated_star_parameter": "def f(a, *a): pass\n",
-    "repeated_lambda_parameter": "f = lambda a, a: 0\n",
-    "yield_in_comprehension": "def f():\n    return [(yield) for x in y]\n",
-    "yield_in_generator_expression": "def f():\n    return list((yield) for x in y)\n",
-    "yield_from_in_comprehension": "def f():\n    return [(yield from x) for x in y]\n",
-    "repeated_mangled_parameter": "class C:\n    def m(self, __x, _C__x): pass\n",
-    "nonlocal_without_def": "nonlocal q\n",
-    "walrus_rebind_without_def": "[i := 0 for i in range(3)]\n",
-    "yield_in_comprehension_without_def": "[(yield) for x in y]\n",
-    "late_future_import": "import os\nfrom __future__ import annotations\n",
-    "future_import_in_def": "def f():\n    from __future__ import annotations\n",
-    "future_import_after_leading_block": (
-        "from __future__ import annotations\nx = 1\nfrom __future__ import division\n"),
-    "future_import_after_statement_on_its_line": (
-        "from __future__ import nested_scopes; import string; from __future__ import nested_scopes\n"),
-    "break_at_module_level": "break\n",
-    "break_in_if_outside_loop": "if x:\n    break\n",
-    "continue_in_def": "def f():\n    continue\n",
-    "break_in_loop_else": "for x in y:\n    pass\nelse:\n    break\n",
-    "continue_in_while_else": "while x:\n    pass\nelse:\n    continue\n",
-    "continue_in_def_in_loop": "for x in y:\n    def f():\n        continue\n",
-    "break_in_class_in_loop": "while x:\n    class C:\n        break\n",
-    "continue_in_except_star_in_loop": (
-        "for x in y:\n    try:\n        pass\n    except* E:\n        continue\n"),
-    "return_at_module_level": "return 1\n",
-    "return_in_class_body": "class C:\n    return 1\n",
-    "yield_at_module_level": "x = yield 1\n",
-    "yield_in_class_body_in_def": "def f():\n    class C:\n        x = yield 1\n",
-    "await_at_module_level": "await x\n",
-    "yield_in_module_level_default": "def f(x=(yield 1)): pass\n",
-    "await_in_def": "def f():\n    await x\n",
-    "await_in_lambda": "f = lambda: await x\n",
-    "await_in_lambda_in_async_def": "async def f():\n    return lambda: await x\n",
-    "await_in_default_in_def": "def g():\n    async def f(a=await x): pass\n",
-    "await_in_first_iterable_in_def": "def f():\n    return (x for x in await y)\n",
-    "async_for_in_def": "def f():\n    async for x in y: pass\n",
-    "async_with_in_def": "def f():\n    async with x: pass\n",
-    "async_for_in_class_in_async_def": "async def f():\n    class C:\n        async for x in y: pass\n",
-    "await_in_list_comprehension_in_def": "def f():\n    return [await x for y in z]\n",
-    "await_in_set_comprehension_at_module_level": "s = {await x for y in z}\n",
-    "async_comprehension_in_def": "def f():\n    return {x: 1 async for x in y}\n",
-    "async_second_generator_in_def": "def f():\n    return [x for y in z async for x in y]\n",
-    "nested_async_comprehension_in_def": "def f():\n    return [[x async for x in y] for y in z]\n",
-    "async_comprehension_in_class_in_async_def": (
-        "async def f():\n    class C:\n        s = [await x for x in y]\n"),
-    "return_value_in_async_generator": "async def f():\n    yield 1\n    return 2\n",
-    "return_none_before_yield_in_async_generator": (
-        "async def f():\n    if x:\n        return None\n    yield 1\n"),
-    "yield_from_in_async_def": "async def f():\n    yield from x\n",
-}
-
-#: The same constructs where the scope pass accepts them.
-_SCOPE_ACCEPTED = {
-    "global_declared_first": "def f():\n    global g\n    g = 1\n",
-    "walrus_in_condition": "def f(): pass\nif (n := 1): pass\n",
-    "future_annotations": "from __future__ import annotations\ndef f(x: int): pass\n",
-    "star_import_at_module_level": "from os import *\ndef f(): pass\n",
-    "yield_in_first_iterable": "def f():\n    return [x for x in (yield)]\n",
-    "await_in_async_comprehension": "async def f(y):\n    return [await x for x in y]\n",
-    "future_import_after_docstring": '"""doc"""\nfrom __future__ import annotations\n',
-    "two_leading_future_imports": "from __future__ import annotations\nfrom __future__ import division\n",
-    "yield_in_class_level_lambda": "class C:\n    f = lambda: (yield)\n",
-    "yield_in_class_bases_in_def": "def f():\n    class C((yield)): pass\n",
-    "await_in_generator_expression_in_def": "def f():\n    return (await x for y in z)\n",
-    "await_in_generator_expression_at_module_level": "g = (await x for y in z)\n",
-    "async_generator_expression_in_lambda": "f = lambda: (x async for x in y)\n",
-    "async_for_and_with_in_async_def": "async def f():\n    async with a:\n        async for x in y: pass\n",
-    "await_in_default_in_async_def": "async def g():\n    def f(a=await x): pass\n",
-    "bare_return_in_async_generator": "async def f():\n    yield 1\n    return\n",
-    "return_value_in_def_in_async_generator": "async def f():\n    yield 1\n    def g():\n        return 2\n",
-    "return_value_in_async_def": "async def f():\n    return 2\n",
-    "future_imports_sharing_a_line": "from __future__ import annotations; from __future__ import division\n",
-    "break_in_if_in_loop": "for x in y:\n    if x:\n        break\n    elif y:\n        continue\n    else:\n        break\n",
-    "break_in_with_in_loop": "while x:\n    with a:\n        break\n",
-    "break_in_try_in_loop": (
-        "for x in y:\n    try:\n        break\n    except E:\n        continue\n    else:\n        break\n"),
-    "continue_in_finally_in_loop": "for x in y:\n    try:\n        pass\n    finally:\n        continue\n",
-    "break_in_match_in_loop": "for x in y:\n    match x:\n        case 1:\n            break\n",
-    "break_in_async_for": "async def f():\n    async for x in y:\n        break\n",
-    "break_in_inner_loop_else": "for a in b:\n    for x in y:\n        pass\n    else:\n        break\n",
-}
-
-#: Comprehensions holding an asynchronous one, and except* blocks (a loop
-#: inside one, a break in a try*'s else), which the compiler accepts from
-#: Python 3.11 on.
-_FROM_3_11 = {
-    "async_comprehension_in_generator_expression_in_def": (
-        "def f():\n    return ([x async for x in y] for y in z)\n"),
-    "nested_async_comprehension_in_async_def": "async def f():\n    return [[x async for x in y] for y in z]\n",
-    "loop_in_except_star": (
-        "for x in y:\n    try:\n        pass\n    except* E:\n        for z in w:\n            break\n"),
-    "break_in_try_star_else_in_loop": (
-        "for x in y:\n    try:\n        pass\n    except* E:\n        pass\n    else:\n        break\n"),
-}
-
-
 @pytest.mark.parametrize(
     "source, rejected",
-    [(src, True) for src in _SCOPE_REJECTED.values()]
-    + [(src, False) for src in _SCOPE_ACCEPTED.values()]
-    + [(src, sys.version_info < (3, 11)) for src in _FROM_3_11.values()],
-    ids=[*_SCOPE_REJECTED, *_SCOPE_ACCEPTED, *_FROM_3_11],
+    [case[1:] for case in verdict_differential.CASES],
+    ids=[case[0] for case in verdict_differential.CASES],
 )
 def test_parse_ok_matches_the_compiler_verdict(source, rejected):
-    expected = _compiler_verdict(source)
+    expected = verdict_differential.compiles(source)
     assert expected is not rejected
     assert analyze_source(source, CATALOG).parse_ok is expected
+
+
+@pytest.mark.parametrize("source", [
+    'x = "\\d"\n',  # an invalid escape, which the parser warns about
+    "def f():\n    global g\n    assert (g, 1)\n",  # compiled: an assertion that is always true
+    "def f():\n    global g\n    return g is 1\n",  # compiled: "is" with a literal
+], ids=["invalid_escape", "tuple_assertion", "is_literal"])
+def test_verdict_ignores_the_warnings_filter(source):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert analyze_source(source, CATALOG).parse_ok
 
 
 def test_parse_ok_matches_compile_on_a_stdlib_sample():
@@ -298,19 +187,39 @@ def test_parse_ok_matches_compile_on_a_stdlib_sample():
     ),
 ], ids=["module_and_class_level_defs", "closure", "closure_with_global", "closure_with_module_star_import"])
 def test_symbol_table_is_built_only_for_nested_defs(monkeypatch, source, calls, closures):
-    # closures come from the analyzer's own scope pass; the table is built
-    # only for the verdict on a construct the compiler's scope pass can reject
-    built = []
-    real = symtable.symtable
-
-    def counting(*args):
-        built.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(symtable, "symtable", counting)
+    # closures come from the analyzer's own scope pass; the tree is compiled
+    # (which builds its symbol table) only for the verdict on a construct
+    # the compiler can reject
+    compiled = _count_compiled_trees(monkeypatch)
     kinds = [kind for kind, _line in count_constructs(source)]
-    assert len(built) == calls
+    assert len(compiled) == calls
     assert kinds.count("closure") == closures
+
+
+def _count_compiled_trees(monkeypatch):
+    """The list that each compile() call on a syntax tree appends to; ast.parse
+    calls compile() on text, which it leaves out."""
+    compiled = []
+    real = builtins.compile
+
+    def counting(source, *args, **kwargs):
+        if isinstance(source, ast.AST):
+            compiled.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    return compiled
+
+
+def test_churn_files_are_never_compiled(monkeypatch):
+    # the benchmark's churn histories and the big_repo fixture build every
+    # file from this pool; not one of them should pay for compile()
+    compiled = _count_compiled_trees(monkeypatch)
+    sources = [template.format(n=7) for template in _SNIPPET_POOL]
+    sources += [_file_body(random.Random(seed), 12) for seed in range(20)]
+    for source in sources:
+        assert analyze_source(source, CATALOG).parse_ok
+    assert compiled == []
 
 
 @pytest.mark.parametrize("data, line", [
