@@ -53,16 +53,17 @@ with`` outside an async def, an asynchronous comprehension, an async
 generator, a starred assignment target, ``match``, ``except*``, a bare
 ``except:`` before another handler, PEP 695 type parameters or a ``type``
 alias, the name ``__debug__`` anywhere in the text, or a ``break`` or
-``continue`` outside a loop.  In a loop means in the body of a ``for``,
-``async for`` or ``while``, or in a block of an ``if``, ``with``, ``try``
-(``finally`` included) or ``match`` statement there, with no def or class
-between, and not in the loop's ``else`` block.  ``compile()`` accepts any
-other source the parser does, except, up to Python 3.12, one with more than
-20 statically nested blocks.  A refused source yields ``parse_ok=False`` and an
-all-zero vector; the pipeline never aborts on it.  Nesting too deep for the
-parser or the compiler (RecursionError, MemoryError) is a parse failure too.
-Warnings play no part: neither the parser's nor the compiler's reach the
-caller, whatever its warnings filter.
+``continue`` outside a loop, or blocks that may nest more than 20 deep in
+one module or def body (``_MAX_BLOCKS`` says how deep each block counts).
+In a loop means in the body of a ``for``, ``async for`` or ``while``, or in
+a block of an ``if``, ``with``, ``try`` (``finally`` included) or ``match``
+statement there, with no def or class between, and not in the loop's
+``else`` block.  ``compile()`` accepts any other source the parser does.
+A refused source yields ``parse_ok=False`` and an all-zero vector; the
+pipeline never aborts on it.  Nesting too deep for the parser or the
+compiler (RecursionError, MemoryError) is a parse failure too.  Warnings
+play no part: neither the parser's nor the compiler's reach the caller,
+whatever its warnings filter.
 """
 
 from __future__ import annotations
@@ -78,6 +79,29 @@ from .catalog import Catalog, Level
 log = logging.getLogger(__name__)
 
 Occurrence = tuple[str, int]
+
+#: Every kind the walk emits, in a fixed order.
+KINDS = (
+    "arithmetic_expression", "assert_statement", "async_function", "augmented_assignment",
+    "await_expression", "break_statement", "class_definition", "class_inheritance", "closure",
+    "comparison_expression", "conditional_expression", "context_manager_definition",
+    "continue_statement", "decorator_application", "default_parameter", "descriptor_definition",
+    "dict_comprehension", "dict_literal", "dunder_new_override", "dynamic_attribute", "elif_clause",
+    "else_clause", "for_statement", "function_call", "function_definition", "generator_expression",
+    "generator_function", "global_declaration", "if_statement", "import_statement",
+    "kw_args_parameter", "lambda_expression", "list_comprehension", "list_literal", "metaclass",
+    "multiple_inheritance", "nested_list", "nonlocal_declaration", "property_definition",
+    "raise_statement", "return_statement", "set_comprehension", "set_literal", "simple_assignment",
+    "slice_expression", "star_args_parameter", "string_formatting", "try_except", "tuple_literal",
+    "tuple_unpacking", "while_statement", "with_statement", "yield_from",
+)
+
+
+def blob_text(data: bytes | None) -> str | None:
+    """The source text of a blob's raw bytes, or None when it holds none: no
+    blob, or a binary one (one with a NUL byte)."""
+    return None if data is None or b"\0" in data else source_text(data)
+
 
 def source_text(data: bytes) -> str:
     """Decode source bytes the way Python does: UTF-8 by default, honouring a
@@ -155,6 +179,12 @@ _ELSE_BLOCKS = frozenset({ast.For, ast.AsyncFor, ast.While, ast.Try, _TRY_STAR})
 #: PEP 695 nodes (Python 3.12+): a ``type`` alias and the type parameters
 _TYPE_PARAMS = frozenset(
     getattr(ast, name) for name in ("TypeAlias", "TypeVar", "ParamSpec", "TypeVarTuple") if hasattr(ast, name))
+
+#: The most statically nested blocks the compiler takes in one module or def
+#: body on Python 3.10-3.12 (3.13 takes one more).  A loop body is one block
+#: deep, each ``with`` item one, a ``try`` body one, an except handler two, and
+#: a ``finally`` adds one to every other part of its ``try``.
+_MAX_BLOCKS = 20
 
 #: Kinds that every node of one type emits, anchored at that node's line.
 _NODE_KINDS: dict[type, str] = {
@@ -300,6 +330,9 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
     # the statements a break or continue may stand in: a loop's body, and the
     # blocks of an if, with, try or match among them, but no def or class body
     looped: set[ast.AST] = set()
+    # the statements inside compiler blocks: how many blocks deep each stands
+    # in its module or def body
+    depths: dict[ast.AST, int] = {}
     module = _Scope(None, _CLASS)
     scopes = [module]  # every scope, each after the one around it
     # under `from __future__ import annotations` no annotation is evaluated:
@@ -320,6 +353,12 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 push((item, scope))
             elif type(item) is Name:
                 scope.names.append(item)
+
+    def blocks(depth: int, *bodies: list[ast.stmt]) -> None:
+        if depth:
+            for body in bodies:
+                for stmt in body:
+                    depths[stmt] = depth
 
     def enter(parent: _Scope, kind: int, node: ast.AST | None = None) -> _Scope:
         scope = _Scope(parent, kind, node)
@@ -375,6 +414,7 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 found.append(("elif_clause" if node in elifs else "if_statement", node.lineno))
                 if node in looped:
                     looped.update(node.body, node.orelse)
+                blocks(depths.get(node, 0), node.body, node.orelse)
                 if node.orelse:
                     first = node.orelse[0]
                     # an elif is the sole If in orelse sharing the parent's column
@@ -386,6 +426,7 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
             elif t in _ELSE_BLOCKS:
                 if node.orelse:
                     found.append(("else_clause", node.orelse[0].lineno))
+                depth = depths.get(node, 0)
                 if t is ast.Try or t is _TRY_STAR:
                     # t is ast.Try on Python 3.10, which has no except*
                     if t is not ast.Try or any(handler.type is None for handler in node.handlers[:-1]):
@@ -393,10 +434,17 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                     if node in looped:
                         looped.update(node.body, node.orelse, node.finalbody,
                                       *(handler.body for handler in node.handlers))
+                    if node.finalbody:
+                        depth += 1
+                    blocks(depth, node.orelse, node.finalbody)
+                    blocks(depth + 1 if node.handlers else depth, node.body)
+                    blocks(depth + 2, *(handler.body for handler in node.handlers))
                 else:  # a loop, whose else block is in a loop only if the loop is
                     if node in looped:
                         looped.update(node.orelse)
                     looped.update(node.body)
+                    blocks(depth + 1, node.body)
+                    blocks(depth, node.orelse)
                 if t is ast.For or t is ast.AsyncFor:
                     targets = (node.target,)
                     if t is ast.AsyncFor and type(scope.node) is not ast.AsyncFunctionDef:
@@ -457,6 +505,7 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 targets = [item.optional_vars for item in node.items]
                 if node in looped:
                     looped.update(node.body)
+                blocks(depths.get(node, 0) + len(node.items), node.body)
                 if t is ast.AsyncWith and type(scope.node) is not ast.AsyncFunctionDef:
                     unsure = True
             elif t is ast.AnnAssign:
@@ -577,6 +626,8 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
 
     if any(type(d) is ast.AsyncFunctionDef for d in generators):
         unsure = True  # an async generator may not return a value or yield from
+    if depths and max(depths.values()) > _MAX_BLOCKS:
+        unsure = True
     found.extend(("generator_function", d.lineno) for d in generators if type(d) is not ast.Lambda)
     if nested:
         found += _resolve(scopes)
@@ -611,10 +662,11 @@ def _resolve(scopes: list[_Scope]) -> list[Occurrence]:
     return found
 
 
-def count_constructs(source: str) -> list[Occurrence]:
-    """All vocabulary construct occurrences in the source, sorted by (line, kind).
+def find_constructs(source: str) -> list[Occurrence]:
+    """All vocabulary construct occurrences in the source, in the walk's order.
 
-    Raises ParseError when the text does not compile.
+    Raises ParseError, caused by the parser's or the compiler's exception,
+    when the text does not compile.
     """
     try:
         with warnings.catch_warnings():
@@ -630,7 +682,15 @@ def count_constructs(source: str) -> list[Occurrence]:
         # nonlocal), and deep nesting exhausts the parser's or the
         # compiler's stack or memory; either way this source does not compile
         raise ParseError(f"{type(exc).__name__}: {exc}") from exc
-    return sorted(found, key=lambda occ: (occ[1], occ[0]))
+    return found
+
+
+def count_constructs(source: str) -> list[Occurrence]:
+    """All vocabulary construct occurrences in the source, sorted by (line, kind).
+
+    Raises ParseError when the text does not compile.
+    """
+    return sorted(find_constructs(source), key=lambda occ: (occ[1], occ[0]))
 
 
 def analyze_source(source: str, catalog: Catalog) -> AnalysisResult:

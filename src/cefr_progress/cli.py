@@ -12,19 +12,21 @@ goes to files or stdout only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import re
 import sys
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter, deque
 from pathlib import Path
 
 from .analyzer import analyze_source, source_text
 from .catalog import Catalog, CatalogError, load_catalog, LEVEL_LABELS
 from .history import CommitBlobs, RepoError, RepoSpec, prepare_repo, walk_history
 from .report import write_report_bundle
-from .scoring import DEFAULT_BOT_PATTERNS, Entry, Granularity, blob_entry, build_report, score_blobs
+from .scoring import (
+    DEFAULT_BOT_PATTERNS, Entry, Granularity, Stored, blob_analysis, build_report, entry_folder, score_blobs,
+)
 
 log = logging.getLogger("cefr_progress")
 
@@ -55,8 +57,8 @@ def _regex(text: str) -> str:
 _CHUNK_BYTES = 1 << 16
 
 
-def _entries(blobs: list[bytes | None], catalog: Catalog) -> list[Entry]:
-    return [blob_entry(data, catalog) for data in blobs]
+def _analyses(blobs: list[bytes | None]) -> list[Stored]:
+    return [blob_analysis(data) for data in blobs]
 
 
 def _analyze_history(
@@ -64,43 +66,88 @@ def _analyze_history(
 ) -> tuple[list[CommitBlobs], dict[str, Entry]]:
     """The commits of the repository at `source`, and the memo entry of each blob they name.
 
-    Each blob is analyzed as git reads it, while the history walk goes on:
-    here at one job; with more, by worker processes, which get raw blob bytes
-    in small chunks and return memo entries.
+    The analysis store answers for the blobs an earlier run analyzed, and git
+    reads only the others.  Each of those is analyzed as git reads it, while
+    the history walk goes on: here at one job; with more, by worker
+    processes, which get raw blob bytes in small chunks and return stored
+    forms.  Stored forms fold into memo entries under `catalog` here, and
+    the new ones go into the store when the walk ends.  One line on stderr
+    sums up where the blobs' analyses came from.
     """
+    # imported here, as the process pool below: sqlite3 and the pool's modules
+    # would add 1.5 and 2.5 MB to the peak memory of every process that
+    # imports this module, `classify` and serial runs included
+    from .store import AnalysisStore
+
     commits: list[CommitBlobs] = []
     memo: dict[str, Entry] = {}
-    if jobs == 1:
-        with prepare_repo(RepoSpec(source)) as repo:
-            for oid, data in walk_history(repo, commits, identity=identity):
-                memo[oid] = blob_entry(data, catalog)
-        return commits, memo
+    new: list[tuple[str, Stored]] = []  # the blobs analyzed here
+    skipped: Counter = Counter()  # reason -> blobs
+    fold = entry_folder(catalog)
 
-    sent: deque = deque()  # (blob ids, future of their entries), oldest first
+    def keep(oid: str, stored: Stored) -> None:
+        memo[oid] = fold(stored)
+        if type(stored) is str and stored:
+            skipped[stored] += 1
+
+    def known(oids: list[str]) -> dict[str, Stored]:
+        found = store.lookup(oids)
+        for oid, stored in found.items():
+            keep(oid, stored)
+        return found
+
+    def analyzed(oid: str, stored: Stored) -> None:
+        keep(oid, stored)
+        new.append((oid, stored))
+
+    sent: deque = deque()  # (blob ids, future of their stored forms), oldest first
 
     def collect() -> None:
         oids, future = sent.popleft()
-        memo.update(zip(oids, future.result()))
+        for oid, stored in zip(oids, future.result()):
+            analyzed(oid, stored)
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        # Under the fork start method the first task forks every worker.  Forked
-        # before git starts, no worker holds a pipe to git: one holding
-        # cat-file's input open would keep git from ever seeing its end.
-        pool.submit(int)
-        oids, chunk, size = [], [], 0
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            # Under the fork start method the first task forks every worker.  Forked
+            # before git starts, no worker holds a pipe to git: one holding
+            # cat-file's input open would keep git from ever seeing its end.
+            # Nor does any worker hold the store's connection, opened after it.
+            pool.submit(int)
+        store = AnalysisStore.open()
+        if store is not None:
+            stack.callback(store.close)
         with prepare_repo(RepoSpec(source)) as repo:
-            for oid, data in walk_history(repo, commits, identity=identity):
-                oids.append(oid)
-                chunk.append(data)
-                size += len(data or b"")
-                if size >= _CHUNK_BYTES:
-                    sent.append((oids, pool.submit(_entries, chunk, catalog)))
-                    oids, chunk, size = [], [], 0
-                    if len(sent) > 4 * jobs:  # bounds the bytes waiting for a worker
-                        collect()
-        sent.append((oids, pool.submit(_entries, chunk, catalog)))
-        while sent:
-            collect()
+            blobs = walk_history(repo, commits, identity=identity, known=None if store is None else known)
+            if jobs == 1:
+                for oid, data in blobs:
+                    analyzed(oid, blob_analysis(data))
+            else:
+                oids, chunk, size = [], [], 0
+                for oid, data in blobs:
+                    oids.append(oid)
+                    chunk.append(data)
+                    size += len(data or b"")
+                    if size >= _CHUNK_BYTES:
+                        sent.append((oids, pool.submit(_analyses, chunk)))
+                        oids, chunk, size = [], [], 0
+                        if len(sent) > 4 * jobs:  # bounds the bytes waiting for a worker
+                            collect()
+                sent.append((oids, pool.submit(_analyses, chunk)))
+                while sent:
+                    collect()
+        if store is not None:
+            store.add(new)
+
+    reasons = ", ".join(f"{count} {reason}" for reason, count in sorted(skipped.items())) or "none"
+    log.info(
+        "blobs: %d named, %d analyzed, %d from the analysis store; skipped: %s; %s",
+        len(memo), len(new), len(memo) - len(new), reasons,
+        "no store" if store is None else f"store: {store.path}",
+    )
     return commits, memo
 
 

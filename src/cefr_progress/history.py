@@ -7,9 +7,11 @@ old and new blob ids and its paths verbatim, and while it still runs, one
 ``git cat-file --batch`` process reads each distinct ``.py`` blob once by
 id, in bounded batches.  `walk_history` hands each blob's raw bytes on as
 its reply arrives and records every commit as its changes' blob ids, so
-`analyze` keeps one vector per blob, never the texts.  `extract_commits` is
-the text view of the same walk: it decodes each blob and gives CommitRecords
-with before/after texts.  No git process outlives the call that starts it.
+`analyze` keeps one vector per blob, never the texts; a lookup hook lets the
+caller answer for the blobs it knows, which git then never reads.
+`extract_commits` is the text view of the same walk: it decodes each blob
+and gives CommitRecords with before/after texts.  No git process outlives
+the call that starts it.
 
 Identity and ordering decisions:
 
@@ -36,12 +38,12 @@ import os
 import shutil
 import subprocess
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Callable, Container, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .analyzer import source_text
+from .analyzer import blob_text
 
 log = logging.getLogger(__name__)
 
@@ -209,9 +211,9 @@ class Repo:
         self.close()
 
 
-def _cache_root(spec: RepoSpec) -> Path:
-    if spec.workdir is not None:
-        return Path(spec.workdir)
+def cache_root() -> Path:
+    """Where clones and analyses are cached: $CEFR_PROGRESS_CACHE, else
+    ~/.cache/cefr-progress.  Raises RuntimeError when there is no home directory."""
     env = os.environ.get(CACHE_ENV_VAR)
     if env:
         return Path(env)
@@ -235,7 +237,7 @@ def prepare_repo(spec: RepoSpec) -> Repo:
         return _open(candidate)
 
     key = hashlib.sha256(spec.source.encode("utf-8")).hexdigest()[:16]
-    clone_dir = _cache_root(spec) / "clones" / key
+    clone_dir = Path(spec.workdir if spec.workdir is not None else cache_root()) / "clones" / key
     if clone_dir.exists():
         log.info("fetching %s into cached clone %s", spec.source, clone_dir)
         # a bare clone has no fetch refspec of its own
@@ -321,18 +323,25 @@ def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]
 
 
 def walk_history(
-    repo: Repo, commits: list[CommitBlobs], *, identity: str = "author"
+    repo: Repo,
+    commits: list[CommitBlobs],
+    *,
+    identity: str = "author",
+    known: Callable[[list[str]], Container[str]] | None = None,
 ) -> Iterator[tuple[str, bytes | None]]:
     """Walk the non-merge commits of the default branch's first-parent chain once.
 
     Yields (blob id, raw bytes) for each distinct .py blob the changes name,
-    as git reads it, while ``git log`` still runs; the bytes are None when the
-    blob holds no text (missing or binary).  Fills the empty list `commits`
-    with one CommitBlobs per commit, oldest first once the walk ends.
-    A side with no blob id (absent, a symlink or a submodule) is None in
-    the changes and is never yielded.
+    as git reads it, while ``git log`` still runs; the bytes are None when
+    the id names no blob.  Fills the empty list `commits` with one
+    CommitBlobs per commit, oldest first once the walk ends.  A side with no
+    blob id (absent, a symlink or a submodule) is None in the changes and is
+    never yielded.
 
-    `identity` selects whether the author or the committer is credited.
+    `known`, when given, gets each batch of newly named blob ids before git
+    is asked for them, and returns those the caller needs no bytes for:
+    they are neither read nor yielded.  `identity` selects whether the
+    author or the committer is credited.
     """
     if identity not in ("author", "committer"):
         raise ValueError(f"identity must be 'author' or 'committer', not {identity!r}")
@@ -362,18 +371,22 @@ def walk_history(
                 contributor = identities[name, email] = ContributorId.from_identity(*identity_text)
             commits.append(CommitBlobs(sha.decode("ascii"), contributor, int(time), changes))
             if len(wanted) >= _BATCH:
-                yield from _texts(proc, wanted)
+                yield from _read(proc, wanted, known)
                 wanted = []
-        yield from _texts(proc, wanted)
+        yield from _read(proc, wanted, known)
     if not commits:
         raise RepoError("empty", f"{repo.path} has no non-merge commits")
     commits.reverse()  # git walks newest first
 
 
-def _texts(proc: subprocess.Popen, oids: list[str]) -> Iterator[tuple[str, bytes | None]]:
-    """`ask`'s replies, with None for a binary blob as well."""
-    for oid, data in ask(proc, oids):
-        yield oid, None if data is None or b"\0" in data else data
+def _read(
+    proc: subprocess.Popen, oids: list[str], known: Callable[[list[str]], Container[str]] | None
+) -> Iterator[tuple[str, bytes | None]]:
+    """`ask`'s replies for the ids of `oids` that `known` does not know."""
+    if known is not None and oids:
+        have = known(oids)
+        oids = [oid for oid in oids if oid not in have]
+    return ask(proc, oids)
 
 
 def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecord]:
@@ -388,7 +401,7 @@ def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecor
     # one decoded text per blob id, so equal sides share one object
     texts: dict[str | None, str | None] = {None: None}
     for oid, data in walk_history(repo, commits, identity=identity):
-        texts[oid] = None if data is None else source_text(data)
+        texts[oid] = blob_text(data)
     return [
         CommitRecord(
             sha=sha,

@@ -9,8 +9,8 @@ every chart is generated here as vector markup.
 from __future__ import annotations
 
 import html
-import json
 import math
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .analyzer import LevelVector
@@ -63,12 +63,62 @@ def report_payload(report: ProjectReport, *, show_names: bool = False) -> dict:
     }
 
 
+def _json(value, indent: str, out: list[str], lists: dict) -> None:
+    """Append to `out` the text ``json.dumps(value, sort_keys=True, indent=2,
+    ensure_ascii=False)`` gives `value` at `indent`.
+
+    `value` holds only what a report payload holds: dicts with str keys,
+    lists, str, int and None.  `json` indents a document only with its
+    pure-Python encoder; this takes the C encoder's string escaping, and
+    renders each distinct list of ints, a level vector, once per indent into
+    `lists`.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        opening = "{\n" + inner
+        for key in sorted(value):
+            out.append(opening + encode_basestring(key) + ": ")
+            _json(value[key], inner, out, lists)
+            opening = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+        elif all(type(item) is int for item in value):
+            key = (tuple(value), indent)
+            text = lists.get(key)
+            if text is None:
+                inner = indent + "  "
+                text = lists[key] = f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, value)) + f"\n{indent}]"
+            out.append(text)
+        else:
+            inner = indent + "  "
+            opening = "[\n" + inner
+            for item in value:
+                out.append(opening)
+                _json(item, inner, out, lists)
+                opening = ",\n" + inner
+            out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"a report payload holds no {kind.__name__}")
+
+
 def emit_json(report: ProjectReport, path: str | Path, *, show_names: bool = False) -> Path:
     """Write the canonical JSON document: sorted keys, two-space indent, trailing newline."""
-    payload = report_payload(report, show_names=show_names)
-    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    parts: list[str] = []
+    _json(report_payload(report, show_names=show_names), "", parts, {})
     out = Path(path)
-    out.write_text(text, encoding="utf-8")
+    out.write_text("".join(parts) + "\n", encoding="utf-8")
     return out
 
 

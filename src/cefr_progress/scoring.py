@@ -5,17 +5,25 @@ six-level vector after and before the change: components that shrink
 (deletion) are floored at zero, per file and per level, before summing
 across the commit's files.  Scores then roll up by contributor and by
 UTC calendar period.
+
+A blob's analysis is kept in a catalog-free stored form: the count of each
+analyzer kind, or why there are none.  The catalog folds it into the blob's
+six level counts, so one stored analysis serves every catalog.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Iterable
+import sys
+from array import array
+from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import itemgetter
 
-from .analyzer import LevelVector, analyze_source, source_text
+from .analyzer import KINDS, LevelVector, ParseError, analyze_source, blob_text, find_constructs
 from .catalog import Catalog, Level
 from .history import CommitBlobs, CommitRecord, ContributorId
 
@@ -81,13 +89,60 @@ SKIPPED = None
 
 Entry = tuple[int, ...] | None
 
+#: The stored form of one blob's analysis.  Bytes hold the count of each of
+#: the analyzer's KINDS, in that order, as native unsigned 32-bit ints.  A
+#: str says why there are none: NO_TEXT for a blob with no text (binary or
+#: missing), else the name of the exception that refused the source.
+Stored = bytes | str
+NO_TEXT = ""
+_PACKED_SIZE = array("I").itemsize * len(KINDS)
+#: What else a stored form depends on: the packing's byte order and int size,
+#: and the interpreter, whose grammar and compiler decide the verdict.
+STORED_FORM_KEY = f"{sys.byteorder} {array('I').itemsize} {sys.version}"
+
+
+def source_analysis(source: str) -> Stored:
+    """The stored form of one source text's analysis."""
+    try:
+        found = find_constructs(source)
+    except ParseError as exc:
+        return type(exc.__cause__).__name__
+    tally = Counter(map(itemgetter(0), found))
+    return array("I", [tally[kind] for kind in KINDS]).tobytes()
+
+
+def blob_analysis(data: bytes | None) -> Stored:
+    """The stored form of one blob's analysis from its raw bytes (None for no blob)."""
+    text = blob_text(data)
+    return NO_TEXT if text is None else source_analysis(text)
+
+
+def is_stored(value: object) -> bool:
+    """Whether `value`, read back from outside this process, is a stored form."""
+    if type(value) is bytes:
+        return len(value) == _PACKED_SIZE
+    return type(value) is str and (value == NO_TEXT or value.isidentifier())
+
+
+def entry_folder(catalog: Catalog) -> Callable[[Stored], Entry]:
+    """The function that folds a stored form into its memo entry under `catalog`."""
+    # each kind's level; an uncataloged kind counts in a seventh, dropped slot
+    levels = [6 if (level := catalog.classify(kind)) is None else level for kind in KINDS]
+
+    def fold(stored: Stored) -> Entry:
+        if type(stored) is str:
+            return SKIPPED if stored else ABSENT
+        counts = [0] * 7
+        for level, count in zip(levels, array("I", stored)):
+            counts[level] += count
+        return tuple(counts[:6])
+
+    return fold
+
 
 def blob_entry(data: bytes | None, catalog: Catalog) -> Entry:
     """The memo entry of one blob from its raw bytes; `data` is None for a blob with no text."""
-    if data is None:
-        return ABSENT
-    vector = level_vector(source_text(data), catalog)
-    return SKIPPED if vector is None else vector.counts
+    return entry_folder(catalog)(blob_analysis(data))
 
 
 _ZERO = (0,) * 6  # the counts of a side that does not exist

@@ -4,10 +4,55 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import cefr_progress
+
+
+@pytest.fixture(autouse=True)
+def fresh_cache_root(tmp_path_factory, monkeypatch):
+    """Each test gets an empty cache root of its own, so no test reads or
+    writes the user's cache, and every `analyze` starts without a store."""
+    root = tmp_path_factory.mktemp("cache")
+    monkeypatch.setenv("CEFR_PROGRESS_CACHE", str(root))
+    return root
+
+
+def start_analyze(repo, out, *options) -> subprocess.Popen:
+    """`analyze` in a child process of its own session, which imports the
+    package from where the tests imported it."""
+    package_root = str(Path(cefr_progress.__file__).parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "cefr_progress", "analyze", str(repo), "--out", str(out), *options],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        start_new_session=True,
+    )
+
+
+def finish(proc: subprocess.Popen) -> subprocess.CompletedProcess:
+    """The outcome of a `start_analyze` run.  A run that hangs fails instead of
+    hanging the suite, and its workers and git processes are killed with it."""
+    with proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
+def run_analyze(repo, out, *options) -> subprocess.CompletedProcess:
+    return finish(start_analyze(repo, out, *options))
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One PASS/FAIL line per acceptance criterion at the end of a run."""

@@ -222,6 +222,21 @@ def test_churn_files_are_never_compiled(monkeypatch):
     assert compiled == []
 
 
+def test_only_blocks_that_may_nest_too_deep_are_compiled(monkeypatch):
+    # the walk flags a file whose blocks may nest past the compiler's limit,
+    # and leaves the verdict to compile(); one a block short is not compiled
+    compiled = _count_compiled_trees(monkeypatch)
+    within = ["twenty_nested_blocks", "ten_nested_handlers", "twenty_nested_blocks_in_a_def_in_nineteen",
+              "nested_loop_else_blocks"]
+    for name in within:
+        assert analyze_source(verdict_differential.ACCEPTED[name], CATALOG).parse_ok
+    assert compiled == []
+    past = [*verdict_differential.UP_TO_3_12.values(), verdict_differential.REJECTED["eleven_nested_handlers"]]
+    for source in past:
+        analyze_source(source, CATALOG)
+    assert len(compiled) == len(past)
+
+
 @pytest.mark.parametrize("data, line", [
     (b"\xef\xbb\xbfx = 1\n", 1),
     (b"# -*- coding: latin-1 -*-\nna\xefve = 1\n", 2),

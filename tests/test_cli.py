@@ -1,19 +1,14 @@
 import json
-import os
-import signal
 import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import cefr_progress
 from cefr_progress import history, scoring
 from cefr_progress.catalog import default_catalog
 from cefr_progress.cli import main
 from cefr_progress.history import RepoError, RepoSpec, extract_commits, prepare_repo
 
-from conftest import ALICE, GEN_PY, UTIL_V2, GitFixture
+from conftest import ALICE, GEN_PY, UTIL_V2, GitFixture, run_analyze
 
 CATALOG = default_catalog()
 
@@ -86,7 +81,7 @@ def test_analyze_unreadable_history_exits_2(tmp_path):
 
 def test_analyze_analyzes_each_distinct_text_once(big_repo, tmp_path, monkeypatch):
     started, asked, analyzed = [], [], []
-    start_git, ask, analyze_source = history._start_git, history.ask, scoring.analyze_source
+    start_git, ask, source_analysis = history._start_git, history.ask, scoring.source_analysis
 
     def recording_start_git(*args, **pipes):
         started.append(args[2])  # the git command after "-C <path>"
@@ -96,13 +91,13 @@ def test_analyze_analyzes_each_distinct_text_once(big_repo, tmp_path, monkeypatc
         asked.extend(oids)
         return ask(proc, oids)
 
-    def counting_analyze_source(source, catalog):
+    def counting_source_analysis(source):
         analyzed.append(source)
-        return analyze_source(source, catalog)
+        return source_analysis(source)
 
     monkeypatch.setattr(history, "_start_git", recording_start_git)
     monkeypatch.setattr(history, "ask", recording_ask)
-    monkeypatch.setattr(scoring, "analyze_source", counting_analyze_source)
+    monkeypatch.setattr(scoring, "source_analysis", counting_source_analysis)
     assert main(["analyze", str(big_repo), "--out", str(tmp_path / "o"), "--jobs", "1"]) == 0
     assert started.count("cat-file") == 1
     # each distinct blob id is asked for once and analyzed once
@@ -123,28 +118,6 @@ def test_analyze_analyzes_each_distinct_text_once(big_repo, tmp_path, monkeypatc
     assert len({id(text) for text in sides}) == len(texts)
 
 
-def _run_analyze(repo, out, *options):
-    """`analyze` in a child process that imports the package from where the
-    tests imported it.  A run that hangs fails instead of hanging the suite,
-    and its workers and git processes are killed with it."""
-    package_root = str(Path(cefr_progress.__file__).parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    with subprocess.Popen(
-        [sys.executable, "-m", "cefr_progress", "analyze", str(repo), "--out", str(out), *options],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        start_new_session=True,
-    ) as proc:
-        try:
-            stdout, stderr = proc.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            raise
-    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
-
-
 def test_analyze_a_commit_that_names_more_blobs_than_a_pipe_holds(tmp_path):
     # 3,000 blob ids make about 120 kB of requests to git cat-file, more than
     # a pipe holds: written at once before reading, they would deadlock
@@ -158,7 +131,7 @@ def test_analyze_a_commit_that_names_more_blobs_than_a_pipe_holds(tmp_path):
         ["git", "-C", str(fixture.path), "fast-import", "--quiet"], input=stream.encode(), check=True, capture_output=True,
     )
     out = tmp_path / "out"
-    proc = _run_analyze(fixture.path, out)
+    proc = run_analyze(fixture.path, out)
     assert proc.returncode == 0, proc.stderr
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["files_analyzed"] == 3000
@@ -169,7 +142,7 @@ def test_analyze_in_parallel_writes_the_serial_reports(big_repo, tmp_path):
     # workers forked after a pipe to git exists would hold git's input open,
     # and git would never end: the run would hang, not fail
     for jobs in ("1", "2"):
-        proc = _run_analyze(big_repo, tmp_path / jobs, "--jobs", jobs)
+        proc = run_analyze(big_repo, tmp_path / jobs, "--jobs", jobs)
         assert proc.returncode == 0, proc.stderr
     for name in ("report.json", "report.csv", "report.html"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
@@ -306,7 +279,7 @@ def test_classify_with_catalog_override(tmp_path, capsys):
 
 
 def test_module_entry_point_smoke(linear_repo, tmp_path):
-    proc = _run_analyze(linear_repo, tmp_path / "o")
+    proc = run_analyze(linear_repo, tmp_path / "o")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("commits analyzed:")
     # progress stays on stderr, machine output on stdout

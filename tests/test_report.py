@@ -2,11 +2,17 @@ import json
 import math
 import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cefr_progress.analyzer import LevelVector
+from cefr_progress.cli import main
 from cefr_progress.history import ContributorId
 from cefr_progress.report import (
     emit_csv,
     emit_html,
+    _json,
     emit_json,
     radar_svg,
     report_payload,
@@ -187,3 +193,56 @@ def test_payload_contributor_order_matches_profiles():
     assert [c["anon_id"] for c in payload["contributors"]] == [
         p.contributor.anon_id for p in report.profiles
     ]
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+NAMED = [
+    ContributorId.from_identity("Zo\u00eb \u00dcn\u00efc\u00f8d\u00e9 \u540d\u524d", "zoe@example.com"),
+    ContributorId.from_identity('Quote " back\\slash\ttab\x1f', "q@example.com"),
+    ContributorId.from_identity("Emoji \U0001F600 and a line separator \u2028", "s@example.com"),
+]
+
+
+@pytest.mark.parametrize("show_names", [False, True], ids=["anonymous", "names"])
+def test_json_is_what_json_dumps_writes(tmp_path, show_names):
+    scores = [make_score(who, TS_2014 + i * 3_000_000, (i, 0, 2 * i, 0, 1, i % 2)) for i, who in enumerate(NAMED * 4)]
+    for period in Granularity:
+        report = build_report(scores, repo="r\u00e9po \"x\"", period=period)
+        path = emit_json(report, tmp_path / "r.json", show_names=show_names)
+        assert path.read_text(encoding="utf-8") == _dumps(report_payload(report, show_names=show_names))
+    empty = build_report([], repo="empty")
+    assert emit_json(empty, tmp_path / "e.json").read_text(encoding="utf-8") == _dumps(report_payload(empty))
+
+
+@pytest.mark.parametrize("repo", ["linear_repo", "merge_repo", "rename_repo", "quoted_repo", "symlink_repo"])
+@pytest.mark.parametrize("show_names", [[], ["--show-names"]], ids=["anonymous", "names"])
+def test_fixture_reports_are_what_json_dumps_writes(request, tmp_path, repo, show_names):
+    for period in ("yearly", "monthly"):
+        out = tmp_path / period
+        assert main(["analyze", str(request.getfixturevalue(repo)), "--out", str(out), "--period", period,
+                     *show_names]) == 0
+        text = (out / "report.json").read_text(encoding="utf-8")
+        assert text == _dumps(json.loads(text))
+
+
+_json_values = st.recursive(
+    st.none() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_json_values)
+def test_the_json_writer_matches_json_dumps(value):
+    parts: list[str] = []
+    _json(value, "", parts, {})
+    assert "".join(parts) + "\n" == _dumps(value)
+
+
+def test_the_json_writer_refuses_what_no_payload_holds():
+    with pytest.raises(TypeError):
+        _json({"flag": True}, "", [], {})

@@ -20,6 +20,7 @@ from __future__ import annotations
 import platform
 import sys
 import sysconfig
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -28,6 +29,22 @@ if __name__ == "__main__":
 
 from cefr_progress.analyzer import analyze_source, source_text  # noqa: E402
 from cefr_progress.catalog import default_catalog  # noqa: E402
+
+def nested(*blocks: str, body: str = "pass") -> str:
+    """`body` in `blocks`, the first outermost.  A block is a compound
+    statement with "{}" on a line of its own where the next block goes."""
+    text = body
+    for block in reversed(blocks):
+        text = block.replace("{}", textwrap.indent(text, "    "))
+    return text + "\n"
+
+
+FOR = "for x in y:\n{}"
+WHILE = "while x:\n{}"
+HANDLER = "try:\n    pass\nexcept E:\n{}"
+TRY_EXCEPT_FINALLY = "try:\n{}\nexcept E:\n    pass\nfinally:\n    pass"
+LOOP_ELSE = "for x in y:\n    pass\nelse:\n{}"
+
 
 #: Sources the parser accepts (on some grammar at least) and compile()
 #: rejects, in its scope pass or in code generation.
@@ -111,6 +128,8 @@ REJECTED = {
     "return_in_except_star": "def f():\n    try:\n        pass\n    except* E:\n        return\n",
     "repeated_call_keyword": "f(a=1, a=2)\n",
     "repeated_class_keyword": "class C(metaclass=a, metaclass=b): pass\n",
+    "twenty_two_nested_loops": nested(*[FOR] * 22),
+    "eleven_nested_handlers": nested(*[HANDLER] * 11),
 }
 
 #: The same constructs where compile() accepts them.
@@ -146,6 +165,20 @@ ACCEPTED = {
     "starred_target_after_one": "a, *b = c\n",
     "two_double_starred_arguments": "f(**a, **b)\n",
     "bare_except_last": "try:\n    pass\nexcept E:\n    pass\nexcept:\n    pass\n",
+    "twenty_nested_blocks": nested(*[FOR] * 10, *[WHILE] * 5, "with a, b:\n{}", *["with a:\n{}"] * 3),
+    "ten_nested_handlers": nested(*[HANDLER] * 10),
+    "twenty_nested_blocks_in_a_def_in_nineteen": nested(*[FOR] * 19, "def f():\n{}", *[WHILE] * 20),
+    "nested_loop_else_blocks": nested(*[LOOP_ELSE] * 25),
+}
+
+#: Statically nested blocks past the compiler's limit on Python 3.10-3.12,
+#: which 3.13 takes: 21 blocks in one module or def body.  A
+#: try-except-finally's body is two blocks deep.
+UP_TO_3_12 = {
+    "twenty_one_nested_loops": nested(*[FOR] * 21),
+    "twenty_one_with_items": "with " + ", ".join(f"a{i}" for i in range(21)) + ":\n    pass\n",
+    "twenty_one_nested_loops_in_a_def": nested("def f():\n{}", *[WHILE] * 21),
+    "ten_try_except_finally_bodies": nested(*[TRY_EXCEPT_FINALLY] * 10),
 }
 
 #: Comprehensions holding an asynchronous one, and except* blocks (a loop
@@ -174,6 +207,7 @@ CASES = (
     + [(name, source, False) for name, source in ACCEPTED.items()]
     + [(name, source, sys.version_info < (3, 11)) for name, source in FROM_3_11.items()]
     + [(name, source, True) for name, source in FROM_3_12.items() if sys.version_info >= (3, 12)]
+    + [(name, source, sys.version_info < (3, 13)) for name, source in UP_TO_3_12.items()]
 )
 
 
