@@ -25,7 +25,8 @@ from .catalog import Catalog, CatalogError, load_catalog, LEVEL_LABELS
 from .history import CommitBlobs, RepoError, RepoSpec, prepare_repo, walk_history
 from .report import write_report_bundle
 from .scoring import (
-    DEFAULT_BOT_PATTERNS, Entry, Granularity, Stored, blob_analysis, build_report, entry_folder, score_blobs,
+    DEFAULT_BOT_PATTERNS, Entry, Granularity, Stored, blob_analysis, build_report, entry_folder,
+    is_lasting, score_blobs,
 )
 
 log = logging.getLogger("cefr_progress")
@@ -71,8 +72,10 @@ def _analyze_history(
     the history walk goes on: here at one job; with more, by worker
     processes, which get raw blob bytes in small chunks and return stored
     forms.  Stored forms fold into memo entries under `catalog` here, and
-    the new ones go into the store when the walk ends.  One line on stderr
-    sums up where the blobs' analyses came from.
+    the new ones go into the store when the walk ends, except those that
+    hold only for this run: a blob this repository lacks, or a verdict that
+    tells of this run rather than of the blob.  One line on stderr sums
+    up where the blobs' analyses came from.
     """
     # imported here, as the process pool below: sqlite3 and the pool's modules
     # would add 1.5 and 2.5 MB to the peak memory of every process that
@@ -81,8 +84,10 @@ def _analyze_history(
 
     commits: list[CommitBlobs] = []
     memo: dict[str, Entry] = {}
-    new: list[tuple[str, Stored]] = []  # the blobs analyzed here
+    new: list[tuple[str, Stored]] = []  # the analyses to store
+    missing: set[str] = set()  # ids that name no blob in this repository
     skipped: Counter = Counter()  # reason -> blobs
+    from_store = 0
     fold = entry_folder(catalog)
 
     def keep(oid: str, stored: Stored) -> None:
@@ -91,14 +96,17 @@ def _analyze_history(
             skipped[stored] += 1
 
     def known(oids: list[str]) -> dict[str, Stored]:
+        nonlocal from_store
         found = store.lookup(oids)
         for oid, stored in found.items():
             keep(oid, stored)
+        from_store += len(found)
         return found
 
     def analyzed(oid: str, stored: Stored) -> None:
         keep(oid, stored)
-        new.append((oid, stored))
+        if oid not in missing and is_lasting(stored):
+            new.append((oid, stored))
 
     sent: deque = deque()  # (blob ids, future of their stored forms), oldest first
 
@@ -124,10 +132,14 @@ def _analyze_history(
             blobs = walk_history(repo, commits, identity=identity, known=None if store is None else known)
             if jobs == 1:
                 for oid, data in blobs:
+                    if data is None:
+                        missing.add(oid)
                     analyzed(oid, blob_analysis(data))
             else:
                 oids, chunk, size = [], [], 0
                 for oid, data in blobs:
+                    if data is None:
+                        missing.add(oid)
                     oids.append(oid)
                     chunk.append(data)
                     size += len(data or b"")
@@ -145,7 +157,7 @@ def _analyze_history(
     reasons = ", ".join(f"{count} {reason}" for reason, count in sorted(skipped.items())) or "none"
     log.info(
         "blobs: %d named, %d analyzed, %d from the analysis store; skipped: %s; %s",
-        len(memo), len(new), len(memo) - len(new), reasons,
+        len(memo), len(memo) - from_store, from_store, reasons,
         "no store" if store is None else f"store: {store.path}",
     )
     return commits, memo

@@ -99,22 +99,39 @@ _PACKED_SIZE = array("I").itemsize * len(KINDS)
 #: What else a stored form depends on: the packing's byte order and int size,
 #: and the interpreter, whose grammar and compiler decide the verdict.
 STORED_FORM_KEY = f"{sys.byteorder} {array('I').itemsize} {sys.version}"
+#: Skip reasons that tell of the run, not only of the source: free memory,
+#: and the recursion limit and call depth the parser and compiler start
+#: from.  A blob refused for one of them is analyzed again by the next run.
+PASSING = frozenset({"MemoryError", "RecursionError"})
 
 
 def source_analysis(source: str) -> Stored:
-    """The stored form of one source text's analysis."""
+    """The stored form of one source text's analysis.
+
+    Raises RuntimeError when the walk emits a kind that KINDS lacks, which
+    the stored form could not hold.
+    """
     try:
         found = find_constructs(source)
     except ParseError as exc:
         return type(exc.__cause__).__name__
     tally = Counter(map(itemgetter(0), found))
-    return array("I", [tally[kind] for kind in KINDS]).tobytes()
+    counts = array("I", [tally.pop(kind, 0) for kind in KINDS])
+    if tally:
+        raise RuntimeError(f"kinds missing from analyzer.KINDS: {sorted(tally)}")
+    return counts.tobytes()
 
 
 def blob_analysis(data: bytes | None) -> Stored:
     """The stored form of one blob's analysis from its raw bytes (None for no blob)."""
     text = blob_text(data)
     return NO_TEXT if text is None else source_analysis(text)
+
+
+def is_lasting(stored: Stored) -> bool:
+    """Whether `stored`, the analysis of a blob that was read, holds for
+    that blob in any run, so that it may be kept for later runs."""
+    return stored not in PASSING
 
 
 def is_stored(value: object) -> bool:

@@ -89,7 +89,7 @@ class AnalysisStore:
     def __init__(self, path: Path, connection: sqlite3.Connection):
         self.path = path
         self._connection: sqlite3.Connection | None = connection
-        self._undecodable: list[str] = []  # ids whose rows are no stored form
+        self._warned = False  # of a row that is no stored form
 
     @classmethod
     def open(cls) -> "AnalysisStore | None":
@@ -146,27 +146,25 @@ class AnalysisStore:
                     value = value.decode("utf-8", errors="replace")
                 if is_stored(value):
                     found[oid] = value
-                else:
-                    if not self._undecodable:
-                        log.warning("the analysis store %s holds a row that is no analysis, for blob %s: "
-                                    "analyzing the blob again", self.path, oid)
-                    self._undecodable.append(oid)
+                elif not self._warned:
+                    log.warning("the analysis store %s holds a row that is no analysis, for blob %s: "
+                                "analyzing the blob again", self.path, oid)
+                    self._warned = True
         return found
 
     def add(self, rows: list[tuple[str, Stored]]) -> None:
         """Store the (blob id, stored form) `rows` in one transaction.
 
-        A row the store already holds stays as it is, unless it was no
-        stored form.
+        A row replaces the one the store holds for its blob: one that is no
+        stored form, or, written by another run, the same stored form.
         """
         connection = self._connection
-        if connection is None or not (rows or self._undecodable):
+        if connection is None or not rows:
             return
         try:
             with connection:  # commits, or rolls back on an exception
                 connection.execute("BEGIN IMMEDIATE")
-                connection.executemany("DELETE FROM blobs WHERE oid = ?", ((oid,) for oid in self._undecodable))
-                connection.executemany("INSERT OR IGNORE INTO blobs VALUES (?, ?)", rows)
+                connection.executemany("INSERT OR REPLACE INTO blobs VALUES (?, ?)", rows)
         except sqlite3.Error as exc:
             self._fail(exc)
 

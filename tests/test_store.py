@@ -80,6 +80,12 @@ def test_a_value_of_another_form_is_no_stored_form(value):
     assert not is_stored(value)
 
 
+def test_a_kind_missing_from_kinds_fails_loudly(monkeypatch):
+    monkeypatch.setattr(scoring, "find_constructs", lambda source: [("if_statement", 1), ("new_kind", 2)])
+    with pytest.raises(RuntimeError, match="new_kind"):
+        source_analysis("if x:\n    pass\n")
+
+
 def test_kinds_are_the_default_catalogs_kinds():
     assert len(set(analyzer.KINDS)) == len(analyzer.KINDS)
     assert set(analyzer.KINDS) == {rule.kind for rule in CATALOG.rules}
@@ -155,6 +161,56 @@ def test_a_warm_catalog_override_equals_a_cold_one(linear_repo, tmp_path, record
     assert analyzed == []
     assert warm == cold(linear_repo, tmp_path, monkeypatch, "--catalog", str(rules))
     assert warm != reports(tmp_path / "default")
+
+
+def _stored_oids() -> set[str]:
+    with contextlib.closing(sqlite3.connect(store.store_path())) as connection:
+        return {oid for (oid,) in connection.execute("SELECT oid FROM blobs")}
+
+
+def test_a_blob_this_repository_lacks_is_not_stored(tmp_path, recorded, monkeypatch):
+    _, analyzed = recorded
+    fixture = GitFixture(tmp_path / "repo")
+    fixture.write("a.py", "a = [1, 2]\n")
+    fixture.write("b.py", "b = 1\n")
+    fixture.commit(ALICE, "2020-01-01T00:00:00Z", "one")
+    oid = fixture.run("rev-parse", "HEAD:a.py").strip()
+    loose = fixture.path / ".git" / "objects" / oid[:2] / oid[2:]
+    data = loose.read_bytes()
+    loose.unlink()  # as in a partial clone whose promisor cannot be reached
+    analyze(fixture.path, tmp_path / "lacking")
+    assert oid not in _stored_oids()
+    loose.write_bytes(data)
+    analyzed.clear()
+    whole = analyze(fixture.path, tmp_path / "whole")
+    assert analyzed == ["a = [1, 2]\n"]
+    assert whole == cold(fixture.path, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_a_verdict_of_the_run_is_not_stored(tmp_path, recorded, monkeypatch, caplog, error):
+    caplog.set_level(logging.INFO)
+    _, analyzed = recorded
+    fixture = GitFixture(tmp_path / "repo")
+    fixture.write("a.py", "a = [1, 2]\n")
+    fixture.write("b.py", "b = 1\n")
+    fixture.commit(ALICE, "2020-01-01T00:00:00Z", "one")
+    find_constructs = scoring.find_constructs
+
+    def failing_once(source):
+        if source == "a = [1, 2]\n":
+            monkeypatch.setattr(scoring, "find_constructs", find_constructs)
+            raise analyzer.ParseError(error.__name__) from error()
+        return find_constructs(source)
+
+    monkeypatch.setattr(scoring, "find_constructs", failing_once)
+    analyze(fixture.path, tmp_path / "short")
+    assert f"skipped: 1 {error.__name__};" in caplog.text
+    assert len(_stored_oids()) == 1
+    analyzed.clear()
+    again = analyze(fixture.path, tmp_path / "again")
+    assert analyzed == ["a = [1, 2]\n"]
+    assert again == cold(fixture.path, tmp_path, monkeypatch)
 
 
 def _garbage(path: Path) -> None:
