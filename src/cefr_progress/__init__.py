@@ -20,7 +20,6 @@ from .scoring import (
     ProjectReport,
     TopContributor,
     build_report,
-    level_vector,
     score_commit,
 )
 
@@ -33,6 +32,6 @@ __all__ = [
     "extract_commits", "prepare_repo",
     "emit_csv", "emit_html", "emit_json", "write_report_bundle",
     "CommitScore", "ContributorProfile", "Granularity", "ProjectReport", "TopContributor",
-    "build_report", "level_vector", "score_commit",
+    "build_report", "score_commit",
     "__version__",
 ]

@@ -59,8 +59,10 @@ In a loop means in the body of a ``for``, ``async for`` or ``while``, or in
 a block of an ``if``, ``with``, ``try`` (``finally`` included) or ``match``
 statement there, with no def or class between, and not in the loop's
 ``else`` block.  ``compile()`` accepts any other source the parser does.
-A refused source yields ``parse_ok=False`` and an all-zero vector; the
-pipeline never aborts on it.  Nesting too deep for the parser or the
+On Python 3.12 the walk itself refuses a source that would hold more than
+20 exception handlers open at once (`_open_handlers`), which crashes that
+compiler: 20 nested ``with`` blocks in an async def do.  A refused source
+yields ``parse_ok=False`` and an all-zero vector; the pipeline never aborts on it.  Nesting too deep for the parser or the
 compiler (RecursionError, MemoryError) is a parse failure too.  Warnings
 play no part: neither the parser's nor the compiler's reach the caller,
 whatever its warnings filter.
@@ -71,6 +73,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import logging
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -185,6 +188,9 @@ _TYPE_PARAMS = frozenset(
 #: deep, each ``with`` item one, a ``try`` body one, an except handler two, and
 #: a ``finally`` adds one to every other part of its ``try``.
 _MAX_BLOCKS = 20
+
+#: The most exception handlers Python 3.12's compiler keeps open at once.
+_MAX_HANDLERS = 20 if sys.version_info[:2] == (3, 12) else None
 
 #: Kinds that every node of one type emits, anchored at that node's line.
 _NODE_KINDS: dict[type, str] = {
@@ -598,6 +604,7 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
                 unsure = True
                 if node in looped:
                     looped.update(*(case.body for case in node.cases))
+                blocks(depths.get(node, 0), *(case.body for case in node.cases))
             elif t is ast.Starred:
                 if type(node.ctx) is ast.Store:
                     unsure = True
@@ -626,12 +633,72 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
 
     if any(type(d) is ast.AsyncFunctionDef for d in generators):
         unsure = True  # an async generator may not return a value or yield from
-    if depths and max(depths.values()) > _MAX_BLOCKS:
+    deepest = max(depths.values(), default=0)
+    if deepest > _MAX_BLOCKS:
         unsure = True
+    if _MAX_HANDLERS is not None:
+        # statements open no more handlers than blocks, expressions at most one
+        # per comprehension around them and three more: count only deep files
+        nesting = {None: 0}
+        for each in scopes:
+            nesting[each] = nesting[each.parent] + 1 if each.kind is _COMPREHENSION else 0
+        bound = deepest + max(nesting.values()) + 3
+        if bound > _MAX_HANDLERS and _open_handlers(tree, generators) > _MAX_HANDLERS:
+            raise SyntaxError("more exception handlers open at once than Python 3.12's compiler takes")
     found.extend(("generator_function", d.lineno) for d in generators if type(d) is not ast.Lambda)
     if nested:
         found += _resolve(scopes)
     return found, unsure
+
+
+def _open_handlers(tree: ast.Module, generators: set[ast.AST]) -> int:
+    """The most exception handlers Python 3.12's compiler keeps open at one
+    point of a code object of `tree`; `generators` are the defs that yield.
+
+    As probed on 3.12.1, one opens around a generator's or an async def's
+    body, and one for each ``with`` item, ``try`` body, ``finally`` (around
+    the rest of its ``try`` and its own block), except handler (two if it
+    names the exception, and for ``except*``), ``await``, ``yield from`` and
+    ``async with`` exit; two for an ``async for``; and one around all but the
+    first iterable of a list, set or dict comprehension that binds a name.
+    Every annotation counts as compiled, though some are not.
+    """
+    most, stack = 0, [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        most = max(most, depth)
+        t = type(node)
+        parts = [(depth, list(ast.iter_child_nodes(node)))]  # (depth, nodes) to walk
+        if t in _CALLABLES or t is ast.ClassDef:  # the body is a code object of its own
+            body = [node.body] if t is ast.Lambda else node.body
+            own = t is ast.AsyncFunctionDef or (t is ast.FunctionDef and node in generators)
+            parts = [(int(own), body), (depth, [child for child in parts[0][1] if child not in body])]
+        elif t in _COMPREHENSIONS:
+            first, *rest = node.generators
+            binds = any(type(name) is ast.Name and type(name.ctx) is ast.Store
+                        for each in node.generators for name in ast.walk(each.target))
+            inner = 1 if t is ast.GeneratorExp else depth + binds
+            most = max(most, inner + 2 * first.is_async)
+            elements = [child for child in parts[0][1] if type(child) is not ast.comprehension]
+            parts = [(depth, [first.iter]), (inner, [first.target, *first.ifs, *rest, *elements])]
+        elif t is ast.With or t is ast.AsyncWith:
+            parts = [(depth + len(node.items), node.body)]
+            for i, item in enumerate(node.items):
+                parts += [(depth + i, [item.context_expr]), (depth + i + 1, [item.optional_vars])]
+            most = max(most, depth + len(node.items) + (t is ast.AsyncWith))
+        elif t is ast.Try or t is _TRY_STAR:
+            around = depth + bool(node.finalbody)
+            parts = [(around + bool(node.handlers), node.body), (around, node.orelse), (depth + 1, node.finalbody)]
+            for handler in node.handlers:
+                named = t is not ast.Try or handler.name is not None
+                parts += [(around + 1, [handler.type]), (around + 1 + named, handler.body)]
+        elif t is ast.Await or t is ast.YieldFrom:
+            most = max(most, depth + 1)
+        elif t is ast.AsyncFor or (t is ast.comprehension and node.is_async):
+            most = max(most, depth + 2)
+        for at, nodes in parts:
+            stack += [(child, at) for child in nodes if child is not None]
+    return most
 
 
 def _resolve(scopes: list[_Scope]) -> list[Occurrence]:

@@ -58,8 +58,8 @@ def _regex(text: str) -> str:
 _CHUNK_BYTES = 1 << 16
 
 
-def _analyses(blobs: list[bytes | None]) -> list[Stored]:
-    return [blob_analysis(data) for data in blobs]
+def _analyses(blobs: list[tuple[str, bytes | None]]) -> list[Stored]:
+    return [blob_analysis(data) for _, data in blobs]
 
 
 def _analyze_history(
@@ -85,7 +85,6 @@ def _analyze_history(
     commits: list[CommitBlobs] = []
     memo: dict[str, Entry] = {}
     new: list[tuple[str, Stored]] = []  # the analyses to store
-    missing: set[str] = set()  # ids that name no blob in this repository
     skipped: Counter = Counter()  # reason -> blobs
     from_store = 0
     fold = entry_folder(catalog)
@@ -103,17 +102,18 @@ def _analyze_history(
         from_store += len(found)
         return found
 
-    def analyzed(oid: str, stored: Stored) -> None:
+    def analyzed(oid: str, data: bytes | None, stored: Stored) -> None:
         keep(oid, stored)
-        if oid not in missing and is_lasting(stored):
+        # no data: the id names no blob in this repository
+        if data is not None and is_lasting(stored):
             new.append((oid, stored))
 
-    sent: deque = deque()  # (blob ids, future of their stored forms), oldest first
+    sent: deque = deque()  # ((blob id, bytes) pairs, future of their stored forms), oldest first
 
     def collect() -> None:
-        oids, future = sent.popleft()
-        for oid, stored in zip(oids, future.result()):
-            analyzed(oid, stored)
+        chunk, future = sent.popleft()
+        for (oid, data), stored in zip(chunk, future.result()):
+            analyzed(oid, data, stored)
 
     with contextlib.ExitStack() as stack:
         if jobs > 1:
@@ -132,23 +132,18 @@ def _analyze_history(
             blobs = walk_history(repo, commits, identity=identity, known=None if store is None else known)
             if jobs == 1:
                 for oid, data in blobs:
-                    if data is None:
-                        missing.add(oid)
-                    analyzed(oid, blob_analysis(data))
+                    analyzed(oid, data, blob_analysis(data))
             else:
-                oids, chunk, size = [], [], 0
+                chunk, size = [], 0
                 for oid, data in blobs:
-                    if data is None:
-                        missing.add(oid)
-                    oids.append(oid)
-                    chunk.append(data)
+                    chunk.append((oid, data))
                     size += len(data or b"")
                     if size >= _CHUNK_BYTES:
-                        sent.append((oids, pool.submit(_analyses, chunk)))
-                        oids, chunk, size = [], [], 0
+                        sent.append((chunk, pool.submit(_analyses, chunk)))
+                        chunk, size = [], 0
                         if len(sent) > 4 * jobs:  # bounds the bytes waiting for a worker
                             collect()
-                sent.append((oids, pool.submit(_analyses, chunk)))
+                sent.append((chunk, pool.submit(_analyses, chunk)))
                 while sent:
                     collect()
         if store is not None:

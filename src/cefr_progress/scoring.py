@@ -75,17 +75,12 @@ class ProjectReport:
     files_skipped: int
 
 
-def level_vector(text: str, catalog: Catalog) -> LevelVector | None:
-    """The level vector of one file text, or None when it does not parse."""
-    result = analyze_source(text, catalog)
-    return result.vector if result.parse_ok else None
-
-
 #: A blob's memo entry when it has no text: binary or missing.  Any other
 #: entry is the blob's six level counts, or None (SKIPPED) when it does not
 #: parse or nests too deep.  Entries compare by value, so they survive pickling.
 ABSENT = ()
 SKIPPED = None
+_ZERO = (0,) * 6  # the counts of a side that does not exist
 
 Entry = tuple[int, ...] | None
 
@@ -157,77 +152,44 @@ def entry_folder(catalog: Catalog) -> Callable[[Stored], Entry]:
     return fold
 
 
-def blob_entry(data: bytes | None, catalog: Catalog) -> Entry:
-    """The memo entry of one blob from its raw bytes; `data` is None for a blob with no text."""
-    return entry_folder(catalog)(blob_analysis(data))
+def score_blobs(commit: CommitBlobs, memo: dict[str, Entry]) -> CommitScore:
+    """Sum the per-file clamped deltas of one commit recorded by blob ids,
+    from the memo entries of its blobs.
 
-
-_ZERO = (0,) * 6  # the counts of a side that does not exist
-
-
-def _score(sha: str, contributor: ContributorId, timestamp: int, sides) -> CommitScore:
-    """Sum the per-file clamped deltas of one commit's (before, after) count pairs.
-
-    A pair with a SKIPPED side is skipped and contributes nothing.
+    A side with no blob id, or whose blob has no text, counts as the zero
+    vector, and a change with no text on either side is left out.  A change
+    with a SKIPPED side is skipped and contributes nothing.  Each level's
+    delta is clamped at zero per file before the files are summed as ints.
+    An id the memo lacks raises KeyError.
     """
     total = [0] * 6
-    analyzed = 0
-    skipped = 0
-    for before, after in sides:
-        if before is SKIPPED or after is SKIPPED:
-            skipped += 1
-            continue
-        analyzed += 1
-        for level, (old, new) in enumerate(zip(before, after)):
-            if new > old:
-                total[level] += new - old
-    return CommitScore(sha, contributor, timestamp, LevelVector(tuple(total)), analyzed, skipped)
-
-
-def score_commit(
-    record: CommitRecord, catalog: Catalog, memo: dict[str, LevelVector | None] | None = None
-) -> CommitScore:
-    """Sum the per-file clamped deltas of one commit.
-
-    A file whose present side fails to parse is skipped and contributes
-    nothing; absent sides (added/deleted/binary/symlink) count as the zero
-    vector.  The deltas are summed as ints into one LevelVector per commit.
-    `memo` maps texts to their `level_vector` under `catalog`; texts it
-    lacks are analyzed and added, so a memo shared across commits analyzes
-    each distinct text once.
-    """
-    if memo is None:
-        memo = {}
-
-    def counts(text: str | None) -> tuple[int, ...] | None:
-        if text is None:
-            return _ZERO
-        if text not in memo:
-            memo[text] = level_vector(text, catalog)
-        vector = memo[text]
-        return SKIPPED if vector is None else vector.counts
-
-    sides = [(counts(change.before_text), counts(change.after_text)) for change in record.changes]
-    return _score(record.sha, record.contributor, record.timestamp, sides)
-
-
-def score_blobs(commit: CommitBlobs, memo: dict[str, Entry]) -> CommitScore:
-    """`score_commit` for a commit recorded by blob ids, from the memo entries
-    of its blobs.  A side with no blob id is absent; an id the memo lacks
-    raises KeyError.  A change with no text on either side is left out, as
-    `extract_commits` leaves it out."""
-    sides = []
+    analyzed = skipped = 0
     for _, old, new in commit.changes:
         before = ABSENT if old is None else memo[old]
         after = ABSENT if new is None else memo[new]
-        if before == ABSENT:
-            if after == ABSENT:
-                continue
-            before = _ZERO
-        elif after == ABSENT:
-            after = _ZERO
-        sides.append((before, after))
-    return _score(commit.sha, commit.contributor, commit.timestamp, sides)
+        if before is SKIPPED or after is SKIPPED:
+            skipped += 1
+        elif before or after:  # ABSENT is the one empty entry
+            analyzed += 1
+            # an absent after side adds nothing, and an absent before side is zero
+            for level, (was, now) in enumerate(zip(before or _ZERO, after)):
+                if now > was:
+                    total[level] += now - was
+    delta = LevelVector(tuple(total))
+    return CommitScore(commit.sha, commit.contributor, commit.timestamp, delta, analyzed, skipped)
+
+
+def score_commit(record: CommitRecord, catalog: Catalog) -> CommitScore:
+    """`score_blobs` for a commit recorded by its texts: each distinct text
+    of the record stands in for a blob id and is analyzed once."""
+    memo: dict[str, Entry] = {}
+    for change in record.changes:
+        for text in (change.before_text, change.after_text):
+            if text is not None and text not in memo:
+                result = analyze_source(text, catalog)
+                memo[text] = result.vector.counts if result.parse_ok else SKIPPED
+    changes = tuple((change.path, change.before_text, change.after_text) for change in record.changes)
+    return score_blobs(CommitBlobs(record.sha, record.contributor, record.timestamp, changes), memo)
 
 
 def period_key(timestamp: int, period: Granularity) -> str:

@@ -23,17 +23,22 @@ def fresh_cache_root(tmp_path_factory, monkeypatch):
     return root
 
 
-def start_analyze(repo, out, *options) -> subprocess.Popen:
-    """`analyze` in a child process of its own session, which imports the
-    package from where the tests imported it."""
+def child_env() -> dict[str, str]:
+    """The environment of a child Python that imports the package from where
+    the tests imported it."""
     package_root = str(Path(cefr_progress.__file__).parent.parent)
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def start_analyze(repo, out, *options) -> subprocess.Popen:
+    """`analyze` in a child process of its own session."""
     return subprocess.Popen(
         [sys.executable, "-m", "cefr_progress", "analyze", str(repo), "--out", str(out), *options],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=child_env(),
         start_new_session=True,
     )
 

@@ -14,20 +14,20 @@ import pytest
 from cefr_progress.analyzer import LevelVector, count_constructs
 from cefr_progress.catalog import Level, default_catalog
 from cefr_progress.cli import main
-from cefr_progress.history import CommitRecord, ContributorId, FileChange, RepoSpec, extract_commits, prepare_repo
-from cefr_progress.scoring import Granularity, build_report, score_commit
+from cefr_progress.history import CommitBlobs, ContributorId, RepoSpec, extract_commits, prepare_repo
+from cefr_progress.scoring import Granularity, build_report, score_blobs, score_commit
 
 from corpus import SNIPPETS
 from oracle import oracle_commit_deltas, oracle_rollups
 
 CATALOG = default_catalog()
-ONE_FILE = CommitRecord("0" * 40, ContributorId.from_identity("A", "a@example.com"), 0,
-                        (FileChange("f.py", "before", "after"),))
+ONE_FILE = CommitBlobs("0" * 40, ContributorId.from_identity("A", "a@example.com"), 0,
+                       (("f.py", "1" * 40, "2" * 40),))
 
 
 def scored_delta(before, after):
-    """`score_commit`'s delta for one modified file whose sides have the vectors `before` and `after`."""
-    return score_commit(ONE_FILE, CATALOG, {"before": before, "after": after}).delta
+    """`score_blobs`'s delta for one modified file whose blobs have the vectors `before` and `after`."""
+    return score_blobs(ONE_FILE, {"1" * 40: before.counts, "2" * 40: after.counts}).delta
 
 
 def test_criterion_1_clamped_delta_rule():

@@ -1,14 +1,17 @@
 import json
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cefr_progress import history, scoring
+from cefr_progress.analyzer import analyze_source
 from cefr_progress.catalog import default_catalog
 from cefr_progress.cli import main
 from cefr_progress.history import RepoError, RepoSpec, extract_commits, prepare_repo
 
-from conftest import ALICE, GEN_PY, UTIL_V2, GitFixture, run_analyze
+from conftest import ALICE, GEN_PY, UTIL_V2, GitFixture, child_env, run_analyze
 
 CATALOG = default_catalog()
 
@@ -37,7 +40,7 @@ def test_analyze_counts_only_the_real_file_behind_symlinks(symlink_repo, tmp_pat
     out = tmp_path / "out"
     assert main(["analyze", str(symlink_repo), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    real, old = (scoring.level_vector(text, CATALOG) for text in (UTIL_V2, GEN_PY))
+    real, old = (analyze_source(text, CATALOG).vector for text in (UTIL_V2, GEN_PY))
     assert report["project_total"] == (real + old).as_list()
     assert report["files_skipped"] == 0
     assert report["files_analyzed"] == 3  # real.py and old.py added, old.py removed
@@ -284,3 +287,54 @@ def test_module_entry_point_smoke(linear_repo, tmp_path):
     assert proc.stdout.startswith("commits analyzed:")
     # progress stays on stderr, machine output on stdout
     assert "INFO" not in proc.stdout
+
+
+def test_the_readme_library_path_writes_what_analyze_writes(linear_repo, tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert block.count('"/path/to/repo"') == 2 and block.count('"out/"') == 1
+    library, cli = tmp_path / "library", tmp_path / "cli"
+    code = block.replace('"/path/to/repo"', repr(str(linear_repo))).replace('"out/"', repr(str(library)))
+    exec(compile(code, "<README.md: Library use>", "exec"), {})
+    assert main(["analyze", str(linear_repo), "--out", str(cli)]) == 0
+    for name in ("report.json", "report.csv"):
+        assert (library / name).read_bytes() == (cli / name).read_bytes()
+
+
+def _blocks_in_async_def(count: int, block: str) -> str:
+    """`count` nested `block` statements in an async def, in a module whose
+    `global` has the walk ask compile() for the verdict."""
+    lines = ["global g", "async def f():"]
+    lines += ["    " * (depth + 1) + f"{block} c{depth}:" for depth in range(count)]
+    return "\n".join([*lines, "    " * (count + 1) + "pass", ""])
+
+
+def test_a_source_that_crashes_the_3_12_compiler_is_a_skipped_file_there(tmp_path):
+    # Python 3.12.1's compile() dies with SIGSEGV on the first two, so each
+    # check runs in a child process, where a crash fails the test and not the suite
+    on_3_12 = sys.version_info[:2] == (3, 12)
+    crashing = [_blocks_in_async_def(20, "with"), _blocks_in_async_def(19, "async with")]
+    script = (
+        "import json, sys\n"
+        "from cefr_progress.analyzer import analyze_source\n"
+        "from cefr_progress.catalog import default_catalog\n"
+        "print(json.dumps([analyze_source(s, default_catalog()).parse_ok for s in json.load(sys.stdin)]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps([*crashing, _blocks_in_async_def(18, "async with")]),
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [not on_3_12, not on_3_12, True]
+
+    fixture = GitFixture(tmp_path / "repo")
+    fixture.write("ok.py", "x = 1\n")
+    fixture.write("deep.py", crashing[0])
+    fixture.commit(ALICE, "2020-01-01T00:00:00Z", "a file too deep for 3.12")
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        proc = run_analyze(fixture.path, out, "--jobs", jobs)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["files_skipped"] == (1 if on_3_12 else 0)

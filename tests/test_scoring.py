@@ -7,20 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cefr_progress.analyzer import LevelVector
-from cefr_progress.catalog import Level, default_catalog
-from cefr_progress.history import CommitRecord, ContributorId, FileChange, RepoSpec, prepare_repo, walk_history
+from cefr_progress.analyzer import LevelVector, analyze_source
+from cefr_progress.catalog import Level, default_catalog, load_catalog
+from cefr_progress.history import (
+    CommitBlobs, CommitRecord, ContributorId, FileChange, RepoSpec, extract_commits, prepare_repo, walk_history,
+)
 from cefr_progress.scoring import (
     DEFAULT_BOT_PATTERNS,
+    SKIPPED,
     CommitScore,
     ContributorProfile,
     Granularity,
     ProjectReport,
     TopContributor,
-    blob_entry,
+    blob_analysis,
     build_report,
+    entry_folder,
     is_bot,
-    level_vector,
     period_key,
     score_blobs,
     score_commit,
@@ -63,10 +66,14 @@ def commit_delta(before, after):
     return LevelVector(tuple(max(a - b, 0) for a, b in zip(after.counts, before.counts)))
 
 
+def _commit(changes, contributor=ALICE, ts=TS_2014, sha="a" * 40):
+    return CommitBlobs(sha=sha, contributor=contributor, timestamp=ts, changes=tuple(changes))
+
+
 def scored_delta(before, after):
-    """`score_commit`'s delta for one modified file whose sides have the vectors `before` and `after`."""
-    record = _record([FileChange("f.py", "before", "after")])
-    return score_commit(record, CATALOG, {"before": before, "after": after}).delta
+    """`score_blobs`'s delta for one modified file whose blobs have the vectors `before` and `after`."""
+    commit = _commit([("f.py", "b" * 40, "c" * 40)])
+    return score_blobs(commit, {"b" * 40: before.counts, "c" * 40: after.counts}).delta
 
 
 def test_commit_delta_clamped_difference():
@@ -165,27 +172,29 @@ sides = st.one_of(st.none(), st.just("unparseable"), vectors)
 
 @settings(max_examples=200, deadline=None)
 @given(files=st.lists(st.tuples(sides, sides), max_size=5))
-def test_score_commit_matches_per_file_reference(files):
-    memo = {}  # text -> its vector, or None when it does not parse
+def test_score_blobs_matches_per_file_reference(files):
+    memo = {}  # blob id -> its counts, or SKIPPED when it does not parse
     changes = []
     for i, pair in enumerate(files):
-        texts = []
+        oids = []
         for side, value in zip("ba", pair):
-            text = None if value is None else f"{side}{i}"
-            if text is not None:
-                memo[text] = None if value == "unparseable" else value
-            texts.append(text)
-        changes.append(FileChange(f"f{i}.py", *texts))
-    # the reference: one clamped LevelVector per file, added up
-    total, skipped = LevelVector.zero(), 0
+            oid = None if value is None else f"{side}{i}"
+            if oid is not None:
+                memo[oid] = SKIPPED if value == "unparseable" else value.counts
+            oids.append(oid)
+        changes.append((f"f{i}.py", *oids))
+    # the reference: one clamped LevelVector per file with a side, added up;
+    # a file with no side holds no text and is left out
+    total, analyzed, skipped = LevelVector.zero(), 0, 0
     for before, after in files:
         if "unparseable" in (before, after):
             skipped += 1
-        else:
+        elif (before, after) != (None, None):
+            analyzed += 1
             total = total + commit_delta(before or LevelVector.zero(), after or LevelVector.zero())
-    score = score_commit(_record(changes), CATALOG, memo)
+    score = score_blobs(_commit(changes), memo)
     assert score.delta == total
-    assert (score.files_analyzed, score.files_skipped) == (len(files) - skipped, skipped)
+    assert (score.files_analyzed, score.files_skipped) == (analyzed, skipped)
 
 
 def test_period_key_uses_utc():
@@ -406,7 +415,8 @@ def test_a_pickled_memo_scores_like_the_original(tmp_path):
     fixture.commit(identity, "2020-02-01T00:00:00Z", "swap text and binary")
     commits = []
     with prepare_repo(RepoSpec(str(fixture.path))) as repo:
-        memo = {oid: blob_entry(data, CATALOG) for oid, data in walk_history(repo, commits)}
+        fold = entry_folder(CATALOG)
+        memo = {oid: fold(blob_analysis(data)) for oid, data in walk_history(repo, commits)}
     copied = pickle.loads(pickle.dumps(memo))
     scores = [score_blobs(commit, memo) for commit in commits]
     assert [score_blobs(commit, copied) for commit in commits] == scores
@@ -414,8 +424,25 @@ def test_a_pickled_memo_scores_like_the_original(tmp_path):
     # a.py turning binary scores as a deletion and b.py turning into
     # unparseable text is skipped
     assert [(s.delta, s.files_analyzed, s.files_skipped) for s in scores] == [
-        (level_vector("x = [1, 2]\n", CATALOG), 1, 0),
+        (analyze_source("x = [1, 2]\n", CATALOG).vector, 1, 0),
         (LevelVector.zero(), 1, 1),
     ]
     with pytest.raises(KeyError):
         score_blobs(commits[0], {})
+
+
+@pytest.mark.parametrize("override", [False, True], ids=["default-catalog", "catalog-override"])
+@pytest.mark.parametrize(
+    "fixture", ["linear_repo", "merge_repo", "rename_repo", "quoted_repo", "symlink_repo", "big_repo"])
+def test_the_text_view_scores_as_the_blob_path(fixture, override, request, tmp_path):
+    catalog = CATALOG
+    if override:
+        rules = tmp_path / "rules.cat"
+        rules.write_text("if_statement C2\nsimple_assignment B1\nlist_literal A2\n")
+        catalog = load_catalog(rules)
+    commits = []
+    fold = entry_folder(catalog)
+    with prepare_repo(RepoSpec(str(request.getfixturevalue(fixture)))) as repo:
+        texts = [score_commit(record, catalog) for record in extract_commits(repo)]
+        memo = {oid: fold(blob_analysis(data)) for oid, data in walk_history(repo, commits)}
+    assert texts == [score_blobs(commit, memo) for commit in commits]
