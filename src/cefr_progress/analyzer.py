@@ -59,13 +59,13 @@ In a loop means in the body of a ``for``, ``async for`` or ``while``, or in
 a block of an ``if``, ``with``, ``try`` (``finally`` included) or ``match``
 statement there, with no def or class between, and not in the loop's
 ``else`` block.  ``compile()`` accepts any other source the parser does.
-On Python 3.12 the walk itself refuses a source that would hold more than
-20 exception handlers open at once (`_open_handlers`), which crashes that
-compiler: 20 nested ``with`` blocks in an async def do.  A refused source
-yields ``parse_ok=False`` and an all-zero vector; the pipeline never aborts on it.  Nesting too deep for the parser or the
-compiler (RecursionError, MemoryError) is a parse failure too.  Warnings
-play no part: neither the parser's nor the compiler's reach the caller,
-whatever its warnings filter.
+On Python 3.12, whose compiler crashes (SIGSEGV) on some deep nests, a
+tree whose blocks and comprehensions may nest past 20 is compiled first in
+a child interpreter, and refused if a signal kills it.  A refused source
+yields ``parse_ok=False`` and an all-zero vector; the pipeline never aborts
+on it.  Nesting too deep for the parser or the compiler, or a child that
+cannot run, is a parse failure too (RecursionError, MemoryError).  Warnings
+play no part: neither the parser's nor the compiler's reach the caller.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ from __future__ import annotations
 import ast
 import importlib.util
 import logging
+import signal
+import subprocess
 import sys
 import warnings
 from dataclasses import dataclass
@@ -189,8 +191,11 @@ _TYPE_PARAMS = frozenset(
 #: a ``finally`` adds one to every other part of its ``try``.
 _MAX_BLOCKS = 20
 
-#: The most exception handlers Python 3.12's compiler keeps open at once.
-_MAX_HANDLERS = 20 if sys.version_info[:2] == (3, 12) else None
+#: Python 3.12's compiler crashes on some deep nests, so a child compiles each
+#: source it may crash on: the text this process decoded, sent as UTF-8.
+_CRASHING_COMPILER = sys.version_info[:2] == (3, 12)
+_CHILD_COMPILE = [sys.executable, "-I", "-c", "import sys; compile(sys.stdin.buffer.read().decode(), "
+                  f"'<analysis>', 'exec', dont_inherit=True, optimize={sys.flags.optimize})"]
 
 #: Kinds that every node of one type emits, anchored at that node's line.
 _NODE_KINDS: dict[type, str] = {
@@ -320,8 +325,8 @@ def _repeats(keywords: list[ast.keyword]) -> bool:
     return len(set(names)) < len(names)
 
 
-def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
-    """Every occurrence, and whether the verdict needs ``compile()``.
+def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
+    """Every occurrence in the tree of `source`, and whether it needs ``compile()``.
 
     One pass with an explicit stack.  Each entry carries the scope its node
     runs in.  Every scope records the names it binds, reads and declares as
@@ -636,69 +641,33 @@ def _walk(tree: ast.Module) -> tuple[list[Occurrence], bool]:
     deepest = max(depths.values(), default=0)
     if deepest > _MAX_BLOCKS:
         unsure = True
-    if _MAX_HANDLERS is not None:
+    if _CRASHING_COMPILER:
         # statements open no more handlers than blocks, expressions at most one
-        # per comprehension around them and three more: count only deep files
+        # per comprehension around them and three more
         nesting = {None: 0}
         for each in scopes:
             nesting[each] = nesting[each.parent] + 1 if each.kind is _COMPREHENSION else 0
-        bound = deepest + max(nesting.values()) + 3
-        if bound > _MAX_HANDLERS and _open_handlers(tree, generators) > _MAX_HANDLERS:
-            raise SyntaxError("more exception handlers open at once than Python 3.12's compiler takes")
+        if deepest + max(nesting.values()) + 3 > 20:
+            _compile_in_child(source)
+            unsure = True
     found.extend(("generator_function", d.lineno) for d in generators if type(d) is not ast.Lambda)
     if nested:
         found += _resolve(scopes)
     return found, unsure
 
 
-def _open_handlers(tree: ast.Module, generators: set[ast.AST]) -> int:
-    """The most exception handlers Python 3.12's compiler keeps open at one
-    point of a code object of `tree`; `generators` are the defs that yield.
-
-    As probed on 3.12.1, one opens around a generator's or an async def's
-    body, and one for each ``with`` item, ``try`` body, ``finally`` (around
-    the rest of its ``try`` and its own block), except handler (two if it
-    names the exception, and for ``except*``), ``await``, ``yield from`` and
-    ``async with`` exit; two for an ``async for``; and one around all but the
-    first iterable of a list, set or dict comprehension that binds a name.
-    Every annotation counts as compiled, though some are not.
-    """
-    most, stack = 0, [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
-        most = max(most, depth)
-        t = type(node)
-        parts = [(depth, list(ast.iter_child_nodes(node)))]  # (depth, nodes) to walk
-        if t in _CALLABLES or t is ast.ClassDef:  # the body is a code object of its own
-            body = [node.body] if t is ast.Lambda else node.body
-            own = t is ast.AsyncFunctionDef or (t is ast.FunctionDef and node in generators)
-            parts = [(int(own), body), (depth, [child for child in parts[0][1] if child not in body])]
-        elif t in _COMPREHENSIONS:
-            first, *rest = node.generators
-            binds = any(type(name) is ast.Name and type(name.ctx) is ast.Store
-                        for each in node.generators for name in ast.walk(each.target))
-            inner = 1 if t is ast.GeneratorExp else depth + binds
-            most = max(most, inner + 2 * first.is_async)
-            elements = [child for child in parts[0][1] if type(child) is not ast.comprehension]
-            parts = [(depth, [first.iter]), (inner, [first.target, *first.ifs, *rest, *elements])]
-        elif t is ast.With or t is ast.AsyncWith:
-            parts = [(depth + len(node.items), node.body)]
-            for i, item in enumerate(node.items):
-                parts += [(depth + i, [item.context_expr]), (depth + i + 1, [item.optional_vars])]
-            most = max(most, depth + len(node.items) + (t is ast.AsyncWith))
-        elif t is ast.Try or t is _TRY_STAR:
-            around = depth + bool(node.finalbody)
-            parts = [(around + bool(node.handlers), node.body), (around, node.orelse), (depth + 1, node.finalbody)]
-            for handler in node.handlers:
-                named = t is not ast.Try or handler.name is not None
-                parts += [(around + 1, [handler.type]), (around + 1 + named, handler.body)]
-        elif t is ast.Await or t is ast.YieldFrom:
-            most = max(most, depth + 1)
-        elif t is ast.AsyncFor or (t is ast.comprehension and node.is_async):
-            most = max(most, depth + 2)
-        for at, nodes in parts:
-            stack += [(child, at) for child in nodes if child is not None]
-    return most
+def _compile_in_child(source: str) -> None:
+    """Compile `source` in a child interpreter.  Raises SyntaxError when a
+    signal kills it, but MemoryError, a verdict of the run, when it cannot
+    start or is killed by SIGKILL, the kernel's out-of-memory killer."""
+    try:
+        code = subprocess.run(_CHILD_COMPILE, input=source.encode(), stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL).returncode
+    except OSError as exc:
+        raise MemoryError(f"cannot start a child compiler: {exc}") from exc
+    if code < 0:
+        raise MemoryError("the child compiler was killed") if code == -signal.SIGKILL else SyntaxError(
+            f"Python 3.12's compiler crashes on this source (signal {-code})")
 
 
 def _resolve(scopes: list[_Scope]) -> list[Occurrence]:
@@ -740,7 +709,7 @@ def find_constructs(source: str) -> list[Occurrence]:
             # a warning is no verdict, whatever filter the caller runs under
             warnings.simplefilter("ignore")
             tree = ast.parse(source)
-            found, unsure = _walk(tree)
+            found, unsure = _walk(tree, source)
             if unsure or "__debug__" in source:
                 # this module's own __future__ imports must not leak into the verdict
                 compile(tree, "<analysis>", "exec", dont_inherit=True)

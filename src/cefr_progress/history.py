@@ -159,7 +159,8 @@ def ask(proc: subprocess.Popen, oids: list[str]) -> Iterator[tuple[str, bytes | 
                 yield oid, None  # "<oid> missing" or "<oid> ambiguous"
                 continue
             data = proc.stdout.read(int(header[2]))
-            proc.stdout.read(1)  # trailing newline
+            if len(data) != int(header[2]) or proc.stdout.read(1) != b"\n":  # short, or no trailing newline
+                raise RepoError("git_failed", f"git cat-file ended inside {oid}")
             yield oid, data if header[1] == b"blob" else None
 
 

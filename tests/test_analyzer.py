@@ -2,6 +2,7 @@ import ast
 import builtins
 import inspect
 import random
+import subprocess
 import symtable
 import sys
 import sysconfig
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cefr_progress import analyzer, scoring
 from cefr_progress.analyzer import (
     _CHILD_FIELDS,
-    _open_handlers,
     LevelVector,
     ParseError,
     analyze_source,
@@ -26,7 +27,7 @@ from cefr_progress.analyzer import (
 from cefr_progress.catalog import Catalog, ConstructRule, Level, default_catalog
 
 import verdict_differential
-from verdict_differential import nested
+from verdict_differential import HANDLERS_3_12, nested
 from conftest import _SNIPPET_POOL, _file_body
 from corpus import SNIPPETS
 
@@ -233,51 +234,78 @@ def test_only_blocks_that_may_nest_too_deep_are_compiled(monkeypatch):
               "nested_loop_else_blocks"]
     for name in within:
         assert analyze_source(verdict_differential.ACCEPTED[name], CATALOG).parse_ok
-    assert compiled == []
+    # Python 3.12's compiler may crash on all but the last, so there a child
+    # compiles each of those first and, as it ends normally, compile() here
+    assert len(compiled) == 3 * (sys.version_info[:2] == (3, 12))
+    compiled.clear()
     past = [*verdict_differential.UP_TO_3_12.values(), verdict_differential.REJECTED["eleven_nested_handlers"]]
     for source in past:
         analyze_source(source, CATALOG)
-    # on Python 3.12 the walk itself refuses the 21 with items: 21 open
-    # exception handlers, more than that compiler takes without crashing
-    assert len(compiled) == len(past) - (sys.version_info[:2] == (3, 12))
+    assert len(compiled) == len(past)
 
 
-def _comprehensions(count: int, target: str = "x") -> str:
-    text = "a"
-    for i in range(count):
-        text = f"[{text} for {target}{i} in y]"
-    return text
-
-
-ASYNC_DEF, GENERATOR, WITH = "async def f():\n{}", "def f():\n    yield\n{}", "with c:\n{}"
-
-
-#: The most exception handlers Python 3.12.1's compiler keeps open in each
-#: source, as probed: it crashes at 21.
 @pytest.mark.parametrize("source, count", [
-    pytest.param(nested(ASYNC_DEF, *[WITH] * 20), 21, id="twenty_withs_in_an_async_def"),
-    pytest.param(nested(ASYNC_DEF, *["async with c:\n{}"] * 19), 21, id="nineteen_async_withs_in_an_async_def"),
-    pytest.param(nested(ASYNC_DEF, *["async with c:\n{}"] * 18), 20, id="eighteen_async_withs_in_an_async_def"),
-    pytest.param(nested(ASYNC_DEF, "with " + ", ".join(f"c{i}" for i in range(20)) + ":\n{}"), 21,
-                 id="twenty_with_items_in_an_async_def"),
-    pytest.param(nested(GENERATOR, *[WITH] * 20), 21, id="twenty_withs_in_a_generator"),
-    pytest.param(nested("def f():\n{}", *[WITH] * 20), 20, id="twenty_withs_in_a_def"),
-    pytest.param(f"x = {_comprehensions(21)}\n", 21, id="twenty_one_comprehensions"),
-    pytest.param(f"x = {_comprehensions(21, 'q.x')}\n", 0, id="comprehensions_that_bind_no_name"),
-    pytest.param(f"x = ({_comprehensions(20)} for q in y)\n", 21, id="comprehensions_in_a_generator_expression"),
-    pytest.param(f"x = lambda: {_comprehensions(20)}\n", 20, id="comprehensions_in_a_lambda"),
-    pytest.param(nested(ASYNC_DEF, "try:\n    pass\nexcept E as e:\n{}"), 3, id="named_handler_in_an_async_def"),
-    pytest.param("try:\n    pass\nexcept E:\n    pass\nfinally:\n    pass\n", 2, id="handler_in_a_try_finally"),
-    pytest.param("async def f():\n    await x\n", 2, id="await_in_an_async_def"),
-    pytest.param("async def f():\n    async for x in y:\n        pass\n", 3, id="async_for_in_an_async_def"),
-    pytest.param("try:\n    pass\nexcept* E:\n    pass\n", 2, id="except_star_handler",
-                 marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="except* needs Python 3.11")),
-])
-def test_open_handlers_count_as_the_3_12_compiler_keeps_them(source, count):
-    tree = ast.parse(source)
-    generators = {node for node in ast.walk(tree) if type(node) is ast.FunctionDef
-                  and any(type(inner) is ast.Yield for inner in ast.walk(node))}
-    assert _open_handlers(tree, generators) == count
+    pytest.param(source, count, id=name) for name, (source, count) in HANDLERS_3_12.items()])
+def test_open_handlers_count_as_the_3_12_compiler_keeps_them(source, count, monkeypatch):
+    # on Python 3.12 the walk sends each source that crashed 3.12.1's
+    # compiler (21 handlers open at once) to a child compiler first
+    sent = []
+    monkeypatch.setattr(analyzer, "_CRASHING_COMPILER", True)
+    monkeypatch.setattr(analyzer, "_compile_in_child", sent.append)
+    analyzer._walk(ast.parse(source), source)
+    assert sent == [source] or count <= 20
+
+
+def _crashing_compiler(monkeypatch, child: list[str] | None = None) -> None:
+    """Take Python 3.12's path on any interpreter, with `child` as the child
+    compiler's command when given."""
+    monkeypatch.setattr(analyzer, "_CRASHING_COMPILER", True)
+    if child is not None:
+        monkeypatch.setattr(analyzer, "_CHILD_COMPILE", child)
+
+
+#: A source that only the 3.12 bound flags, and that 3.12's compiler takes.
+FLAGGED = HANDLERS_3_12["twenty_withs_in_a_def"][0]
+
+
+@pytest.mark.parametrize("source, status", [
+    (FLAGGED, 0),
+    # compile() takes the text as decoded here: its cookie decodes nothing again
+    ("# coding: nonsense\nx = 1\n", 0),
+    (verdict_differential.REJECTED["eleven_nested_handlers"], 1),
+], ids=["flagged", "cookie", "rejected"])
+def test_the_child_compiler_compiles_the_decoded_text(source, status):
+    assert subprocess.run(analyzer._CHILD_COMPILE, input=source.encode(), capture_output=True).returncode == status
+
+
+@pytest.mark.parametrize("signal_name, stored", [("SIGSEGV", "SyntaxError"), ("SIGKILL", "MemoryError")])
+def test_a_child_compiler_killed_by_a_signal_refuses_the_source(monkeypatch, signal_name, stored):
+    suicide = f"import os, signal; os.kill(os.getpid(), signal.{signal_name})"
+    _crashing_compiler(monkeypatch, [sys.executable, "-c", suicide])
+    compiled = _count_compiled_trees(monkeypatch)
+    assert not analyze_source(FLAGGED, CATALOG).parse_ok
+    assert scoring.source_analysis(FLAGGED) == stored
+    assert compiled == []  # a crash is never compiled in this process
+    # a crash holds for the source; the out-of-memory killer only for the run
+    assert scoring.is_lasting(stored) is (signal_name == "SIGSEGV")
+    assert analyze_source("x = 1\n", CATALOG).parse_ok  # not flagged: no child runs
+
+
+@pytest.mark.parametrize("child", [None, [sys.executable, "-c", "pass"]], ids=["real_child", "child_exits_0"])
+def test_a_child_compiler_that_ends_normally_leaves_the_verdict_to_compile(monkeypatch, child):
+    _crashing_compiler(monkeypatch, child)
+    compiled = _count_compiled_trees(monkeypatch)
+    assert analyze_source(FLAGGED, CATALOG).parse_ok
+    assert not analyze_source(verdict_differential.REJECTED["eleven_nested_handlers"], CATALOG).parse_ok
+    assert len(compiled) == 2
+
+
+def test_a_child_compiler_that_cannot_start_is_a_verdict_of_the_run(monkeypatch, tmp_path):
+    _crashing_compiler(monkeypatch, [str(tmp_path / "no-such-python")])
+    assert not analyze_source(FLAGGED, CATALOG).parse_ok
+    stored = scoring.source_analysis(FLAGGED)
+    assert stored == "MemoryError"
+    assert not scoring.is_lasting(stored)
 
 
 @pytest.mark.parametrize("data, line", [

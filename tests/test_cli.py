@@ -12,6 +12,7 @@ from cefr_progress.cli import main
 from cefr_progress.history import RepoError, RepoSpec, extract_commits, prepare_repo
 
 from conftest import ALICE, GEN_PY, UTIL_V2, GitFixture, child_env, run_analyze
+from verdict_differential import HANDLERS_3_12
 
 CATALOG = default_catalog()
 
@@ -311,10 +312,15 @@ def _blocks_in_async_def(count: int, block: str) -> str:
 
 
 def test_a_source_that_crashes_the_3_12_compiler_is_a_skipped_file_there(tmp_path):
-    # Python 3.12.1's compile() dies with SIGSEGV on the first two, so each
-    # check runs in a child process, where a crash fails the test and not the suite
+    # Python 3.12.1's compile() dies with SIGSEGV on the first two and on each
+    # source that keeps 21 handlers open, so the checks run in a child
+    # process, where a crash fails the test and not the suite
     on_3_12 = sys.version_info[:2] == (3, 12)
     crashing = [_blocks_in_async_def(20, "with"), _blocks_in_async_def(19, "async with")]
+    sources = [*crashing, _blocks_in_async_def(18, "async with")]
+    sources += [source for source, _ in HANDLERS_3_12.values()]
+    expected = [not on_3_12, not on_3_12, True]
+    expected += [not (on_3_12 and count > 20) for _, count in HANDLERS_3_12.values()]
     script = (
         "import json, sys\n"
         "from cefr_progress.analyzer import analyze_source\n"
@@ -322,11 +328,11 @@ def test_a_source_that_crashes_the_3_12_compiler_is_a_skipped_file_there(tmp_pat
         "print(json.dumps([analyze_source(s, default_catalog()).parse_ok for s in json.load(sys.stdin)]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], input=json.dumps([*crashing, _blocks_in_async_def(18, "async with")]),
+        [sys.executable, "-c", script], input=json.dumps(sources),
         capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [not on_3_12, not on_3_12, True]
+    assert json.loads(proc.stdout) == expected
 
     fixture = GitFixture(tmp_path / "repo")
     fixture.write("ok.py", "x = 1\n")

@@ -1,4 +1,5 @@
 import calendar
+import io
 import subprocess
 import threading
 
@@ -479,6 +480,29 @@ def test_ask_answers_every_id_in_order(tmp_path):
     assert [oid for oid, _ in replies] == oids
     assert replies[:4] == [(big, big_text), (missing, None), (tree, None), (small, b"x = 1\n")]
     assert replies[-1] == (big, big_text)
+
+
+BLOB = b"x = 12345\n"
+
+
+@pytest.mark.parametrize("reply", [
+    BLOB[:5],  # ends mid-blob
+    BLOB,  # the whole blob, without the newline after it
+    BLOB + b"?",  # the whole blob, and a wrong byte after it
+], ids=["short", "no_newline", "wrong_newline"])
+def test_ask_refuses_a_reply_that_ends_inside_a_blob(reply):
+    oid = "a" * 40
+    header = f"{oid} blob {len(BLOB)}\n".encode("ascii")
+
+    class Process:  # a cat-file that stops writing partway
+        stdin = io.BytesIO()
+        stdout = io.BytesIO(header + reply)
+
+    with pytest.raises(RepoError) as err:
+        list(history.ask(Process, [oid]))
+    assert err.value.kind == "git_failed"
+    Process.stdout = io.BytesIO(header + BLOB + b"\n")
+    assert list(history.ask(Process, [oid])) == [(oid, BLOB)]
 
 
 def test_no_git_process_outlives_its_call(linear_repo, big_repo, tmp_path, monkeypatch):

@@ -39,6 +39,14 @@ def nested(*blocks: str, body: str = "pass") -> str:
     return text + "\n"
 
 
+def comprehensions(count: int, target: str = "x") -> str:
+    """`count` nested list comprehensions, each binding `target` and its depth."""
+    text = "a"
+    for i in range(count):
+        text = f"[{text} for {target}{i} in y]"
+    return text
+
+
 FOR = "for x in y:\n{}"
 WHILE = "while x:\n{}"
 HANDLER = "try:\n    pass\nexcept E:\n{}"
@@ -169,6 +177,10 @@ ACCEPTED = {
     "ten_nested_handlers": nested(*[HANDLER] * 10),
     "twenty_nested_blocks_in_a_def_in_nineteen": nested(*[FOR] * 19, "def f():\n{}", *[WHILE] * 20),
     "nested_loop_else_blocks": nested(*[LOOP_ELSE] * 25),
+    "deep_annotation_under_future_annotations": (
+        f"from __future__ import annotations\nx: {comprehensions(21)}\n"),
+    "deep_local_annotation_under_future_annotations": (
+        f"from __future__ import annotations\ndef f():\n    x: {comprehensions(21)}\n"),
 }
 
 #: Statically nested blocks past the compiler's limit on Python 3.10-3.12,
@@ -200,6 +212,31 @@ FROM_3_12 = {
     "await_in_type_alias": "type A = await x\n",
     "yield_in_type_var_bound": "def f[T: (yield)](): pass\n",
 }
+
+ASYNC_DEF, GENERATOR, WITH = "async def f():\n{}", "def f():\n    yield\n{}", "with c:\n{}"
+
+#: name -> (source, the most exception handlers Python 3.12.1's compiler
+#: keeps open at once in it), as probed.  That compiler crashes the
+#: interpreter at 21, so `main` compiles none of these.
+HANDLERS_3_12 = {
+    "twenty_withs_in_an_async_def": (nested(ASYNC_DEF, *[WITH] * 20), 21),
+    "nineteen_async_withs_in_an_async_def": (nested(ASYNC_DEF, *["async with c:\n{}"] * 19), 21),
+    "eighteen_async_withs_in_an_async_def": (nested(ASYNC_DEF, *["async with c:\n{}"] * 18), 20),
+    "twenty_with_items_in_an_async_def": (
+        nested(ASYNC_DEF, "with " + ", ".join(f"c{i}" for i in range(20)) + ":\n{}"), 21),
+    "twenty_withs_in_a_generator": (nested(GENERATOR, *[WITH] * 20), 21),
+    "twenty_withs_in_a_def": (nested("def f():\n{}", *[WITH] * 20), 20),
+    "twenty_one_comprehensions": (f"x = {comprehensions(21)}\n", 21),
+    "comprehensions_that_bind_no_name": (f"x = {comprehensions(21, 'q.x')}\n", 0),
+    "comprehensions_in_a_generator_expression": (f"x = ({comprehensions(20)} for q in y)\n", 21),
+    "comprehensions_in_a_lambda": (f"x = lambda: {comprehensions(20)}\n", 20),
+    "named_handler_in_an_async_def": (nested(ASYNC_DEF, "try:\n    pass\nexcept E as e:\n{}"), 3),
+    "handler_in_a_try_finally": ("try:\n    pass\nexcept E:\n    pass\nfinally:\n    pass\n", 2),
+    "await_in_an_async_def": ("async def f():\n    await x\n", 2),
+    "async_for_in_an_async_def": ("async def f():\n    async for x in y:\n        pass\n", 3),
+}
+if sys.version_info >= (3, 11):
+    HANDLERS_3_12["except_star_handler"] = ("try:\n    pass\nexcept* E:\n    pass\n", 2)
 
 #: (name, source, whether compile() rejects it) for each case the running grammar can parse.
 CASES = (
