@@ -74,8 +74,10 @@ def _analyze_history(
     forms.  Stored forms fold into memo entries under `catalog` here, and
     the new ones go into the store when the walk ends, except those that
     hold only for this run: a blob this repository lacks, or a verdict that
-    tells of this run rather than of the blob.  One line on stderr sums
-    up where the blobs' analyses came from.
+    tells of this run rather than of the blob.  The store also keeps the
+    history walk, so that a re-run on an unchanged history starts no
+    ``git log``.  One line on stderr sums up where the blobs'
+    analyses and the commits came from.
     """
     # imported here, as the process pool below: sqlite3 and the pool's modules
     # would add 1.5 and 2.5 MB to the peak memory of every process that
@@ -86,6 +88,7 @@ def _analyze_history(
     memo: dict[str, Entry] = {}
     new: list[tuple[str, Stored]] = []  # the analyses to store
     skipped: Counter = Counter()  # reason -> blobs
+    sources: Counter = Counter()  # "git log" or "stored walk" -> commits
     from_store = 0
     fold = entry_folder(catalog)
 
@@ -129,7 +132,8 @@ def _analyze_history(
         if store is not None:
             stack.callback(store.close)
         with prepare_repo(RepoSpec(source)) as repo:
-            blobs = walk_history(repo, commits, identity=identity, known=None if store is None else known)
+            blobs = walk_history(repo, commits, identity=identity, known=None if store is None else known,
+                                 walks=store, sources=sources)
             if jobs == 1:
                 for oid, data in blobs:
                     analyzed(oid, data, blob_analysis(data))
@@ -151,8 +155,9 @@ def _analyze_history(
 
     reasons = ", ".join(f"{count} {reason}" for reason, count in sorted(skipped.items())) or "none"
     log.info(
-        "blobs: %d named, %d analyzed, %d from the analysis store; skipped: %s; %s",
-        len(memo), len(memo) - from_store, from_store, reasons,
+        "blobs: %d named, %d analyzed, %d from the analysis store; skipped: %s; "
+        "commits: %d from git log, %d from a stored walk; %s",
+        len(memo), len(memo) - from_store, from_store, reasons, sources["git log"], sources["stored walk"],
         "no store" if store is None else f"store: {store.path}",
     )
     return commits, memo

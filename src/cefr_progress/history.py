@@ -13,6 +13,20 @@ caller answer for the blobs it knows, which git then never reads.
 and gives CommitRecords with before/after texts.  No git process outlives
 the call that starts it.
 
+A commit id fixes its whole first-parent ancestry, so the walk below a
+commit is the same on every run.  Given a store of walks, `walk_history`
+keeps each walk it makes in git's own ``-z`` format, cut down to every
+commit header and the raw entries that name a ``.py`` change.  A walk's key
+is its tip, the newest non-merge commit of the chain, together with what
+else changes ``git log``'s answer: the identity mode, the source of this
+module and git's version.  A re-run whose tip has a stored walk starts no
+``git log``; any other run walks the whole history with git.  Replace refs
+and a grafts file can give a commit id another history, so a repository
+that has either is walked with git every time and its walks are not
+stored.  The config settings that would change ``git log``'s answer
+(``log.showRoot``, ``diff.renameLimit``, ``i18n.logOutputEncoding``) are
+pinned on its command line.
+
 Identity and ordering decisions:
 
 * Contributors are keyed by the git *author* by default (``committer``
@@ -38,12 +52,16 @@ import os
 import shutil
 import subprocess
 import tempfile
-from collections.abc import Callable, Container, Iterator
+from collections import Counter
+from collections.abc import Callable, Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .analyzer import blob_text
+
+if TYPE_CHECKING:
+    from .store import AnalysisStore
 
 log = logging.getLogger(__name__)
 
@@ -134,6 +152,14 @@ def _start_git(*args: str, **pipes) -> subprocess.Popen:
         raise RepoError("git_missing", f"cannot run git: {exc}") from exc
 
 
+def _nul_fields(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """The NUL-terminated fields of the bytes `chunks` hold, one after another."""
+    rest = b""
+    for chunk in chunks:
+        *fields, rest = (rest + chunk).split(b"\0")
+        yield from fields
+
+
 #: Blob ids per request to ``git cat-file``.  An id and its newline take at
 #: most 65 bytes (SHA-256), so a batch stays under the 4 KiB a pipe holds at
 #: the least.  Each batch's replies are read before the next is written, so
@@ -165,10 +191,15 @@ def ask(proc: subprocess.Popen, oids: list[str]) -> Iterator[tuple[str, bytes | 
 
 
 class Repo:
-    """Read handle on a local git repository."""
+    """Read handle on a local git repository.
 
-    def __init__(self, path: Path):
+    `rewritten` tells that replace refs or a grafts file may give a commit id
+    another history here.
+    """
+
+    def __init__(self, path: Path, rewritten: bool = False):
         self.path = Path(path)
+        self.rewritten = rewritten
 
     def git(self, *args: str) -> str:
         proc = _run_git("-C", str(self.path), *args)
@@ -184,10 +215,7 @@ class Repo:
         progress output.
         """
         with _start_git("-C", str(self.path), *args, stdout=subprocess.PIPE) as proc:
-            rest = b""
-            for chunk in iter(lambda: proc.stdout.read1(1 << 16), b""):
-                *fields, rest = (rest + chunk).split(b"\0")
-                yield from fields
+            yield from _nul_fields(iter(lambda: proc.stdout.read1(1 << 16), b""))
         if proc.returncode != 0:
             raise RepoError("git_failed", f"git {args[0]} exited with status {proc.returncode}")
 
@@ -222,13 +250,17 @@ def cache_root() -> Path:
 
 
 def _open(path: Path) -> Repo:
-    """The repository at `path`, after one probe for a non-repository or a shallow clone."""
-    proc = _run_git("-C", str(path), "rev-parse", "--is-shallow-repository")
+    """The repository at `path`, after one probe for a non-repository, a shallow
+    clone, a grafts file and replace refs."""
+    replace_base = os.environ.get("GIT_REPLACE_REF_BASE", "refs/replace/")
+    proc = _run_git("-C", str(path), "rev-parse", "--is-shallow-repository", "--git-path", "info/grafts",
+                    f"--glob={replace_base}*")
     if proc.returncode != 0:
         raise RepoError("clone_failed", f"{path} exists but is not a git repository")
-    if proc.stdout.strip() == "true":
+    shallow, grafts, *replaced = proc.stdout.splitlines()
+    if shallow == "true":
         raise RepoError("shallow", f"{path} is a shallow clone; full history is required")
-    return Repo(path)
+    return Repo(path, rewritten=bool(replaced) or (path / grafts).exists())
 
 
 def prepare_repo(spec: RepoSpec) -> Repo:
@@ -300,8 +332,9 @@ def _change(
 
 
 def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]]:
-    """((sha, time, name, email), [(status, paths, old blob id, new blob id)]) per commit
-    of ``git log --raw -z`` with four NUL-separated format fields.
+    """((sha, time, name, email), [(status, paths, old blob id, new blob id, raw)]) per
+    commit of ``git log --raw -z`` with four NUL-separated format fields, where
+    `raw` lists the entry's fields as git wrote them.
 
     Each field, raw entry and unquoted path ends in NUL.  A raw entry starts with ":"
     ("\\n:" for a commit's first) and is followed by its one or two paths.  Any
@@ -312,9 +345,9 @@ def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]
         entry = field.lstrip(b"\n")
         if entry.startswith(b":"):
             old_mode, new_mode, old_oid, new_oid, status = entry[1:].decode("ascii").split()
-            count = 2 if status[0] in "RC" else 1
-            paths = [next(fields).decode("utf-8", errors="surrogateescape") for _ in range(count)]
-            entries.append((status[0], paths, _side(old_mode, old_oid), _side(new_mode, new_oid)))
+            raw = [field, *(next(fields) for _ in range(2 if status[0] in "RC" else 1))]
+            paths = [path.decode("utf-8", errors="surrogateescape") for path in raw[1:]]
+            entries.append((status[0], paths, _side(old_mode, old_oid), _side(new_mode, new_oid), raw))
         else:
             if header is not None:
                 yield header, entries
@@ -323,12 +356,23 @@ def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]
         yield header, entries
 
 
+def _walk_key(identity: str) -> str:
+    """The part of a stored walk's key besides its tip: the identity mode, the
+    rules of this module (`_change` among them) and git's version."""
+    digest = hashlib.sha256(identity.encode("ascii"))
+    digest.update(Path(__file__).read_bytes())
+    digest.update(_run_git("--version").stdout.encode("utf-8"))
+    return digest.hexdigest()[:16]
+
+
 def walk_history(
     repo: Repo,
     commits: list[CommitBlobs],
     *,
     identity: str = "author",
     known: Callable[[list[str]], Container[str]] | None = None,
+    walks: AnalysisStore | None = None,
+    sources: Counter | None = None,
 ) -> Iterator[tuple[str, bytes | None]]:
     """Walk the non-merge commits of the default branch's first-parent chain once.
 
@@ -343,40 +387,70 @@ def walk_history(
     is asked for them, and returns those the caller needs no bytes for:
     they are neither read nor yielded.  `identity` selects whether the
     author or the committer is credited.
+
+    `walks`, when given, is the store of earlier walks.  The commits come
+    from the stored walk of this walk's tip when there is one, and otherwise
+    from ``git log``, whose walk is then stored; a repository whose history
+    replace refs or grafts rewrite is always walked with ``git log``, and
+    nothing is stored.  `sources`, when given, counts the commits under
+    "git log" or "stored walk".
     """
     if identity not in ("author", "committer"):
         raise ValueError(f"identity must be 'author' or 'committer', not {identity!r}")
-    if _run_git("-C", str(repo.path), "rev-parse", "--verify", "--quiet", "HEAD").returncode != 0:
-        raise RepoError("empty", f"{repo.path} has no commits on its default branch")
+    probe = _run_git("-C", str(repo.path), "rev-list", "--first-parent", "--no-merges", "-n1", "HEAD")
+    tip = probe.stdout.strip()
+    if probe.returncode != 0 or not tip:
+        raise RepoError("empty", f"{repo.path} has no non-merge commits on its default branch")
 
+    key = None if walks is None or repo.rewritten else _walk_key(identity)
+    stored = None if key is None else walks.walk(key, tip)
+    walk = None if key is None or stored is not None else bytearray()  # the walk to store
     who = identity[0]  # %an/%ae or %cn/%ce
+    if stored is not None:
+        data = memoryview(stored)
+        fields = _nul_fields(data[start:start + (1 << 16)] for start in range(0, len(data), 1 << 16))
+    else:
+        # --root, -l1000 and --encoding pin what log.showRoot, diff.renameLimit and
+        # i18n.logOutputEncoding would change; NUL separates the fields because
+        # no git identity can contain it
+        fields = repo.git_fields(
+            "log", "--first-parent", "--no-merges", "--raw", "-z", "--no-abbrev", "-M", "-l1000", "--root",
+            "--encoding=UTF-8", f"--format=%H%x00%at%x00%{who}n%x00%{who}e", tip,
+        )
+
     identities: dict[tuple[bytes, bytes], ContributorId] = {}
     named: set[str | None] = {None}  # every blob id asked for, and the absent side
     wanted: list[str] = []  # blob ids named since the last request
-    # NUL separates the fields because no git identity can contain it
-    log = repo.git_fields(
-        "log", "--first-parent", "--no-merges", "--raw", "-z", "--no-abbrev", "-M",
-        f"--format=%H%x00%at%x00%{who}n%x00%{who}e", "HEAD",
-    )
-    with repo.cat_file() as proc, contextlib.closing(log) as fields:
-        for (sha, time, name, email), entries in _raw_log(fields):
-            changes = tuple(change for entry in entries if (change := _change(*entry)) is not None)
+    with repo.cat_file() as proc, contextlib.closing(fields):
+        for header, entries in _raw_log(fields):
+            if walk is not None:
+                walk += b"\0".join(header) + b"\0"
+            changes = []
+            for status, paths, old, new, raw in entries:
+                change = _change(status, paths, old, new)
+                if change is not None:
+                    changes.append(change)
+                    if walk is not None:
+                        walk += b"\0".join(raw) + b"\0"
             for _, old, new in changes:
                 for oid in (old, new):
                     if oid not in named:
                         named.add(oid)
                         wanted.append(oid)
+            sha, time, name, email = header
             contributor = identities.get((name, email))
             if contributor is None:
                 identity_text = (field.decode("utf-8", errors="replace") for field in (name, email))
                 contributor = identities[name, email] = ContributorId.from_identity(*identity_text)
-            commits.append(CommitBlobs(sha.decode("ascii"), contributor, int(time), changes))
+            commits.append(CommitBlobs(sha.decode("ascii"), contributor, int(time), tuple(changes)))
             if len(wanted) >= _BATCH:
                 yield from _read(proc, wanted, known)
                 wanted = []
         yield from _read(proc, wanted, known)
-    if not commits:
-        raise RepoError("empty", f"{repo.path} has no non-merge commits")
+    if walk is not None:
+        walks.keep_walk(key, tip, walk)
+    if sources is not None:
+        sources["git log" if stored is None else "stored walk"] += len(commits)
     commits.reverse()  # git walks newest first
 
 

@@ -5,14 +5,20 @@ form: its per-kind counts, or why it has none) depends only on the id, the
 code that analyzed it and the interpreter that ran that code.  The store
 keeps those analyses by blob id in one ``sqlite3`` file per interpreter and
 code fingerprint under ``<cache root>/analysis/``.  The fingerprint hashes
-the source of ``analyzer.py`` and ``scoring.py`` and the stored form's own
-key, so a file that other code wrote has another name and is never read.
+the source of ``analyzer.py`` and ``scoring.py``, the stored form's own key
+and the store's schema, so a file that other code wrote has another name
+and is never read.
+
+The same file keeps history walks for `history.walk_history`: one per tip
+and walk key, each with its SHA-256 digest, which is checked before any of
+the walk is used.
 
 Nothing read from the store is trusted.  A store that cannot be opened, read
-or written, a file that is no store, a row that is no stored form and a
-lock held too long each cost one warning, and the run goes on: a file that
-is no store is moved aside for a new one, and otherwise the run does without
-the store.  So a report never depends on the store.
+or written, a file that is no store, a row that is no stored form, a walk
+whose digest is wrong and a lock held too long each cost one
+warning, and the run goes on: a file that is no store is moved aside for a
+new one, a damaged walk is walked again with git, and otherwise the run does
+without the store.  So a report never depends on the store.
 """
 
 from __future__ import annotations
@@ -35,7 +41,10 @@ log = logging.getLogger(__name__)
 BUSY_TIMEOUT_S = 30.0
 #: Blob ids per lookup: far below any sqlite build's bound on parameters.
 _LOOKUP = 500
-SCHEMA = "CREATE TABLE blobs (oid TEXT PRIMARY KEY, analysis) WITHOUT ROWID"
+SCHEMA = (
+    "CREATE TABLE blobs (oid TEXT PRIMARY KEY, analysis) WITHOUT ROWID",
+    "CREATE TABLE walks (key TEXT, tip TEXT, digest TEXT, walk BLOB, PRIMARY KEY (key, tip)) WITHOUT ROWID",
+)
 
 
 def store_path() -> Path:
@@ -44,7 +53,7 @@ def store_path() -> Path:
     Raises OSError when a source file cannot be read, and RuntimeError when
     there is no cache root.
     """
-    digest = hashlib.sha256(scoring.STORED_FORM_KEY.encode("utf-8"))
+    digest = hashlib.sha256("\n".join((scoring.STORED_FORM_KEY, *SCHEMA)).encode("utf-8"))
     for module in (analyzer, scoring):
         digest.update(Path(module.__file__).read_bytes())
     name = f"{sys.implementation.cache_tag}-{digest.hexdigest()[:16]}.sqlite3"
@@ -62,17 +71,21 @@ def _connect(path: Path) -> sqlite3.Connection:
     """A connection to the store at `path`, made if the file is new or empty.
 
     Raises sqlite3.DatabaseError when the file holds anything but the store's
-    one table.
+    tables.
     """
     # autocommit: a lookup holds its read lock only while it runs
     connection = sqlite3.connect(path, timeout=BUSY_TIMEOUT_S, isolation_level=None)
+    query = "SELECT sql FROM sqlite_master ORDER BY name"
     try:
-        schema = connection.execute("SELECT sql FROM sqlite_master").fetchall()
+        schema = [sql for (sql,) in connection.execute(query)]
         if not schema:
-            # another run may make it first; sqlite keeps the statement without IF NOT EXISTS
-            connection.execute(SCHEMA.replace("CREATE TABLE", "CREATE TABLE IF NOT EXISTS"))
-            schema = connection.execute("SELECT sql FROM sqlite_master").fetchall()
-        if schema != [(SCHEMA,)]:
+            with connection:
+                connection.execute("BEGIN IMMEDIATE")
+                for table in SCHEMA:
+                    # another run may make it first; sqlite keeps the statement without IF NOT EXISTS
+                    connection.execute(table.replace("CREATE TABLE", "CREATE TABLE IF NOT EXISTS"))
+            schema = [sql for (sql,) in connection.execute(query)]
+        if schema != list(SCHEMA):
             raise sqlite3.DatabaseError(f"foreign schema {schema!r}")
     except BaseException:
         connection.close()
@@ -165,6 +178,36 @@ class AnalysisStore:
             with connection:  # commits, or rolls back on an exception
                 connection.execute("BEGIN IMMEDIATE")
                 connection.executemany("INSERT OR REPLACE INTO blobs VALUES (?, ?)", rows)
+        except sqlite3.Error as exc:
+            self._fail(exc)
+
+    def walk(self, key: str, tip: str) -> bytes | None:
+        """The walk stored under `key` for `tip`, once its digest is the walk's;
+        None when there is none, and after one warning when it is damaged."""
+        if self._connection is None:
+            return None
+        try:
+            row = self._connection.execute(
+                "SELECT digest, CAST(walk AS BLOB) FROM walks WHERE key = ? AND tip = ?", (key, tip)).fetchone()
+        except sqlite3.Error as exc:
+            self._fail(exc)
+            return None
+        if row is None:
+            return None
+        digest, walk = row
+        if walk is not None and hashlib.sha256(walk).hexdigest() == digest:
+            return walk
+        log.warning("the analysis store %s holds a damaged walk for %s: walking the history with git",
+                    self.path, tip)
+        return None
+
+    def keep_walk(self, key: str, tip: str, walk: bytes) -> None:
+        """Store `walk` under `key` for `tip`, in the place of any walk stored there."""
+        if self._connection is None:
+            return
+        try:
+            self._connection.execute("INSERT OR REPLACE INTO walks VALUES (?, ?, ?, ?)",
+                                     (key, tip, hashlib.sha256(walk).hexdigest(), walk))
         except sqlite3.Error as exc:
             self._fail(exc)
 

@@ -97,7 +97,11 @@ def test_the_store_file_is_named_by_interpreter_and_code(fresh_cache_root, tmp_p
     assert path.name.startswith(f"{sys.implementation.cache_tag}-")
     changed = tmp_path / "analyzer.py"
     changed.write_bytes(Path(analyzer.__file__).read_bytes() + b"\n# changed\n")
-    monkeypatch.setattr(analyzer, "__file__", str(changed))
+    with monkeypatch.context() as patch:
+        patch.setattr(analyzer, "__file__", str(changed))
+        assert store.store_path() != path
+    assert store.store_path() == path
+    monkeypatch.setattr(store, "SCHEMA", (*store.SCHEMA, "CREATE TABLE more (a) WITHOUT ROWID"))
     assert store.store_path() != path
 
 
@@ -125,7 +129,7 @@ def test_a_warm_run_reads_and_analyzes_no_blob(big_repo, tmp_path, recorded, cap
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("blobs:")]
     assert summary[-1] == (
         f"blobs: {named} named, 0 analyzed, {named} from the analysis store; skipped: none; "
-        f"store: {store.store_path()}")
+        f"commits: 0 from git log, 500 from a stored walk; store: {store.store_path()}")
 
 
 def test_after_new_commits_only_their_new_blobs_are_analyzed(tmp_path, recorded, monkeypatch):
@@ -306,7 +310,8 @@ def test_a_run_without_a_store_warns_once_and_writes_the_same_reports(tmp_path, 
             lock.close()
     assert len([record for record in caplog.records if record.levelno >= logging.WARNING]) == 1, caplog.text
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("blobs:")]
-    assert summary == ["blobs: 2 named, 2 analyzed, 0 from the analysis store; skipped: 1 SyntaxError; no store"]
+    assert summary == ["blobs: 2 named, 2 analyzed, 0 from the analysis store; skipped: 1 SyntaxError; "
+                       "commits: 1 from git log, 0 from a stored walk; no store"]
 
 
 def test_concurrent_runs_share_one_store(big_repo, tmp_path):
@@ -318,6 +323,7 @@ def test_concurrent_runs_share_one_store(big_repo, tmp_path):
     again = run_analyze(big_repo, tmp_path / "c")
     assert again.returncode == 0
     assert " 0 analyzed," in again.stderr and "WARNING" not in again.stderr
+    assert "commits: 0 from git log, 500 from a stored walk;" in again.stderr
     assert reports(tmp_path / "c") == reports(tmp_path / "a")
 
 
