@@ -1,7 +1,7 @@
 """Track CEFR-style Python code proficiency progression across a git history."""
 
 from .analyzer import AnalysisResult, LevelVector, analyze_source, count_constructs
-from .catalog import Catalog, CatalogError, ConstructRule, Level, load_catalog
+from .catalog import Catalog, CatalogError, Level, load_catalog
 from .history import (
     CommitRecord,
     ContributorId,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisResult", "LevelVector", "analyze_source", "count_constructs",
-    "Catalog", "CatalogError", "ConstructRule", "Level", "load_catalog",
+    "Catalog", "CatalogError", "Level", "load_catalog",
     "CommitRecord", "ContributorId", "FileChange", "Repo", "RepoError", "RepoSpec",
     "extract_commits", "prepare_repo",
     "emit_csv", "emit_html", "emit_json", "write_report_bundle",

@@ -77,6 +77,8 @@ import signal
 import subprocess
 import sys
 import warnings
+from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .catalog import Catalog, Level
@@ -729,6 +731,21 @@ def count_constructs(source: str) -> list[Occurrence]:
     return sorted(find_constructs(source), key=lambda occ: (occ[1], occ[0]))
 
 
+def level_counter(catalog: Catalog) -> Callable[[Iterable[int]], list[int]]:
+    """The function that sums per-kind counts, given in KINDS order, into
+    seven: one per level, A1 first, then one for the kinds `catalog` lacks,
+    which are tallied apart rather than put at some level."""
+    slots = [len(Level) if (level := catalog.classify(kind)) is None else level for kind in KINDS]
+
+    def count(counts: Iterable[int]) -> list[int]:
+        totals = [0] * (len(Level) + 1)
+        for slot, n in zip(slots, counts):
+            totals[slot] += n
+        return totals
+
+    return count
+
+
 def analyze_source(source: str, catalog: Catalog) -> AnalysisResult:
     """Classify one source text; parse failures yield a zero result, never an error."""
     try:
@@ -737,12 +754,6 @@ def analyze_source(source: str, catalog: Catalog) -> AnalysisResult:
         log.debug("parse failure: %s", exc)
         return AnalysisResult(LevelVector.zero(), (), 0, parse_ok=False)
 
-    counts = [0] * 6
-    unclassified = 0
-    for kind, _line in occurrences:
-        level = catalog.classify(kind)
-        if level is None:
-            unclassified += 1
-        else:
-            counts[level] += 1
+    tally = Counter(kind for kind, _line in occurrences)
+    *counts, unclassified = level_counter(catalog)(tally[kind] for kind in KINDS)
     return AnalysisResult(LevelVector(tuple(counts)), tuple(occurrences), unclassified, parse_ok=True)

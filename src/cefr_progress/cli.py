@@ -76,8 +76,9 @@ def _analyze_history(
     hold only for this run: a blob this repository lacks, or a verdict that
     tells of this run rather than of the blob.  The store also keeps the
     history walk, so that a re-run on an unchanged history starts no
-    ``git log``.  One line on stderr sums up where the blobs'
-    analyses and the commits came from.
+    ``git log``.  A repository whose replace refs or grafts rewrite what
+    an id names runs without the store.  One line on stderr sums up where
+    the blobs' analyses and the commits came from.
     """
     # imported here, as the process pool below: sqlite3 and the pool's modules
     # would add 1.5 and 2.5 MB to the peak memory of every process that
@@ -128,10 +129,12 @@ def _analyze_history(
             # cat-file's input open would keep git from ever seeing its end.
             # Nor does any worker hold the store's connection, opened after it.
             pool.submit(int)
-        store = AnalysisStore.open()
-        if store is not None:
-            stack.callback(store.close)
         with prepare_repo(RepoSpec(source)) as repo:
+            # replace refs make git read another blob's bytes for a blob id, and
+            # grafts another history for a commit id: neither may be kept by id
+            store = None if repo.rewritten else AnalysisStore.open()
+            if store is not None:
+                stack.callback(store.close)
             blobs = walk_history(repo, commits, identity=identity, known=None if store is None else known,
                                  walks=store, sources=sources)
             if jobs == 1:
@@ -170,8 +173,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         log.error("catalog error: %s", exc)
         return EXIT_CATALOG
 
+    # the repository as the reports name it, each byte argv could not decode as \xNN
+    repo = args.repo.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
     try:
-        log.info("analyzing the commit history of %s with %d job(s)", args.repo, args.jobs)
+        log.info("analyzing the commit history of %s with %d job(s)", repo, args.jobs)
         commits, memo = _analyze_history(args.repo, catalog, args.identity, args.jobs)
     except RepoError as exc:
         log.error("repository error: %s", exc)
@@ -180,7 +185,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     log.info("scoring %d commits", len(commits))
     report = build_report(
         (score_blobs(commit, memo) for commit in commits),
-        repo=args.repo,
+        repo=repo,
         period=Granularity(args.period),
         bot_patterns=tuple(args.bot_pattern) if args.bot_pattern else DEFAULT_BOT_PATTERNS,
     )

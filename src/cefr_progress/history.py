@@ -138,9 +138,10 @@ class CommitBlobs(NamedTuple):
 
 
 def _run_git(*args: str) -> subprocess.CompletedProcess:
-    """Run ``git`` with `args` and capture its output as text."""
+    """Run ``git`` with `args` and capture its output as text, with each byte
+    that is not UTF-8 as a surrogate escape, as in a path from argv."""
     try:
-        return subprocess.run(["git", *args], capture_output=True, text=True)
+        return subprocess.run(["git", *args], capture_output=True, text=True, errors="surrogateescape")
     except OSError as exc:
         raise RepoError("git_missing", f"cannot run git: {exc}") from exc
 
@@ -193,8 +194,8 @@ def ask(proc: subprocess.Popen, oids: list[str]) -> Iterator[tuple[str, bytes | 
 class Repo:
     """Read handle on a local git repository.
 
-    `rewritten` tells that replace refs or a grafts file may give a commit id
-    another history here.
+    `rewritten` tells that replace refs or a grafts file may give an object
+    id other content here: a commit id another history, a blob id other bytes.
     """
 
     def __init__(self, path: Path, rewritten: bool = False):
@@ -269,7 +270,7 @@ def prepare_repo(spec: RepoSpec) -> Repo:
     if candidate.exists():
         return _open(candidate)
 
-    key = hashlib.sha256(spec.source.encode("utf-8")).hexdigest()[:16]
+    key = hashlib.sha256(spec.source.encode("utf-8", "surrogateescape")).hexdigest()[:16]
     clone_dir = Path(spec.workdir if spec.workdir is not None else cache_root()) / "clones" / key
     if clone_dir.exists():
         log.info("fetching %s into cached clone %s", spec.source, clone_dir)
@@ -390,9 +391,8 @@ def walk_history(
 
     `walks`, when given, is the store of earlier walks.  The commits come
     from the stored walk of this walk's tip when there is one, and otherwise
-    from ``git log``, whose walk is then stored; a repository whose history
-    replace refs or grafts rewrite is always walked with ``git log``, and
-    nothing is stored.  `sources`, when given, counts the commits under
+    from ``git log``, whose walk is then stored.  Pass none for a `repo`
+    that is `rewritten`.  `sources`, when given, counts the commits under
     "git log" or "stored walk".
     """
     if identity not in ("author", "committer"):
@@ -402,7 +402,7 @@ def walk_history(
     if probe.returncode != 0 or not tip:
         raise RepoError("empty", f"{repo.path} has no non-merge commits on its default branch")
 
-    key = None if walks is None or repo.rewritten else _walk_key(identity)
+    key = None if walks is None else _walk_key(identity)
     stored = None if key is None else walks.walk(key, tip)
     walk = None if key is None or stored is not None else bytearray()  # the walk to store
     who = identity[0]  # %an/%ae or %cn/%ce

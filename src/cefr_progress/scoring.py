@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 
-from .analyzer import KINDS, LevelVector, ParseError, analyze_source, blob_text, find_constructs
+from .analyzer import KINDS, LevelVector, ParseError, analyze_source, blob_text, find_constructs, level_counter
 from .catalog import Catalog, Level
 from .history import CommitBlobs, CommitRecord, ContributorId
 
@@ -138,16 +138,12 @@ def is_stored(value: object) -> bool:
 
 def entry_folder(catalog: Catalog) -> Callable[[Stored], Entry]:
     """The function that folds a stored form into its memo entry under `catalog`."""
-    # each kind's level; an uncataloged kind counts in a seventh, dropped slot
-    levels = [6 if (level := catalog.classify(kind)) is None else level for kind in KINDS]
+    levels = level_counter(catalog)
 
     def fold(stored: Stored) -> Entry:
         if type(stored) is str:
             return SKIPPED if stored else ABSENT
-        counts = [0] * 7
-        for level, count in zip(levels, array("I", stored)):
-            counts[level] += count
-        return tuple(counts[:6])
+        return tuple(levels(array("I", stored))[:6])  # the uncataloged kinds' count is dropped
 
     return fold
 

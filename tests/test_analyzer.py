@@ -24,7 +24,7 @@ from cefr_progress.analyzer import (
     count_constructs,
     source_text,
 )
-from cefr_progress.catalog import Catalog, ConstructRule, Level, default_catalog
+from cefr_progress.catalog import Catalog, Level, default_catalog
 
 import verdict_differential
 from verdict_differential import HANDLERS_3_12, nested
@@ -62,7 +62,7 @@ def test_generator_labels_match_the_compiler(snippet):
 
 def test_corpus_covers_whole_vocabulary():
     labeled = {kind for snippet in SNIPPETS for kind, _ in snippet.expected}
-    assert labeled == {rule.kind for rule in CATALOG.rules}
+    assert labeled == set(CATALOG.levels)
     assert len(SNIPPETS) >= 20
 
 
@@ -322,7 +322,7 @@ def test_source_bytes_decode_like_the_compiler(data, line):
 
 
 def test_vector_counts_only_cataloged_kinds():
-    small = Catalog("only-if", (ConstructRule("if_statement", Level.A1),))
+    small = Catalog("only-if", {"if_statement": Level.A1})
     result = analyze_source("if a:\n    x = 1\n", small)
     assert result.vector.as_list() == [1, 0, 0, 0, 0, 0]
     assert result.unclassified_count == 1  # the assignment

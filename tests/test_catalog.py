@@ -1,28 +1,32 @@
+import pickle
+from pathlib import Path
+
 import pytest
 
 from cefr_progress.analyzer import count_constructs
 from cefr_progress.catalog import (
-    Catalog,
+    LEVEL_LABELS,
     CatalogError,
-    ConstructRule,
     Level,
     default_catalog,
     load_catalog,
-    merge_catalogs,
     parse_catalog_text,
 )
+from cefr_progress.cli import main
 
 from corpus import SNIPPETS
 
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
 
 def kinds(catalog):
-    return {rule.kind for rule in catalog.rules}
+    return set(catalog.levels)
 
 
 def catalog_file_text(catalog):
     """`catalog` in the catalog file format of docs/catalog-format.md."""
     lines = [f"!version {catalog.version}"]
-    lines += [f"{rule.kind} {rule.level.name} {rule.description}".rstrip() for rule in catalog.rules]
+    lines += [f"{kind} {level.name}" for kind, level in catalog.levels.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -32,10 +36,7 @@ def test_level_order_and_labels():
     # label <-> ordinal is bijective
     assert {lvl.name for lvl in Level} == {"A1", "A2", "B1", "B2", "C1", "C2"}
     assert {lvl.value for lvl in Level} == set(range(6))
-    for lvl in Level:
-        assert Level.from_label(lvl.name) is lvl
-    with pytest.raises(ValueError):
-        Level.from_label("D1")
+    assert LEVEL_LABELS == ("A1", "A2", "B1", "B2", "C1", "C2")
 
 
 @pytest.mark.parametrize(
@@ -129,7 +130,7 @@ def test_comments_blank_lines_and_version_directive():
     text = "# a comment\n\n!version custom-7\nif_statement B1 because reasons\n"
     cat = parse_catalog_text(text)
     assert cat.version == "custom-7"
-    assert cat.rules == (ConstructRule("if_statement", Level.B1, "because reasons"),)
+    assert cat.levels == {"if_statement": Level.B1}  # the free text is ignored
 
 
 def test_dump_parse_round_trip_default():
@@ -144,15 +145,51 @@ def test_dump_load_round_trip_through_file(tmp_path):
     assert load_catalog(path) == cat
 
 
-def test_merge_preserves_base_order_and_appends_new():
-    base = Catalog("base", (ConstructRule("a", Level.A1), ConstructRule("b", Level.B1)))
-    override = Catalog("v2", (ConstructRule("b", Level.C2), ConstructRule("c", Level.A2)))
-    merged = merge_catalogs(base, override)
-    assert [r.kind for r in merged.rules] == ["a", "b", "c"]
-    assert merged.classify("b") is Level.C2
+def test_merge_preserves_base_order_and_appends_new(tmp_path):
+    rules = tmp_path / "rules.cat"
+    rules.write_text("!version v2\nwalrus_operator A2\nbreak_statement C2\n")
+    merged = load_catalog(rules)
+    default = default_catalog().levels
+    assert list(merged.levels) == [*default, "walrus_operator"]
+    assert merged.levels == {**default, "break_statement": Level.C2, "walrus_operator": Level.A2}
     assert merged.version == "v2"
 
 
-def test_duplicate_kinds_rejected_at_construction():
-    with pytest.raises(CatalogError):
-        Catalog("x", (ConstructRule("a", Level.A1), ConstructRule("a", Level.A2)))
+def test_a_loaded_catalog_survives_pickling(tmp_path):
+    # a catalog goes to worker processes by pickle
+    rules = tmp_path / "rules.cat"
+    rules.write_text("if_statement C2\nwalrus_operator B2\n")
+    cat = load_catalog(rules)
+    assert pickle.loads(pickle.dumps(cat)) == cat
+    assert pickle.loads(pickle.dumps(cat)).classify("walrus_operator") is Level.B2
+
+
+def test_the_documented_default_vocabulary_is_the_default_catalog():
+    section = (DOCS / "catalog-format.md").read_text(encoding="utf-8").split("\n## Default vocabulary\n", 1)[1]
+    documented = {}
+    for row in section.splitlines():  # | A1 | `simple_assignment` `if_statement` ... |
+        cells = row.split("|")
+        if len(cells) == 4 and cells[1].strip() in LEVEL_LABELS:
+            documented.update((name.strip("`"), Level[cells[1].strip()]) for name in cells[2].split())
+    assert documented == default_catalog().levels
+
+
+NOT_UTF8 = b"if_statement A2 caf\xe9\n"
+
+
+def test_a_catalog_file_that_is_not_utf8_raises_parse_error(tmp_path):
+    rules = tmp_path / "bad.cat"
+    rules.write_bytes(NOT_UTF8)
+    with pytest.raises(CatalogError) as err:
+        load_catalog(rules)
+    assert err.value.kind == "parse"
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_a_catalog_file_that_is_not_utf8_exits_3(command, linear_repo, tmp_path):
+    rules = tmp_path / "bad.cat"
+    rules.write_bytes(NOT_UTF8)
+    target = tmp_path / "a.py"
+    target.write_text("x = 1\n")
+    subject = [str(linear_repo), "--out", str(tmp_path / "o")] if command == "analyze" else [str(target)]
+    assert main([command, *subject, "--catalog", str(rules)]) == 3

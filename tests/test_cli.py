@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +61,18 @@ def test_analyze_credits_a_name_with_a_unit_separator_verbatim(tmp_path):
 
 def test_analyze_nonexistent_repo_exits_2(tmp_path):
     assert main(["analyze", str(tmp_path / "missing"), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_analyze_a_repository_path_that_is_not_utf8(linear_repo, tmp_path):
+    # argv holds the byte 0xff as the surrogate escape U+DCFF, which UTF-8 cannot encode
+    repo = tmp_path / os.fsdecode(b"B\xff")
+    shutil.copytree(linear_repo, repo, symlinks=True)
+    out = tmp_path / "out"
+    assert main(["analyze", str(repo), "--out", str(out)]) == 0
+    for name in ("report.csv", "report.html"):
+        (out / name).read_bytes().decode("utf-8")
+    assert json.loads((out / "report.json").read_bytes().decode("utf-8"))["repo"] == f"{tmp_path}/B\\xff"
+    assert main(["analyze", str(tmp_path / os.fsdecode(b"missing\xff")), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_analyze_without_git_binary_exits_2(linear_repo, tmp_path, monkeypatch):

@@ -88,7 +88,7 @@ def test_a_kind_missing_from_kinds_fails_loudly(monkeypatch):
 
 def test_kinds_are_the_default_catalogs_kinds():
     assert len(set(analyzer.KINDS)) == len(analyzer.KINDS)
-    assert set(analyzer.KINDS) == {rule.kind for rule in CATALOG.rules}
+    assert set(analyzer.KINDS) == set(CATALOG.levels)
 
 
 def test_the_store_file_is_named_by_interpreter_and_code(fresh_cache_root, tmp_path, monkeypatch):

@@ -48,10 +48,14 @@ def commands(procs) -> list[str]:
     return sorted(proc.args[3] for proc in procs)
 
 
+def summary(caplog) -> str:
+    """The last summary line."""
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("blobs:")][-1]
+
+
 def sources(caplog) -> str:
     """The commit counts of the last summary line."""
-    summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("blobs:")]
-    return summary[-1].split("commits: ")[1].split(";")[0]
+    return summary(caplog).split("commits: ")[1].split(";")[0]
 
 
 def walks() -> list[tuple[str, int]]:
@@ -228,6 +232,22 @@ def test_a_grafts_file_is_honoured_and_keeps_no_walk(linear_repo, tmp_path, monk
               tmp_path, monkeypatch, started, caplog)
     with prepare_repo(RepoSpec(str(fixture.path))) as repo:
         assert not repo.rewritten
+
+
+def test_a_repository_with_replace_refs_runs_without_the_store(tmp_path, monkeypatch, caplog):
+    # git cat-file answers for a replaced blob with its replacement's bytes, so
+    # an analysis kept under the replaced id would be wrong in any other repository
+    rewritten = GitFixture(tmp_path / "rewritten")
+    rewritten.write("a.py", "x = 1\n")
+    rewritten.write("b.py", "y = [[1], 2]\nfor i in y:\n    pass\n")
+    rewritten.commit(ALICE, "2020-01-01T00:00:00Z", "one")
+    rewritten.run("replace", *(rewritten.run("rev-parse", f"HEAD:{name}").strip() for name in ("a.py", "b.py")))
+    plain = GitFixture(tmp_path / "plain")
+    plain.write("a.py", "x = 1\n")
+    plain.commit(ALICE, "2020-01-01T00:00:00Z", "one")
+    analyze(rewritten.path, tmp_path / "rewritten-out")
+    assert summary(caplog).endswith("; no store")
+    assert analyze(plain.path, tmp_path / "plain-out") == cold(plain.path, tmp_path / "cold", monkeypatch)
 
 
 @pytest.mark.parametrize("key, value", [
