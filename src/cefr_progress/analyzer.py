@@ -81,27 +81,15 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .catalog import Catalog, Level
+from .catalog import Catalog, Level, default_catalog
 
 log = logging.getLogger(__name__)
 
 Occurrence = tuple[str, int]
 
-#: Every kind the walk emits, in a fixed order.
-KINDS = (
-    "arithmetic_expression", "assert_statement", "async_function", "augmented_assignment",
-    "await_expression", "break_statement", "class_definition", "class_inheritance", "closure",
-    "comparison_expression", "conditional_expression", "context_manager_definition",
-    "continue_statement", "decorator_application", "default_parameter", "descriptor_definition",
-    "dict_comprehension", "dict_literal", "dunder_new_override", "dynamic_attribute", "elif_clause",
-    "else_clause", "for_statement", "function_call", "function_definition", "generator_expression",
-    "generator_function", "global_declaration", "if_statement", "import_statement",
-    "kw_args_parameter", "lambda_expression", "list_comprehension", "list_literal", "metaclass",
-    "multiple_inheritance", "nested_list", "nonlocal_declaration", "property_definition",
-    "raise_statement", "return_statement", "set_comprehension", "set_literal", "simple_assignment",
-    "slice_expression", "star_args_parameter", "string_formatting", "try_except", "tuple_literal",
-    "tuple_unpacking", "while_statement", "with_statement", "yield_from",
-)
+#: Every kind the walk emits, in a fixed order: the kinds of the default
+#: catalog's table, sorted.  A kind the walk emits must have a row there.
+KINDS = tuple(sorted(default_catalog().levels))
 
 
 def blob_text(data: bytes | None) -> str | None:
@@ -192,6 +180,8 @@ _TYPE_PARAMS = frozenset(
 #: deep, each ``with`` item one, a ``try`` body one, an except handler two, and
 #: a ``finally`` adds one to every other part of its ``try``.
 _MAX_BLOCKS = 20
+#: Where a statement stands when no block holds it: no block deep, in no loop.
+_OUTSIDE = (0, False)
 
 #: Python 3.12's compiler crashes on some deep nests, so a child compiles each
 #: source it may crash on: the text this process decoded, sent as UTF-8.
@@ -340,12 +330,10 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
     found: list[Occurrence] = []
     generators: set[ast.AST] = set()
     elifs: set[ast.AST] = set()
-    # the statements a break or continue may stand in: a loop's body, and the
-    # blocks of an if, with, try or match among them, but no def or class body
-    looped: set[ast.AST] = set()
-    # the statements inside compiler blocks: how many blocks deep each stands
-    # in its module or def body
-    depths: dict[ast.AST, int] = {}
+    # each statement inside compiler blocks: how many blocks deep it stands in
+    # its module or def body, and whether it is in a loop, where a break or
+    # continue may stand.  A def or class body starts again at _OUTSIDE.
+    placed: dict[ast.AST, tuple[int, bool]] = {}
     module = _Scope(None, _CLASS)
     scopes = [module]  # every scope, each after the one around it
     # under `from __future__ import annotations` no annotation is evaluated:
@@ -367,11 +355,11 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
             elif type(item) is Name:
                 scope.names.append(item)
 
-    def blocks(depth: int, *bodies: list[ast.stmt]) -> None:
-        if depth:
+    def blocks(depth: int, loop: bool, *bodies: list[ast.stmt]) -> None:
+        if depth:  # a loop's statements stand at least one block deep
             for body in bodies:
                 for stmt in body:
-                    depths[stmt] = depth
+                    placed[stmt] = depth, loop
 
     def enter(parent: _Scope, kind: int, node: ast.AST | None = None) -> _Scope:
         scope = _Scope(parent, kind, node)
@@ -425,9 +413,7 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
                         found.append(("nested_list", node.lineno))
             elif t is ast.If:
                 found.append(("elif_clause" if node in elifs else "if_statement", node.lineno))
-                if node in looped:
-                    looped.update(node.body, node.orelse)
-                blocks(depths.get(node, 0), node.body, node.orelse)
+                blocks(*placed.get(node, _OUTSIDE), node.body, node.orelse)
                 if node.orelse:
                     first = node.orelse[0]
                     # an elif is the sole If in orelse sharing the parent's column
@@ -439,25 +425,19 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
             elif t in _ELSE_BLOCKS:
                 if node.orelse:
                     found.append(("else_clause", node.orelse[0].lineno))
-                depth = depths.get(node, 0)
+                depth, loop = placed.get(node, _OUTSIDE)
                 if t is ast.Try or t is _TRY_STAR:
                     # t is ast.Try on Python 3.10, which has no except*
                     if t is not ast.Try or any(handler.type is None for handler in node.handlers[:-1]):
                         unsure = True
-                    if node in looped:
-                        looped.update(node.body, node.orelse, node.finalbody,
-                                      *(handler.body for handler in node.handlers))
                     if node.finalbody:
                         depth += 1
-                    blocks(depth, node.orelse, node.finalbody)
-                    blocks(depth + 1 if node.handlers else depth, node.body)
-                    blocks(depth + 2, *(handler.body for handler in node.handlers))
+                    blocks(depth, loop, node.orelse, node.finalbody)
+                    blocks(depth + 1 if node.handlers else depth, loop, node.body)
+                    blocks(depth + 2, loop, *(handler.body for handler in node.handlers))
                 else:  # a loop, whose else block is in a loop only if the loop is
-                    if node in looped:
-                        looped.update(node.orelse)
-                    looped.update(node.body)
-                    blocks(depth + 1, node.body)
-                    blocks(depth, node.orelse)
+                    blocks(depth + 1, True, node.body)
+                    blocks(depth, loop, node.orelse)
                 if t is ast.For or t is ast.AsyncFor:
                     targets = (node.target,)
                     if t is ast.AsyncFor and type(scope.node) is not ast.AsyncFunctionDef:
@@ -516,9 +496,8 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
                 targets = (node.target,)
             elif t is ast.With or t is ast.AsyncWith:
                 targets = [item.optional_vars for item in node.items]
-                if node in looped:
-                    looped.update(node.body)
-                blocks(depths.get(node, 0) + len(node.items), node.body)
+                depth, loop = placed.get(node, _OUTSIDE)
+                blocks(depth + len(node.items), loop, node.body)
                 if t is ast.AsyncWith and type(scope.node) is not ast.AsyncFunctionDef:
                     unsure = True
             elif t is ast.AnnAssign:
@@ -605,13 +584,11 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
                 scope.nonlocals |= set(map(scope.mangle, node.names))
             elif t is ast.Break or t is ast.Continue:
                 # compile() rejects these outside a loop
-                if node not in looped:
+                if not placed.get(node, _OUTSIDE)[1]:
                     unsure = True
             elif t is ast.Match:
                 unsure = True
-                if node in looped:
-                    looped.update(*(case.body for case in node.cases))
-                blocks(depths.get(node, 0), *(case.body for case in node.cases))
+                blocks(*placed.get(node, _OUTSIDE), *(case.body for case in node.cases))
             elif t is ast.Starred:
                 if type(node.ctx) is ast.Store:
                     unsure = True
@@ -640,7 +617,7 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
 
     if any(type(d) is ast.AsyncFunctionDef for d in generators):
         unsure = True  # an async generator may not return a value or yield from
-    deepest = max(depths.values(), default=0)
+    deepest = max((depth for depth, _ in placed.values()), default=0)
     if deepest > _MAX_BLOCKS:
         unsure = True
     if _CRASHING_COMPILER:

@@ -2,8 +2,8 @@
 
 The six CEFR bands (A1 easiest .. C2 hardest) are fixed; which Python
 construct lands in which band is data: a table from kind to level.  The
-default table below covers every construct kind the analyzer can emit and
-may be partially or fully overridden from a catalog file.
+default table below is also the analyzer's kind list (``analyzer.KINDS``
+is its kinds, sorted); a catalog file may override any of its levels.
 
 Catalog file grammar (line oriented, UTF-8, see docs/catalog-format.md):
 
@@ -177,7 +177,7 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CatalogError("io", f"cannot read catalog file {path}: {exc}") from exc
+        raise CatalogError("io", f"cannot read catalog file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise CatalogError("parse", f"catalog file {path} is not UTF-8: {exc}") from exc
     override = parse_catalog_text(text, version=f"{base.version}+custom")

@@ -38,6 +38,19 @@ EXIT_IO = 4
 EXIT_PARSE = 5
 
 
+def _shown(text: str) -> str:
+    """`text` as stderr and the outputs show it: each byte that argv, a path or
+    git's output could not decode (a surrogate escape) as ``\\xNN``."""
+    return text.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
+class _ShownFormatter(logging.Formatter):
+    """Formats each stderr line through `_shown`, git's messages included."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        return _shown(super().format(record))
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -173,8 +186,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         log.error("catalog error: %s", exc)
         return EXIT_CATALOG
 
-    # the repository as the reports name it, each byte argv could not decode as \xNN
-    repo = args.repo.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+    repo = _shown(args.repo)  # the repository as the reports name it
     try:
         log.info("analyzing the commit history of %s with %d job(s)", repo, args.jobs)
         commits, memo = _analyze_history(args.repo, catalog, args.identity, args.jobs)
@@ -193,7 +205,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         write_report_bundle(report, Path(args.out), top_n=args.top, show_names=args.show_names)
     except OSError as exc:
-        log.error("cannot write reports: %s", exc)
+        log.error("cannot write reports into %s: %s", args.out, exc.strerror)
         return EXIT_IO
 
     top = report.top_contributor.contributor.anon_id if report.top_contributor else "-"
@@ -214,7 +226,7 @@ def cmd_classify(path: Path, catalog_path: str | None) -> int:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        log.error("cannot read %s: %s", path, exc)
+        log.error("cannot read %s: %s", path, exc.strerror)
         return EXIT_IO
 
     result = analyze_source(source_text(data), catalog)
@@ -223,7 +235,7 @@ def cmd_classify(path: Path, catalog_path: str | None) -> int:
         return EXIT_PARSE
 
     payload = {
-        "file": str(path),
+        "file": _shown(str(path)),
         "levels": dict(zip(LEVEL_LABELS, result.vector.as_list())),
         "total": result.vector.total(),
         "occurrences": [{"kind": kind, "line": line} for kind, line in result.occurrences],
@@ -271,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_ShownFormatter("%(levelname)s %(message)s"))
+    logging.basicConfig(level=logging.INFO, handlers=[handler])
     args = build_parser().parse_args(argv)
 
     if args.command == "classify":

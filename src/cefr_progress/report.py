@@ -160,11 +160,7 @@ def radar_svg(vector: LevelVector, title: str) -> str:
         f"<title>{html.escape(title)}</title>",
     ]
     for fraction in (0.25, 0.5, 0.75, 1.0):
-        ring = [
-            (cx + radius * fraction * math.cos(math.radians(-90 + 60 * i)),
-             cy + radius * fraction * math.sin(math.radians(-90 + 60 * i)))
-            for i in range(6)
-        ]
+        ring = _radar_points(LevelVector((1,) * 6), cx, cy, radius * fraction)  # equal on every axis
         parts.append(f'<polygon class="grid" points="{_fmt_points(ring)}" fill="none" stroke="#ccc"/>')
     for i, label in enumerate(LEVEL_LABELS):
         theta = math.radians(-90 + 60 * i)

@@ -20,7 +20,6 @@ from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from operator import itemgetter
 
 from .analyzer import KINDS, LevelVector, ParseError, analyze_source, blob_text, find_constructs, level_counter
@@ -92,8 +91,9 @@ Stored = bytes | str
 NO_TEXT = ""
 _PACKED_SIZE = array("I").itemsize * len(KINDS)
 #: What else a stored form depends on: the packing's byte order and int size,
-#: and the interpreter, whose grammar and compiler decide the verdict.
-STORED_FORM_KEY = f"{sys.byteorder} {array('I').itemsize} {sys.version}"
+#: the interpreter, whose grammar and compiler decide the verdict, and the
+#: kind list, which the default catalog's table sets and the bytes follow.
+STORED_FORM_KEY = f"{sys.byteorder} {array('I').itemsize} {sys.version} {' '.join(KINDS)}"
 #: Skip reasons that tell of the run, not only of the source: free memory,
 #: and the recursion limit and call depth the parser and compiler start
 #: from.  A blob refused for one of them is analyzed again by the next run.
@@ -189,9 +189,19 @@ def score_commit(record: CommitRecord, catalog: Catalog) -> CommitScore:
 
 
 def period_key(timestamp: int, period: Granularity) -> str:
-    """UTC calendar bucket for a unix timestamp: "YYYY" or "YYYY-MM"."""
-    moment = datetime.fromtimestamp(timestamp, tz=timezone.utc)
-    return moment.strftime("%Y" if period is Granularity.YEARLY else "%Y-%m")
+    """UTC calendar bucket for a unix timestamp: "YYYY" or "YYYY-MM".
+
+    The proleptic Gregorian date comes from integer arithmetic (Howard
+    Hinnant's ``civil_from_days``), so every timestamp git records has one,
+    past year 9999 too, where the year has more digits.
+    """
+    era, day = divmod(timestamp // 86400 + 719468, 146097)  # 400-year eras from 0000-03-01
+    year_of_era = (day - day // 1460 + day // 36524 - day // 146096) // 365
+    march_month = (5 * (day - 365 * year_of_era - year_of_era // 4 + year_of_era // 100) + 2) // 153
+    year = era * 400 + year_of_era + (march_month >= 10)  # January and February end the March year
+    if period is Granularity.YEARLY:
+        return str(year)
+    return f"{year}-{(march_month + 2) % 12 + 1:02d}"
 
 
 def _profile_sort_key(profile: ContributorProfile):

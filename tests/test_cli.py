@@ -63,7 +63,7 @@ def test_analyze_nonexistent_repo_exits_2(tmp_path):
     assert main(["analyze", str(tmp_path / "missing"), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_analyze_a_repository_path_that_is_not_utf8(linear_repo, tmp_path):
+def test_analyze_a_repository_path_that_is_not_utf8(linear_repo, tmp_path, capsys):
     # argv holds the byte 0xff as the surrogate escape U+DCFF, which UTF-8 cannot encode
     repo = tmp_path / os.fsdecode(b"B\xff")
     shutil.copytree(linear_repo, repo, symlinks=True)
@@ -73,6 +73,32 @@ def test_analyze_a_repository_path_that_is_not_utf8(linear_repo, tmp_path):
         (out / name).read_bytes().decode("utf-8")
     assert json.loads((out / "report.json").read_bytes().decode("utf-8"))["repo"] == f"{tmp_path}/B\\xff"
     assert main(["analyze", str(tmp_path / os.fsdecode(b"missing\xff")), "--out", str(tmp_path / "o")]) == 2
+    # stderr, git's own message included, shows the byte as the reports do
+    proc = run_analyze(tmp_path / os.fsdecode(b"missing\xff"), tmp_path / "o")
+    assert proc.returncode == 2
+    assert f"ERROR repository error: clone of {tmp_path}/missing\\xff failed: " in proc.stderr
+    assert "does not exist" in proc.stderr and "\\udc" not in proc.stderr
+    # and so does classify's file field
+    target = tmp_path / os.fsdecode(b"f\xff.py")
+    target.write_text("x = 1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", str(target)]) == 0
+    assert json.loads(capsys.readouterr().out)["file"] == f"{tmp_path}/f\\xff.py"
+    missing = tmp_path / os.fsdecode(b"g\xff.py")
+    proc = subprocess.run([sys.executable, "-m", "cefr_progress", "classify", str(missing)],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 4
+    assert proc.stderr == f"ERROR cannot read {tmp_path}/g\\xff.py: No such file or directory\n"
+
+
+def test_analyze_a_commit_dated_after_9999(tmp_path):
+    fixture = GitFixture(tmp_path / "repo")
+    fixture.write("a.py", "x = 1\n")
+    fixture.commit(ALICE, "@253402300800 +0000", "one")
+    out = tmp_path / "out"
+    assert main(["analyze", str(fixture.path), "--out", str(out), "--period", "monthly"]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert list(report["project_by_period"]) == ["10000-01"]
 
 
 def test_analyze_without_git_binary_exits_2(linear_repo, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import calendar
 import pickle
 import random
+from datetime import datetime, timezone
 
 import pytest
 
@@ -203,6 +204,19 @@ def test_period_key_uses_utc():
     assert period_key(1420068600, Granularity.MONTHLY) == "2014-12"
     # half an hour later it is 2015 in UTC
     assert period_key(1420068600 + 3600, Granularity.YEARLY) == "2015"
+    # past 9999, as far as git records: the year has more than four digits
+    assert period_key(253402300800, Granularity.YEARLY) == "10000"
+    assert period_key(253402300800, Granularity.MONTHLY) == "10000-01"
+    assert period_key(2**63 - 1, Granularity.YEARLY) == "292277026596"
+    assert period_key(2**63 - 1, Granularity.MONTHLY) == "292277026596-12"
+    # every date datetime represents keeps the key datetime gives it
+    first = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
+    rng = random.Random(7)
+    for timestamp in [first, 253402300800 - 1, 951782400, 951868800] + [
+            rng.randrange(first, 253402300800) for _ in range(20_000)]:
+        moment = datetime.fromtimestamp(timestamp, tz=timezone.utc)
+        assert period_key(timestamp, Granularity.YEARLY) == moment.strftime("%Y")
+        assert period_key(timestamp, Granularity.MONTHLY) == moment.strftime("%Y-%m")
 
 
 def test_build_profiles_buckets_by_period():

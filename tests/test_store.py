@@ -5,6 +5,7 @@ state changes no report."""
 import contextlib
 import logging
 import sqlite3
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from cefr_progress.catalog import default_catalog, parse_catalog_text
 from cefr_progress.cli import main
 from cefr_progress.scoring import NO_TEXT, blob_analysis, entry_folder, is_stored, source_analysis
 
-from conftest import ALICE, BOB, GitFixture, finish, run_analyze, start_analyze
+from conftest import ALICE, BOB, GitFixture, child_env, finish, run_analyze, start_analyze
 from corpus import SNIPPETS
 
 CATALOG = default_catalog()
@@ -86,9 +87,24 @@ def test_a_kind_missing_from_kinds_fails_loudly(monkeypatch):
         source_analysis("if x:\n    pass\n")
 
 
-def test_kinds_are_the_default_catalogs_kinds():
-    assert len(set(analyzer.KINDS)) == len(analyzer.KINDS)
-    assert set(analyzer.KINDS) == set(CATALOG.levels)
+def test_the_store_file_is_named_by_the_kind_list():
+    # the kind list is the default catalog's table, sorted, and the stored
+    # form's key names it: a kind dropped from or renamed in the table alone,
+    # with analyzer.py and scoring.py unchanged, renames the store
+    assert analyzer.KINDS == tuple(sorted(CATALOG.levels))
+
+    def path_after(edit: str) -> str:
+        script = ("import importlib\nfrom cefr_progress import analyzer, catalog, scoring, store\n"
+                  f"{edit}\nimportlib.reload(analyzer)\nimportlib.reload(scoring)\nprint(store.store_path())")
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
+        assert child.returncode == 0, child.stderr
+        return child.stdout.strip()
+
+    path = str(store.store_path())
+    assert path_after("pass") == path
+    levels = "catalog._DEFAULT_LEVELS"
+    assert path_after(f"del {levels}['closure']") != path
+    assert path_after(f"{levels}['closures'] = {levels}.pop('closure')") != path  # KINDS keeps its order
 
 
 def test_the_store_file_is_named_by_interpreter_and_code(fresh_cache_root, tmp_path, monkeypatch):
