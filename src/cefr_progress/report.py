@@ -123,11 +123,11 @@ def emit_json(report: ProjectReport, path: str | Path, *, show_names: bool = Fal
 
 
 def emit_csv(report: ProjectReport, path: str | Path) -> Path:
-    """Write the per-period table: period,A1,A2,B1,B2,C1,C2 rows plus a total row."""
+    """Write the per-period table: period,A1,A2,B1,B2,C1,C2 rows, in the
+    report's period order, plus a total row."""
     lines = ["period," + ",".join(LEVEL_LABELS)]
-    for pkey in sorted(report.project_by_period):
-        counts = report.project_by_period[pkey].counts
-        lines.append(pkey + "," + ",".join(str(c) for c in counts))
+    for pkey, vector in report.project_by_period.items():
+        lines.append(pkey + "," + ",".join(str(c) for c in vector.counts))
     lines.append("total," + ",".join(str(c) for c in report.project_total.counts))
     out = Path(path)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -137,54 +137,63 @@ def emit_csv(report: ProjectReport, path: str | Path) -> Path:
 # -- SVG builders ------------------------------------------------------
 
 
-def _radar_points(vector: LevelVector, cx: float, cy: float, radius: float) -> list[tuple[float, float]]:
-    peak = max(vector.counts)
+_RADAR_SIZE, _RADAR_CX, _RADAR_CY, _RADAR_RADIUS = 260, 130.0, 138.0, 92.0
+#: cos and sin of each axis's angle, A1 straight up, then clockwise
+_AXES = tuple((math.cos(theta), math.sin(theta)) for theta in (math.radians(-90 + 60 * i) for i in range(6)))
+
+
+def _radar_points(counts: tuple[int, ...], radius: float) -> str:
+    """The polygon points of `counts` on the radar's axes, scaled to their own max."""
+    peak = max(counts)
+    cx, cy = _RADAR_CX, _RADAR_CY
     points = []
-    for i, value in enumerate(vector.counts):
-        theta = math.radians(-90 + 60 * i)
+    for value, (cos, sin) in zip(counts, _AXES):
         r = radius * (value / peak) if peak else 0.0
-        points.append((cx + r * math.cos(theta), cy + r * math.sin(theta)))
-    return points
+        points.append(f"{cx + r * cos:.2f},{cy + r * sin:.2f}")
+    return " ".join(points)
 
 
-def _fmt_points(points: list[tuple[float, float]]) -> str:
-    return " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-
-
-def radar_svg(vector: LevelVector, title: str) -> str:
-    """Six-axis radar polygon, scaled to the vector's own max component."""
-    size, cx, cy, radius = 260, 130.0, 138.0, 92.0
-    peak = max(vector.counts)
-    parts = [
-        f'<svg class="radar" width="{size}" height="{size}" viewBox="0 0 {size} {size}" role="img">',
-        f"<title>{html.escape(title)}</title>",
-    ]
+def _radar_grid() -> str:
+    """The markup every radar shares: its rings, axes and level labels."""
+    cx, cy, radius = _RADAR_CX, _RADAR_CY, _RADAR_RADIUS
+    parts = []
     for fraction in (0.25, 0.5, 0.75, 1.0):
-        ring = _radar_points(LevelVector((1,) * 6), cx, cy, radius * fraction)  # equal on every axis
-        parts.append(f'<polygon class="grid" points="{_fmt_points(ring)}" fill="none" stroke="#ccc"/>')
-    for i, label in enumerate(LEVEL_LABELS):
-        theta = math.radians(-90 + 60 * i)
+        ring = _radar_points((1,) * 6, radius * fraction)  # equal on every axis
+        parts.append(f'<polygon class="grid" points="{ring}" fill="none" stroke="#ccc"/>')
+    for label, (cos, sin) in zip(LEVEL_LABELS, _AXES):
         parts.append(
             f'<line x1="{cx:.2f}" y1="{cy:.2f}" '
-            f'x2="{cx + radius * math.cos(theta):.2f}" y2="{cy + radius * math.sin(theta):.2f}" stroke="#ccc"/>'
+            f'x2="{cx + radius * cos:.2f}" y2="{cy + radius * sin:.2f}" stroke="#ccc"/>'
         )
-        lx, ly = cx + radius * 1.16 * math.cos(theta), cy + radius * 1.14 * math.sin(theta)
+        lx, ly = cx + radius * 1.16 * cos, cy + radius * 1.14 * sin
         parts.append(
             f'<text x="{lx:.2f}" y="{ly:.2f}" text-anchor="middle" dominant-baseline="middle" '
             f'font-size="11">{label}</text>'
         )
-    data = _fmt_points(_radar_points(vector, cx, cy, radius))
-    parts.append(
-        f'<polygon class="data" points="{data}" fill="#4e79a7" fill-opacity="0.35" stroke="#4e79a7"/>'
-    )
-    parts.append(f'<text x="6" y="{size - 6}" font-size="10" fill="#666">axis max: {peak}</text>')
-    parts.append("</svg>")
     return "".join(parts)
 
 
+_RADAR_GRID = _radar_grid()
+
+
+def radar_svg(vector: LevelVector, title: str) -> str:
+    """Six-axis radar polygon, scaled to the vector's own max component."""
+    size = _RADAR_SIZE
+    return "".join((
+        f'<svg class="radar" width="{size}" height="{size}" viewBox="0 0 {size} {size}" role="img">',
+        f"<title>{html.escape(title)}</title>",
+        _RADAR_GRID,
+        f'<polygon class="data" points="{_radar_points(vector.counts, _RADAR_RADIUS)}" '
+        'fill="#4e79a7" fill-opacity="0.35" stroke="#4e79a7"/>',
+        f'<text x="6" y="{size - 6}" font-size="10" fill="#666">axis max: {max(vector.counts)}</text>',
+        "</svg>",
+    ))
+
+
 def timeline_svg(by_period: dict[str, LevelVector]) -> str:
-    """Stacked bars per period, one colored segment per level, oldest first."""
-    periods = sorted(by_period)
+    """Stacked bars per period, one colored segment per level, in the
+    order of `by_period`: oldest first for a report's periods."""
+    periods = list(by_period)
     bar_w, gap, chart_h, pad_left, pad_bottom, pad_top = 30, 12, 170, 34, 42, 8
     width = pad_left + max(1, len(periods)) * (bar_w + gap) + gap
     height = chart_h + pad_bottom + pad_top

@@ -9,6 +9,13 @@ UTC calendar period.
 A blob's analysis is kept in a catalog-free stored form: the count of each
 analyzer kind, or why there are none.  The catalog folds it into the blob's
 six level counts, so one stored analysis serves every catalog.
+
+A history repeats few values many times, so each is made once: a folder
+folds each distinct stored form once and hands out one tuple per distinct
+entry, every commit that adds nothing shares one zero delta, and a report
+shares one LevelVector per distinct count tuple among its period buckets.
+All of them are immutable.  A CommitScore is a NamedTuple, which
+`build_report` unpacks by position and which pickles by value.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .analyzer import KINDS, LevelVector, ParseError, analyze_source, blob_text, find_constructs, level_counter
 from .catalog import Catalog, Level
@@ -34,8 +42,7 @@ class Granularity(str, enum.Enum):
     YEARLY = "yearly"
 
 
-@dataclass(frozen=True)
-class CommitScore:
+class CommitScore(NamedTuple):
     sha: str
     contributor: ContributorId
     timestamp: int
@@ -80,6 +87,9 @@ class ProjectReport:
 ABSENT = ()
 SKIPPED = None
 _ZERO = (0,) * 6  # the counts of a side that does not exist
+#: The delta of every commit `score_blobs` finds adding nothing, made once,
+#: which `build_report` passes over by identity
+_NO_DELTA = LevelVector.zero()
 
 Entry = tuple[int, ...] | None
 
@@ -139,11 +149,17 @@ def is_stored(value: object) -> bool:
 def entry_folder(catalog: Catalog) -> Callable[[Stored], Entry]:
     """The function that folds a stored form into its memo entry under `catalog`."""
     levels = level_counter(catalog)
+    entries: dict[bytes, tuple[int, ...]] = {}  # stored bytes -> entry
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # entry -> the one equal entry handed out
 
     def fold(stored: Stored) -> Entry:
         if type(stored) is str:
             return SKIPPED if stored else ABSENT
-        return tuple(levels(array("I", stored))[:6])  # the uncataloged kinds' count is dropped
+        entry = entries.get(stored)
+        if entry is None:
+            counts = tuple(levels(array("I", stored))[:6])  # the uncataloged kinds' count is dropped
+            entry = entries[stored] = shared.setdefault(counts, counts)
+        return entry
 
     return fold
 
@@ -158,6 +174,8 @@ def score_blobs(commit: CommitBlobs, memo: dict[str, Entry]) -> CommitScore:
     delta is clamped at zero per file before the files are summed as ints.
     An id the memo lacks raises KeyError.
     """
+    if not commit.changes:
+        return CommitScore(commit.sha, commit.contributor, commit.timestamp, _NO_DELTA, 0, 0)
     total = [0] * 6
     analyzed = skipped = 0
     for _, old, new in commit.changes:
@@ -171,7 +189,7 @@ def score_blobs(commit: CommitBlobs, memo: dict[str, Entry]) -> CommitScore:
             for level, (was, now) in enumerate(zip(before or _ZERO, after)):
                 if now > was:
                     total[level] += now - was
-    delta = LevelVector(tuple(total))
+    delta = LevelVector(tuple(total)) if any(total) else _NO_DELTA
     return CommitScore(commit.sha, commit.contributor, commit.timestamp, delta, analyzed, skipped)
 
 
@@ -233,26 +251,29 @@ def build_report(
     generated_at is the newest analyzed commit timestamp (0 with no scores),
     which keeps emission byte-deterministic for a fixed repository state.
 
+    Every dict of periods is in time order, which is string order only
+    while years have four digits.
+
     Buckets are plain 6-int lists until the pass ends, and each commit's
     period key comes from a memo keyed by UTC day, which never straddles a
-    month or a year.
+    month or a year.  Buckets with equal counts share one LevelVector.
     """
     keys: dict[int, str] = {}  # UTC day -> period key
+    first_day: dict[str, int] = {}  # period key -> a UTC day in it, which orders the periods
     project: dict[str, list[int]] = {}
     people: dict[str, list] = {}  # anon_id -> [ContributorId, commit count, {period key: counts}]
     analyzed = skipped = 0
     newest = float("-inf")
-    for score in scores:
-        timestamp = score.timestamp
-        analyzed += score.files_analyzed
-        skipped += score.files_skipped
+    for _, contributor, timestamp, delta, files_analyzed, files_skipped in scores:
+        analyzed += files_analyzed
+        skipped += files_skipped
         if timestamp > newest:
             newest = timestamp
         day = timestamp // 86400
         pkey = keys.get(day)
         if pkey is None:
             pkey = keys[day] = period_key(timestamp, period)
-        contributor = score.contributor
+            first_day.setdefault(pkey, day)
         person = people.get(contributor.anon_id)
         if person is None:
             person = people[contributor.anon_id] = [contributor, 0, {}]
@@ -263,16 +284,29 @@ def build_report(
         ours = project.get(pkey)
         if ours is None:
             ours = project[pkey] = [0] * 6
-        for level, count in enumerate(score.delta.counts):
-            if count:
-                mine[level] += count
-                ours[level] += count
+        if delta is not _NO_DELTA:
+            for level, count in enumerate(delta.counts):
+                if count:
+                    mine[level] += count
+                    ours[level] += count
+
+    vectors: dict[tuple[int, ...], LevelVector] = {}  # counts -> the one LevelVector of them
+
+    def in_time_order(buckets: dict[str, list[int]]) -> dict[str, LevelVector]:
+        ordered = {}
+        for pkey in sorted(buckets, key=first_day.__getitem__):
+            counts = tuple(buckets[pkey])
+            vector = vectors.get(counts)
+            if vector is None:
+                vector = vectors[counts] = LevelVector(counts)
+            ordered[pkey] = vector
+        return ordered
 
     all_profiles = [
         ContributorProfile(
             contributor=contributor,
             total=_vector_sum(periods.values()),
-            by_period={pkey: LevelVector(tuple(counts)) for pkey, counts in sorted(periods.items())},
+            by_period=in_time_order(periods),
             commit_count=commit_count,
         )
         for contributor, commit_count, periods in people.values()
@@ -288,7 +322,7 @@ def build_report(
 
     top = None
     if profiles:
-        # the most proficient (by C1+C2) sorts first, its periods sorted
+        # the most proficient (by C1+C2) sorts first, its periods in time order
         best = profiles[0]
         rows = tuple((pkey, vec[Level.C1], vec[Level.C2]) for pkey, vec in best.by_period.items())
         top = TopContributor(contributor=best.contributor, periods=rows)
@@ -297,7 +331,7 @@ def build_report(
         generated_at=newest if people else 0,
         period=period,
         project_total=_vector_sum(project.values()),
-        project_by_period={pkey: LevelVector(tuple(counts)) for pkey, counts in sorted(project.items())},
+        project_by_period=in_time_order(project),
         profiles=tuple(profiles),
         excluded_total=excluded,
         top_contributor=top,

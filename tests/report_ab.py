@@ -1,0 +1,118 @@
+"""Time a warm ``analyze`` in two checkouts of this repository, stage by stage.
+
+    python tests/report_ab.py PARENT CHANGE REPO [--period yearly] [--top 10] [--runs 5]
+
+Loads ``cefr_progress`` from each checkout's ``src`` directory under a name
+of its own, as ``tests/analyzer_ab.py`` does, and runs the steps of
+``analyze`` on the repository at REPO in this process at one job: the
+history walk with its store lookups, scoring, ``build_report``,
+``emit_json``, ``emit_csv`` and ``emit_html``.  The analysis store lives in
+a temporary cache root, and one untimed run of each checkout fills it, so
+every timed run is warm: it reads each blob's analysis and the history walk
+from the store.  The checkouts take turns, and which goes first alternates
+from run to run.  It prints each stage's median seconds per checkout and
+the change/parent ratio of the medians.  The exit status is 1 unless both
+checkouts write byte-identical report.json, report.csv and report.html on
+every run.
+
+The benchmark's per-layer metrics time the library's text view, which
+``analyze`` no longer takes; this times the path it does take.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from analyzer_ab import load_analyzer
+
+STAGES = ("walk", "score", "build", "emit_json", "emit_csv", "emit_html")
+REPORTS = ("report.json", "report.csv", "report.html")
+
+
+def load(checkout: Path, name: str):
+    """The package in `checkout`, imported as package `name` with its ``cli`` module."""
+    load_analyzer(checkout, name)
+    importlib.import_module(f"{name}.cli")
+    return sys.modules[name]
+
+
+def run(package, repo: str, period: str, top: int, out: Path) -> dict[str, float]:
+    """Seconds each stage of one ``analyze`` of `repo` took, writing the reports into `out`."""
+    cli, scoring, report = package.cli, package.scoring, package.report
+    catalog = package.catalog.load_catalog(None)
+    times = {}
+    gc.collect()
+    start = time.perf_counter()
+    commits, memo = cli._analyze_history(repo, catalog, "author", 1)
+    times["walk"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    scores = [scoring.score_blobs(commit, memo) for commit in commits]
+    times["score"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    built = scoring.build_report(scores, repo=repo, period=scoring.Granularity(period))
+    times["build"] = time.perf_counter() - start
+
+    out.mkdir(parents=True, exist_ok=True)
+    for stage, emit, options in (("emit_json", report.emit_json, {}),
+                                 ("emit_csv", report.emit_csv, {}),
+                                 ("emit_html", report.emit_html, {"top_n": top})):
+        start = time.perf_counter()
+        emit(built, out / f"report.{stage[5:]}", **options)
+        times[stage] = time.perf_counter() - start
+    return times
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("repo", help="path of the git repository to analyze")
+    parser.add_argument("--period", choices=["yearly", "monthly"], default="yearly",
+                        help="time bucket granularity (default: %(default)s)")
+    parser.add_argument("--top", type=int, default=10, help="contributor radars in the HTML (default: %(default)s)")
+    parser.add_argument("--runs", type=int, default=5, help="timed runs of each checkout (default: %(default)s)")
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory(prefix="report-ab-") as scratch:
+        root = Path(scratch)
+        os.environ["CEFR_PROGRESS_CACHE"] = str(root / "cache")
+        sides = (load(args.parent, "parent_cefr_progress"), load(args.change, "change_cefr_progress"))
+        outs = (root / "parent", root / "change")
+        for package, out in zip(sides, outs):  # fills each checkout's store
+            run(package, args.repo, args.period, args.top, out)
+        times = tuple({stage: [] for stage in STAGES} for _ in sides)  # side -> stage -> seconds per run
+        differing = set()
+        for number in range(args.runs):
+            for side in ((0, 1) if number % 2 == 0 else (1, 0)):
+                for stage, seconds in run(sides[side], args.repo, args.period, args.top, outs[side]).items():
+                    times[side][stage].append(seconds)
+            for name in REPORTS:
+                if (outs[0] / name).read_bytes() != (outs[1] / name).read_bytes() and name not in differing:
+                    differing.add(name)
+                    print(f"{name}: the checkouts' reports differ (run {number + 1})")
+
+    print(f"Python {platform.python_version()}, {args.repo}, --period {args.period} --top {args.top}, "
+          f"medians over {args.runs} runs")
+    print(f"{'stage':<10} {'parent s':>10} {'change s':>10} {'change/parent':>14}")
+    rows = [(stage, [statistics.median(side[stage]) for side in times]) for stage in STAGES]
+    rows.append(("total", [statistics.median(map(sum, zip(*side.values()))) for side in times]))
+    for stage, medians in rows:
+        ratio = medians[1] / medians[0] if medians[0] else float("nan")
+        print(f"{stage:<10} {medians[0]:>10.4f} {medians[1]:>10.4f} {ratio:>14.3f}")
+    print("reports: " + (f"{', '.join(sorted(differing))} differ" if differing else "byte-identical"))
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -101,6 +101,29 @@ def test_analyze_a_commit_dated_after_9999(tmp_path):
     assert list(report["project_by_period"]) == ["10000-01"]
 
 
+@pytest.mark.parametrize("period, keys", [("yearly", ["9999", "10000"]), ("monthly", ["9999-12", "10000-01"])])
+def test_periods_past_9999_follow_time_order(tmp_path, period, keys):
+    fixture = GitFixture(tmp_path / "repo")
+    fixture.write("a.py", "x = 1\n")
+    fixture.commit(ALICE, "@253402300000 +0000", "the last quarter hour of 9999")
+    fixture.write("a.py", "x = 1\ny = [2]\n")
+    fixture.commit(ALICE, "@253402300800 +0000", "the first second of 10000")
+    out = tmp_path / "out"
+    assert main(["analyze", str(fixture.path), "--out", str(out), "--period", period]) == 0
+    rows = (out / "report.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.partition(",")[0] for row in rows] == ["period", *keys, "total"]
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert [row["period"] for row in report["top_contributor"]["periods"]] == keys
+    # JSON objects keep their keys in string order
+    assert list(report["project_by_period"]) == sorted(keys)
+    assert list(report["contributors"][0]["by_period"]) == sorted(keys)
+    page = (out / "report.html").read_text(encoding="utf-8")
+    timeline = page[page.index('<svg class="timeline"'):]
+    assert timeline.index(f">{keys[0]}</text>") < timeline.index(f">{keys[1]}</text>")
+    table = page[page.index('<table id="top-contributor">'):]
+    assert table.index(f"<td>{keys[0]}</td>") < table.index(f"<td>{keys[1]}</td>")
+
+
 def test_analyze_without_git_binary_exits_2(linear_repo, tmp_path, monkeypatch):
     empty = tmp_path / "empty-path"
     empty.mkdir()

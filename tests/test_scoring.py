@@ -1,6 +1,7 @@
 import calendar
 import pickle
 import random
+from array import array
 from datetime import datetime, timezone
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cefr_progress.analyzer import LevelVector, analyze_source
+from cefr_progress.analyzer import KINDS, LevelVector, analyze_source
 from cefr_progress.catalog import Level, default_catalog, load_catalog
 from cefr_progress.history import (
     CommitBlobs, CommitRecord, ContributorId, FileChange, RepoSpec, extract_commits, prepare_repo, walk_history,
@@ -28,6 +29,7 @@ from cefr_progress.scoring import (
     period_key,
     score_blobs,
     score_commit,
+    source_analysis,
 )
 
 from conftest import GitFixture
@@ -196,6 +198,51 @@ def test_score_blobs_matches_per_file_reference(files):
     score = score_blobs(_commit(changes), memo)
     assert score.delta == total
     assert (score.files_analyzed, score.files_skipped) == (analyzed, skipped)
+
+
+def test_score_blobs_of_a_commit_with_no_changes():
+    score = score_blobs(_commit([]), {})
+    assert type(score) is CommitScore
+    assert score == CommitScore("a" * 40, ALICE, TS_2014, LevelVector.zero(), 0, 0)
+
+
+def test_commit_score_keeps_its_fields_and_pickles():
+    score = make_score(BOB, TS_2015, [1, 0, 2, 0, 0, 3], sha="b" * 40)  # by keyword
+    # build_report unpacks scores by position, and worker processes pickle them
+    assert tuple(score) == ("b" * 40, BOB, TS_2015, LevelVector((1, 0, 2, 0, 0, 3)), 1, 0)
+    copied = pickle.loads(pickle.dumps(score))
+    assert type(copied) is CommitScore and copied == score
+
+
+def test_a_folder_folds_each_stored_form_under_its_own_catalog(tmp_path):
+    rules = tmp_path / "rules.cat"
+    rules.write_text("if_statement C2\nsimple_assignment B1\nlist_literal A2\n")
+    override = load_catalog(rules)
+    source = "x = [1]\nif x:\n    pass\n"
+    stored = source_analysis(source)
+    entries = []
+    for catalog in (CATALOG, override):
+        fold = entry_folder(catalog)
+        entry = fold(stored)
+        assert entry == analyze_source(source, catalog).vector.counts
+        assert fold(bytes(bytearray(stored))) is entry  # equal bytes, another object
+        entries.append(entry)
+    assert entries[0] != entries[1]
+
+
+def test_a_folder_hands_out_one_tuple_per_distinct_entry():
+    level_kinds = {}  # level -> the indexes in KINDS of its kinds
+    for index, kind in enumerate(KINDS):
+        level_kinds.setdefault(CATALOG.classify(kind), []).append(index)
+    first, second = next(kinds for level, kinds in level_kinds.items() if level is not None and len(kinds) > 1)[:2]
+    packed = []
+    for index in (first, second):
+        counts = array("I", [0] * len(KINDS))
+        counts[index] = 1
+        packed.append(counts.tobytes())
+    fold = entry_folder(CATALOG)
+    assert packed[0] != packed[1]
+    assert fold(packed[0]) is fold(packed[1])
 
 
 def test_period_key_uses_utc():
