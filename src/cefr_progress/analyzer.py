@@ -93,19 +93,17 @@ KINDS = tuple(sorted(default_catalog().levels))
 
 
 def blob_text(data: bytes | None) -> str | None:
-    """The source text of a blob's raw bytes, or None when it holds none: no
-    blob, or a binary one (one with a NUL byte)."""
-    return None if data is None or b"\0" in data else source_text(data)
+    """The source text of a file's raw bytes, or None when they hold none: no
+    bytes, or binary ones (with a NUL byte).
 
-
-def source_text(data: bytes) -> str:
-    """Decode source bytes the way Python does: UTF-8 by default, honouring a
-    PEP 263 encoding cookie and a UTF-8 BOM, with universal newlines.
-
-    Bytes that Python cannot decode fall back to UTF-8 with replacement
-    characters, so a stray byte in a comment or string does not make the
-    file unparseable.
+    Text is decoded the way Python decodes source: UTF-8 by default,
+    honouring a PEP 263 encoding cookie and a UTF-8 BOM, with universal
+    newlines.  Bytes that Python cannot decode fall back to UTF-8 with
+    replacement characters, so a stray byte in a comment or string does not
+    make the file unparseable.
     """
+    if data is None or b"\0" in data:
+        return None
     try:
         return importlib.util.decode_source(data)
     except (SyntaxError, LookupError, UnicodeDecodeError):

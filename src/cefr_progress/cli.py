@@ -5,8 +5,8 @@ Subcommands:
   classify  print one file's construct occurrences and level vector as JSON
 
 Exit codes: 0 success, 2 repository or usage error, 3 catalog error, 4 I/O
-error, 5 parse failure (classify only).  Progress goes to stderr; machine output
-goes to files or stdout only.
+error, 5 parse failure and 6 no source text (classify only).  Progress goes
+to stderr; machine output goes to files or stdout only.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from collections import Counter, deque
 from pathlib import Path
 
-from .analyzer import analyze_source, source_text
+from .analyzer import analyze_source, blob_text
 from .catalog import Catalog, CatalogError, load_catalog, LEVEL_LABELS
 from .history import CommitBlobs, RepoError, RepoSpec, prepare_repo, walk_history
 from .report import write_report_bundle
@@ -36,6 +36,7 @@ EXIT_REPO = 2
 EXIT_CATALOG = 3
 EXIT_IO = 4
 EXIT_PARSE = 5
+EXIT_NO_TEXT = 6
 
 
 def _shown(text: str) -> str:
@@ -179,13 +180,7 @@ def _analyze_history(
     return commits, memo
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        catalog = load_catalog(args.catalog or None)
-    except CatalogError as exc:
-        log.error("catalog error: %s", exc)
-        return EXIT_CATALOG
-
+def cmd_analyze(args: argparse.Namespace, catalog: Catalog) -> int:
     repo = _shown(args.repo)  # the repository as the reports name it
     try:
         log.info("analyzing the commit history of %s with %d job(s)", repo, args.jobs)
@@ -217,19 +212,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_classify(path: Path, catalog_path: str | None) -> int:
-    try:
-        catalog = load_catalog(catalog_path)
-    except CatalogError as exc:
-        log.error("catalog error: %s", exc)
-        return EXIT_CATALOG
+def cmd_classify(path: Path, catalog: Catalog) -> int:
+    """Decode and judge the file at `path` as `analyze` does a blob."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         log.error("cannot read %s: %s", path, exc.strerror)
         return EXIT_IO
 
-    result = analyze_source(source_text(data), catalog)
+    text = blob_text(data)
+    if text is None:
+        log.error("%s holds no source text: it has a NUL byte", path)
+        return EXIT_NO_TEXT
+    result = analyze_source(text, catalog)
     if not result.parse_ok:
         log.error("%s does not parse under the running Python grammar", path)
         return EXIT_PARSE
@@ -287,11 +282,15 @@ def main(argv: list[str] | None = None) -> int:
     handler.setFormatter(_ShownFormatter("%(levelname)s %(message)s"))
     logging.basicConfig(level=logging.INFO, handlers=[handler])
     args = build_parser().parse_args(argv)
+    try:
+        catalog = load_catalog(args.catalog or None)
+    except CatalogError as exc:
+        log.error("catalog error: %s", exc)
+        return EXIT_CATALOG
 
     if args.command == "classify":
-        return cmd_classify(Path(args.file), args.catalog or None)
-
-    return cmd_analyze(args)
+        return cmd_classify(Path(args.file), catalog)
+    return cmd_analyze(args, catalog)
 
 
 if __name__ == "__main__":

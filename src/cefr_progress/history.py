@@ -35,10 +35,9 @@ Identity and ordering decisions:
 * git's walk picks the non-merge commits of the first-parent chain, newest
   first; each diffs against its one parent, and the records are oldest first.
 * Renames count as modifications with the before text taken from the old
-  path; blobs containing NUL bytes are treated as absent (binary policy),
-  and so are symlinks and submodules, whose blobs hold no source text.
-* Other blobs are decoded the way Python decodes a source file, so a PEP 263
-  encoding cookie and a UTF-8 BOM are honoured.
+  path; symlinks and submodules, whose blobs hold no source text, count as
+  absent.  Other blobs go through `analyzer.blob_text`: one with a NUL byte is
+  absent too, and the rest decode as Python decodes a source file.
 * Changes whose sides share a blob id share one decoded text object, so
   text memory grows with the distinct blobs, not with the changes.
 """
@@ -271,7 +270,11 @@ def prepare_repo(spec: RepoSpec) -> Repo:
         return _open(candidate)
 
     key = hashlib.sha256(spec.source.encode("utf-8", "surrogateescape")).hexdigest()[:16]
-    clone_dir = Path(spec.workdir if spec.workdir is not None else cache_root()) / "clones" / key
+    try:
+        clone_dir = Path(spec.workdir if spec.workdir is not None else cache_root()) / "clones" / key
+    except RuntimeError as exc:  # no home directory
+        raise RepoError("clone_failed",
+                        f"no cache root to clone {spec.source} into: set {CACHE_ENV_VAR}") from exc
     if clone_dir.exists():
         log.info("fetching %s into cached clone %s", spec.source, clone_dir)
         # a bare clone has no fetch refspec of its own

@@ -6,8 +6,10 @@ of the running interpreter's standard library, site-packages left out.  The
 two checkouts take turns per file, and which goes first alternates from
 file to file and from run to run.  Both must give each file the same
 verdict (whether it raises ParseError) and equal sorted occurrences; each
-difference is printed, and the exit status is 1 when there is one.  Then
-it prints each run's change/parent ratio of summed times, and their median:
+difference is printed, and so is each file that ``blob_text`` finds no
+source text in, which neither side analyzes.  The exit status is 1 when
+there is one of either.  Then it prints each run's change/parent ratio of
+summed times, and their median:
 
     python tests/analyzer_ab.py PARENT CHANGE [--runs 5]
 
@@ -63,8 +65,12 @@ def main() -> int:
     root = Path(sysconfig.get_paths()["stdlib"])
     paths = sorted(path for path in root.rglob("*.py") if "site-packages" not in path.relative_to(root).parts)
     blobs = [(path, path.read_bytes()) for path in paths[::3]]
-    texts = [(path, analyzers[0].source_text(data)) for path, data in blobs]
+    texts = [(path, analyzers[0].blob_text(data)) for path, data in blobs]
     size = sum(len(data) for _, data in blobs)
+    textless = [path for path, text in texts if text is None]
+    for path in textless:
+        print(f"{path}: no source text (it has a NUL byte), so neither side analyzes it")
+    texts = [(path, text) for path, text in texts if text is not None]
 
     ratios = []
     differing = set()
@@ -82,10 +88,10 @@ def main() -> int:
         ratios.append(totals[1] / totals[0])
         print(f"run {run + 1}: parent {totals[0]:.3f} s, change {totals[1]:.3f} s, "
               f"change/parent {ratios[-1]:.3f}")
-    print(f"Python {platform.python_version()}, {len(texts)} files ({size / 1e6:.1f} MB): "
+    print(f"Python {platform.python_version()}, {len(blobs)} files ({size / 1e6:.1f} MB): "
           f"median change/parent ratio {statistics.median(ratios):.3f} over {args.runs} runs, "
-          f"{len(differing)} file(s) differ")
-    return 1 if differing else 0
+          f"{len(differing)} file(s) differ, {len(textless)} without source text")
+    return 1 if differing or textless else 0
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ from cefr_progress.analyzer import (
     LevelVector,
     ParseError,
     analyze_source,
+    blob_text,
     count_constructs,
-    source_text,
 )
 from cefr_progress.catalog import Catalog, Level, default_catalog
 
@@ -316,7 +316,7 @@ def test_a_child_compiler_that_cannot_start_is_a_verdict_of_the_run(monkeypatch,
 ], ids=["utf8_bom", "latin1_cookie", "stray_byte_in_comment"])
 def test_source_bytes_decode_like_the_compiler(data, line):
     compile(data, "<bytes>", "exec")  # the compiler accepts each of these
-    result = analyze_source(source_text(data), CATALOG)
+    result = analyze_source(blob_text(data), CATALOG)
     assert result.parse_ok
     assert result.occurrences == (("simple_assignment", line),)
 

@@ -1,4 +1,6 @@
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,8 +14,8 @@ from cefr_progress.catalog import (
     load_catalog,
     parse_catalog_text,
 )
-from cefr_progress.cli import main
 
+from conftest import child_env
 from corpus import SNIPPETS
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -191,5 +193,16 @@ def test_a_catalog_file_that_is_not_utf8_exits_3(command, linear_repo, tmp_path)
     rules.write_bytes(NOT_UTF8)
     target = tmp_path / "a.py"
     target.write_text("x = 1\n")
-    subject = [str(linear_repo), "--out", str(tmp_path / "o")] if command == "analyze" else [str(target)]
-    assert main([command, *subject, "--catalog", str(rules)]) == 3
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    # a subject that can be read, then one that cannot: the catalog is loaded
+    # first, so neither exit 4 (no file) nor exit 2 (no repository) comes first
+    if command == "analyze":
+        subjects = [[str(path), "--out", str(tmp_path / "o")] for path in (linear_repo, plain)]
+    else:
+        subjects = [[str(path)] for path in (target, tmp_path / "missing.py")]
+    for subject in subjects:
+        proc = subprocess.run([sys.executable, "-m", "cefr_progress", command, *subject, "--catalog", str(rules)],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("ERROR catalog error: ") and proc.stderr.count("\n") == 1, proc.stderr

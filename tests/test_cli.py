@@ -9,7 +9,7 @@ import pytest
 
 from cefr_progress import history, scoring
 from cefr_progress.analyzer import analyze_source
-from cefr_progress.catalog import default_catalog
+from cefr_progress.catalog import LEVEL_LABELS, default_catalog
 from cefr_progress.cli import main
 from cefr_progress.history import RepoError, RepoSpec, extract_commits, prepare_repo
 
@@ -61,6 +61,16 @@ def test_analyze_credits_a_name_with_a_unit_separator_verbatim(tmp_path):
 
 def test_analyze_nonexistent_repo_exits_2(tmp_path):
     assert main(["analyze", str(tmp_path / "missing"), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_analyze_a_url_with_no_cache_root_exits_2(linear_repo, tmp_path, monkeypatch, caplog):
+    def no_home(cls):
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.delenv("CEFR_PROGRESS_CACHE")
+    monkeypatch.setattr(Path, "home", classmethod(no_home))
+    assert main(["analyze", linear_repo.as_uri(), "--out", str(tmp_path / "o")]) == 2
+    assert f"no cache root to clone {linear_repo.as_uri()} into: set CEFR_PROGRESS_CACHE" in caplog.text
 
 
 def test_analyze_a_repository_path_that_is_not_utf8(linear_repo, tmp_path, capsys):
@@ -328,6 +338,29 @@ def test_classify_decodes_like_the_compiler(tmp_path, capsys, data, line):
     assert main(["classify", str(target)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["occurrences"] == [{"kind": "simple_assignment", "line": line}]
+
+
+@pytest.mark.parametrize("data, code", [
+    (b"x = 1\n#\0\n", 6),
+    (b"\xef\xbb\xbfx = [1]\n", 0),
+    (b"# -*- coding: latin-1 -*-\nna\xefve = {1: 2}\n", 0),
+    (b"x = 1\n# caf\xe9\n", 0),
+    (b"def f():\n    continue\n", 5),
+], ids=["nul_byte", "utf8_bom", "latin1_cookie", "undecodable_byte", "refused_by_compile"])
+def test_classify_judges_a_file_as_analyze_judges_its_blob(tmp_path, capsys, data, code):
+    fixture = GitFixture(tmp_path / "repo")
+    fixture.write("a.py", data)
+    fixture.commit(ALICE, "2020-01-01T00:00:00Z", "one")
+    out = tmp_path / "out"
+    assert main(["analyze", str(fixture.path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    # analyzed: exit 0; skipped: exit 5 (no compile); neither, as a binary blob: exit 6
+    assert (report["files_analyzed"], report["files_skipped"]) == {0: (1, 0), 5: (0, 1), 6: (0, 0)}[code]
+    capsys.readouterr()
+    assert main(["classify", str(fixture.path / "a.py")]) == code
+    if code == 0:
+        levels = json.loads(capsys.readouterr().out)["levels"]
+        assert [levels[label] for label in LEVEL_LABELS] == report["project_total"]
 
 
 def test_classify_unreadable_file_exits_4(tmp_path):
