@@ -85,7 +85,10 @@ def _analyze_history(
     reads only the others.  Each of those is analyzed as git reads it, while
     the history walk goes on: here at one job; with more, by worker
     processes, which get raw blob bytes in small chunks and return stored
-    forms.  Stored forms fold into memo entries under `catalog` here, and
+    forms.  The workers start just before the walk's first long-lived git
+    process: before ``git log``, or on a stored walk before the first blob
+    the store lacks is read, so a re-run that finds every blob stored starts
+    none.  Stored forms fold into memo entries under `catalog` here, and
     the new ones go into the store when the walk ends, except those that
     hold only for this run: a blob this repository lacks, or a verdict that
     tells of this run rather than of the blob.  The store also keeps the
@@ -94,7 +97,7 @@ def _analyze_history(
     an id names runs without the store.  One line on stderr sums up where
     the blobs' analyses and the commits came from.
     """
-    # imported here, as the process pool below: sqlite3 and the pool's modules
+    # imported here, as the process pool: sqlite3 and the pool's modules
     # would add 1.5 and 2.5 MB to the peak memory of every process that
     # imports this module, `classify` and serial runs included
     from .store import AnalysisStore
@@ -133,16 +136,21 @@ def _analyze_history(
         for (oid, data), stored in zip(chunk, future.result()):
             analyzed(oid, data, stored)
 
-    with contextlib.ExitStack() as stack:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    pool = None
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            # Under the fork start method the first task forks every worker.  Forked
-            # before git starts, no worker holds a pipe to git: one holding
-            # cat-file's input open would keep git from ever seeing its end.
-            # Nor does any worker hold the store's connection, opened after it.
-            pool.submit(int)
+    def start_pool() -> None:
+        nonlocal pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+        # Under the fork start method the first task forks every worker.  Forked
+        # before git starts, no worker holds a pipe to git: one holding
+        # cat-file's input open would keep git from ever seeing its end.  A
+        # worker forked after the store opened inherits its sqlite connection;
+        # it never uses it, and it exits by os._exit, which runs no finalizer.
+        pool.submit(int)
+
+    with contextlib.ExitStack() as stack:
         with prepare_repo(RepoSpec(source)) as repo:
             # replace refs make git read another blob's bytes for a blob id, and
             # grafts another history for a commit id: neither may be kept by id
@@ -150,7 +158,7 @@ def _analyze_history(
             if store is not None:
                 stack.callback(store.close)
             blobs = walk_history(repo, commits, identity=identity, known=None if store is None else known,
-                                 walks=store, sources=sources)
+                                 walks=store, sources=sources, starting=None if jobs == 1 else start_pool)
             if jobs == 1:
                 for oid, data in blobs:
                     analyzed(oid, data, blob_analysis(data))
@@ -164,7 +172,8 @@ def _analyze_history(
                         chunk, size = [], 0
                         if len(sent) > 4 * jobs:  # bounds the bytes waiting for a worker
                             collect()
-                sent.append((chunk, pool.submit(_analyses, chunk)))
+                if chunk:
+                    sent.append((chunk, pool.submit(_analyses, chunk)))
                 while sent:
                     collect()
         if store is not None:

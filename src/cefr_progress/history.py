@@ -9,9 +9,11 @@ id, in bounded batches.  `walk_history` hands each blob's raw bytes on as
 its reply arrives and records every commit as its changes' blob ids, so
 `analyze` keeps one vector per blob, never the texts; a lookup hook lets the
 caller answer for the blobs it knows, which git then never reads.
-`extract_commits` is the text view of the same walk: it decodes each blob
-and gives CommitRecords with before/after texts.  No git process outlives
-the call that starts it.
+``cat-file`` runs only for the blobs the lookup hook leaves: it starts when
+the first of them is to be read, so a walk whose blobs the caller all knows
+starts none.  `extract_commits` is the text view of the same walk: it
+decodes each blob and gives CommitRecords with before/after texts.  No git
+process outlives the call that starts it.
 
 A commit id fixes its whole first-parent ancestry, so the walk below a
 commit is the same on every run.  Given a store of walks, `walk_history`
@@ -281,7 +283,6 @@ def prepare_repo(spec: RepoSpec) -> Repo:
         Repo(clone_dir).git("fetch", "--prune", "origin", "+refs/heads/*:refs/heads/*")
     else:
         log.info("cloning %s into %s", spec.source, clone_dir)
-        clone_dir.parent.mkdir(parents=True, exist_ok=True)
         _clone_into_place(spec.source, clone_dir)
     return _open(clone_dir)
 
@@ -289,7 +290,11 @@ def prepare_repo(spec: RepoSpec) -> Repo:
 def _clone_into_place(url: str, clone_dir: Path) -> None:
     """Bare-clone `url` beside `clone_dir` and rename it into place, so that a
     concurrent run never sees a partial clone."""
-    staging = Path(tempfile.mkdtemp(prefix=f"{clone_dir.name}.", dir=clone_dir.parent))
+    try:
+        clone_dir.parent.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=f"{clone_dir.name}.", dir=clone_dir.parent))
+    except OSError as exc:
+        raise RepoError("clone_failed", f"cannot clone {url} into {clone_dir.parent}: {exc.strerror}") from exc
     try:
         proc = _run_git("clone", "--bare", url, str(staging))
         if proc.returncode != 0:
@@ -377,6 +382,7 @@ def walk_history(
     known: Callable[[list[str]], Container[str]] | None = None,
     walks: AnalysisStore | None = None,
     sources: Counter | None = None,
+    starting: Callable[[], object] | None = None,
 ) -> Iterator[tuple[str, bytes | None]]:
     """Walk the non-merge commits of the default branch's first-parent chain once.
 
@@ -397,6 +403,13 @@ def walk_history(
     from ``git log``, whose walk is then stored.  Pass none for a `repo`
     that is `rewritten`.  `sources`, when given, counts the commits under
     "git log" or "stored walk".
+
+    `starting`, when given, is called once, just before the walk's first
+    long-lived git process starts: before ``git log`` on a walk that git
+    makes, and before ``git cat-file`` on a stored walk.  ``cat-file``
+    starts only when `known` leaves a blob to read, so a stored walk whose
+    blobs `known` all knows never calls it.  No pipe to git is open while
+    it runs.
     """
     if identity not in ("author", "committer"):
         raise ValueError(f"identity must be 'author' or 'committer', not {identity!r}")
@@ -413,6 +426,9 @@ def walk_history(
         data = memoryview(stored)
         fields = _nul_fields(data[start:start + (1 << 16)] for start in range(0, len(data), 1 << 16))
     else:
+        if starting is not None:
+            starting()
+            starting = None
         # --root, -l1000 and --encoding pin what log.showRoot, diff.renameLimit and
         # i18n.logOutputEncoding would change; NUL separates the fields because
         # no git identity can contain it
@@ -424,7 +440,23 @@ def walk_history(
     identities: dict[tuple[bytes, bytes], ContributorId] = {}
     named: set[str | None] = {None}  # every blob id asked for, and the absent side
     wanted: list[str] = []  # blob ids named since the last request
-    with repo.cat_file() as proc, contextlib.closing(fields):
+    proc = None  # git cat-file, once a blob is to be read
+
+    def read(oids: list[str]) -> Iterator[tuple[str, bytes | None]]:
+        """`ask`'s replies for the ids of `oids` that `known` does not know."""
+        nonlocal proc, starting
+        if known is not None and oids:
+            have = known(oids)
+            oids = [oid for oid in oids if oid not in have]
+        if oids and proc is None:
+            if starting is not None:
+                starting()
+                starting = None
+            proc = stack.enter_context(repo.cat_file())
+        return ask(proc, oids)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.closing(fields))
         for header, entries in _raw_log(fields):
             if walk is not None:
                 walk += b"\0".join(header) + b"\0"
@@ -447,24 +479,14 @@ def walk_history(
                 contributor = identities[name, email] = ContributorId.from_identity(*identity_text)
             commits.append(CommitBlobs(sha.decode("ascii"), contributor, int(time), tuple(changes)))
             if len(wanted) >= _BATCH:
-                yield from _read(proc, wanted, known)
+                yield from read(wanted)
                 wanted = []
-        yield from _read(proc, wanted, known)
+        yield from read(wanted)
     if walk is not None:
         walks.keep_walk(key, tip, walk)
     if sources is not None:
         sources["git log" if stored is None else "stored walk"] += len(commits)
     commits.reverse()  # git walks newest first
-
-
-def _read(
-    proc: subprocess.Popen, oids: list[str], known: Callable[[list[str]], Container[str]] | None
-) -> Iterator[tuple[str, bytes | None]]:
-    """`ask`'s replies for the ids of `oids` that `known` does not know."""
-    if known is not None and oids:
-        have = known(oids)
-        oids = [oid for oid in oids if oid not in have]
-    return ask(proc, oids)
 
 
 def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecord]:

@@ -1,19 +1,19 @@
 """Time a warm ``analyze`` in two checkouts of this repository, stage by stage.
 
-    python tests/report_ab.py PARENT CHANGE REPO [--period yearly] [--top 10] [--runs 5]
+    python tests/report_ab.py PARENT CHANGE REPO [--period yearly] [--top 10] [--runs 5] [--jobs 1]
 
 Loads ``cefr_progress`` from each checkout's ``src`` directory under a name
 of its own, as ``tests/analyzer_ab.py`` does, and runs the steps of
-``analyze`` on the repository at REPO in this process at one job: the
-history walk with its store lookups, scoring, ``build_report``,
-``emit_json``, ``emit_csv`` and ``emit_html``.  The analysis store lives in
-a temporary cache root, and one untimed run of each checkout fills it, so
-every timed run is warm: it reads each blob's analysis and the history walk
-from the store.  The checkouts take turns, and which goes first alternates
-from run to run.  It prints each stage's median seconds per checkout and
-the change/parent ratio of the medians.  The exit status is 1 unless both
-checkouts write byte-identical report.json, report.csv and report.html on
-every run.
+``analyze`` on the repository at REPO in this process at ``--jobs`` jobs:
+the history walk with its store lookups and any worker pool it starts,
+scoring, ``build_report``, ``emit_json``, ``emit_csv`` and ``emit_html``.
+The analysis store lives in a temporary cache root, and one untimed run of
+each checkout fills it, so every timed run is warm: it reads each blob's
+analysis and the history walk from the store.  The checkouts take turns,
+and which goes first alternates from run to run.  It prints each stage's
+median seconds per checkout and the change/parent ratio of the medians.
+The exit status is 1 unless both checkouts write byte-identical
+report.json, report.csv and report.html on every run.
 
 The benchmark's per-layer metrics time the library's text view, which
 ``analyze`` no longer takes; this times the path it does take.
@@ -45,14 +45,14 @@ def load(checkout: Path, name: str):
     return sys.modules[name]
 
 
-def run(package, repo: str, period: str, top: int, out: Path) -> dict[str, float]:
-    """Seconds each stage of one ``analyze`` of `repo` took, writing the reports into `out`."""
+def run(package, repo: str, period: str, top: int, jobs: int, out: Path) -> dict[str, float]:
+    """Seconds each stage of one ``analyze`` of `repo` at `jobs` jobs took, writing the reports into `out`."""
     cli, scoring, report = package.cli, package.scoring, package.report
     catalog = package.catalog.load_catalog(None)
     times = {}
     gc.collect()
     start = time.perf_counter()
-    commits, memo = cli._analyze_history(repo, catalog, "author", 1)
+    commits, memo = cli._analyze_history(repo, catalog, "author", jobs)
     times["walk"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -82,6 +82,7 @@ def main() -> int:
                         help="time bucket granularity (default: %(default)s)")
     parser.add_argument("--top", type=int, default=10, help="contributor radars in the HTML (default: %(default)s)")
     parser.add_argument("--runs", type=int, default=5, help="timed runs of each checkout (default: %(default)s)")
+    parser.add_argument("--jobs", type=int, default=1, help="jobs of each analyze (default: %(default)s)")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="report-ab-") as scratch:
@@ -90,20 +91,21 @@ def main() -> int:
         sides = (load(args.parent, "parent_cefr_progress"), load(args.change, "change_cefr_progress"))
         outs = (root / "parent", root / "change")
         for package, out in zip(sides, outs):  # fills each checkout's store
-            run(package, args.repo, args.period, args.top, out)
+            run(package, args.repo, args.period, args.top, args.jobs, out)
         times = tuple({stage: [] for stage in STAGES} for _ in sides)  # side -> stage -> seconds per run
         differing = set()
         for number in range(args.runs):
             for side in ((0, 1) if number % 2 == 0 else (1, 0)):
-                for stage, seconds in run(sides[side], args.repo, args.period, args.top, outs[side]).items():
+                timed = run(sides[side], args.repo, args.period, args.top, args.jobs, outs[side])
+                for stage, seconds in timed.items():
                     times[side][stage].append(seconds)
             for name in REPORTS:
                 if (outs[0] / name).read_bytes() != (outs[1] / name).read_bytes() and name not in differing:
                     differing.add(name)
                     print(f"{name}: the checkouts' reports differ (run {number + 1})")
 
-    print(f"Python {platform.python_version()}, {args.repo}, --period {args.period} --top {args.top}, "
-          f"medians over {args.runs} runs")
+    print(f"Python {platform.python_version()}, {args.repo}, --period {args.period} --top {args.top} "
+          f"--jobs {args.jobs}, medians over {args.runs} runs")
     print(f"{'stage':<10} {'parent s':>10} {'change s':>10} {'change/parent':>14}")
     rows = [(stage, [statistics.median(side[stage]) for side in times]) for stage in STAGES]
     rows.append(("total", [statistics.median(map(sum, zip(*side.values()))) for side in times]))

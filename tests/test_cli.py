@@ -73,6 +73,14 @@ def test_analyze_a_url_with_no_cache_root_exits_2(linear_repo, tmp_path, monkeyp
     assert f"no cache root to clone {linear_repo.as_uri()} into: set CEFR_PROGRESS_CACHE" in caplog.text
 
 
+def test_analyze_a_url_with_a_cache_root_that_is_a_file_exits_2(linear_repo, tmp_path, monkeypatch, caplog):
+    root = tmp_path / "root"
+    root.write_text("a file, not a directory\n")
+    monkeypatch.setenv("CEFR_PROGRESS_CACHE", str(root))
+    assert main(["analyze", linear_repo.as_uri(), "--out", str(tmp_path / "o")]) == 2
+    assert f"cannot clone {linear_repo.as_uri()} into {root / 'clones'}: Not a directory" in caplog.text
+
+
 def test_analyze_a_repository_path_that_is_not_utf8(linear_repo, tmp_path, capsys):
     # argv holds the byte 0xff as the surrogate escape U+DCFF, which UTF-8 cannot encode
     repo = tmp_path / os.fsdecode(b"B\xff")

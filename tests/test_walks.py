@@ -1,6 +1,8 @@
 """Stored history walks: a re-run on an unchanged history starts no git log,
-and a stored walk in any state changes no report."""
+and with every blob's analysis stored, no git cat-file and no worker; a
+stored walk in any state changes no report."""
 
+import concurrent.futures
 import contextlib
 import logging
 import sqlite3
@@ -44,6 +46,27 @@ def started(monkeypatch):
     return procs
 
 
+@pytest.fixture
+def launched(monkeypatch):
+    """What a run starts, in order: "pool" for a worker pool, and each git
+    process it starts with pipes by its command."""
+    events = []
+    start_git = history._start_git
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            events.append("pool")
+            super().__init__(*args, **kwargs)
+
+    def recording_start_git(*args, **pipes):
+        events.append(args[2])  # after "-C" and the repository
+        return start_git(*args, **pipes)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(history, "_start_git", recording_start_git)
+    return events
+
+
 def commands(procs) -> list[str]:
     return sorted(proc.args[3] for proc in procs)
 
@@ -80,7 +103,7 @@ def test_an_unchanged_head_starts_no_git_log(big_repo, tmp_path, started, caplog
     assert sources(caplog) == "500 from git log, 0 from a stored walk"
     started.clear()
     assert analyze(big_repo, tmp_path / "warm") == first
-    assert commands(started) == ["cat-file"]
+    assert commands(started) == []  # every blob's analysis is stored too
     assert sources(caplog) == "0 from git log, 500 from a stored walk"
 
 
@@ -104,7 +127,7 @@ def test_after_new_commits_git_log_walks_the_whole_history(big_repo, tmp_path, s
     started.clear()
     assert analyze(fixture.path, tmp_path / "older-again", "--jobs", jobs) == before
     assert sources(caplog) == "0 from git log, 497 from a stored walk"
-    assert commands(started) == ["cat-file"]
+    assert commands(started) == []
 
 
 def test_a_merge_head_is_walked_from_its_newest_non_merge_commit(tmp_path, started, caplog, monkeypatch):
@@ -121,7 +144,7 @@ def test_a_merge_head_is_walked_from_its_newest_non_merge_commit(tmp_path, start
     fixture.merge("feature", ALICE, "2020-04-10T10:00:00Z")
     started.clear()
     merged = analyze(fixture.path, tmp_path / "merged")
-    assert commands(started) == ["cat-file"]
+    assert commands(started) == []
     assert merged == before == cold(fixture.path, tmp_path / "cold", monkeypatch)
     fixture.write("b.py", "def helper():\n    return [v for v in data]\n\nextra = True\n")
     fixture.commit(BOB, "2020-05-10T10:00:00Z", "touch merged file")
@@ -137,8 +160,39 @@ def test_each_identity_mode_has_its_own_walk(linear_repo, tmp_path, started, cap
     started.clear()
     assert analyze(linear_repo, tmp_path / "author-again") == author
     assert analyze(linear_repo, tmp_path / "committer-again", "--identity", "committer") == committer
-    assert commands(started) == ["cat-file", "cat-file"]
+    assert commands(started) == []
     assert committer == cold(linear_repo, tmp_path / "cold", monkeypatch, "--identity", "committer")
+
+
+def test_a_warm_parallel_run_starts_no_worker_and_no_cat_file(linear_repo, tmp_path, monkeypatch, launched):
+    first = analyze(linear_repo, tmp_path / "cold", "--jobs", "2")
+    # the workers fork before git log starts, so none holds a pipe to git
+    assert launched == ["pool", "log", "cat-file"]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a warm run started a worker pool or git cat-file")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+    monkeypatch.setattr(history.Repo, "cat_file", refused)
+    assert analyze(linear_repo, tmp_path / "warm", "--jobs", "2") == first
+
+
+def test_a_partly_warm_parallel_run_analyzes_only_the_blobs_the_store_lacks(linear_repo, tmp_path, monkeypatch,
+                                                                           launched, caplog):
+    first = analyze(linear_repo, tmp_path / "cold", "--jobs", "2")
+    with contextlib.closing(sqlite3.connect(store.store_path())) as connection:
+        with connection:
+            lacking = [oid for (oid,) in connection.execute("SELECT oid FROM blobs ORDER BY oid LIMIT 2")]
+            connection.execute("DELETE FROM blobs WHERE oid IN (?, ?)", lacking)
+    launched.clear()
+    asked = []
+    ask = history.ask
+    monkeypatch.setattr(history, "ask", lambda proc, oids: asked.extend(oids) or ask(proc, oids))
+    assert analyze(linear_repo, tmp_path / "partly-warm", "--jobs", "2") == first
+    assert sorted(asked) == lacking
+    assert summary(caplog).startswith("blobs: 6 named, 2 analyzed, 4 from the analysis store;")
+    # the stored walk needs no git log; the workers fork before cat-file starts
+    assert launched == ["pool", "cat-file"]
 
 
 def _truncated(connection) -> None:
@@ -177,13 +231,13 @@ def test_a_damaged_walk_costs_one_warning_and_a_git_walk(big_repo, tmp_path, sta
     # a walk that another run's writes took away is a plain miss
     assert len(_warnings(caplog)) == warnings
     assert all("damaged walk" in warning for warning in _warnings(caplog))
-    assert commands(started) == ["cat-file", "log"]
+    assert commands(started) == ["log"]  # every blob's analysis is still stored
     assert sources(caplog) == "500 from git log, 0 from a stored walk"
     caplog.clear()
     started.clear()
     assert analyze(big_repo, tmp_path / "mended") == before
     assert _warnings(caplog) == []
-    assert commands(started) == ["cat-file"]
+    assert commands(started) == []
 
 
 def test_two_runs_writing_one_walk_leave_it_whole():
