@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .analyzer import analyze_source, blob_text
 from .catalog import Catalog, CatalogError, load_catalog, LEVEL_LABELS
+from . import history
 from .history import CommitBlobs, RepoError, RepoSpec, prepare_repo, walk_history
 from .report import write_report_bundle
 from .scoring import (
@@ -81,21 +82,21 @@ def _analyze_history(
 ) -> tuple[list[CommitBlobs], dict[str, Entry]]:
     """The commits of the repository at `source`, and the memo entry of each blob they name.
 
-    The analysis store answers for the blobs an earlier run analyzed, and git
-    reads only the others.  Each of those is analyzed as git reads it, while
-    the history walk goes on: here at one job; with more, by worker
-    processes, which get raw blob bytes in small chunks and return stored
-    forms.  The workers start just before the walk's first long-lived git
-    process: before ``git log``, or on a stored walk before the first blob
-    the store lacks is read, so a re-run that finds every blob stored starts
-    none.  Stored forms fold into memo entries under `catalog` here, and
-    the new ones go into the store when the walk ends, except those that
-    hold only for this run: a blob this repository lacks, or a verdict that
-    tells of this run rather than of the blob.  The store also keeps the
-    history walk, so that a re-run on an unchanged history starts no
-    ``git log``.  A repository whose replace refs or grafts rewrite what
-    an id names runs without the store.  One line on stderr sums up where
-    the blobs' analyses and the commits came from.
+    The history walk names each blob once, while it goes on.  The analysis
+    store answers for the blobs an earlier run analyzed, and one ``git
+    cat-file`` reads the others, each analyzed as git reads it: here at one
+    job; with more, by worker processes, which get raw blob bytes in small
+    chunks and return stored forms.  ``cat-file`` and the workers start at
+    the first blob the store lacks, the workers first, so a re-run that
+    finds every blob stored starts neither.  Stored forms fold into memo
+    entries under `catalog` here, and the new ones go into the store when
+    the walk ends, except those that hold only for this run: a blob this
+    repository lacks, or a verdict that tells of this run rather than of
+    the blob.  The store also keeps the history walk, so that a re-run on
+    an unchanged history starts no ``git log``.  A repository whose replace
+    refs or grafts rewrite what an id names runs without the store.  One
+    line on stderr sums up where the blobs' analyses and the commits came
+    from.
     """
     # imported here, as the process pool: sqlite3 and the pool's modules
     # would add 1.5 and 2.5 MB to the peak memory of every process that
@@ -115,14 +116,6 @@ def _analyze_history(
         if type(stored) is str and stored:
             skipped[stored] += 1
 
-    def known(oids: list[str]) -> dict[str, Stored]:
-        nonlocal from_store
-        found = store.lookup(oids)
-        for oid, stored in found.items():
-            keep(oid, stored)
-        from_store += len(found)
-        return found
-
     def analyzed(oid: str, data: bytes | None, stored: Stored) -> None:
         keep(oid, stored)
         # no data: the id names no blob in this repository
@@ -136,20 +129,6 @@ def _analyze_history(
         for (oid, data), stored in zip(chunk, future.result()):
             analyzed(oid, data, stored)
 
-    pool = None
-
-    def start_pool() -> None:
-        nonlocal pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-        # Under the fork start method the first task forks every worker.  Forked
-        # before git starts, no worker holds a pipe to git: one holding
-        # cat-file's input open would keep git from ever seeing its end.  A
-        # worker forked after the store opened inherits its sqlite connection;
-        # it never uses it, and it exits by os._exit, which runs no finalizer.
-        pool.submit(int)
-
     with contextlib.ExitStack() as stack:
         with prepare_repo(RepoSpec(source)) as repo:
             # replace refs make git read another blob's bytes for a blob id, and
@@ -157,14 +136,33 @@ def _analyze_history(
             store = None if repo.rewritten else AnalysisStore.open()
             if store is not None:
                 stack.callback(store.close)
-            blobs = walk_history(repo, commits, identity=identity, known=None if store is None else known,
-                                 walks=store, sources=sources, starting=None if jobs == 1 else start_pool)
-            if jobs == 1:
-                for oid, data in blobs:
-                    analyzed(oid, data, blob_analysis(data))
-            else:
-                chunk, size = [], 0
-                for oid, data in blobs:
+            git = pool = None  # git cat-file and the workers, once a blob is to be read
+            chunk, size = [], 0
+            for oids in walk_history(repo, commits, identity=identity, walks=store, sources=sources):
+                if store is not None:
+                    found = store.lookup(oids)
+                    for oid, stored in found.items():
+                        keep(oid, stored)
+                    from_store += len(found)
+                    oids = [oid for oid in oids if oid not in found]
+                if oids and git is None:
+                    if jobs > 1:
+                        from concurrent.futures import ProcessPoolExecutor
+
+                        pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+                        # Under the fork start method the first task forks every
+                        # worker.  Forked before cat-file starts, no worker holds
+                        # its input open, which would keep git from ever seeing
+                        # its end.  A worker inherits git log's output and the
+                        # store's sqlite connection; it uses neither, the walk
+                        # kills git log if it stops early, and a worker exits by
+                        # os._exit, which runs no finalizer.
+                        pool.submit(int)
+                    git = stack.enter_context(repo.cat_file())
+                for oid, data in history.ask(git, oids):
+                    if pool is None:
+                        analyzed(oid, data, blob_analysis(data))
+                        continue
                     chunk.append((oid, data))
                     size += len(data or b"")
                     if size >= _CHUNK_BYTES:
@@ -172,10 +170,10 @@ def _analyze_history(
                         chunk, size = [], 0
                         if len(sent) > 4 * jobs:  # bounds the bytes waiting for a worker
                             collect()
-                if chunk:
-                    sent.append((chunk, pool.submit(_analyses, chunk)))
-                while sent:
-                    collect()
+            if chunk:
+                sent.append((chunk, pool.submit(_analyses, chunk)))
+            while sent:
+                collect()
         if store is not None:
             store.add(new)
 

@@ -3,17 +3,15 @@
 Walks the default branch's first-parent chain of a repository in one pass.
 All repository access goes through the ``git`` executable: one
 ``git log --first-parent --no-merges --raw -z`` gives every change with its
-old and new blob ids and its paths verbatim, and while it still runs, one
-``git cat-file --batch`` process reads each distinct ``.py`` blob once by
-id, in bounded batches.  `walk_history` hands each blob's raw bytes on as
-its reply arrives and records every commit as its changes' blob ids, so
-`analyze` keeps one vector per blob, never the texts; a lookup hook lets the
-caller answer for the blobs it knows, which git then never reads.
-``cat-file`` runs only for the blobs the lookup hook leaves: it starts when
-the first of them is to be read, so a walk whose blobs the caller all knows
-starts none.  `extract_commits` is the text view of the same walk: it
-decodes each blob and gives CommitRecords with before/after texts.  No git
-process outlives the call that starts it.
+old and new blob ids and its paths verbatim.  `walk_history` records every
+commit as its changes' blob ids and, while ``git log`` still runs, names
+each distinct ``.py`` blob once, in bounded batches.  The caller reads the
+blobs it needs by id from one ``git cat-file --batch`` process with `ask`,
+so `analyze` keeps one vector per blob, never the texts, and starts
+``cat-file`` only when some blob is to be read.  `extract_commits` is the
+text view of the same walk: it reads and decodes each blob and gives
+CommitRecords with before/after texts.  No git process outlives the call
+that starts it.
 
 A commit id fixes its whole first-parent ancestry, so the walk below a
 commit is the same on every run.  Given a store of walks, `walk_history`
@@ -26,8 +24,8 @@ module and git's version.  A re-run whose tip has a stored walk starts no
 and a grafts file can give a commit id another history, so a repository
 that has either is walked with git every time and its walks are not
 stored.  The config settings that would change ``git log``'s answer
-(``log.showRoot``, ``diff.renameLimit``, ``i18n.logOutputEncoding``) are
-pinned on its command line.
+(``log.showRoot``, ``diff.renameLimit``, ``i18n.logOutputEncoding``,
+``log.showSignature``) are pinned on its command line.
 
 Identity and ordering decisions:
 
@@ -54,7 +52,7 @@ import shutil
 import subprocess
 import tempfile
 from collections import Counter
-from collections.abc import Callable, Container, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -162,10 +160,11 @@ def _nul_fields(chunks: Iterable[bytes]) -> Iterator[bytes]:
         yield from fields
 
 
-#: Blob ids per request to ``git cat-file``.  An id and its newline take at
-#: most 65 bytes (SHA-256), so a batch stays under the 4 KiB a pipe holds at
-#: the least.  Each batch's replies are read before the next is written, so
-#: git never waits on this process to read while this process waits on git.
+#: Blob ids per batch the walk names and per request to ``git cat-file``.
+#: An id and its newline take at most 65 bytes (SHA-256), so a request stays
+#: under the 4 KiB a pipe holds at the least.  Each request's replies are
+#: read before the next is written, so git never waits on this process to
+#: read while this process waits on git.
 _BATCH = 60
 
 
@@ -214,10 +213,16 @@ class Repo:
 
         Each read takes what git has written so far, so the fields come while
         git still runs.  git's own messages go to stderr, like the rest of the
-        progress output.
+        progress output.  A caller that stops early, by an exception or by
+        closing the generator, kills git: a process forked meanwhile may hold
+        the pipe open, and git would wait on it to read.
         """
         with _start_git("-C", str(self.path), *args, stdout=subprocess.PIPE) as proc:
-            yield from _nul_fields(iter(lambda: proc.stdout.read1(1 << 16), b""))
+            try:
+                yield from _nul_fields(iter(lambda: proc.stdout.read1(1 << 16), b""))
+            except BaseException:
+                proc.kill()
+                raise
         if proc.returncode != 0:
             raise RepoError("git_failed", f"git {args[0]} exited with status {proc.returncode}")
 
@@ -279,8 +284,9 @@ def prepare_repo(spec: RepoSpec) -> Repo:
                         f"no cache root to clone {spec.source} into: set {CACHE_ENV_VAR}") from exc
     if clone_dir.exists():
         log.info("fetching %s into cached clone %s", spec.source, clone_dir)
-        # a bare clone has no fetch refspec of its own
-        Repo(clone_dir).git("fetch", "--prune", "origin", "+refs/heads/*:refs/heads/*")
+        # a bare clone has no fetch refspec of its own, and its remote's name
+        # follows clone.defaultRemoteName, so the URL names what to fetch
+        Repo(clone_dir).git("fetch", "--prune", spec.source, "+refs/heads/*:refs/heads/*")
     else:
         log.info("cloning %s into %s", spec.source, clone_dir)
         _clone_into_place(spec.source, clone_dir)
@@ -379,37 +385,24 @@ def walk_history(
     commits: list[CommitBlobs],
     *,
     identity: str = "author",
-    known: Callable[[list[str]], Container[str]] | None = None,
     walks: AnalysisStore | None = None,
     sources: Counter | None = None,
-    starting: Callable[[], object] | None = None,
-) -> Iterator[tuple[str, bytes | None]]:
+) -> Iterator[list[str]]:
     """Walk the non-merge commits of the default branch's first-parent chain once.
 
-    Yields (blob id, raw bytes) for each distinct .py blob the changes name,
-    as git reads it, while ``git log`` still runs; the bytes are None when
-    the id names no blob.  Fills the empty list `commits` with one
+    Yields each distinct .py blob id the changes name once, in lists of at
+    most `_BATCH` ids, while ``git log`` still runs; the caller reads the
+    blobs it needs with `ask`.  Fills the empty list `commits` with one
     CommitBlobs per commit, oldest first once the walk ends.  A side with no
     blob id (absent, a symlink or a submodule) is None in the changes and is
-    never yielded.
-
-    `known`, when given, gets each batch of newly named blob ids before git
-    is asked for them, and returns those the caller needs no bytes for:
-    they are neither read nor yielded.  `identity` selects whether the
-    author or the committer is credited.
+    never yielded.  `identity` selects whether the author or the committer
+    is credited.
 
     `walks`, when given, is the store of earlier walks.  The commits come
     from the stored walk of this walk's tip when there is one, and otherwise
     from ``git log``, whose walk is then stored.  Pass none for a `repo`
     that is `rewritten`.  `sources`, when given, counts the commits under
     "git log" or "stored walk".
-
-    `starting`, when given, is called once, just before the walk's first
-    long-lived git process starts: before ``git log`` on a walk that git
-    makes, and before ``git cat-file`` on a stored walk.  ``cat-file``
-    starts only when `known` leaves a blob to read, so a stored walk whose
-    blobs `known` all knows never calls it.  No pipe to git is open while
-    it runs.
     """
     if identity not in ("author", "committer"):
         raise ValueError(f"identity must be 'author' or 'committer', not {identity!r}")
@@ -426,37 +419,18 @@ def walk_history(
         data = memoryview(stored)
         fields = _nul_fields(data[start:start + (1 << 16)] for start in range(0, len(data), 1 << 16))
     else:
-        if starting is not None:
-            starting()
-            starting = None
-        # --root, -l1000 and --encoding pin what log.showRoot, diff.renameLimit and
-        # i18n.logOutputEncoding would change; NUL separates the fields because
-        # no git identity can contain it
+        # --root, -l1000, --encoding and --no-show-signature pin what log.showRoot,
+        # diff.renameLimit, i18n.logOutputEncoding and log.showSignature would
+        # change; NUL separates the fields because no git identity can contain it
         fields = repo.git_fields(
             "log", "--first-parent", "--no-merges", "--raw", "-z", "--no-abbrev", "-M", "-l1000", "--root",
-            "--encoding=UTF-8", f"--format=%H%x00%at%x00%{who}n%x00%{who}e", tip,
+            "--encoding=UTF-8", "--no-show-signature", f"--format=%H%x00%at%x00%{who}n%x00%{who}e", tip,
         )
 
     identities: dict[tuple[bytes, bytes], ContributorId] = {}
-    named: set[str | None] = {None}  # every blob id asked for, and the absent side
-    wanted: list[str] = []  # blob ids named since the last request
-    proc = None  # git cat-file, once a blob is to be read
-
-    def read(oids: list[str]) -> Iterator[tuple[str, bytes | None]]:
-        """`ask`'s replies for the ids of `oids` that `known` does not know."""
-        nonlocal proc, starting
-        if known is not None and oids:
-            have = known(oids)
-            oids = [oid for oid in oids if oid not in have]
-        if oids and proc is None:
-            if starting is not None:
-                starting()
-                starting = None
-            proc = stack.enter_context(repo.cat_file())
-        return ask(proc, oids)
-
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(contextlib.closing(fields))
+    named: set[str | None] = {None}  # every blob id named, and the absent side
+    wanted: list[str] = []  # blob ids named and not yet yielded
+    with contextlib.closing(fields):
         for header, entries in _raw_log(fields):
             if walk is not None:
                 walk += b"\0".join(header) + b"\0"
@@ -478,10 +452,11 @@ def walk_history(
                 identity_text = (field.decode("utf-8", errors="replace") for field in (name, email))
                 contributor = identities[name, email] = ContributorId.from_identity(*identity_text)
             commits.append(CommitBlobs(sha.decode("ascii"), contributor, int(time), tuple(changes)))
-            if len(wanted) >= _BATCH:
-                yield from read(wanted)
-                wanted = []
-        yield from read(wanted)
+            while len(wanted) >= _BATCH:
+                yield wanted[:_BATCH]
+                del wanted[:_BATCH]
+    if wanted:
+        yield wanted
     if walk is not None:
         walks.keep_walk(key, tip, walk)
     if sources is not None:
@@ -493,15 +468,17 @@ def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecor
     """CommitRecords for the non-merge commits of the default branch's first-parent
     chain, oldest first, each with its changed .py files' before/after texts.
 
-    The text view of `walk_history`: each blob is decoded once, and a change
-    with no text on either side is left out.  `identity` selects whether the
-    author or the committer is credited.
+    The text view of `walk_history`: each blob is read and decoded once, and
+    a change with no text on either side is left out.  `identity` selects
+    whether the author or the committer is credited.
     """
     commits: list[CommitBlobs] = []
     # one decoded text per blob id, so equal sides share one object
     texts: dict[str | None, str | None] = {None: None}
-    for oid, data in walk_history(repo, commits, identity=identity):
-        texts[oid] = blob_text(data)
+    with repo.cat_file() as git:
+        for oids in walk_history(repo, commits, identity=identity):
+            for oid, data in ask(git, oids):
+                texts[oid] = blob_text(data)
     return [
         CommitRecord(
             sha=sha,

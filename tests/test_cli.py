@@ -223,6 +223,19 @@ def test_analyze_a_commit_that_names_more_blobs_than_a_pipe_holds(tmp_path):
     assert report["project_total"] == [3000, 0, 0, 0, 0, 0]  # one simple assignment each
 
 
+def test_a_cached_url_clone_is_fetched_by_its_url(linear_repo, tmp_path, monkeypatch):
+    # clone.defaultRemoteName names a clone's remote, so it need not be "origin"
+    config = tmp_path / "gitconfig"
+    config.write_text("[clone]\n\tdefaultRemoteName = upstream\n", encoding="utf-8")
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+    url = Path(linear_repo).as_uri()
+    reports = []
+    for run in ("first", "again"):
+        assert main(["analyze", url, "--out", str(tmp_path / run)]) == 0
+        reports.append([(tmp_path / run / name).read_bytes() for name in ("report.json", "report.csv", "report.html")])
+    assert reports[0] == reports[1]
+
+
 def test_analyze_in_parallel_writes_the_serial_reports(big_repo, tmp_path):
     # workers forked after a pipe to git exists would hold git's input open,
     # and git would never end: the run would hang, not fail

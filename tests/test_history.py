@@ -1,5 +1,7 @@
 import calendar
+import concurrent.futures
 import io
+import multiprocessing
 import subprocess
 import threading
 
@@ -521,20 +523,23 @@ def test_no_git_process_outlives_its_call(linear_repo, big_repo, tmp_path, monke
     assert records and len(started) == 3
     assert all(proc.returncode is not None for proc in started)
 
-    # a walk stopped at its first blob, while git log still has more history
-    # to write than the pipe from it holds, ends both git processes
+    # a walk stopped at its first batch of blob ids, while git log still has
+    # more history to write than the pipe from it holds, ends git log, also
+    # when a worker forked meanwhile holds that pipe open; the walk reads no
+    # blob, so it starts no cat-file
     started.clear()
-
-    def stop_early():
-        blobs = walk_history(Repo(big_repo), [])
-        next(blobs)
-        blobs.close()
-
-    reader = threading.Thread(target=stop_early, daemon=True)
-    reader.start()
-    reader.join(timeout=60)
-    assert not reader.is_alive()
-    assert sorted(proc.args[3] for proc in started) == ["cat-file", "log"]
+    blobs = walk_history(Repo(big_repo), [])
+    next(blobs)
+    pool = concurrent.futures.ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        pool.submit(int).result()  # forks the worker
+        closer = threading.Thread(target=blobs.close, daemon=True)
+        closer.start()
+        closer.join(timeout=60)
+        assert not closer.is_alive()
+    finally:
+        pool.shutdown()
+    assert [proc.args[3] for proc in started] == ["log"]
     assert all(proc.returncode is not None for proc in started)
 
     # git log fails in the middle of the walk, after the newest commit's blobs
@@ -563,6 +568,33 @@ def test_no_git_process_outlives_its_call(linear_repo, big_repo, tmp_path, monke
     assert len(asked) == 2 * history._BATCH
     assert sorted(proc.args[3] for proc in started) == ["cat-file", "log"]
     assert all(proc.returncode is not None for proc in started)
+
+
+def test_signature_checks_leave_the_walk_as_it_is(tmp_path, monkeypatch):
+    # under log.showSignature git would check each signed commit with gpg and
+    # write the outcome into its output before the commit's header; the
+    # signature here is no valid one, so no key is needed
+    fixture = GitFixture(tmp_path / "repo")
+    fixture.write("a.py", "x = 1\n")
+    fixture.commit(ALICE, "2020-01-01T00:00:00Z", "one")
+    fixture.write("a.py", "x = 2\n")
+    fixture.commit(BOB, "2020-01-02T00:00:00Z", "two")
+    header, message = fixture.run("cat-file", "commit", "HEAD").split("\n\n", 1)
+    signature = "gpgsig -----BEGIN PGP SIGNATURE-----\n \n iQEzBAABCAAdFiEE\n =abcd\n -----END PGP SIGNATURE-----"
+    signed = subprocess.run(
+        ["git", "-C", str(fixture.path), "hash-object", "-t", "commit", "-w", "--stdin"],
+        input=f"{header}\n{signature}\n\n{message}", capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    fixture.run("update-ref", "refs/heads/main", signed)
+    monkeypatch.setenv("GNUPGHOME", str(tmp_path / "gnupg"))  # keeps a gpg that git starts off the user's keys
+    monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
+    monkeypatch.setenv("GIT_CONFIG_KEY_0", "log.showSignature")
+    monkeypatch.setenv("GIT_CONFIG_VALUE_0", "true")
+    commits = []
+    assert sum(len(oids) for oids in walk_history(Repo(fixture.path), commits)) == 2
+    expected = fixture.run("rev-list", "--first-parent", "--no-merges", "HEAD").split()
+    assert [commit.sha for commit in reversed(commits)] == expected
+    assert commits[-1].sha == signed
 
 
 def test_empty_repository_raises(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cefr_progress.analyzer import KINDS, LevelVector, analyze_source
 from cefr_progress.catalog import Level, default_catalog, load_catalog
 from cefr_progress.history import (
-    CommitBlobs, CommitRecord, ContributorId, FileChange, RepoSpec, extract_commits, prepare_repo, walk_history,
+    CommitBlobs, CommitRecord, ContributorId, FileChange, RepoSpec, ask, extract_commits, prepare_repo, walk_history,
 )
 from cefr_progress.scoring import (
     DEFAULT_BOT_PATTERNS,
@@ -475,9 +475,10 @@ def test_a_pickled_memo_scores_like_the_original(tmp_path):
     fixture.write("b.py", "def broken(:\n")
     fixture.commit(identity, "2020-02-01T00:00:00Z", "swap text and binary")
     commits = []
-    with prepare_repo(RepoSpec(str(fixture.path))) as repo:
+    with prepare_repo(RepoSpec(str(fixture.path))) as repo, repo.cat_file() as git:
         fold = entry_folder(CATALOG)
-        memo = {oid: fold(blob_analysis(data)) for oid, data in walk_history(repo, commits)}
+        memo = {oid: fold(blob_analysis(data))
+                for oids in walk_history(repo, commits) for oid, data in ask(git, oids)}
     copied = pickle.loads(pickle.dumps(memo))
     scores = [score_blobs(commit, memo) for commit in commits]
     assert [score_blobs(commit, copied) for commit in commits] == scores
@@ -503,7 +504,8 @@ def test_the_text_view_scores_as_the_blob_path(fixture, override, request, tmp_p
         catalog = load_catalog(rules)
     commits = []
     fold = entry_folder(catalog)
-    with prepare_repo(RepoSpec(str(request.getfixturevalue(fixture)))) as repo:
+    with prepare_repo(RepoSpec(str(request.getfixturevalue(fixture)))) as repo, repo.cat_file() as git:
         texts = [score_commit(record, catalog) for record in extract_commits(repo)]
-        memo = {oid: fold(blob_analysis(data)) for oid, data in walk_history(repo, commits)}
+        memo = {oid: fold(blob_analysis(data))
+                for oids in walk_history(repo, commits) for oid, data in ask(git, oids)}
     assert texts == [score_blobs(commit, memo) for commit in commits]

@@ -166,8 +166,9 @@ def test_each_identity_mode_has_its_own_walk(linear_repo, tmp_path, started, cap
 
 def test_a_warm_parallel_run_starts_no_worker_and_no_cat_file(linear_repo, tmp_path, monkeypatch, launched):
     first = analyze(linear_repo, tmp_path / "cold", "--jobs", "2")
-    # the workers fork before git log starts, so none holds a pipe to git
-    assert launched == ["pool", "log", "cat-file"]
+    # the workers fork at the first blob the store lacks, before cat-file
+    # starts, so none holds its input open
+    assert launched == ["log", "pool", "cat-file"]
 
     def refused(*args, **kwargs):
         raise AssertionError("a warm run started a worker pool or git cat-file")
@@ -175,6 +176,12 @@ def test_a_warm_parallel_run_starts_no_worker_and_no_cat_file(linear_repo, tmp_p
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
     monkeypatch.setattr(history.Repo, "cat_file", refused)
     assert analyze(linear_repo, tmp_path / "warm", "--jobs", "2") == first
+    # as on a new tip whose commits change no .py file: git walks the
+    # history, and the store holds every blob it names
+    _damage(_deleted)
+    launched.clear()
+    assert analyze(linear_repo, tmp_path / "new-tip", "--jobs", "2") == first
+    assert launched == ["log"]
 
 
 def test_a_partly_warm_parallel_run_analyzes_only_the_blobs_the_store_lacks(linear_repo, tmp_path, monkeypatch,
