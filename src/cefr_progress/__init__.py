@@ -1,7 +1,6 @@
 """Track CEFR-style Python code proficiency progression across a git history."""
 
-from .analyzer import AnalysisResult, LevelVector, analyze_source, count_constructs
-from .catalog import Catalog, CatalogError, Level, load_catalog
+from .catalog import Catalog, CatalogError, Level, LevelVector, load_catalog
 from .history import (
     CommitRecord,
     ContributorId,
@@ -35,3 +34,11 @@ __all__ = [
     "build_report", "score_commit",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """The analyzer's names, imported at first use: importing the package loads no AST code."""
+    if name not in ("AnalysisResult", "analyze_source", "count_constructs"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import analyzer
+    return getattr(analyzer, name)

@@ -3,11 +3,13 @@
 Walks the parse tree of one source file once, with an explicit stack, and
 emits a (kind, line) occurrence for every construct in the analyzer
 vocabulary, then folds the cataloged occurrences into a six-level count
-vector.  Classification is purely syntactic: no imports are resolved and no
-types are inferred.  Kinds that one node type always emits come from a
-type -> kind table; the conditional kinds are branches on the node type.
-The same walk records, per scope, the names the code binds, reads and
-declares, which is all ``generator_function`` and ``closure`` need.
+vector; the kind list, the fold and the vector live in `catalog`, and the
+package imports this module only where a blob is to be analyzed.
+Classification is purely syntactic: no imports are resolved and no types
+are inferred.  Kinds that one node type always emits come from a type ->
+kind table; the conditional kinds are branches on the node type.  The same
+walk records, per scope, the names the code binds, reads and declares,
+which is all ``generator_function`` and ``closure`` need.
 
 Counting rules worth knowing (each occurrence is one syntax-tree match):
 
@@ -78,18 +80,13 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .catalog import Catalog, Level, default_catalog
+from .catalog import KINDS, Catalog, LevelVector, level_counter
 
 log = logging.getLogger(__name__)
 
 Occurrence = tuple[str, int]
-
-#: Every kind the walk emits, in a fixed order: the kinds of the default
-#: catalog's table, sorted.  A kind the walk emits must have a row there.
-KINDS = tuple(sorted(default_catalog().levels))
 
 
 def blob_text(data: bytes | None) -> str | None:
@@ -114,41 +111,7 @@ class ParseError(Exception):
     """Source text does not compile under the running Python grammar."""
 
 
-@dataclass(frozen=True)
-class LevelVector:
-    """Six non-negative construct counts indexed by Level (A1..C2)."""
-
-    counts: tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != 6:
-            raise ValueError("LevelVector needs exactly six counts")
-        if min(self.counts) < 0:
-            raise ValueError(f"negative count in {self.counts}")
-
-    @classmethod
-    def zero(cls) -> "LevelVector":
-        return cls()
-
-    def __add__(self, other: "LevelVector") -> "LevelVector":
-        a, b = self.counts, other.counts
-        return LevelVector(tuple(a[i] + b[i] for i in range(6)))
-
-    def __getitem__(self, level: Level) -> int:
-        return self.counts[level]
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def c1_plus_c2(self) -> int:
-        return self.counts[Level.C1] + self.counts[Level.C2]
-
-    def as_list(self) -> list[int]:
-        return list(self.counts)
-
-
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     """Outcome of analyzing one source text against a catalog."""
 
     vector: LevelVector
@@ -704,21 +667,6 @@ def count_constructs(source: str) -> list[Occurrence]:
     Raises ParseError when the text does not compile.
     """
     return sorted(find_constructs(source), key=lambda occ: (occ[1], occ[0]))
-
-
-def level_counter(catalog: Catalog) -> Callable[[Iterable[int]], list[int]]:
-    """The function that sums per-kind counts, given in KINDS order, into
-    seven: one per level, A1 first, then one for the kinds `catalog` lacks,
-    which are tallied apart rather than put at some level."""
-    slots = [len(Level) if (level := catalog.classify(kind)) is None else level for kind in KINDS]
-
-    def count(counts: Iterable[int]) -> list[int]:
-        totals = [0] * (len(Level) + 1)
-        for slot, n in zip(slots, counts):
-            totals[slot] += n
-        return totals
-
-    return count
 
 
 def analyze_source(source: str, catalog: Catalog) -> AnalysisResult:

@@ -1,11 +1,12 @@
-"""Proficiency levels and the construct-kind catalog.
+"""Proficiency levels, the construct-kind catalog and level vectors.
 
 The six CEFR bands (A1 easiest .. C2 hardest) are fixed; which Python
 construct lands in which band is data: a table from kind to level.  The
-default table below is also the analyzer's kind list (``analyzer.KINDS``
-is its kinds, sorted); a catalog file may override any of its levels.
+default table below is also the analyzer's kind list (`KINDS` is its
+kinds, sorted), which `level_counter` folds into the six level counts of a
+`LevelVector`; a catalog file may override any of the table's levels.
 
-Catalog file grammar (line oriented, UTF-8, see docs/catalog-format.md):
+Catalog file grammar (line oriented, UTF-8, a leading BOM allowed, see docs/catalog-format.md):
 
     # comment lines and blank lines are ignored
     !version my-rules-3
@@ -20,8 +21,9 @@ entries with the same kind token.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from pathlib import Path
+from typing import NamedTuple
 
 
 class Level(enum.IntEnum):
@@ -49,8 +51,7 @@ class CatalogError(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     """A construct kind -> level table, named by its version.
 
     `levels` is a plain dict, so that the catalog pickles for worker
@@ -134,6 +135,45 @@ _DEFAULT_LEVELS: dict[str, Level] = {
 }
 
 
+#: Every kind the analyzer's walk emits, in a fixed order: the kinds of the
+#: default table, sorted.  A kind the walk emits must have a row there.
+KINDS = tuple(sorted(_DEFAULT_LEVELS))
+
+
+class LevelVector(NamedTuple("LevelVector", [("counts", tuple)])):
+    """Six non-negative construct counts indexed by Level (A1..C2); a NamedTuple
+    of one field, `counts`, whose `+` adds the counts."""
+
+    __slots__ = ()
+
+    def __new__(cls, counts: tuple[int, ...] = (0, 0, 0, 0, 0, 0)) -> "LevelVector":
+        if len(counts) != 6:
+            raise ValueError("LevelVector needs exactly six counts")
+        if min(counts) < 0:
+            raise ValueError(f"negative count in {counts}")
+        return tuple.__new__(cls, (counts,))
+
+    @classmethod
+    def zero(cls) -> "LevelVector":
+        return cls()
+
+    def __add__(self, other: "LevelVector") -> "LevelVector":
+        a, b = self.counts, other.counts
+        return LevelVector(tuple(a[i] + b[i] for i in range(6)))
+
+    def __getitem__(self, level: Level) -> int:
+        return self.counts[level]
+
+    def total(self) -> int:
+        return sum(self.counts)
+
+    def c1_plus_c2(self) -> int:
+        return self.counts[Level.C1] + self.counts[Level.C2]
+
+    def as_list(self) -> list[int]:
+        return list(self.counts)
+
+
 def default_catalog() -> Catalog:
     """The built-in catalog; classifies every analyzer-emitted kind."""
     return Catalog(DEFAULT_CATALOG_VERSION, dict(_DEFAULT_LEVELS))
@@ -175,10 +215,25 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     if path is None:
         return base
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is no part of the first line
     except OSError as exc:
         raise CatalogError("io", f"cannot read catalog file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise CatalogError("parse", f"catalog file {path} is not UTF-8: {exc}") from exc
     override = parse_catalog_text(text, version=f"{base.version}+custom")
     return Catalog(override.version, {**base.levels, **override.levels})
+
+
+def level_counter(catalog: Catalog) -> Callable[[Iterable[int]], list[int]]:
+    """The function that sums per-kind counts, given in KINDS order, into
+    seven: one per level, A1 first, then one for the kinds `catalog` lacks,
+    which are tallied apart rather than put at some level."""
+    slots = [len(Level) if (level := catalog.classify(kind)) is None else level for kind in KINDS]
+
+    def count(counts: Iterable[int]) -> list[int]:
+        totals = [0] * (len(Level) + 1)
+        for slot, n in zip(slots, counts):
+            totals[slot] += n
+        return totals
+
+    return count

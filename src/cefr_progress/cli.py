@@ -20,7 +20,6 @@ import sys
 from collections import Counter, deque
 from pathlib import Path
 
-from .analyzer import analyze_source, blob_text
 from .catalog import Catalog, CatalogError, load_catalog, LEVEL_LABELS
 from . import history
 from .history import CommitBlobs, RepoError, RepoSpec, prepare_repo, walk_history
@@ -149,6 +148,7 @@ def _analyze_history(
                     if jobs > 1:
                         from concurrent.futures import ProcessPoolExecutor
 
+                        from . import analyzer  # noqa: F401  (imported before the fork, so no worker compiles it)
                         pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
                         # Under the fork start method the first task forks every
                         # worker.  Forked before cat-file starts, no worker holds
@@ -221,6 +221,8 @@ def cmd_analyze(args: argparse.Namespace, catalog: Catalog) -> int:
 
 def cmd_classify(path: Path, catalog: Catalog) -> int:
     """Decode and judge the file at `path` as `analyze` does a blob."""
+    from .analyzer import analyze_source, blob_text
+
     try:
         data = Path(path).read_bytes()
     except OSError as exc:

@@ -53,11 +53,8 @@ import subprocess
 import tempfile
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
-
-from .analyzer import blob_text
 
 if TYPE_CHECKING:
     from .store import AnalysisStore
@@ -79,16 +76,14 @@ class RepoError(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class RepoSpec:
+class RepoSpec(NamedTuple):
     """Where the repository comes from and where clones may be cached."""
 
     source: str
     workdir: Path | None = None
 
 
-@dataclass(frozen=True)
-class ContributorId:
+class ContributorId(NamedTuple):
     raw_name: str
     raw_email: str
     anon_id: str
@@ -100,8 +95,7 @@ class ContributorId:
         return cls(raw_name=name, raw_email=email, anon_id=digest[:8])
 
 
-@dataclass(frozen=True)
-class FileChange:
+class FileChange(NamedTuple):
     """One changed .py file within a commit: its path, and its text before and
     after the commit.
 
@@ -117,12 +111,11 @@ class FileChange:
     after_text: str | None = None
 
 
-@dataclass(frozen=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     sha: str
     contributor: ContributorId
     timestamp: int
-    changes: tuple[FileChange, ...] = field(default=())
+    changes: tuple[FileChange, ...] = ()
 
 
 class CommitBlobs(NamedTuple):
@@ -472,6 +465,8 @@ def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecor
     a change with no text on either side is left out.  `identity` selects
     whether the author or the committer is credited.
     """
+    from .analyzer import blob_text
+
     commits: list[CommitBlobs] = []
     # one decoded text per blob id, so equal sides share one object
     texts: dict[str | None, str | None] = {None: None}

@@ -13,8 +13,7 @@ import math
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from .analyzer import LevelVector
-from .catalog import LEVEL_LABELS
+from .catalog import LEVEL_LABELS, LevelVector
 from .scoring import ContributorProfile, ProjectReport
 
 SCHEMA_VERSION = "1"

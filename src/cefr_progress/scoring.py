@@ -8,14 +8,16 @@ UTC calendar period.
 
 A blob's analysis is kept in a catalog-free stored form: the count of each
 analyzer kind, or why there are none.  The catalog folds it into the blob's
-six level counts, so one stored analysis serves every catalog.
+six level counts, so one stored analysis serves every catalog.  Only the
+functions that analyze a source import `analyzer`, so a run that finds
+every analysis stored loads no AST code.
 
 A history repeats few values many times, so each is made once: a folder
 folds each distinct stored form once and hands out one tuple per distinct
 entry, every commit that adds nothing shares one zero delta, and a report
 shares one LevelVector per distinct count tuple among its period buckets.
-All of them are immutable.  A CommitScore is a NamedTuple, which
-`build_report` unpacks by position and which pickles by value.
+All of them are immutable.  Each record here is a NamedTuple, which pickles
+by value; `build_report` unpacks a CommitScore by position.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .analyzer import KINDS, LevelVector, ParseError, analyze_source, blob_text, find_constructs, level_counter
-from .catalog import Catalog, Level
+from .catalog import KINDS, Catalog, Level, LevelVector, level_counter
 from .history import CommitBlobs, CommitRecord, ContributorId
+
+if TYPE_CHECKING:
+    from .analyzer import AnalysisResult
 
 DEFAULT_BOT_PATTERNS = (r"\[bot\]$",)
 
@@ -51,23 +54,20 @@ class CommitScore(NamedTuple):
     files_skipped: int
 
 
-@dataclass(frozen=True)
-class ContributorProfile:
+class ContributorProfile(NamedTuple):
     contributor: ContributorId
     total: LevelVector
     by_period: dict[str, LevelVector]
     commit_count: int
 
 
-@dataclass(frozen=True)
-class TopContributor:
+class TopContributor(NamedTuple):
     contributor: ContributorId
     # (period key, C1 count, C2 count) rows over the contributor's active periods
     periods: tuple[tuple[str, int, int], ...]
 
 
-@dataclass(frozen=True)
-class ProjectReport:
+class ProjectReport(NamedTuple):
     repo: str
     generated_at: int
     period: Granularity
@@ -116,6 +116,8 @@ def source_analysis(source: str) -> Stored:
     Raises RuntimeError when the walk emits a kind that KINDS lacks, which
     the stored form could not hold.
     """
+    from .analyzer import ParseError, find_constructs
+
     try:
         found = find_constructs(source)
     except ParseError as exc:
@@ -123,12 +125,14 @@ def source_analysis(source: str) -> Stored:
     tally = Counter(map(itemgetter(0), found))
     counts = array("I", [tally.pop(kind, 0) for kind in KINDS])
     if tally:
-        raise RuntimeError(f"kinds missing from analyzer.KINDS: {sorted(tally)}")
+        raise RuntimeError(f"kinds missing from catalog.KINDS: {sorted(tally)}")
     return counts.tobytes()
 
 
 def blob_analysis(data: bytes | None) -> Stored:
     """The stored form of one blob's analysis from its raw bytes (None for no blob)."""
+    from .analyzer import blob_text
+
     text = blob_text(data)
     return NO_TEXT if text is None else source_analysis(text)
 
@@ -191,6 +195,13 @@ def score_blobs(commit: CommitBlobs, memo: dict[str, Entry]) -> CommitScore:
                     total[level] += now - was
     delta = LevelVector(tuple(total)) if any(total) else _NO_DELTA
     return CommitScore(commit.sha, commit.contributor, commit.timestamp, delta, analyzed, skipped)
+
+
+def analyze_source(source: str, catalog: Catalog) -> AnalysisResult:
+    """`analyzer.analyze_source`, imported at the first call; `score_commit` calls it by this name."""
+    from . import analyzer
+
+    return analyzer.analyze_source(source, catalog)
 
 
 def score_commit(record: CommitRecord, catalog: Catalog) -> CommitScore:

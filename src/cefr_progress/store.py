@@ -5,9 +5,9 @@ form: its per-kind counts, or why it has none) depends only on the id, the
 code that analyzed it and the interpreter that ran that code.  The store
 keeps those analyses by blob id in one ``sqlite3`` file per interpreter and
 code fingerprint under ``<cache root>/analysis/``.  The fingerprint hashes
-the source of ``analyzer.py`` and ``scoring.py``, the stored form's own key
-and the store's schema, so a file that other code wrote has another name
-and is never read.
+the source of ``analyzer.py`` and ``scoring.py``, read by path without
+importing them, the stored form's own key and the store's schema, so a
+file that other code wrote has another name and is never read.
 
 The same file keeps history walks for `history.walk_history`: one per tip
 and walk key, each with its SHA-256 digest, which is checked before any of
@@ -31,7 +31,7 @@ import sqlite3
 import sys
 from pathlib import Path
 
-from . import analyzer, scoring
+from . import scoring
 from .history import cache_root
 from .scoring import Stored, is_stored
 
@@ -45,6 +45,8 @@ SCHEMA = (
     "CREATE TABLE blobs (oid TEXT PRIMARY KEY, analysis) WITHOUT ROWID",
     "CREATE TABLE walks (key TEXT, tip TEXT, digest TEXT, walk BLOB, PRIMARY KEY (key, tip)) WITHOUT ROWID",
 )
+#: The source files whose code makes a stored form.
+CODE = (Path(__file__).with_name("analyzer.py"), Path(scoring.__file__))
 
 
 def store_path() -> Path:
@@ -54,8 +56,8 @@ def store_path() -> Path:
     there is no cache root.
     """
     digest = hashlib.sha256("\n".join((scoring.STORED_FORM_KEY, *SCHEMA)).encode("utf-8"))
-    for module in (analyzer, scoring):
-        digest.update(Path(module.__file__).read_bytes())
+    for path in CODE:
+        digest.update(path.read_bytes())
     name = f"{sys.implementation.cache_tag}-{digest.hexdigest()[:16]}.sqlite3"
     return cache_root() / "analysis" / name
 

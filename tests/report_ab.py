@@ -7,13 +7,16 @@ of its own, as ``tests/analyzer_ab.py`` does, and runs the steps of
 ``analyze`` on the repository at REPO in this process at ``--jobs`` jobs:
 the history walk with its store lookups and any worker pool it starts,
 scoring, ``build_report``, ``emit_json``, ``emit_csv`` and ``emit_html``.
-The analysis store lives in a temporary cache root, and one untimed run of
-each checkout fills it, so every timed run is warm: it reads each blob's
-analysis and the history walk from the store.  The checkouts take turns,
-and which goes first alternates from run to run.  It prints each stage's
-median seconds per checkout and the change/parent ratio of the medians.
-The exit status is 1 unless both checkouts write byte-identical
-report.json, report.csv and report.html on every run.
+Then each run times one whole ``python -m cefr_progress analyze`` of each
+checkout in a child process (the ``cli`` row), whose start-up and imports
+the in-process stages do not show.  The analysis store lives in a
+temporary cache root, and one untimed run of each checkout fills it, so
+every timed run is warm: it reads each blob's analysis and the history
+walk from the store.  The checkouts take turns, and which goes first
+alternates from run to run.  It prints each stage's median seconds per
+checkout and the change/parent ratio of the medians.  The exit status is 1
+unless both checkouts write byte-identical report.json, report.csv and
+report.html on every run, in this process and in the child processes.
 
 The benchmark's per-layer metrics time the library's text view, which
 ``analyze`` no longer takes; this times the path it does take.
@@ -27,6 +30,7 @@ import importlib
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -73,6 +77,20 @@ def run(package, repo: str, period: str, top: int, jobs: int, out: Path) -> dict
     return times
 
 
+def run_cli(checkout: Path, repo: str, period: str, top: int, jobs: int, out: Path) -> float:
+    """Seconds one ``python -m cefr_progress analyze`` of `repo` took in a child
+    process that imports the package from `checkout`, writing the reports into `out`."""
+    command = [sys.executable, "-m", "cefr_progress", "analyze", repo, "--out", str(out),
+               "--period", period, "--top", str(top), "--jobs", str(jobs)]
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    start = time.perf_counter()
+    child = subprocess.run(command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    seconds = time.perf_counter() - start
+    if child.returncode != 0:
+        raise SystemExit(f"analyze with {checkout} exited {child.returncode}: {child.stderr}")
+    return seconds
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -88,27 +106,35 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="report-ab-") as scratch:
         root = Path(scratch)
         os.environ["CEFR_PROGRESS_CACHE"] = str(root / "cache")
+        checkouts = (args.parent, args.change)
         sides = (load(args.parent, "parent_cefr_progress"), load(args.change, "change_cefr_progress"))
         outs = (root / "parent", root / "change")
+        cli_outs = (root / "parent-cli", root / "change-cli")
         for package, out in zip(sides, outs):  # fills each checkout's store
             run(package, args.repo, args.period, args.top, args.jobs, out)
-        times = tuple({stage: [] for stage in STAGES} for _ in sides)  # side -> stage -> seconds per run
+        times = tuple({stage: [] for stage in (*STAGES, "cli")} for _ in sides)  # side -> stage -> seconds per run
         differing = set()
         for number in range(args.runs):
-            for side in ((0, 1) if number % 2 == 0 else (1, 0)):
+            order = (0, 1) if number % 2 == 0 else (1, 0)
+            for side in order:
                 timed = run(sides[side], args.repo, args.period, args.top, args.jobs, outs[side])
                 for stage, seconds in timed.items():
                     times[side][stage].append(seconds)
+            for side in order:
+                times[side]["cli"].append(
+                    run_cli(checkouts[side], args.repo, args.period, args.top, args.jobs, cli_outs[side]))
             for name in REPORTS:
-                if (outs[0] / name).read_bytes() != (outs[1] / name).read_bytes() and name not in differing:
-                    differing.add(name)
-                    print(f"{name}: the checkouts' reports differ (run {number + 1})")
+                for where, (parent, change) in (("", outs), (" in the child processes", cli_outs)):
+                    if (parent / name).read_bytes() != (change / name).read_bytes() and name + where not in differing:
+                        differing.add(name + where)
+                        print(f"{name}: the checkouts' reports differ{where} (run {number + 1})")
 
     print(f"Python {platform.python_version()}, {args.repo}, --period {args.period} --top {args.top} "
           f"--jobs {args.jobs}, medians over {args.runs} runs")
     print(f"{'stage':<10} {'parent s':>10} {'change s':>10} {'change/parent':>14}")
     rows = [(stage, [statistics.median(side[stage]) for side in times]) for stage in STAGES]
-    rows.append(("total", [statistics.median(map(sum, zip(*side.values()))) for side in times]))
+    rows.append(("total", [statistics.median(map(sum, zip(*(side[stage] for stage in STAGES)))) for side in times]))
+    rows.append(("cli", [statistics.median(side["cli"]) for side in times]))
     for stage, medians in rows:
         ratio = medians[1] / medians[0] if medians[0] else float("nan")
         print(f"{stage:<10} {medians[0]:>10.4f} {medians[1]:>10.4f} {ratio:>14.3f}")

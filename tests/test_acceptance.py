@@ -11,8 +11,8 @@ from collections import Counter
 
 import pytest
 
-from cefr_progress.analyzer import LevelVector, count_constructs
-from cefr_progress.catalog import Level, default_catalog
+from cefr_progress.analyzer import count_constructs
+from cefr_progress.catalog import Level, LevelVector, default_catalog
 from cefr_progress.cli import main
 from cefr_progress.history import CommitBlobs, ContributorId, RepoSpec, extract_commits, prepare_repo
 from cefr_progress.scoring import Granularity, build_report, score_blobs, score_commit

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import inspect
+import pickle
 import random
 import subprocess
 import symtable
@@ -18,13 +19,12 @@ from hypothesis import strategies as st
 from cefr_progress import analyzer, scoring
 from cefr_progress.analyzer import (
     _CHILD_FIELDS,
-    LevelVector,
     ParseError,
     analyze_source,
     blob_text,
     count_constructs,
 )
-from cefr_progress.catalog import Catalog, Level, default_catalog
+from cefr_progress.catalog import Catalog, Level, LevelVector, default_catalog
 
 import verdict_differential
 from verdict_differential import HANDLERS_3_12, nested
@@ -418,6 +418,15 @@ def test_level_vector_addition_and_total():
     assert (a + b).as_list() == [1, 3, 3, 0, 0, 1]
     assert (a + b).total() == 8
     assert a.c1_plus_c2() == 1
+
+
+def test_a_level_vector_is_a_value():
+    v = LevelVector((1, 0, 2, 0, 7, 1))
+    assert v[Level.C1] == 7 and v.counts == (1, 0, 2, 0, 7, 1)
+    assert LevelVector.zero() == LevelVector() == LevelVector((0,) * 6)
+    assert v + LevelVector.zero() == v  # element by element, never a longer tuple
+    assert v == LevelVector((1, 0, 2, 0, 7, 1)) and hash(v) == hash(LevelVector(v.counts))
+    assert pickle.loads(pickle.dumps(v)) == v and type(pickle.loads(pickle.dumps(v))) is LevelVector
 
 
 #: kinds that one node type always emits, and those node types

@@ -1,3 +1,4 @@
+import json
 import pickle
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from cefr_progress.catalog import (
     load_catalog,
     parse_catalog_text,
 )
+from cefr_progress.cli import main
 
 from conftest import child_env
 from corpus import SNIPPETS
@@ -174,6 +176,20 @@ def test_the_documented_default_vocabulary_is_the_default_catalog():
         if len(cells) == 4 and cells[1].strip() in LEVEL_LABELS:
             documented.update((name.strip("`"), Level[cells[1].strip()]) for name in cells[2].split())
     assert documented == default_catalog().levels
+
+
+@pytest.mark.parametrize("text", ["if_statement C2\n", "# my rules\nif_statement C2\n"])
+def test_a_catalog_file_may_start_with_a_bom(text, tmp_path, capsys):
+    # the BOM is no part of the first line, neither of a kind nor of a comment
+    rules = tmp_path / "rules.cat"
+    rules.write_bytes("\ufeff".encode("utf-8") + text.encode("utf-8"))
+    cat = load_catalog(rules)
+    assert cat.classify("if_statement") is Level.C2
+    assert kinds(cat) == kinds(default_catalog())
+    target = tmp_path / "a.py"
+    target.write_text("if x:\n    pass\n")
+    assert main(["classify", str(target), "--catalog", str(rules)]) == 0
+    assert json.loads(capsys.readouterr().out)["levels"]["C2"] == 1
 
 
 NOT_UTF8 = b"if_statement A2 caf\xe9\n"

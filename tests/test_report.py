@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cefr_progress.analyzer import LevelVector
+from cefr_progress.catalog import LevelVector
 from cefr_progress.cli import main
 from cefr_progress.history import ContributorId
 from cefr_progress.report import (

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cefr_progress.analyzer import KINDS, LevelVector, analyze_source
-from cefr_progress.catalog import Level, default_catalog, load_catalog
+from cefr_progress.analyzer import analyze_source
+from cefr_progress.catalog import KINDS, Level, LevelVector, default_catalog, load_catalog
 from cefr_progress.history import (
     CommitBlobs, CommitRecord, ContributorId, FileChange, RepoSpec, ask, extract_commits, prepare_repo, walk_history,
 )

@@ -4,6 +4,7 @@ state changes no report."""
 
 import contextlib
 import logging
+import shutil
 import sqlite3
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cefr_progress import analyzer, history, scoring, store
+from cefr_progress import analyzer, catalog, history, scoring, store
 from cefr_progress.catalog import default_catalog, parse_catalog_text
 from cefr_progress.cli import main
 from cefr_progress.scoring import NO_TEXT, blob_analysis, entry_folder, is_stored, source_analysis
@@ -82,39 +83,46 @@ def test_a_value_of_another_form_is_no_stored_form(value):
 
 
 def test_a_kind_missing_from_kinds_fails_loudly(monkeypatch):
-    monkeypatch.setattr(scoring, "find_constructs", lambda source: [("if_statement", 1), ("new_kind", 2)])
+    monkeypatch.setattr(analyzer, "find_constructs", lambda source: [("if_statement", 1), ("new_kind", 2)])
     with pytest.raises(RuntimeError, match="new_kind"):
         source_analysis("if x:\n    pass\n")
 
 
-def test_the_store_file_is_named_by_the_kind_list():
+def test_the_store_file_is_named_by_the_kind_list(tmp_path_factory):
     # the kind list is the default catalog's table, sorted, and the stored
     # form's key names it: a kind dropped from or renamed in the table alone,
     # with analyzer.py and scoring.py unchanged, renames the store
-    assert analyzer.KINDS == tuple(sorted(CATALOG.levels))
+    assert catalog.KINDS == tuple(sorted(CATALOG.levels))
+    row = '    "closure": Level.C1,'
 
-    def path_after(edit: str) -> str:
-        script = ("import importlib\nfrom cefr_progress import analyzer, catalog, scoring, store\n"
-                  f"{edit}\nimportlib.reload(analyzer)\nimportlib.reload(scoring)\nprint(store.store_path())")
-        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
+    def path_after(old: str, new: str) -> str:
+        """The store path of a copy of the package whose catalog.py has `old` replaced by `new`."""
+        package = tmp_path_factory.mktemp("copy") / "cefr_progress"
+        shutil.copytree(Path(catalog.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+        source = package / "catalog.py"
+        assert row in source.read_text(encoding="utf-8")
+        source.write_text(source.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        script = "from cefr_progress import store\nprint(store.store_path())"
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env={**child_env(), "PYTHONPATH": str(package.parent)})
         assert child.returncode == 0, child.stderr
         return child.stdout.strip()
 
     path = str(store.store_path())
-    assert path_after("pass") == path
-    levels = "catalog._DEFAULT_LEVELS"
-    assert path_after(f"del {levels}['closure']") != path
-    assert path_after(f"{levels}['closures'] = {levels}.pop('closure')") != path  # KINDS keeps its order
+    assert path_after(row, row) == path
+    assert path_after(row, "") != path
+    assert path_after(row, row.replace("closure", "closures")) != path  # KINDS keeps its order
 
 
 def test_the_store_file_is_named_by_interpreter_and_code(fresh_cache_root, tmp_path, monkeypatch):
     path = store.store_path()
     assert path.parent == fresh_cache_root / "analysis"
     assert path.name.startswith(f"{sys.implementation.cache_tag}-")
+    assert store.CODE == (Path(analyzer.__file__), Path(scoring.__file__))
     changed = tmp_path / "analyzer.py"
     changed.write_bytes(Path(analyzer.__file__).read_bytes() + b"\n# changed\n")
     with monkeypatch.context() as patch:
-        patch.setattr(analyzer, "__file__", str(changed))
+        patch.setattr(store, "CODE", (changed, *store.CODE[1:]))
         assert store.store_path() != path
     assert store.store_path() == path
     monkeypatch.setattr(store, "SCHEMA", (*store.SCHEMA, "CREATE TABLE more (a) WITHOUT ROWID"))
@@ -215,15 +223,15 @@ def test_a_verdict_of_the_run_is_not_stored(tmp_path, recorded, monkeypatch, cap
     fixture.write("a.py", "a = [1, 2]\n")
     fixture.write("b.py", "b = 1\n")
     fixture.commit(ALICE, "2020-01-01T00:00:00Z", "one")
-    find_constructs = scoring.find_constructs
+    find_constructs = analyzer.find_constructs
 
     def failing_once(source):
         if source == "a = [1, 2]\n":
-            monkeypatch.setattr(scoring, "find_constructs", find_constructs)
+            monkeypatch.setattr(analyzer, "find_constructs", find_constructs)
             raise analyzer.ParseError(error.__name__) from error()
         return find_constructs(source)
 
-    monkeypatch.setattr(scoring, "find_constructs", failing_once)
+    monkeypatch.setattr(analyzer, "find_constructs", failing_once)
     analyze(fixture.path, tmp_path / "short")
     assert f"skipped: 1 {error.__name__};" in caplog.text
     assert len(_stored_oids()) == 1

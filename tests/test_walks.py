@@ -7,14 +7,16 @@ import contextlib
 import logging
 import sqlite3
 import subprocess
+import sys
 
 import pytest
 
+import cefr_progress
 from cefr_progress import history, store
 from cefr_progress.cli import main
 from cefr_progress.history import RepoSpec, prepare_repo
 
-from conftest import ALICE, BOB, GitFixture
+from conftest import ALICE, BOB, GitFixture, child_env
 
 REPORTS = ("report.json", "report.csv", "report.html")
 
@@ -200,6 +202,46 @@ def test_a_partly_warm_parallel_run_analyzes_only_the_blobs_the_store_lacks(line
     assert summary(caplog).startswith("blobs: 6 named, 2 analyzed, 4 from the analysis store;")
     # the stored walk needs no git log; the workers fork before cat-file starts
     assert launched == ["pool", "cat-file"]
+
+
+#: What a run that finds every analysis stored never runs, and so never imports
+WARM_UNUSED = ("cefr_progress.analyzer", "dataclasses", "inspect", "ast")
+
+
+def test_a_warm_run_imports_no_ast_code(linear_repo, tmp_path):
+    # each run in a child process of its own, sharing one fresh cache root,
+    # prints the modules it ends with, of those a warm run must not load; -S
+    # runs no site-packages .pth file, which may import any of them
+    script = ("import sys\nfrom cefr_progress.cli import main\ncode = main(sys.argv[1:])\n"
+              f"print(*(name for name in {WARM_UNUSED!r} if name in sys.modules))\nsys.exit(code)")
+
+    def loaded(out) -> list[str]:
+        child = subprocess.run([sys.executable, "-S", "-c", script, "analyze", str(linear_repo), "--out", str(out)],
+                               capture_output=True, text=True, env=child_env())
+        assert child.returncode == 0, child.stderr
+        return child.stdout.splitlines()[-1].split()
+
+    assert "cefr_progress.analyzer" in loaded(tmp_path / "cold")
+    assert loaded(tmp_path / "warm") == []
+
+
+def test_a_cold_parallel_run_imports_the_analyzer_before_the_workers_fork(linear_repo, tmp_path, monkeypatch,
+                                                                          launched):
+    # as in a process that has not analyzed yet, so each worker would import it
+    monkeypatch.delitem(sys.modules, "cefr_progress.analyzer", raising=False)
+    monkeypatch.delattr(cefr_progress, "analyzer", raising=False)
+    imported = []  # at each pool's start, whether the analyzer is imported
+    pool = concurrent.futures.ProcessPoolExecutor
+
+    class CheckingPool(pool):
+        def __init__(self, *args, **kwargs):
+            imported.append("cefr_progress.analyzer" in sys.modules)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CheckingPool)
+    analyze(linear_repo, tmp_path / "cold", "--jobs", "2")
+    assert launched == ["log", "pool", "cat-file"]
+    assert imported == [True]
 
 
 def _truncated(connection) -> None:
