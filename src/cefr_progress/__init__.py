@@ -1,6 +1,6 @@
 """Track CEFR-style Python code proficiency progression across a git history."""
 
-from .catalog import Catalog, CatalogError, Level, LevelVector, load_catalog
+from .catalog import Catalog, CatalogError, Level, load_catalog
 from .history import (
     CommitRecord,
     ContributorId,
@@ -25,7 +25,7 @@ from .scoring import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisResult", "LevelVector", "analyze_source", "count_constructs",
+    "AnalysisResult", "analyze_source", "count_constructs",
     "Catalog", "CatalogError", "Level", "load_catalog",
     "CommitRecord", "ContributorId", "FileChange", "Repo", "RepoError", "RepoSpec",
     "extract_commits", "prepare_repo",

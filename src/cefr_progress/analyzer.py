@@ -2,9 +2,9 @@
 
 Walks the parse tree of one source file once, with an explicit stack, and
 emits a (kind, line) occurrence for every construct in the analyzer
-vocabulary, then folds the cataloged occurrences into a six-level count
-vector; the kind list, the fold and the vector live in `catalog`, and the
-package imports this module only where a blob is to be analyzed.
+vocabulary, then folds the cataloged occurrences into six level counts, a
+plain tuple with A1 first; the kind list and the fold live in `catalog`,
+and the package imports this module only where a blob is to be analyzed.
 Classification is purely syntactic: no imports are resolved and no types
 are inferred.  Kinds that one node type always emits come from a type ->
 kind table; the conditional kinds are branches on the node type.  The same
@@ -82,7 +82,7 @@ import warnings
 from collections import Counter
 from typing import NamedTuple
 
-from .catalog import KINDS, Catalog, LevelVector, level_counter
+from .catalog import KINDS, Catalog, level_counter
 
 log = logging.getLogger(__name__)
 
@@ -114,7 +114,7 @@ class ParseError(Exception):
 class AnalysisResult(NamedTuple):
     """Outcome of analyzing one source text against a catalog."""
 
-    vector: LevelVector
+    vector: tuple[int, ...]  # six level counts, A1 first
     occurrences: tuple[Occurrence, ...]
     unclassified_count: int
     parse_ok: bool
@@ -675,8 +675,8 @@ def analyze_source(source: str, catalog: Catalog) -> AnalysisResult:
         occurrences = count_constructs(source)
     except ParseError as exc:
         log.debug("parse failure: %s", exc)
-        return AnalysisResult(LevelVector.zero(), (), 0, parse_ok=False)
+        return AnalysisResult((0,) * 6, (), 0, parse_ok=False)
 
     tally = Counter(kind for kind, _line in occurrences)
     *counts, unclassified = level_counter(catalog)(tally[kind] for kind in KINDS)
-    return AnalysisResult(LevelVector(tuple(counts)), tuple(occurrences), unclassified, parse_ok=True)
+    return AnalysisResult(tuple(counts), tuple(occurrences), unclassified, parse_ok=True)

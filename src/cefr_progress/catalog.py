@@ -1,10 +1,10 @@
-"""Proficiency levels, the construct-kind catalog and level vectors.
+"""Proficiency levels and the construct-kind catalog.
 
 The six CEFR bands (A1 easiest .. C2 hardest) are fixed; which Python
 construct lands in which band is data: a table from kind to level.  The
 default table below is also the analyzer's kind list (`KINDS` is its
-kinds, sorted), which `level_counter` folds into the six level counts of a
-`LevelVector`; a catalog file may override any of the table's levels.
+kinds, sorted), which `level_counter` folds into six level counts, A1
+first; a catalog file may override any of the table's levels.
 
 Catalog file grammar (line oriented, UTF-8, a leading BOM allowed, see docs/catalog-format.md):
 
@@ -140,40 +140,6 @@ _DEFAULT_LEVELS: dict[str, Level] = {
 KINDS = tuple(sorted(_DEFAULT_LEVELS))
 
 
-class LevelVector(NamedTuple("LevelVector", [("counts", tuple)])):
-    """Six non-negative construct counts indexed by Level (A1..C2); a NamedTuple
-    of one field, `counts`, whose `+` adds the counts."""
-
-    __slots__ = ()
-
-    def __new__(cls, counts: tuple[int, ...] = (0, 0, 0, 0, 0, 0)) -> "LevelVector":
-        if len(counts) != 6:
-            raise ValueError("LevelVector needs exactly six counts")
-        if min(counts) < 0:
-            raise ValueError(f"negative count in {counts}")
-        return tuple.__new__(cls, (counts,))
-
-    @classmethod
-    def zero(cls) -> "LevelVector":
-        return cls()
-
-    def __add__(self, other: "LevelVector") -> "LevelVector":
-        a, b = self.counts, other.counts
-        return LevelVector(tuple(a[i] + b[i] for i in range(6)))
-
-    def __getitem__(self, level: Level) -> int:
-        return self.counts[level]
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def c1_plus_c2(self) -> int:
-        return self.counts[Level.C1] + self.counts[Level.C2]
-
-    def as_list(self) -> list[int]:
-        return list(self.counts)
-
-
 def default_catalog() -> Catalog:
     """The built-in catalog; classifies every analyzer-emitted kind."""
     return Catalog(DEFAULT_CATALOG_VERSION, dict(_DEFAULT_LEVELS))
@@ -186,15 +152,15 @@ def parse_catalog_text(text: str, *, version: str = "custom") -> Catalog:
     CatalogError("duplicate") when a kind token appears more than once.
     """
     levels: dict[str, Level] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # only a newline ends a line
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("!"):
-            directive, _, value = line[1:].partition(" ")
-            if directive != "version" or not value.strip():
+            directive = line.split(None, 1)  # split as an entry is
+            if directive[0] != "!version" or len(directive) < 2:
                 raise CatalogError("parse", f"line {lineno}: unknown directive {line!r}")
-            version = value.strip()
+            version = directive[1]
             continue
         parts = line.split(None, 2)  # the kind, the level and free text, which is ignored
         if len(parts) < 2:

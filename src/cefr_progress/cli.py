@@ -240,8 +240,8 @@ def cmd_classify(path: Path, catalog: Catalog) -> int:
 
     payload = {
         "file": _shown(str(path)),
-        "levels": dict(zip(LEVEL_LABELS, result.vector.as_list())),
-        "total": result.vector.total(),
+        "levels": dict(zip(LEVEL_LABELS, result.vector)),
+        "total": sum(result.vector),
         "occurrences": [{"kind": kind, "line": line} for kind, line in result.occurrences],
         "unclassified_count": result.unclassified_count,
     }

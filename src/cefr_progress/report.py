@@ -13,7 +13,7 @@ import math
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from .catalog import LEVEL_LABELS, LevelVector
+from .catalog import LEVEL_LABELS, Level
 from .scoring import ContributorProfile, ProjectReport
 
 SCHEMA_VERSION = "1"
@@ -28,8 +28,8 @@ def _contributor_payload(profile: ContributorProfile, show_names: bool) -> dict:
         "name": ident.raw_name if show_names else None,
         "email": ident.raw_email if show_names else None,
         "commit_count": profile.commit_count,
-        "total": profile.total.as_list(),
-        "by_period": {k: v.as_list() for k, v in profile.by_period.items()},
+        "total": list(profile.total),
+        "by_period": {k: list(v) for k, v in profile.by_period.items()},
     }
 
 
@@ -51,10 +51,10 @@ def report_payload(report: ProjectReport, *, show_names: bool = False) -> dict:
         "repo": report.repo,
         "generated_at": report.generated_at,
         "period": report.period.value,
-        "project_total": report.project_total.as_list(),
-        "project_by_period": {k: v.as_list() for k, v in report.project_by_period.items()},
+        "project_total": list(report.project_total),
+        "project_by_period": {k: list(v) for k, v in report.project_by_period.items()},
         "contributors": [_contributor_payload(p, show_names) for p in report.profiles],
-        "excluded_total": report.excluded_total.as_list(),
+        "excluded_total": list(report.excluded_total),
         "top_contributor": top,
         "commit_count": report.commit_count,
         "files_analyzed": report.files_analyzed,
@@ -126,8 +126,8 @@ def emit_csv(report: ProjectReport, path: str | Path) -> Path:
     report's period order, plus a total row."""
     lines = ["period," + ",".join(LEVEL_LABELS)]
     for pkey, vector in report.project_by_period.items():
-        lines.append(pkey + "," + ",".join(str(c) for c in vector.counts))
-    lines.append("total," + ",".join(str(c) for c in report.project_total.counts))
+        lines.append(pkey + "," + ",".join(str(c) for c in vector))
+    lines.append("total," + ",".join(str(c) for c in report.project_total))
     out = Path(path)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
@@ -175,28 +175,28 @@ def _radar_grid() -> str:
 _RADAR_GRID = _radar_grid()
 
 
-def radar_svg(vector: LevelVector, title: str) -> str:
+def radar_svg(vector: tuple[int, ...], title: str) -> str:
     """Six-axis radar polygon, scaled to the vector's own max component."""
     size = _RADAR_SIZE
     return "".join((
         f'<svg class="radar" width="{size}" height="{size}" viewBox="0 0 {size} {size}" role="img">',
         f"<title>{html.escape(title)}</title>",
         _RADAR_GRID,
-        f'<polygon class="data" points="{_radar_points(vector.counts, _RADAR_RADIUS)}" '
+        f'<polygon class="data" points="{_radar_points(vector, _RADAR_RADIUS)}" '
         'fill="#4e79a7" fill-opacity="0.35" stroke="#4e79a7"/>',
-        f'<text x="6" y="{size - 6}" font-size="10" fill="#666">axis max: {max(vector.counts)}</text>',
+        f'<text x="6" y="{size - 6}" font-size="10" fill="#666">axis max: {max(vector)}</text>',
         "</svg>",
     ))
 
 
-def timeline_svg(by_period: dict[str, LevelVector]) -> str:
+def timeline_svg(by_period: dict[str, tuple[int, ...]]) -> str:
     """Stacked bars per period, one colored segment per level, in the
     order of `by_period`: oldest first for a report's periods."""
     periods = list(by_period)
     bar_w, gap, chart_h, pad_left, pad_bottom, pad_top = 30, 12, 170, 34, 42, 8
     width = pad_left + max(1, len(periods)) * (bar_w + gap) + gap
     height = chart_h + pad_bottom + pad_top
-    peak = max((by_period[p].total() for p in periods), default=0)
+    peak = max((sum(by_period[p]) for p in periods), default=0)
     parts = [
         f'<svg class="timeline" width="{width}" height="{height}" viewBox="0 0 {width} {height}" role="img">',
         "<title>added constructs per period</title>",
@@ -207,7 +207,7 @@ def timeline_svg(by_period: dict[str, LevelVector]) -> str:
         x = pad_left + gap + idx * (bar_w + gap)
         y = float(pad_top + chart_h)
         for level in range(6):
-            value = by_period[pkey].counts[level]
+            value = by_period[pkey][level]
             if value == 0 or peak == 0:
                 continue
             seg = chart_h * value / peak
@@ -291,7 +291,7 @@ def emit_html(
 
     ranked = sorted(
         report.profiles,
-        key=lambda p: (-p.total.total(), -p.total.c1_plus_c2(), p.contributor.anon_id),
+        key=lambda p: (-sum(p.total), -(p.total[Level.C1] + p.total[Level.C2]), p.contributor.anon_id),
     )[:top_n]
     chunks.append(f"<h2>Contributors (top {len(ranked)} of {len(report.profiles)})</h2>")
     for profile in ranked:
@@ -300,8 +300,8 @@ def emit_html(
         chunks.append(f"<h3>{html.escape(label)}</h3>")
         chunks.append(radar_svg(profile.total, label))
         chunks.append(
-            f"<p>{profile.commit_count} commits &middot; {profile.total.total()} constructs "
-            f"&middot; C1+C2: {profile.total.c1_plus_c2()}</p>"
+            f"<p>{profile.commit_count} commits &middot; {sum(profile.total)} constructs "
+            f"&middot; C1+C2: {profile.total[Level.C1] + profile.total[Level.C2]}</p>"
         )
         chunks.append("</div>")
     chunks.append("</body></html>")

@@ -15,8 +15,9 @@ every analysis stored loads no AST code.
 A history repeats few values many times, so each is made once: a folder
 folds each distinct stored form once and hands out one tuple per distinct
 entry, every commit that adds nothing shares one zero delta, and a report
-shares one LevelVector per distinct count tuple among its period buckets.
-All of them are immutable.  Each record here is a NamedTuple, which pickles
+shares one tuple per distinct count among its period buckets.  Six level
+counts, A1 first, are a plain tuple of ints from the memo to the report;
+all of them are immutable.  Each record here is a NamedTuple, which pickles
 by value; `build_report` unpacks a CommitScore by position.
 """
 
@@ -31,7 +32,7 @@ from collections.abc import Callable, Iterable
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .catalog import KINDS, Catalog, Level, LevelVector, level_counter
+from .catalog import KINDS, Catalog, Level, level_counter
 from .history import CommitBlobs, CommitRecord, ContributorId
 
 if TYPE_CHECKING:
@@ -49,15 +50,15 @@ class CommitScore(NamedTuple):
     sha: str
     contributor: ContributorId
     timestamp: int
-    delta: LevelVector
+    delta: tuple[int, ...]
     files_analyzed: int
     files_skipped: int
 
 
 class ContributorProfile(NamedTuple):
     contributor: ContributorId
-    total: LevelVector
-    by_period: dict[str, LevelVector]
+    total: tuple[int, ...]
+    by_period: dict[str, tuple[int, ...]]
     commit_count: int
 
 
@@ -71,10 +72,10 @@ class ProjectReport(NamedTuple):
     repo: str
     generated_at: int
     period: Granularity
-    project_total: LevelVector
-    project_by_period: dict[str, LevelVector]
+    project_total: tuple[int, ...]
+    project_by_period: dict[str, tuple[int, ...]]
     profiles: tuple[ContributorProfile, ...]
-    excluded_total: LevelVector
+    excluded_total: tuple[int, ...]
     top_contributor: TopContributor | None
     commit_count: int
     files_analyzed: int
@@ -86,10 +87,9 @@ class ProjectReport(NamedTuple):
 #: parse or nests too deep.  Entries compare by value, so they survive pickling.
 ABSENT = ()
 SKIPPED = None
-_ZERO = (0,) * 6  # the counts of a side that does not exist
-#: The delta of every commit `score_blobs` finds adding nothing, made once,
-#: which `build_report` passes over by identity
-_NO_DELTA = LevelVector.zero()
+#: The counts of a side that does not exist, and the delta of every commit
+#: `score_blobs` finds adding nothing, which `build_report` passes over by identity
+_ZERO = (0,) * 6
 
 Entry = tuple[int, ...] | None
 
@@ -179,7 +179,7 @@ def score_blobs(commit: CommitBlobs, memo: dict[str, Entry]) -> CommitScore:
     An id the memo lacks raises KeyError.
     """
     if not commit.changes:
-        return CommitScore(commit.sha, commit.contributor, commit.timestamp, _NO_DELTA, 0, 0)
+        return CommitScore(commit.sha, commit.contributor, commit.timestamp, _ZERO, 0, 0)
     total = [0] * 6
     analyzed = skipped = 0
     for _, old, new in commit.changes:
@@ -193,7 +193,7 @@ def score_blobs(commit: CommitBlobs, memo: dict[str, Entry]) -> CommitScore:
             for level, (was, now) in enumerate(zip(before or _ZERO, after)):
                 if now > was:
                     total[level] += now - was
-    delta = LevelVector(tuple(total)) if any(total) else _NO_DELTA
+    delta = tuple(total) if any(total) else _ZERO
     return CommitScore(commit.sha, commit.contributor, commit.timestamp, delta, analyzed, skipped)
 
 
@@ -212,7 +212,7 @@ def score_commit(record: CommitRecord, catalog: Catalog) -> CommitScore:
         for text in (change.before_text, change.after_text):
             if text is not None and text not in memo:
                 result = analyze_source(text, catalog)
-                memo[text] = result.vector.counts if result.parse_ok else SKIPPED
+                memo[text] = result.vector if result.parse_ok else SKIPPED
     changes = tuple((change.path, change.before_text, change.after_text) for change in record.changes)
     return score_blobs(CommitBlobs(record.sha, record.contributor, record.timestamp, changes), memo)
 
@@ -234,12 +234,13 @@ def period_key(timestamp: int, period: Granularity) -> str:
 
 
 def _profile_sort_key(profile: ContributorProfile):
-    return (-profile.total.c1_plus_c2(), -profile.total.total(), profile.contributor.anon_id)
+    total = profile.total
+    return (-(total[Level.C1] + total[Level.C2]), -sum(total), profile.contributor.anon_id)
 
 
-def _vector_sum(rows) -> LevelVector:
+def _vector_sum(rows) -> tuple[int, ...]:
     """The component-wise sum of 6-int rows; a zero row keeps six columns when there are none."""
-    return LevelVector(tuple(map(sum, zip(*rows, [0] * 6))))
+    return tuple(map(sum, zip(*rows, [0] * 6)))
 
 
 def is_bot(contributor: ContributorId, patterns: tuple[str, ...]) -> bool:
@@ -267,7 +268,7 @@ def build_report(
 
     Buckets are plain 6-int lists until the pass ends, and each commit's
     period key comes from a memo keyed by UTC day, which never straddles a
-    month or a year.  Buckets with equal counts share one LevelVector.
+    month or a year.  Buckets with equal counts share one tuple.
     """
     keys: dict[int, str] = {}  # UTC day -> period key
     first_day: dict[str, int] = {}  # period key -> a UTC day in it, which orders the periods
@@ -295,22 +296,19 @@ def build_report(
         ours = project.get(pkey)
         if ours is None:
             ours = project[pkey] = [0] * 6
-        if delta is not _NO_DELTA:
-            for level, count in enumerate(delta.counts):
+        if delta is not _ZERO:
+            for level, count in enumerate(delta):
                 if count:
                     mine[level] += count
                     ours[level] += count
 
-    vectors: dict[tuple[int, ...], LevelVector] = {}  # counts -> the one LevelVector of them
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # counts -> the one equal tuple handed out
 
-    def in_time_order(buckets: dict[str, list[int]]) -> dict[str, LevelVector]:
+    def in_time_order(buckets: dict[str, list[int]]) -> dict[str, tuple[int, ...]]:
         ordered = {}
         for pkey in sorted(buckets, key=first_day.__getitem__):
             counts = tuple(buckets[pkey])
-            vector = vectors.get(counts)
-            if vector is None:
-                vector = vectors[counts] = LevelVector(counts)
-            ordered[pkey] = vector
+            ordered[pkey] = shared.setdefault(counts, counts)
         return ordered
 
     all_profiles = [
@@ -323,11 +321,10 @@ def build_report(
         for contributor, commit_count, periods in people.values()
     ]
     all_profiles.sort(key=_profile_sort_key)
-    profiles = []
-    excluded = LevelVector.zero()
+    profiles, bot_totals = [], []
     for profile in all_profiles:
         if is_bot(profile.contributor, bot_patterns):
-            excluded = excluded + profile.total
+            bot_totals.append(profile.total)
         else:
             profiles.append(profile)
 
@@ -344,7 +341,7 @@ def build_report(
         project_total=_vector_sum(project.values()),
         project_by_period=in_time_order(project),
         profiles=tuple(profiles),
-        excluded_total=excluded,
+        excluded_total=_vector_sum(bot_totals),
         top_contributor=top,
         commit_count=sum(profile.commit_count for profile in all_profiles),
         files_analyzed=analyzed,

@@ -79,7 +79,7 @@ def _vector_of(blob: bytes | None, catalog: Catalog) -> tuple[int, ...] | None:
     result = analyze_source(blob.decode("utf-8", errors="replace"), catalog)
     if not result.parse_ok:
         return None
-    return tuple(result.vector.counts)
+    return result.vector
 
 
 def oracle_commit_deltas(repo_path, catalog: Catalog, identity: str = "author") -> list[dict]:
@@ -117,6 +117,11 @@ def oracle_commit_deltas(repo_path, catalog: Catalog, identity: str = "author") 
             }
         )
     return entries
+
+
+def vector_sum(*vectors: tuple[int, ...]) -> tuple[int, ...]:
+    """The component-wise sum of six-level count tuples: six zeros for none."""
+    return tuple(map(sum, zip((0,) * 6, *vectors)))
 
 
 def _period(ts: int, granularity: str) -> str:

@@ -12,13 +12,13 @@ from collections import Counter
 import pytest
 
 from cefr_progress.analyzer import count_constructs
-from cefr_progress.catalog import Level, LevelVector, default_catalog
+from cefr_progress.catalog import Level, default_catalog
 from cefr_progress.cli import main
 from cefr_progress.history import CommitBlobs, ContributorId, RepoSpec, extract_commits, prepare_repo
 from cefr_progress.scoring import Granularity, build_report, score_blobs, score_commit
 
 from corpus import SNIPPETS
-from oracle import oracle_commit_deltas, oracle_rollups
+from oracle import oracle_commit_deltas, oracle_rollups, vector_sum
 
 CATALOG = default_catalog()
 ONE_FILE = CommitBlobs("0" * 40, ContributorId.from_identity("A", "a@example.com"), 0,
@@ -27,13 +27,13 @@ ONE_FILE = CommitBlobs("0" * 40, ContributorId.from_identity("A", "a@example.com
 
 def scored_delta(before, after):
     """`score_blobs`'s delta for one modified file whose blobs have the vectors `before` and `after`."""
-    return score_blobs(ONE_FILE, {"1" * 40: before.counts, "2" * 40: after.counts}).delta
+    return score_blobs(ONE_FILE, {"1" * 40: before, "2" * 40: after}).delta
 
 
 def test_criterion_1_clamped_delta_rule():
-    before = LevelVector((46, 41, 25, 14, 12, 3))
-    after = LevelVector((57, 49, 31, 12, 13, 8))
-    assert scored_delta(before, after).as_list() == [11, 8, 6, 0, 1, 5]
+    before = (46, 41, 25, 14, 12, 3)
+    after = (57, 49, 31, 12, 13, 8)
+    assert scored_delta(before, after) == (11, 8, 6, 0, 1, 5)
 
 
 def test_criterion_2_catalog_seed_constructs():
@@ -80,10 +80,10 @@ def _assert_matches_oracle(repo_path):
 
     assert [r.sha for r in records] == [e["sha"] for e in entries]
     for score, entry in zip(scores, entries):
-        assert score.delta.counts == entry["delta"], f"commit {score.sha}"
+        assert score.delta == entry["delta"], f"commit {score.sha}"
 
-    assert report.project_total.counts == rollups["project_total"]
-    assert {k: v.counts for k, v in report.project_by_period.items()} == rollups["project_by_period"]
+    assert report.project_total == rollups["project_total"]
+    assert report.project_by_period == rollups["project_by_period"]
 
     by_email = {
         profile.contributor.raw_email.strip().lower(): profile for profile in report.profiles
@@ -91,9 +91,9 @@ def _assert_matches_oracle(repo_path):
     assert set(by_email) == set(rollups["by_contributor"])
     for email, expected_total in rollups["by_contributor"].items():
         profile = by_email[email]
-        assert profile.total.counts == expected_total
+        assert profile.total == expected_total
         assert profile.commit_count == rollups["commit_counts"][email]
-        assert {k: v.counts for k, v in profile.by_period.items()} == rollups[
+        assert profile.by_period == rollups[
             "contributor_periods"
         ][email]
 
@@ -112,15 +112,9 @@ def test_criterion_5_conservation_identity(fixture_name, request):
     repo_path = request.getfixturevalue(fixture_name)
     _, scores, report = _pipeline_outputs(repo_path)
 
-    delta_sum = LevelVector.zero()
-    for score in scores:
-        delta_sum = delta_sum + score.delta
-    profile_sum = report.excluded_total
-    for profile in report.profiles:
-        profile_sum = profile_sum + profile.total
-    period_sum = LevelVector.zero()
-    for vec in report.project_by_period.values():
-        period_sum = period_sum + vec
+    delta_sum = vector_sum(*(score.delta for score in scores))
+    profile_sum = vector_sum(report.excluded_total, *(profile.total for profile in report.profiles))
+    period_sum = vector_sum(*report.project_by_period.values())
 
     assert report.project_total == delta_sum == profile_sum == period_sum
 
@@ -137,13 +131,13 @@ def test_criterion_6_parallel_determinism(linear_repo, tmp_path):
 def test_criterion_7_clamp_property_10k():
     rng = random.Random(0xCEF2)
     for _ in range(10_000):
-        before = LevelVector(tuple(rng.randrange(0, 400) for _ in range(6)))
-        after = LevelVector(tuple(rng.randrange(0, 400) for _ in range(6)))
+        before = tuple(rng.randrange(0, 400) for _ in range(6))
+        after = tuple(rng.randrange(0, 400) for _ in range(6))
         delta = scored_delta(before, after)
         for i in range(6):
-            assert delta.counts[i] >= 0
-            if after.counts[i] <= before.counts[i]:
-                assert delta.counts[i] == 0
+            assert delta[i] >= 0
+            if after[i] <= before[i]:
+                assert delta[i] == 0
 
 
 def test_criterion_8_output_contracts(linear_repo, tmp_path):

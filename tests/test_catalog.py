@@ -192,6 +192,43 @@ def test_a_catalog_file_may_start_with_a_bom(text, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["levels"]["C2"] == 1
 
 
+def classify_levels(rules, tmp_path, capsys):
+    """`classify --catalog rules` on a file with one `if`: its exit code and its level counts."""
+    target = tmp_path / "a.py"
+    target.write_text("if x:\n    pass\n")
+    code = main(["classify", str(target), "--catalog", str(rules)])
+    out = capsys.readouterr().out
+    return code, json.loads(out)["levels"] if code == 0 else None
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"])
+def test_only_a_newline_ends_a_catalog_line(separator, tmp_path, capsys):
+    # str.splitlines also breaks at these, which would cut the free text into a line of its own
+    text = f"if_statement C2 branching{separator} more text\n"
+    rules = tmp_path / "rules.cat"
+    rules.write_text("# my rules\n" + text, encoding="utf-8")
+    assert load_catalog(rules).classify("if_statement") is Level.C2
+    assert classify_levels(rules, tmp_path, capsys) == (0, dict.fromkeys(LEVEL_LABELS[:5], 0) | {"C2": 1})
+    with pytest.raises(CatalogError, match="^line 2: "):  # the line numbers count newlines only
+        parse_catalog_text(text + "if_statement\n")
+
+
+@pytest.mark.parametrize("directive", ["!version\tteam-1", "!version\t team-1"])
+def test_the_version_directive_is_split_as_an_entry_is(directive, tmp_path, capsys):
+    assert parse_catalog_text(directive + "\n").version == "team-1"
+    rules = tmp_path / "rules.cat"
+    rules.write_text(directive + "\nif_statement\tC2\n", encoding="utf-8")
+    assert load_catalog(rules).version == "team-1"
+    assert classify_levels(rules, tmp_path, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("directive", ["!", "!version", "! version team-1", "!versions team-1", "!name team-1"])
+def test_an_unknown_or_empty_directive_raises_parse_error(directive):
+    with pytest.raises(CatalogError, match="unknown directive") as err:
+        parse_catalog_text(directive + "\n")
+    assert err.value.kind == "parse"
+
+
 NOT_UTF8 = b"if_statement A2 caf\xe9\n"
 
 

@@ -14,6 +14,7 @@ from cefr_progress.cli import main
 from cefr_progress.history import RepoError, RepoSpec, extract_commits, prepare_repo
 
 from conftest import ALICE, GEN_PY, UTIL_V2, GitFixture, child_env, run_analyze
+from oracle import vector_sum
 from verdict_differential import HANDLERS_3_12
 
 CATALOG = default_catalog()
@@ -44,7 +45,7 @@ def test_analyze_counts_only_the_real_file_behind_symlinks(symlink_repo, tmp_pat
     assert main(["analyze", str(symlink_repo), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     real, old = (analyze_source(text, CATALOG).vector for text in (UTIL_V2, GEN_PY))
-    assert report["project_total"] == (real + old).as_list()
+    assert report["project_total"] == list(vector_sum(real, old))
     assert report["files_skipped"] == 0
     assert report["files_analyzed"] == 3  # real.py and old.py added, old.py removed
 

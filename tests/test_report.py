@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cefr_progress.catalog import LevelVector
 from cefr_progress.cli import main
 from cefr_progress.history import ContributorId
 from cefr_progress.report import (
@@ -28,7 +27,7 @@ TS_2015 = 1430000000
 
 
 def make_score(contributor, ts, counts, sha="c" * 40):
-    return CommitScore(sha, contributor, ts, LevelVector(tuple(counts)), 1, 0)
+    return CommitScore(sha, contributor, ts, tuple(counts), 1, 0)
 
 
 def sample_report():
@@ -60,18 +59,18 @@ def test_json_reemission_is_byte_identical(tmp_path):
 def test_json_round_trip_reconstructs_numbers(tmp_path):
     report = sample_report()
     payload = json.loads(emit_json(report, tmp_path / "r.json").read_text())
-    assert payload["project_total"] == report.project_total.as_list()
+    assert payload["project_total"] == list(report.project_total)
     assert payload["generated_at"] == report.generated_at
     assert payload["commit_count"] == report.commit_count
     for key, vec in report.project_by_period.items():
-        assert payload["project_by_period"][key] == vec.as_list()
+        assert payload["project_by_period"][key] == list(vec)
     assert [c["anon_id"] for c in payload["contributors"]] == [
         p.contributor.anon_id for p in report.profiles
     ]
     for got, profile in zip(payload["contributors"], report.profiles):
-        assert got["total"] == profile.total.as_list()
+        assert got["total"] == list(profile.total)
         assert got["commit_count"] == profile.commit_count
-        assert got["by_period"] == {k: v.as_list() for k, v in profile.by_period.items()}
+        assert got["by_period"] == {k: list(v) for k, v in profile.by_period.items()}
     top = payload["top_contributor"]
     assert top["anon_id"] == report.top_contributor.contributor.anon_id
     assert [(r["period"], r["c1"], r["c2"]) for r in top["periods"]] == list(
@@ -128,7 +127,7 @@ def _data_polygon_points(svg: str) -> list[tuple[float, float]]:
 
 
 def test_uniform_vector_gives_regular_hexagon():
-    svg = radar_svg(LevelVector((1, 1, 1, 1, 1, 1)), "uniform")
+    svg = radar_svg((1, 1, 1, 1, 1, 1), "uniform")
     points = _data_polygon_points(svg)
     cx = sum(x for x, _ in points) / 6
     cy = sum(y for _, y in points) / 6
@@ -138,7 +137,7 @@ def test_uniform_vector_gives_regular_hexagon():
 
 
 def test_zero_vector_degenerates_to_point():
-    svg = radar_svg(LevelVector.zero(), "empty")
+    svg = radar_svg((0,) * 6, "empty")
     points = _data_polygon_points(svg)
     assert len(set(points)) == 1
 

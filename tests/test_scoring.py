@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cefr_progress.analyzer import analyze_source
-from cefr_progress.catalog import KINDS, Level, LevelVector, default_catalog, load_catalog
+from cefr_progress.catalog import KINDS, Level, default_catalog, load_catalog
 from cefr_progress.history import (
     CommitBlobs, CommitRecord, ContributorId, FileChange, RepoSpec, ask, extract_commits, prepare_repo, walk_history,
 )
@@ -33,6 +33,7 @@ from cefr_progress.scoring import (
 )
 
 from conftest import GitFixture
+from oracle import vector_sum
 
 CATALOG = default_catalog()
 
@@ -54,10 +55,16 @@ def make_score(contributor, ts, counts, sha="f" * 40):
         sha=sha,
         contributor=contributor,
         timestamp=ts,
-        delta=LevelVector(tuple(counts)),
+        delta=tuple(counts),
         files_analyzed=1,
         files_skipped=0,
     )
+
+
+def assert_level_counts(*values):
+    """Each value is level counts as the library hands them out: a plain tuple of six ints."""
+    for value in values:
+        assert type(value) is tuple and len(value) == 6 and all(type(c) is int for c in value), value
 
 
 def _record(changes, contributor=ALICE, ts=TS_2014, sha="a" * 40):
@@ -66,7 +73,7 @@ def _record(changes, contributor=ALICE, ts=TS_2014, sha="a" * 40):
 
 def commit_delta(before, after):
     """The per-file reference rule: component-wise max(after - before, 0)."""
-    return LevelVector(tuple(max(a - b, 0) for a, b in zip(after.counts, before.counts)))
+    return tuple(max(a - b, 0) for a, b in zip(after, before))
 
 
 def _commit(changes, contributor=ALICE, ts=TS_2014, sha="a" * 40):
@@ -76,25 +83,25 @@ def _commit(changes, contributor=ALICE, ts=TS_2014, sha="a" * 40):
 def scored_delta(before, after):
     """`score_blobs`'s delta for one modified file whose blobs have the vectors `before` and `after`."""
     commit = _commit([("f.py", "b" * 40, "c" * 40)])
-    return score_blobs(commit, {"b" * 40: before.counts, "c" * 40: after.counts}).delta
+    return score_blobs(commit, {"b" * 40: before, "c" * 40: after}).delta
 
 
 def test_commit_delta_clamped_difference():
-    before = LevelVector((46, 41, 25, 14, 12, 3))
-    after = LevelVector((57, 49, 31, 12, 13, 8))
-    assert scored_delta(before, after).as_list() == [11, 8, 6, 0, 1, 5]
+    before = (46, 41, 25, 14, 12, 3)
+    after = (57, 49, 31, 12, 13, 8)
+    assert scored_delta(before, after) == (11, 8, 6, 0, 1, 5)
 
 
 def test_commit_delta_identity_is_zero():
-    v = LevelVector((4, 0, 2, 1, 0, 9))
-    assert scored_delta(v, v) == LevelVector.zero()
+    v = (4, 0, 2, 1, 0, 9)
+    assert scored_delta(v, v) == (0,) * 6
 
 
 def test_commit_delta_pure_deletion_is_zero():
-    assert scored_delta(LevelVector((5, 0, 0, 0, 0, 0)), LevelVector.zero()) == LevelVector.zero()
+    assert scored_delta((5, 0, 0, 0, 0, 0), (0,) * 6) == (0,) * 6
 
 
-vectors = st.tuples(*[st.integers(min_value=0, max_value=500)] * 6).map(LevelVector)
+vectors = st.tuples(*[st.integers(min_value=0, max_value=500)] * 6)
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,25 +109,25 @@ vectors = st.tuples(*[st.integers(min_value=0, max_value=500)] * 6).map(LevelVec
 def test_commit_delta_clamp_property(before, after):
     delta = scored_delta(before, after)
     for i in range(6):
-        assert delta.counts[i] >= 0
-        if after.counts[i] <= before.counts[i]:
-            assert delta.counts[i] == 0
+        assert delta[i] >= 0
+        if after[i] <= before[i]:
+            assert delta[i] == 0
         else:
-            assert delta.counts[i] == after.counts[i] - before.counts[i]
+            assert delta[i] == after[i] - before[i]
 
 
 def test_score_commit_added_file_counts_fully():
     record = _record([FileChange("new.py", after_text="x = 1\ny = [1, 2]\n")])
     score = score_commit(record, CATALOG)
     # two assignments and one list literal, all A1
-    assert score.delta.as_list() == [3, 0, 0, 0, 0, 0]
+    assert score.delta == (3, 0, 0, 0, 0, 0)
     assert (score.files_analyzed, score.files_skipped) == (1, 0)
 
 
 def test_score_commit_deletion_contributes_nothing():
     record = _record([FileChange("old.py", before_text="x = 1\n")])
     score = score_commit(record, CATALOG)
-    assert score.delta == LevelVector.zero()
+    assert score.delta == (0,) * 6
     assert score.files_analyzed == 1
 
 
@@ -130,7 +137,7 @@ def test_score_commit_sums_across_files():
         FileChange("b.py", after_text="d = {'k': 1}\ns = {1}\n"),
     ])
     score = score_commit(record, CATALOG)
-    assert score.delta.as_list() == [3, 2, 0, 0, 0, 0]
+    assert score.delta == (3, 2, 0, 0, 0, 0)
 
 
 def test_score_commit_clamps_per_file_before_summing():
@@ -141,7 +148,7 @@ def test_score_commit_clamps_per_file_before_summing():
         FileChange("grow.py", after_text="n = 1\n"),
     ])
     score = score_commit(record, CATALOG)
-    assert score.delta.as_list() == [1, 0, 0, 0, 0, 0]
+    assert score.delta == (1, 0, 0, 0, 0, 0)
 
 
 def test_score_commit_skips_parse_failures():
@@ -150,7 +157,7 @@ def test_score_commit_skips_parse_failures():
         FileChange("good.py", after_text="x = 1\n"),
     ])
     score = score_commit(record, CATALOG)
-    assert score.delta.as_list() == [1, 0, 0, 0, 0, 0]
+    assert score.delta == (1, 0, 0, 0, 0, 0)
     assert (score.files_analyzed, score.files_skipped) == (1, 1)
 
 
@@ -159,7 +166,7 @@ def test_score_commit_skips_when_before_side_fails():
         FileChange("was_py2.py", before_text='print "x"\n', after_text="print('x')\n"),
     ])
     score = score_commit(record, CATALOG)
-    assert score.delta == LevelVector.zero()
+    assert score.delta == (0,) * 6
     assert (score.files_analyzed, score.files_skipped) == (0, 1)
 
 
@@ -167,7 +174,7 @@ def test_score_commit_identical_rename_is_zero():
     text = "def f():\n    return 1\n"
     # a rename carries the old path's text as its before text
     record = _record([FileChange("new.py", before_text=text, after_text=text)])
-    assert score_commit(record, CATALOG).delta == LevelVector.zero()
+    assert score_commit(record, CATALOG).delta == (0,) * 6
 
 
 sides = st.one_of(st.none(), st.just("unparseable"), vectors)
@@ -183,33 +190,34 @@ def test_score_blobs_matches_per_file_reference(files):
         for side, value in zip("ba", pair):
             oid = None if value is None else f"{side}{i}"
             if oid is not None:
-                memo[oid] = SKIPPED if value == "unparseable" else value.counts
+                memo[oid] = SKIPPED if value == "unparseable" else value
             oids.append(oid)
         changes.append((f"f{i}.py", *oids))
-    # the reference: one clamped LevelVector per file with a side, added up;
+    # the reference: one clamped delta per file with a side, added up;
     # a file with no side holds no text and is left out
-    total, analyzed, skipped = LevelVector.zero(), 0, 0
+    total, analyzed, skipped = vector_sum(), 0, 0
     for before, after in files:
         if "unparseable" in (before, after):
             skipped += 1
         elif (before, after) != (None, None):
             analyzed += 1
-            total = total + commit_delta(before or LevelVector.zero(), after or LevelVector.zero())
+            total = vector_sum(total, commit_delta(before or (0,) * 6, after or (0,) * 6))
     score = score_blobs(_commit(changes), memo)
     assert score.delta == total
+    assert_level_counts(score.delta)
     assert (score.files_analyzed, score.files_skipped) == (analyzed, skipped)
 
 
 def test_score_blobs_of_a_commit_with_no_changes():
     score = score_blobs(_commit([]), {})
     assert type(score) is CommitScore
-    assert score == CommitScore("a" * 40, ALICE, TS_2014, LevelVector.zero(), 0, 0)
+    assert score == CommitScore("a" * 40, ALICE, TS_2014, (0,) * 6, 0, 0)
 
 
 def test_commit_score_keeps_its_fields_and_pickles():
     score = make_score(BOB, TS_2015, [1, 0, 2, 0, 0, 3], sha="b" * 40)  # by keyword
     # build_report unpacks scores by position, and worker processes pickle them
-    assert tuple(score) == ("b" * 40, BOB, TS_2015, LevelVector((1, 0, 2, 0, 0, 3)), 1, 0)
+    assert tuple(score) == ("b" * 40, BOB, TS_2015, (1, 0, 2, 0, 0, 3), 1, 0)
     copied = pickle.loads(pickle.dumps(score))
     assert type(copied) is CommitScore and copied == score
 
@@ -224,7 +232,8 @@ def test_a_folder_folds_each_stored_form_under_its_own_catalog(tmp_path):
     for catalog in (CATALOG, override):
         fold = entry_folder(catalog)
         entry = fold(stored)
-        assert entry == analyze_source(source, catalog).vector.counts
+        assert entry == analyze_source(source, catalog).vector
+        assert_level_counts(analyze_source(source, catalog).vector)
         assert fold(bytes(bytearray(stored))) is entry  # equal bytes, another object
         entries.append(entry)
     assert entries[0] != entries[1]
@@ -271,10 +280,10 @@ def test_build_profiles_buckets_by_period():
     scores = [make_score(ALICE, TS_2014, d1), make_score(ALICE, TS_2015, d2)]
     (profile,) = profiles_of(scores)
     assert profile.by_period == {
-        "2014": LevelVector(d1),
-        "2015": LevelVector(d2),
+        "2014": d1,
+        "2015": d2,
     }
-    assert profile.total == LevelVector(d1) + LevelVector(d2)
+    assert profile.total == vector_sum(d1, d2)
     assert profile.commit_count == 2
 
 
@@ -334,7 +343,7 @@ def test_argmax_invariant_under_uniform_scaling():
     chosen = top_contributor(base)
     for k in (2, 5, 17):
         scaled = [
-            make_score(s.contributor, s.timestamp, tuple(c * k for c in s.delta.counts))
+            make_score(s.contributor, s.timestamp, tuple(c * k for c in s.delta))
             for s in base
         ]
         top = top_contributor(scaled)
@@ -345,7 +354,7 @@ def test_project_rollup_single_period_equals_total():
     scores = [make_score(ALICE, TS_2014, (1, 2, 0, 0, 0, 0)), make_score(BOB, TS_2014, (3, 0, 1, 0, 0, 0))]
     report = build_report(scores, repo="r", bot_patterns=())
     assert list(report.project_by_period) == ["2014"]
-    assert report.project_by_period["2014"] == report.project_total == LevelVector((4, 2, 1, 0, 0, 0))
+    assert report.project_by_period["2014"] == report.project_total == (4, 2, 1, 0, 0, 0)
 
 
 def test_rollup_total_equals_profile_totals():
@@ -355,9 +364,7 @@ def test_rollup_total_equals_profile_totals():
         make_score(ALICE, TS_2015, (0, 0, 3, 0, 0, 0)),
     ]
     report = build_report(scores, repo="r", bot_patterns=())
-    profile_sum = LevelVector.zero()
-    for profile in report.profiles:
-        profile_sum = profile_sum + profile.total
+    profile_sum = vector_sum(*(profile.total for profile in report.profiles))
     assert profile_sum == report.project_total
 
 
@@ -368,10 +375,8 @@ def test_build_report_bot_residual_keeps_sum_identity():
     ]
     report = build_report(scores, repo="fixture")
     assert [p.contributor.anon_id for p in report.profiles] == [ALICE.anon_id]
-    assert report.excluded_total == LevelVector((0, 0, 0, 0, 0, 7))
-    total = report.excluded_total
-    for profile in report.profiles:
-        total = total + profile.total
+    assert report.excluded_total == (0, 0, 0, 0, 0, 7)
+    total = vector_sum(report.excluded_total, *(profile.total for profile in report.profiles))
     assert total == report.project_total
     # bots never win the top-contributor query
     assert report.top_contributor.contributor.anon_id == ALICE.anon_id
@@ -379,34 +384,33 @@ def test_build_report_bot_residual_keeps_sum_identity():
 
 def test_build_report_empty_scores():
     report = build_report([], repo="empty")
-    assert report.project_total == LevelVector.zero()
+    assert report.project_total == (0,) * 6
     assert report.profiles == ()
     assert report.top_contributor is None
     assert report.generated_at == 0
 
 
 def reference_report(scores, period):
-    """`build_report` the plain way: a `period_key` and `LevelVector` sums for every score."""
+    """`build_report` the plain way: a `period_key` and `vector_sum` for every score."""
     people = {}
     project = {}
-    total = LevelVector.zero()
+    total = vector_sum()
     for score in scores:
         pkey = period_key(score.timestamp, period)
         contributor, commits, periods = people.get(score.contributor.anon_id, (score.contributor, 0, {}))
-        periods[pkey] = periods.get(pkey, LevelVector.zero()) + score.delta
+        periods[pkey] = vector_sum(periods.get(pkey, (0,) * 6), score.delta)
         people[score.contributor.anon_id] = (contributor, commits + 1, periods)
-        project[pkey] = project.get(pkey, LevelVector.zero()) + score.delta
-        total = total + score.delta
+        project[pkey] = vector_sum(project.get(pkey, (0,) * 6), score.delta)
+        total = vector_sum(total, score.delta)
     profiles = sorted(
         (
-            ContributorProfile(contributor, sum(periods.values(), LevelVector.zero()),
-                               dict(sorted(periods.items())), commits)
+            ContributorProfile(contributor, vector_sum(*periods.values()), dict(sorted(periods.items())), commits)
             for contributor, commits, periods in people.values()
         ),
-        key=lambda p: (-p.total.c1_plus_c2(), -p.total.total(), p.contributor.anon_id),
+        key=lambda p: (-(p.total[Level.C1] + p.total[Level.C2]), -sum(p.total), p.contributor.anon_id),
     )
     kept = [p for p in profiles if not is_bot(p.contributor, DEFAULT_BOT_PATTERNS)]
-    excluded = sum((p.total for p in profiles if p not in kept), LevelVector.zero())
+    excluded = vector_sum(*(p.total for p in profiles if p not in kept))
     top = None
     if kept:
         rows = tuple((pkey, vec[Level.C1], vec[Level.C2]) for pkey, vec in kept[0].by_period.items())
@@ -441,7 +445,7 @@ scores_strategy = st.lists(
         sha=st.just("f" * 40),
         contributor=st.sampled_from([ALICE, ALICE_UPPER, BOB, BOT]),
         timestamp=st.one_of(month_edges, st.integers(min_value=-2_208_988_800, max_value=4_102_444_800)),
-        delta=st.tuples(*[st.integers(min_value=0, max_value=3)] * 6).map(LevelVector),
+        delta=st.tuples(*[st.integers(min_value=0, max_value=3)] * 6),
         files_analyzed=st.integers(min_value=0, max_value=3),
         files_skipped=st.integers(min_value=0, max_value=2),
     ),
@@ -452,8 +456,12 @@ scores_strategy = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(scores=scores_strategy, period=st.sampled_from(list(Granularity)))
 def test_build_report_matches_per_score_reference(scores, period):
+    report = build_report(scores, repo="fixture", period=period)
     # repr also compares the order of every dict, which the emitted files follow
-    assert repr(build_report(scores, repo="fixture", period=period)) == repr(reference_report(scores, period))
+    assert repr(report) == repr(reference_report(scores, period))
+    assert_level_counts(report.project_total, report.excluded_total, *report.project_by_period.values())
+    for profile in report.profiles:
+        assert_level_counts(profile.total, *profile.by_period.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -487,7 +495,7 @@ def test_a_pickled_memo_scores_like_the_original(tmp_path):
     # unparseable text is skipped
     assert [(s.delta, s.files_analyzed, s.files_skipped) for s in scores] == [
         (analyze_source("x = [1, 2]\n", CATALOG).vector, 1, 0),
-        (LevelVector.zero(), 1, 1),
+        ((0,) * 6, 1, 1),
     ]
     with pytest.raises(KeyError):
         score_blobs(commits[0], {})

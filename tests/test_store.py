@@ -64,7 +64,7 @@ def test_the_stored_form_folds_into_the_analyzers_vector():
         stored = source_analysis(snippet.source)
         assert is_stored(stored)
         for cat in (CATALOG, catalog):
-            assert entry_folder(cat)(stored) == analyzer.analyze_source(snippet.source, cat).vector.counts
+            assert entry_folder(cat)(stored) == analyzer.analyze_source(snippet.source, cat).vector
 
 
 def test_the_stored_form_names_why_a_blob_has_no_counts():
