@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import logging
 import re
 import sys
 from collections import Counter, deque
+from collections.abc import Iterator
 from pathlib import Path
 
 from .catalog import Catalog, CatalogError, load_catalog, LEVEL_LABELS
@@ -25,7 +27,7 @@ from . import history
 from .history import CommitBlobs, RepoError, RepoSpec, prepare_repo, walk_history
 from .report import write_report_bundle
 from .scoring import (
-    DEFAULT_BOT_PATTERNS, Entry, Granularity, Stored, blob_analysis, build_report, entry_folder,
+    CELL, DEFAULT_BOT_PATTERNS, Cells, Entry, Granularity, Stored, blob_analysis, entry_folder, finish, fold,
     is_lasting, score_blobs,
 )
 
@@ -76,26 +78,56 @@ def _analyses(blobs: list[tuple[str, bytes | None]]) -> list[Stored]:
     return [blob_analysis(data) for _, data in blobs]
 
 
-def _analyze_history(
-    source: str, catalog: Catalog, identity: str, jobs: int
-) -> tuple[list[CommitBlobs], dict[str, Entry]]:
-    """The commits of the repository at `source`, and the memo entry of each blob they name.
+def _one_by_one(blobs: list[tuple[str, bytes | None]]) -> Iterator[tuple[str, bytes | None, Stored]]:
+    """(blob id, bytes, stored form) of each of `blobs`, each analyzed as a task
+    of its own by one worker process.  A blob whose worker dies is skipped as
+    ``BrokenProcessPool``, and a fresh worker takes the next."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    The history walk names each blob once, while it goes on.  The analysis
-    store answers for the blobs an earlier run analyzed, and one ``git
-    cat-file`` reads the others, each analyzed as git reads it: here at one
-    job; with more, by worker processes, which get raw blob bytes in small
-    chunks and return stored forms.  ``cat-file`` and the workers start at
-    the first blob the store lacks, the workers first, so a re-run that
-    finds every blob stored starts neither.  Stored forms fold into memo
-    entries under `catalog` here, and the new ones go into the store when
-    the walk ends, except those that hold only for this run: a blob this
-    repository lacks, or a verdict that tells of this run rather than of
-    the blob.  The store also keeps the history walk, so that a re-run on
-    an unchanged history starts no ``git log``.  A repository whose replace
-    refs or grafts rewrite what an id names runs without the store.  One
-    line on stderr sums up where the blobs' analyses and the commits came
-    from.
+    rest = deque(blobs)
+    while rest:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            while rest:
+                oid, data = rest.popleft()
+                try:
+                    (stored,) = pool.submit(_analyses, [(oid, data)]).result()
+                except BrokenProcessPool as exc:
+                    yield oid, data, type(exc).__name__
+                    break
+                yield oid, data, stored
+
+
+def _cells_key(identity: str, catalog: Catalog) -> str:
+    """What the cells of a tip depend on besides the tip and the store's own
+    code: the walk's key, the catalog's kind -> level table, and the code
+    that folds blob analyses into cells."""
+    digest = hashlib.sha256(f"{history.walk_key(identity)} {sorted(catalog.levels.items())}".encode("utf-8"))
+    for name in ("cli.py", "catalog.py"):
+        digest.update(Path(__file__).with_name(name).read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) -> Cells:
+    """The cells of the history of the repository at `source` under `catalog`.
+
+    The analysis store keeps the cells of each tip it has seen, so a re-run
+    on an unchanged history reads them and starts no ``git log`` and no
+    ``git cat-file``.  Any other run walks the whole history with git, which
+    names each blob once, while it goes on.  The store answers for the blobs
+    an earlier run analyzed, and one ``git cat-file`` reads the others, each
+    analyzed as git reads it: here at one job; with more, by worker
+    processes, which get raw blob bytes in small chunks and return stored
+    forms.  ``cat-file`` and the workers start at the first blob the store
+    lacks, the workers first.  A chunk whose worker died is analyzed again
+    one blob per task.  Stored forms fold into memo entries under `catalog`,
+    the commits are scored from them and the scores fold into cells.  The
+    new analyses and the cells go into the store, except what holds only
+    for this run: a blob this repository lacks, or a verdict that tells of
+    this run rather than of the blob, which keeps the cells out too.  A
+    repository whose replace refs or grafts rewrite what an id names runs
+    without the store.  One line on stderr sums up where the blobs' analyses
+    and the commits came from.
     """
     # imported here, as the process pool: sqlite3 and the pool's modules
     # would add 1.5 and 2.5 MB to the peak memory of every process that
@@ -106,12 +138,12 @@ def _analyze_history(
     memo: dict[str, Entry] = {}
     new: list[tuple[str, Stored]] = []  # the analyses to store
     skipped: Counter = Counter()  # reason -> blobs
-    sources: Counter = Counter()  # "git log" or "stored walk" -> commits
     from_store = 0
-    fold = entry_folder(catalog)
+    cells = None
+    entry = entry_folder(catalog)
 
     def keep(oid: str, stored: Stored) -> None:
-        memo[oid] = fold(stored)
+        memo[oid] = entry(stored)
         if type(stored) is str and stored:
             skipped[stored] += 1
 
@@ -122,10 +154,22 @@ def _analyze_history(
             new.append((oid, stored))
 
     sent: deque = deque()  # ((blob id, bytes) pairs, future of their stored forms), oldest first
+    lost: list[tuple[str, bytes | None]] = []  # the blobs of chunks whose worker died
+
+    def send(chunk: list[tuple[str, bytes | None]]) -> None:
+        try:
+            sent.append((chunk, pool.submit(_analyses, chunk)))
+        except BrokenProcessPool:
+            lost.extend(chunk)
 
     def collect() -> None:
         chunk, future = sent.popleft()
-        for (oid, data), stored in zip(chunk, future.result()):
+        try:
+            analyses = future.result()
+        except BrokenProcessPool:
+            lost.extend(chunk)
+            return
+        for (oid, data), stored in zip(chunk, analyses):
             analyzed(oid, data, stored)
 
     with contextlib.ExitStack() as stack:
@@ -135,9 +179,11 @@ def _analyze_history(
             store = None if repo.rewritten else AnalysisStore.open()
             if store is not None:
                 stack.callback(store.close)
+                key = _cells_key(identity, catalog)
+                cells = store.cells(key, repo.tip)
             git = pool = None  # git cat-file and the workers, once a blob is to be read
             chunk, size = [], 0
-            for oids in walk_history(repo, commits, identity=identity, walks=store, sources=sources):
+            for oids in walk_history(repo, commits, identity=identity) if cells is None else ():  # stored cells: no walk
                 if store is not None:
                     found = store.lookup(oids)
                     for oid, stored in found.items():
@@ -147,6 +193,7 @@ def _analyze_history(
                 if oids and git is None:
                     if jobs > 1:
                         from concurrent.futures import ProcessPoolExecutor
+                        from concurrent.futures.process import BrokenProcessPool
 
                         from . import analyzer  # noqa: F401  (imported before the fork, so no worker compiles it)
                         pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
@@ -166,43 +213,47 @@ def _analyze_history(
                     chunk.append((oid, data))
                     size += len(data or b"")
                     if size >= _CHUNK_BYTES:
-                        sent.append((chunk, pool.submit(_analyses, chunk)))
+                        send(chunk)
                         chunk, size = [], 0
                         if len(sent) > 4 * jobs:  # bounds the bytes waiting for a worker
                             collect()
             if chunk:
-                sent.append((chunk, pool.submit(_analyses, chunk)))
+                send(chunk)
             while sent:
                 collect()
-        if store is not None:
-            store.add(new)
+            if lost:  # the workers of the pools below inherit cat-file's input, and end before it closes
+                pool.shutdown()  # so that none of its threads runs while the next pool forks
+                for oid, data, stored in _one_by_one(lost):
+                    analyzed(oid, data, stored)
+        if cells is None:
+            cells = fold(score_blobs(commit, memo) for commit in commits)
+            if store is not None:
+                store.add(new)
+                if len(new) == len(memo) - from_store:  # every analysis holds for any run
+                    store.keep_cells(key, repo.tip, cells)
 
     reasons = ", ".join(f"{count} {reason}" for reason, count in sorted(skipped.items())) or "none"
     log.info(
         "blobs: %d named, %d analyzed, %d from the analysis store; skipped: %s; "
-        "commits: %d from git log, %d from a stored walk; %s",
-        len(memo), len(memo) - from_store, from_store, reasons, sources["git log"], sources["stored walk"],
+        "commits: %d from git log, %d from stored cells; %s",
+        len(memo), len(memo) - from_store, from_store, reasons, len(commits),
+        0 if commits else sum(sum(rows[8::CELL]) for _, rows in cells.values()),
         "no store" if store is None else f"store: {store.path}",
     )
-    return commits, memo
+    return cells
 
 
 def cmd_analyze(args: argparse.Namespace, catalog: Catalog) -> int:
     repo = _shown(args.repo)  # the repository as the reports name it
     try:
         log.info("analyzing the commit history of %s with %d job(s)", repo, args.jobs)
-        commits, memo = _analyze_history(args.repo, catalog, args.identity, args.jobs)
+        cells = _analyze_history(args.repo, catalog, args.identity, args.jobs)
     except RepoError as exc:
         log.error("repository error: %s", exc)
         return EXIT_REPO
 
-    log.info("scoring %d commits", len(commits))
-    report = build_report(
-        (score_blobs(commit, memo) for commit in commits),
-        repo=repo,
-        period=Granularity(args.period),
-        bot_patterns=tuple(args.bot_pattern) if args.bot_pattern else DEFAULT_BOT_PATTERNS,
-    )
+    report = finish(cells, repo=repo, period=Granularity(args.period),
+                    bot_patterns=tuple(args.bot_pattern) if args.bot_pattern else DEFAULT_BOT_PATTERNS)
 
     try:
         write_report_bundle(report, Path(args.out), top_n=args.top, show_names=args.show_names)

@@ -14,18 +14,13 @@ CommitRecords with before/after texts.  No git process outlives the call
 that starts it.
 
 A commit id fixes its whole first-parent ancestry, so the walk below a
-commit is the same on every run.  Given a store of walks, `walk_history`
-keeps each walk it makes in git's own ``-z`` format, cut down to every
-commit header and the raw entries that name a ``.py`` change.  A walk's key
-is its tip, the newest non-merge commit of the chain, together with what
-else changes ``git log``'s answer: the identity mode, the source of this
-module and git's version.  A re-run whose tip has a stored walk starts no
-``git log``; any other run walks the whole history with git.  Replace refs
-and a grafts file can give a commit id another history, so a repository
-that has either is walked with git every time and its walks are not
-stored.  The config settings that would change ``git log``'s answer
-(``log.showRoot``, ``diff.renameLimit``, ``i18n.logOutputEncoding``,
-``log.showSignature``) are pinned on its command line.
+commit is the same on every run.  `walk_key` names what else changes
+``git log``'s answer: the identity mode, the source of this module and
+git's version.  Together with the tip, the newest non-merge commit of the
+chain, it keys the cells the analysis store keeps of a walk.  The config
+settings that would change ``git log``'s answer (``log.showRoot``,
+``diff.renameLimit``, ``i18n.logOutputEncoding``, ``log.showSignature``)
+are pinned on its command line.
 
 Identity and ordering decisions:
 
@@ -45,19 +40,16 @@ Identity and ordering decisions:
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import logging
 import os
 import shutil
 import subprocess
 import tempfile
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    from .store import AnalysisStore
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -219,6 +211,17 @@ class Repo:
         if proc.returncode != 0:
             raise RepoError("git_failed", f"git {args[0]} exited with status {proc.returncode}")
 
+    @functools.cached_property
+    def tip(self) -> str:
+        """The id of the newest non-merge commit of the default branch's
+        first-parent chain, probed once, so that every walk of this handle
+        walks the same history."""
+        probe = _run_git("-C", str(self.path), "rev-list", "--first-parent", "--no-merges", "-n1", "HEAD")
+        newest = probe.stdout.strip()
+        if probe.returncode != 0 or not newest:
+            raise RepoError("empty", f"{self.path} has no non-merge commits on its default branch")
+        return newest
+
     def cat_file(self) -> subprocess.Popen:
         """A ``git cat-file --batch`` process to ask for blobs with `ask`."""
         return _start_git(
@@ -340,9 +343,8 @@ def _change(
 
 
 def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]]:
-    """((sha, time, name, email), [(status, paths, old blob id, new blob id, raw)]) per
-    commit of ``git log --raw -z`` with four NUL-separated format fields, where
-    `raw` lists the entry's fields as git wrote them.
+    """((sha, time, name, email), [(status, paths, old blob id, new blob id)]) per
+    commit of ``git log --raw -z`` with four NUL-separated format fields.
 
     Each field, raw entry and unquoted path ends in NUL.  A raw entry starts with ":"
     ("\\n:" for a commit's first) and is followed by its one or two paths.  Any
@@ -353,9 +355,9 @@ def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]
         entry = field.lstrip(b"\n")
         if entry.startswith(b":"):
             old_mode, new_mode, old_oid, new_oid, status = entry[1:].decode("ascii").split()
-            raw = [field, *(next(fields) for _ in range(2 if status[0] in "RC" else 1))]
-            paths = [path.decode("utf-8", errors="surrogateescape") for path in raw[1:]]
-            entries.append((status[0], paths, _side(old_mode, old_oid), _side(new_mode, new_oid), raw))
+            paths = [next(fields).decode("utf-8", errors="surrogateescape")
+                     for _ in range(2 if status[0] in "RC" else 1)]
+            entries.append((status[0], paths, _side(old_mode, old_oid), _side(new_mode, new_oid)))
         else:
             if header is not None:
                 yield header, entries
@@ -364,23 +366,16 @@ def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]
         yield header, entries
 
 
-def _walk_key(identity: str) -> str:
-    """The part of a stored walk's key besides its tip: the identity mode, the
-    rules of this module (`_change` among them) and git's version."""
+def walk_key(identity: str) -> str:
+    """What the walk of a tip depends on besides the tip: the identity mode,
+    the rules of this module (`_change` among them) and git's version."""
     digest = hashlib.sha256(identity.encode("ascii"))
     digest.update(Path(__file__).read_bytes())
     digest.update(_run_git("--version").stdout.encode("utf-8"))
     return digest.hexdigest()[:16]
 
 
-def walk_history(
-    repo: Repo,
-    commits: list[CommitBlobs],
-    *,
-    identity: str = "author",
-    walks: AnalysisStore | None = None,
-    sources: Counter | None = None,
-) -> Iterator[list[str]]:
+def walk_history(repo: Repo, commits: list[CommitBlobs], *, identity: str = "author") -> Iterator[list[str]]:
     """Walk the non-merge commits of the default branch's first-parent chain once.
 
     Yields each distinct .py blob id the changes name once, in lists of at
@@ -390,50 +385,28 @@ def walk_history(
     blob id (absent, a symlink or a submodule) is None in the changes and is
     never yielded.  `identity` selects whether the author or the committer
     is credited.
-
-    `walks`, when given, is the store of earlier walks.  The commits come
-    from the stored walk of this walk's tip when there is one, and otherwise
-    from ``git log``, whose walk is then stored.  Pass none for a `repo`
-    that is `rewritten`.  `sources`, when given, counts the commits under
-    "git log" or "stored walk".
     """
     if identity not in ("author", "committer"):
         raise ValueError(f"identity must be 'author' or 'committer', not {identity!r}")
-    probe = _run_git("-C", str(repo.path), "rev-list", "--first-parent", "--no-merges", "-n1", "HEAD")
-    tip = probe.stdout.strip()
-    if probe.returncode != 0 or not tip:
-        raise RepoError("empty", f"{repo.path} has no non-merge commits on its default branch")
-
-    key = None if walks is None else _walk_key(identity)
-    stored = None if key is None else walks.walk(key, tip)
-    walk = None if key is None or stored is not None else bytearray()  # the walk to store
     who = identity[0]  # %an/%ae or %cn/%ce
-    if stored is not None:
-        data = memoryview(stored)
-        fields = _nul_fields(data[start:start + (1 << 16)] for start in range(0, len(data), 1 << 16))
-    else:
-        # --root, -l1000, --encoding and --no-show-signature pin what log.showRoot,
-        # diff.renameLimit, i18n.logOutputEncoding and log.showSignature would
-        # change; NUL separates the fields because no git identity can contain it
-        fields = repo.git_fields(
-            "log", "--first-parent", "--no-merges", "--raw", "-z", "--no-abbrev", "-M", "-l1000", "--root",
-            "--encoding=UTF-8", "--no-show-signature", f"--format=%H%x00%at%x00%{who}n%x00%{who}e", tip,
-        )
+    # --root, -l1000, --encoding and --no-show-signature pin what log.showRoot,
+    # diff.renameLimit, i18n.logOutputEncoding and log.showSignature would
+    # change; NUL separates the fields because no git identity can contain it
+    fields = repo.git_fields(
+        "log", "--first-parent", "--no-merges", "--raw", "-z", "--no-abbrev", "-M", "-l1000", "--root",
+        "--encoding=UTF-8", "--no-show-signature", f"--format=%H%x00%at%x00%{who}n%x00%{who}e", repo.tip,
+    )
 
     identities: dict[tuple[bytes, bytes], ContributorId] = {}
     named: set[str | None] = {None}  # every blob id named, and the absent side
     wanted: list[str] = []  # blob ids named and not yet yielded
     with contextlib.closing(fields):
         for header, entries in _raw_log(fields):
-            if walk is not None:
-                walk += b"\0".join(header) + b"\0"
             changes = []
-            for status, paths, old, new, raw in entries:
+            for status, paths, old, new in entries:
                 change = _change(status, paths, old, new)
                 if change is not None:
                     changes.append(change)
-                    if walk is not None:
-                        walk += b"\0".join(raw) + b"\0"
             for _, old, new in changes:
                 for oid in (old, new):
                     if oid not in named:
@@ -450,10 +423,6 @@ def walk_history(
                 del wanted[:_BATCH]
     if wanted:
         yield wanted
-    if walk is not None:
-        walks.keep_walk(key, tip, walk)
-    if sources is not None:
-        sources["git log" if stored is None else "stored walk"] += len(commits)
     commits.reverse()  # git walks newest first
 
 

@@ -3,8 +3,9 @@
 A commit's contribution is the per-file clamped difference between the
 six-level vector after and before the change: components that shrink
 (deletion) are floored at zero, per file and per level, before summing
-across the commit's files.  Scores then roll up by contributor and by
-UTC calendar period.
+across the commit's files.  Scores then fold into cells, one per
+contributor and UTC month, which `finish` rolls up by contributor and by
+calendar period under any report options; the analysis store keeps them.
 
 A blob's analysis is kept in a catalog-free stored form: the count of each
 analyzer kind, or why there are none.  The catalog folds it into the blob's
@@ -18,7 +19,7 @@ entry, every commit that adds nothing shares one zero delta, and a report
 shares one tuple per distinct count among its period buckets.  Six level
 counts, A1 first, are a plain tuple of ints from the memo to the report;
 all of them are immutable.  Each record here is a NamedTuple, which pickles
-by value; `build_report` unpacks a CommitScore by position.
+by value; `fold` unpacks a CommitScore by position.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import re
 import sys
 from array import array
 from collections import Counter
-from collections.abc import Callable, Iterable
-from operator import itemgetter
+from collections.abc import Callable, Iterable, Sequence
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import KINDS, Catalog, Level, level_counter
@@ -82,13 +83,23 @@ class ProjectReport(NamedTuple):
     files_skipped: int
 
 
+#: The ints of one cell: its month (12 * year + month - 1), its newest
+#: commit timestamp, its six level counts, and its commits, files analyzed
+#: and files skipped
+CELL = 11
+#: A history's commit scores summed by contributor and UTC month, which
+#: every report of that history is made from: each anon_id's first
+#: ContributorId and its cells, in time order, in one sequence of ints
+Cells = dict[str, tuple[ContributorId, Sequence[int]]]
+
+
 #: A blob's memo entry when it has no text: binary or missing.  Any other
 #: entry is the blob's six level counts, or None (SKIPPED) when it does not
 #: parse or nests too deep.  Entries compare by value, so they survive pickling.
 ABSENT = ()
 SKIPPED = None
 #: The counts of a side that does not exist, and the delta of every commit
-#: `score_blobs` finds adding nothing, which `build_report` passes over by identity
+#: `score_blobs` finds adding nothing, which `fold` passes over by identity
 _ZERO = (0,) * 6
 
 Entry = tuple[int, ...] | None
@@ -105,9 +116,10 @@ _PACKED_SIZE = array("I").itemsize * len(KINDS)
 #: kind list, which the default catalog's table sets and the bytes follow.
 STORED_FORM_KEY = f"{sys.byteorder} {array('I').itemsize} {sys.version} {' '.join(KINDS)}"
 #: Skip reasons that tell of the run, not only of the source: free memory,
-#: and the recursion limit and call depth the parser and compiler start
-#: from.  A blob refused for one of them is analyzed again by the next run.
-PASSING = frozenset({"MemoryError", "RecursionError"})
+#: the recursion limit and call depth the parser and compiler start from,
+#: and a worker process that died analyzing it.  A blob refused for one of
+#: them is analyzed again by the next run.
+PASSING = frozenset({"MemoryError", "RecursionError", "BrokenProcessPool"})
 
 
 def source_analysis(source: str) -> Stored:
@@ -217,20 +229,29 @@ def score_commit(record: CommitRecord, catalog: Catalog) -> CommitScore:
     return score_blobs(CommitBlobs(record.sha, record.contributor, record.timestamp, changes), memo)
 
 
-def period_key(timestamp: int, period: Granularity) -> str:
-    """UTC calendar bucket for a unix timestamp: "YYYY" or "YYYY-MM".
+def _month(timestamp: int) -> int:
+    """The UTC calendar month of a unix timestamp, as 12 * year + month - 1.
 
     The proleptic Gregorian date comes from integer arithmetic (Howard
     Hinnant's ``civil_from_days``), so every timestamp git records has one,
-    past year 9999 too, where the year has more digits.
+    past year 9999 too.
     """
     era, day = divmod(timestamp // 86400 + 719468, 146097)  # 400-year eras from 0000-03-01
     year_of_era = (day - day // 1460 + day // 36524 - day // 146096) // 365
     march_month = (5 * (day - 365 * year_of_era - year_of_era // 4 + year_of_era // 100) + 2) // 153
     year = era * 400 + year_of_era + (march_month >= 10)  # January and February end the March year
-    if period is Granularity.YEARLY:
-        return str(year)
-    return f"{year}-{(march_month + 2) % 12 + 1:02d}"
+    return 12 * year + (march_month + 2) % 12
+
+
+def _period_key(month: int, period: Granularity) -> str:
+    year, month = divmod(month, 12)
+    return str(year) if period is Granularity.YEARLY else f"{year}-{month + 1:02d}"
+
+
+def period_key(timestamp: int, period: Granularity) -> str:
+    """UTC calendar bucket for a unix timestamp: "YYYY" or "YYYY-MM", where
+    the year has more digits past year 9999."""
+    return _period_key(_month(timestamp), period)
 
 
 def _profile_sort_key(profile: ContributorProfile):
@@ -247,79 +268,82 @@ def is_bot(contributor: ContributorId, patterns: tuple[str, ...]) -> bool:
     return any(re.search(pattern, contributor.raw_name) for pattern in patterns)
 
 
-def build_report(
-    scores: Iterable[CommitScore],
-    *,
-    repo: str,
-    period: Granularity = Granularity.YEARLY,
-    bot_patterns: tuple[str, ...] = DEFAULT_BOT_PATTERNS,
-) -> ProjectReport:
-    """Assemble the full project report from per-commit scores, read in one pass.
+def fold(scores: Iterable[CommitScore]) -> Cells:
+    """Sum per-commit scores, read in one pass, into cells by contributor and UTC month.
+
+    Each anon_id keeps the ContributorId of its first score.  Each commit's
+    month comes from a memo keyed by UTC day, which never straddles a month.
+    """
+    months: dict[int, int] = {}  # UTC day -> month
+    people: dict[str, list] = {}  # anon_id -> [ContributorId, {month: cell}]
+    for _, contributor, timestamp, delta, files_analyzed, files_skipped in scores:
+        day = timestamp // 86400
+        month = months.get(day)
+        if month is None:
+            month = months[day] = _month(timestamp)
+        person = people.get(contributor.anon_id)
+        if person is None:
+            person = people[contributor.anon_id] = [contributor, {}]
+        cell = person[1].get(month)
+        if cell is None:
+            cell = person[1][month] = [month, timestamp] + [0] * (CELL - 2)
+        elif timestamp > cell[1]:
+            cell[1] = timestamp
+        if delta is not _ZERO:
+            for level, count in enumerate(delta, 2):
+                cell[level] += count
+        cell[8] += 1
+        cell[9] += files_analyzed
+        cell[10] += files_skipped
+    return {anon_id: (contributor, [n for month in sorted(cells) for n in cells[month]])
+            for anon_id, (contributor, cells) in people.items()}
+
+
+def finish(cells: Cells, *, repo: str, period: Granularity = Granularity.YEARLY,
+           bot_patterns: tuple[str, ...] = DEFAULT_BOT_PATTERNS) -> ProjectReport:
+    """Assemble the full project report from a history's cells.
 
     Contributor profiles are ordered by C1+C2, then total, then anon_id.
     Bot-matching identities stay in the project totals but are dropped from
     the contributor list; their sum lands in `excluded_total` so that
     project_total == sum(profile totals) + excluded_total holds exactly.
-    generated_at is the newest analyzed commit timestamp (0 with no scores),
+    generated_at is the newest analyzed commit timestamp (0 with no commits),
     which keeps emission byte-deterministic for a fixed repository state.
 
     Every dict of periods is in time order, which is string order only
-    while years have four digits.
-
-    Buckets are plain 6-int lists until the pass ends, and each commit's
-    period key comes from a memo keyed by UTC day, which never straddles a
-    month or a year.  Buckets with equal counts share one tuple.
+    while years have four digits.  Buckets with equal counts share one tuple.
     """
-    keys: dict[int, str] = {}  # UTC day -> period key
-    first_day: dict[str, int] = {}  # period key -> a UTC day in it, which orders the periods
+    keys: dict[int, str] = {}  # month -> period key
+    first: dict[str, int] = {}  # period key -> a month in it, which orders the periods
     project: dict[str, list[int]] = {}
-    people: dict[str, list] = {}  # anon_id -> [ContributorId, commit count, {period key: counts}]
-    analyzed = skipped = 0
-    newest = float("-inf")
-    for _, contributor, timestamp, delta, files_analyzed, files_skipped in scores:
-        analyzed += files_analyzed
-        skipped += files_skipped
-        if timestamp > newest:
-            newest = timestamp
-        day = timestamp // 86400
-        pkey = keys.get(day)
-        if pkey is None:
-            pkey = keys[day] = period_key(timestamp, period)
-            first_day.setdefault(pkey, day)
-        person = people.get(contributor.anon_id)
-        if person is None:
-            person = people[contributor.anon_id] = [contributor, 0, {}]
-        person[1] += 1
-        mine = person[2].get(pkey)
-        if mine is None:
-            mine = person[2][pkey] = [0] * 6
-        ours = project.get(pkey)
-        if ours is None:
-            ours = project[pkey] = [0] * 6
-        if delta is not _ZERO:
-            for level, count in enumerate(delta):
-                if count:
-                    mine[level] += count
-                    ours[level] += count
-
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # counts -> the one equal tuple handed out
 
-    def in_time_order(buckets: dict[str, list[int]]) -> dict[str, tuple[int, ...]]:
-        ordered = {}
-        for pkey in sorted(buckets, key=first_day.__getitem__):
-            counts = tuple(buckets[pkey])
-            ordered[pkey] = shared.setdefault(counts, counts)
-        return ordered
+    def share(levels) -> tuple[int, ...]:
+        levels = tuple(levels)
+        return shared.setdefault(levels, levels)
 
-    all_profiles = [
-        ContributorProfile(
+    all_profiles = []
+    analyzed = skipped = 0
+    for contributor, rows in cells.values():
+        periods: dict[str, list[int]] = {}  # in time order, as the cells are
+        for at in range(0, len(rows), CELL):
+            month = rows[at]
+            pkey = keys.get(month)
+            if pkey is None:
+                pkey = keys[month] = _period_key(month, period)
+                first.setdefault(pkey, month)
+            levels = rows[at + 2:at + 8]
+            mine, ours = periods.get(pkey), project.get(pkey)
+            periods[pkey] = levels if mine is None else list(map(add, mine, levels))
+            project[pkey] = levels if ours is None else list(map(add, ours, levels))
+        all_profiles.append(ContributorProfile(
             contributor=contributor,
-            total=_vector_sum(periods.values()),
-            by_period=in_time_order(periods),
-            commit_count=commit_count,
-        )
-        for contributor, commit_count, periods in people.values()
-    ]
+            total=tuple(sum(rows[level::CELL]) for level in range(2, 8)),
+            by_period={pkey: share(levels) for pkey, levels in periods.items()},
+            commit_count=sum(rows[8::CELL]),
+        ))
+        analyzed += sum(rows[9::CELL])
+        skipped += sum(rows[10::CELL])
     all_profiles.sort(key=_profile_sort_key)
     profiles, bot_totals = [], []
     for profile in all_profiles:
@@ -336,10 +360,10 @@ def build_report(
         top = TopContributor(contributor=best.contributor, periods=rows)
     return ProjectReport(
         repo=repo,
-        generated_at=newest if people else 0,
+        generated_at=max((rows[1 - CELL] for _, rows in cells.values()), default=0),  # each one's last cell
         period=period,
         project_total=_vector_sum(project.values()),
-        project_by_period=in_time_order(project),
+        project_by_period={pkey: share(project[pkey]) for pkey in sorted(project, key=first.__getitem__)},
         profiles=tuple(profiles),
         excluded_total=_vector_sum(bot_totals),
         top_contributor=top,
@@ -347,3 +371,8 @@ def build_report(
         files_analyzed=analyzed,
         files_skipped=skipped,
     )
+
+
+def build_report(scores: Iterable[CommitScore], **options) -> ProjectReport:
+    """The project report of per-commit scores, read in one pass: `finish`, under `options`, of their `fold`."""
+    return finish(fold(scores), **options)

@@ -9,15 +9,16 @@ the source of ``analyzer.py`` and ``scoring.py``, read by path without
 importing them, the stored form's own key and the store's schema, so a
 file that other code wrote has another name and is never read.
 
-The same file keeps history walks for `history.walk_history`: one per tip
-and walk key, each with its SHA-256 digest, which is checked before any of
-the walk is used.
+The same file keeps the cells of each history it was asked to keep, one
+row per contributor under the history's tip and a key, each with a
+SHA-256 digest of the row and the tip's number of rows, which is checked
+before any of the tip's cells is used.
 
 Nothing read from the store is trusted.  A store that cannot be opened, read
-or written, a file that is no store, a row that is no stored form, a walk
-whose digest is wrong and a lock held too long each cost one
-warning, and the run goes on: a file that is no store is moved aside for a
-new one, a damaged walk is walked again with git, and otherwise the run does
+or written, a file that is no store, a row that is no stored form, cells
+whose digest is wrong and a lock held too long each cost one warning, and
+the run goes on: a file that is no store is moved aside for a new one,
+damaged cells are made again from the history, and otherwise the run does
 without the store.  So a report never depends on the store.
 """
 
@@ -29,11 +30,12 @@ import logging
 import os
 import sqlite3
 import sys
+from array import array
 from pathlib import Path
 
 from . import scoring
-from .history import cache_root
-from .scoring import Stored, is_stored
+from .history import ContributorId, cache_root
+from .scoring import Cells, Stored, is_stored
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +45,8 @@ BUSY_TIMEOUT_S = 30.0
 _LOOKUP = 500
 SCHEMA = (
     "CREATE TABLE blobs (oid TEXT PRIMARY KEY, analysis) WITHOUT ROWID",
-    "CREATE TABLE walks (key TEXT, tip TEXT, digest TEXT, walk BLOB, PRIMARY KEY (key, tip)) WITHOUT ROWID",
+    "CREATE TABLE cells (key TEXT, tip TEXT, anon_id BLOB, name BLOB, email BLOB, cells BLOB, digest TEXT, "
+    "PRIMARY KEY (key, tip, anon_id)) WITHOUT ROWID",
 )
 #: The source files whose code makes a stored form.
 CODE = (Path(__file__).with_name("analyzer.py"), Path(scoring.__file__))
@@ -60,6 +63,11 @@ def store_path() -> Path:
         digest.update(path.read_bytes())
     name = f"{sys.implementation.cache_tag}-{digest.hexdigest()[:16]}.sqlite3"
     return cache_root() / "analysis" / name
+
+
+def _digest(rows: int, row: tuple[bytes, ...]) -> str:
+    """The SHA-256 digest of one contributor's `row` of bytes fields among a tip's `rows` rows of cells."""
+    return hashlib.sha256(repr([rows, *map(len, row)]).encode("ascii") + b"".join(row)).hexdigest()
 
 
 def _set_aside(path: Path) -> Path:
@@ -183,33 +191,40 @@ class AnalysisStore:
         except sqlite3.Error as exc:
             self._fail(exc)
 
-    def walk(self, key: str, tip: str) -> bytes | None:
-        """The walk stored under `key` for `tip`, once its digest is the walk's;
-        None when there is none, and after one warning when it is damaged."""
+    def cells(self, key: str, tip: str) -> Cells | None:
+        """The cells stored under `key` for `tip`, once each row's digest is its
+        own; None when there are none, and after one warning when they are damaged."""
         if self._connection is None:
             return None
-        try:
-            row = self._connection.execute(
-                "SELECT digest, CAST(walk AS BLOB) FROM walks WHERE key = ? AND tip = ?", (key, tip)).fetchone()
+        try:  # one statement, so that another run's write is never seen in part
+            rows = self._connection.execute(
+                "SELECT digest, CAST(anon_id AS BLOB), CAST(name AS BLOB), CAST(email AS BLOB), CAST(cells AS BLOB) "
+                "FROM cells WHERE key = ? AND tip = ?", (key, tip)).fetchall()
         except sqlite3.Error as exc:
             self._fail(exc)
             return None
-        if row is None:
-            return None
-        digest, walk = row
-        if walk is not None and hashlib.sha256(walk).hexdigest() == digest:
-            return walk
-        log.warning("the analysis store %s holds a damaged walk for %s: walking the history with git",
+        if all(None not in row and row[0] == _digest(len(rows), row[1:]) for row in rows):
+            return {anon.decode(): (ContributorId(name.decode(), email.decode(), anon.decode()), array("q", cells))
+                    for _, anon, name, email, cells in rows} or None  # no rows: none are stored
+        log.warning("the analysis store %s holds damaged cells for %s: walking the history with git",
                     self.path, tip)
         return None
 
-    def keep_walk(self, key: str, tip: str, walk: bytes) -> None:
-        """Store `walk` under `key` for `tip`, in the place of any walk stored there."""
+    def keep_cells(self, key: str, tip: str, cells: Cells) -> None:
+        """Store `cells` under `key` for `tip`, in the place of any stored there."""
         if self._connection is None:
             return
         try:
-            self._connection.execute("INSERT OR REPLACE INTO walks VALUES (?, ?, ?, ?)",
-                                     (key, tip, hashlib.sha256(walk).hexdigest(), walk))
+            people = [(anon.encode(), who.raw_name.encode(), who.raw_email.encode(), array("q", rows).tobytes())
+                      for anon, (who, rows) in cells.items()]
+        except OverflowError:  # a commit dated past what an int64 holds: its cells are not kept
+            return
+        try:
+            with self._connection:  # commits, or rolls back on an exception
+                self._connection.execute("BEGIN IMMEDIATE")
+                self._connection.execute("DELETE FROM cells WHERE key = ? AND tip = ?", (key, tip))
+                self._connection.executemany("INSERT INTO cells VALUES (?, ?, ?, ?, ?, ?, ?)",
+                                             [(key, tip, *row, _digest(len(people), row)) for row in people])
         except sqlite3.Error as exc:
             self._fail(exc)
 

@@ -5,14 +5,19 @@
 Loads ``cefr_progress`` from each checkout's ``src`` directory under a name
 of its own, as ``tests/analyzer_ab.py`` does, and runs the steps of
 ``analyze`` on the repository at REPO in this process at ``--jobs`` jobs:
-the history walk with its store lookups and any worker pool it starts,
-scoring, ``build_report``, ``emit_json``, ``emit_csv`` and ``emit_html``.
-Then each run times one whole ``python -m cefr_progress analyze`` of each
+``history``, the call that reads the history (``cli._analyze_history``),
+``report``, the call that makes the report of what it read, and
+``emit_json``, ``emit_csv`` and ``emit_html``.  A checkout whose
+``scoring`` has ``finish`` keeps each history's cells in the analysis
+store: its ``history`` stage reads them and its ``report`` stage is
+``finish``.  Any other checkout keeps the history walk: its ``history``
+stage reads the walk and looks up each blob's analysis, and its
+``report`` stage scores the commits and calls ``build_report``.  Then
+each run times one whole ``python -m cefr_progress analyze`` of each
 checkout in a child process (the ``cli`` row), whose start-up and imports
 the in-process stages do not show.  The analysis store lives in a
 temporary cache root, and one untimed run of each checkout fills it, so
-every timed run is warm: it reads each blob's analysis and the history
-walk from the store.  The checkouts take turns, and which goes first
+every timed run is warm.  The checkouts take turns, and which goes first
 alternates from run to run.  It prints each stage's median seconds per
 checkout and the change/parent ratio of the medians.  The exit status is 1
 unless both checkouts write byte-identical report.json, report.csv and
@@ -38,7 +43,7 @@ from pathlib import Path
 
 from analyzer_ab import load_analyzer
 
-STAGES = ("walk", "score", "build", "emit_json", "emit_csv", "emit_html")
+STAGES = ("history", "report", "emit_json", "emit_csv", "emit_html")
 REPORTS = ("report.json", "report.csv", "report.html")
 
 
@@ -56,16 +61,17 @@ def run(package, repo: str, period: str, top: int, jobs: int, out: Path) -> dict
     times = {}
     gc.collect()
     start = time.perf_counter()
-    commits, memo = cli._analyze_history(repo, catalog, "author", jobs)
-    times["walk"] = time.perf_counter() - start
+    read = cli._analyze_history(repo, catalog, "author", jobs)
+    times["history"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    scores = [scoring.score_blobs(commit, memo) for commit in commits]
-    times["score"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    built = scoring.build_report(scores, repo=repo, period=scoring.Granularity(period))
-    times["build"] = time.perf_counter() - start
+    if hasattr(scoring, "finish"):  # `read` is the history's cells
+        built = scoring.finish(read, repo=repo, period=scoring.Granularity(period))
+    else:  # `read` is the commits and the memo entry of each blob they name
+        commits, memo = read
+        built = scoring.build_report((scoring.score_blobs(commit, memo) for commit in commits), repo=repo,
+                                     period=scoring.Granularity(period))
+    times["report"] = time.perf_counter() - start
 
     out.mkdir(parents=True, exist_ok=True)
     for stage, emit, options in (("emit_json", report.emit_json, {}),

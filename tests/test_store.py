@@ -152,8 +152,15 @@ def test_a_warm_run_reads_and_analyzes_no_blob(big_repo, tmp_path, recorded, cap
     assert asked == analyzed == []
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("blobs:")]
     assert summary[-1] == (
+        "blobs: 0 named, 0 analyzed, 0 from the analysis store; skipped: none; "
+        f"commits: 0 from git log, 500 from stored cells; store: {store.store_path()}")
+    _forget_cells()  # as on a new tip: git walks the history, and the store holds every blob it names
+    assert analyze(big_repo, tmp_path / "walked") == before
+    assert asked == analyzed == []
+    summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("blobs:")]
+    assert summary[-1] == (
         f"blobs: {named} named, 0 analyzed, {named} from the analysis store; skipped: none; "
-        f"commits: 0 from git log, 500 from a stored walk; store: {store.store_path()}")
+        f"commits: 500 from git log, 0 from stored cells; store: {store.store_path()}")
 
 
 def test_after_new_commits_only_their_new_blobs_are_analyzed(tmp_path, recorded, monkeypatch):
@@ -196,6 +203,18 @@ def _stored_oids() -> set[str]:
         return {oid for (oid,) in connection.execute("SELECT oid FROM blobs")}
 
 
+def _stored_tips() -> list[str]:
+    with contextlib.closing(sqlite3.connect(store.store_path())) as connection:
+        return [tip for (tip,) in connection.execute("SELECT DISTINCT tip FROM cells")]
+
+
+def _forget_cells() -> None:
+    """Delete every history's stored cells, so that the next run walks its history and looks its blobs up."""
+    with contextlib.closing(sqlite3.connect(store.store_path())) as connection:
+        with connection:
+            connection.execute("DELETE FROM cells")
+
+
 def test_a_blob_this_repository_lacks_is_not_stored(tmp_path, recorded, monkeypatch):
     _, analyzed = recorded
     fixture = GitFixture(tmp_path / "repo")
@@ -208,6 +227,7 @@ def test_a_blob_this_repository_lacks_is_not_stored(tmp_path, recorded, monkeypa
     loose.unlink()  # as in a partial clone whose promisor cannot be reached
     analyze(fixture.path, tmp_path / "lacking")
     assert oid not in _stored_oids()
+    assert _stored_tips() == []
     loose.write_bytes(data)
     analyzed.clear()
     whole = analyze(fixture.path, tmp_path / "whole")
@@ -235,6 +255,7 @@ def test_a_verdict_of_the_run_is_not_stored(tmp_path, recorded, monkeypatch, cap
     analyze(fixture.path, tmp_path / "short")
     assert f"skipped: 1 {error.__name__};" in caplog.text
     assert len(_stored_oids()) == 1
+    assert _stored_tips() == []
     analyzed.clear()
     again = analyze(fixture.path, tmp_path / "again")
     assert analyzed == ["a = [1, 2]\n"]
@@ -283,11 +304,13 @@ def test_a_row_of_another_form_is_analyzed_again_and_replaced(linear_repo, tmp_p
         (oid,) = connection.execute("SELECT oid FROM blobs WHERE analysis != '' LIMIT 1").fetchone()
         connection.execute(f"UPDATE blobs SET analysis = {value} WHERE oid = ?", (oid,))
     connection.close()
+    _forget_cells()
     analyzed.clear()
     caplog.clear()
     assert analyze(linear_repo, tmp_path / "undecodable") == before
     assert len(analyzed) == 1
     assert len([record for record in caplog.records if record.levelno >= logging.WARNING]) == 1
+    _forget_cells()
     analyzed.clear()
     caplog.clear()
     assert analyze(linear_repo, tmp_path / "mended") == before
@@ -335,7 +358,7 @@ def test_a_run_without_a_store_warns_once_and_writes_the_same_reports(tmp_path, 
     assert len([record for record in caplog.records if record.levelno >= logging.WARNING]) == 1, caplog.text
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("blobs:")]
     assert summary == ["blobs: 2 named, 2 analyzed, 0 from the analysis store; skipped: 1 SyntaxError; "
-                       "commits: 1 from git log, 0 from a stored walk; no store"]
+                       "commits: 1 from git log, 0 from stored cells; no store"]
 
 
 def test_concurrent_runs_share_one_store(big_repo, tmp_path):
@@ -347,7 +370,7 @@ def test_concurrent_runs_share_one_store(big_repo, tmp_path):
     again = run_analyze(big_repo, tmp_path / "c")
     assert again.returncode == 0
     assert " 0 analyzed," in again.stderr and "WARNING" not in again.stderr
-    assert "commits: 0 from git log, 500 from a stored walk;" in again.stderr
+    assert "commits: 0 from git log, 500 from stored cells;" in again.stderr
     assert reports(tmp_path / "c") == reports(tmp_path / "a")
 
 

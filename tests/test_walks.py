@@ -1,10 +1,13 @@
-"""Stored history walks: a re-run on an unchanged history starts no git log,
-and with every blob's analysis stored, no git cat-file and no worker; a
-stored walk in any state changes no report."""
+"""Stored cells: a re-run on an unchanged history reads the report's cells
+and starts no git log, no git cat-file and no worker; any other run walks
+the history with git; stored cells in any state change no report."""
 
 import concurrent.futures
 import contextlib
+import json
 import logging
+import multiprocessing
+import os
 import sqlite3
 import subprocess
 import sys
@@ -12,9 +15,10 @@ import sys
 import pytest
 
 import cefr_progress
-from cefr_progress import history, store
+from cefr_progress import history, scoring, store
 from cefr_progress.cli import main
-from cefr_progress.history import RepoSpec, prepare_repo
+from cefr_progress.history import ContributorId, RepoSpec, prepare_repo
+from cefr_progress.scoring import CommitScore, fold
 
 from conftest import ALICE, BOB, GitFixture, child_env
 
@@ -46,6 +50,20 @@ def started(monkeypatch):
 
     monkeypatch.setattr(history, "_start_git", recording_start_git)
     return procs
+
+
+@pytest.fixture
+def probed(monkeypatch):
+    """The git commands a run waits on without pipes: the probes of the repository, git's version and the tip."""
+    commands = []
+    run_git = history._run_git
+
+    def recording_run_git(*args):
+        commands.append(args[2] if args[0] == "-C" else args[0])
+        return run_git(*args)
+
+    monkeypatch.setattr(history, "_run_git", recording_run_git)
+    return commands
 
 
 @pytest.fixture
@@ -83,10 +101,10 @@ def sources(caplog) -> str:
     return summary(caplog).split("commits: ")[1].split(";")[0]
 
 
-def walks() -> list[tuple[str, int]]:
-    """(tip, length) of each stored walk."""
+def tips() -> list[str]:
+    """The tip of each stored history's cells."""
     with contextlib.closing(sqlite3.connect(store.store_path())) as connection:
-        return connection.execute("SELECT tip, length(walk) FROM walks ORDER BY tip").fetchall()
+        return [tip for (tip,) in connection.execute("SELECT DISTINCT tip FROM cells ORDER BY tip")]
 
 
 def clone(source, path) -> GitFixture:
@@ -99,14 +117,16 @@ def info_logs(caplog):
     caplog.set_level(logging.INFO)
 
 
-def test_an_unchanged_head_starts_no_git_log(big_repo, tmp_path, started, caplog):
+def test_an_unchanged_head_starts_no_git_log(big_repo, tmp_path, started, probed, caplog):
     first = analyze(big_repo, tmp_path / "first")
     assert commands(started) == ["cat-file", "log"]
-    assert sources(caplog) == "500 from git log, 0 from a stored walk"
+    assert sources(caplog) == "500 from git log, 0 from stored cells"
     started.clear()
+    probed.clear()
     assert analyze(big_repo, tmp_path / "warm") == first
-    assert commands(started) == []  # every blob's analysis is stored too
-    assert sources(caplog) == "0 from git log, 500 from a stored walk"
+    assert commands(started) == []
+    assert sorted(probed) == ["--version", "rev-list", "rev-parse"]
+    assert sources(caplog) == "0 from git log, 500 from stored cells"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -120,15 +140,15 @@ def test_after_new_commits_git_log_walks_the_whole_history(big_repo, tmp_path, s
     fixture.run("reset", "-q", "--hard", head)
     started.clear()
     after = analyze(fixture.path, tmp_path / "after", "--jobs", jobs)
-    assert sources(caplog) == "500 from git log, 0 from a stored walk"
+    assert sources(caplog) == "500 from git log, 0 from stored cells"
     assert commands(started) == ["cat-file", "log"]
-    # each tip keeps its own walk
-    assert sorted(tip for tip, _ in walks()) == sorted([head, older])
+    # each tip keeps its own cells
+    assert tips() == sorted([head, older])
     assert after == cold(fixture.path, tmp_path / "cold", monkeypatch, "--jobs", jobs)
     fixture.run("reset", "-q", "--hard", older)
     started.clear()
     assert analyze(fixture.path, tmp_path / "older-again", "--jobs", jobs) == before
-    assert sources(caplog) == "0 from git log, 497 from a stored walk"
+    assert sources(caplog) == "0 from git log, 497 from stored cells"
     assert commands(started) == []
 
 
@@ -151,14 +171,14 @@ def test_a_merge_head_is_walked_from_its_newest_non_merge_commit(tmp_path, start
     fixture.write("b.py", "def helper():\n    return [v for v in data]\n\nextra = True\n")
     fixture.commit(BOB, "2020-05-10T10:00:00Z", "touch merged file")
     after = analyze(fixture.path, tmp_path / "after")
-    assert sources(caplog) == "3 from git log, 0 from a stored walk"
+    assert sources(caplog) == "3 from git log, 0 from stored cells"
     assert after == cold(fixture.path, tmp_path / "cold-after", monkeypatch)
 
 
 def test_each_identity_mode_has_its_own_walk(linear_repo, tmp_path, started, caplog, monkeypatch):
     author = analyze(linear_repo, tmp_path / "author")
     committer = analyze(linear_repo, tmp_path / "committer", "--identity", "committer")
-    assert sources(caplog) == "7 from git log, 0 from a stored walk"
+    assert sources(caplog) == "7 from git log, 0 from stored cells"
     started.clear()
     assert analyze(linear_repo, tmp_path / "author-again") == author
     assert analyze(linear_repo, tmp_path / "committer-again", "--identity", "committer") == committer
@@ -180,7 +200,7 @@ def test_a_warm_parallel_run_starts_no_worker_and_no_cat_file(linear_repo, tmp_p
     assert analyze(linear_repo, tmp_path / "warm", "--jobs", "2") == first
     # as on a new tip whose commits change no .py file: git walks the
     # history, and the store holds every blob it names
-    _damage(_deleted)
+    _damage(_forgotten)
     launched.clear()
     assert analyze(linear_repo, tmp_path / "new-tip", "--jobs", "2") == first
     assert launched == ["log"]
@@ -193,6 +213,7 @@ def test_a_partly_warm_parallel_run_analyzes_only_the_blobs_the_store_lacks(line
         with connection:
             lacking = [oid for (oid,) in connection.execute("SELECT oid FROM blobs ORDER BY oid LIMIT 2")]
             connection.execute("DELETE FROM blobs WHERE oid IN (?, ?)", lacking)
+            _forgotten(connection)
     launched.clear()
     asked = []
     ask = history.ask
@@ -200,8 +221,8 @@ def test_a_partly_warm_parallel_run_analyzes_only_the_blobs_the_store_lacks(line
     assert analyze(linear_repo, tmp_path / "partly-warm", "--jobs", "2") == first
     assert sorted(asked) == lacking
     assert summary(caplog).startswith("blobs: 6 named, 2 analyzed, 4 from the analysis store;")
-    # the stored walk needs no git log; the workers fork before cat-file starts
-    assert launched == ["pool", "cat-file"]
+    # the workers fork before cat-file starts
+    assert launched == ["log", "pool", "cat-file"]
 
 
 #: What a run that finds every analysis stored never runs, and so never imports
@@ -244,19 +265,27 @@ def test_a_cold_parallel_run_imports_the_analyzer_before_the_workers_fork(linear
     assert imported == [True]
 
 
+#: One contributor's row of the stored cells
+ONE_ROW = "anon_id = (SELECT min(anon_id) FROM cells)"
+
+
 def _truncated(connection) -> None:
-    connection.execute("UPDATE walks SET walk = substr(walk, 1, length(walk) - 7)")
+    connection.execute(f"UPDATE cells SET cells = substr(cells, 1, length(cells) - 7) WHERE {ONE_ROW}")
 
 
 def _changed_byte(connection) -> None:
-    (walk,) = connection.execute("SELECT walk FROM walks").fetchone()
-    changed = bytearray(walk)
-    changed[100] ^= 0x01
-    connection.execute("UPDATE walks SET walk = ?", (bytes(changed),))
+    (cells,) = connection.execute(f"SELECT cells FROM cells WHERE {ONE_ROW}").fetchone()
+    changed = bytearray(cells)
+    changed[10] ^= 0x01
+    connection.execute(f"UPDATE cells SET cells = ? WHERE {ONE_ROW}", (bytes(changed),))
 
 
 def _deleted(connection) -> None:
-    connection.execute("DELETE FROM walks")
+    connection.execute(f"DELETE FROM cells WHERE {ONE_ROW}")
+
+
+def _forgotten(connection) -> None:
+    connection.execute("DELETE FROM cells")
 
 
 def _damage(damage) -> None:
@@ -269,19 +298,19 @@ def _warnings(caplog) -> list[str]:
     return [record.getMessage() for record in caplog.records if record.levelno >= logging.WARNING]
 
 
-@pytest.mark.parametrize("damage, warnings", [(_truncated, 1), (_changed_byte, 1), (_deleted, 0)],
-                         ids=["truncated", "changed_byte", "deleted"])
+@pytest.mark.parametrize("damage, warnings", [(_truncated, 1), (_changed_byte, 1), (_deleted, 1), (_forgotten, 0)],
+                         ids=["truncated", "changed_byte", "deleted", "forgotten"])
 def test_a_damaged_walk_costs_one_warning_and_a_git_walk(big_repo, tmp_path, started, caplog, damage, warnings):
     before = analyze(big_repo, tmp_path / "cold")
     _damage(damage)
     caplog.clear()
     started.clear()
     assert analyze(big_repo, tmp_path / "damaged") == before
-    # a walk that another run's writes took away is a plain miss
+    # cells that another run's writes took away are a plain miss
     assert len(_warnings(caplog)) == warnings
-    assert all("damaged walk" in warning for warning in _warnings(caplog))
+    assert all("damaged cells" in warning for warning in _warnings(caplog))
     assert commands(started) == ["log"]  # every blob's analysis is still stored
-    assert sources(caplog) == "500 from git log, 0 from a stored walk"
+    assert sources(caplog) == "500 from git log, 0 from stored cells"
     caplog.clear()
     started.clear()
     assert analyze(big_repo, tmp_path / "mended") == before
@@ -289,14 +318,21 @@ def test_a_damaged_walk_costs_one_warning_and_a_git_walk(big_repo, tmp_path, sta
     assert commands(started) == []
 
 
+def _cells(people: int):
+    """The cells of one commit by each of `people` contributors, each in a month of its own."""
+    return fold(CommitScore(f"{i:040x}", ContributorId.from_identity(f"P{i}", f"p{i}@example.com"), i * 40 * 86400,
+                            (i, 0, 1, 0, 0, 2), 1, 0) for i in range(people))
+
+
 def test_two_runs_writing_one_walk_leave_it_whole():
     first, second = store.AnalysisStore.open(), store.AnalysisStore.open()
     try:
-        long, short = b"a\0" * 100_000, b"c\0" * 40_000
-        first.keep_walk("key", "tip", long)
-        second.keep_walk("key", "tip", short)
-        assert first.walk("key", "tip") == short
-        assert walks() == [("tip", 80_000)]
+        many, few = _cells(300), _cells(20)
+        first.keep_cells("key", "tip", many)
+        second.keep_cells("key", "tip", few)
+        assert {anon: (who, list(cells)) for anon, (who, cells) in first.cells("key", "tip").items()} == few
+        with contextlib.closing(sqlite3.connect(store.store_path())) as connection:
+            assert connection.execute("SELECT tip, count(*) FROM cells GROUP BY tip").fetchall() == [("tip", 20)]
     finally:
         first.close()
         second.close()
@@ -304,19 +340,19 @@ def test_two_runs_writing_one_walk_leave_it_whole():
 
 def rewritten(fixture, rewrite, undo, tmp_path, monkeypatch, started, caplog) -> None:
     """Checks that a history `rewrite` rewrites is walked with git on every run and
-    no walk of it is stored, and that once `undo` undoes it, the stored walk is read again."""
+    no cells of it are stored, and that once `undo` undoes it, the stored cells are read again."""
     before = analyze(fixture.path, tmp_path / "before")
     rewrite()
     started.clear()
     first = analyze(fixture.path, tmp_path / "first")
     assert first != before
     assert analyze(fixture.path, tmp_path / "warm") == first == cold(fixture.path, tmp_path / "cold", monkeypatch)
-    assert sources(caplog) == "2 from git log, 0 from a stored walk"
+    assert sources(caplog) == "2 from git log, 0 from stored cells"
     assert commands(started) == ["cat-file", "cat-file", "cat-file", "log", "log", "log"]
-    assert len(walks()) == 1
+    assert len(tips()) == 1
     undo()
     assert analyze(fixture.path, tmp_path / "after") == before
-    assert sources(caplog) == "0 from git log, 7 from a stored walk"
+    assert sources(caplog) == "0 from git log, 7 from stored cells"
 
 
 def test_replace_refs_are_honoured_and_keep_no_walk(linear_repo, tmp_path, monkeypatch, started, caplog):
@@ -370,3 +406,104 @@ def test_no_git_setting_changes_the_walk(tmp_path, monkeypatch, key, value):
     monkeypatch.setenv("GIT_CONFIG_KEY_0", key)
     monkeypatch.setenv("GIT_CONFIG_VALUE_0", value)
     assert cold(fixture.path, tmp_path / "configured", monkeypatch, "--show-names") == plain
+
+
+#: Report options a warm run may differ in from the run that stored its cells
+REPORT_OPTIONS = [
+    (),
+    ("--period", "monthly", "--bot-pattern", "^Alice", "--show-names"),
+    ("--bot-pattern", "Coder$", "--bot-pattern", "Drive-by", "--show-names"),
+    ("--period", "monthly", "--bot-pattern", "Coder$", "--bot-pattern", "Drive-by"),
+]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("identity", ["author", "committer"])
+@pytest.mark.parametrize("fixture", ["linear_repo", "big_repo"])
+def test_reports_from_stored_cells_equal_reports_from_the_history(request, tmp_path, started, fixture, identity,
+                                                                   jobs):
+    repo = request.getfixturevalue(fixture)
+    walked = analyze(repo, tmp_path / "cold", "--identity", identity, "--jobs", jobs)
+    for number, options in enumerate(REPORT_OPTIONS):
+        if number:
+            _damage(_forgotten)  # the next run walks the history and stores its cells again
+            walked = analyze(repo, tmp_path / f"walked-{number}", "--identity", identity, "--jobs", jobs, *options)
+        started.clear()
+        assert analyze(repo, tmp_path / f"warm-{number}", "--identity", identity, "--jobs", jobs, *options) == walked
+        assert commands(started) == []
+
+
+def test_a_catalog_edited_under_its_version_is_not_served_the_old_cells(linear_repo, tmp_path, monkeypatch,
+                                                                        started):
+    rules = tmp_path / "rules.cat"
+    rules.write_text("!version mine\nif_statement C2\n")
+    first = analyze(linear_repo, tmp_path / "first", "--catalog", str(rules))
+    rules.write_text("!version mine\nif_statement B1\n")
+    started.clear()
+    edited = analyze(linear_repo, tmp_path / "edited", "--catalog", str(rules))
+    assert commands(started) == ["log"]
+    assert edited != first
+    assert edited == cold(linear_repo, tmp_path / "cold", monkeypatch, "--catalog", str(rules))
+
+
+#: The source whose analysis kills the process that analyzes it
+DYING = "dies_here = True\n"
+
+
+def _module(number: int, version: int) -> str:
+    """About 20 KB of source, a chunk's third."""
+    return "".join(f"def f{number}_{version}_{i}(a):\n    return [a for _ in range({i})]\n" for i in range(400))
+
+
+def test_a_worker_that_dies_costs_only_its_blob(tmp_path, monkeypatch, caplog):
+    fixture = GitFixture(tmp_path / "repo")
+    for version, who in enumerate((ALICE, BOB)):
+        for number in range(8):
+            fixture.write(f"m{number}.py", _module(number, version))
+        if version:
+            fixture.write("dies.py", DYING)
+        fixture.commit(who, f"202{version}-01-01T00:00:00Z", f"version {version}")
+    blobs = {line.split()[0] for line in fixture.run("rev-list", "--objects", "--all").splitlines()
+             if line.endswith(".py")}
+    dying = fixture.run("rev-parse", "HEAD:dies.py").strip()
+    source_analysis = scoring.source_analysis
+
+    def dies_on_marker(source):
+        if source == DYING:
+            os._exit(70)
+        return source_analysis(source)
+
+    class ForkingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, mp_context=multiprocessing.get_context("fork"), **kwargs)
+
+    added = []
+    add = store.AnalysisStore.add
+    monkeypatch.setattr(store.AnalysisStore, "add", lambda self, rows: added.extend(rows) or add(self, rows))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkingPool)
+    monkeypatch.setattr(scoring, "source_analysis", dies_on_marker)
+    parallel = analyze(fixture.path, tmp_path / "parallel", "--jobs", "2")
+    assert "skipped: 1 BrokenProcessPool;" in summary(caplog)
+    # every other blob's analysis is kept once, whichever chunk held it
+    assert sorted(oid for oid, _ in added) == sorted(blobs - {dying})
+    assert tips() == []  # a verdict of this run: no cells
+
+    monkeypatch.setattr(scoring, "source_analysis",
+                        lambda source: "BrokenProcessPool" if source == DYING else source_analysis(source))
+    assert cold(fixture.path, tmp_path / "serial", monkeypatch) == parallel
+
+
+def test_a_commit_dated_past_an_int64_is_reported_and_keeps_no_cells(tmp_path):
+    fixture = GitFixture(tmp_path / "repo")
+    fixture.write("a.py", "a = [1]\n")
+    fixture.commit(ALICE, "2020-01-01T00:00:00Z", "one")
+    # git keeps and prints a raw commit's timestamp as it is written
+    late = (f"tree {fixture.run('rev-parse', 'HEAD^{tree}').strip()}\nparent {fixture.run('rev-parse', 'HEAD').strip()}\n"
+            f"author Bob <bob@example.com> {2 ** 63} +0000\ncommitter Bob <bob@example.com> {2 ** 63} +0000\n\nlate\n")
+    written = subprocess.run(["git", "-C", str(fixture.path), "hash-object", "-t", "commit", "-w", "--stdin"],
+                             input=late.encode("ascii"), capture_output=True, check=True)
+    fixture.run("update-ref", "HEAD", written.stdout.decode("ascii").strip())
+    first = analyze(fixture.path, tmp_path / "first")
+    assert json.loads(first[0])["generated_at"] == 2 ** 63
+    assert tips() == []  # the store keeps cells as int64s
+    assert analyze(fixture.path, tmp_path / "again") == first
