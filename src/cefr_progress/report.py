@@ -2,8 +2,11 @@
 self-contained HTML document with inline SVG radar and timeline charts.
 
 All three emitters are pure functions of (report, options): the same input
-produces byte-identical files.  The HTML references no external resources;
-every chart is generated here as vector markup.
+produces byte-identical files.  The JSON is what `json.dumps` writes of
+`report_payload`, with its keys sorted as strings; each distinct level
+vector's text is made once, and a dict of period buckets is written in one
+join.  The HTML references no external resources; every chart is generated
+here as vector markup.
 """
 
 from __future__ import annotations
@@ -28,13 +31,15 @@ def _contributor_payload(profile: ContributorProfile, show_names: bool) -> dict:
         "name": ident.raw_name if show_names else None,
         "email": ident.raw_email if show_names else None,
         "commit_count": profile.commit_count,
-        "total": list(profile.total),
-        "by_period": {k: list(v) for k, v in profile.by_period.items()},
+        "total": profile.total,
+        "by_period": profile.by_period,
     }
 
 
 def report_payload(report: ProjectReport, *, show_names: bool = False) -> dict:
-    """The JSON document structure for a report."""
+    """The JSON document structure for a report, which holds the report's
+    level count tuples and period dicts themselves: `json` writes a tuple as
+    an array."""
     top = None
     if report.top_contributor is not None:
         ident = report.top_contributor.contributor
@@ -51,10 +56,10 @@ def report_payload(report: ProjectReport, *, show_names: bool = False) -> dict:
         "repo": report.repo,
         "generated_at": report.generated_at,
         "period": report.period.value,
-        "project_total": list(report.project_total),
-        "project_by_period": {k: list(v) for k, v in report.project_by_period.items()},
+        "project_total": report.project_total,
+        "project_by_period": report.project_by_period,
         "contributors": [_contributor_payload(p, show_names) for p in report.profiles],
-        "excluded_total": list(report.excluded_total),
+        "excluded_total": report.excluded_total,
         "top_contributor": top,
         "commit_count": report.commit_count,
         "files_analyzed": report.files_analyzed,
@@ -62,15 +67,27 @@ def report_payload(report: ProjectReport, *, show_names: bool = False) -> dict:
     }
 
 
-def _json(value, indent: str, out: list[str], lists: dict) -> None:
+def _texts(vectors, indent: str, memo: dict) -> dict:
+    """The JSON text at `indent` of each distinct tuple of ints: `memo`'s
+    dict of them for `indent`, with those of `vectors` it lacked added."""
+    texts = memo.setdefault(indent, {})
+    inner = indent + "  "
+    for vector in set(vectors).difference(texts):
+        items = f",\n{inner}".join(map(int.__repr__, vector))
+        texts[vector] = f"[\n{inner}{items}\n{indent}]" if vector else "[]"
+    return texts
+
+
+def _json(value, indent: str, out: list[str], memo: dict) -> None:
     """Append to `out` the text ``json.dumps(value, sort_keys=True, indent=2,
     ensure_ascii=False)`` gives `value` at `indent`.
 
     `value` holds only what a report payload holds: dicts with str keys,
-    lists, str, int and None.  `json` indents a document only with its
-    pure-Python encoder; this takes the C encoder's string escaping, and
-    renders each distinct list of ints, a level vector, once per indent into
-    `lists`.
+    lists, tuples of ints, str, int and None.  `json` indents a document
+    only with its pure-Python encoder; this takes the C encoder's string
+    escaping, and renders each distinct tuple, a level vector, once per
+    indent into `memo`.  A dict of tuples, a report's period buckets, is
+    rendered in one join over its sorted keys.
     """
     kind = type(value)
     if kind is str:
@@ -79,33 +96,33 @@ def _json(value, indent: str, out: list[str], lists: dict) -> None:
         out.append(int.__repr__(value))
     elif value is None:
         out.append("null")
+    elif kind is tuple:
+        out.append(_texts((value,), indent, memo)[value])
     elif kind is dict:
         if not value:
             out.append("{}")
             return
         inner = indent + "  "
+        if set(map(type, value.values())) == {tuple}:
+            texts = _texts(value.values(), inner, memo)
+            pairs = [f"{encode_basestring(key)}: {texts[vector]}" for key, vector in sorted(value.items())]
+            out.append("{\n" + inner + f",\n{inner}".join(pairs) + "\n" + indent + "}")
+            return
         opening = "{\n" + inner
         for key in sorted(value):
             out.append(opening + encode_basestring(key) + ": ")
-            _json(value[key], inner, out, lists)
+            _json(value[key], inner, out, memo)
             opening = ",\n" + inner
         out.append("\n" + indent + "}")
     elif kind is list:
         if not value:
             out.append("[]")
-        elif all(type(item) is int for item in value):
-            key = (tuple(value), indent)
-            text = lists.get(key)
-            if text is None:
-                inner = indent + "  "
-                text = lists[key] = f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, value)) + f"\n{indent}]"
-            out.append(text)
         else:
             inner = indent + "  "
             opening = "[\n" + inner
             for item in value:
                 out.append(opening)
-                _json(item, inner, out, lists)
+                _json(item, inner, out, memo)
                 opening = ",\n" + inner
             out.append("\n" + indent + "]")
     else:

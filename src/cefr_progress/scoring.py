@@ -30,7 +30,7 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import KINDS, Catalog, Level, level_counter
@@ -312,34 +312,31 @@ def finish(cells: Cells, *, repo: str, period: Granularity = Granularity.YEARLY,
 
     Every dict of periods is in time order, which is string order only
     while years have four digits.  Buckets with equal counts share one tuple.
+    A profile's buckets are made in bulk from its cells' level columns: its
+    cells are in time order, so each period's are adjacent, and a period with
+    more than one cell sums them once.  The project's buckets sum each
+    period's profile buckets once.
     """
-    keys: dict[int, str] = {}  # month -> period key
-    first: dict[str, int] = {}  # period key -> a month in it, which orders the periods
-    project: dict[str, list[int]] = {}
+    months = sorted(set().union(*(rows[::CELL] for _, rows in cells.values())))
+    keys = {month: _period_key(month, period) for month in months}
+    project: dict[str, list] = {pkey: [] for pkey in keys.values()}  # in time order: period -> its buckets
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # counts -> the one equal tuple handed out
-
-    def share(levels) -> tuple[int, ...]:
-        levels = tuple(levels)
-        return shared.setdefault(levels, levels)
-
     all_profiles = []
     analyzed = skipped = 0
     for contributor, rows in cells.values():
-        periods: dict[str, list[int]] = {}  # in time order, as the cells are
-        for at in range(0, len(rows), CELL):
-            month = rows[at]
-            pkey = keys.get(month)
-            if pkey is None:
-                pkey = keys[month] = _period_key(month, period)
-                first.setdefault(pkey, month)
-            levels = rows[at + 2:at + 8]
-            mine, ours = periods.get(pkey), project.get(pkey)
-            periods[pkey] = levels if mine is None else list(map(add, mine, levels))
-            project[pkey] = levels if ours is None else list(map(add, ours, levels))
+        columns = [rows[level::CELL] for level in range(2, 8)]
+        counts = list(zip(*columns))  # each cell's
+        # period -> the index past its last cell, as a period's cells are adjacent
+        ends = dict(zip(map(keys.__getitem__, rows[::CELL]), range(1, len(counts) + 1)))
+        if len(ends) < len(counts):  # some period has more than one cell
+            counts = [_vector_sum(counts[start:end]) for start, end in zip((0, *ends.values()), ends.values())]
+        by_period = dict(zip(ends, map(shared.setdefault, counts, counts)))
+        for pkey, levels in by_period.items():
+            project[pkey].append(levels)
         all_profiles.append(ContributorProfile(
             contributor=contributor,
-            total=tuple(sum(rows[level::CELL]) for level in range(2, 8)),
-            by_period={pkey: share(levels) for pkey, levels in periods.items()},
+            total=tuple(map(sum, columns)),
+            by_period=by_period,
             commit_count=sum(rows[8::CELL]),
         ))
         analyzed += sum(rows[9::CELL])
@@ -358,12 +355,13 @@ def finish(cells: Cells, *, repo: str, period: Granularity = Granularity.YEARLY,
         best = profiles[0]
         rows = tuple((pkey, vec[Level.C1], vec[Level.C2]) for pkey, vec in best.by_period.items())
         top = TopContributor(contributor=best.contributor, periods=rows)
+    sums = list(map(_vector_sum, project.values()))
     return ProjectReport(
         repo=repo,
         generated_at=max((rows[1 - CELL] for _, rows in cells.values()), default=0),  # each one's last cell
         period=period,
-        project_total=_vector_sum(project.values()),
-        project_by_period={pkey: share(project[pkey]) for pkey in sorted(project, key=first.__getitem__)},
+        project_total=_vector_sum(sums),
+        project_by_period=dict(zip(project, map(shared.setdefault, sums, sums))),
         profiles=tuple(profiles),
         excluded_total=_vector_sum(bot_totals),
         top_contributor=top,

@@ -18,8 +18,11 @@ checkout in a child process (the ``cli`` row), whose start-up and imports
 the in-process stages do not show.  The analysis store lives in a
 temporary cache root, and one untimed run of each checkout fills it, so
 every timed run is warm.  The checkouts take turns, and which goes first
-alternates from run to run.  It prints each stage's median seconds per
-checkout and the change/parent ratio of the medians.  The exit status is 1
+alternates from run to run.  It prints each stage's median and quartile
+seconds per checkout, the change/parent ratio of the medians, and the
+runs in which the change took less time than the parent.  A gain holds
+when the change wins at least nine runs in ten and the medians differ by
+more than the parent's quartile distance.  The exit status is 1
 unless both checkouts write byte-identical report.json, report.csv and
 report.html on every run, in this process and in the child processes.
 
@@ -97,6 +100,11 @@ def run_cli(checkout: Path, repo: str, period: str, top: int, jobs: int, out: Pa
     return seconds
 
 
+def quartiles(seconds: list[float]) -> list[float]:
+    """The three quartiles of `seconds`, which are all its one time when it holds one."""
+    return statistics.quantiles(seconds, n=4) if len(seconds) > 1 else seconds * 3
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -136,14 +144,18 @@ def main() -> int:
                         print(f"{name}: the checkouts' reports differ{where} (run {number + 1})")
 
     print(f"Python {platform.python_version()}, {args.repo}, --period {args.period} --top {args.top} "
-          f"--jobs {args.jobs}, medians over {args.runs} runs")
-    print(f"{'stage':<10} {'parent s':>10} {'change s':>10} {'change/parent':>14}")
-    rows = [(stage, [statistics.median(side[stage]) for side in times]) for stage in STAGES]
-    rows.append(("total", [statistics.median(map(sum, zip(*(side[stage] for stage in STAGES)))) for side in times]))
-    rows.append(("cli", [statistics.median(side["cli"]) for side in times]))
-    for stage, medians in rows:
-        ratio = medians[1] / medians[0] if medians[0] else float("nan")
-        print(f"{stage:<10} {medians[0]:>10.4f} {medians[1]:>10.4f} {ratio:>14.3f}")
+          f"--jobs {args.jobs}, {args.runs} runs; wins: runs in which the change took less time")
+    print(f"{'stage':<10} {'parent s':>9} {'q1':>8} {'q3':>8} {'change s':>9} {'q1':>8} {'q3':>8} "
+          f"{'change/parent':>14} {'wins':>7}")
+    rows = [(stage, [side[stage] for side in times]) for stage in STAGES]
+    rows.append(("total", [list(map(sum, zip(*(side[stage] for stage in STAGES)))) for side in times]))
+    rows.append(("cli", [side["cli"] for side in times]))
+    for stage, (parent, change) in rows:
+        spreads = [quartiles(runs) for runs in (parent, change)]  # the middle quartile is the median
+        ratio = spreads[1][1] / spreads[0][1] if spreads[0][1] else float("nan")
+        wins = sum(ours < theirs for theirs, ours in zip(parent, change))
+        columns = "".join(f" {median:>9.4f} {q1:>8.4f} {q3:>8.4f}" for q1, median, q3 in spreads)
+        print(f"{stage:<10}{columns} {ratio:>14.3f} {wins:>4}/{len(parent)}")
     print("reports: " + (f"{', '.join(sorted(differing))} differ" if differing else "byte-identical"))
     return 1 if differing else 0
 

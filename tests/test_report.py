@@ -205,13 +205,22 @@ NAMED = [
 ]
 
 
+# the last day of year 999, the first of 1000, the last of 9999, the first of
+# 10000 and a day in 10001: string order is not time order across them
+FAR_YEARS = (-30_610_310_400, -30_610_224_000, 253_402_214_400, 253_402_300_800, 253_450_000_000)
+
+
 @pytest.mark.parametrize("show_names", [False, True], ids=["anonymous", "names"])
 def test_json_is_what_json_dumps_writes(tmp_path, show_names):
     scores = [make_score(who, TS_2014 + i * 3_000_000, (i, 0, 2 * i, 0, 1, i % 2)) for i, who in enumerate(NAMED * 4)]
+    # many contributors with the same counts in each of the far years
+    crowd = [*NAMED, *(ContributorId.from_identity(f"Dev {n}", f"dev{n}@example.com") for n in range(12))]
+    far = [make_score(who, ts, (n % 3, 0, 1, 0, 2 * (n % 2), 0)) for who in crowd for n, ts in enumerate(FAR_YEARS)]
     for period in Granularity:
-        report = build_report(scores, repo="r\u00e9po \"x\"", period=period)
-        path = emit_json(report, tmp_path / "r.json", show_names=show_names)
-        assert path.read_text(encoding="utf-8") == _dumps(report_payload(report, show_names=show_names))
+        for each in (scores, scores + far):
+            report = build_report(each, repo="r\u00e9po \"x\"", period=period)
+            path = emit_json(report, tmp_path / "r.json", show_names=show_names)
+            assert path.read_text(encoding="utf-8") == _dumps(report_payload(report, show_names=show_names))
     empty = build_report([], repo="empty")
     assert emit_json(empty, tmp_path / "e.json").read_text(encoding="utf-8") == _dumps(report_payload(empty))
 
@@ -228,7 +237,7 @@ def test_fixture_reports_are_what_json_dumps_writes(request, tmp_path, repo, sho
 
 
 _json_values = st.recursive(
-    st.none() | st.integers() | st.text(),
+    st.none() | st.integers() | st.text() | st.lists(st.integers(), max_size=6).map(tuple),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=20,
 )

@@ -390,8 +390,14 @@ def test_build_report_empty_scores():
     assert report.generated_at == 0
 
 
+def by_time(periods):
+    """`periods` sorted by time: by the year, then the month, of each "YYYY" or "YYYY-MM" key."""
+    return dict(sorted(periods.items(), key=lambda item: [int(part) for part in item[0].split("-")]))
+
+
 def reference_report(scores, period):
-    """`build_report` the plain way: a `period_key` and `vector_sum` for every score."""
+    """`build_report` the plain way: a `period_key` and `vector_sum` for every
+    score, and every dict of periods sorted by the numbers in its keys."""
     people = {}
     project = {}
     total = vector_sum()
@@ -404,7 +410,7 @@ def reference_report(scores, period):
         total = vector_sum(total, score.delta)
     profiles = sorted(
         (
-            ContributorProfile(contributor, vector_sum(*periods.values()), dict(sorted(periods.items())), commits)
+            ContributorProfile(contributor, vector_sum(*periods.values()), by_time(periods), commits)
             for contributor, commits, periods in people.values()
         ),
         key=lambda p: (-(p.total[Level.C1] + p.total[Level.C2]), -sum(p.total), p.contributor.anon_id),
@@ -420,7 +426,7 @@ def reference_report(scores, period):
         generated_at=max((s.timestamp for s in scores), default=0),
         period=period,
         project_total=total,
-        project_by_period=dict(sorted(project.items())),
+        project_by_period=by_time(project),
         profiles=tuple(kept),
         excluded_total=excluded,
         top_contributor=top,
@@ -444,7 +450,9 @@ scores_strategy = st.lists(
         CommitScore,
         sha=st.just("f" * 40),
         contributor=st.sampled_from([ALICE, ALICE_UPPER, BOB, BOT]),
-        timestamp=st.one_of(month_edges, st.integers(min_value=-2_208_988_800, max_value=4_102_444_800)),
+        # 1900-2100, where time order is string order, and year 1 to past year 12000, where it is not
+        timestamp=st.one_of(month_edges, st.integers(min_value=-2_208_988_800, max_value=4_102_444_800),
+                            st.integers(min_value=-62_135_596_800, max_value=316_592_409_600)),
         delta=st.tuples(*[st.integers(min_value=0, max_value=3)] * 6),
         files_analyzed=st.integers(min_value=0, max_value=3),
         files_skipped=st.integers(min_value=0, max_value=2),
