@@ -6,14 +6,14 @@ Subcommands:
 
 Exit codes: 0 success, 2 repository or usage error, 3 catalog error, 4 I/O
 error, 5 parse failure and 6 no source text (classify only).  Progress goes
-to stderr; machine output goes to files or stdout only.
+to stderr; machine output goes to files or stdout only.  `store` alone
+decides whether a history uses the analysis store, and under which key.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import logging
 import re
@@ -98,22 +98,13 @@ def _one_by_one(blobs: list[tuple[str, bytes | None]]) -> Iterator[tuple[str, by
                 yield oid, data, stored
 
 
-def _cells_key(identity: str, catalog: Catalog) -> str:
-    """What the cells of a tip depend on besides the tip and the store's own
-    code: the walk's key, the catalog's kind -> level table, and the code
-    that folds blob analyses into cells."""
-    digest = hashlib.sha256(f"{history.walk_key(identity)} {sorted(catalog.levels.items())}".encode("utf-8"))
-    for name in ("cli.py", "catalog.py"):
-        digest.update(Path(__file__).with_name(name).read_bytes())
-    return digest.hexdigest()[:16]
-
-
 def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) -> Cells:
     """The cells of the history of the repository at `source` under `catalog`.
 
     The analysis store keeps the cells of each tip it has seen, so a re-run
     on an unchanged history reads them and starts no ``git log`` and no
-    ``git cat-file``.  Any other run walks the whole history with git, which
+    ``git cat-file``; the store alone decides whether a history uses it and
+    under which key.  Any other run walks the whole history with git, which
     names each blob once, while it goes on.  The store answers for the blobs
     an earlier run analyzed, and one ``git cat-file`` reads the others, each
     analyzed as git reads it: here at one job; with more, by worker
@@ -124,10 +115,8 @@ def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) ->
     the commits are scored from them and the scores fold into cells.  The
     new analyses and the cells go into the store, except what holds only
     for this run: a blob this repository lacks, or a verdict that tells of
-    this run rather than of the blob, which keeps the cells out too.  A
-    repository whose replace refs or grafts rewrite what an id names runs
-    without the store.  One line on stderr sums up where the blobs' analyses
-    and the commits came from.
+    this run rather than of the blob, which keeps the cells out too.  A line
+    on stderr sums up where the blobs' analyses and the commits came from.
     """
     # imported here, as the process pool: sqlite3 and the pool's modules
     # would add 1.5 and 2.5 MB to the peak memory of every process that
@@ -139,7 +128,6 @@ def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) ->
     new: list[tuple[str, Stored]] = []  # the analyses to store
     skipped: Counter = Counter()  # reason -> blobs
     from_store = 0
-    cells = None
     entry = entry_folder(catalog)
 
     def keep(oid: str, stored: Stored) -> None:
@@ -174,22 +162,16 @@ def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) ->
 
     with contextlib.ExitStack() as stack:
         with prepare_repo(RepoSpec(source)) as repo:
-            # replace refs make git read another blob's bytes for a blob id, and
-            # grafts another history for a commit id: neither may be kept by id
-            store = None if repo.rewritten else AnalysisStore.open()
-            if store is not None:
-                stack.callback(store.close)
-                key = _cells_key(identity, catalog)
-                cells = store.cells(key, repo.tip)
+            store = stack.enter_context(contextlib.closing(AnalysisStore.open(repo, identity, catalog)))
+            cells = store.cells()
             git = pool = None  # git cat-file and the workers, once a blob is to be read
             chunk, size = [], 0
             for oids in walk_history(repo, commits, identity=identity) if cells is None else ():  # stored cells: no walk
-                if store is not None:
-                    found = store.lookup(oids)
-                    for oid, stored in found.items():
-                        keep(oid, stored)
-                    from_store += len(found)
-                    oids = [oid for oid in oids if oid not in found]
+                found = store.lookup(oids)
+                for oid, stored in found.items():
+                    keep(oid, stored)
+                from_store += len(found)
+                oids = [oid for oid in oids if oid not in found]
                 if oids and git is None:
                     if jobs > 1:
                         from concurrent.futures import ProcessPoolExecutor
@@ -227,10 +209,9 @@ def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) ->
                     analyzed(oid, data, stored)
         if cells is None:
             cells = fold(score_blobs(commit, memo) for commit in commits)
-            if store is not None:
-                store.add(new)
-                if len(new) == len(memo) - from_store:  # every analysis holds for any run
-                    store.keep_cells(key, repo.tip, cells)
+            store.add(new)
+            if len(new) == len(memo) - from_store:  # every analysis holds for any run
+                store.keep_cells(cells)
 
     reasons = ", ".join(f"{count} {reason}" for reason, count in sorted(skipped.items())) or "none"
     log.info(
@@ -238,7 +219,7 @@ def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) ->
         "commits: %d from git log, %d from stored cells; %s",
         len(memo), len(memo) - from_store, from_store, reasons, len(commits),
         0 if commits else sum(sum(rows[8::CELL]) for _, rows in cells.values()),
-        "no store" if store is None else f"store: {store.path}",
+        f"store: {store.path}" if store.path else "no store",
     )
     return cells
 

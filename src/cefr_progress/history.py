@@ -14,13 +14,12 @@ CommitRecords with before/after texts.  No git process outlives the call
 that starts it.
 
 A commit id fixes its whole first-parent ancestry, so the walk below a
-commit is the same on every run.  `walk_key` names what else changes
-``git log``'s answer: the identity mode, the source of this module and
-git's version.  Together with the tip, the newest non-merge commit of the
-chain, it keys the cells the analysis store keeps of a walk.  The config
-settings that would change ``git log``'s answer (``log.showRoot``,
-``diff.renameLimit``, ``i18n.logOutputEncoding``, ``log.showSignature``)
-are pinned on its command line.
+commit is the same on every run of the same code, git and identity mode.
+`store` alone decides whether the analysis store keeps a walk's cells, and
+keys them by those three and the tip, the newest non-merge commit of the
+chain.  The config settings that would change ``git log``'s answer
+(``log.showRoot``, ``diff.renameLimit``, ``i18n.logOutputEncoding``,
+``log.showSignature``) are pinned on its command line.
 
 Identity and ordering decisions:
 
@@ -364,15 +363,6 @@ def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]
             header, entries = (field, next(fields), next(fields), next(fields)), []
     if header is not None:
         yield header, entries
-
-
-def walk_key(identity: str) -> str:
-    """What the walk of a tip depends on besides the tip: the identity mode,
-    the rules of this module (`_change` among them) and git's version."""
-    digest = hashlib.sha256(identity.encode("ascii"))
-    digest.update(Path(__file__).read_bytes())
-    digest.update(_run_git("--version").stdout.encode("utf-8"))
-    return digest.hexdigest()[:16]
 
 
 def walk_history(repo: Repo, commits: list[CommitBlobs], *, identity: str = "author") -> Iterator[list[str]]:

@@ -10,9 +10,11 @@ importing them, the stored form's own key and the store's schema, so a
 file that other code wrote has another name and is never read.
 
 The same file keeps the cells of each history it was asked to keep, one
-row per contributor under the history's tip and a key, each with a
+row per contributor under the history's tip and `cells_key`, each with a
 SHA-256 digest of the row and the tip's number of rows, which is checked
-before any of the tip's cells is used.
+before any of the tip's cells is used.  This module alone decides whether
+a history uses the store, and under which key: a history that replace
+refs or grafts rewrite gets a store without a file, which does nothing.
 
 Nothing read from the store is trusted.  A store that cannot be opened, read
 or written, a file that is no store, a row that is no stored form, cells
@@ -33,8 +35,9 @@ import sys
 from array import array
 from pathlib import Path
 
-from . import scoring
-from .history import ContributorId, cache_root
+from . import history, scoring
+from .catalog import Catalog
+from .history import ContributorId, Repo, cache_root
 from .scoring import Cells, Stored, is_stored
 
 log = logging.getLogger(__name__)
@@ -50,6 +53,8 @@ SCHEMA = (
 )
 #: The source files whose code makes a stored form.
 CODE = (Path(__file__).with_name("analyzer.py"), Path(scoring.__file__))
+#: The source files whose code makes a history's cells: the walk, the catalog, the fold and their encoding.
+CELLS_CODE = tuple(Path(__file__).with_name(name) for name in ("history.py", "catalog.py", "cli.py", "store.py"))
 
 
 def store_path() -> Path:
@@ -63,6 +68,17 @@ def store_path() -> Path:
         digest.update(path.read_bytes())
     name = f"{sys.implementation.cache_tag}-{digest.hexdigest()[:16]}.sqlite3"
     return cache_root() / "analysis" / name
+
+
+def cells_key(identity: str, catalog: Catalog) -> str:
+    """What a tip's cells depend on besides the tip and the store file's own
+    code: the identity mode, git's version, the catalog's kind -> level table
+    and the code that walks the history and folds analyses into cells."""
+    digest = hashlib.sha256(f"{identity} {sorted(catalog.levels.items())}".encode("utf-8"))
+    digest.update(history._run_git("--version").stdout.encode("utf-8"))
+    for path in CELLS_CODE:
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 def _digest(rows: int, row: tuple[bytes, ...]) -> str:
@@ -104,42 +120,45 @@ def _connect(path: Path) -> sqlite3.Connection:
 
 
 class AnalysisStore:
-    """An open store: looks up the stored forms of blob ids, and adds new ones.
+    """An open store: looks up the stored forms of blob ids, adds new ones,
+    and keeps one history's cells.  Without a file it does nothing, and after
+    its first failure it warns once and does nothing more."""
 
-    After its first failure it warns once and does nothing more.
-    """
-
-    def __init__(self, path: Path, connection: sqlite3.Connection):
+    def __init__(self, path: Path | None = None, connection: sqlite3.Connection | None = None, at=("", "")):
         self.path = path
-        self._connection: sqlite3.Connection | None = connection
+        self._connection = connection
+        self._at = at  # the key and the tip of the history's cells
         self._warned = False  # of a row that is no stored form
 
     @classmethod
-    def open(cls) -> "AnalysisStore | None":
-        """The store of this interpreter and this code, or None, after one
-        warning, when there can be none."""
+    def open(cls, repo: Repo, identity: str, catalog: Catalog) -> "AnalysisStore":
+        """The store of this code for the history of `repo` under `identity` and
+        `catalog`: one without a file when replace refs or grafts rewrite `repo`
+        and, after one warning, when there can be none.  Raises RepoError when
+        `repo` has no commit."""
+        if repo.rewritten:
+            return cls()
         try:
             path = store_path()
             path.parent.mkdir(parents=True, exist_ok=True)
+            at = (cells_key(identity, catalog), repo.tip)  # the tip's RepoError before any connection
+            return cls(path, _connect(path), at)
         except (OSError, RuntimeError) as exc:
             log.warning("running without the analysis store: %s", exc)
-            return None
-        try:
-            return cls(path, _connect(path))
         except sqlite3.OperationalError as exc:  # unreadable, locked too long, ...
             log.warning("running without the analysis store %s: %s", path, exc)
-            return None
         except sqlite3.DatabaseError as exc:  # no database, a damaged one, or another schema
             try:
                 aside = _set_aside(path)
-                store = cls(path, _connect(path))
+                store = cls(path, _connect(path), at)
             except (OSError, sqlite3.Error) as again:
                 log.warning("running without the analysis store: %s is no store (%s), "
                             "and no new one can take its place: %s", path, exc, again)
-                return None
-            log.warning("%s was no analysis store (%s): moved it to %s and started a new one",
-                        path, exc, aside.name)
-            return store
+            else:
+                log.warning("%s was no analysis store (%s): moved it to %s and started a new one",
+                            path, exc, aside.name)
+                return store
+        return cls()
 
     def _fail(self, exc: sqlite3.Error) -> None:
         log.warning("going on without the analysis store %s: %s", self.path, exc)
@@ -191,15 +210,15 @@ class AnalysisStore:
         except sqlite3.Error as exc:
             self._fail(exc)
 
-    def cells(self, key: str, tip: str) -> Cells | None:
-        """The cells stored under `key` for `tip`, once each row's digest is its
-        own; None when there are none, and after one warning when they are damaged."""
+    def cells(self) -> Cells | None:
+        """The history's stored cells, once each row's digest is its own; None
+        when there are none, and after one warning when they are damaged."""
         if self._connection is None:
             return None
         try:  # one statement, so that another run's write is never seen in part
             rows = self._connection.execute(
                 "SELECT digest, CAST(anon_id AS BLOB), CAST(name AS BLOB), CAST(email AS BLOB), CAST(cells AS BLOB) "
-                "FROM cells WHERE key = ? AND tip = ?", (key, tip)).fetchall()
+                "FROM cells WHERE key = ? AND tip = ?", self._at).fetchall()
         except sqlite3.Error as exc:
             self._fail(exc)
             return None
@@ -207,11 +226,11 @@ class AnalysisStore:
             return {anon.decode(): (ContributorId(name.decode(), email.decode(), anon.decode()), array("q", cells))
                     for _, anon, name, email, cells in rows} or None  # no rows: none are stored
         log.warning("the analysis store %s holds damaged cells for %s: walking the history with git",
-                    self.path, tip)
+                    self.path, self._at[1])
         return None
 
-    def keep_cells(self, key: str, tip: str, cells: Cells) -> None:
-        """Store `cells` under `key` for `tip`, in the place of any stored there."""
+    def keep_cells(self, cells: Cells) -> None:
+        """Store `cells` as the history's, in the place of any stored for it."""
         if self._connection is None:
             return
         try:
@@ -222,9 +241,9 @@ class AnalysisStore:
         try:
             with self._connection:  # commits, or rolls back on an exception
                 self._connection.execute("BEGIN IMMEDIATE")
-                self._connection.execute("DELETE FROM cells WHERE key = ? AND tip = ?", (key, tip))
+                self._connection.execute("DELETE FROM cells WHERE key = ? AND tip = ?", self._at)
                 self._connection.executemany("INSERT INTO cells VALUES (?, ?, ?, ?, ?, ?, ?)",
-                                             [(key, tip, *row, _digest(len(people), row)) for row in people])
+                                             [(*self._at, *row, _digest(len(people), row)) for row in people])
         except sqlite3.Error as exc:
             self._fail(exc)
 

@@ -7,18 +7,15 @@ of its own, as ``tests/analyzer_ab.py`` does, and runs the steps of
 ``analyze`` on the repository at REPO in this process at ``--jobs`` jobs:
 ``history``, the call that reads the history (``cli._analyze_history``),
 ``report``, the call that makes the report of what it read, and
-``emit_json``, ``emit_csv`` and ``emit_html``.  A checkout whose
-``scoring`` has ``finish`` keeps each history's cells in the analysis
-store: its ``history`` stage reads them and its ``report`` stage is
-``finish``.  Any other checkout keeps the history walk: its ``history``
-stage reads the walk and looks up each blob's analysis, and its
-``report`` stage scores the commits and calls ``build_report``.  Then
-each run times one whole ``python -m cefr_progress analyze`` of each
-checkout in a child process (the ``cli`` row), whose start-up and imports
-the in-process stages do not show.  The analysis store lives in a
-temporary cache root, and one untimed run of each checkout fills it, so
-every timed run is warm.  The checkouts take turns, and which goes first
-alternates from run to run.  It prints each stage's median and quartile
+``emit_json``, ``emit_csv`` and ``emit_html``.  Each checkout keeps each
+history's cells in the analysis store: its ``history`` stage reads them
+and its ``report`` stage is ``scoring.finish``.  Then each run times one
+whole ``python -m cefr_progress analyze`` of each checkout in a child
+process (the ``cli`` row), whose start-up and imports the in-process
+stages do not show.  The analysis store lives in a temporary cache root,
+and one untimed run of each checkout fills it, so every timed run is
+warm.  The checkouts take turns, and which goes first alternates from run
+to run.  It prints each stage's median and quartile
 seconds per checkout, the change/parent ratio of the medians, and the
 runs in which the change took less time than the parent.  A gain holds
 when the change wins at least nine runs in ten and the medians differ by
@@ -68,12 +65,7 @@ def run(package, repo: str, period: str, top: int, jobs: int, out: Path) -> dict
     times["history"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    if hasattr(scoring, "finish"):  # `read` is the history's cells
-        built = scoring.finish(read, repo=repo, period=scoring.Granularity(period))
-    else:  # `read` is the commits and the memo entry of each blob they name
-        commits, memo = read
-        built = scoring.build_report((scoring.score_blobs(commit, memo) for commit in commits), repo=repo,
-                                     period=scoring.Granularity(period))
+    built = scoring.finish(read, repo=repo, period=scoring.Granularity(period))
     times["report"] = time.perf_counter() - start
 
     out.mkdir(parents=True, exist_ok=True)

@@ -393,3 +393,34 @@ def test_a_store_damaged_past_its_schema_is_moved_aside_mid_run(big_repo, tmp_pa
         analyzed.clear()
         assert analyze(big_repo, tmp_path / "again") == before
         assert len(analyzed) == analyses
+
+
+def test_the_cells_key_changes_with_each_of_its_inputs(tmp_path, monkeypatch):
+    assert [path.name for path in store.CELLS_CODE] == ["history.py", "catalog.py", "cli.py", "store.py"]
+    copies = tuple(tmp_path / path.name for path in store.CELLS_CODE)
+    for path, copy in zip(store.CELLS_CODE, copies):
+        copy.write_bytes(path.read_bytes())
+    monkeypatch.setattr(store, "CELLS_CODE", copies)
+    version = [history._run_git("--version").stdout]
+
+    def run_git(*args):
+        assert args == ("--version",)
+        return subprocess.CompletedProcess(["git", *args], 0, version[0], "")
+
+    monkeypatch.setattr(history, "_run_git", run_git)
+    key = store.cells_key("author", CATALOG)
+    # the table decides, not the version that names it
+    assert store.cells_key("author", catalog.Catalog("relabelled", dict(CATALOG.levels))) == key
+    changed = [store.cells_key("committer", CATALOG),
+               store.cells_key("author", catalog.Catalog(CATALOG.version,
+                                                         {**CATALOG.levels, "if_statement": catalog.Level.C2}))]
+    for copy in copies:
+        source = copy.read_bytes()
+        copy.write_bytes(source + b"\n")
+        changed.append(store.cells_key("author", CATALOG))
+        copy.write_bytes(source)
+    git_version, version[0] = version[0], "git version 0.0.1\n"
+    changed.append(store.cells_key("author", CATALOG))
+    assert key not in changed and len(set(changed)) == len(changed) == 7
+    version[0] = git_version
+    assert store.cells_key("author", CATALOG) == key  # the same inputs again

@@ -4,6 +4,7 @@ the history with git; stored cells in any state change no report."""
 
 import concurrent.futures
 import contextlib
+import gc
 import json
 import logging
 import multiprocessing
@@ -16,6 +17,7 @@ import pytest
 
 import cefr_progress
 from cefr_progress import history, scoring, store
+from cefr_progress.catalog import default_catalog
 from cefr_progress.cli import main
 from cefr_progress.history import ContributorId, RepoSpec, prepare_repo
 from cefr_progress.scoring import CommitScore, fold
@@ -324,18 +326,39 @@ def _cells(people: int):
                             (i, 0, 1, 0, 0, 2), 1, 0) for i in range(people))
 
 
-def test_two_runs_writing_one_walk_leave_it_whole():
-    first, second = store.AnalysisStore.open(), store.AnalysisStore.open()
+def test_two_runs_writing_one_walk_leave_it_whole(linear_repo):
+    repo = prepare_repo(RepoSpec(str(linear_repo)))
+    catalog = default_catalog()
+    first, second = (store.AnalysisStore.open(repo, "author", catalog) for _ in range(2))
     try:
         many, few = _cells(300), _cells(20)
-        first.keep_cells("key", "tip", many)
-        second.keep_cells("key", "tip", few)
-        assert {anon: (who, list(cells)) for anon, (who, cells) in first.cells("key", "tip").items()} == few
+        first.keep_cells(many)
+        second.keep_cells(few)
+        assert {anon: (who, list(cells)) for anon, (who, cells) in first.cells().items()} == few
         with contextlib.closing(sqlite3.connect(store.store_path())) as connection:
-            assert connection.execute("SELECT tip, count(*) FROM cells GROUP BY tip").fetchall() == [("tip", 20)]
+            assert connection.execute("SELECT tip, count(*) FROM cells GROUP BY tip").fetchall() == [(repo.tip, 20)]
     finally:
         first.close()
         second.close()
+
+
+def test_a_repository_with_no_commit_keeps_no_cells_and_leaves_no_connection(linear_repo, tmp_path, monkeypatch,
+                                                                              caplog):
+    analyze(linear_repo, tmp_path / "first")  # the store exists, with one tip's cells
+    with contextlib.closing(sqlite3.connect(store.store_path())) as connection:
+        rows = connection.execute("SELECT count(*) FROM cells").fetchone()
+    connections = []
+    connect = store._connect
+    monkeypatch.setattr(store, "_connect", lambda path: connections.append(connect(path)) or connections[-1])
+    empty = GitFixture(tmp_path / "empty")
+    assert main(["analyze", str(empty.path), "--out", str(tmp_path / "empty-out")]) == 2
+    assert "has no non-merge commits" in caplog.text
+    with contextlib.closing(sqlite3.connect(store.store_path())) as connection:
+        assert connection.execute("SELECT count(*) FROM cells").fetchone() == rows
+    for connection in connections:
+        with pytest.raises(sqlite3.ProgrammingError):  # closed
+            connection.execute("SELECT 1")
+    gc.collect()  # an unclosed connection would warn here, from Python 3.13 on, and fail the test
 
 
 def rewritten(fixture, rewrite, undo, tmp_path, monkeypatch, started, caplog) -> None:
