@@ -19,7 +19,6 @@ import logging
 import re
 import sys
 from collections import Counter, deque
-from collections.abc import Iterator
 from pathlib import Path
 
 from .catalog import Catalog, CatalogError, load_catalog, LEVEL_LABELS
@@ -27,8 +26,8 @@ from . import history
 from .history import CommitBlobs, RepoError, RepoSpec, prepare_repo, walk_history
 from .report import write_report_bundle
 from .scoring import (
-    CELL, DEFAULT_BOT_PATTERNS, Cells, Entry, Granularity, Stored, blob_analysis, entry_folder, finish, fold,
-    is_lasting, score_blobs,
+    CELL, DEFAULT_BOT_PATTERNS, PASSING, Cells, Entry, Granularity, Stored, blob_analysis, entry_folder, finish,
+    fold, score_blobs,
 )
 
 log = logging.getLogger("cefr_progress")
@@ -78,26 +77,6 @@ def _analyses(blobs: list[tuple[str, bytes | None]]) -> list[Stored]:
     return [blob_analysis(data) for _, data in blobs]
 
 
-def _one_by_one(blobs: list[tuple[str, bytes | None]]) -> Iterator[tuple[str, bytes | None, Stored]]:
-    """(blob id, bytes, stored form) of each of `blobs`, each analyzed as a task
-    of its own by one worker process.  A blob whose worker dies is skipped as
-    ``BrokenProcessPool``, and a fresh worker takes the next."""
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    rest = deque(blobs)
-    while rest:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            while rest:
-                oid, data = rest.popleft()
-                try:
-                    (stored,) = pool.submit(_analyses, [(oid, data)]).result()
-                except BrokenProcessPool as exc:
-                    yield oid, data, type(exc).__name__
-                    break
-                yield oid, data, stored
-
-
 def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) -> Cells:
     """The cells of the history of the repository at `source` under `catalog`.
 
@@ -109,14 +88,16 @@ def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) ->
     an earlier run analyzed, and one ``git cat-file`` reads the others, each
     analyzed as git reads it: here at one job; with more, by worker
     processes, which get raw blob bytes in small chunks and return stored
-    forms.  ``cat-file`` and the workers start at the first blob the store
-    lacks, the workers first.  A chunk whose worker died is analyzed again
-    one blob per task.  Stored forms fold into memo entries under `catalog`,
-    the commits are scored from them and the scores fold into cells.  The
-    new analyses and the cells go into the store, except what holds only
-    for this run: a blob this repository lacks, or a verdict that tells of
-    this run rather than of the blob, which keeps the cells out too.  A line
-    on stderr sums up where the blobs' analyses and the commits came from.
+    forms.  ``cat-file`` starts at the first blob the store lacks, and each
+    pool after it, so that each pool shuts down before ``cat-file``'s input
+    closes.  The chunks in flight when a worker dies are analyzed again one
+    blob per task in fresh pools, and a blob whose worker dies is skipped.
+    Stored forms fold into memo entries under `catalog`, the commits are
+    scored from them and the scores fold into cells.  The new analyses and
+    the cells go into the store, except what holds only for this run: a blob
+    this repository lacks, or a verdict that tells of this run rather than
+    of the blob, which keeps the cells out too.  A line on stderr sums up
+    where the blobs' analyses and the commits came from.
     """
     # imported here, as the process pool: sqlite3 and the pool's modules
     # would add 1.5 and 2.5 MB to the peak memory of every process that
@@ -138,27 +119,52 @@ def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) ->
     def analyzed(oid: str, data: bytes | None, stored: Stored) -> None:
         keep(oid, stored)
         # no data: the id names no blob in this repository
-        if data is not None and is_lasting(stored):
+        if data is not None and stored not in PASSING:
             new.append((oid, stored))
 
     sent: deque = deque()  # ((blob id, bytes) pairs, future of their stored forms), oldest first
-    lost: list[tuple[str, bytes | None]] = []  # the blobs of chunks whose worker died
 
     def send(chunk: list[tuple[str, bytes | None]]) -> None:
         try:
             sent.append((chunk, pool.submit(_analyses, chunk)))
         except BrokenProcessPool:
-            lost.extend(chunk)
+            rescue(chunk)
 
-    def collect() -> None:
-        chunk, future = sent.popleft()
+    def took(chunk: list[tuple[str, bytes | None]], future) -> bool:
+        """Whether `future` gave the stored forms of `chunk`, which are kept, before its pool broke."""
         try:
             analyses = future.result()
         except BrokenProcessPool:
-            lost.extend(chunk)
-            return
+            return False
         for (oid, data), stored in zip(chunk, analyses):
             analyzed(oid, data, stored)
+        return True
+
+    def collect() -> None:
+        chunk, future = sent.popleft()
+        if not took(chunk, future):
+            rescue(chunk)
+
+    def rescue(chunk: list[tuple[str, bytes | None]]) -> None:
+        """Analyze the blobs of `chunk` and of each chunk in flight that the broken pool lost, one per task."""
+        nonlocal pool
+        lost = deque(chunk)
+        while sent:
+            chunk, future = sent.popleft()
+            if not took(chunk, future):
+                lost.extend(chunk)
+        while True:  # until a pool outlives the lost blobs, to take the walk's next chunks
+            pool.shutdown()  # so that none of its threads runs while the next pool forks
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            with contextlib.suppress(BrokenProcessPool):  # from submit: no verdict on the blob
+                while lost:
+                    future = pool.submit(_analyses, [lost[0]])
+                    blob = lost.popleft()
+                    if not took([blob], future):  # its worker died
+                        analyzed(*blob, BrokenProcessPool.__name__)
+                        break
+                else:
+                    return
 
     with contextlib.ExitStack() as stack:
         with prepare_repo(RepoSpec(source)) as repo:
@@ -173,21 +179,13 @@ def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) ->
                 from_store += len(found)
                 oids = [oid for oid in oids if oid not in found]
                 if oids and git is None:
+                    git = stack.enter_context(repo.cat_file())  # before any pool, which the stack then ends first
                     if jobs > 1:
                         from concurrent.futures import ProcessPoolExecutor
                         from concurrent.futures.process import BrokenProcessPool
 
                         from . import analyzer  # noqa: F401  (imported before the fork, so no worker compiles it)
                         pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-                        # Under the fork start method the first task forks every
-                        # worker.  Forked before cat-file starts, no worker holds
-                        # its input open, which would keep git from ever seeing
-                        # its end.  A worker inherits git log's output and the
-                        # store's sqlite connection; it uses neither, the walk
-                        # kills git log if it stops early, and a worker exits by
-                        # os._exit, which runs no finalizer.
-                        pool.submit(int)
-                    git = stack.enter_context(repo.cat_file())
                 for oid, data in history.ask(git, oids):
                     if pool is None:
                         analyzed(oid, data, blob_analysis(data))
@@ -203,10 +201,6 @@ def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) ->
                 send(chunk)
             while sent:
                 collect()
-            if lost:  # the workers of the pools below inherit cat-file's input, and end before it closes
-                pool.shutdown()  # so that none of its threads runs while the next pool forks
-                for oid, data, stored in _one_by_one(lost):
-                    analyzed(oid, data, stored)
         if cells is None:
             cells = fold(score_blobs(commit, memo) for commit in commits)
             store.add(new)

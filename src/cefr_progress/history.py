@@ -342,27 +342,30 @@ def _change(
 
 
 def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]]:
-    """((sha, time, name, email), [(status, paths, old blob id, new blob id)]) per
-    commit of ``git log --raw -z`` with four NUL-separated format fields.
+    """((sha, time, name, email), [(path, old blob id, new blob id)]) per commit of
+    ``git log --raw -z`` with four NUL-separated format fields: the commit's
+    .py changes, each as `_change` makes it from one raw entry.
 
     Each field, raw entry and unquoted path ends in NUL.  A raw entry starts with ":"
     ("\\n:" for a commit's first) and is followed by its one or two paths.  Any
     other field starts a header of four fields, empty ones included.
     """
-    header, entries = None, []
+    header, changes = None, []
     for field in fields:
         entry = field.lstrip(b"\n")
         if entry.startswith(b":"):
             old_mode, new_mode, old_oid, new_oid, status = entry[1:].decode("ascii").split()
             paths = [next(fields).decode("utf-8", errors="surrogateescape")
                      for _ in range(2 if status[0] in "RC" else 1)]
-            entries.append((status[0], paths, _side(old_mode, old_oid), _side(new_mode, new_oid)))
+            change = _change(status[0], paths, _side(old_mode, old_oid), _side(new_mode, new_oid))
+            if change is not None:
+                changes.append(change)
         else:
             if header is not None:
-                yield header, entries
-            header, entries = (field, next(fields), next(fields), next(fields)), []
+                yield header, changes
+            header, changes = (field, next(fields), next(fields), next(fields)), []
     if header is not None:
-        yield header, entries
+        yield header, changes
 
 
 def walk_history(repo: Repo, commits: list[CommitBlobs], *, identity: str = "author") -> Iterator[list[str]]:
@@ -391,12 +394,7 @@ def walk_history(repo: Repo, commits: list[CommitBlobs], *, identity: str = "aut
     named: set[str | None] = {None}  # every blob id named, and the absent side
     wanted: list[str] = []  # blob ids named and not yet yielded
     with contextlib.closing(fields):
-        for header, entries in _raw_log(fields):
-            changes = []
-            for status, paths, old, new in entries:
-                change = _change(status, paths, old, new)
-                if change is not None:
-                    changes.append(change)
+        for header, changes in _raw_log(fields):
             for _, old, new in changes:
                 for oid in (old, new):
                     if oid not in named:

@@ -149,12 +149,6 @@ def blob_analysis(data: bytes | None) -> Stored:
     return NO_TEXT if text is None else source_analysis(text)
 
 
-def is_lasting(stored: Stored) -> bool:
-    """Whether `stored`, the analysis of a blob that was read, holds for
-    that blob in any run, so that it may be kept for later runs."""
-    return stored not in PASSING
-
-
 def is_stored(value: object) -> bool:
     """Whether `value`, read back from outside this process, is a stored form."""
     if type(value) is bytes:

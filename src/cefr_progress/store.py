@@ -44,8 +44,6 @@ log = logging.getLogger(__name__)
 
 #: Seconds a run waits for another run's lock on the store.
 BUSY_TIMEOUT_S = 30.0
-#: Blob ids per lookup: far below any sqlite build's bound on parameters.
-_LOOKUP = 500
 SCHEMA = (
     "CREATE TABLE blobs (oid TEXT PRIMARY KEY, analysis) WITHOUT ROWID",
     "CREATE TABLE cells (key TEXT, tip TEXT, anon_id BLOB, name BLOB, email BLOB, cells BLOB, digest TEXT, "
@@ -168,30 +166,30 @@ class AnalysisStore:
                 _set_aside(self.path)
 
     def lookup(self, oids: list[str]) -> dict[str, Stored]:
-        """The stored form of each of `oids` that the store holds."""
+        """The stored form of each of `oids` that the store holds, in one query:
+        `oids` must stay below the sqlite build's bound on parameters (999 up
+        to sqlite 3.32), as one walk batch of `history._BATCH` ids does."""
+        if self._connection is None:
+            return {}
+        # text comes back as its bytes, so text that is no UTF-8 is one
+        # undecodable row rather than a failed query
+        query = ("SELECT oid, CAST(analysis AS BLOB), typeof(analysis) = 'text' FROM blobs "
+                 f"WHERE oid IN ({','.join('?' * len(oids))})")
+        try:
+            rows = self._connection.execute(query, oids).fetchall()
+        except sqlite3.Error as exc:
+            self._fail(exc)
+            return {}
         found: dict[str, Stored] = {}
-        for start in range(0, len(oids), _LOOKUP):
-            if self._connection is None:
-                break
-            batch = oids[start:start + _LOOKUP]
-            # text comes back as its bytes, so text that is no UTF-8 is one
-            # undecodable row rather than a failed query
-            query = ("SELECT oid, CAST(analysis AS BLOB), typeof(analysis) = 'text' FROM blobs "
-                     f"WHERE oid IN ({','.join('?' * len(batch))})")
-            try:
-                rows = self._connection.execute(query, batch).fetchall()
-            except sqlite3.Error as exc:
-                self._fail(exc)
-                break
-            for oid, value, text in rows:
-                if text:
-                    value = value.decode("utf-8", errors="replace")
-                if is_stored(value):
-                    found[oid] = value
-                elif not self._warned:
-                    log.warning("the analysis store %s holds a row that is no analysis, for blob %s: "
-                                "analyzing the blob again", self.path, oid)
-                    self._warned = True
+        for oid, value, text in rows:
+            if text:
+                value = value.decode("utf-8", errors="replace")
+            if is_stored(value):
+                found[oid] = value
+            elif not self._warned:
+                log.warning("the analysis store %s holds a row that is no analysis, for blob %s: "
+                            "analyzing the blob again", self.path, oid)
+                self._warned = True
         return found
 
     def add(self, rows: list[tuple[str, Stored]]) -> None:

@@ -287,7 +287,7 @@ def test_a_child_compiler_killed_by_a_signal_refuses_the_source(monkeypatch, sig
     assert scoring.source_analysis(FLAGGED) == stored
     assert compiled == []  # a crash is never compiled in this process
     # a crash holds for the source; the out-of-memory killer only for the run
-    assert scoring.is_lasting(stored) is (signal_name == "SIGSEGV")
+    assert (stored in scoring.PASSING) is (signal_name == "SIGKILL")
     assert analyze_source("x = 1\n", CATALOG).parse_ok  # not flagged: no child runs
 
 
@@ -305,7 +305,7 @@ def test_a_child_compiler_that_cannot_start_is_a_verdict_of_the_run(monkeypatch,
     assert not analyze_source(FLAGGED, CATALOG).parse_ok
     stored = scoring.source_analysis(FLAGGED)
     assert stored == "MemoryError"
-    assert not scoring.is_lasting(stored)
+    assert stored in scoring.PASSING
 
 
 @pytest.mark.parametrize("data, line", [

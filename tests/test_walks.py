@@ -1,6 +1,8 @@
 """Stored cells: a re-run on an unchanged history reads the report's cells
 and starts no git log, no git cat-file and no worker; any other run walks
-the history with git; stored cells in any state change no report."""
+the history with git; stored cells in any state change no report.  Worker
+pools start after git cat-file and shut down before it, and a dying worker
+costs only its blob."""
 
 import concurrent.futures
 import contextlib
@@ -12,11 +14,12 @@ import os
 import sqlite3
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import cefr_progress
-from cefr_progress import history, scoring, store
+from cefr_progress import cli, history, scoring, store
 from cefr_progress.catalog import default_catalog
 from cefr_progress.cli import main
 from cefr_progress.history import ContributorId, RepoSpec, prepare_repo
@@ -87,6 +90,20 @@ def launched(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(history, "_start_git", recording_start_git)
     return events
+
+
+@pytest.fixture
+def shutdowns(monkeypatch, started):
+    """At each worker pool's shutdown, whether every git cat-file the run started still runs."""
+    running = []
+    shutdown = concurrent.futures.process.ProcessPoolExecutor.shutdown
+
+    def recording_shutdown(self, *args, **kwargs):
+        running.append(all(proc.poll() is None for proc in started if proc.args[3] == "cat-file"))
+        shutdown(self, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.process.ProcessPoolExecutor, "shutdown", recording_shutdown)
+    return running
 
 
 def commands(procs) -> list[str]:
@@ -188,11 +205,13 @@ def test_each_identity_mode_has_its_own_walk(linear_repo, tmp_path, started, cap
     assert committer == cold(linear_repo, tmp_path / "cold", monkeypatch, "--identity", "committer")
 
 
-def test_a_warm_parallel_run_starts_no_worker_and_no_cat_file(linear_repo, tmp_path, monkeypatch, launched):
+def test_a_warm_parallel_run_starts_no_worker_and_no_cat_file(linear_repo, tmp_path, monkeypatch, launched,
+                                                              shutdowns):
     first = analyze(linear_repo, tmp_path / "cold", "--jobs", "2")
-    # the workers fork at the first blob the store lacks, before cat-file
-    # starts, so none holds its input open
-    assert launched == ["log", "pool", "cat-file"]
+    # cat-file starts at the first blob the store lacks, and the pool after
+    # it, which shuts down before cat-file's input closes
+    assert launched == ["log", "cat-file", "pool"]
+    assert shutdowns == [True]
 
     def refused(*args, **kwargs):
         raise AssertionError("a warm run started a worker pool or git cat-file")
@@ -223,8 +242,7 @@ def test_a_partly_warm_parallel_run_analyzes_only_the_blobs_the_store_lacks(line
     assert analyze(linear_repo, tmp_path / "partly-warm", "--jobs", "2") == first
     assert sorted(asked) == lacking
     assert summary(caplog).startswith("blobs: 6 named, 2 analyzed, 4 from the analysis store;")
-    # the workers fork before cat-file starts
-    assert launched == ["log", "pool", "cat-file"]
+    assert launched == ["log", "cat-file", "pool"]
 
 
 #: What a run that finds every analysis stored never runs, and so never imports
@@ -263,7 +281,7 @@ def test_a_cold_parallel_run_imports_the_analyzer_before_the_workers_fork(linear
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CheckingPool)
     analyze(linear_repo, tmp_path / "cold", "--jobs", "2")
-    assert launched == ["log", "pool", "cat-file"]
+    assert launched == ["log", "cat-file", "pool"]
     assert imported == [True]
 
 
@@ -514,6 +532,129 @@ def test_a_worker_that_dies_costs_only_its_blob(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(scoring, "source_analysis",
                         lambda source: "BrokenProcessPool" if source == DYING else source_analysis(source))
     assert cold(fixture.path, tmp_path / "serial", monkeypatch) == parallel
+
+
+#: Raw blob bytes per chunk in the tests below: two of `_small_module`'s
+#: sources, with any markers before them
+SMALL_CHUNK = 1500
+
+
+def _small_module(number: int, version: int) -> str:
+    """980-1000 bytes of source, two thirds of a chunk."""
+    return "".join(f"def f{number}_{version}_{i}(a):\n    return [a for _ in range({i})]\n" for i in range(20))
+
+
+def _many_chunks(path, first: list[str], last: list[str]) -> GitFixture:
+    """Three commits: the oldest adds 60 modules and a file at each of the
+    `last` paths, the next changes every module, and the newest adds a file
+    at each of the `first` paths.  The files hold markers, which git log
+    names first and last around 120 modules in about 60 chunks."""
+    fixture = GitFixture(path)
+    markers = iter(range(len(first) + len(last)))
+    for version, who, paths in ((0, ALICE, last), (1, BOB, ())):
+        for number in range(60):
+            fixture.write(f"m{number:02}.py", _small_module(number, version))
+        for marker in paths:
+            fixture.write(marker, f"{DYING}{next(markers)}\n")
+        fixture.commit(who, f"202{version}-01-01T00:00:00Z", f"version {version}")
+    for marker in first:
+        fixture.write(marker, f"{DYING}{next(markers)}\n")
+    fixture.commit(BOB, "2022-01-01T00:00:00Z", "markers")
+    return fixture
+
+
+@pytest.fixture
+def tasks(monkeypatch):
+    """The blob ids of each task a run submits to a worker pool, and the worker
+    count of each pool it makes, whose workers fork."""
+    submitted, widths = [], []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, max_workers, **kwargs):
+            widths.append(max_workers)
+            super().__init__(*args, max_workers=max_workers, mp_context=multiprocessing.get_context("fork"), **kwargs)
+
+        def submit(self, fn, *args):
+            submitted.extend([oid for oid, _ in blobs] for blobs in args)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", SMALL_CHUNK)
+    return submitted, widths
+
+
+@pytest.mark.parametrize("first, last", [(["a.py"], []), (["a.py", "b.py"], []), (["a.py"], ["z.py"])],
+                         ids=["one", "two_together", "two_apart"])
+def test_each_dying_worker_costs_only_its_blob_and_the_pool_is_replaced(tmp_path, monkeypatch, caplog, started,
+                                                                        shutdowns, tasks, first, last):
+    markers = first + last
+    fixture = _many_chunks(tmp_path / "repo", first, last)
+    blobs = {line.split()[0] for line in fixture.run("rev-list", "--objects", "--all").splitlines()
+             if line.endswith(".py")}
+    dying = {fixture.run("rev-parse", f"HEAD:{marker}").strip() for marker in markers}
+    source_analysis = scoring.source_analysis
+
+    def dies_on_marker(source):
+        if source.startswith(DYING):
+            os._exit(70)
+        return source_analysis(source)
+
+    added = []
+    add = store.AnalysisStore.add
+    monkeypatch.setattr(store.AnalysisStore, "add", lambda self, rows: added.extend(rows) or add(self, rows))
+    monkeypatch.setattr(scoring, "source_analysis", dies_on_marker)
+    parallel = analyze(fixture.path, tmp_path / "parallel", "--jobs", "2")
+    assert f"skipped: {len(markers)} BrokenProcessPool;" in summary(caplog)
+    # every other blob's analysis is kept once, whichever chunk held it
+    assert sorted(oid for oid, _ in added) == sorted(blobs - dying)
+    assert tips() == []  # a verdict of this run: no cells
+
+    submitted, widths = tasks
+    seen, again = set(), []  # again: the tasks of blobs sent before
+    for task in submitted:
+        if seen.intersection(task):
+            again.append(task)
+        seen.update(task)
+    # only the blobs of chunks in flight at a death are sent again, one per
+    # task: each marker breaks at most one pool of the walk, which then loses
+    # at most 4 * 2 + 1 chunks of two modules and the markers; and each death
+    # makes one fresh pool, as wide as the first
+    assert all(len(task) == 1 for task in again)
+    assert len(again) <= len(markers) * (1 + (4 * 2 + 1) * 2)
+    assert widths == [2] * len(widths) and len(widths) <= 1 + 2 * len(markers)
+    # the first marker is among the first blobs named, so most of the about 60
+    # chunks are sent whole after the first rescue
+    assert len(submitted[submitted.index(again[0]):]) - len(again) >= 20
+    # the run ended every git process and every worker, each pool before cat-file
+    assert all(proc.poll() is not None for proc in started)
+    assert multiprocessing.active_children() == []
+    assert len(shutdowns) >= len(widths) and all(shutdowns)
+
+    monkeypatch.setattr(scoring, "source_analysis",
+                        lambda source: "BrokenProcessPool" if source.startswith(DYING) else source_analysis(source))
+    assert cold(fixture.path, tmp_path / "serial", monkeypatch) == parallel
+
+
+def test_a_submit_to_a_broken_pool_is_no_verdict_on_its_blobs(linear_repo, tmp_path, monkeypatch, caplog, tasks):
+    submitted, widths = tasks
+    refused = []  # the blob ids of each task refused
+    submit = concurrent.futures.ProcessPoolExecutor.submit
+
+    def refusing_submit(self, fn, *args):
+        # the first chunk's submit and the first one-blob task's find their pool broken
+        if args and len(refused) < 2:
+            refused.append([oid for oid, _ in args[0]])
+            raise BrokenProcessPool("a worker died meanwhile")
+        return submit(self, fn, *args)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", refusing_submit)
+    parallel = analyze(linear_repo, tmp_path / "parallel", "--jobs", "2")
+    assert "BrokenProcessPool" not in summary(caplog)
+    assert len(tips()) == 1  # every analysis holds for any run: the cells are kept
+    # each refusal makes a fresh pool, which takes the same blob
+    assert refused[1] == submitted[0] == refused[0][:1]
+    assert widths == [2, 2, 2]
+    assert parallel == cold(linear_repo, tmp_path / "serial", monkeypatch)
 
 
 def test_a_commit_dated_past_an_int64_is_reported_and_keeps_no_cells(tmp_path):
