@@ -19,14 +19,15 @@ import logging
 import re
 import sys
 from collections import Counter, deque
+from collections.abc import Iterator
 from pathlib import Path
 
 from .catalog import Catalog, CatalogError, load_catalog, LEVEL_LABELS
 from . import history
-from .history import CommitBlobs, RepoError, RepoSpec, prepare_repo, walk_history
+from .history import ContributorId, RepoError, RepoSpec, prepare_repo, walk_history
 from .report import write_report_bundle
 from .scoring import (
-    CELL, DEFAULT_BOT_PATTERNS, PASSING, Cells, Entry, Granularity, Stored, blob_analysis, entry_folder, finish,
+    CELL, DEFAULT_BOT_PATTERNS, Cells, CommitScore, Entry, Granularity, Stored, blob_analysis, entry_folder, finish,
     fold, score_blobs,
 )
 
@@ -92,35 +93,33 @@ def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) ->
     pool after it, so that each pool shuts down before ``cat-file``'s input
     closes.  The chunks in flight when a worker dies are analyzed again one
     blob per task in fresh pools, and a blob whose worker dies is skipped.
-    Stored forms fold into memo entries under `catalog`, the commits are
-    scored from them and the scores fold into cells.  The new analyses and
-    the cells go into the store, except what holds only for this run: a blob
-    this repository lacks, or a verdict that tells of this run rather than
-    of the blob, which keeps the cells out too.  A line on stderr sums up
-    where the blobs' analyses and the commits came from.
+    Stored forms fold into memo entries under `catalog`.  Each commit folds
+    into the cells in walk order, newest first, once the memo holds its
+    blobs: only commits whose blobs are in a ``cat-file`` batch or a worker's
+    chunk wait, and each anon_id keeps the ContributorId of its last commit
+    folded, the oldest.  One store write keeps what holds for any run.  A
+    line on stderr sums up where the blobs' analyses and the commits came from.
     """
     # imported here, as the process pool: sqlite3 and the pool's modules
     # would add 1.5 and 2.5 MB to the peak memory of every process that
     # imports this module, `classify` and serial runs included
     from .store import AnalysisStore
 
-    commits: list[CommitBlobs] = []
     memo: dict[str, Entry] = {}
-    new: list[tuple[str, Stored]] = []  # the analyses to store
+    made: list[tuple[str, Stored | None]] = []  # this run's analyses, None for an id that names no blob
     skipped: Counter = Counter()  # reason -> blobs
-    from_store = 0
     entry = entry_folder(catalog)
+    waiting: deque = deque()  # the commits walked and not yet scored, newest first
+    oldest: dict[str, ContributorId] = {}  # anon_id -> the ContributorId of its last commit scored
 
-    def keep(oid: str, stored: Stored) -> None:
+    def remember(oid: str, stored: Stored) -> None:
         memo[oid] = entry(stored)
         if type(stored) is str and stored:
             skipped[stored] += 1
 
     def analyzed(oid: str, data: bytes | None, stored: Stored) -> None:
-        keep(oid, stored)
-        # no data: the id names no blob in this repository
-        if data is not None and stored not in PASSING:
-            new.append((oid, stored))
+        remember(oid, stored)
+        made.append((oid, None if data is None else stored))  # no data: the id names no blob in this repository
 
     sent: deque = deque()  # ((blob id, bytes) pairs, future of their stored forms), oldest first
 
@@ -166,53 +165,66 @@ def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) ->
                 else:
                     return
 
+    def scores(last: bool = False) -> Iterator[CommitScore]:
+        """The waiting commits' scores up to the first whose blobs the memo lacks; at the `last`, all, or KeyError."""
+        while waiting and (last or all(oid in memo for _, *sides in waiting[0].changes for oid in sides if oid)):
+            oldest[waiting[0].contributor.anon_id] = waiting[0].contributor
+            yield score_blobs(waiting.popleft(), memo)
+
+    def walk() -> Iterator[CommitScore]:
+        """The score of each commit of the history, newest first, as soon as the memo holds its blobs."""
+        nonlocal git, pool
+        for oids, commits in walk_history(repo, identity=identity):
+            waiting.extend(commits)
+            found = store.lookup(oids)
+            for oid, stored in found.items():
+                remember(oid, stored)
+            oids = [oid for oid in oids if oid not in found]
+            if oids and git is None:
+                git = stack.enter_context(repo.cat_file())  # before any pool, which the stack then ends first
+                if jobs > 1:
+                    from . import analyzer  # noqa: F401  (imported before the fork, so no worker compiles it)
+                    pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            chunk, size = [], 0
+            for oid, data in history.ask(git, oids):
+                if pool is None:
+                    analyzed(oid, data, blob_analysis(data))
+                    continue
+                chunk.append((oid, data))
+                size += len(data or b"")
+                if size >= _CHUNK_BYTES:
+                    send(chunk)
+                    chunk, size = [], 0
+                    if len(sent) > 4 * jobs:  # bounds the bytes waiting for a worker
+                        collect()
+            if chunk:  # a batch ends its chunk, and the chunks done are taken: commits wait on them
+                send(chunk)
+            while sent and sent[0][1].done():
+                collect()
+            yield from scores()
+        while sent:
+            collect()
+        yield from scores(last=True)
+
+    git = pool = None  # git cat-file and the workers, once a blob is to be read
     with contextlib.ExitStack() as stack:
         with prepare_repo(RepoSpec(source)) as repo:
             store = stack.enter_context(contextlib.closing(AnalysisStore.open(repo, identity, catalog)))
-            cells = store.cells()
-            git = pool = None  # git cat-file and the workers, once a blob is to be read
-            chunk, size = [], 0
-            for oids in walk_history(repo, commits, identity=identity) if cells is None else ():  # stored cells: no walk
-                found = store.lookup(oids)
-                for oid, stored in found.items():
-                    keep(oid, stored)
-                from_store += len(found)
-                oids = [oid for oid in oids if oid not in found]
-                if oids and git is None:
-                    git = stack.enter_context(repo.cat_file())  # before any pool, which the stack then ends first
-                    if jobs > 1:
-                        from concurrent.futures import ProcessPoolExecutor
-                        from concurrent.futures.process import BrokenProcessPool
+            cells = kept = store.cells()
+            if kept is None:  # no stored cells: walk
+                if jobs > 1:
+                    from concurrent.futures import ProcessPoolExecutor
+                    from concurrent.futures.process import BrokenProcessPool
+                cells = {anon: (oldest[anon], ints) for anon, (_, ints) in fold(walk()).items()}
+                store.keep(made, cells)
 
-                        from . import analyzer  # noqa: F401  (imported before the fork, so no worker compiles it)
-                        pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-                for oid, data in history.ask(git, oids):
-                    if pool is None:
-                        analyzed(oid, data, blob_analysis(data))
-                        continue
-                    chunk.append((oid, data))
-                    size += len(data or b"")
-                    if size >= _CHUNK_BYTES:
-                        send(chunk)
-                        chunk, size = [], 0
-                        if len(sent) > 4 * jobs:  # bounds the bytes waiting for a worker
-                            collect()
-            if chunk:
-                send(chunk)
-            while sent:
-                collect()
-        if cells is None:
-            cells = fold(score_blobs(commit, memo) for commit in commits)
-            store.add(new)
-            if len(new) == len(memo) - from_store:  # every analysis holds for any run
-                store.keep_cells(cells)
-
-    reasons = ", ".join(f"{count} {reason}" for reason, count in sorted(skipped.items())) or "none"
+    commits, files = (sum(sum(ints[column::CELL]) for _, ints in cells.values()) for column in (8, 10))
+    reasons = (f"{files} file{'s' * (files > 1)}, reasons not stored" if kept and files  # the cells keep no reasons
+               else ", ".join(f"{count} {reason}" for reason, count in sorted(skipped.items())))
     log.info(
         "blobs: %d named, %d analyzed, %d from the analysis store; skipped: %s; "
         "commits: %d from git log, %d from stored cells; %s",
-        len(memo), len(memo) - from_store, from_store, reasons, len(commits),
-        0 if commits else sum(sum(rows[8::CELL]) for _, rows in cells.values()),
+        len(memo), len(made), len(memo) - len(made), reasons or "none", *((0, commits) if kept else (commits, 0)),
         f"store: {store.path}" if store.path else "no store",
     )
     return cells

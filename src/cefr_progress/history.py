@@ -3,15 +3,15 @@
 Walks the default branch's first-parent chain of a repository in one pass.
 All repository access goes through the ``git`` executable: one
 ``git log --first-parent --no-merges --raw -z`` gives every change with its
-old and new blob ids and its paths verbatim.  `walk_history` records every
-commit as its changes' blob ids and, while ``git log`` still runs, names
-each distinct ``.py`` blob once, in bounded batches.  The caller reads the
-blobs it needs by id from one ``git cat-file --batch`` process with `ask`,
-so `analyze` keeps one vector per blob, never the texts, and starts
-``cat-file`` only when some blob is to be read.  `extract_commits` is the
-text view of the same walk: it reads and decodes each blob and gives
-CommitRecords with before/after texts.  No git process outlives the call
-that starts it.
+old and new blob ids and its paths verbatim.  `walk_history` hands over
+every commit as its changes' blob ids and, while ``git log`` still runs,
+names each distinct ``.py`` blob once, in bounded batches.  The caller
+reads the blobs it needs by id from one ``git cat-file --batch`` process
+with `ask`, so `analyze` keeps one vector per blob, never the texts, and
+starts ``cat-file`` only when some blob is to be read.  `extract_commits`
+is the text view of the same walk: it reads and decodes each blob and
+gives CommitRecords with before/after texts.  No git process outlives the
+call that starts it.
 
 A commit id fixes its whole first-parent ancestry, so the walk below a
 commit is the same on every run of the same code, git and identity mode.
@@ -27,7 +27,7 @@ Identity and ordering decisions:
   available as a mode); the anonymized ID is the first 8 hex digits of
   SHA-256 over the lowercased, trimmed email.
 * git's walk picks the non-merge commits of the first-parent chain, newest
-  first; each diffs against its one parent, and the records are oldest first.
+  first; each diffs against its one parent; text view records are oldest first.
 * Renames count as modifications with the before text taken from the old
   path; symlinks and submodules, whose blobs hold no source text, count as
   absent.  Other blobs go through `analyzer.blob_text`: one with a NUL byte is
@@ -110,7 +110,7 @@ class CommitRecord(NamedTuple):
 
 
 class CommitBlobs(NamedTuple):
-    """One non-merge commit as `walk_history` records it: each changed .py file
+    """One non-merge commit as `walk_history` hands it over: each changed .py file
     as (path, old blob id, new blob id), with None for a side that holds no
     blob (absent, a symlink or a submodule).  Paths follow FileChange."""
 
@@ -368,16 +368,16 @@ def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]
         yield header, changes
 
 
-def walk_history(repo: Repo, commits: list[CommitBlobs], *, identity: str = "author") -> Iterator[list[str]]:
+def walk_history(repo: Repo, *, identity: str = "author") -> Iterator[tuple[list[str], list[CommitBlobs]]]:
     """Walk the non-merge commits of the default branch's first-parent chain once.
 
     Yields each distinct .py blob id the changes name once, in lists of at
-    most `_BATCH` ids, while ``git log`` still runs; the caller reads the
-    blobs it needs with `ask`.  Fills the empty list `commits` with one
-    CommitBlobs per commit, oldest first once the walk ends.  A side with no
-    blob id (absent, a symlink or a submodule) is None in the changes and is
-    never yielded.  `identity` selects whether the author or the committer
-    is credited.
+    most `_BATCH` ids, while ``git log`` still runs, each with the CommitBlobs
+    of the commits walked since the list before, newest first, which may name
+    ids of a later list; the last list may be empty.  The caller reads the
+    blobs it needs with `ask`.  A side with no blob id (absent, a symlink or
+    a submodule) is None in the changes and is never yielded.  `identity`
+    selects whether the author or the committer is credited.
     """
     if identity not in ("author", "committer"):
         raise ValueError(f"identity must be 'author' or 'committer', not {identity!r}")
@@ -393,6 +393,7 @@ def walk_history(repo: Repo, commits: list[CommitBlobs], *, identity: str = "aut
     identities: dict[tuple[bytes, bytes], ContributorId] = {}
     named: set[str | None] = {None}  # every blob id named, and the absent side
     wanted: list[str] = []  # blob ids named and not yet yielded
+    commits: list[CommitBlobs] = []  # walked and not yet yielded
     with contextlib.closing(fields):
         for header, changes in _raw_log(fields):
             for _, old, new in changes:
@@ -407,11 +408,10 @@ def walk_history(repo: Repo, commits: list[CommitBlobs], *, identity: str = "aut
                 contributor = identities[name, email] = ContributorId.from_identity(*identity_text)
             commits.append(CommitBlobs(sha.decode("ascii"), contributor, int(time), tuple(changes)))
             while len(wanted) >= _BATCH:
-                yield wanted[:_BATCH]
+                yield wanted[:_BATCH], commits
                 del wanted[:_BATCH]
-    if wanted:
-        yield wanted
-    commits.reverse()  # git walks newest first
+                commits = []
+    yield wanted, commits
 
 
 def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecord]:
@@ -424,13 +424,13 @@ def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecor
     """
     from .analyzer import blob_text
 
-    commits: list[CommitBlobs] = []
+    commits: list[CommitBlobs] = []  # newest first, as the walk hands them over
     # one decoded text per blob id, so equal sides share one object
     texts: dict[str | None, str | None] = {None: None}
     with repo.cat_file() as git:
-        for oids in walk_history(repo, commits, identity=identity):
-            for oid, data in ask(git, oids):
-                texts[oid] = blob_text(data)
+        for oids, walked in walk_history(repo, identity=identity):
+            commits += walked
+            texts.update((oid, blob_text(data)) for oid, data in ask(git, oids))
     return [
         CommitRecord(
             sha=sha,
@@ -442,5 +442,5 @@ def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecor
                 if texts[old] is not None or texts[new] is not None
             ),
         )
-        for sha, contributor, timestamp, changes in commits
+        for sha, contributor, timestamp, changes in reversed(commits)
     ]

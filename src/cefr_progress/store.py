@@ -118,9 +118,9 @@ def _connect(path: Path) -> sqlite3.Connection:
 
 
 class AnalysisStore:
-    """An open store: looks up the stored forms of blob ids, adds new ones,
-    and keeps one history's cells.  Without a file it does nothing, and after
-    its first failure it warns once and does nothing more."""
+    """An open store: looks up the stored forms of blob ids, and keeps a
+    walk's new ones and the history's cells in one write.  Without a file it
+    does nothing, and after its first failure it warns once and does nothing more."""
 
     def __init__(self, path: Path | None = None, connection: sqlite3.Connection | None = None, at=("", "")):
         self.path = path
@@ -192,22 +192,6 @@ class AnalysisStore:
                 self._warned = True
         return found
 
-    def add(self, rows: list[tuple[str, Stored]]) -> None:
-        """Store the (blob id, stored form) `rows` in one transaction.
-
-        A row replaces the one the store holds for its blob: one that is no
-        stored form, or, written by another run, the same stored form.
-        """
-        connection = self._connection
-        if connection is None or not rows:
-            return
-        try:
-            with connection:  # commits, or rolls back on an exception
-                connection.execute("BEGIN IMMEDIATE")
-                connection.executemany("INSERT OR REPLACE INTO blobs VALUES (?, ?)", rows)
-        except sqlite3.Error as exc:
-            self._fail(exc)
-
     def cells(self) -> Cells | None:
         """The history's stored cells, once each row's digest is its own; None
         when there are none, and after one warning when they are damaged."""
@@ -227,21 +211,29 @@ class AnalysisStore:
                     self.path, self._at[1])
         return None
 
-    def keep_cells(self, cells: Cells) -> None:
-        """Store `cells` as the history's, in the place of any stored for it."""
-        if self._connection is None:
-            return
-        try:
-            people = [(anon.encode(), who.raw_name.encode(), who.raw_email.encode(), array("q", rows).tobytes())
-                      for anon, (who, rows) in cells.items()]
-        except OverflowError:  # a commit dated past what an int64 holds: its cells are not kept
+    def keep(self, made: list[tuple[str, Stored | None]], cells: Cells) -> None:
+        """Store in one transaction the (blob id, stored form) pairs of `made`
+        that hold for any run, and, when all do, `cells` as the history's, in
+        the place of any stored for it.  None, for an id that names no blob
+        here, and a verdict in `scoring.PASSING` hold only for this run.  A row
+        replaces the one the store holds for its blob: one that is no stored
+        form, or, written by another run, the same stored form."""
+        rows = [(oid, stored) for oid, stored in made if stored is not None and stored not in scoring.PASSING]
+        people = None
+        if len(rows) == len(made):  # every analysis holds for any run
+            with contextlib.suppress(OverflowError):  # a commit dated past what an int64 holds: no cells are kept
+                people = [(anon.encode(), who.raw_name.encode(), who.raw_email.encode(), array("q", ints).tobytes())
+                          for anon, (who, ints) in cells.items()]
+        if self._connection is None or not rows and people is None:  # nothing to write
             return
         try:
             with self._connection:  # commits, or rolls back on an exception
                 self._connection.execute("BEGIN IMMEDIATE")
-                self._connection.execute("DELETE FROM cells WHERE key = ? AND tip = ?", self._at)
-                self._connection.executemany("INSERT INTO cells VALUES (?, ?, ?, ?, ?, ?, ?)",
-                                             [(*self._at, *row, _digest(len(people), row)) for row in people])
+                self._connection.executemany("INSERT OR REPLACE INTO blobs VALUES (?, ?)", rows)
+                if people is not None:
+                    self._connection.execute("DELETE FROM cells WHERE key = ? AND tip = ?", self._at)
+                    self._connection.executemany("INSERT INTO cells VALUES (?, ?, ?, ?, ?, ?, ?)",
+                                                 [(*self._at, *row, _digest(len(people), row)) for row in people])
         except sqlite3.Error as exc:
             self._fail(exc)
 

@@ -528,7 +528,7 @@ def test_no_git_process_outlives_its_call(linear_repo, big_repo, tmp_path, monke
     # when a worker forked meanwhile holds that pipe open; the walk reads no
     # blob, so it starts no cat-file
     started.clear()
-    blobs = walk_history(Repo(big_repo), [])
+    blobs = walk_history(Repo(big_repo))
     next(blobs)
     pool = concurrent.futures.ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
     try:
@@ -590,11 +590,12 @@ def test_signature_checks_leave_the_walk_as_it_is(tmp_path, monkeypatch):
     monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
     monkeypatch.setenv("GIT_CONFIG_KEY_0", "log.showSignature")
     monkeypatch.setenv("GIT_CONFIG_VALUE_0", "true")
-    commits = []
-    assert sum(len(oids) for oids in walk_history(Repo(fixture.path), commits)) == 2
+    batches = list(walk_history(Repo(fixture.path)))
+    assert sum(len(oids) for oids, _ in batches) == 2
+    commits = [commit for _, walked in batches for commit in walked]  # newest first
     expected = fixture.run("rev-list", "--first-parent", "--no-merges", "HEAD").split()
-    assert [commit.sha for commit in reversed(commits)] == expected
-    assert commits[-1].sha == signed
+    assert [commit.sha for commit in commits] == expected
+    assert commits[0].sha == signed
 
 
 def test_empty_repository_raises(tmp_path):

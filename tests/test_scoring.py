@@ -479,6 +479,16 @@ def test_build_report_reads_a_one_shot_stream(scores, period):
     assert repr(once) == repr(build_report(scores, repo="fixture", period=period))
 
 
+def _walked(repo, catalog) -> tuple[dict, list]:
+    """The memo entry under `catalog` of each blob the walk of `repo` names, and its commits, oldest first."""
+    fold, memo, commits = entry_folder(catalog), {}, []
+    with repo.cat_file() as git:
+        for oids, walked in walk_history(repo):
+            memo.update((oid, fold(blob_analysis(data))) for oid, data in ask(git, oids))
+            commits += walked  # newest first
+    return memo, commits[::-1]
+
+
 def test_a_pickled_memo_scores_like_the_original(tmp_path):
     # worker processes send memo entries back pickled, so each entry, the
     # one of a blob with no text included, must keep its meaning by value
@@ -490,11 +500,8 @@ def test_a_pickled_memo_scores_like_the_original(tmp_path):
     fixture.write("a.py", b"\x00binary now\x00")
     fixture.write("b.py", "def broken(:\n")
     fixture.commit(identity, "2020-02-01T00:00:00Z", "swap text and binary")
-    commits = []
-    with prepare_repo(RepoSpec(str(fixture.path))) as repo, repo.cat_file() as git:
-        fold = entry_folder(CATALOG)
-        memo = {oid: fold(blob_analysis(data))
-                for oids in walk_history(repo, commits) for oid, data in ask(git, oids)}
+    with prepare_repo(RepoSpec(str(fixture.path))) as repo:
+        memo, commits = _walked(repo, CATALOG)
     copied = pickle.loads(pickle.dumps(memo))
     scores = [score_blobs(commit, memo) for commit in commits]
     assert [score_blobs(commit, copied) for commit in commits] == scores
@@ -518,10 +525,7 @@ def test_the_text_view_scores_as_the_blob_path(fixture, override, request, tmp_p
         rules = tmp_path / "rules.cat"
         rules.write_text("if_statement C2\nsimple_assignment B1\nlist_literal A2\n")
         catalog = load_catalog(rules)
-    commits = []
-    fold = entry_folder(catalog)
-    with prepare_repo(RepoSpec(str(request.getfixturevalue(fixture)))) as repo, repo.cat_file() as git:
+    with prepare_repo(RepoSpec(str(request.getfixturevalue(fixture)))) as repo:
         texts = [score_commit(record, catalog) for record in extract_commits(repo)]
-        memo = {oid: fold(blob_analysis(data))
-                for oids in walk_history(repo, commits) for oid, data in ask(git, oids)}
+        memo, commits = _walked(repo, catalog)
     assert texts == [score_blobs(commit, memo) for commit in commits]

@@ -3,6 +3,7 @@ and analyzes only the blobs no earlier run has seen, and a store in any
 state changes no report."""
 
 import contextlib
+import json
 import logging
 import shutil
 import sqlite3
@@ -424,3 +425,42 @@ def test_the_cells_key_changes_with_each_of_its_inputs(tmp_path, monkeypatch):
     assert key not in changed and len(set(changed)) == len(changed) == 7
     version[0] = git_version
     assert store.cells_key("author", CATALOG) == key  # the same inputs again
+
+
+@pytest.mark.parametrize("verdict", [None, *sorted(scoring.PASSING)], ids=["missing", *sorted(scoring.PASSING)])
+def test_keep_stores_neither_the_cells_nor_an_analysis_that_holds_only_for_this_run(linear_repo, verdict):
+    # None: the id names no blob in the repository; the rest tell of the run
+    held, lacking = "a" * 40, "b" * 40
+    score = scoring.CommitScore("c" * 40, history.ContributorId.from_identity(*ALICE), 1577836800, (1, 0, 2, 0, 0, 0), 1, 0)
+    cells = scoring.fold([score])
+    with history.prepare_repo(history.RepoSpec(str(linear_repo))) as repo:
+        kept = store.AnalysisStore.open(repo, "author", CATALOG)
+    try:
+        kept.keep([(held, blob_analysis(b"x = [1]\n")), (lacking, verdict)], cells)
+        assert _stored_oids() == {held}
+        assert _stored_tips() == [] and kept.cells() is None
+        kept.keep([(held, blob_analysis(b"x = [1]\n"))], cells)  # every analysis holds for any run
+        assert _stored_oids() == {held}
+        assert {anon: (who, list(ints)) for anon, (who, ints) in kept.cells().items()} == cells
+    finally:
+        kept.close()
+
+
+def test_a_warm_summary_line_counts_the_skipped_files_of_the_stored_cells(tmp_path, caplog):
+    caplog.set_level(logging.INFO)
+    fixture = GitFixture(tmp_path / "repo")
+    fixture.write("a.py", "def broken(:\n")
+    fixture.write("b.py", "b = [1]\n")
+    fixture.commit(ALICE, "2020-01-01T00:00:00Z", "one")
+    fixture.write("a.py", "a = 1\n")  # its before side does not parse: a second skipped file, of the same blob
+    fixture.commit(BOB, "2020-02-01T00:00:00Z", "two")
+
+    def summary() -> str:
+        return [r.getMessage() for r in caplog.records if r.getMessage().startswith("blobs:")][-1]
+
+    cold = analyze(fixture.path, tmp_path / "cold")
+    files_skipped = json.loads(cold[0])["files_skipped"]
+    assert files_skipped == 2
+    assert "; skipped: 1 SyntaxError; commits: 2 from git log," in summary()  # a cold run counts blobs by reason
+    assert analyze(fixture.path, tmp_path / "warm") == cold
+    assert f"; skipped: {files_skipped} files, reasons not stored; commits: 0 from git log," in summary()

@@ -17,6 +17,8 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cefr_progress
 from cefr_progress import cli, history, scoring, store
@@ -124,6 +126,12 @@ def tips() -> list[str]:
     """The tip of each stored history's cells."""
     with contextlib.closing(sqlite3.connect(store.store_path())) as connection:
         return [tip for (tip,) in connection.execute("SELECT DISTINCT tip FROM cells ORDER BY tip")]
+
+
+def stored_oids() -> list[str]:
+    """The blob id of each stored analysis."""
+    with contextlib.closing(sqlite3.connect(store.store_path())) as connection:
+        return [oid for (oid,) in connection.execute("SELECT oid FROM blobs ORDER BY oid")]
 
 
 def clone(source, path) -> GitFixture:
@@ -350,8 +358,8 @@ def test_two_runs_writing_one_walk_leave_it_whole(linear_repo):
     first, second = (store.AnalysisStore.open(repo, "author", catalog) for _ in range(2))
     try:
         many, few = _cells(300), _cells(20)
-        first.keep_cells(many)
-        second.keep_cells(few)
+        first.keep([], many)
+        second.keep([], few)
         assert {anon: (who, list(cells)) for anon, (who, cells) in first.cells().items()} == few
         with contextlib.closing(sqlite3.connect(store.store_path())) as connection:
             assert connection.execute("SELECT tip, count(*) FROM cells GROUP BY tip").fetchall() == [(repo.tip, 20)]
@@ -518,15 +526,17 @@ def test_a_worker_that_dies_costs_only_its_blob(tmp_path, monkeypatch, caplog):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, mp_context=multiprocessing.get_context("fork"), **kwargs)
 
-    added = []
-    add = store.AnalysisStore.add
-    monkeypatch.setattr(store.AnalysisStore, "add", lambda self, rows: added.extend(rows) or add(self, rows))
+    made = []
+    keep = store.AnalysisStore.keep
+    monkeypatch.setattr(store.AnalysisStore, "keep",
+                        lambda self, analyses, cells: made.extend(analyses) or keep(self, analyses, cells))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkingPool)
     monkeypatch.setattr(scoring, "source_analysis", dies_on_marker)
     parallel = analyze(fixture.path, tmp_path / "parallel", "--jobs", "2")
     assert "skipped: 1 BrokenProcessPool;" in summary(caplog)
-    # every other blob's analysis is kept once, whichever chunk held it
-    assert sorted(oid for oid, _ in added) == sorted(blobs - {dying})
+    # every blob is analyzed once, whichever chunk held it, and every other blob's analysis is kept
+    assert sorted(oid for oid, _ in made) == sorted(blobs)
+    assert stored_oids() == sorted(blobs - {dying})
     assert tips() == []  # a verdict of this run: no cells
 
     monkeypatch.setattr(scoring, "source_analysis",
@@ -599,14 +609,16 @@ def test_each_dying_worker_costs_only_its_blob_and_the_pool_is_replaced(tmp_path
             os._exit(70)
         return source_analysis(source)
 
-    added = []
-    add = store.AnalysisStore.add
-    monkeypatch.setattr(store.AnalysisStore, "add", lambda self, rows: added.extend(rows) or add(self, rows))
+    made = []
+    keep = store.AnalysisStore.keep
+    monkeypatch.setattr(store.AnalysisStore, "keep",
+                        lambda self, analyses, cells: made.extend(analyses) or keep(self, analyses, cells))
     monkeypatch.setattr(scoring, "source_analysis", dies_on_marker)
     parallel = analyze(fixture.path, tmp_path / "parallel", "--jobs", "2")
     assert f"skipped: {len(markers)} BrokenProcessPool;" in summary(caplog)
-    # every other blob's analysis is kept once, whichever chunk held it
-    assert sorted(oid for oid, _ in added) == sorted(blobs - dying)
+    # every blob is analyzed once, whichever chunk held it, and every other blob's analysis is kept
+    assert sorted(oid for oid, _ in made) == sorted(blobs)
+    assert stored_oids() == sorted(blobs - dying)
     assert tips() == []  # a verdict of this run: no cells
 
     submitted, widths = tasks
@@ -671,3 +683,99 @@ def test_a_commit_dated_past_an_int64_is_reported_and_keeps_no_cells(tmp_path):
     assert json.loads(first[0])["generated_at"] == 2 ** 63
     assert tips() == []  # the store keeps cells as int64s
     assert analyze(fixture.path, tmp_path / "again") == first
+
+
+#: One email under several names and spellings, and another person's
+PEOPLE = [ContributorId.from_identity(name, email) for name, email in (
+    ("Alice", "alice@example.com"), ("alice", "Alice@Example.com "), ("A. Liddell", "ALICE@example.com"),
+    ("Bob", "bob@example.com"))]
+OIDS = [f"{i:040x}" for i in range(1, 9)]
+walk_commits = st.lists(st.tuples(
+    st.sampled_from(PEOPLE),
+    st.integers(0, 2 ** 33),  # any order of dates, over about 270 years
+    st.lists(st.tuples(st.sampled_from([None, *OIDS]), st.sampled_from([None, *OIDS])), max_size=3),
+    st.tuples(*[st.integers(0, 5)] * 6), st.integers(0, 3), st.integers(0, 2),
+    st.booleans(),  # whether a batch ends after the commit
+), min_size=1, max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=walk_commits, size=st.integers(1, 4))
+def test_folding_each_commit_as_its_blobs_are_known_gives_the_cells_of_the_whole_history(drawn, size):
+    # the commits newest first, as git walks them, each with the score it is
+    # given; a batch ends where drawn, in lists of at most `size` new blob ids
+    commits = [history.CommitBlobs(f"{n:040x}", who, time, tuple(("m.py", *sides) for sides in changes))
+               for n, (who, time, changes, *_) in enumerate(drawn)]
+    given_scores = {commit.sha: CommitScore(commit.sha, commit.contributor, commit.timestamp, *rest)
+                    for commit, (_, _, _, *rest, _) in zip(commits, drawn)}
+    scored = []
+
+    def walk_history(repo, *, identity):
+        named, wanted, walked = {None}, [], []
+        for commit, (*_, ends) in zip(commits, drawn):
+            for _, *sides in commit.changes:
+                wanted += [oid for oid in sides if oid not in named]
+                named.update(sides)
+            walked.append(commit)
+            if ends:
+                for start in range(0, max(len(wanted), 1), size):
+                    yield wanted[start:start + size], walked
+                    walked = []
+                wanted = []
+        yield wanted, walked
+
+    def score_blobs(commit, memo):
+        assert all(oid in memo for _, *sides in commit.changes for oid in sides if oid is not None)
+        scored.append(commit.sha)
+        return given_scores[commit.sha]
+
+    class Rewritten:  # a repository whose store has no file
+        rewritten = True
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def cat_file(self):
+            return contextlib.nullcontext()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "prepare_repo", lambda spec: Rewritten())
+        patch.setattr(cli, "walk_history", walk_history)
+        patch.setattr(history, "ask", lambda proc, oids: ((oid, b"") for oid in oids))
+        patch.setattr(cli, "score_blobs", score_blobs)
+        cells = cli._analyze_history("repo", default_catalog(), "author", 1)
+    assert scored == [commit.sha for commit in commits]  # in the walk's order, each once
+    # the cells of the scores oldest first, as the text view reads them:
+    # each anon_id named as in its oldest commit
+    whole = fold(given_scores[commit.sha] for commit in reversed(commits))
+    assert {anon: (who, list(ints)) for anon, (who, ints) in cells.items()} == whole
+
+
+def test_the_first_commit_is_scored_while_git_log_still_runs(big_repo, tmp_path, monkeypatch, started):
+    batches = []  # the batches the walk has handed over, and then True once it has ended
+    walk_history = cli.walk_history
+
+    def counted_walk(repo, *, identity):
+        for batch in walk_history(repo, identity=identity):
+            batches.append(batch)
+            yield batch
+        batches.append(True)
+
+    at_first_score = []  # the batches handed over, and git log's exit status, at the first score
+    score_blobs = cli.score_blobs
+
+    def noted_score_blobs(commit, memo):
+        if not at_first_score:
+            at_first_score.extend([len(batches), [proc.returncode for proc in started if proc.args[3] == "log"]])
+        return score_blobs(commit, memo)
+
+    monkeypatch.setattr(cli, "walk_history", counted_walk)
+    monkeypatch.setattr(cli, "score_blobs", noted_score_blobs)
+    analyze(big_repo, tmp_path / "out")
+    assert batches[-1] is True and sum(len(commits) for _, commits in batches[:-1]) == 500
+    # git log was neither done nor waited on: its walk had handed over its first batches only
+    assert at_first_score[1] == [None]
+    assert 1 <= at_first_score[0] < len(batches) // 2
