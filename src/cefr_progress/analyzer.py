@@ -5,6 +5,8 @@ emits a (kind, line) occurrence for every construct in the analyzer
 vocabulary, then folds the cataloged occurrences into six level counts, a
 plain tuple with A1 first; the kind list and the fold live in `catalog`,
 and the package imports this module only where a blob is to be analyzed.
+`blob_analysis` makes a blob's stored form, which the analysis store keeps,
+so this file's source alone names the store file (`store.CODE`).
 Classification is purely syntactic: no imports are resolved and no types
 are inferred.  Kinds that one node type always emits come from a type ->
 kind table; the conditional kinds are branches on the node type.  The same
@@ -79,10 +81,13 @@ import signal
 import subprocess
 import sys
 import warnings
+from array import array
 from collections import Counter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .catalog import KINDS, Catalog, level_counter
+from .scoring import NO_TEXT, Stored
 
 log = logging.getLogger(__name__)
 
@@ -680,3 +685,26 @@ def analyze_source(source: str, catalog: Catalog) -> AnalysisResult:
     tally = Counter(kind for kind, _line in occurrences)
     *counts, unclassified = level_counter(catalog)(tally[kind] for kind in KINDS)
     return AnalysisResult(tuple(counts), tuple(occurrences), unclassified, parse_ok=True)
+
+
+def source_analysis(source: str) -> Stored:
+    """The stored form of one source text's analysis.
+
+    Raises RuntimeError when the walk emits a kind that KINDS lacks, which
+    the stored form could not hold.
+    """
+    try:
+        found = find_constructs(source)
+    except ParseError as exc:
+        return type(exc.__cause__).__name__
+    tally = Counter(map(itemgetter(0), found))
+    counts = array("I", [tally.pop(kind, 0) for kind in KINDS])
+    if tally:
+        raise RuntimeError(f"kinds missing from catalog.KINDS: {sorted(tally)}")
+    return counts.tobytes()
+
+
+def blob_analysis(data: bytes | None) -> Stored:
+    """The stored form of one blob's analysis from its raw bytes (None for no blob)."""
+    text = blob_text(data)
+    return NO_TEXT if text is None else source_analysis(text)

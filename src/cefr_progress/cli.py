@@ -14,22 +14,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import logging
 import re
 import sys
-from collections import Counter, deque
-from collections.abc import Iterator
 from pathlib import Path
 
 from .catalog import Catalog, CatalogError, load_catalog, LEVEL_LABELS
-from . import history
-from .history import ContributorId, RepoError, RepoSpec, prepare_repo, walk_history
+from .history import RepoError, RepoSpec, prepare_repo
 from .report import write_report_bundle
-from .scoring import (
-    CELL, DEFAULT_BOT_PATTERNS, Cells, CommitScore, Entry, Granularity, Stored, blob_analysis, entry_folder, finish,
-    fold, score_blobs,
-)
+from .scoring import CELL, DEFAULT_BOT_PATTERNS, Cells, Granularity, finish
 
 log = logging.getLogger("cefr_progress")
 
@@ -69,154 +64,25 @@ def _regex(text: str) -> str:
     return text
 
 
-#: Raw blob bytes per task sent to a worker: small, so that the workers share
-#: the last blobs of a history evenly.
-_CHUNK_BYTES = 1 << 16
-
-
-def _analyses(blobs: list[tuple[str, bytes | None]]) -> list[Stored]:
-    return [blob_analysis(data) for _, data in blobs]
-
-
 def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) -> Cells:
     """The cells of the history of the repository at `source` under `catalog`.
 
-    The analysis store keeps the cells of each tip it has seen, so a re-run
-    on an unchanged history reads them and starts no ``git log`` and no
-    ``git cat-file``; the store alone decides whether a history uses it and
-    under which key.  Any other run walks the whole history with git, which
-    names each blob once, while it goes on.  The store answers for the blobs
-    an earlier run analyzed, and one ``git cat-file`` reads the others, each
-    analyzed as git reads it: here at one job; with more, by worker
-    processes, which get raw blob bytes in small chunks and return stored
-    forms.  ``cat-file`` starts at the first blob the store lacks, and each
-    pool after it, so that each pool shuts down before ``cat-file``'s input
-    closes.  The chunks in flight when a worker dies are analyzed again one
-    blob per task in fresh pools, and a blob whose worker dies is skipped.
-    Stored forms fold into memo entries under `catalog`.  Each commit folds
-    into the cells in walk order, newest first, once the memo holds its
-    blobs: only commits whose blobs are in a ``cat-file`` batch or a worker's
-    chunk wait, and each anon_id keeps the ContributorId of its last commit
-    folded, the oldest.  One store write keeps what holds for any run.  A
-    line on stderr sums up where the blobs' analyses and the commits came from.
+    A re-run on an unchanged history reads them from the analysis store, which
+    alone decides whether a history uses it and under which key.  Any other
+    run imports `walk` and walks the whole history with git.  A line on stderr
+    sums up where the blobs' analyses and the commits came from.
     """
-    # imported here, as the process pool: sqlite3 and the pool's modules
-    # would add 1.5 and 2.5 MB to the peak memory of every process that
-    # imports this module, `classify` and serial runs included
-    from .store import AnalysisStore
+    from .store import AnalysisStore  # sqlite3 would add 1.5 MB to the peak memory of `classify`
 
-    memo: dict[str, Entry] = {}
-    made: list[tuple[str, Stored | None]] = []  # this run's analyses, None for an id that names no blob
-    skipped: Counter = Counter()  # reason -> blobs
-    entry = entry_folder(catalog)
-    waiting: deque = deque()  # the commits walked and not yet scored, newest first
-    oldest: dict[str, ContributorId] = {}  # anon_id -> the ContributorId of its last commit scored
-
-    def remember(oid: str, stored: Stored) -> None:
-        memo[oid] = entry(stored)
-        if type(stored) is str and stored:
-            skipped[stored] += 1
-
-    def analyzed(oid: str, data: bytes | None, stored: Stored) -> None:
-        remember(oid, stored)
-        made.append((oid, None if data is None else stored))  # no data: the id names no blob in this repository
-
-    sent: deque = deque()  # ((blob id, bytes) pairs, future of their stored forms), oldest first
-
-    def send(chunk: list[tuple[str, bytes | None]]) -> None:
-        try:
-            sent.append((chunk, pool.submit(_analyses, chunk)))
-        except BrokenProcessPool:
-            rescue(chunk)
-
-    def took(chunk: list[tuple[str, bytes | None]], future) -> bool:
-        """Whether `future` gave the stored forms of `chunk`, which are kept, before its pool broke."""
-        try:
-            analyses = future.result()
-        except BrokenProcessPool:
-            return False
-        for (oid, data), stored in zip(chunk, analyses):
-            analyzed(oid, data, stored)
-        return True
-
-    def collect() -> None:
-        chunk, future = sent.popleft()
-        if not took(chunk, future):
-            rescue(chunk)
-
-    def rescue(chunk: list[tuple[str, bytes | None]]) -> None:
-        """Analyze the blobs of `chunk` and of each chunk in flight that the broken pool lost, one per task."""
-        nonlocal pool
-        lost = deque(chunk)
-        while sent:
-            chunk, future = sent.popleft()
-            if not took(chunk, future):
-                lost.extend(chunk)
-        while True:  # until a pool outlives the lost blobs, to take the walk's next chunks
-            pool.shutdown()  # so that none of its threads runs while the next pool forks
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            with contextlib.suppress(BrokenProcessPool):  # from submit: no verdict on the blob
-                while lost:
-                    future = pool.submit(_analyses, [lost[0]])
-                    blob = lost.popleft()
-                    if not took([blob], future):  # its worker died
-                        analyzed(*blob, BrokenProcessPool.__name__)
-                        break
-                else:
-                    return
-
-    def scores(last: bool = False) -> Iterator[CommitScore]:
-        """The waiting commits' scores up to the first whose blobs the memo lacks; at the `last`, all, or KeyError."""
-        while waiting and (last or all(oid in memo for _, *sides in waiting[0].changes for oid in sides if oid)):
-            oldest[waiting[0].contributor.anon_id] = waiting[0].contributor
-            yield score_blobs(waiting.popleft(), memo)
-
-    def walk() -> Iterator[CommitScore]:
-        """The score of each commit of the history, newest first, as soon as the memo holds its blobs."""
-        nonlocal git, pool
-        for oids, commits in walk_history(repo, identity=identity):
-            waiting.extend(commits)
-            found = store.lookup(oids)
-            for oid, stored in found.items():
-                remember(oid, stored)
-            oids = [oid for oid in oids if oid not in found]
-            if oids and git is None:
-                git = stack.enter_context(repo.cat_file())  # before any pool, which the stack then ends first
-                if jobs > 1:
-                    from . import analyzer  # noqa: F401  (imported before the fork, so no worker compiles it)
-                    pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            chunk, size = [], 0
-            for oid, data in history.ask(git, oids):
-                if pool is None:
-                    analyzed(oid, data, blob_analysis(data))
-                    continue
-                chunk.append((oid, data))
-                size += len(data or b"")
-                if size >= _CHUNK_BYTES:
-                    send(chunk)
-                    chunk, size = [], 0
-                    if len(sent) > 4 * jobs:  # bounds the bytes waiting for a worker
-                        collect()
-            if chunk:  # a batch ends its chunk, and the chunks done are taken: commits wait on them
-                send(chunk)
-            while sent and sent[0][1].done():
-                collect()
-            yield from scores()
-        while sent:
-            collect()
-        yield from scores(last=True)
-
-    git = pool = None  # git cat-file and the workers, once a blob is to be read
-    with contextlib.ExitStack() as stack:
-        with prepare_repo(RepoSpec(source)) as repo:
-            store = stack.enter_context(contextlib.closing(AnalysisStore.open(repo, identity, catalog)))
+    named = analyzed = 0
+    skipped: dict[str, int] = {}  # reason -> blobs analyzed in this run
+    with prepare_repo(RepoSpec(source)) as repo:
+        with contextlib.closing(AnalysisStore.open(repo, identity, catalog)) as store:
             cells = kept = store.cells()
             if kept is None:  # no stored cells: walk
-                if jobs > 1:
-                    from concurrent.futures import ProcessPoolExecutor
-                    from concurrent.futures.process import BrokenProcessPool
-                cells = {anon: (oldest[anon], ints) for anon, (_, ints) in fold(walk()).items()}
-                store.keep(made, cells)
+                from .walk import walk_cells
+
+                cells, named, analyzed, skipped = walk_cells(repo, store, catalog, identity, jobs)
 
     commits, files = (sum(sum(ints[column::CELL]) for _, ints in cells.values()) for column in (8, 10))
     reasons = (f"{files} file{'s' * (files > 1)}, reasons not stored" if kept and files  # the cells keep no reasons
@@ -224,7 +90,7 @@ def _analyze_history(source: str, catalog: Catalog, identity: str, jobs: int) ->
     log.info(
         "blobs: %d named, %d analyzed, %d from the analysis store; skipped: %s; "
         "commits: %d from git log, %d from stored cells; %s",
-        len(memo), len(made), len(memo) - len(made), reasons or "none", *((0, commits) if kept else (commits, 0)),
+        named, analyzed, named - analyzed, reasons or "none", *((0, commits) if kept else (commits, 0)),
         f"store: {store.path}" if store.path else "no store",
     )
     return cells
@@ -340,5 +206,13 @@ def main(argv: list[str] | None = None) -> int:
     return cmd_analyze(args, catalog)
 
 
+def run() -> int:
+    """`main` for a process that exits once it returns (``python -m cefr_progress``, the
+    ``cefr-progress`` script): the frozen collector skips its last collection at exit."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,44 +1,21 @@
-"""Git history mining.
+"""Git repository access.
 
-Walks the default branch's first-parent chain of a repository in one pass.
-All repository access goes through the ``git`` executable: one
-``git log --first-parent --no-merges --raw -z`` gives every change with its
-old and new blob ids and its paths verbatim.  `walk_history` hands over
-every commit as its changes' blob ids and, while ``git log`` still runs,
-names each distinct ``.py`` blob once, in bounded batches.  The caller
-reads the blobs it needs by id from one ``git cat-file --batch`` process
-with `ask`, so `analyze` keeps one vector per blob, never the texts, and
-starts ``cat-file`` only when some blob is to be read.  `extract_commits`
-is the text view of the same walk: it reads and decodes each blob and
-gives CommitRecords with before/after texts.  No git process outlives the
-call that starts it.
+Opens a repository at a local path, or a cached bare clone of a URL, and
+probes the tip of its default branch's first-parent chain.  All repository
+access goes through the ``git`` executable, and no git process outlives
+the call that starts it.  The walk that `analyze` runs lives in `walk`;
+`extract_commits` is its text view: it reads and decodes each blob and
+gives CommitRecords with before/after texts, oldest first.
 
-A commit id fixes its whole first-parent ancestry, so the walk below a
-commit is the same on every run of the same code, git and identity mode.
-`store` alone decides whether the analysis store keeps a walk's cells, and
-keys them by those three and the tip, the newest non-merge commit of the
-chain.  The config settings that would change ``git log``'s answer
-(``log.showRoot``, ``diff.renameLimit``, ``i18n.logOutputEncoding``,
-``log.showSignature``) are pinned on its command line.
-
-Identity and ordering decisions:
-
-* Contributors are keyed by the git *author* by default (``committer``
-  available as a mode); the anonymized ID is the first 8 hex digits of
-  SHA-256 over the lowercased, trimmed email.
-* git's walk picks the non-merge commits of the first-parent chain, newest
-  first; each diffs against its one parent; text view records are oldest first.
-* Renames count as modifications with the before text taken from the old
-  path; symlinks and submodules, whose blobs hold no source text, count as
-  absent.  Other blobs go through `analyzer.blob_text`: one with a NUL byte is
-  absent too, and the rest decode as Python decodes a source file.
-* Changes whose sides share a blob id share one decoded text object, so
-  text memory grows with the distinct blobs, not with the changes.
+Contributors are keyed by the git *author* by default (``committer``
+available as a mode); the anonymized ID is the first 8 hex digits of
+SHA-256 over the lowercased, trimmed email.  Changes whose sides share a
+blob id share one decoded text object, so text memory grows with the
+distinct blobs, not with the changes.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import logging
@@ -109,17 +86,6 @@ class CommitRecord(NamedTuple):
     changes: tuple[FileChange, ...] = ()
 
 
-class CommitBlobs(NamedTuple):
-    """One non-merge commit as `walk_history` hands it over: each changed .py file
-    as (path, old blob id, new blob id), with None for a side that holds no
-    blob (absent, a symlink or a submodule).  Paths follow FileChange."""
-
-    sha: str
-    contributor: ContributorId
-    timestamp: int
-    changes: tuple[tuple[str, str | None, str | None], ...]
-
-
 def _run_git(*args: str) -> subprocess.CompletedProcess:
     """Run ``git`` with `args` and capture its output as text, with each byte
     that is not UTF-8 as a surrogate escape, as in a path from argv."""
@@ -142,37 +108,6 @@ def _nul_fields(chunks: Iterable[bytes]) -> Iterator[bytes]:
     for chunk in chunks:
         *fields, rest = (rest + chunk).split(b"\0")
         yield from fields
-
-
-#: Blob ids per batch the walk names and per request to ``git cat-file``.
-#: An id and its newline take at most 65 bytes (SHA-256), so a request stays
-#: under the 4 KiB a pipe holds at the least.  Each request's replies are
-#: read before the next is written, so git never waits on this process to
-#: read while this process waits on git.
-_BATCH = 60
-
-
-def ask(proc: subprocess.Popen, oids: list[str]) -> Iterator[tuple[str, bytes | None]]:
-    """(oid, raw bytes) for each of `oids` in order from the ``cat-file --batch``
-    process `proc`, each as its reply arrives; None when an id names no blob."""
-    for start in range(0, len(oids), _BATCH):
-        batch = oids[start:start + _BATCH]
-        try:
-            proc.stdin.write("".join(f"{oid}\n" for oid in batch).encode("ascii"))
-            proc.stdin.flush()
-        except BrokenPipeError:
-            raise RepoError("git_failed", "git cat-file ended early") from None
-        for oid in batch:
-            header = proc.stdout.readline().split()
-            if not header:
-                raise RepoError("git_failed", f"git cat-file ended before {oid}")
-            if len(header) != 3:
-                yield oid, None  # "<oid> missing" or "<oid> ambiguous"
-                continue
-            data = proc.stdout.read(int(header[2]))
-            if len(data) != int(header[2]) or proc.stdout.read(1) != b"\n":  # short, or no trailing newline
-                raise RepoError("git_failed", f"git cat-file ended inside {oid}")
-            yield oid, data if header[1] == b"blob" else None
 
 
 class Repo:
@@ -222,13 +157,15 @@ class Repo:
         return newest
 
     def cat_file(self) -> subprocess.Popen:
-        """A ``git cat-file --batch`` process to ask for blobs with `ask`."""
+        """A ``git cat-file --batch`` process to ask for blobs with `walk.ask`."""
         return _start_git(
             "-C", str(self.path), "cat-file", "--batch", stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         )
 
     def read_blob(self, oid: str) -> bytes | None:
         """Raw bytes of the blob named `oid`, or None when it is no blob here."""
+        from .walk import ask
+
         with self.cat_file() as proc:
             return next(ask(proc, [oid]))[1]
 
@@ -310,119 +247,16 @@ def _clone_into_place(url: str, clone_dir: Path) -> None:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-#: Modes whose blob is no file text: a symlink's blob holds its target path,
-#: and a submodule's id names a commit.
-_NOT_TEXT_MODES = ("120000", "160000")
-
-
-def _side(mode: str, oid: str) -> str | None:
-    """The blob id on one side of a raw diff entry; None when that side is absent
-    (the null id), a symlink or a submodule."""
-    return None if mode in _NOT_TEXT_MODES or not oid.strip("0") else oid
-
-
-def _change(
-    status: str, paths: list[str], old: str | None, new: str | None
-) -> tuple[str, str | None, str | None] | None:
-    """(path, old blob id, new blob id) of the .py FileChange for one raw diff
-    entry, or None when the entry touches no .py file.
-
-    A copy counts as added (its source still exists), a rename out of .py as
-    a deletion, and a typechange (T) as a modification.  A rename's old blob
-    is its old path's.  Unmerged (U) and unknown (X) entries change nothing.
-    """
-    path = paths[-1]
-    if status == "C":
-        old = None
-    elif status == "R" and not path.endswith(".py"):
-        path, new = paths[0], None
-    if status not in "ACDMRT" or not path.endswith(".py"):
-        return None
-    return path, old, new
-
-
-def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]]:
-    """((sha, time, name, email), [(path, old blob id, new blob id)]) per commit of
-    ``git log --raw -z`` with four NUL-separated format fields: the commit's
-    .py changes, each as `_change` makes it from one raw entry.
-
-    Each field, raw entry and unquoted path ends in NUL.  A raw entry starts with ":"
-    ("\\n:" for a commit's first) and is followed by its one or two paths.  Any
-    other field starts a header of four fields, empty ones included.
-    """
-    header, changes = None, []
-    for field in fields:
-        entry = field.lstrip(b"\n")
-        if entry.startswith(b":"):
-            old_mode, new_mode, old_oid, new_oid, status = entry[1:].decode("ascii").split()
-            paths = [next(fields).decode("utf-8", errors="surrogateescape")
-                     for _ in range(2 if status[0] in "RC" else 1)]
-            change = _change(status[0], paths, _side(old_mode, old_oid), _side(new_mode, new_oid))
-            if change is not None:
-                changes.append(change)
-        else:
-            if header is not None:
-                yield header, changes
-            header, changes = (field, next(fields), next(fields), next(fields)), []
-    if header is not None:
-        yield header, changes
-
-
-def walk_history(repo: Repo, *, identity: str = "author") -> Iterator[tuple[list[str], list[CommitBlobs]]]:
-    """Walk the non-merge commits of the default branch's first-parent chain once.
-
-    Yields each distinct .py blob id the changes name once, in lists of at
-    most `_BATCH` ids, while ``git log`` still runs, each with the CommitBlobs
-    of the commits walked since the list before, newest first, which may name
-    ids of a later list; the last list may be empty.  The caller reads the
-    blobs it needs with `ask`.  A side with no blob id (absent, a symlink or
-    a submodule) is None in the changes and is never yielded.  `identity`
-    selects whether the author or the committer is credited.
-    """
-    if identity not in ("author", "committer"):
-        raise ValueError(f"identity must be 'author' or 'committer', not {identity!r}")
-    who = identity[0]  # %an/%ae or %cn/%ce
-    # --root, -l1000, --encoding and --no-show-signature pin what log.showRoot,
-    # diff.renameLimit, i18n.logOutputEncoding and log.showSignature would
-    # change; NUL separates the fields because no git identity can contain it
-    fields = repo.git_fields(
-        "log", "--first-parent", "--no-merges", "--raw", "-z", "--no-abbrev", "-M", "-l1000", "--root",
-        "--encoding=UTF-8", "--no-show-signature", f"--format=%H%x00%at%x00%{who}n%x00%{who}e", repo.tip,
-    )
-
-    identities: dict[tuple[bytes, bytes], ContributorId] = {}
-    named: set[str | None] = {None}  # every blob id named, and the absent side
-    wanted: list[str] = []  # blob ids named and not yet yielded
-    commits: list[CommitBlobs] = []  # walked and not yet yielded
-    with contextlib.closing(fields):
-        for header, changes in _raw_log(fields):
-            for _, old, new in changes:
-                for oid in (old, new):
-                    if oid not in named:
-                        named.add(oid)
-                        wanted.append(oid)
-            sha, time, name, email = header
-            contributor = identities.get((name, email))
-            if contributor is None:
-                identity_text = (field.decode("utf-8", errors="replace") for field in (name, email))
-                contributor = identities[name, email] = ContributorId.from_identity(*identity_text)
-            commits.append(CommitBlobs(sha.decode("ascii"), contributor, int(time), tuple(changes)))
-            while len(wanted) >= _BATCH:
-                yield wanted[:_BATCH], commits
-                del wanted[:_BATCH]
-                commits = []
-    yield wanted, commits
-
-
 def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecord]:
     """CommitRecords for the non-merge commits of the default branch's first-parent
     chain, oldest first, each with its changed .py files' before/after texts.
 
-    The text view of `walk_history`: each blob is read and decoded once, and
+    The text view of `walk.walk_history`: each blob is read and decoded once, and
     a change with no text on either side is left out.  `identity` selects
     whether the author or the committer is credited.
     """
     from .analyzer import blob_text
+    from .walk import CommitBlobs, ask, walk_history
 
     commits: list[CommitBlobs] = []  # newest first, as the walk hands them over
     # one decoded text per blob id, so equal sides share one object

@@ -5,16 +5,21 @@ form: its per-kind counts, or why it has none) depends only on the id, the
 code that analyzed it and the interpreter that ran that code.  The store
 keeps those analyses by blob id in one ``sqlite3`` file per interpreter and
 code fingerprint under ``<cache root>/analysis/``.  The fingerprint hashes
-the source of ``analyzer.py`` and ``scoring.py``, read by path without
-importing them, the stored form's own key and the store's schema, so a
-file that other code wrote has another name and is never read.
+the source of ``analyzer.py`` (`CODE`), which makes every stored form, read
+by path without importing it, the stored form's own key and the store's
+schema, so a file that other code wrote has another name and is never read.
 
 The same file keeps the cells of each history it was asked to keep, one
 row per contributor under the history's tip and `cells_key`, each with a
 SHA-256 digest of the row and the tip's number of rows, which is checked
-before any of the tip's cells is used.  This module alone decides whether
-a history uses the store, and under which key: a history that replace
-refs or grafts rewrite gets a store without a file, which does nothing.
+before any of the tip's cells is used.  The key hashes the cell layout and
+the source of the code that walks the history and folds it into cells
+(`CELLS_CODE`: ``history.py``, ``catalog.py``, ``store.py`` and
+``walk.py``), so an edit to the command line, to `scoring.finish` or to the
+reports changes neither the file's name nor the key.  This module alone
+decides whether a history uses the store, and under which key: a history
+that replace refs or grafts rewrite gets a store without a file, which does
+nothing.
 
 Nothing read from the store is trusted.  A store that cannot be opened, read
 or written, a file that is no store, a row that is no stored form, cells
@@ -50,9 +55,9 @@ SCHEMA = (
     "PRIMARY KEY (key, tip, anon_id)) WITHOUT ROWID",
 )
 #: The source files whose code makes a stored form.
-CODE = (Path(__file__).with_name("analyzer.py"), Path(scoring.__file__))
-#: The source files whose code makes a history's cells: the walk, the catalog, the fold and their encoding.
-CELLS_CODE = tuple(Path(__file__).with_name(name) for name in ("history.py", "catalog.py", "cli.py", "store.py"))
+CODE = (Path(__file__).with_name("analyzer.py"),)
+#: The source files whose code makes a history's cells: the repository, the catalog, the encoding, the walk.
+CELLS_CODE = tuple(Path(__file__).with_name(name) for name in ("history.py", "catalog.py", "store.py", "walk.py"))
 
 
 def store_path() -> Path:
@@ -70,9 +75,9 @@ def store_path() -> Path:
 
 def cells_key(identity: str, catalog: Catalog) -> str:
     """What a tip's cells depend on besides the tip and the store file's own
-    code: the identity mode, git's version, the catalog's kind -> level table
-    and the code that walks the history and folds analyses into cells."""
-    digest = hashlib.sha256(f"{identity} {sorted(catalog.levels.items())}".encode("utf-8"))
+    code: the identity mode, git's version, the catalog's kind -> level table,
+    the cell layout and the code that walks the history and folds analyses into cells."""
+    digest = hashlib.sha256(f"{identity} {sorted(catalog.levels.items())} {scoring.CELL}".encode("utf-8"))
     digest.update(history._run_git("--version").stdout.encode("utf-8"))
     for path in CELLS_CODE:
         digest.update(path.read_bytes())
@@ -168,7 +173,7 @@ class AnalysisStore:
     def lookup(self, oids: list[str]) -> dict[str, Stored]:
         """The stored form of each of `oids` that the store holds, in one query:
         `oids` must stay below the sqlite build's bound on parameters (999 up
-        to sqlite 3.32), as one walk batch of `history._BATCH` ids does."""
+        to sqlite 3.32), as one walk batch of `walk._BATCH` ids does."""
         if self._connection is None:
             return {}
         # text comes back as its bytes, so text that is no UTF-8 is one

@@ -14,8 +14,9 @@ import pytest
 from cefr_progress.analyzer import count_constructs
 from cefr_progress.catalog import Level, default_catalog
 from cefr_progress.cli import main
-from cefr_progress.history import CommitBlobs, ContributorId, RepoSpec, extract_commits, prepare_repo
-from cefr_progress.scoring import Granularity, build_report, score_blobs, score_commit
+from cefr_progress.history import ContributorId, RepoSpec, extract_commits, prepare_repo
+from cefr_progress.scoring import Granularity, build_report, score_commit
+from cefr_progress.walk import CommitBlobs, score_blobs
 
 from corpus import SNIPPETS
 from oracle import oracle_commit_deltas, oracle_rollups, vector_sum

@@ -284,7 +284,7 @@ def test_a_child_compiler_killed_by_a_signal_refuses_the_source(monkeypatch, sig
     _crashing_compiler(monkeypatch, [sys.executable, "-c", suicide])
     compiled = _count_compiled_trees(monkeypatch)
     assert not analyze_source(FLAGGED, CATALOG).parse_ok
-    assert scoring.source_analysis(FLAGGED) == stored
+    assert analyzer.source_analysis(FLAGGED) == stored
     assert compiled == []  # a crash is never compiled in this process
     # a crash holds for the source; the out-of-memory killer only for the run
     assert (stored in scoring.PASSING) is (signal_name == "SIGKILL")
@@ -303,7 +303,7 @@ def test_a_child_compiler_that_ends_normally_leaves_the_verdict_to_compile(monke
 def test_a_child_compiler_that_cannot_start_is_a_verdict_of_the_run(monkeypatch, tmp_path):
     _crashing_compiler(monkeypatch, [str(tmp_path / "no-such-python")])
     assert not analyze_source(FLAGGED, CATALOG).parse_ok
-    stored = scoring.source_analysis(FLAGGED)
+    stored = analyzer.source_analysis(FLAGGED)
     assert stored == "MemoryError"
     assert stored in scoring.PASSING
 

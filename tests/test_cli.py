@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cefr_progress import history, scoring
+from cefr_progress import analyzer, history, walk
 from cefr_progress.analyzer import analyze_source
 from cefr_progress.catalog import LEVEL_LABELS, default_catalog
 from cefr_progress.cli import main
@@ -167,7 +168,7 @@ def test_analyze_unreadable_history_exits_2(tmp_path):
 
 def test_analyze_analyzes_each_distinct_text_once(big_repo, tmp_path, monkeypatch):
     started, asked, analyzed = [], [], []
-    start_git, ask, source_analysis = history._start_git, history.ask, scoring.source_analysis
+    start_git, ask, source_analysis = history._start_git, walk.ask, analyzer.source_analysis
 
     def recording_start_git(*args, **pipes):
         started.append(args[2])  # the git command after "-C <path>"
@@ -182,8 +183,8 @@ def test_analyze_analyzes_each_distinct_text_once(big_repo, tmp_path, monkeypatc
         return source_analysis(source)
 
     monkeypatch.setattr(history, "_start_git", recording_start_git)
-    monkeypatch.setattr(history, "ask", recording_ask)
-    monkeypatch.setattr(scoring, "source_analysis", counting_source_analysis)
+    monkeypatch.setattr(walk, "ask", recording_ask)
+    monkeypatch.setattr(analyzer, "source_analysis", counting_source_analysis)
     assert main(["analyze", str(big_repo), "--out", str(tmp_path / "o"), "--jobs", "1"]) == 0
     assert started.count("cat-file") == 1
     # each distinct blob id is asked for once and analyzed once
@@ -406,6 +407,43 @@ def test_module_entry_point_smoke(linear_repo, tmp_path):
     assert proc.stdout.startswith("commits analyzed:")
     # progress stays on stderr, machine output on stdout
     assert "INFO" not in proc.stdout
+
+
+#: What the ``cefr-progress`` script that pyproject.toml declares runs
+SCRIPT = "import sys\nfrom cefr_progress.cli import run\nsys.exit(run())\n"
+
+
+def test_the_script_and_the_module_entry_point_run_alike(linear_repo, tmp_path):
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\ncefr-progress = "cefr_progress.cli:run"\n' in pyproject
+    # stdout is a pipe, so block-buffered: what the process wrote reaches it at exit
+    env = {name: value for name, value in child_env().items() if name != "PYTHONUNBUFFERED"}
+    bad_catalog, blocker = tmp_path / "bad.cat", tmp_path / "blocked"
+    bad_catalog.write_text("if_statement NOPE\n")
+    blocker.write_text("a file, not a directory\n")
+    out = ["--out", str(tmp_path / "out")]
+    cases = [  # (exit code, arguments)
+        (0, ["analyze", str(linear_repo), *out]),
+        (0, ["classify", str(Path(analyzer.__file__))]),
+        (2, ["analyze", str(tmp_path / "no-such-repo"), *out]),
+        (2, ["analyze", str(linear_repo), "--jobs", "0"]),
+        (3, ["analyze", str(linear_repo), *out, "--catalog", str(bad_catalog)]),
+        (4, ["analyze", str(linear_repo), "--out", str(blocker)]),
+    ]
+    main(["analyze", str(linear_repo), *out])  # the store holds the cells, so both runs below read them
+    for code, arguments in cases:
+        runs = [subprocess.run([sys.executable, *entry, *arguments], capture_output=True, env=env)
+                for entry in (["-m", "cefr_progress"], ["-c", SCRIPT])]
+        assert [run.returncode for run in runs] == [code, code], arguments
+        assert runs[0].stdout == runs[1].stdout and runs[0].stderr == runs[1].stderr, arguments
+        assert runs[0].stdout or code, arguments
+
+
+def test_main_leaves_the_collector_unfrozen(linear_repo, tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(["analyze", str(linear_repo), "--out", str(tmp_path / "out")]) == 0
+    assert main(["classify", str(Path(analyzer.__file__))]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_the_readme_library_path_writes_what_analyze_writes(linear_repo, tmp_path):

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from cefr_progress import history
+from cefr_progress import history, walk
 from cefr_progress.history import (
     CommitRecord,
     ContributorId,
@@ -16,8 +16,8 @@ from cefr_progress.history import (
     RepoSpec,
     extract_commits,
     prepare_repo,
-    walk_history,
 )
+from cefr_progress.walk import walk_history
 
 from conftest import ALICE, BOB, QUOTED_PATHS, GitFixture, KEEP_V1, KEEP_V2, UTIL_V1, UTIL_V2
 
@@ -473,7 +473,7 @@ def test_ask_answers_every_id_in_order(tmp_path):
 
     def read():
         with Repo(fixture.path).cat_file() as proc:
-            replies.extend(history.ask(proc, oids))
+            replies.extend(walk.ask(proc, oids))
 
     reader = threading.Thread(target=read, daemon=True)
     reader.start()
@@ -501,10 +501,10 @@ def test_ask_refuses_a_reply_that_ends_inside_a_blob(reply):
         stdout = io.BytesIO(header + reply)
 
     with pytest.raises(RepoError) as err:
-        list(history.ask(Process, [oid]))
+        list(walk.ask(Process, [oid]))
     assert err.value.kind == "git_failed"
     Process.stdout = io.BytesIO(header + BLOB + b"\n")
-    assert list(history.ask(Process, [oid])) == [(oid, BLOB)]
+    assert list(walk.ask(Process, [oid])) == [(oid, BLOB)]
 
 
 def test_no_git_process_outlives_its_call(linear_repo, big_repo, tmp_path, monkeypatch):
@@ -553,19 +553,19 @@ def test_no_git_process_outlives_its_call(linear_repo, big_repo, tmp_path, monke
     fixture.commit(ALICE, "2020-01-02T00:00:00Z", "two")
     fixture.write("b.py", "y = 1\n")
     fixture.commit(ALICE, "2020-01-03T00:00:00Z", "three")
-    for i in range(2 * history._BATCH):
+    for i in range(2 * walk._BATCH):
         fixture.write(f"pkg/m{i}.py", f"m = {i}\n")
     fixture.commit(ALICE, "2020-01-04T00:00:00Z", "four")
     (fixture.path / ".git" / "objects" / tree[:2] / tree[2:]).unlink()
     started.clear()
     asked = []
-    ask = history.ask
-    monkeypatch.setattr(history, "ask", lambda proc, oids: asked.extend(oids) or ask(proc, oids))
+    ask = walk.ask
+    monkeypatch.setattr(walk, "ask", lambda proc, oids: asked.extend(oids) or ask(proc, oids))
     with pytest.raises(RepoError) as err:
         with prepare_repo(RepoSpec(str(fixture.path))) as repo:
             extract_commits(repo)
     assert err.value.kind == "git_failed"
-    assert len(asked) == 2 * history._BATCH
+    assert len(asked) == 2 * walk._BATCH
     assert sorted(proc.args[3] for proc in started) == ["cat-file", "log"]
     assert all(proc.returncode is not None for proc in started)
 

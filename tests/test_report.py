@@ -1,3 +1,4 @@
+import html
 import json
 import math
 import re
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from cefr_progress.cli import main
 from cefr_progress.history import ContributorId
 from cefr_progress.report import (
+    _HTML_ESCAPES,
     emit_csv,
     emit_html,
     _json,
@@ -169,6 +171,37 @@ def test_html_escapes_names(tmp_path):
     html_text = emit_html(report, tmp_path / "r.html", show_names=True).read_text()
     assert "<script>" not in html_text
     assert "&lt;script&gt;" in html_text
+
+
+#: Text that holds each character html.escape replaces, other non-ASCII ones and lone surrogates
+escapable_text = st.text(st.one_of(st.sampled_from("&<>\"'"), st.characters(), st.characters(categories=["Cs"])))
+
+
+@settings(max_examples=500)
+@given(escapable_text)
+def test_the_escape_table_is_html_escape(text):
+    assert text.translate(_HTML_ESCAPES) == html.escape(text, quote=True)
+
+
+class _EachByHtmlEscape(dict):
+    """A translate table that escapes each character with `html.escape`."""
+
+    def __getitem__(self, code):
+        return html.escape(chr(code), quote=True)
+
+
+def test_html_with_every_escaped_character_is_what_html_escape_writes(tmp_path, monkeypatch):
+    special = "&<>\"'"
+    who = ContributorId.from_identity(f"Zoë {special} <b>x</b>", "zoe@example.com")
+    built = build_report([make_score(who, TS_2014, (1, 2, 3, 4, 5, 6))], repo=f"/repos/{special}/é")
+    written = emit_html(built, tmp_path / "table.html", show_names=True).read_bytes()
+    text = written.decode("utf-8")
+    assert f"<h3>{html.escape(who.raw_name)} ({who.anon_id})</h3>" in text
+    assert f"<title>{html.escape(who.raw_name)} ({who.anon_id})</title>" in text  # the radar's
+    assert f"repository: {html.escape(built.repo)} &middot;" in text
+    assert f'<p class="meta">{html.escape(who.raw_name)} (by total C1+C2 added)</p>' in text
+    monkeypatch.setattr("cefr_progress.report._HTML_ESCAPES", _EachByHtmlEscape())
+    assert emit_html(built, tmp_path / "escape.html", show_names=True).read_bytes() == written
 
 
 def test_html_anonymous_by_default(tmp_path):

@@ -11,26 +11,21 @@ from hypothesis import strategies as st
 
 from cefr_progress.analyzer import analyze_source
 from cefr_progress.catalog import KINDS, Level, default_catalog, load_catalog
-from cefr_progress.history import (
-    CommitBlobs, CommitRecord, ContributorId, FileChange, RepoSpec, ask, extract_commits, prepare_repo, walk_history,
-)
+from cefr_progress.analyzer import blob_analysis, source_analysis
+from cefr_progress.history import CommitRecord, ContributorId, FileChange, RepoSpec, extract_commits, prepare_repo
 from cefr_progress.scoring import (
     DEFAULT_BOT_PATTERNS,
-    SKIPPED,
     CommitScore,
     ContributorProfile,
     Granularity,
     ProjectReport,
     TopContributor,
-    blob_analysis,
     build_report,
-    entry_folder,
     is_bot,
     period_key,
-    score_blobs,
     score_commit,
-    source_analysis,
 )
+from cefr_progress.walk import SKIPPED, CommitBlobs, ask, entry_folder, score_blobs, walk_history
 
 from conftest import GitFixture
 from oracle import vector_sum

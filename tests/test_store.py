@@ -13,10 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from cefr_progress import analyzer, catalog, history, scoring, store
+from cefr_progress import analyzer, catalog, history, scoring, store, walk
 from cefr_progress.catalog import default_catalog, parse_catalog_text
 from cefr_progress.cli import main
-from cefr_progress.scoring import NO_TEXT, blob_analysis, entry_folder, is_stored, source_analysis
+from cefr_progress.analyzer import blob_analysis, source_analysis
+from cefr_progress.scoring import NO_TEXT, is_stored
+from cefr_progress.walk import entry_folder
 
 from conftest import ALICE, BOB, GitFixture, child_env, finish, run_analyze, start_analyze
 from corpus import SNIPPETS
@@ -38,7 +40,7 @@ def analyze(repo, out, *options) -> tuple[bytes, ...]:
 def recorded(monkeypatch):
     """The blob ids asked of git cat-file and the texts analyzed, as a run goes."""
     asked, analyzed = [], []
-    ask, source_analysis = history.ask, scoring.source_analysis
+    ask, source_analysis = walk.ask, analyzer.source_analysis
 
     def recording_ask(proc, oids):
         asked.extend(oids)
@@ -48,8 +50,8 @@ def recorded(monkeypatch):
         analyzed.append(source)
         return source_analysis(source)
 
-    monkeypatch.setattr(history, "ask", recording_ask)
-    monkeypatch.setattr(scoring, "source_analysis", recording_source_analysis)
+    monkeypatch.setattr(walk, "ask", recording_ask)
+    monkeypatch.setattr(analyzer, "source_analysis", recording_source_analysis)
     return asked, analyzed
 
 
@@ -74,8 +76,8 @@ def test_the_stored_form_names_why_a_blob_has_no_counts():
     assert source_analysis("if x:\npass\n") == "IndentationError"
     assert source_analysis("x = " + "-" * 200_000 + "1\n") in ("RecursionError", "MemoryError")
     fold = entry_folder(CATALOG)
-    assert fold(NO_TEXT) == scoring.ABSENT
-    assert fold("SyntaxError") is scoring.SKIPPED
+    assert fold(NO_TEXT) == walk.ABSENT
+    assert fold("SyntaxError") is walk.SKIPPED
 
 
 @pytest.mark.parametrize("value", [b"", b"\0" * 7, 3, 1.5, None, "no reason", "1x"])
@@ -92,7 +94,7 @@ def test_a_kind_missing_from_kinds_fails_loudly(monkeypatch):
 def test_the_store_file_is_named_by_the_kind_list(tmp_path_factory):
     # the kind list is the default catalog's table, sorted, and the stored
     # form's key names it: a kind dropped from or renamed in the table alone,
-    # with analyzer.py and scoring.py unchanged, renames the store
+    # with analyzer.py unchanged, renames the store
     assert catalog.KINDS == tuple(sorted(CATALOG.levels))
     row = '    "closure": Level.C1,'
 
@@ -119,7 +121,7 @@ def test_the_store_file_is_named_by_interpreter_and_code(fresh_cache_root, tmp_p
     path = store.store_path()
     assert path.parent == fresh_cache_root / "analysis"
     assert path.name.startswith(f"{sys.implementation.cache_tag}-")
-    assert store.CODE == (Path(analyzer.__file__), Path(scoring.__file__))
+    assert store.CODE == (Path(analyzer.__file__),)
     changed = tmp_path / "analyzer.py"
     changed.write_bytes(Path(analyzer.__file__).read_bytes() + b"\n# changed\n")
     with monkeypatch.context() as patch:
@@ -397,7 +399,7 @@ def test_a_store_damaged_past_its_schema_is_moved_aside_mid_run(big_repo, tmp_pa
 
 
 def test_the_cells_key_changes_with_each_of_its_inputs(tmp_path, monkeypatch):
-    assert [path.name for path in store.CELLS_CODE] == ["history.py", "catalog.py", "cli.py", "store.py"]
+    assert [path.name for path in store.CELLS_CODE] == ["history.py", "catalog.py", "store.py", "walk.py"]
     copies = tuple(tmp_path / path.name for path in store.CELLS_CODE)
     for path, copy in zip(store.CELLS_CODE, copies):
         copy.write_bytes(path.read_bytes())
@@ -422,9 +424,50 @@ def test_the_cells_key_changes_with_each_of_its_inputs(tmp_path, monkeypatch):
         copy.write_bytes(source)
     git_version, version[0] = version[0], "git version 0.0.1\n"
     changed.append(store.cells_key("author", CATALOG))
-    assert key not in changed and len(set(changed)) == len(changed) == 7
     version[0] = git_version
+    with monkeypatch.context() as patch:  # another cell layout
+        patch.setattr(scoring, "CELL", scoring.CELL + 1)
+        changed.append(store.cells_key("author", CATALOG))
+    assert key not in changed and len(set(changed)) == len(changed) == 8
     assert store.cells_key("author", CATALOG) == key  # the same inputs again
+
+
+#: The edit `test_the_store_file_and_the_cells_key_hash_only_the_code_they_name`
+#: makes to a file, as (text, the text in its place): one in `finish` for
+#: scoring.py, and a blank line for a file not named here
+EDITS = {
+    "cli.py": ("def run() -> int:", "def run() -> int:  # edited"),
+    "report.py": ("<!DOCTYPE html>", "<!DOCTYPE HTML>"),
+    "scoring.py": ("    all_profiles.sort(key=_profile_sort_key)", "    all_profiles.sort(key=_profile_sort_key)  # edited"),
+}
+
+
+def test_the_store_file_and_the_cells_key_hash_only_the_code_they_name(tmp_path_factory):
+    # an edit to the command line, the reports or `finish` changes neither;
+    # an edit to a file of CODE renames the store file alone, and one to a
+    # file of CELLS_CODE changes the cells key alone
+    def keys_after(name: str) -> list[str]:
+        """The store file's name and the cells key of a copy of the package with one edit to `name`."""
+        package = tmp_path_factory.mktemp("copy") / "cefr_progress"
+        shutil.copytree(Path(store.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+        source = package / name
+        old, new = EDITS.get(name, ("\n", "\n\n"))
+        assert old in source.read_text(encoding="utf-8")
+        source.write_text(source.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
+        script = ("from cefr_progress import catalog, store\nprint(store.store_path().name)\n"
+                  "print(store.cells_key('author', catalog.default_catalog()))")
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env={**child_env(), "PYTHONPATH": str(package.parent)})
+        assert child.returncode == 0, child.stderr
+        return child.stdout.split()
+
+    path, key = store.store_path().name, store.cells_key("author", CATALOG)
+    code, cells_code = ({path.name for path in files} for files in (store.CODE, store.CELLS_CODE))
+    assert code == {"analyzer.py"} and cells_code == {"history.py", "catalog.py", "store.py", "walk.py"}
+    for source in sorted(Path(store.__file__).parent.glob("*.py")):
+        named, keyed = keys_after(source.name)
+        assert (named != path) is (source.name in code), source.name
+        assert (keyed != key) is (source.name in cells_code), source.name
 
 
 @pytest.mark.parametrize("verdict", [None, *sorted(scoring.PASSING)], ids=["missing", *sorted(scoring.PASSING)])
@@ -432,7 +475,7 @@ def test_keep_stores_neither_the_cells_nor_an_analysis_that_holds_only_for_this_
     # None: the id names no blob in the repository; the rest tell of the run
     held, lacking = "a" * 40, "b" * 40
     score = scoring.CommitScore("c" * 40, history.ContributorId.from_identity(*ALICE), 1577836800, (1, 0, 2, 0, 0, 0), 1, 0)
-    cells = scoring.fold([score])
+    cells = walk.fold([score])
     with history.prepare_repo(history.RepoSpec(str(linear_repo))) as repo:
         kept = store.AnalysisStore.open(repo, "author", CATALOG)
     try:

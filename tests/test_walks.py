@@ -21,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cefr_progress
-from cefr_progress import cli, history, scoring, store
+from cefr_progress import analyzer, cli, history, store, walk
 from cefr_progress.catalog import default_catalog
 from cefr_progress.cli import main
 from cefr_progress.history import ContributorId, RepoSpec, prepare_repo
-from cefr_progress.scoring import CommitScore, fold
+from cefr_progress.scoring import CommitScore
+from cefr_progress.walk import fold
 
 from conftest import ALICE, BOB, GitFixture, child_env
 
@@ -245,33 +246,44 @@ def test_a_partly_warm_parallel_run_analyzes_only_the_blobs_the_store_lacks(line
             _forgotten(connection)
     launched.clear()
     asked = []
-    ask = history.ask
-    monkeypatch.setattr(history, "ask", lambda proc, oids: asked.extend(oids) or ask(proc, oids))
+    ask = walk.ask
+    monkeypatch.setattr(walk, "ask", lambda proc, oids: asked.extend(oids) or ask(proc, oids))
     assert analyze(linear_repo, tmp_path / "partly-warm", "--jobs", "2") == first
     assert sorted(asked) == lacking
     assert summary(caplog).startswith("blobs: 6 named, 2 analyzed, 4 from the analysis store;")
     assert launched == ["log", "cat-file", "pool"]
 
 
-#: What a run that finds every analysis stored never runs, and so never imports
-WARM_UNUSED = ("cefr_progress.analyzer", "dataclasses", "inspect", "ast")
+#: What a run that reads stored cells never runs, and so never imports
+WARM_UNUSED = ("cefr_progress.analyzer", "cefr_progress.walk", "dataclasses", "inspect", "ast", "html",
+               "html.entities", "concurrent.futures")
+
+
+def loaded(repo, out, *options) -> list[str]:
+    """Those of WARM_UNUSED that an `analyze` of `repo` with `options` has imported
+    by its end, in a child process of its own; -S runs no site-packages .pth
+    file, which may import any of them."""
+    script = ("import sys\nfrom cefr_progress.cli import main\ncode = main(sys.argv[1:])\n"
+              f"print(*(name for name in {WARM_UNUSED!r} if name in sys.modules))\nsys.exit(code)")
+    child = subprocess.run([sys.executable, "-S", "-c", script, "analyze", str(repo), "--out", str(out), *options],
+                           capture_output=True, text=True, env=child_env())
+    assert child.returncode == 0, child.stderr
+    return child.stdout.splitlines()[-1].split()
 
 
 def test_a_warm_run_imports_no_ast_code(linear_repo, tmp_path):
-    # each run in a child process of its own, sharing one fresh cache root,
-    # prints the modules it ends with, of those a warm run must not load; -S
-    # runs no site-packages .pth file, which may import any of them
-    script = ("import sys\nfrom cefr_progress.cli import main\ncode = main(sys.argv[1:])\n"
-              f"print(*(name for name in {WARM_UNUSED!r} if name in sys.modules))\nsys.exit(code)")
+    # the runs share one fresh cache root
+    assert {"cefr_progress.analyzer", "cefr_progress.walk"} <= set(loaded(linear_repo, tmp_path / "cold"))
+    assert loaded(linear_repo, tmp_path / "warm") == []
 
-    def loaded(out) -> list[str]:
-        child = subprocess.run([sys.executable, "-S", "-c", script, "analyze", str(linear_repo), "--out", str(out)],
-                               capture_output=True, text=True, env=child_env())
-        assert child.returncode == 0, child.stderr
-        return child.stdout.splitlines()[-1].split()
 
-    assert "cefr_progress.analyzer" in loaded(tmp_path / "cold")
-    assert loaded(tmp_path / "warm") == []
+def test_a_parallel_walk_imports_the_pool_only_at_a_blob_the_store_lacks(linear_repo, tmp_path):
+    # as on a new tip whose commits change no .py file: git walks the
+    # history, and the store holds every blob it names
+    cold = loaded(linear_repo, tmp_path / "cold", "--jobs", "2")
+    assert {"cefr_progress.analyzer", "concurrent.futures"} <= set(cold)
+    _damage(_forgotten)
+    assert loaded(linear_repo, tmp_path / "new-tip", "--jobs", "2") == ["cefr_progress.walk"]
 
 
 def test_a_cold_parallel_run_imports_the_analyzer_before_the_workers_fork(linear_repo, tmp_path, monkeypatch,
@@ -515,7 +527,7 @@ def test_a_worker_that_dies_costs_only_its_blob(tmp_path, monkeypatch, caplog):
     blobs = {line.split()[0] for line in fixture.run("rev-list", "--objects", "--all").splitlines()
              if line.endswith(".py")}
     dying = fixture.run("rev-parse", "HEAD:dies.py").strip()
-    source_analysis = scoring.source_analysis
+    source_analysis = analyzer.source_analysis
 
     def dies_on_marker(source):
         if source == DYING:
@@ -531,7 +543,7 @@ def test_a_worker_that_dies_costs_only_its_blob(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(store.AnalysisStore, "keep",
                         lambda self, analyses, cells: made.extend(analyses) or keep(self, analyses, cells))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkingPool)
-    monkeypatch.setattr(scoring, "source_analysis", dies_on_marker)
+    monkeypatch.setattr(analyzer, "source_analysis", dies_on_marker)
     parallel = analyze(fixture.path, tmp_path / "parallel", "--jobs", "2")
     assert "skipped: 1 BrokenProcessPool;" in summary(caplog)
     # every blob is analyzed once, whichever chunk held it, and every other blob's analysis is kept
@@ -539,7 +551,7 @@ def test_a_worker_that_dies_costs_only_its_blob(tmp_path, monkeypatch, caplog):
     assert stored_oids() == sorted(blobs - {dying})
     assert tips() == []  # a verdict of this run: no cells
 
-    monkeypatch.setattr(scoring, "source_analysis",
+    monkeypatch.setattr(analyzer, "source_analysis",
                         lambda source: "BrokenProcessPool" if source == DYING else source_analysis(source))
     assert cold(fixture.path, tmp_path / "serial", monkeypatch) == parallel
 
@@ -589,7 +601,7 @@ def tasks(monkeypatch):
             return super().submit(fn, *args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli, "_CHUNK_BYTES", SMALL_CHUNK)
+    monkeypatch.setattr(walk, "_CHUNK_BYTES", SMALL_CHUNK)
     return submitted, widths
 
 
@@ -602,7 +614,7 @@ def test_each_dying_worker_costs_only_its_blob_and_the_pool_is_replaced(tmp_path
     blobs = {line.split()[0] for line in fixture.run("rev-list", "--objects", "--all").splitlines()
              if line.endswith(".py")}
     dying = {fixture.run("rev-parse", f"HEAD:{marker}").strip() for marker in markers}
-    source_analysis = scoring.source_analysis
+    source_analysis = analyzer.source_analysis
 
     def dies_on_marker(source):
         if source.startswith(DYING):
@@ -613,7 +625,7 @@ def test_each_dying_worker_costs_only_its_blob_and_the_pool_is_replaced(tmp_path
     keep = store.AnalysisStore.keep
     monkeypatch.setattr(store.AnalysisStore, "keep",
                         lambda self, analyses, cells: made.extend(analyses) or keep(self, analyses, cells))
-    monkeypatch.setattr(scoring, "source_analysis", dies_on_marker)
+    monkeypatch.setattr(analyzer, "source_analysis", dies_on_marker)
     parallel = analyze(fixture.path, tmp_path / "parallel", "--jobs", "2")
     assert f"skipped: {len(markers)} BrokenProcessPool;" in summary(caplog)
     # every blob is analyzed once, whichever chunk held it, and every other blob's analysis is kept
@@ -642,7 +654,7 @@ def test_each_dying_worker_costs_only_its_blob_and_the_pool_is_replaced(tmp_path
     assert multiprocessing.active_children() == []
     assert len(shutdowns) >= len(widths) and all(shutdowns)
 
-    monkeypatch.setattr(scoring, "source_analysis",
+    monkeypatch.setattr(analyzer, "source_analysis",
                         lambda source: "BrokenProcessPool" if source.startswith(DYING) else source_analysis(source))
     assert cold(fixture.path, tmp_path / "serial", monkeypatch) == parallel
 
@@ -704,7 +716,7 @@ walk_commits = st.lists(st.tuples(
 def test_folding_each_commit_as_its_blobs_are_known_gives_the_cells_of_the_whole_history(drawn, size):
     # the commits newest first, as git walks them, each with the score it is
     # given; a batch ends where drawn, in lists of at most `size` new blob ids
-    commits = [history.CommitBlobs(f"{n:040x}", who, time, tuple(("m.py", *sides) for sides in changes))
+    commits = [walk.CommitBlobs(f"{n:040x}", who, time, tuple(("m.py", *sides) for sides in changes))
                for n, (who, time, changes, *_) in enumerate(drawn)]
     given_scores = {commit.sha: CommitScore(commit.sha, commit.contributor, commit.timestamp, *rest)
                     for commit, (_, _, _, *rest, _) in zip(commits, drawn)}
@@ -743,9 +755,9 @@ def test_folding_each_commit_as_its_blobs_are_known_gives_the_cells_of_the_whole
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "prepare_repo", lambda spec: Rewritten())
-        patch.setattr(cli, "walk_history", walk_history)
-        patch.setattr(history, "ask", lambda proc, oids: ((oid, b"") for oid in oids))
-        patch.setattr(cli, "score_blobs", score_blobs)
+        patch.setattr(walk, "walk_history", walk_history)
+        patch.setattr(walk, "ask", lambda proc, oids: ((oid, b"") for oid in oids))
+        patch.setattr(walk, "score_blobs", score_blobs)
         cells = cli._analyze_history("repo", default_catalog(), "author", 1)
     assert scored == [commit.sha for commit in commits]  # in the walk's order, each once
     # the cells of the scores oldest first, as the text view reads them:
@@ -756,7 +768,7 @@ def test_folding_each_commit_as_its_blobs_are_known_gives_the_cells_of_the_whole
 
 def test_the_first_commit_is_scored_while_git_log_still_runs(big_repo, tmp_path, monkeypatch, started):
     batches = []  # the batches the walk has handed over, and then True once it has ended
-    walk_history = cli.walk_history
+    walk_history = walk.walk_history
 
     def counted_walk(repo, *, identity):
         for batch in walk_history(repo, identity=identity):
@@ -765,15 +777,15 @@ def test_the_first_commit_is_scored_while_git_log_still_runs(big_repo, tmp_path,
         batches.append(True)
 
     at_first_score = []  # the batches handed over, and git log's exit status, at the first score
-    score_blobs = cli.score_blobs
+    score_blobs = walk.score_blobs
 
     def noted_score_blobs(commit, memo):
         if not at_first_score:
             at_first_score.extend([len(batches), [proc.returncode for proc in started if proc.args[3] == "log"]])
         return score_blobs(commit, memo)
 
-    monkeypatch.setattr(cli, "walk_history", counted_walk)
-    monkeypatch.setattr(cli, "score_blobs", noted_score_blobs)
+    monkeypatch.setattr(walk, "walk_history", counted_walk)
+    monkeypatch.setattr(walk, "score_blobs", noted_score_blobs)
     analyze(big_repo, tmp_path / "out")
     assert batches[-1] is True and sum(len(commits) for _, commits in batches[:-1]) == 500
     # git log was neither done nor waited on: its walk had handed over its first batches only

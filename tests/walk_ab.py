@@ -34,11 +34,13 @@ from pathlib import Path
 from report_ab import quartiles
 
 REPORTS = ("report.json", "report.csv", "report.html")
-#: The child: ``cefr_progress.cli.main`` on its arguments, as ``python -m
-#: cefr_progress`` runs it, then its VmHWM in kB as the last line on stderr
-CHILD = """import sys
-from cefr_progress.cli import main
-code = main(sys.argv[1:])
+#: The child: what ``python -m cefr_progress`` runs, the checkout's
+#: ``__main__.py``, on its arguments, then its VmHWM in kB as the last line on stderr
+CHILD = """import runpy, sys
+try:
+    runpy.run_module("cefr_progress", run_name="__main__")
+except SystemExit as exit:
+    code = exit.code
 with open("/proc/self/status") as status:
     print(*(line.split()[1] for line in status if line.startswith("VmHWM:")), file=sys.stderr)
 sys.exit(code)
