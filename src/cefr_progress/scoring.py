@@ -75,7 +75,7 @@ class ProjectReport(NamedTuple):
 #: and files skipped
 CELL = 11
 #: A history's commit scores summed by contributor and UTC month, which
-#: every report of that history is made from: each anon_id's first
+#: every report of that history is made from: each anon_id's oldest
 #: ContributorId and its cells, in time order, in one sequence of ints
 Cells = dict[str, tuple[ContributorId, Sequence[int]]]
 
@@ -229,7 +229,8 @@ def finish(cells: Cells, *, repo: str, period: Granularity = Granularity.YEARLY,
 
 
 def build_report(scores: Iterable[CommitScore], **options) -> ProjectReport:
-    """The project report of per-commit scores, read in one pass: `finish`, under `options`, of their `walk.fold`."""
+    """The project report of per-commit scores, oldest first as the text view gives them:
+    `finish`, under `options`, of `walk.fold` of the scores reversed into the walk's order."""
     from .walk import fold
 
-    return finish(fold(scores), **options)
+    return finish(fold(reversed(list(scores))), **options)

@@ -252,9 +252,11 @@ def _month(timestamp: int) -> int:
 def fold(scores: Iterable[CommitScore]) -> Cells:
     """Sum per-commit scores, read in one pass, into cells by contributor and UTC month.
 
-    Each anon_id keeps the ContributorId of its first score.  Each commit's
-    month comes from a memo keyed by UTC day, which never straddles a month.
-    A CommitScore is unpacked by position.
+    The scores come in the walk's order, newest first, and each anon_id is
+    named by the ContributorId of its last score, its oldest commit: this is
+    the one rule that names a contributor.  Each commit's month comes from a
+    memo keyed by UTC day, which never straddles a month.  A CommitScore is
+    unpacked by position.
     """
     months: dict[int, int] = {}  # UTC day -> month
     people: dict[str, list] = {}  # anon_id -> [ContributorId, {month: cell}]
@@ -266,6 +268,7 @@ def fold(scores: Iterable[CommitScore]) -> Cells:
         person = people.get(contributor.anon_id)
         if person is None:
             person = people[contributor.anon_id] = [contributor, {}]
+        person[0] = contributor
         cell = person[1].get(month)
         if cell is None:
             cell = person[1][month] = [month, timestamp] + [0] * (CELL - 2)
@@ -304,16 +307,15 @@ def walk_cells(repo: Repo, store, catalog: Catalog, identity: str, jobs: int) ->
     bytes in small chunks and return stored forms.  The chunks in flight
     when a worker dies are analyzed again one blob per task in fresh pools,
     and a blob whose worker dies is skipped.  Each commit folds into the
-    cells in walk order once the memo holds its blobs, and each anon_id keeps
-    the ContributorId of its last commit folded, the oldest.  One store write
-    keeps what holds for any run.
+    cells in walk order once the memo holds its blobs, so `fold` names each
+    anon_id as in its oldest commit.  One store write keeps what holds for
+    any run.
     """
     memo: dict[str, Entry] = {}
     made: list[tuple[str, Stored | None]] = []  # this run's analyses, None for an id that names no blob
     skipped: Counter = Counter()  # reason -> blobs
     entry = entry_folder(catalog)
     waiting: deque = deque()  # the commits walked and not yet scored, newest first
-    oldest: dict[str, ContributorId] = {}  # anon_id -> the ContributorId of its last commit scored
 
     def remember(oid: str, stored: Stored) -> None:
         memo[oid] = entry(stored)
@@ -371,7 +373,6 @@ def walk_cells(repo: Repo, store, catalog: Catalog, identity: str, jobs: int) ->
     def scores(last: bool = False) -> Iterator[CommitScore]:
         """The waiting commits' scores up to the first whose blobs the memo lacks; at the `last`, all, or KeyError."""
         while waiting and (last or all(oid in memo for _, *sides in waiting[0].changes for oid in sides if oid)):
-            oldest[waiting[0].contributor.anon_id] = waiting[0].contributor
             yield score_blobs(waiting.popleft(), memo)
 
     def walk() -> Iterator[CommitScore]:
@@ -413,6 +414,6 @@ def walk_cells(repo: Repo, store, catalog: Catalog, identity: str, jobs: int) ->
 
     git = pool = ProcessPoolExecutor = BrokenProcessPool = None  # once a blob is to be read
     with contextlib.ExitStack() as stack:
-        cells = {anon: (oldest[anon], ints) for anon, (_, ints) in fold(walk()).items()}
+        cells = fold(walk())
         store.keep(made, cells)
     return cells, len(memo), len(made), skipped

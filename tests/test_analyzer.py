@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cefr_progress
 from cefr_progress import analyzer, scoring
 from cefr_progress.analyzer import (
     _CHILD_FIELDS,
@@ -405,12 +406,29 @@ def test_tuple_of_slices_counts_once():
     assert count_constructs("m[1:2, 3]\n") == [("slice_expression", 1), ("tuple_literal", 1)]
 
 
+def _root_imports(source: str) -> set[str]:
+    """The names that the ``from cefr_progress import ...`` statements of `source` import."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "cefr_progress" and not node.level
+            for alias in node.names}
+
+
 def test_every_name_the_package_exports_resolves():
-    # in a child process, where the analyzer's names, which the package
-    # imports at their first use, are not loaded yet
+    # in a child process, which has imported nothing of the package before
     script = "import cefr_progress\nfor name in cefr_progress.__all__:\n    getattr(cefr_progress, name)\n"
     child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
     assert child.returncode == 0, child.stderr
+    # the root exports what its callers import from it (README's library
+    # snippet and the benchmark) and the version, and nothing else
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("\n## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    imported = _root_imports(snippet) | _root_imports((root / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    assert imported and sorted(cefr_progress.__all__) == sorted(imported | {"__version__"})
+    assert not hasattr(cefr_progress, "__getattr__")
+    # one version: pyproject.toml's
+    project = (root / "pyproject.toml").read_text(encoding="utf-8").split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert f'\nversion = "{cefr_progress.__version__}"\n' in f"\n{project}\n"
 
 
 #: kinds that one node type always emits, and those node types

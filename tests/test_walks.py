@@ -24,8 +24,9 @@ import cefr_progress
 from cefr_progress import analyzer, cli, history, store, walk
 from cefr_progress.catalog import default_catalog
 from cefr_progress.cli import main
-from cefr_progress.history import ContributorId, RepoSpec, prepare_repo
-from cefr_progress.scoring import CommitScore
+from cefr_progress.history import ContributorId, RepoSpec, extract_commits, prepare_repo
+from cefr_progress.report import write_report_bundle
+from cefr_progress.scoring import CommitScore, build_report, score_commit
 from cefr_progress.walk import fold
 
 from conftest import ALICE, BOB, GitFixture, child_env
@@ -760,10 +761,54 @@ def test_folding_each_commit_as_its_blobs_are_known_gives_the_cells_of_the_whole
         patch.setattr(walk, "score_blobs", score_blobs)
         cells = cli._analyze_history("repo", default_catalog(), "author", 1)
     assert scored == [commit.sha for commit in commits]  # in the walk's order, each once
-    # the cells of the scores oldest first, as the text view reads them:
-    # each anon_id named as in its oldest commit
-    whole = fold(given_scores[commit.sha] for commit in reversed(commits))
-    assert {anon: (who, list(ints)) for anon, (who, ints) in cells.items()} == whole
+    # the cells of the whole history's scores
+    whole = fold(given_scores[commit.sha] for commit in commits)
+    assert {anon: list(ints) for anon, (_, ints) in cells.items()} == {anon: ints for anon, (_, ints) in whole.items()}
+    # each anon_id named as in its oldest commit, the last one walked
+    oldest = {}
+    for commit in commits:
+        oldest[commit.contributor.anon_id] = commit.contributor
+    assert {anon: who for anon, (who, _) in cells.items()} == oldest
+
+
+def _names(report_json: bytes) -> dict[str, tuple[str, str]]:
+    """The name and email that a report.json written with --show-names gives each anon_id."""
+    return {person["anon_id"]: (person["name"], person["email"]) for person in json.loads(report_json)["contributors"]}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_contributor_is_named_as_in_the_oldest_commit(tmp_path, caplog, monkeypatch, jobs):
+    # one email spelled two ways, under two names: the oldest spelling names
+    # the contributor in every report, whichever way its cells were made
+    oldest, later = ("C. Lopez", "CARLA@Example.COM"), ("Carla Lopez", "carla@example.com")
+    fixture = GitFixture(tmp_path / "repo")
+    fixture.write("a.py", "a = [1]\n")
+    fixture.commit(oldest, "2020-01-10T10:00:00Z", "start")
+    fixture.write("b.py", "def f():\n    return [v for v in a]\n")
+    fixture.commit(later, "2020-03-10T10:00:00Z", "a comprehension")
+    fixture.write("a.py", "a = [1]\nfor x in a:\n    print(x)\n")
+    fixture.commit(BOB, "2020-04-10T10:00:00Z", "a loop")
+    fixture.write("c.py", "class C:\n    pass\n")
+    fixture.commit(later, "2020-05-10T10:00:00Z", "a class")
+    options = ("--show-names", "--jobs", jobs)
+    first = analyze(fixture.path, tmp_path / "first", *options)
+    carla = ContributorId.from_identity(*oldest).anon_id
+    assert _names(first[0])[carla] == oldest
+    assert analyze(fixture.path, tmp_path / "warm", *options) == first
+    assert sources(caplog) == "0 from git log, 4 from stored cells"
+    # a new tip over a store that holds HEAD~1's cells and blobs
+    head = fixture.run("rev-parse", "HEAD").strip()
+    fixture.run("reset", "-q", "--hard", "HEAD~1")
+    monkeypatch.setenv("CEFR_PROGRESS_CACHE", str(tmp_path / "older-cache"))
+    assert _names(analyze(fixture.path, tmp_path / "older", *options)[0])[carla] == oldest
+    fixture.run("reset", "-q", "--hard", head)
+    assert analyze(fixture.path, tmp_path / "new-tip", *options) == first
+    assert sources(caplog) == "4 from git log, 0 from stored cells"
+    # the text view, whose records are oldest first
+    with prepare_repo(RepoSpec(str(fixture.path))) as repo:
+        scores = [score_commit(record, default_catalog()) for record in extract_commits(repo)]
+    write_report_bundle(build_report(scores, repo=str(fixture.path)), tmp_path / "library", show_names=True)
+    assert (tmp_path / "library" / "report.json").read_bytes() == first[0]
 
 
 def test_the_first_commit_is_scored_while_git_log_still_runs(big_repo, tmp_path, monkeypatch, started):

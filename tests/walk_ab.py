@@ -10,12 +10,14 @@ so it walks the whole history and analyzes every blob.  With ``--back K``,
 every run starts from a copy of a cache root that one untimed run of the
 same checkout filled by analyzing a clone of REPO reset to ``HEAD~K``: the
 tip has no stored cells, and every blob but those of the last K commits
-is stored.  It prints each checkout's median and quartile seconds, the
+is stored; each checkout also analyzes REPO once, untimed, from an empty
+cache root.  It prints each checkout's median and quartile seconds, the
 change/parent ratio of the medians, the runs in which the change took less
 time than the parent, and the peak memory (``VmHWM``) of each run's main
 process, which the child reads from ``/proc/self/status`` as it ends, so
 this needs Linux.  The exit status is 1 unless both checkouts write
-byte-identical report.json, report.csv, report.html and stdout on every run.
+byte-identical report.json, report.csv, report.html and stdout on every run,
+and, with ``--back``, each run writes what its checkout's cold run wrote.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ def analyze(checkout: Path, repo: str, jobs: int, cache: Path, out: Path) -> tup
     return seconds, int(child.stderr.splitlines()[-1]) / 1024, child.stdout
 
 
+def outputs(out: Path, stdout: bytes) -> dict[str, bytes]:
+    """The reports one ``analyze`` wrote into `out`, and its stdout, by name."""
+    return {**{name: (out / name).read_bytes() for name in REPORTS}, "stdout": stdout}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -75,6 +82,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="walk-ab-") as scratch:
         root = Path(scratch)
         filled = [None, None]  # each checkout's cache root after its run on HEAD~K
+        cold = [None, None]  # each checkout's outputs from an empty cache root, with --back
         if args.back is not None:
             older = root / "older"
             subprocess.run(["git", "clone", "-q", "--bare", args.repo, str(older)], check=True)
@@ -82,6 +90,8 @@ def main() -> int:
             for side, checkout in enumerate(checkouts):
                 filled[side] = root / f"filled-{side}"
                 analyze(checkout, str(older), args.jobs, filled[side], root / "older-out")
+                stdout = analyze(checkout, args.repo, args.jobs, root / f"cold-cache-{side}", root / "cold")[2]
+                cold[side] = outputs(root / "cold", stdout)
         times, peaks = ([], []), ([], [])  # per checkout, per run
         differing = set()
         for number in range(args.runs):
@@ -95,13 +105,15 @@ def main() -> int:
                 seconds, peak, stdouts[side] = analyze(checkouts[side], args.repo, args.jobs, cache, outs[side])
                 times[side].append(seconds)
                 peaks[side].append(peak)
-            for name in REPORTS:
-                if (outs[0] / name).read_bytes() != (outs[1] / name).read_bytes() and name not in differing:
-                    differing.add(name)
-                    print(f"{name}: the checkouts' reports differ (run {number + 1})")
-            if stdouts[0] != stdouts[1] and "stdout" not in differing:
-                differing.add("stdout")
-                print(f"stdout: the checkouts' differ (run {number + 1}): {stdouts[0]!r} != {stdouts[1]!r}")
+            got = [outputs(outs[side], stdouts[side]) for side in (0, 1)]
+            pairs = [("the checkouts'", *got)] + [
+                (f"the {('parent', 'change')[side]}'s and its cold run's", got[side], cold[side])
+                for side in (0, 1) if cold[side] is not None]
+            for which, ours, theirs in pairs:
+                for name in ours:
+                    if ours[name] != theirs[name] and f"{name} ({which})" not in differing:
+                        differing.add(f"{name} ({which})")
+                        print(f"{name}: {which} differ (run {number + 1})")
 
     start = "an empty cache root" if args.back is None else f"the store of HEAD~{args.back}"
     print(f"Python {platform.python_version()}, {args.repo}, --jobs {args.jobs}, {args.runs} runs, each from "
