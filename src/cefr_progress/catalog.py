@@ -61,10 +61,6 @@ class Catalog(NamedTuple):
     version: str
     levels: dict[str, Level]
 
-    def classify(self, kind: str) -> Level | None:
-        """Level for a construct kind, or None when the kind is not cataloged."""
-        return self.levels.get(kind)
-
 
 # Default construct -> level table.  The A1/A2/B1/B2/C1/C2 anchors for
 # if statements, nested lists, break, list comprehensions, generator
@@ -194,7 +190,7 @@ def level_counter(catalog: Catalog) -> Callable[[Iterable[int]], list[int]]:
     """The function that sums per-kind counts, given in KINDS order, into
     seven: one per level, A1 first, then one for the kinds `catalog` lacks,
     which are tallied apart rather than put at some level."""
-    slots = [len(Level) if (level := catalog.classify(kind)) is None else level for kind in KINDS]
+    slots = [len(Level) if (level := catalog.levels.get(kind)) is None else level for kind in KINDS]
 
     def count(counts: Iterable[int]) -> list[int]:
         totals = [0] * (len(Level) + 1)

@@ -5,7 +5,7 @@ probes the tip of its default branch's first-parent chain.  All repository
 access goes through the ``git`` executable, and no git process outlives
 the call that starts it.  The walk that `analyze` runs lives in `walk`;
 `extract_commits` is its text view: it reads and decodes each blob and
-gives CommitRecords with before/after texts, oldest first.
+gives CommitRecords with before/after texts, in the walk's order.
 
 Contributors are keyed by the git *author* by default (``committer``
 available as a mode); the anonymized ID is the first 8 hex digits of
@@ -88,11 +88,14 @@ class CommitRecord(NamedTuple):
 
 def _run_git(*args: str) -> subprocess.CompletedProcess:
     """Run ``git`` with `args` and capture its output as text, with each byte
-    that is not UTF-8 as a surrogate escape, as in a path from argv."""
+    that is not UTF-8 as a surrogate escape, as in a path from argv, and each
+    carriage return as git wrote it."""
     try:
-        return subprocess.run(["git", *args], capture_output=True, text=True, errors="surrogateescape")
+        proc = subprocess.run(["git", *args], capture_output=True)
     except OSError as exc:
         raise RepoError("git_missing", f"cannot run git: {exc}") from exc
+    proc.stdout, proc.stderr = (out.decode("utf-8", "surrogateescape") for out in (proc.stdout, proc.stderr))
+    return proc
 
 
 def _start_git(*args: str, **pipes) -> subprocess.Popen:
@@ -196,7 +199,8 @@ def _open(path: Path) -> Repo:
                     f"--glob={replace_base}*")
     if proc.returncode != 0:
         raise RepoError("clone_failed", f"{path} exists but is not a git repository")
-    shallow, grafts, *replaced = proc.stdout.splitlines()
+    # only a newline ends a line: a path may hold any other line break
+    shallow, grafts, *replaced = proc.stdout.removesuffix("\n").split("\n")
     if shallow == "true":
         raise RepoError("shallow", f"{path} is a shallow clone; full history is required")
     return Repo(path, rewritten=bool(replaced) or (path / grafts).exists())
@@ -218,7 +222,12 @@ def prepare_repo(spec: RepoSpec) -> Repo:
         log.info("fetching %s into cached clone %s", spec.source, clone_dir)
         # a bare clone has no fetch refspec of its own, and its remote's name
         # follows clone.defaultRemoteName, so the URL names what to fetch
-        Repo(clone_dir).git("fetch", "--prune", spec.source, "+refs/heads/*:refs/heads/*")
+        clone = Repo(clone_dir)
+        clone.git("fetch", "--prune", spec.source, "+refs/heads/*:refs/heads/*")
+        # the clone's HEAD follows the remote's default branch, when the remote names one
+        for line in clone.git("ls-remote", "--symref", spec.source, "HEAD").split("\n"):
+            if line.startswith("ref: ") and line.endswith("\tHEAD"):
+                clone.git("symbolic-ref", "HEAD", line[len("ref: "):-len("\tHEAD")])
     else:
         log.info("cloning %s into %s", spec.source, clone_dir)
         _clone_into_place(spec.source, clone_dir)
@@ -247,22 +256,22 @@ def _clone_into_place(url: str, clone_dir: Path) -> None:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecord]:
+def extract_commits(repo: Repo) -> list[CommitRecord]:
     """CommitRecords for the non-merge commits of the default branch's first-parent
-    chain, oldest first, each with its changed .py files' before/after texts.
+    chain, newest first as `walk.walk_history` hands them over, each with its
+    changed .py files' before/after texts and crediting its author.
 
-    The text view of `walk.walk_history`: each blob is read and decoded once, and
-    a change with no text on either side is left out.  `identity` selects
-    whether the author or the committer is credited.
+    The text view of the walk: each blob is read and decoded once, and a
+    change with no text on either side is left out.
     """
     from .analyzer import blob_text
-    from .walk import CommitBlobs, ask, walk_history
+    from .walk import ask, walk_history
 
-    commits: list[CommitBlobs] = []  # newest first, as the walk hands them over
+    commits = []
     # one decoded text per blob id, so equal sides share one object
     texts: dict[str | None, str | None] = {None: None}
     with repo.cat_file() as git:
-        for oids, walked in walk_history(repo, identity=identity):
+        for oids, walked in walk_history(repo):
             commits += walked
             texts.update((oid, blob_text(data)) for oid, data in ask(git, oids))
     return [
@@ -276,5 +285,5 @@ def extract_commits(repo: Repo, *, identity: str = "author") -> list[CommitRecor
                 if texts[old] is not None or texts[new] is not None
             ),
         )
-        for sha, contributor, timestamp, changes in reversed(commits)
+        for sha, contributor, timestamp, changes in commits
     ]

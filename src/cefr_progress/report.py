@@ -131,25 +131,21 @@ def _json(value, indent: str, out: list[str], memo: dict) -> None:
         raise TypeError(f"a report payload holds no {kind.__name__}")
 
 
-def emit_json(report: ProjectReport, path: str | Path, *, show_names: bool = False) -> Path:
+def emit_json(report: ProjectReport, path: str | Path, *, show_names: bool = False) -> None:
     """Write the canonical JSON document: sorted keys, two-space indent, trailing newline."""
     parts: list[str] = []
     _json(report_payload(report, show_names=show_names), "", parts, {})
-    out = Path(path)
-    out.write_text("".join(parts) + "\n", encoding="utf-8")
-    return out
+    Path(path).write_text("".join(parts) + "\n", encoding="utf-8")
 
 
-def emit_csv(report: ProjectReport, path: str | Path) -> Path:
+def emit_csv(report: ProjectReport, path: str | Path) -> None:
     """Write the per-period table: period,A1,A2,B1,B2,C1,C2 rows, in the
     report's period order, plus a total row."""
     lines = ["period," + ",".join(LEVEL_LABELS)]
     for pkey, vector in report.project_by_period.items():
         lines.append(pkey + "," + ",".join(str(c) for c in vector))
     lines.append("total," + ",".join(str(c) for c in report.project_total))
-    out = Path(path)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return out
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # -- SVG builders ------------------------------------------------------
@@ -273,7 +269,7 @@ def emit_html(
     *,
     top_n: int = 10,
     show_names: bool = False,
-) -> Path:
+) -> None:
     """Write the static report document.
 
     Shows the project radar, the per-period stacked timeline, the top
@@ -324,10 +320,7 @@ def emit_html(
         )
         chunks.append("</div>")
     chunks.append("</body></html>")
-
-    out = Path(path)
-    out.write_text("\n".join(chunks) + "\n", encoding="utf-8")
-    return out
+    Path(path).write_text("\n".join(chunks) + "\n", encoding="utf-8")
 
 
 def write_report_bundle(

@@ -116,8 +116,9 @@ def analyze_source(source: str, catalog: Catalog) -> AnalysisResult:
 
 def score_commit(record: CommitRecord, catalog: Catalog) -> CommitScore:
     """`score_blobs` for a commit recorded by its texts: each distinct text
-    of the record stands in for a blob id and is analyzed once."""
-    from .walk import SKIPPED, CommitBlobs, score_blobs
+    of the record stands in for a blob id and is analyzed once, as a
+    FileChange lines up with a change of `walk.CommitBlobs`."""
+    from .walk import SKIPPED, score_blobs
 
     memo: dict[str, tuple[int, ...] | None] = {}
     for change in record.changes:
@@ -125,21 +126,14 @@ def score_commit(record: CommitRecord, catalog: Catalog) -> CommitScore:
             if text is not None and text not in memo:
                 result = analyze_source(text, catalog)
                 memo[text] = result.vector if result.parse_ok else SKIPPED
-    changes = tuple((change.path, change.before_text, change.after_text) for change in record.changes)
-    return score_blobs(CommitBlobs(record.sha, record.contributor, record.timestamp, changes), memo)
+    return score_blobs(record, memo)
 
 
 def _period_key(month: int, period: Granularity) -> str:
+    """The calendar bucket of a cell's month: "YYYY" or "YYYY-MM", where the
+    year has more digits past year 9999."""
     year, month = divmod(month, 12)
     return str(year) if period is Granularity.YEARLY else f"{year}-{month + 1:02d}"
-
-
-def period_key(timestamp: int, period: Granularity) -> str:
-    """UTC calendar bucket for a unix timestamp: "YYYY" or "YYYY-MM", where
-    the year has more digits past year 9999."""
-    from .walk import _month
-
-    return _period_key(_month(timestamp), period)
 
 
 def _profile_sort_key(profile: ContributorProfile):
@@ -229,8 +223,8 @@ def finish(cells: Cells, *, repo: str, period: Granularity = Granularity.YEARLY,
 
 
 def build_report(scores: Iterable[CommitScore], **options) -> ProjectReport:
-    """The project report of per-commit scores, oldest first as the text view gives them:
-    `finish`, under `options`, of `walk.fold` of the scores reversed into the walk's order."""
+    """The project report of per-commit scores in the walk's order, newest
+    first as the text view gives them: `finish`, under `options`, of `walk.fold`."""
     from .walk import fold
 
-    return finish(fold(reversed(list(scores))), **options)
+    return finish(fold(scores), **options)

@@ -41,7 +41,7 @@ from array import array
 from pathlib import Path
 
 from . import history, scoring
-from .catalog import Catalog
+from .catalog import KINDS, Catalog
 from .history import ContributorId, Repo, cache_root
 from .scoring import Cells, Stored, is_stored
 
@@ -75,9 +75,11 @@ def store_path() -> Path:
 
 def cells_key(identity: str, catalog: Catalog) -> str:
     """What a tip's cells depend on besides the tip and the store file's own
-    code: the identity mode, git's version, the catalog's kind -> level table,
-    the cell layout and the code that walks the history and folds analyses into cells."""
-    digest = hashlib.sha256(f"{identity} {sorted(catalog.levels.items())} {scoring.CELL}".encode("utf-8"))
+    code: the identity mode, git's version, the catalog's level of each kind
+    the analyzer emits, the cell layout and the code that walks the history
+    and folds analyses into cells."""
+    levels = [catalog.levels.get(kind) for kind in KINDS]  # all that `level_counter` reads
+    digest = hashlib.sha256(f"{identity} {levels} {scoring.CELL}".encode("utf-8"))
     digest.update(history._run_git("--version").stdout.encode("utf-8"))
     for path in CELLS_CODE:
         digest.update(path.read_bytes())

@@ -342,7 +342,7 @@ def test_vector_depends_only_on_occurrence_multiset():
     result = analyze_source(SNIPPETS[6].source, CATALOG)
     recount = [0] * 6
     for kind, _line in sorted(result.occurrences, reverse=True):
-        recount[CATALOG.classify(kind)] += 1
+        recount[CATALOG.levels.get(kind)] += 1
     assert recount == list(result.vector)
 
 
@@ -429,6 +429,59 @@ def test_every_name_the_package_exports_resolves():
     # one version: pyproject.toml's
     project = (root / "pyproject.toml").read_text(encoding="utf-8").split("\n[project]\n", 1)[1].split("\n[", 1)[0]
     assert f'\nversion = "{cefr_progress.__version__}"\n' in f"\n{project}\n"
+
+
+def _chains(node: ast.AST) -> set[tuple[str, ...]]:
+    """Each dotted name read under `node`, as (name, attribute, ...), and its prefixes."""
+    chains = set()
+    for attribute in ast.walk(node):
+        chain = []
+        while isinstance(attribute, ast.Attribute):
+            chain.append(attribute.attr)
+            attribute = attribute.value
+        if chain and isinstance(attribute, ast.Name):
+            chains.add((attribute.id, *reversed(chain)))
+    return chains
+
+
+def _repo_handles(function: ast.AST) -> set[str]:
+    """The names that `function` binds to what a call of ``prepare_repo`` returns."""
+    def calls_prepare_repo(value) -> bool:
+        return isinstance(value, ast.Call) and "prepare_repo" in (getattr(value.func, "id", None),
+                                                                  getattr(value.func, "attr", None))
+    bound = [(node.optional_vars, node.context_expr) for node in ast.walk(function) if isinstance(node, ast.withitem)]
+    bound += [(target, node.value) for node in ast.walk(function) if isinstance(node, ast.Assign)
+              for target in node.targets]
+    return {target.id for target, value in bound if isinstance(target, ast.Name) and calls_prepare_repo(value)}
+
+
+def test_every_name_the_benchmark_reads_of_the_package_resolves():
+    # the traced benchmark calls names that `analyze` does not call: each
+    # attribute it reads of the package's modules and of a repository handle
+    # must resolve, so that a name does not go before the benchmark's own run sees it
+    from cefr_progress import catalog, history, report
+
+    owners = {"catalog": catalog, "history": history, "scoring": scoring, "report": report}
+    root = Path(__file__).resolve().parent.parent
+    read = set()
+    for name in ("tracing.py", "run.py"):
+        tree = ast.parse((root / "perfbench" / name).read_text(encoding="utf-8"))
+        read |= {chain for chain in _chains(tree) if chain[0] in owners}
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                handles = _repo_handles(function)
+                read |= {("history", "Repo", *chain[1:]) for chain in _chains(function) if chain[0] in handles}
+    assert {("history", "extract_commits"), ("scoring", "build_report"), ("history", "Repo", "read_blob"),
+            ("history", "Repo", "close")} <= read
+    unresolved = []
+    for chain in sorted(read):
+        owner = owners[chain[0]]
+        for attribute in chain[1:]:
+            if not hasattr(owner, attribute):
+                unresolved.append(".".join(chain))
+                break
+            owner = getattr(owner, attribute)
+    assert unresolved == []
 
 
 #: kinds that one node type always emits, and those node types

@@ -55,16 +55,16 @@ def test_level_order_and_labels():
     ],
 )
 def test_default_catalog_seed_entries(kind, expected):
-    assert default_catalog().classify(kind) is expected
+    assert default_catalog().levels.get(kind) is expected
 
 
 def test_classify_unknown_kind_returns_none():
-    assert default_catalog().classify("nonexistent_kind_xyz") is None
+    assert default_catalog().levels.get("nonexistent_kind_xyz") is None
 
 
 def test_classify_is_deterministic():
     cat = default_catalog()
-    assert all(cat.classify("if_statement") is Level.A1 for _ in range(10))
+    assert all(cat.levels.get("if_statement") is Level.A1 for _ in range(10))
 
 
 def test_default_catalog_covers_analyzer_vocabulary():
@@ -86,9 +86,9 @@ def test_file_overrides_default_level(tmp_path):
     rules = tmp_path / "rules.cat"
     rules.write_text("# push branching up one band\nif_statement A2\n")
     cat = load_catalog(rules)
-    assert cat.classify("if_statement") is Level.A2
+    assert cat.levels.get("if_statement") is Level.A2
     # untouched entries keep their defaults
-    assert cat.classify("break_statement") is Level.B1
+    assert cat.levels.get("break_statement") is Level.B1
     assert kinds(cat) == kinds(default_catalog())
 
 
@@ -96,7 +96,7 @@ def test_file_can_add_new_kinds(tmp_path):
     rules = tmp_path / "rules.cat"
     rules.write_text("walrus_operator B2 assignment expression\n")
     cat = load_catalog(rules)
-    assert cat.classify("walrus_operator") is Level.B2
+    assert cat.levels.get("walrus_operator") is Level.B2
     assert kinds(cat) == kinds(default_catalog()) | {"walrus_operator"}
 
 
@@ -165,7 +165,7 @@ def test_a_loaded_catalog_survives_pickling(tmp_path):
     rules.write_text("if_statement C2\nwalrus_operator B2\n")
     cat = load_catalog(rules)
     assert pickle.loads(pickle.dumps(cat)) == cat
-    assert pickle.loads(pickle.dumps(cat)).classify("walrus_operator") is Level.B2
+    assert pickle.loads(pickle.dumps(cat)).levels.get("walrus_operator") is Level.B2
 
 
 def test_the_documented_default_vocabulary_is_the_default_catalog():
@@ -184,7 +184,7 @@ def test_a_catalog_file_may_start_with_a_bom(text, tmp_path, capsys):
     rules = tmp_path / "rules.cat"
     rules.write_bytes("\ufeff".encode("utf-8") + text.encode("utf-8"))
     cat = load_catalog(rules)
-    assert cat.classify("if_statement") is Level.C2
+    assert cat.levels.get("if_statement") is Level.C2
     assert kinds(cat) == kinds(default_catalog())
     target = tmp_path / "a.py"
     target.write_text("if x:\n    pass\n")
@@ -207,7 +207,7 @@ def test_only_a_newline_ends_a_catalog_line(separator, tmp_path, capsys):
     text = f"if_statement C2 branching{separator} more text\n"
     rules = tmp_path / "rules.cat"
     rules.write_text("# my rules\n" + text, encoding="utf-8")
-    assert load_catalog(rules).classify("if_statement") is Level.C2
+    assert load_catalog(rules).levels.get("if_statement") is Level.C2
     assert classify_levels(rules, tmp_path, capsys) == (0, dict.fromkeys(LEVEL_LABELS[:5], 0) | {"C2": 1})
     with pytest.raises(CatalogError, match="^line 2: "):  # the line numbers count newlines only
         parse_catalog_text(text + "if_statement\n")

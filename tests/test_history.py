@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from cefr_progress import history, walk
+from cefr_progress.cli import main
 from cefr_progress.history import (
     CommitRecord,
     ContributorId,
@@ -66,12 +67,12 @@ def linear_records(linear_repo):
 def test_linear_history_commit_count_and_order(linear_records):
     assert len(linear_records) == 7
     timestamps = [r.timestamp for r in linear_records]
-    assert timestamps == sorted(timestamps)
+    assert timestamps == sorted(timestamps, reverse=True)  # newest first, as the walk goes
     assert all(len(r.sha) == 40 for r in linear_records)
 
 
 def test_root_commit_has_no_parent_and_added_file(linear_repo, linear_records):
-    root = linear_records[0]
+    root = linear_records[-1]
     with prepare_repo(RepoSpec(str(linear_repo))) as repo:
         assert parent_of(repo, root.sha) is None
     (change,) = root.changes
@@ -81,12 +82,12 @@ def test_root_commit_has_no_parent_and_added_file(linear_repo, linear_records):
 
 
 def test_non_python_commit_has_empty_changes(linear_records):
-    notes = linear_records[3]
+    notes = linear_records[-4]
     assert notes.changes == ()
 
 
 def test_modified_change_carries_both_texts(linear_records):
-    second = linear_records[1]
+    second = linear_records[-2]
     (change,) = second.changes
     assert change.path == "util.py"
     assert change.before_text == UTIL_V1
@@ -107,7 +108,7 @@ def test_modified_texts_match_get_version(linear_repo, linear_records):
 
 
 def test_get_version_absent_before_creation(linear_repo, linear_records):
-    gen_commit = linear_records[2]
+    gen_commit = linear_records[-3]
     with prepare_repo(RepoSpec(str(linear_repo))) as repo:
         assert get_version(repo, "gen.py", gen_commit.sha) is not None
         assert get_version(repo, "gen.py", parent_of(repo, gen_commit.sha)) is None
@@ -158,7 +159,7 @@ def test_group_by_contributor_is_a_partition(linear_records):
     assert sorted(flattened) == sorted(r.sha for r in linear_records)
     for grp in groups.values():
         stamps = [r.timestamp for r in grp]
-        assert stamps == sorted(stamps)
+        assert stamps == sorted(stamps, reverse=True)
 
 
 def test_group_by_contributor_merges_email_case(linear_records):
@@ -186,7 +187,7 @@ def test_merge_commits_are_skipped(merge_repo):
 def test_commit_after_merge_diffs_against_merge_parent(merge_repo):
     with prepare_repo(RepoSpec(str(merge_repo))) as repo:
         records = extract_commits(repo)
-    last = records[-1]
+    last = records[0]  # the newest
     (change,) = last.changes
     assert change.path == "b.py"
     assert change.before_text == "def helper():\n    return [v for v in data]\n"
@@ -210,13 +211,13 @@ def test_records_follow_the_first_parent_chain_whatever_the_dates(tmp_path):
     merge = fx.merge("side", ALICE, "2030-01-01T00:00:00Z")
     fx.write("a.py", "a = 4\n")
     fx.commit(ALICE, "2020-02-01T00:00:00Z", "four")
-    chain = fx.run("rev-list", "--first-parent", "HEAD").split()[::-1]
+    chain = fx.run("rev-list", "--first-parent", "HEAD").split()
     with prepare_repo(RepoSpec(str(fx.path))) as repo:
         records = extract_commits(repo)
     shas = [r.sha for r in records]
     assert shas == [sha for sha in chain if sha != merge]
     assert len(shas) == 4 and merge not in shas and side not in shas
-    assert [change.after_text for r in records for change in r.changes] == [f"a = {i}\n" for i in range(1, 5)]
+    assert [change.after_text for r in records for change in r.changes] == [f"a = {i}\n" for i in range(4, 0, -1)]
 
 
 def test_empty_author_name_keeps_the_fields_after_it(tmp_path):
@@ -234,19 +235,19 @@ def test_empty_author_name_keeps_the_fields_after_it(tmp_path):
     with prepare_repo(RepoSpec(str(fx.path))) as repo:
         records = extract_commits(repo)
     assert [(r.contributor.raw_name, r.contributor.raw_email, r.timestamp) for r in records] == [
-        ("", "a@x", 1577836800), ("Bob", "b@x", 1577923200),
+        ("Bob", "b@x", 1577923200), ("", "a@x", 1577836800),
     ]
-    assert [change.after_text for r in records for change in r.changes] == ["x = 0\n", "x = 1\n"]
+    assert [change.after_text for r in records for change in r.changes] == ["x = 1\n", "x = 0\n"]
 
 
 def test_clean_rename_is_a_modification_with_old_text(rename_repo):
     with prepare_repo(RepoSpec(str(rename_repo))) as repo:
         records = extract_commits(repo)
-        parent = parent_of(repo, records[1].sha)
+        parent = parent_of(repo, records[-2].sha)
         # the before text is the old path's: the new one does not exist yet
         assert get_version(repo, "tool.py", parent) == "tools = {'a': 1}\n"
         assert get_version(repo, "core.py", parent) is None
-    (change,) = records[1].changes
+    (change,) = records[-2].changes
     assert change.path == "core.py"
     assert change.before_text == change.after_text == "tools = {'a': 1}\n"
 
@@ -254,10 +255,10 @@ def test_clean_rename_is_a_modification_with_old_text(rename_repo):
 def test_edited_rename_keeps_before_from_old_path(rename_repo):
     with prepare_repo(RepoSpec(str(rename_repo))) as repo:
         records = extract_commits(repo)
-        parent = parent_of(repo, records[2].sha)
+        parent = parent_of(repo, records[-3].sha)
         assert get_version(repo, "keep.py", parent) == KEEP_V1
         assert get_version(repo, "kept.py", parent) is None
-    (change,) = records[2].changes
+    (change,) = records[-3].changes
     assert change.path == "kept.py"
     assert change.before_text == KEEP_V1
     assert change.after_text == KEEP_V2
@@ -266,7 +267,7 @@ def test_edited_rename_keeps_before_from_old_path(rename_repo):
 def test_deletion_has_no_after_text(rename_repo):
     with prepare_repo(RepoSpec(str(rename_repo))) as repo:
         records = extract_commits(repo)
-    (change,) = records[3].changes
+    (change,) = records[-4].changes
     assert change.path == "junk.py"
     assert change.after_text is None
     assert change.before_text == "junk = [1, 2]\n"
@@ -275,7 +276,7 @@ def test_deletion_has_no_after_text(rename_repo):
 def test_rename_out_of_python_counts_as_deletion(rename_repo):
     with prepare_repo(RepoSpec(str(rename_repo))) as repo:
         records = extract_commits(repo)
-    (change,) = records[6].changes
+    (change,) = records[-7].changes
     assert change.path == "extra.py"
     assert change.before_text == "flag = True\n"
     assert change.after_text is None
@@ -289,29 +290,29 @@ def test_unicode_and_spaced_paths(tmp_path):
     fx.commit(ALICE, "2022-02-01T00:00:00Z", "rename it")
     with prepare_repo(RepoSpec(str(fx.path))) as repo:
         records = extract_commits(repo)
-    (added,) = records[0].changes
+    (added,) = records[-1].changes
     assert added.path == "weird name äöü.py"
     assert added.after_text == "x = 1\n"
     # one change at the new path, its before text read from the old one
-    (renamed,) = records[1].changes
+    (renamed,) = records[-2].changes
     assert renamed.path == "renamed ß.py"
     assert renamed.before_text == renamed.after_text == "x = 1\n"
 
 
 def test_quoted_paths_come_back_verbatim(quoted_repo):
     weird, tab, newline, accent, renamed_tab, renamed_newline = QUOTED_PATHS
-    # (path of the before text, path of the after text) of each change in order
+    # (path of the before text, path of the after text) of each change, newest first
     sides = [
-        (None, weird),
-        (None, tab),
-        (None, newline),
-        (None, accent),
-        (weird, weird),
-        (accent, accent),
-        (tab, renamed_tab),
-        (newline, renamed_newline),
-        (weird, None),
         (accent, None),  # renamed out of .py
+        (weird, None),
+        (newline, renamed_newline),
+        (tab, renamed_tab),
+        (accent, accent),
+        (weird, weird),
+        (None, accent),
+        (None, newline),
+        (None, tab),
+        (None, weird),
     ]
     with prepare_repo(RepoSpec(str(quoted_repo))) as repo:
         records = extract_commits(repo)
@@ -353,9 +354,10 @@ def test_committer_identity_mode(tmp_path):
             "GIT_COMMITTER_DATE": "2021-06-01T00:00:00Z",
         },
     )
-    with prepare_repo(RepoSpec(str(fx.path))) as repo:
-        by_author = extract_commits(repo, identity="author")
-        by_committer = extract_commits(repo, identity="committer")
+    by_author, by_committer = (
+        [commit for _, walked in walk_history(Repo(fx.path), identity=identity) for commit in walked]
+        for identity in ("author", "committer")
+    )
     assert by_author[0].contributor.raw_email == ALICE[1]
     assert by_committer[0].contributor.raw_email == BOB[1]
     # period bucketing uses the author timestamp in either mode
@@ -409,6 +411,31 @@ def test_prepare_repo_fetches_cached_clone_on_reuse(linear_repo, tmp_path):
         assert len(extract_commits(second)) == 8
     # the clone was staged beside its final place and renamed; nothing is left over
     assert [p.name for p in second.path.parent.iterdir()] == [second.path.name]
+
+
+@pytest.mark.parametrize("change", [
+    lambda upstream: upstream.run("branch", "-m", "main", "trunk"),  # the default branch is renamed
+    lambda upstream: upstream.checkout("next"),  # another existing branch becomes the default
+], ids=["renamed", "switched"])
+def test_a_cached_clone_follows_its_remotes_default_branch(change, tmp_path, monkeypatch):
+    upstream = GitFixture(tmp_path / "source")
+    upstream.write("a.py", "x = 1\n")
+    upstream.commit(ALICE, "2024-01-01T12:00:00+00:00", "one")
+    upstream.run("branch", "next")
+    upstream.checkout("next")
+    upstream.write("b.py", "y = [2]\n")
+    upstream.commit(BOB, "2024-02-01T12:00:00+00:00", "two, on next")
+    upstream.checkout("main")
+
+    def analyze(cache: str, out: str) -> list[bytes]:
+        monkeypatch.setenv("CEFR_PROGRESS_CACHE", str(tmp_path / cache))
+        assert main(["analyze", upstream.path.as_uri(), "--out", str(tmp_path / out)]) == 0
+        return [(tmp_path / out / name).read_bytes() for name in ("report.json", "report.csv", "report.html")]
+
+    analyze("cache", "cloned")
+    change(upstream)
+    fetched = analyze("cache", "fetched")  # into the clone the first run made
+    assert fetched == analyze("fresh-cache", "fresh")
 
 
 def test_prepare_repo_cache_env_var(linear_repo, tmp_path, monkeypatch):

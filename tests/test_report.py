@@ -32,6 +32,12 @@ def make_score(contributor, ts, counts, sha="c" * 40):
     return CommitScore(sha, contributor, ts, tuple(counts), 1, 0)
 
 
+def emitted(emit, report, path, **options):
+    """`path`, after `emit` wrote `report` there under `options`."""
+    emit(report, path, **options)
+    return path
+
+
 def sample_report():
     scores = [
         make_score(ALICE, TS_2014, (5495, 6453, 640, 51, 137, 131)),
@@ -42,7 +48,7 @@ def sample_report():
 
 def test_json_empty_report(tmp_path):
     report = build_report([], repo="empty")
-    path = emit_json(report, tmp_path / "r.json")
+    path = emitted(emit_json, report, tmp_path / "r.json")
     payload = json.loads(path.read_text())
     assert payload["project_total"] == [0, 0, 0, 0, 0, 0]
     assert payload["contributors"] == []
@@ -52,15 +58,15 @@ def test_json_empty_report(tmp_path):
 
 def test_json_reemission_is_byte_identical(tmp_path):
     report = sample_report()
-    a = emit_json(report, tmp_path / "a.json").read_bytes()
-    b = emit_json(report, tmp_path / "b.json").read_bytes()
+    a = emitted(emit_json, report, tmp_path / "a.json").read_bytes()
+    b = emitted(emit_json, report, tmp_path / "b.json").read_bytes()
     assert a == b
     assert a.endswith(b"\n")
 
 
 def test_json_round_trip_reconstructs_numbers(tmp_path):
     report = sample_report()
-    payload = json.loads(emit_json(report, tmp_path / "r.json").read_text())
+    payload = json.loads(emitted(emit_json, report, tmp_path / "r.json").read_text())
     assert payload["project_total"] == list(report.project_total)
     assert payload["generated_at"] == report.generated_at
     assert payload["commit_count"] == report.commit_count
@@ -82,16 +88,16 @@ def test_json_round_trip_reconstructs_numbers(tmp_path):
 
 def test_json_hides_names_unless_asked(tmp_path):
     report = sample_report()
-    anon = json.loads(emit_json(report, tmp_path / "anon.json").read_text())
+    anon = json.loads(emitted(emit_json, report, tmp_path / "anon.json").read_text())
     assert all(c["name"] is None and c["email"] is None for c in anon["contributors"])
     named = json.loads(
-        emit_json(report, tmp_path / "named.json", show_names=True).read_text()
+        emitted(emit_json, report, tmp_path / "named.json", show_names=True).read_text()
     )
     assert {c["name"] for c in named["contributors"]} == {"Alice <script>", "Bob"}
 
 
 def test_csv_layout_and_rows(tmp_path):
-    path = emit_csv(sample_report(), tmp_path / "r.csv")
+    path = emitted(emit_csv, sample_report(), tmp_path / "r.csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "period,A1,A2,B1,B2,C1,C2"
     assert lines[1] == "2014,5495,6453,640,51,137,131"
@@ -102,7 +108,7 @@ def test_csv_layout_and_rows(tmp_path):
 
 
 def test_csv_total_row_sums_period_rows(tmp_path):
-    path = emit_csv(sample_report(), tmp_path / "r.csv")
+    path = emitted(emit_csv, sample_report(), tmp_path / "r.csv")
     rows = [line.split(",") for line in path.read_text().splitlines()]
     body, total = rows[1:-1], rows[-1]
     for col in range(1, 7):
@@ -111,14 +117,14 @@ def test_csv_total_row_sums_period_rows(tmp_path):
 
 def test_csv_empty_report(tmp_path):
     report = build_report([], repo="empty")
-    path = emit_csv(report, tmp_path / "r.csv")
+    path = emitted(emit_csv, report, tmp_path / "r.csv")
     assert path.read_text() == "period,A1,A2,B1,B2,C1,C2\ntotal,0,0,0,0,0,0\n"
 
 
 def test_csv_matches_json_totals(tmp_path):
     report = sample_report()
-    payload = json.loads(emit_json(report, tmp_path / "r.json").read_text())
-    last = emit_csv(report, tmp_path / "r.csv").read_text().splitlines()[-1]
+    payload = json.loads(emitted(emit_json, report, tmp_path / "r.json").read_text())
+    last = emitted(emit_csv, report, tmp_path / "r.csv").read_text().splitlines()[-1]
     assert last == "total," + ",".join(str(c) for c in payload["project_total"])
 
 
@@ -146,29 +152,29 @@ def test_zero_vector_degenerates_to_point():
 
 def test_html_zero_report_renders(tmp_path):
     report = build_report([], repo="empty")
-    html_text = emit_html(report, tmp_path / "r.html").read_text()
+    html_text = emitted(emit_html, report, tmp_path / "r.html").read_text()
     assert "<svg" in html_text
     assert "Contributors (top 0 of 0)" in html_text
 
 
 def test_html_contributor_section_count(tmp_path):
     report = sample_report()
-    html_text = emit_html(report, tmp_path / "r.html", top_n=10).read_text()
+    html_text = emitted(emit_html, report, tmp_path / "r.html", top_n=10).read_text()
     assert html_text.count('class="contributor-section"') == 2
-    capped = emit_html(report, tmp_path / "r1.html", top_n=1).read_text()
+    capped = emitted(emit_html, report, tmp_path / "r1.html", top_n=1).read_text()
     assert capped.count('class="contributor-section"') == 1
 
 
 def test_html_has_no_external_references(tmp_path):
     report = sample_report()
-    html_text = emit_html(report, tmp_path / "r.html", show_names=True).read_text()
+    html_text = emitted(emit_html, report, tmp_path / "r.html", show_names=True).read_text()
     for needle in ("http://", "https://", "href=", "src=", "url(", "<script", "<link"):
         assert needle not in html_text
 
 
 def test_html_escapes_names(tmp_path):
     report = sample_report()
-    html_text = emit_html(report, tmp_path / "r.html", show_names=True).read_text()
+    html_text = emitted(emit_html, report, tmp_path / "r.html", show_names=True).read_text()
     assert "<script>" not in html_text
     assert "&lt;script&gt;" in html_text
 
@@ -194,19 +200,19 @@ def test_html_with_every_escaped_character_is_what_html_escape_writes(tmp_path, 
     special = "&<>\"'"
     who = ContributorId.from_identity(f"Zoë {special} <b>x</b>", "zoe@example.com")
     built = build_report([make_score(who, TS_2014, (1, 2, 3, 4, 5, 6))], repo=f"/repos/{special}/é")
-    written = emit_html(built, tmp_path / "table.html", show_names=True).read_bytes()
+    written = emitted(emit_html, built, tmp_path / "table.html", show_names=True).read_bytes()
     text = written.decode("utf-8")
     assert f"<h3>{html.escape(who.raw_name)} ({who.anon_id})</h3>" in text
     assert f"<title>{html.escape(who.raw_name)} ({who.anon_id})</title>" in text  # the radar's
     assert f"repository: {html.escape(built.repo)} &middot;" in text
     assert f'<p class="meta">{html.escape(who.raw_name)} (by total C1+C2 added)</p>' in text
     monkeypatch.setattr("cefr_progress.report._HTML_ESCAPES", _EachByHtmlEscape())
-    assert emit_html(built, tmp_path / "escape.html", show_names=True).read_bytes() == written
+    assert emitted(emit_html, built, tmp_path / "escape.html", show_names=True).read_bytes() == written
 
 
 def test_html_anonymous_by_default(tmp_path):
     report = sample_report()
-    html_text = emit_html(report, tmp_path / "r.html").read_text()
+    html_text = emitted(emit_html, report, tmp_path / "r.html").read_text()
     assert "Alice" not in html_text
     assert ALICE.anon_id in html_text
 
@@ -252,10 +258,10 @@ def test_json_is_what_json_dumps_writes(tmp_path, show_names):
     for period in Granularity:
         for each in (scores, scores + far):
             report = build_report(each, repo="r\u00e9po \"x\"", period=period)
-            path = emit_json(report, tmp_path / "r.json", show_names=show_names)
+            path = emitted(emit_json, report, tmp_path / "r.json", show_names=show_names)
             assert path.read_text(encoding="utf-8") == _dumps(report_payload(report, show_names=show_names))
     empty = build_report([], repo="empty")
-    assert emit_json(empty, tmp_path / "e.json").read_text(encoding="utf-8") == _dumps(report_payload(empty))
+    assert emitted(emit_json, empty, tmp_path / "e.json").read_text(encoding="utf-8") == _dumps(report_payload(empty))
 
 
 @pytest.mark.parametrize("repo", ["linear_repo", "merge_repo", "rename_repo", "quoted_repo", "symlink_repo"])

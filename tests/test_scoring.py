@@ -2,7 +2,8 @@ import calendar
 import pickle
 import random
 from array import array
-from datetime import datetime, timezone
+from collections import Counter
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -22,7 +23,6 @@ from cefr_progress.scoring import (
     TopContributor,
     build_report,
     is_bot,
-    period_key,
     score_commit,
 )
 from cefr_progress.walk import SKIPPED, CommitBlobs, ask, entry_folder, score_blobs, walk_history
@@ -237,7 +237,7 @@ def test_a_folder_folds_each_stored_form_under_its_own_catalog(tmp_path):
 def test_a_folder_hands_out_one_tuple_per_distinct_entry():
     level_kinds = {}  # level -> the indexes in KINDS of its kinds
     for index, kind in enumerate(KINDS):
-        level_kinds.setdefault(CATALOG.classify(kind), []).append(index)
+        level_kinds.setdefault(CATALOG.levels.get(kind), []).append(index)
     first, second = next(kinds for level, kinds in level_kinds.items() if level is not None and len(kinds) > 1)[:2]
     packed = []
     for index in (first, second):
@@ -249,25 +249,49 @@ def test_a_folder_hands_out_one_tuple_per_distinct_entry():
     assert fold(packed[0]) is fold(packed[1])
 
 
-def test_period_key_uses_utc():
-    # 2014-12-31T23:30:00Z
-    assert period_key(1420068600, Granularity.YEARLY) == "2014"
-    assert period_key(1420068600, Granularity.MONTHLY) == "2014-12"
-    # half an hour later it is 2015 in UTC
-    assert period_key(1420068600 + 3600, Granularity.YEARLY) == "2015"
-    # past 9999, as far as git records: the year has more than four digits
-    assert period_key(253402300800, Granularity.YEARLY) == "10000"
-    assert period_key(253402300800, Granularity.MONTHLY) == "10000-01"
-    assert period_key(2**63 - 1, Granularity.YEARLY) == "292277026596"
-    assert period_key(2**63 - 1, Granularity.MONTHLY) == "292277026596-12"
-    # every date datetime represents keeps the key datetime gives it
-    first = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
+YEAR_ONE = datetime(1, 1, 1, tzinfo=timezone.utc)
+FOUR_CENTURIES_S = 146_097 * 86_400  # the Gregorian calendar repeats every 400 years
+
+
+def period_key(timestamp, period):
+    """The UTC period of `timestamp` by datetime's calendar, moved by whole
+    400-year cycles so that years past 9999 have one too."""
+    cycles, rest = divmod(timestamp - int(YEAR_ONE.timestamp()), FOUR_CENTURIES_S)
+    moment = YEAR_ONE + timedelta(seconds=rest)
+    year = moment.year + 400 * cycles
+    return str(year) if period is Granularity.YEARLY else f"{year}-{moment.month:02d}"
+
+
+def reported_period(timestamp, period):
+    """The period `finish` puts a cell at `timestamp` in: the one period of a one-commit report."""
+    (key,) = build_report([make_score(ALICE, timestamp, (1, 0, 0, 0, 0, 0))], repo="r", period=period).project_by_period
+    return key
+
+
+def test_finish_buckets_each_cell_by_its_utc_period():
+    # finish, and the reference that the report tests compare it against
+    for key in (reported_period, period_key):
+        # 2014-12-31T23:30:00Z
+        assert key(1420068600, Granularity.YEARLY) == "2014"
+        assert key(1420068600, Granularity.MONTHLY) == "2014-12"
+        # half an hour later it is 2015 in UTC
+        assert key(1420068600 + 3600, Granularity.YEARLY) == "2015"
+        # past 9999, as far as git records: the year has more than four digits
+        assert key(253402300800, Granularity.YEARLY) == "10000"
+        assert key(253402300800, Granularity.MONTHLY) == "10000-01"
+        assert key(2**63 - 1, Granularity.YEARLY) == "292277026596"
+        assert key(2**63 - 1, Granularity.MONTHLY) == "292277026596-12"
+    # every date datetime represents keeps the key datetime gives it: in one
+    # report, one A1 construct per date counts each date in its own period
+    first = int(YEAR_ONE.timestamp())
     rng = random.Random(7)
-    for timestamp in [first, 253402300800 - 1, 951782400, 951868800] + [
-            rng.randrange(first, 253402300800) for _ in range(20_000)]:
-        moment = datetime.fromtimestamp(timestamp, tz=timezone.utc)
-        assert period_key(timestamp, Granularity.YEARLY) == moment.strftime("%Y")
-        assert period_key(timestamp, Granularity.MONTHLY) == moment.strftime("%Y-%m")
+    timestamps = [first, 253402300800 - 1, 951782400, 951868800] + [
+        rng.randrange(first, 253402300800) for _ in range(20_000)]
+    scores = [make_score(ALICE, timestamp, (1, 0, 0, 0, 0, 0)) for timestamp in timestamps]
+    for period, layout in ((Granularity.YEARLY, "%Y"), (Granularity.MONTHLY, "%Y-%m")):
+        keys = Counter(datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime(layout) for timestamp in timestamps)
+        by_period = build_report(scores, repo="r", period=period).project_by_period
+        assert {pkey: counts[0] for pkey, counts in by_period.items()} == keys
 
 
 def test_build_profiles_buckets_by_period():
@@ -398,9 +422,9 @@ def reference_report(scores, period):
     total = vector_sum()
     for score in scores:
         pkey = period_key(score.timestamp, period)
-        contributor, commits, periods = people.get(score.contributor.anon_id, (score.contributor, 0, {}))
+        _, commits, periods = people.get(score.contributor.anon_id, (None, 0, {}))
         periods[pkey] = vector_sum(periods.get(pkey, (0,) * 6), score.delta)
-        people[score.contributor.anon_id] = (contributor, commits + 1, periods)
+        people[score.contributor.anon_id] = (score.contributor, commits + 1, periods)
         project[pkey] = vector_sum(project.get(pkey, (0,) * 6), score.delta)
         total = vector_sum(total, score.delta)
     profiles = sorted(
@@ -431,7 +455,7 @@ def reference_report(scores, period):
     )
 
 
-# a second spelling of Alice's email: same anon_id, the first one seen names the profile
+# a second spelling of Alice's email: same anon_id, the last one seen (the oldest commit) names the profile
 ALICE_UPPER = ContributorId.from_identity("A. Dev", "ALICE@example.com ")
 # the first and last second of UTC months between 1900 and 2100, and their neighbours
 month_edges = st.builds(
@@ -475,13 +499,13 @@ def test_build_report_reads_a_one_shot_stream(scores, period):
 
 
 def _walked(repo, catalog) -> tuple[dict, list]:
-    """The memo entry under `catalog` of each blob the walk of `repo` names, and its commits, oldest first."""
+    """The memo entry under `catalog` of each blob the walk of `repo` names, and its commits, newest first."""
     fold, memo, commits = entry_folder(catalog), {}, []
     with repo.cat_file() as git:
         for oids, walked in walk_history(repo):
             memo.update((oid, fold(blob_analysis(data))) for oid, data in ask(git, oids))
-            commits += walked  # newest first
-    return memo, commits[::-1]
+            commits += walked
+    return memo, commits
 
 
 def test_a_pickled_memo_scores_like_the_original(tmp_path):
@@ -504,11 +528,11 @@ def test_a_pickled_memo_scores_like_the_original(tmp_path):
     # a.py turning binary scores as a deletion and b.py turning into
     # unparseable text is skipped
     assert [(s.delta, s.files_analyzed, s.files_skipped) for s in scores] == [
-        (analyze_source("x = [1, 2]\n", CATALOG).vector, 1, 0),
         ((0,) * 6, 1, 1),
+        (analyze_source("x = [1, 2]\n", CATALOG).vector, 1, 0),
     ]
     with pytest.raises(KeyError):
-        score_blobs(commits[0], {})
+        score_blobs(commits[-1], {})
 
 
 @pytest.mark.parametrize("override", [False, True], ids=["default-catalog", "catalog-override"])

@@ -398,6 +398,25 @@ def test_a_store_damaged_past_its_schema_is_moved_aside_mid_run(big_repo, tmp_pa
         assert len(analyzed) == analyses
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\r"])
+def test_a_worktree_whose_main_repository_path_holds_a_line_break_reads_stored_cells(separator, tmp_path, caplog):
+    # in a linked worktree git names the grafts file by the main repository's
+    # absolute path, which str.splitlines would break at `separator`: its tail
+    # would count as a replace ref, and every run would walk without a store
+    main_repository = GitFixture(tmp_path / f"main{separator}repo")
+    main_repository.write("a.py", "x = [1, 2]\n")
+    main_repository.commit(ALICE, "2020-01-01T00:00:00Z", "one")
+    linked = tmp_path / "linked"
+    main_repository.run("worktree", "add", "-q", str(linked))
+    caplog.set_level(logging.INFO)
+    cold_reports = analyze(linked, tmp_path / "cold")
+    assert analyze(linked, tmp_path / "warm") == cold_reports
+    summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("blobs:")]
+    assert summary[-1] == (
+        "blobs: 0 named, 0 analyzed, 0 from the analysis store; skipped: none; "
+        f"commits: 0 from git log, 1 from stored cells; store: {store.store_path()}")
+
+
 def test_the_cells_key_changes_with_each_of_its_inputs(tmp_path, monkeypatch):
     assert [path.name for path in store.CELLS_CODE] == ["history.py", "catalog.py", "store.py", "walk.py"]
     copies = tuple(tmp_path / path.name for path in store.CELLS_CODE)
@@ -414,6 +433,10 @@ def test_the_cells_key_changes_with_each_of_its_inputs(tmp_path, monkeypatch):
     key = store.cells_key("author", CATALOG)
     # the table decides, not the version that names it
     assert store.cells_key("author", catalog.Catalog("relabelled", dict(CATALOG.levels))) == key
+    # and only the levels of the kinds the analyzer emits: no cell counts a kind it never emits
+    assert "walrus_operator" not in catalog.KINDS
+    walrus = catalog.Catalog(CATALOG.version, {**CATALOG.levels, "walrus_operator": catalog.Level.B2})
+    assert store.cells_key("author", walrus) == key
     changed = [store.cells_key("committer", CATALOG),
                store.cells_key("author", catalog.Catalog(CATALOG.version,
                                                          {**CATALOG.levels, "if_statement": catalog.Level.C2}))]

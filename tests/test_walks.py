@@ -804,7 +804,7 @@ def test_a_contributor_is_named_as_in_the_oldest_commit(tmp_path, caplog, monkey
     fixture.run("reset", "-q", "--hard", head)
     assert analyze(fixture.path, tmp_path / "new-tip", *options) == first
     assert sources(caplog) == "4 from git log, 0 from stored cells"
-    # the text view, whose records are oldest first
+    # the text view, whose records come newest first, as the walk goes
     with prepare_repo(RepoSpec(str(fixture.path))) as repo:
         scores = [score_commit(record, default_catalog()) for record in extract_commits(repo)]
     write_report_bundle(build_report(scores, repo=str(fixture.path)), tmp_path / "library", show_names=True)
