@@ -27,9 +27,11 @@ Counting rules worth knowing (each occurrence is one syntax-tree match):
 * ``generator_function`` follows the compiler: a def is a generator when a
   ``yield`` runs in its frame.  A yield in a nested def's decorator,
   default or annotation runs in the enclosing def, so it marks that one.
-* ``closure`` follows the compiler's scoping rules: a def or lambda counts
-  when it has a free variable, a name it reads or declares ``nonlocal``
-  that an enclosing def, lambda or comprehension binds.
+* ``closure`` follows the running compiler's scoping rules: a def or
+  lambda inside a def, lambda or comprehension counts when it has a free
+  variable, a name it reads or declares ``nonlocal`` that an enclosing def,
+  lambda or comprehension binds.  A def in none of them never counts, though
+  from Python 3.12 a PEP 695 type parameter it reads is free in it.
   - Decorators, defaults, class bases and a comprehension's first iterable
     run in the enclosing scope; under ``from __future__ import annotations``
     (read from the file's leading block, as the compiler does) annotations
@@ -40,8 +42,17 @@ Counting rules worth knowing (each occurrence is one syntax-tree match):
     and each of them counts.
   - The implicit ``__class__`` cell behind zero-argument ``super()`` is no
     capture.
-  Only a def or lambda inside a def, lambda or comprehension can have a free
-  variable, so names are resolved only in files that have one.
+  Names are resolved only in files that have a def or lambda inside a def,
+  lambda or comprehension.  From Python 3.12 the compiler inlines list, set
+  and dict comprehensions into the scope that runs them (PEP 709), so a
+  name one binds can become a local of the def or lambda around it, where
+  a nested scope's free use of that name then stops; and PEP 695 adds
+  scopes of its own.  So on 3.12 and later a file where such a comprehension
+  runs, outside any class body, in a def or lambda that can count, or with
+  type parameters or a ``type`` alias, takes its closures from the running
+  compiler's symbol table (``symtable``, which parses the text again).  On
+  3.10 and 3.11, and in any other file, the walk's own resolution below
+  decides, and gives the compiler's closures there.
 * Class-protocol kinds (``context_manager_definition``,
   ``descriptor_definition``, ``dunder_new_override``, ``metaclass``)
   anchor at the class statement's line.
@@ -149,6 +160,9 @@ _MAX_BLOCKS = 20
 #: Where a statement stands when no block holds it: no block deep, in no loop.
 _OUTSIDE = (0, False)
 
+#: From Python 3.12 list, set and dict comprehensions are inlined (PEP 709),
+#: so the walk's own scope rules no longer hold where one meets a closure.
+_INLINING_COMPILER = sys.version_info >= (3, 12)
 #: Python 3.12's compiler crashes on some deep nests, so a child compiles each
 #: source it may crash on: the text this process decoded, sent as UTF-8.
 _CRASHING_COMPILER = sys.version_info[:2] == (3, 12)
@@ -308,7 +322,12 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
     if _future_annotations(tree):
         detached = _Scope(None, _CLASS)
         scopes.append(detached)
-    nested = unsure = False  # unsure: the parser's verdict may not be compile()'s
+    unsure = False  # the parser's verdict may not be compile()'s
+    nested: set[ast.AST] = set()  # each def and lambda inside a def, lambda or comprehension
+    # whether the file holds what Python 3.12+ scopes apart from the walk: a
+    # list, set or dict comprehension that a def or lambda of `nested` runs
+    # and no class body holds, or type parameters or a type alias
+    apart = False
     stack: list[tuple[ast.AST, _Scope]] = [(tree, module)]
     push = stack.append
     child_fields = _CHILD_FIELDS
@@ -330,17 +349,6 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
     def enter(parent: _Scope, kind: int, node: ast.AST | None = None) -> _Scope:
         scope = _Scope(parent, kind, node)
         scopes.append(scope)
-        return scope
-
-    def type_params(scope: _Scope, node: ast.AST) -> _Scope:
-        # PEP 695 (Python 3.12+): a generic def's or class's type parameters
-        # bind in a scope of their own around it
-        params = getattr(node, "type_params", None)
-        if not params:
-            return scope
-        scope = enter(scope, _FUNCTION)
-        scope.binds.update(scope.mangle(param.name) for param in params)
-        visit(params, scope)
         return scope
 
     while stack:
@@ -420,12 +428,12 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
                     found.append(("kw_args_parameter", node.lineno))
                 params = args.posonlyargs + args.args + args.kwonlyargs
                 params += [a for a in (args.vararg, args.kwarg) if a is not None]
-                nested = nested or scope.inside
-                # defaults and decorators run in the enclosing scope, annotations
-                # in the type-parameter scope around the def, the body in its own
+                if scope.inside:
+                    nested.add(node)
+                # defaults, decorators and annotations run in the enclosing
+                # scope (type parameters too, as far as the walk tells), the body in its own
                 visit(defaults, scope)
-                outside = type_params(scope, node)
-                inner = enter(outside, _FUNCTION, node)
+                inner = enter(scope, _FUNCTION, node)
                 inner.binds.update(inner.mangle(a.arg) for a in params)
                 if len(inner.binds) < len(params):  # a parameter name repeats
                     unsure = True
@@ -440,12 +448,14 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
                     if ((type(dec) is ast.Name and dec.id == "property")
                             or (type(dec) is ast.Attribute and dec.attr in _PROPERTY_ATTRS)):
                         found.append(("property_definition", node.lineno))
-                visit(node.decorator_list, scope)
+                visit(node.decorator_list + getattr(node, "type_params", []), scope)
                 visit([a.annotation for a in params] + [node.returns],
-                      outside if detached is None else detached)
+                      scope if detached is None else detached)
                 visit(node.body, inner)
                 continue
             elif t in _COMPREHENSIONS:
+                if t is not ast.GeneratorExp and scope.kind is not _CLASS and scope.frame in nested:
+                    apart = True
                 # the first iterable runs in the enclosing scope; the first
                 # generator is not pushed, so its target is counted here
                 first, *rest = node.generators
@@ -498,13 +508,11 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
                     found.append(("descriptor_definition", line))
                 if "__new__" in methods:
                     found.append(("dunder_new_override", line))
-                # decorators run in the enclosing scope, bases and keywords in
-                # the type-parameter scope around the class, the body in its own
+                # decorators, bases and keywords run in the enclosing scope
+                # (type parameters too, as far as the walk tells), the body in its own
                 scope.binds.add(scope.mangle(node.name))
-                visit(node.decorator_list, scope)
-                outside = type_params(scope, node)
-                visit(node.bases + node.keywords, outside)
-                inner = enter(outside, _CLASS)
+                visit(node.decorator_list + getattr(node, "type_params", []) + node.bases + node.keywords, scope)
+                inner = enter(scope, _CLASS)
                 inner.private = node.name.lstrip("_") or None
                 visit(node.body, inner)
                 continue
@@ -559,7 +567,7 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
                 if type(node.ctx) is ast.Store:
                     unsure = True
             elif t in _TYPE_PARAMS:
-                unsure = True
+                unsure = apart = True
             else:  # _CAPTURES
                 name = node.rest if t is ast.MatchMapping else node.name
                 if name is not None:
@@ -597,7 +605,7 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
             unsure = True
     found.extend(("generator_function", d.lineno) for d in generators if type(d) is not ast.Lambda)
     if nested:
-        found += _resolve(scopes)
+        found += _compiler_closures(source, nested) if apart and _INLINING_COMPILER else _resolve(scopes)
     return found, unsure
 
 
@@ -640,6 +648,25 @@ def _resolve(scopes: list[_Scope]) -> list[Occurrence]:
             parent.free |= free if parent.kind is _CLASS else free - parent.local
         if scope.node is not None and free - {"__class__"}:
             found.append(("closure", scope.node.lineno))
+    return found
+
+
+def _compiler_closures(source: str, defs: set[ast.AST]) -> list[Occurrence]:
+    """A ``closure`` occurrence for each def or lambda of `defs` whose block in
+    the running compiler's symbol table has a free variable other than the
+    implicit ``__class__`` cell.  A block is matched by its name and line;
+    a comprehension's, whose parameter is ``.0``, is never matched."""
+    import symtable
+
+    nested = {(getattr(node, "name", "lambda"), node.lineno) for node in defs}
+    found: list[Occurrence] = []
+    blocks = [symtable.symtable(source, "<analysis>", "exec")]
+    while blocks:
+        block = blocks.pop()
+        blocks += block.get_children()
+        if (type(block) is symtable.Function and (block.get_name(), block.get_lineno()) in nested
+                and ".0" not in block.get_parameters() and set(block.get_frees()) - {"__class__"}):
+            found.append(("closure", block.get_lineno()))
     return found
 
 

@@ -41,14 +41,7 @@ LEVEL_LABELS = tuple(level.name for level in Level)
 
 
 class CatalogError(Exception):
-    """Raised for unusable catalog files.
-
-    `kind` is one of "parse", "duplicate", "io".
-    """
-
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind
+    """Raised for unusable catalog files; the message says what is wrong."""
 
 
 class Catalog(NamedTuple):
@@ -144,8 +137,8 @@ def default_catalog() -> Catalog:
 def parse_catalog_text(text: str, *, version: str = "custom") -> Catalog:
     """Parse catalog file text into a Catalog, without merging defaults.
 
-    Raises CatalogError("parse") for malformed lines and
-    CatalogError("duplicate") when a kind token appears more than once.
+    Raises CatalogError for a malformed line and for a kind token that
+    appears more than once.
     """
     levels: dict[str, Level] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):  # only a newline ends a line
@@ -155,17 +148,17 @@ def parse_catalog_text(text: str, *, version: str = "custom") -> Catalog:
         if line.startswith("!"):
             directive = line.split(None, 1)  # split as an entry is
             if directive[0] != "!version" or len(directive) < 2:
-                raise CatalogError("parse", f"line {lineno}: unknown directive {line!r}")
+                raise CatalogError(f"line {lineno}: unknown directive {line!r}")
             version = directive[1]
             continue
         parts = line.split(None, 2)  # the kind, the level and free text, which is ignored
         if len(parts) < 2:
-            raise CatalogError("parse", f"line {lineno}: expected 'kind LEVEL [description]', got {raw!r}")
+            raise CatalogError(f"line {lineno}: expected 'kind LEVEL [description]', got {raw!r}")
         kind, label = parts[0], parts[1]
         if label not in LEVEL_LABELS:
-            raise CatalogError("parse", f"line {lineno}: unknown level label: {label!r}")
+            raise CatalogError(f"line {lineno}: unknown level label: {label!r}")
         if kind in levels:
-            raise CatalogError("duplicate", f"line {lineno}: kind appears twice: {kind!r}")
+            raise CatalogError(f"line {lineno}: kind appears twice: {kind!r}")
         levels[kind] = Level[label]
     return Catalog(version, levels)
 
@@ -179,9 +172,9 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is no part of the first line
     except OSError as exc:
-        raise CatalogError("io", f"cannot read catalog file {path}: {exc.strerror}") from exc
+        raise CatalogError(f"cannot read catalog file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise CatalogError("parse", f"catalog file {path} is not UTF-8: {exc}") from exc
+        raise CatalogError(f"catalog file {path} is not UTF-8: {exc}") from exc
     override = parse_catalog_text(text, version=f"{base.version}+custom")
     return Catalog(override.version, {**base.levels, **override.levels})
 

@@ -21,6 +21,7 @@ import hashlib
 import logging
 import os
 import shutil
+import string
 import subprocess
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -33,15 +34,7 @@ CACHE_ENV_VAR = "CEFR_PROGRESS_CACHE"
 
 
 class RepoError(Exception):
-    """Repository access failure.
-
-    `kind` is one of "clone_failed", "git_failed" (a git command on an existing
-    repository failed), "shallow", "empty", "git_missing".
-    """
-
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind
+    """Repository access failure; the message says what failed."""
 
 
 class RepoSpec(NamedTuple):
@@ -80,10 +73,14 @@ class FileChange(NamedTuple):
 
 
 class CommitRecord(NamedTuple):
+    """One non-merge commit.  `walk.walk_history` gives each changed .py file as
+    (path, old blob id, new blob id), with None for a side that holds no blob
+    (absent, a symlink or a submodule); `extract_commits` gives FileChanges."""
+
     sha: str
     contributor: ContributorId
     timestamp: int
-    changes: tuple[FileChange, ...] = ()
+    changes: tuple[FileChange, ...] | tuple[tuple[str, str | None, str | None], ...] = ()
 
 
 def _run_git(*args: str) -> subprocess.CompletedProcess:
@@ -93,7 +90,7 @@ def _run_git(*args: str) -> subprocess.CompletedProcess:
     try:
         proc = subprocess.run(["git", *args], capture_output=True)
     except OSError as exc:
-        raise RepoError("git_missing", f"cannot run git: {exc}") from exc
+        raise RepoError(f"cannot run git: {exc}") from exc
     proc.stdout, proc.stderr = (out.decode("utf-8", "surrogateescape") for out in (proc.stdout, proc.stderr))
     return proc
 
@@ -102,7 +99,7 @@ def _start_git(*args: str, **pipes) -> subprocess.Popen:
     try:
         return subprocess.Popen(["git", *args], **pipes)
     except OSError as exc:
-        raise RepoError("git_missing", f"cannot run git: {exc}") from exc
+        raise RepoError(f"cannot run git: {exc}") from exc
 
 
 def _nul_fields(chunks: Iterable[bytes]) -> Iterator[bytes]:
@@ -127,7 +124,7 @@ class Repo:
     def git(self, *args: str) -> str:
         proc = _run_git("-C", str(self.path), *args)
         if proc.returncode != 0:
-            raise RepoError("git_failed", f"git {args[0]} failed: {proc.stderr.strip()}")
+            raise RepoError(f"git {args[0]} failed: {proc.stderr.strip()}")
         return proc.stdout
 
     def git_fields(self, *args: str) -> Iterator[bytes]:
@@ -146,7 +143,7 @@ class Repo:
                 proc.kill()
                 raise
         if proc.returncode != 0:
-            raise RepoError("git_failed", f"git {args[0]} exited with status {proc.returncode}")
+            raise RepoError(f"git {args[0]} exited with status {proc.returncode}")
 
     @functools.cached_property
     def tip(self) -> str:
@@ -156,7 +153,7 @@ class Repo:
         probe = _run_git("-C", str(self.path), "rev-list", "--first-parent", "--no-merges", "-n1", "HEAD")
         newest = probe.stdout.strip()
         if probe.returncode != 0 or not newest:
-            raise RepoError("empty", f"{self.path} has no non-merge commits on its default branch")
+            raise RepoError(f"{self.path} has no non-merge commits on its default branch")
         return newest
 
     def cat_file(self) -> subprocess.Popen:
@@ -195,15 +192,21 @@ def _open(path: Path) -> Repo:
     """The repository at `path`, after one probe for a non-repository, a shallow
     clone, a grafts file and replace refs."""
     replace_base = os.environ.get("GIT_REPLACE_REF_BASE", "refs/replace/")
-    proc = _run_git("-C", str(path), "rev-parse", "--is-shallow-repository", "--git-path", "info/grafts",
-                    f"--glob={replace_base}*")
+    proc = _run_git("-C", str(path), "rev-parse", "--is-shallow-repository", f"--glob={replace_base}*",
+                    "--git-path", "info/grafts")
     if proc.returncode != 0:
-        raise RepoError("clone_failed", f"{path} exists but is not a git repository")
-    # only a newline ends a line: a path may hold any other line break
-    shallow, grafts, *replaced = proc.stdout.removesuffix("\n").split("\n")
+        raise RepoError(f"{path} exists but is not a git repository")
+    # rev-parse answers in argument order: the replace refs' ids are lines of
+    # 40 or 64 hex digits, and the grafts path, which may hold a newline, is the rest
+    shallow, *lines = proc.stdout.removesuffix("\n").split("\n")
+    replaced = 0
+    for line in lines[:-1]:
+        if len(line) not in (40, 64) or line.strip(string.hexdigits):
+            break
+        replaced += 1
     if shallow == "true":
-        raise RepoError("shallow", f"{path} is a shallow clone; full history is required")
-    return Repo(path, rewritten=bool(replaced) or (path / grafts).exists())
+        raise RepoError(f"{path} is a shallow clone; full history is required")
+    return Repo(path, rewritten=replaced > 0 or (path / "\n".join(lines[replaced:])).exists())
 
 
 def prepare_repo(spec: RepoSpec) -> Repo:
@@ -216,8 +219,7 @@ def prepare_repo(spec: RepoSpec) -> Repo:
     try:
         clone_dir = Path(spec.workdir if spec.workdir is not None else cache_root()) / "clones" / key
     except RuntimeError as exc:  # no home directory
-        raise RepoError("clone_failed",
-                        f"no cache root to clone {spec.source} into: set {CACHE_ENV_VAR}") from exc
+        raise RepoError(f"no cache root to clone {spec.source} into: set {CACHE_ENV_VAR}") from exc
     if clone_dir.exists():
         log.info("fetching %s into cached clone %s", spec.source, clone_dir)
         # a bare clone has no fetch refspec of its own, and its remote's name
@@ -241,17 +243,17 @@ def _clone_into_place(url: str, clone_dir: Path) -> None:
         clone_dir.parent.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=f"{clone_dir.name}.", dir=clone_dir.parent))
     except OSError as exc:
-        raise RepoError("clone_failed", f"cannot clone {url} into {clone_dir.parent}: {exc.strerror}") from exc
+        raise RepoError(f"cannot clone {url} into {clone_dir.parent}: {exc.strerror}") from exc
     try:
         proc = _run_git("clone", "--bare", url, str(staging))
         if proc.returncode != 0:
-            raise RepoError("clone_failed", f"clone of {url} failed: {proc.stderr.strip()}")
+            raise RepoError(f"clone of {url} failed: {proc.stderr.strip()}")
         try:
             staging.rename(clone_dir)
         except OSError as exc:
             # another run may have put its clone in place first
             if not clone_dir.exists():
-                raise RepoError("clone_failed", f"cannot move clone into {clone_dir}: {exc}") from exc
+                raise RepoError(f"cannot move clone into {clone_dir}: {exc}") from exc
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
@@ -275,15 +277,10 @@ def extract_commits(repo: Repo) -> list[CommitRecord]:
             commits += walked
             texts.update((oid, blob_text(data)) for oid, data in ask(git, oids))
     return [
-        CommitRecord(
-            sha=sha,
-            contributor=contributor,
-            timestamp=timestamp,
-            changes=tuple(
-                FileChange(path, texts[old], texts[new])
-                for path, old, new in changes
-                if texts[old] is not None or texts[new] is not None
-            ),
-        )
-        for sha, contributor, timestamp, changes in commits
+        commit._replace(changes=tuple(
+            FileChange(path, texts[old], texts[new])
+            for path, old, new in commit.changes
+            if texts[old] is not None or texts[new] is not None
+        ))
+        for commit in commits
     ]

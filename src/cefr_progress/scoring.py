@@ -117,7 +117,7 @@ def analyze_source(source: str, catalog: Catalog) -> AnalysisResult:
 def score_commit(record: CommitRecord, catalog: Catalog) -> CommitScore:
     """`score_blobs` for a commit recorded by its texts: each distinct text
     of the record stands in for a blob id and is analyzed once, as a
-    FileChange lines up with a change of `walk.CommitBlobs`."""
+    FileChange lines up with a (path, old blob id, new blob id) change."""
     from .walk import SKIPPED, score_blobs
 
     memo: dict[str, tuple[int, ...] | None] = {}

@@ -16,7 +16,12 @@ before any of the tip's cells is used.  The key hashes the cell layout and
 the source of the code that walks the history and folds it into cells
 (`CELLS_CODE`: ``history.py``, ``catalog.py``, ``store.py`` and
 ``walk.py``), so an edit to the command line, to `scoring.finish` or to the
-reports changes neither the file's name nor the key.  This module alone
+reports changes neither the file's name nor the key.  The store keeps one
+tip's cells per history and key: a walk lists every non-merge commit of the
+first-parent chain below its tip, so a tip stored under the same key that
+the walk lists is an older tip of the same history, and its cells go when
+the new tip's are kept.  The cells of another history, and of a tip that
+only a second parent reaches, stay.  This module alone
 decides whether a history uses the store, and under which key: a history
 that replace refs or grafts rewrite gets a store without a file, which does
 nothing.
@@ -38,6 +43,7 @@ import os
 import sqlite3
 import sys
 from array import array
+from collections.abc import Collection
 from pathlib import Path
 
 from . import history, scoring
@@ -218,13 +224,14 @@ class AnalysisStore:
                     self.path, self._at[1])
         return None
 
-    def keep(self, made: list[tuple[str, Stored | None]], cells: Cells) -> None:
+    def keep(self, made: list[tuple[str, Stored | None]], cells: Cells, walked: Collection[str]) -> None:
         """Store in one transaction the (blob id, stored form) pairs of `made`
         that hold for any run, and, when all do, `cells` as the history's, in
-        the place of any stored for it.  None, for an id that names no blob
-        here, and a verdict in `scoring.PASSING` hold only for this run.  A row
-        replaces the one the store holds for its blob: one that is no stored
-        form, or, written by another run, the same stored form."""
+        the place of any stored for it and of those of each older tip under its
+        key that is among the commits `walked`.  None, for an id that names no
+        blob here, and a verdict in `scoring.PASSING` hold only for this run.
+        A row replaces the one the store holds for its blob: one that is no
+        stored form, or, written by another run, the same stored form."""
         rows = [(oid, stored) for oid, stored in made if stored is not None and stored not in scoring.PASSING]
         people = None
         if len(rows) == len(made):  # every analysis holds for any run
@@ -238,7 +245,10 @@ class AnalysisStore:
                 self._connection.execute("BEGIN IMMEDIATE")
                 self._connection.executemany("INSERT OR REPLACE INTO blobs VALUES (?, ?)", rows)
                 if people is not None:
-                    self._connection.execute("DELETE FROM cells WHERE key = ? AND tip = ?", self._at)
+                    key, tip = self._at
+                    stored = self._connection.execute("SELECT DISTINCT tip FROM cells WHERE key = ?", (key,))
+                    older = [(key, old) for (old,) in stored if old == tip or old in walked]
+                    self._connection.executemany("DELETE FROM cells WHERE key = ? AND tip = ?", older)
                     self._connection.executemany("INSERT INTO cells VALUES (?, ?, ?, ?, ?, ?, ?)",
                                                  [(*self._at, *row, _digest(len(people), row)) for row in people])
         except sqlite3.Error as exc:

@@ -23,22 +23,10 @@ import subprocess
 from array import array
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator
-from typing import NamedTuple
 
 from .catalog import Catalog, level_counter
-from .history import ContributorId, Repo, RepoError
+from .history import CommitRecord, ContributorId, Repo, RepoError
 from .scoring import CELL, Cells, CommitScore, Stored
-
-
-class CommitBlobs(NamedTuple):
-    """One non-merge commit as `walk_history` hands it over: each changed .py file
-    as (path, old blob id, new blob id), with None for a side that holds no
-    blob (absent, a symlink or a submodule).  Paths follow FileChange."""
-
-    sha: str
-    contributor: ContributorId
-    timestamp: int
-    changes: tuple[tuple[str, str | None, str | None], ...]
 
 
 #: Blob ids per batch the walk names and per request to ``git cat-file``.
@@ -58,17 +46,17 @@ def ask(proc: subprocess.Popen, oids: list[str]) -> Iterator[tuple[str, bytes | 
             proc.stdin.write("".join(f"{oid}\n" for oid in batch).encode("ascii"))
             proc.stdin.flush()
         except BrokenPipeError:
-            raise RepoError("git_failed", "git cat-file ended early") from None
+            raise RepoError("git cat-file ended early") from None
         for oid in batch:
             header = proc.stdout.readline().split()
             if not header:
-                raise RepoError("git_failed", f"git cat-file ended before {oid}")
+                raise RepoError(f"git cat-file ended before {oid}")
             if len(header) != 3:
                 yield oid, None  # "<oid> missing" or "<oid> ambiguous"
                 continue
             data = proc.stdout.read(int(header[2]))
             if len(data) != int(header[2]) or proc.stdout.read(1) != b"\n":  # short, or no trailing newline
-                raise RepoError("git_failed", f"git cat-file ended inside {oid}")
+                raise RepoError(f"git cat-file ended inside {oid}")
             yield oid, data if header[1] == b"blob" else None
 
 
@@ -130,11 +118,11 @@ def _raw_log(fields: Iterator[bytes]) -> Iterator[tuple[tuple[bytes, ...], list]
         yield header, changes
 
 
-def walk_history(repo: Repo, *, identity: str = "author") -> Iterator[tuple[list[str], list[CommitBlobs]]]:
+def walk_history(repo: Repo, *, identity: str = "author") -> Iterator[tuple[list[str], list[CommitRecord]]]:
     """Walk the non-merge commits of the default branch's first-parent chain once.
 
     Yields each distinct .py blob id the changes name once, in lists of at
-    most `_BATCH` ids, while ``git log`` still runs, each with the CommitBlobs
+    most `_BATCH` ids, while ``git log`` still runs, each with the CommitRecords
     of the commits walked since the list before, newest first, which may name
     ids of a later list; the last list may be empty.  The caller reads the
     blobs it needs with `ask`.  A side with no blob id (absent, a symlink or
@@ -155,7 +143,7 @@ def walk_history(repo: Repo, *, identity: str = "author") -> Iterator[tuple[list
     identities: dict[tuple[bytes, bytes], ContributorId] = {}
     named: set[str | None] = {None}  # every blob id named, and the absent side
     wanted: list[str] = []  # blob ids named and not yet yielded
-    commits: list[CommitBlobs] = []  # walked and not yet yielded
+    commits: list[CommitRecord] = []  # walked and not yet yielded
     with contextlib.closing(fields):
         for header, changes in _raw_log(fields):
             for _, old, new in changes:
@@ -168,7 +156,7 @@ def walk_history(repo: Repo, *, identity: str = "author") -> Iterator[tuple[list
             if contributor is None:
                 identity_text = (field.decode("utf-8", errors="replace") for field in (name, email))
                 contributor = identities[name, email] = ContributorId.from_identity(*identity_text)
-            commits.append(CommitBlobs(sha.decode("ascii"), contributor, int(time), tuple(changes)))
+            commits.append(CommitRecord(sha.decode("ascii"), contributor, int(time), tuple(changes)))
             while len(wanted) >= _BATCH:
                 yield wanted[:_BATCH], commits
                 del wanted[:_BATCH]
@@ -206,7 +194,7 @@ def entry_folder(catalog: Catalog) -> Callable[[Stored], Entry]:
     return fold
 
 
-def score_blobs(commit: CommitBlobs, memo: dict[str, Entry]) -> CommitScore:
+def score_blobs(commit: CommitRecord, memo: dict[str, Entry]) -> CommitScore:
     """Sum the per-file clamped deltas of one commit recorded by blob ids,
     from the memo entries of its blobs.
 
@@ -309,13 +297,15 @@ def walk_cells(repo: Repo, store, catalog: Catalog, identity: str, jobs: int) ->
     and a blob whose worker dies is skipped.  Each commit folds into the
     cells in walk order once the memo holds its blobs, so `fold` names each
     anon_id as in its oldest commit.  One store write keeps what holds for
-    any run.
+    any run, and drops the cells of each older tip of this history the walk
+    lists.
     """
     memo: dict[str, Entry] = {}
     made: list[tuple[str, Stored | None]] = []  # this run's analyses, None for an id that names no blob
     skipped: Counter = Counter()  # reason -> blobs
     entry = entry_folder(catalog)
     waiting: deque = deque()  # the commits walked and not yet scored, newest first
+    walked: set[str] = set()  # the commits listed, among which an older tip's cells go
 
     def remember(oid: str, stored: Stored) -> None:
         memo[oid] = entry(stored)
@@ -380,6 +370,7 @@ def walk_cells(repo: Repo, store, catalog: Catalog, identity: str, jobs: int) ->
         nonlocal git, pool, ProcessPoolExecutor, BrokenProcessPool
         for oids, commits in walk_history(repo, identity=identity):
             waiting.extend(commits)
+            walked.update(commit.sha for commit in commits)
             found = store.lookup(oids)
             for oid, stored in found.items():
                 remember(oid, stored)
@@ -415,5 +406,5 @@ def walk_cells(repo: Repo, store, catalog: Catalog, identity: str, jobs: int) ->
     git = pool = ProcessPoolExecutor = BrokenProcessPool = None  # once a blob is to be read
     with contextlib.ExitStack() as stack:
         cells = fold(walk())
-        store.keep(made, cells)
+        store.keep(made, cells, walked)
     return cells, len(memo), len(made), skipped

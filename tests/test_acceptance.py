@@ -14,16 +14,16 @@ import pytest
 from cefr_progress.analyzer import count_constructs
 from cefr_progress.catalog import Level, default_catalog
 from cefr_progress.cli import main
-from cefr_progress.history import ContributorId, RepoSpec, extract_commits, prepare_repo
+from cefr_progress.history import CommitRecord, ContributorId, RepoSpec, extract_commits, prepare_repo
 from cefr_progress.scoring import Granularity, build_report, score_commit
-from cefr_progress.walk import CommitBlobs, score_blobs
+from cefr_progress.walk import score_blobs
 
 from corpus import SNIPPETS
 from oracle import oracle_commit_deltas, oracle_rollups, vector_sum
 
 CATALOG = default_catalog()
-ONE_FILE = CommitBlobs("0" * 40, ContributorId.from_identity("A", "a@example.com"), 0,
-                       (("f.py", "1" * 40, "2" * 40),))
+ONE_FILE = CommitRecord("0" * 40, ContributorId.from_identity("A", "a@example.com"), 0,
+                        (("f.py", "1" * 40, "2" * 40),))
 
 
 def scored_delta(before, after):

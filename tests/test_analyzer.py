@@ -688,6 +688,34 @@ def test_closures_follow_the_scope_rules(source):
     assert _closures_of(source) == symtable_closures(source)
 
 
+#: Cases whose closures Python 3.12 changed: an inlined comprehension (PEP 709)
+#: makes the name it binds a cell of its def, and a type parameter (PEP 695)
+#: is free in the generic def that reads it, which counts only when it is
+#: nested itself.  Each holds the closure lines the running compiler gives.
+_SCOPE_RULES_3_12 = {
+    "inlined_comprehension_binds_in_its_def": (
+        "def a():\n    return a\n    a = a\n    def b():\n        return [a for b in a if a]\n"
+        "        def a():\n            return b\n", [6]),
+    # the first comprehension in the def to name `b` decides its scope there
+    "inlined_comprehension_reads_before_another_binds": (
+        "def g():\n    b = 1\n    def f():\n        [b for _ in r]\n        [0 for b in r]\n"
+        "        def h(): return b\n", [3, 6]),
+    "inlined_comprehension_binds_before_another_reads": (
+        "def g():\n    b = 1\n    def f():\n        [0 for b in r]\n        [b for _ in r]\n"
+        "        def h(): return b\n", [6]),
+    "generic_def_reads_its_type_parameter": (
+        "def f[T]():\n    def g():\n        return T\n    return g\n", [2]),
+    "generic_method_reads_its_type_parameter": (
+        "class C:\n    def m[T](self):\n        return lambda: T\n", [3]),
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12), reason="PEP 709 and PEP 695 came with Python 3.12")
+@pytest.mark.parametrize("source, lines", _SCOPE_RULES_3_12.values(), ids=_SCOPE_RULES_3_12)
+def test_closures_follow_the_3_12_compiler(source, lines):
+    assert _closures_of(source) == symtable_closures(source) == [("closure", line) for line in lines]
+
+
 _NAMES = ("a", "b", "c")
 
 

@@ -103,31 +103,27 @@ def test_file_can_add_new_kinds(tmp_path):
 def test_malformed_file_raises_parse_error(tmp_path):
     rules = tmp_path / "rules.cat"
     rules.write_text("if_statement\n")
-    with pytest.raises(CatalogError) as err:
+    with pytest.raises(CatalogError, match=r"^line 1: expected 'kind LEVEL \[description\]', got 'if_statement'$"):
         load_catalog(rules)
-    assert err.value.kind == "parse"
 
 
 def test_unknown_level_raises_parse_error(tmp_path):
     rules = tmp_path / "rules.cat"
     rules.write_text("if_statement Z9\n")
-    with pytest.raises(CatalogError) as err:
+    with pytest.raises(CatalogError, match="^line 1: unknown level label: 'Z9'$"):
         load_catalog(rules)
-    assert err.value.kind == "parse"
 
 
 def test_duplicate_kind_in_file_raises(tmp_path):
     rules = tmp_path / "rules.cat"
     rules.write_text("if_statement A1\nif_statement A2\n")
-    with pytest.raises(CatalogError) as err:
+    with pytest.raises(CatalogError, match="^line 2: kind appears twice: 'if_statement'$"):
         load_catalog(rules)
-    assert err.value.kind == "duplicate"
 
 
 def test_missing_file_raises_io_error(tmp_path):
-    with pytest.raises(CatalogError) as err:
+    with pytest.raises(CatalogError, match=r"^cannot read catalog file .*/nope\.cat: No such file or directory$"):
         load_catalog(tmp_path / "nope.cat")
-    assert err.value.kind == "io"
 
 
 def test_comments_blank_lines_and_version_directive():
@@ -224,9 +220,8 @@ def test_the_version_directive_is_split_as_an_entry_is(directive, tmp_path, caps
 
 @pytest.mark.parametrize("directive", ["!", "!version", "! version team-1", "!versions team-1", "!name team-1"])
 def test_an_unknown_or_empty_directive_raises_parse_error(directive):
-    with pytest.raises(CatalogError, match="unknown directive") as err:
+    with pytest.raises(CatalogError, match=f"^line 1: unknown directive '{directive}'$"):
         parse_catalog_text(directive + "\n")
-    assert err.value.kind == "parse"
 
 
 NOT_UTF8 = b"if_statement A2 caf\xe9\n"
@@ -235,9 +230,8 @@ NOT_UTF8 = b"if_statement A2 caf\xe9\n"
 def test_a_catalog_file_that_is_not_utf8_raises_parse_error(tmp_path):
     rules = tmp_path / "bad.cat"
     rules.write_bytes(NOT_UTF8)
-    with pytest.raises(CatalogError) as err:
+    with pytest.raises(CatalogError, match=r"^catalog file .*/bad\.cat is not UTF-8: 'utf-8' codec can't decode"):
         load_catalog(rules)
-    assert err.value.kind == "parse"
 
 
 @pytest.mark.parametrize("command", ["analyze", "classify"])

@@ -159,10 +159,9 @@ def test_analyze_unreadable_history_exits_2(tmp_path):
     fixture.write("a.py", "x = 2\n")
     fixture.commit(ALICE, "2020-01-02T00:00:00Z", "two")
     (fixture.path / ".git" / "objects" / tree[:2] / tree[2:]).unlink()
-    with pytest.raises(RepoError) as err:
+    with pytest.raises(RepoError, match="^git log exited with status 128$"):
         with prepare_repo(RepoSpec(str(fixture.path))) as repo:
             extract_commits(repo)
-    assert err.value.kind == "git_failed"
     assert main(["analyze", str(fixture.path), "--out", str(tmp_path / "o")]) == 2
 
 

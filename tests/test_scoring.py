@@ -25,7 +25,7 @@ from cefr_progress.scoring import (
     is_bot,
     score_commit,
 )
-from cefr_progress.walk import SKIPPED, CommitBlobs, ask, entry_folder, score_blobs, walk_history
+from cefr_progress.walk import SKIPPED, ask, entry_folder, score_blobs, walk_history
 
 from conftest import GitFixture
 from oracle import vector_sum
@@ -72,7 +72,7 @@ def commit_delta(before, after):
 
 
 def _commit(changes, contributor=ALICE, ts=TS_2014, sha="a" * 40):
-    return CommitBlobs(sha=sha, contributor=contributor, timestamp=ts, changes=tuple(changes))
+    return CommitRecord(sha=sha, contributor=contributor, timestamp=ts, changes=tuple(changes))
 
 
 def scored_delta(before, after):

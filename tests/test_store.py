@@ -398,11 +398,12 @@ def test_a_store_damaged_past_its_schema_is_moved_aside_mid_run(big_repo, tmp_pa
         assert len(analyzed) == analyses
 
 
-@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\r"])
+@pytest.mark.parametrize("separator", ["\n", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\r"])
 def test_a_worktree_whose_main_repository_path_holds_a_line_break_reads_stored_cells(separator, tmp_path, caplog):
     # in a linked worktree git names the grafts file by the main repository's
-    # absolute path, which str.splitlines would break at `separator`: its tail
-    # would count as a replace ref, and every run would walk without a store
+    # absolute path, which str.splitlines would break at `separator`, and
+    # git's line output at a newline: its tail would count as a replace ref,
+    # and every run would walk without a store
     main_repository = GitFixture(tmp_path / f"main{separator}repo")
     main_repository.write("a.py", "x = [1, 2]\n")
     main_repository.commit(ALICE, "2020-01-01T00:00:00Z", "one")
@@ -502,10 +503,10 @@ def test_keep_stores_neither_the_cells_nor_an_analysis_that_holds_only_for_this_
     with history.prepare_repo(history.RepoSpec(str(linear_repo))) as repo:
         kept = store.AnalysisStore.open(repo, "author", CATALOG)
     try:
-        kept.keep([(held, blob_analysis(b"x = [1]\n")), (lacking, verdict)], cells)
+        kept.keep([(held, blob_analysis(b"x = [1]\n")), (lacking, verdict)], cells, ())
         assert _stored_oids() == {held}
         assert _stored_tips() == [] and kept.cells() is None
-        kept.keep([(held, blob_analysis(b"x = [1]\n"))], cells)  # every analysis holds for any run
+        kept.keep([(held, blob_analysis(b"x = [1]\n"))], cells, ())  # every analysis holds for any run
         assert _stored_oids() == {held}
         assert {anon: (who, list(ints)) for anon, (who, ints) in kept.cells().items()} == cells
     finally:

@@ -171,13 +171,57 @@ def test_after_new_commits_git_log_walks_the_whole_history(big_repo, tmp_path, s
     after = analyze(fixture.path, tmp_path / "after", "--jobs", jobs)
     assert sources(caplog) == "500 from git log, 0 from stored cells"
     assert commands(started) == ["cat-file", "log"]
-    # each tip keeps its own cells
-    assert tips() == sorted([head, older])
+    # the walk listed the older tip, whose cells go as HEAD's are kept
+    assert tips() == [head]
     assert after == cold(fixture.path, tmp_path / "cold", monkeypatch, "--jobs", jobs)
     fixture.run("reset", "-q", "--hard", older)
     started.clear()
     assert analyze(fixture.path, tmp_path / "older-again", "--jobs", jobs) == before
-    assert sources(caplog) == "0 from git log, 497 from stored cells"
+    assert sources(caplog) == "497 from git log, 0 from stored cells"
+    assert summary(caplog).startswith("blobs: 846 named, 0 analyzed, 846 from the analysis store;")
+    assert commands(started) == ["log"]
+    # a walk from the older tip lists no newer one, so HEAD's cells stay
+    assert tips() == sorted([head, older])
+
+
+def test_the_cells_of_another_history_under_the_same_key_stay(linear_repo, tmp_path):
+    fixture = GitFixture(tmp_path / "other")
+    fixture.write("a.py", "a = 1\n")
+    other = fixture.commit(ALICE, "2020-01-10T10:00:00Z", "start")
+    analyze(fixture.path, tmp_path / "other-out")
+    linear = analyze(linear_repo, tmp_path / "linear")
+    linear_tip = GitFixture(linear_repo).run("rev-parse", "HEAD").strip()
+    assert tips() == sorted([other, linear_tip])
+    fixture.write("a.py", "a = 2\n")
+    newer = fixture.commit(ALICE, "2020-02-10T10:00:00Z", "more")
+    analyze(fixture.path, tmp_path / "newer")
+    assert tips() == sorted([newer, linear_tip])
+    assert analyze(linear_repo, tmp_path / "linear-again") == linear
+
+
+def test_a_tip_that_only_a_second_parent_reaches_keeps_its_cells(tmp_path, started, caplog, monkeypatch):
+    fixture = GitFixture(tmp_path / "repo")
+    fixture.write("a.py", "a = 1\n")
+    fixture.commit(ALICE, "2020-01-10T10:00:00Z", "start")
+    analyze(fixture.path, tmp_path / "start")
+    fixture.run("checkout", "-q", "-b", "feature")
+    fixture.write("b.py", "def helper():\n    return [v for v in data]\n")
+    side = fixture.commit(BOB, "2020-02-10T10:00:00Z", "feature work")
+    feature = analyze(fixture.path, tmp_path / "feature")
+    fixture.checkout("main")
+    fixture.write("a.py", "a = 1\nb = 2\n")
+    fixture.commit(ALICE, "2020-03-10T10:00:00Z", "more on main")
+    fixture.merge("feature", ALICE, "2020-04-10T10:00:00Z")
+    fixture.write("c.py", "c = 3\n")
+    head = fixture.commit(ALICE, "2020-05-10T10:00:00Z", "after the merge")
+    analyze(fixture.path, tmp_path / "main")
+    assert sources(caplog) == "3 from git log, 0 from stored cells"
+    # the walk lists the first commit, not the side branch's
+    assert tips() == sorted([side, head])
+    fixture.checkout("feature")
+    started.clear()
+    assert analyze(fixture.path, tmp_path / "feature-again") == feature
+    assert sources(caplog) == "0 from git log, 2 from stored cells"
     assert commands(started) == []
 
 
@@ -371,8 +415,8 @@ def test_two_runs_writing_one_walk_leave_it_whole(linear_repo):
     first, second = (store.AnalysisStore.open(repo, "author", catalog) for _ in range(2))
     try:
         many, few = _cells(300), _cells(20)
-        first.keep([], many)
-        second.keep([], few)
+        first.keep([], many, ())
+        second.keep([], few, ())
         assert {anon: (who, list(cells)) for anon, (who, cells) in first.cells().items()} == few
         with contextlib.closing(sqlite3.connect(store.store_path())) as connection:
             assert connection.execute("SELECT tip, count(*) FROM cells GROUP BY tip").fetchall() == [(repo.tip, 20)]
@@ -542,7 +586,7 @@ def test_a_worker_that_dies_costs_only_its_blob(tmp_path, monkeypatch, caplog):
     made = []
     keep = store.AnalysisStore.keep
     monkeypatch.setattr(store.AnalysisStore, "keep",
-                        lambda self, analyses, cells: made.extend(analyses) or keep(self, analyses, cells))
+                        lambda self, analyses, *rest: made.extend(analyses) or keep(self, analyses, *rest))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkingPool)
     monkeypatch.setattr(analyzer, "source_analysis", dies_on_marker)
     parallel = analyze(fixture.path, tmp_path / "parallel", "--jobs", "2")
@@ -625,7 +669,7 @@ def test_each_dying_worker_costs_only_its_blob_and_the_pool_is_replaced(tmp_path
     made = []
     keep = store.AnalysisStore.keep
     monkeypatch.setattr(store.AnalysisStore, "keep",
-                        lambda self, analyses, cells: made.extend(analyses) or keep(self, analyses, cells))
+                        lambda self, analyses, *rest: made.extend(analyses) or keep(self, analyses, *rest))
     monkeypatch.setattr(analyzer, "source_analysis", dies_on_marker)
     parallel = analyze(fixture.path, tmp_path / "parallel", "--jobs", "2")
     assert f"skipped: {len(markers)} BrokenProcessPool;" in summary(caplog)
@@ -717,7 +761,7 @@ walk_commits = st.lists(st.tuples(
 def test_folding_each_commit_as_its_blobs_are_known_gives_the_cells_of_the_whole_history(drawn, size):
     # the commits newest first, as git walks them, each with the score it is
     # given; a batch ends where drawn, in lists of at most `size` new blob ids
-    commits = [walk.CommitBlobs(f"{n:040x}", who, time, tuple(("m.py", *sides) for sides in changes))
+    commits = [history.CommitRecord(f"{n:040x}", who, time, tuple(("m.py", *sides) for sides in changes))
                for n, (who, time, changes, *_) in enumerate(drawn)]
     given_scores = {commit.sha: CommitScore(commit.sha, commit.contributor, commit.timestamp, *rest)
                     for commit, (_, _, _, *rest, _) in zip(commits, drawn)}
