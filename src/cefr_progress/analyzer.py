@@ -27,32 +27,29 @@ Counting rules worth knowing (each occurrence is one syntax-tree match):
 * ``generator_function`` follows the compiler: a def is a generator when a
   ``yield`` runs in its frame.  A yield in a nested def's decorator,
   default or annotation runs in the enclosing def, so it marks that one.
-* ``closure`` follows the running compiler's scoping rules: a def or
-  lambda inside a def, lambda or comprehension counts when it has a free
-  variable, a name it reads or declares ``nonlocal`` that an enclosing def,
-  lambda or comprehension binds.  A def in none of them never counts, though
-  from Python 3.12 a PEP 695 type parameter it reads is free in it.
+* ``closure`` follows the scopes of the Language Reference, the same on
+  every interpreter: a def or lambda inside a def, lambda or comprehension
+  counts when it has a free variable, a name it reads or declares
+  ``nonlocal`` that an enclosing def, lambda or comprehension binds.  A def
+  in none of them never counts.
+  - Every comprehension is a scope of its own ("Displays for lists, sets
+    and dictionaries"); Python 3.12's inlining of list, set and dict
+    comprehensions (PEP 709) is an optimisation, which this rule ignores.
   - Decorators, defaults, class bases and a comprehension's first iterable
     run in the enclosing scope; under ``from __future__ import annotations``
     (read from the file's leading block, as the compiler does) annotations
     run nowhere, so their names capture nothing.
-  - Class bodies are invisible to the scopes nested in them, and private
-    names are mangled by the innermost class.
+  - A generic def's, class's or ``type`` alias's type parameters (PEP 695)
+    bind in a scope of their own around it, where the def's annotations,
+    the class's bases and the alias's value run, and where the names of a
+    class body that holds it are globals.  A generic class's name mangles its
+    type parameters in its statement, and no other name there.
+  - Class bodies are invisible to the other scopes nested in them, and
+    private names are mangled by the innermost class.
   - A free name passes through every def between its use and its binding,
     and each of them counts.
   - The implicit ``__class__`` cell behind zero-argument ``super()`` is no
     capture.
-  Names are resolved only in files that have a def or lambda inside a def,
-  lambda or comprehension.  From Python 3.12 the compiler inlines list, set
-  and dict comprehensions into the scope that runs them (PEP 709), so a
-  name one binds can become a local of the def or lambda around it, where
-  a nested scope's free use of that name then stops; and PEP 695 adds
-  scopes of its own.  So on 3.12 and later a file where such a comprehension
-  runs, outside any class body, in a def or lambda that can count, or with
-  type parameters or a ``type`` alias, takes its closures from the running
-  compiler's symbol table (``symtable``, which parses the text again).  On
-  3.10 and 3.11, and in any other file, the walk's own resolution below
-  decides, and gives the compiler's closures there.
 * Class-protocol kinds (``context_manager_definition``,
   ``descriptor_definition``, ``dunder_new_override``, ``metaclass``)
   anchor at the class statement's line.
@@ -149,6 +146,7 @@ _COMPREHENSIONS = frozenset({ast.ListComp, ast.SetComp, ast.DictComp, ast.Genera
 _TRY_STAR = getattr(ast, "TryStar", ast.Try)  # except* groups, when the grammar has them
 _ELSE_BLOCKS = frozenset({ast.For, ast.AsyncFor, ast.While, ast.Try, _TRY_STAR})
 #: PEP 695 nodes (Python 3.12+): a ``type`` alias and the type parameters
+_TYPE_ALIAS = getattr(ast, "TypeAlias", None)
 _TYPE_PARAMS = frozenset(
     getattr(ast, name) for name in ("TypeAlias", "TypeVar", "ParamSpec", "TypeVarTuple") if hasattr(ast, name))
 
@@ -160,9 +158,6 @@ _MAX_BLOCKS = 20
 #: Where a statement stands when no block holds it: no block deep, in no loop.
 _OUTSIDE = (0, False)
 
-#: From Python 3.12 list, set and dict comprehensions are inlined (PEP 709),
-#: so the walk's own scope rules no longer hold where one meets a closure.
-_INLINING_COMPILER = sys.version_info >= (3, 12)
 #: Python 3.12's compiler crashes on some deep nests, so a child compiles each
 #: source it may crash on: the text this process decoded, sent as UTF-8.
 _CRASHING_COMPILER = sys.version_info[:2] == (3, 12)
@@ -248,7 +243,7 @@ class _Scope:
     """One scope: the names it binds, reads and declares, and what the code that
     runs in it needs to know of the scopes around it."""
 
-    __slots__ = ("parent", "kind", "node", "frame", "inside", "private",
+    __slots__ = ("parent", "kind", "node", "frame", "inside", "private", "mangled",
                  "names", "binds", "uses", "globals", "nonlocals", "local", "visible", "free")
 
     def __init__(self, parent: "_Scope | None", kind: int, node: ast.AST | None = None):
@@ -262,7 +257,7 @@ class _Scope:
         self.uses: set[str] = set()
         self.globals = self.nonlocals = _NO_NAMES
         if parent is None:
-            self.frame = self.private = None
+            self.frame = self.private = self.mangled = None
             self.inside = False
         else:
             # the def or lambda whose frame runs the code here
@@ -271,10 +266,13 @@ class _Scope:
             self.inside = node is not None or kind is _COMPREHENSION or parent.inside
             # the class name that mangles private names here, leading underscores stripped
             self.private = parent.private
+            # in a generic class's statement, the only private names: its type parameters
+            self.mangled = None if kind is _CLASS else parent.mangled
 
     def mangle(self, name: str) -> str:
         """`name` as the compiler records it here: ``__x`` in class ``C`` is ``_C__x``."""
-        if self.private is None or name[:2] != "__" or name[-2:] == "__":
+        if (self.private is None or name[:2] != "__" or name[-2:] == "__"
+                or (self.mangled is not None and name not in self.mangled)):
             return name
         return f"_{self.private}{name}"
 
@@ -324,10 +322,6 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
         scopes.append(detached)
     unsure = False  # the parser's verdict may not be compile()'s
     nested: set[ast.AST] = set()  # each def and lambda inside a def, lambda or comprehension
-    # whether the file holds what Python 3.12+ scopes apart from the walk: a
-    # list, set or dict comprehension that a def or lambda of `nested` runs
-    # and no class body holds, or type parameters or a type alias
-    apart = False
     stack: list[tuple[ast.AST, _Scope]] = [(tree, module)]
     push = stack.append
     child_fields = _CHILD_FIELDS
@@ -349,6 +343,17 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
     def enter(parent: _Scope, kind: int, node: ast.AST | None = None) -> _Scope:
         scope = _Scope(parent, kind, node)
         scopes.append(scope)
+        return scope
+
+    def type_params(scope: _Scope, node: ast.AST) -> _Scope:
+        # PEP 695 (Python 3.12+): a generic def's, class's or alias's type
+        # parameters bind in a scope of their own around it, where their bounds run
+        scope = enter(scope, _FUNCTION)
+        if type(node) is ast.ClassDef:  # a generic class's name mangles its type parameters
+            scope.private = node.name.lstrip("_") or None
+            scope.mangled = {param.name for param in node.type_params}
+        scope.binds.update(scope.mangle(param.name) for param in node.type_params)
+        visit(node.type_params, scope)
         return scope
 
     while stack:
@@ -430,10 +435,11 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
                 params += [a for a in (args.vararg, args.kwarg) if a is not None]
                 if scope.inside:
                     nested.add(node)
-                # defaults, decorators and annotations run in the enclosing
-                # scope (type parameters too, as far as the walk tells), the body in its own
+                # defaults and decorators run in the enclosing scope, annotations
+                # in the type-parameter scope around the def, the body in its own
                 visit(defaults, scope)
-                inner = enter(scope, _FUNCTION, node)
+                outside = type_params(scope, node) if getattr(node, "type_params", None) else scope
+                inner = enter(outside, _FUNCTION, node)
                 inner.binds.update(inner.mangle(a.arg) for a in params)
                 if len(inner.binds) < len(params):  # a parameter name repeats
                     unsure = True
@@ -448,14 +454,12 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
                     if ((type(dec) is ast.Name and dec.id == "property")
                             or (type(dec) is ast.Attribute and dec.attr in _PROPERTY_ATTRS)):
                         found.append(("property_definition", node.lineno))
-                visit(node.decorator_list + getattr(node, "type_params", []), scope)
+                visit(node.decorator_list, scope)
                 visit([a.annotation for a in params] + [node.returns],
-                      scope if detached is None else detached)
+                      outside if detached is None else detached)
                 visit(node.body, inner)
                 continue
             elif t in _COMPREHENSIONS:
-                if t is not ast.GeneratorExp and scope.kind is not _CLASS and scope.frame in nested:
-                    apart = True
                 # the first iterable runs in the enclosing scope; the first
                 # generator is not pushed, so its target is counted here
                 first, *rest = node.generators
@@ -508,11 +512,13 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
                     found.append(("descriptor_definition", line))
                 if "__new__" in methods:
                     found.append(("dunder_new_override", line))
-                # decorators, bases and keywords run in the enclosing scope
-                # (type parameters too, as far as the walk tells), the body in its own
+                # decorators run in the enclosing scope, bases and keywords in
+                # the type-parameter scope around the class, the body in its own
                 scope.binds.add(scope.mangle(node.name))
-                visit(node.decorator_list + getattr(node, "type_params", []) + node.bases + node.keywords, scope)
-                inner = enter(scope, _CLASS)
+                visit(node.decorator_list, scope)
+                outside = type_params(scope, node) if getattr(node, "type_params", None) else scope
+                visit(node.bases + node.keywords, outside)
+                inner = enter(outside, _CLASS)
                 inner.private = node.name.lstrip("_") or None
                 visit(node.body, inner)
                 continue
@@ -567,7 +573,11 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
                 if type(node.ctx) is ast.Store:
                     unsure = True
             elif t in _TYPE_PARAMS:
-                unsure = apart = True
+                unsure = True
+                if t is _TYPE_ALIAS:  # its name binds here, its value runs in its type-parameter scope
+                    visit((node.name,), scope)
+                    visit((node.value,), type_params(scope, node))
+                    continue
             else:  # _CAPTURES
                 name = node.rest if t is ast.MatchMapping else node.name
                 if name is not None:
@@ -605,7 +615,7 @@ def _walk(tree: ast.Module, source: str) -> tuple[list[Occurrence], bool]:
             unsure = True
     found.extend(("generator_function", d.lineno) for d in generators if type(d) is not ast.Lambda)
     if nested:
-        found += _compiler_closures(source, nested) if apart and _INLINING_COMPILER else _resolve(scopes)
+        found += _resolve(scopes, nested)
     return found, unsure
 
 
@@ -623,22 +633,25 @@ def _compile_in_child(source: str) -> None:
             f"Python 3.12's compiler crashes on this source (signal {-code})")
 
 
-def _resolve(scopes: list[_Scope]) -> list[Occurrence]:
-    """A ``closure`` occurrence for each def or lambda with a free variable other
-    than the implicit ``__class__`` cell.
+def _resolve(scopes: list[_Scope], nested: set[ast.AST]) -> list[Occurrence]:
+    """A ``closure`` occurrence for each def or lambda of `nested` with a free
+    variable other than the implicit ``__class__`` cell.
 
     Resolves the names the walk recorded as the compiler's scope pass does:
     from the outside in, which names of the enclosing functions each scope
     sees; from the inside out, the free names, which pass up through every
     scope that does not bind them.  A class body hides its own names from
-    the scopes nested in it.
+    the scopes nested in it, but not from a type-parameter scope it holds.
     """
     for scope in scopes:  # enclosing scopes first
         for name in scope.names:
             (scope.uses if type(name.ctx) is ast.Load else scope.binds).add(scope.mangle(name.id))
-        bound = _NO_NAMES if scope.parent is None else scope.parent.visible
+        parent = scope.parent
+        bound = _NO_NAMES if parent is None else parent.visible
         scope.local = local = scope.binds - scope.globals - scope.nonlocals
         scope.free = ((scope.uses | scope.nonlocals) - local - scope.globals) & bound
+        if scope.node is None and scope.kind is _FUNCTION and parent.kind is _CLASS:
+            scope.free -= parent.local | parent.globals  # the class's names are globals there
         scope.visible = bound if scope.kind is _CLASS else local | (bound - scope.globals)
     found: list[Occurrence] = []
     for scope in reversed(scopes):  # nested scopes first
@@ -646,27 +659,8 @@ def _resolve(scopes: list[_Scope]) -> list[Occurrence]:
         parent = scope.parent
         if parent is not None:
             parent.free |= free if parent.kind is _CLASS else free - parent.local
-        if scope.node is not None and free - {"__class__"}:
+        if scope.node in nested and free - {"__class__"}:
             found.append(("closure", scope.node.lineno))
-    return found
-
-
-def _compiler_closures(source: str, defs: set[ast.AST]) -> list[Occurrence]:
-    """A ``closure`` occurrence for each def or lambda of `defs` whose block in
-    the running compiler's symbol table has a free variable other than the
-    implicit ``__class__`` cell.  A block is matched by its name and line;
-    a comprehension's, whose parameter is ``.0``, is never matched."""
-    import symtable
-
-    nested = {(getattr(node, "name", "lambda"), node.lineno) for node in defs}
-    found: list[Occurrence] = []
-    blocks = [symtable.symtable(source, "<analysis>", "exec")]
-    while blocks:
-        block = blocks.pop()
-        blocks += block.get_children()
-        if (type(block) is symtable.Function and (block.get_name(), block.get_lineno()) in nested
-                and ".0" not in block.get_parameters() and set(block.get_frees()) - {"__class__"}):
-            found.append(("closure", block.get_lineno()))
     return found
 
 

@@ -17,6 +17,7 @@ import contextlib
 import gc
 import json
 import logging
+import os
 import re
 import sys
 from pathlib import Path
@@ -201,9 +202,14 @@ def main(argv: list[str] | None = None) -> int:
         log.error("catalog error: %s", exc)
         return EXIT_CATALOG
 
-    if args.command == "classify":
-        return cmd_classify(Path(args.file), catalog)
-    return cmd_analyze(args, catalog)
+    try:
+        code = cmd_classify(Path(args.file), catalog) if args.command == "classify" else cmd_analyze(args, catalog)
+        sys.stdout.flush()  # a reader that closed the pipe early is found here, not at exit
+    except BrokenPipeError:  # as the "Note on SIGPIPE" in the docs of `signal` says:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit cannot raise again
+        log.error("cannot write to stdout: its reader has closed it")
+        return EXIT_IO
+    return code
 
 
 def run() -> int:

@@ -10,8 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import cefr_progress
+
+# CI's closure step: the generated-scopes test's 4,000 draws, as many as twenty
+# seeds of 200 examples give, in one process and in a fixed order
+settings.register_profile("closures", max_examples=4000, derandomize=True)
 
 
 @pytest.fixture(autouse=True)

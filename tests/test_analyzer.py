@@ -563,51 +563,64 @@ def test_skipped_fields_hold_no_nodes_on_stdlib(stdlib_sample):
     assert checked >= 40
 
 
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-_COMPREHENSION_NODES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+def _as_generators(source):
+    """`source` with each list, set and dict comprehension rewritten, on the
+    same lines, as a generator expression, which no CPython inlines (PEP 709):
+    ``[x for ...]`` as ``(x for ...)`` and ``{k: v for ...}`` as ``((k, v) for ...)``."""
+    lines = source.encode().splitlines(keepends=True)  # AST columns are UTF-8 byte offsets
+    edits = []  # (line, column, bytes replaced, new bytes)
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
+            continue
+        edits.append((node.end_lineno, node.end_col_offset - 1, 1, b")"))
+        if not isinstance(node, ast.DictComp):
+            edits.append((node.lineno, node.col_offset, 1, b"("))
+            continue
+        edits += [(node.lineno, node.col_offset, 1, b"(("),
+                  (node.value.end_lineno, node.value.end_col_offset, 0, b")")]
+        # the colon stands between the key and the value, outside any comment
+        line, column = node.key.end_lineno, node.key.end_col_offset
+        while True:
+            stop = node.value.col_offset if line == node.value.lineno else None
+            between = lines[line - 1][column:stop].partition(b"#")[0]
+            if b":" in between:
+                edits.append((line, column + between.index(b":"), 1, b","))
+                break
+            line, column = line + 1, 0
+    for line, column, width, text in sorted(edits, reverse=True):
+        row = lines[line - 1]
+        lines[line - 1] = row[:column] + text + row[column + width:]
+    return b"".join(lines).decode()
 
 
-def _nested_defs(tree):
-    """(name, line) of each def and lambda in a def's or lambda's body or anywhere
-    in a comprehension: the only ones that can have a free variable."""
-    nested = set()
-    stack = [(tree, False)]
-    while stack:
-        node, inside = stack.pop()
-        if isinstance(node, _DEFS):
-            if inside:
-                nested.add((getattr(node, "name", "lambda"), node.lineno))
-            body = node.body if isinstance(node.body, list) else [node.body]
-            stack.extend((child, True) for child in body)
-            # decorators, defaults and annotations belong to the enclosing scope
-            stack.extend(
-                (child, inside) for child in ast.iter_child_nodes(node)
-                if not any(child is stmt for stmt in body)
-            )
-        else:
-            inside = inside or isinstance(node, _COMPREHENSION_NODES)
-            stack.extend((child, inside) for child in ast.iter_child_nodes(node))
-    return nested
+def test_the_reference_rewrites_each_comprehension_as_a_generator_on_its_lines():
+    source = ("x = {k: v for k, v in y}\nz = [a for a in b], {c for c in d}\n"
+              "w = {(k) : f'{[q for q in r]}' for k in t}\n{k  # c: d\n : [é for é in y] for k in z}\n")
+    assert _as_generators(source) == (
+        "x = ((k, v) for k, v in y)\nz = (a for a in b), (c for c in d)\n"
+        "w = (((k) , f'{(q for q in r)}') for k in t)\n((k  # c: d\n , (é for é in y)) for k in z)\n")
 
 
 def symtable_closures(source):
     """The closure reference: the nested defs and lambdas whose symbol-table
     block has a free variable, sorted ``closure`` occurrences.
 
-    Blocks are matched back to the defs by (name, line).  A comprehension's
-    block has the implicit parameter ``.0``, which no def can declare, so it
-    is never matched, even beside a def named ``listcomp``.  ``__class__``,
-    the cell behind zero-argument ``super()``, is no capture.
+    Raises SyntaxError when `source` does not pass ``symtable``.  The blocks
+    come from the source with every comprehension a generator expression, so
+    each comprehension is a scope of its own on every interpreter.  A def or
+    lambda is nested when a function block (a def's, a lambda's or a
+    comprehension's) holds its block.  A comprehension's block has the
+    implicit parameter ``.0``, which no def can declare.  ``__class__``, the
+    cell behind zero-argument ``super()``, is no capture.
     """
-    nested = _nested_defs(ast.parse(source))
+    symtable.symtable(source, "<reference>", "exec")
     found = []
-    stack = [symtable.symtable(source, "<reference>", "exec")]
+    stack = [(symtable.symtable(_as_generators(source), "<reference>", "exec"), False)]
     while stack:
-        block = stack.pop()
-        stack.extend(block.get_children())
-        if (isinstance(block, symtable.Function)
-                and (block.get_name(), block.get_lineno()) in nested
-                and ".0" not in block.get_parameters()
+        block, nested = stack.pop()
+        function = isinstance(block, symtable.Function)
+        stack.extend((child, nested or function) for child in block.get_children())
+        if (function and nested and ".0" not in block.get_parameters()
                 and set(block.get_frees()) - {"__class__"}):
             found.append(("closure", block.get_lineno()))
     return sorted(found)
@@ -688,31 +701,47 @@ def test_closures_follow_the_scope_rules(source):
     assert _closures_of(source) == symtable_closures(source)
 
 
-#: Cases whose closures Python 3.12 changed: an inlined comprehension (PEP 709)
-#: makes the name it binds a cell of its def, and a type parameter (PEP 695)
-#: is free in the generic def that reads it, which counts only when it is
-#: nested itself.  Each holds the closure lines the running compiler gives.
-_SCOPE_RULES_3_12 = {
-    "inlined_comprehension_binds_in_its_def": (
+_PEP_695_SYNTAX = sys.version_info >= (3, 12)
+_PEP_695 = pytest.mark.skipif(not _PEP_695_SYNTAX, reason="PEP 695 came with Python 3.12")
+
+#: Cases with the closure lines they must give.  For the first three, Python
+#: 3.12's symbol table gives other lines, since it inlines list, set and dict
+#: comprehensions (PEP 709); the rule gives the lines 3.10 and 3.11 give.  The
+#: rest use PEP 695's syntax: a type parameter is free in the generic def that
+#: reads it, which counts only when it is nested itself, a class body's names
+#: are globals in the type-parameter scopes it holds, and a generic class's
+#: name mangles its type parameters and no other name in its statement.
+_PINNED_SCOPE_RULES = [
+    pytest.param(
         "def a():\n    return a\n    a = a\n    def b():\n        return [a for b in a if a]\n"
-        "        def a():\n            return b\n", [6]),
-    # the first comprehension in the def to name `b` decides its scope there
-    "inlined_comprehension_reads_before_another_binds": (
+        "        def a():\n            return b\n", [4, 6], id="comprehension_binds_in_its_own_scope"),
+    pytest.param(
         "def g():\n    b = 1\n    def f():\n        [b for _ in r]\n        [0 for b in r]\n"
-        "        def h(): return b\n", [3, 6]),
-    "inlined_comprehension_binds_before_another_reads": (
+        "        def h(): return b\n", [3, 6], id="comprehension_reads_before_another_binds"),
+    pytest.param(
         "def g():\n    b = 1\n    def f():\n        [0 for b in r]\n        [b for _ in r]\n"
-        "        def h(): return b\n", [6]),
-    "generic_def_reads_its_type_parameter": (
-        "def f[T]():\n    def g():\n        return T\n    return g\n", [2]),
-    "generic_method_reads_its_type_parameter": (
-        "class C:\n    def m[T](self):\n        return lambda: T\n", [3]),
-}
+        "        def h(): return b\n", [3, 6], id="comprehension_binds_before_another_reads"),
+    pytest.param("def f[T]():\n    def g():\n        return T\n    return g\n", [2],
+                 id="generic_def_reads_its_type_parameter", marks=_PEP_695),
+    pytest.param("class C:\n    def m[T](self):\n        return lambda: T\n", [3],
+                 id="generic_method_reads_its_type_parameter", marks=_PEP_695),
+    pytest.param("def f():\n    type X[T] = lambda: T\n", [2],
+                 id="generic_alias_value_reads_its_type_parameter", marks=_PEP_695),
+    pytest.param(
+        "def f():\n    a = 1\n    def g():\n        class C:\n            a = 2\n"
+        "            def m[T: a](self) -> a: pass\n            type X = a\n        return C\n", [],
+        id="class_names_are_globals_in_its_type_parameter_scopes", marks=_PEP_695),
+    pytest.param("def f():\n    class C[__T](__T):\n        def m(self):\n            return lambda: __T\n",
+                 [3, 4], id="generic_class_mangles_its_type_parameters", marks=_PEP_695),
+    pytest.param(
+        "def f():\n    __B = 1\n    def g():\n        class C[T: (lambda: __B)](__B): pass\n", [3, 4],
+        id="generic_class_mangles_no_other_name", marks=pytest.mark.skipif(
+            sys.version_info < (3, 13), reason="3.12.1 mangles every private name in a generic class's statement")),
+]
 
 
-@pytest.mark.skipif(sys.version_info < (3, 12), reason="PEP 709 and PEP 695 came with Python 3.12")
-@pytest.mark.parametrize("source, lines", _SCOPE_RULES_3_12.values(), ids=_SCOPE_RULES_3_12)
-def test_closures_follow_the_3_12_compiler(source, lines):
+@pytest.mark.parametrize("source, lines", _PINNED_SCOPE_RULES)
+def test_closures_follow_the_pinned_scope_rules(source, lines):
     assert _closures_of(source) == symtable_closures(source) == [("closure", line) for line in lines]
 
 
@@ -738,14 +767,27 @@ def _expressions(draw, depth):
 
 
 @st.composite
+def _type_params(draw):
+    """A PEP 695 type-parameter list over _NAMES, bare and bounded, or none;
+    before Python 3.12 always none, and nothing is drawn."""
+    if not _PEP_695_SYNTAX:
+        return ""
+    names = draw(st.lists(st.sampled_from(_NAMES), max_size=2, unique=True))
+    params = [name + (f": {draw(_expressions(1))}" if draw(st.booleans()) else "") for name in names]
+    return f"[{', '.join(params)}]" if params else ""
+
+
+@st.composite
 def _block(draw, depth, indent="", in_def=False, first="def"):
     """Statements binding and reading _NAMES: nested defs (with defaults and
-    decorators) and class bodies, global/nonlocal declarations, walrus targets."""
+    decorators) and class bodies, global/nonlocal declarations, walrus targets;
+    from Python 3.12 type parameters on defs and classes, and type aliases."""
     lines = []
     keyword = draw(st.sampled_from((None, None, "global", "nonlocal"))) if indent else None
     if keyword:
         lines.append(f"{indent}{keyword} {draw(st.sampled_from(_NAMES))}")
     kinds = ("assign", "expression") + (("return",) if in_def else ()) + (("def", "class") if depth else ())
+    kinds += ("type",) if _PEP_695_SYNTAX else ()
     for kind in [first] + draw(st.lists(st.sampled_from(kinds), max_size=2)):
         name = draw(st.sampled_from(_NAMES))
         value = draw(_expressions(max(depth, 1)))
@@ -755,8 +797,10 @@ def _block(draw, depth, indent="", in_def=False, first="def"):
             lines.append(f"{indent}{value}")
         elif kind == "return":
             lines.append(f"{indent}return {value}")
+        elif kind == "type":
+            lines.append(f"{indent}type {name}{draw(_type_params())} = {value}")
         elif kind == "class":
-            lines.append(f"{indent}class {name}:")
+            lines.append(f"{indent}class {name}{draw(_type_params())}:")
             lines += draw(_block(depth - 1, indent + "    ", first="assign"))
         else:
             params = draw(st.lists(st.sampled_from(_NAMES), max_size=2, unique=True))
@@ -764,12 +808,14 @@ def _block(draw, depth, indent="", in_def=False, first="def"):
                 params[-1] += f"={value}"
             if draw(st.booleans()):
                 lines.append(f"{indent}@{draw(_expressions(1))}")
-            lines.append(f"{indent}def {name}({', '.join(params)}):")
+            lines.append(f"{indent}def {name}{draw(_type_params())}({', '.join(params)}):")
             lines += draw(_block(max(depth - 1, 0), indent + "    ", in_def=True, first="return"))
     return lines
 
 
-@settings(max_examples=200, deadline=None)
+# 200 draws a run, or more under a profile that asks for more, as CI's
+# "closures" profile (tests/conftest.py) does
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(_block(depth=3).map(lambda lines: "\n".join(lines) + "\n"))
 def test_closures_match_symtable_on_generated_scopes(source):
     # every generated module opens with a def, so symtable alone decides the verdict

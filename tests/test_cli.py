@@ -385,6 +385,23 @@ def test_classify_judges_a_file_as_analyze_judges_its_blob(tmp_path, capsys, dat
         assert [levels[label] for label in LEVEL_LABELS] == report["project_total"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_a_stdout_closed_early_exits_4_without_a_traceback(linear_repo, tmp_path, command):
+    # as `analyze REPO | head -0` and `classify FILE | head -3` close it
+    out, target = tmp_path / "out", tmp_path / "gen.py"
+    target.write_text(GEN_PY)
+    arguments = ["analyze", str(linear_repo), "--out", str(out)] if command == "analyze" else ["classify", str(target)]
+    reader, writer = os.pipe()
+    os.close(reader)
+    with open(writer, "wb") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "cefr_progress", *arguments],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, env=child_env())
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+    if command == "analyze":
+        assert sorted(path.name for path in out.iterdir()) == ["report.csv", "report.html", "report.json"]
+
+
 def test_classify_unreadable_file_exits_4(tmp_path):
     assert main(["classify", str(tmp_path / "missing.py")]) == 4
 
